@@ -1,0 +1,146 @@
+"""Kernel microbenchmark — counting vs sorting, in wall-clock time.
+
+The algebra kernels take a linear-time path when composite keys are
+dense (``span <= DENSE_SPAN_FACTOR * n``, see
+:mod:`repro.data.encoding`) and a comparison sort otherwise.  This
+bench times both paths on the same inputs — the group-index build,
+``marginalize`` under ``sum`` and ``min``, and a foreign-key
+``product_join`` — at n ∈ {1e3, 1e5, 1e6} rows and span/n from 0.01
+to 100, and checks they return the same bytes.  The table it writes is
+what fixes the threshold constant (``EXPERIMENTS.md`` holds a copy).
+
+Unlike the gated suites this one reads the machine's clock, so it is
+not part of the perf gate: every cell is a median of repeats with a
+cold group-index cache.  The span/n = 100 rows at n = 1e6 force a
+table over 1e8 slots through the counting path and need ~3 GB.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from statistics import median
+
+import numpy as np
+import pytest
+
+from _harness import reporter
+
+from repro.algebra import marginalize, product_join
+from repro.algebra.groupindex import (
+    DEFAULT_GROUP_INDEX_CACHE,
+    GroupIndex,
+    GroupIndexCache,
+)
+from repro.data import FunctionalRelation, encoding, var
+from repro.semiring import MIN_PRODUCT, SUM_PRODUCT
+
+SIZES = (1_000, 100_000, 1_000_000)
+RATIOS = (0.01, 0.1, 1, 4, 16, 100)
+SEED = 12
+
+_REPORT = reporter(
+    "kernels",
+    "Algebra kernels — counting (dense) vs sorting, median wall ms, "
+    "cold group-index cache",
+    ["n", "span_per_n", "span",
+     "groupindex_dense_ms", "groupindex_sort_ms",
+     "marg_sum_dense_ms", "marg_sum_sort_ms",
+     "marg_min_dense_ms", "marg_min_sort_ms",
+     "join_dense_ms", "join_sort_ms"],
+)
+
+
+def _fact_and_dimension(n: int, span: int, rng):
+    """An n-row fact table whose key ``k`` spans exactly ``span`` codes
+    and the dimension table (unique ``k``) it references."""
+    if span <= n:
+        present = np.arange(span, dtype=np.int64)
+    else:
+        # n distinct codes, one drawn from each stride of the span.
+        stride = span // n
+        present = np.arange(n, dtype=np.int64) * stride
+        present += rng.integers(0, stride, n)
+        present[0], present[-1] = 0, span - 1
+    codes = rng.choice(present, size=n)
+    codes[:2] = 0, span - 1
+    k, row, attr = var("k", span), var("row", n), var("attr", 7)
+    fact = FunctionalRelation(
+        [k, row],
+        {"k": codes, "row": np.arange(n, dtype=np.int64)},
+        rng.random(n) + 0.5,
+        check_fd=False,
+    )
+    dimension = FunctionalRelation(
+        [k, attr],
+        {"k": rng.permutation(present),
+         "attr": rng.integers(0, 7, len(present))},
+        rng.random(len(present)) + 0.5,
+        check_fd=False,
+    )
+    return fact, dimension
+
+
+def _timed(kernel, repeats: int):
+    """(median milliseconds, last result) of ``kernel()`` run cold."""
+    samples = []
+    for _ in range(repeats):
+        DEFAULT_GROUP_INDEX_CACHE.clear()
+        started = time.perf_counter()
+        result = kernel()
+        samples.append((time.perf_counter() - started) * 1e3)
+    return median(samples), result
+
+
+_INDEX_ARRAYS = ("order", "starts", "first_idx", "inverse", "unique_keys")
+
+
+def _same_bytes(a, b) -> bool:
+    if isinstance(a, GroupIndex):
+        return all(
+            getattr(a, f).dtype == getattr(b, f).dtype
+            and np.array_equal(getattr(a, f), getattr(b, f))
+            for f in _INDEX_ARRAYS
+        )
+    return (
+        a.measure.tobytes() == b.measure.tobytes()
+        and all(np.array_equal(a.columns[c], b.columns[c]) for c in a.columns)
+    )
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+@pytest.mark.parametrize("n", SIZES)
+def test_dense_vs_sort(benchmark, monkeypatch, n, ratio):
+    span = max(2, round(n * ratio))
+    fact, dimension = _fact_and_dimension(
+        n, span, np.random.default_rng(SEED)
+    )
+    keys = fact.key_codes(("k",))
+    kernels = [
+        lambda: GroupIndex(keys),
+        lambda: marginalize(
+            fact, ("k",), SUM_PRODUCT, cache=GroupIndexCache()
+        ),
+        lambda: marginalize(
+            fact, ("k",), MIN_PRODUCT, cache=GroupIndexCache()
+        ),
+        lambda: product_join(fact, dimension, SUM_PRODUCT),
+    ]
+    repeats = 9 if n < 1_000_000 else 3
+    cells = []
+    with monkeypatch.context() as patch:
+        for kernel in kernels:
+            pair = []
+            # inf forces the counting path, 0 the sort, whatever the span.
+            for factor in (math.inf, 0):
+                patch.setattr(encoding, "DENSE_SPAN_FACTOR", factor)
+                pair.append(_timed(kernel, repeats))
+            (dense_ms, dense), (sort_ms, sort) = pair
+            assert _same_bytes(dense, sort)
+            cells += [dense_ms, sort_ms]
+    DEFAULT_GROUP_INDEX_CACHE.clear()
+
+    # pytest-benchmark's own timing: the build as shipped (threshold on).
+    benchmark.pedantic(GroupIndex, args=(keys,), rounds=3)
+    _REPORT.metrics.counter("bench.kernel_cases").inc()
+    _REPORT.add(n, float(ratio), span, *cells)

@@ -1,14 +1,20 @@
-"""Group-index cache: memoized sort/inverse structure of composite keys.
+"""Group-index cache: memoized group structure of composite keys.
 
-Marginalization, the Proposition-1 projection, and the join's probe
+Marginalization, the Proposition-1 projection, and the join's build
 side all need the same derived structure over a relation's key columns:
 the stable sorted order of the composite keys, the segment boundaries
 of equal-key runs, the first-occurrence row of each distinct key, and
-the row→group inverse.  Building it costs an ``argsort`` — the dominant
-kernel cost for the repeated marginalizations a VE/BP workload performs
-over the same relations and key sets (the FAQ framing: a factor is a
-tensor, marginalization an axis reduction, and the axis layout is
-reusable).
+the row→group inverse (the FAQ framing: a factor is a tensor over a
+bounded index space, marginalization an axis reduction, and the axis
+layout is reusable).
+
+Keys are mixed-radix codes, so their span is known and usually no
+larger than the row count.  On such *dense* keys
+(:func:`repro.data.encoding.dense_key_counts`) the structure is built
+by counting — ``bincount``, prefix sums, and a radix sort of the group
+ids — in time linear in the rows; sparse, oversized or non-integer keys
+take one comparison ``argsort``.  Which path ran is a property of the
+keys, never a setting, and both produce the same bytes.
 
 :class:`GroupIndexCache` memoizes one :class:`GroupIndex` per
 ``(relation fingerprint, key-name tuple)``.  Fingerprints are
@@ -19,11 +25,11 @@ both by entry count and by total retained array elements; eviction is
 strict LRU and fully deterministic, so hit/miss/eviction sequences are
 identical across worker counts (the differential-suite contract).
 
-The derivation is byte-compatible with
-``np.unique(keys, return_index=True, return_inverse=True)``: a stable
-argsort makes ``order[starts]`` the first-occurrence indices and the
-segment ranks the same inverse ``np.unique`` returns, so cached and
-uncached operator paths produce bit-identical results.
+Either derivation is byte-compatible with
+``np.unique(keys, return_index=True, return_inverse=True)``: ``order``
+is the stable argsort, so ``order[starts]`` are the first-occurrence
+indices and the segment ranks the same inverse ``np.unique`` returns —
+cached and uncached operator paths produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.data.encoding import dense_key_counts
 from repro.data.relation import FunctionalRelation
 
 __all__ = [
@@ -49,11 +56,74 @@ DEFAULT_CAPACITY = 4096
 DEFAULT_ELEMENT_BUDGET = 16_000_000  # int64 elements across all entries
 
 
+def _sorted_fields(keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The five :class:`GroupIndex` arrays by one comparison sort.
+
+    The path for sparse, oversized or non-integer keys, ``O(n log n)``.
+    """
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    starts = np.concatenate(
+        (np.zeros(1, dtype=np.int64), boundaries.astype(np.int64))
+    )
+    group_of_sorted = np.zeros(n, dtype=np.int64)
+    group_of_sorted[boundaries] = 1
+    np.cumsum(group_of_sorted, out=group_of_sorted)
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = group_of_sorted
+    return order, starts, order[starts], inverse, sorted_keys[starts]
+
+
+def _counted_fields(
+    keys: np.ndarray, low: int, offsets: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The same five arrays from dense keys' counts, ``O(n + span)``.
+
+    Occupied slots of the span are the distinct keys, their prefix sums
+    the run starts, and a slot's rank among the occupied ones its group
+    id.  The stable order sorts the *group ids*: they are a monotone
+    image of the keys, and being ``< n_groups`` they fit a dtype NumPy
+    sorts by radix.
+    """
+    occupied = np.flatnonzero(counts)
+    sizes = counts[occupied]
+    starts = np.cumsum(sizes) - sizes
+    if len(occupied) == len(counts):
+        inverse = offsets.astype(np.int64)  # a copy: offsets may be keys
+    else:
+        rank = np.empty(len(counts), dtype=np.int64)
+        rank[occupied] = np.arange(len(occupied), dtype=np.int64)
+        inverse = rank[offsets]
+    order = _radix_argsort(inverse, len(occupied))
+    unique_keys = (occupied + low).astype(keys.dtype, copy=False)
+    return order, starts, order[starts], inverse, unique_keys
+
+
+def _radix_argsort(ids: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of int64 ``ids`` in ``[0, bound)``.
+
+    NumPy's stable sort is a radix sort for 8- and 16-bit integers and
+    a merge sort above; ids beyond 16 bits take two 16-bit passes, low
+    digits first (three times faster than the int64 merge sort).
+    """
+    if bound <= 1 << 8:
+        return np.argsort(ids.astype(np.uint8), kind="stable")
+    if bound <= 1 << 16:
+        return np.argsort(ids.astype(np.uint16), kind="stable")
+    if bound <= 1 << 32:
+        by_low = np.argsort((ids & 0xFFFF).astype(np.uint16), kind="stable")
+        high = (ids >> 16).astype(np.uint16)[by_low]
+        return by_low[np.argsort(high, kind="stable")]
+    return np.argsort(ids, kind="stable")
+
+
 class GroupIndex:
     """The reusable group structure of one relation + key-name tuple.
 
     ``order``
-        Stable argsort of the composite keys.
+        Stable argsort of the composite keys (row ids, key-major).
     ``starts``
         Start offset of each equal-key run in ``order`` (ascending).
     ``first_idx``
@@ -71,32 +141,17 @@ class GroupIndex:
     )
 
     def __init__(self, keys: np.ndarray):
-        n = len(keys)
-        if n == 0:
-            self.order = np.empty(0, dtype=np.int64)
-            self.starts = np.empty(0, dtype=np.int64)
-            self.first_idx = np.empty(0, dtype=np.int64)
-            self.inverse = np.empty(0, dtype=np.int64)
-            self.unique_keys = np.empty(0, dtype=keys.dtype)
-            self.n_groups = 0
-            return
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-        starts = np.concatenate(
-            (np.zeros(1, dtype=np.int64), boundaries.astype(np.int64))
-        )
-        group_of_sorted = np.zeros(n, dtype=np.int64)
-        group_of_sorted[boundaries] = 1
-        np.cumsum(group_of_sorted, out=group_of_sorted)
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = group_of_sorted
-        self.order = order
-        self.starts = starts
-        self.first_idx = order[starts]
-        self.inverse = inverse
-        self.unique_keys = sorted_keys[starts]
-        self.n_groups = len(starts)
+        dense = dense_key_counts(keys)
+        if dense is not None:
+            fields = _counted_fields(keys, *dense)
+        elif len(keys):
+            fields = _sorted_fields(keys)
+        else:
+            empty = np.empty(0, dtype=np.int64)
+            fields = (empty,) * 4 + (np.empty(0, dtype=keys.dtype),)
+        (self.order, self.starts, self.first_idx, self.inverse,
+         self.unique_keys) = fields
+        self.n_groups = len(self.starts)
 
     @property
     def nbytes_elements(self) -> int:
@@ -186,8 +241,8 @@ DEFAULT_GROUP_INDEX_CACHE = GroupIndexCache()
 
 Module-level on purpose: executors and contexts are short-lived (one
 per query in the facade), but base relations persist — a shared cache
-is what lets the second query over a table skip the argsort the first
-one paid for."""
+is what lets the second query over a table skip the index build the
+first one paid for."""
 
 
 def group_index(

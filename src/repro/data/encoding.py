@@ -11,10 +11,52 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["encode_rows", "encode_rows_pair", "MIXED_RADIX_LIMIT"]
+__all__ = [
+    "encode_rows",
+    "encode_rows_pair",
+    "dense_key_counts",
+    "is_dense_span",
+    "MIXED_RADIX_LIMIT",
+    "DENSE_SPAN_FACTOR",
+]
 
 # Stay well below 2**63 so intermediate multiply-adds cannot overflow.
 MIXED_RADIX_LIMIT = 2**62
+
+# Keys count as dense when ``max - min + 1 <= DENSE_SPAN_FACTOR * n``:
+# a table over the whole span is then O(n), and counting beats sorting.
+# Fixed by the benchmarks/bench_kernels.py table (copy in
+# EXPERIMENTS.md): at span/n = 4 counting wins at every size measured
+# (1.3-2x), at 16 it ties or loses (1.6x at n = 1e6), at 100 it loses
+# 5-10x.
+DENSE_SPAN_FACTOR = 4
+
+
+def is_dense_span(span: int, rows: int) -> bool:
+    """Whether a table over ``span`` key codes is linear in ``rows``."""
+    return span <= DENSE_SPAN_FACTOR * rows
+
+
+def dense_key_counts(
+    keys: np.ndarray,
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """``(low, offsets, counts)`` of dense integer keys, else ``None``.
+
+    ``offsets = keys - low`` indexes a table over the key span and
+    ``counts[k]`` is the number of rows whose offset is ``k`` — the
+    linear-time replacement for sorting coded keys, whose span is known
+    and usually no larger than the row count.  ``None`` (empty,
+    non-integer or sparse keys) sends the caller to its sort path.
+    """
+    n = len(keys)
+    if n == 0 or keys.dtype.kind not in "iu":
+        return None
+    low = int(keys.min())
+    span = int(keys.max()) - low + 1
+    if not is_dense_span(span, n):
+        return None
+    offsets = (keys - low if low else keys).astype(np.intp, copy=False)
+    return low, offsets, np.bincount(offsets, minlength=span)
 
 
 def _fits_mixed_radix(sizes: tuple[int, ...]) -> bool:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.data.domain import Variable, VariableSet, domain_product
-from repro.data.encoding import encode_rows
+from repro.data.encoding import dense_key_counts, encode_rows
 from repro.errors import FunctionalDependencyError, SchemaError
 from repro.semiring.base import Semiring
 
@@ -239,8 +239,13 @@ class FunctionalRelation:
                 )
             return
         keys = self.key_codes()
-        unique_keys, first_idx = np.unique(keys, return_index=True)
-        if len(unique_keys) == len(keys):
+        dense = dense_key_counts(keys)
+        if dense is not None:
+            _, _, counts = dense
+            unique = counts.max() <= 1
+        else:
+            unique = len(np.unique(keys)) == len(keys)
+        if unique:
             return
         # Find an offending pair for the error message.
         order = np.argsort(keys, kind="stable")

@@ -319,7 +319,8 @@ class MetricsRegistry:
         """Load instrument state from a snapshot (crash recovery).
 
         Rebuilds each instrument at its dumped value; existing
-        same-named instruments are overwritten.  Together with the
+        same-named instruments are overwritten (counters and gauges of
+        the same kind keep their identity).  Together with the
         snapshot algebra (``b.diff(a).merge(a) == b``) this lets
         recovery restore a checkpoint's snapshot and fold in the
         per-unit deltas the WAL recorded after it.
@@ -337,7 +338,11 @@ class MetricsRegistry:
                 inst.total = entry["sum"]
                 inst.count = entry["count"]
             elif kind in ("counter", "gauge"):
-                inst = _KINDS[kind]()
+                # In place when one exists: callers on hot paths (the
+                # buffer pool) hold instrument handles across calls.
+                inst = self._instruments.get(key)
+                if inst is None or inst.kind != kind:
+                    inst = _KINDS[kind]()
                 inst.value = entry["value"]
             else:
                 raise ValueError(f"metric {key!r}: unknown kind {kind!r}")

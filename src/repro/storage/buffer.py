@@ -54,10 +54,25 @@ class BufferPool:
         """Optional :class:`~repro.storage.wal.WriteAheadLog`; every
         page write is logged before it is considered durable."""
         self._pages: OrderedDict[PageId, None] = OrderedDict()
+        # (registry, {name: Counter}): handles resolved on first use —
+        # so no counter appears before its first increment — and
+        # dropped together when ``metrics`` is rebound to another
+        # registry.  One page access is then a dict get and an add, not
+        # a registry lookup.
+        self._handles: tuple = (None, {})
 
     def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
+        metrics = self.metrics
+        if metrics is None:
+            return
+        registry, handles = self._handles
+        if registry is not metrics:
+            handles = {}
+            self._handles = (metrics, handles)
+        handle = handles.get(name)
+        if handle is None:
+            handle = handles[name] = metrics.counter(name)
+        handle.inc()
 
     def __len__(self) -> int:
         return len(self._pages)

@@ -1,5 +1,7 @@
 """Unit and differential tests for the group-index kernel cache."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from repro.algebra.groupindex import (
     group_index,
 )
 from repro.algebra.join import join_match_indices
-from repro.data import FunctionalRelation, complete_relation, var
+from repro.data import FunctionalRelation, complete_relation, encoding, var
 from repro.semiring import ALL_SEMIRINGS, SUM_PRODUCT
 
 
@@ -49,6 +51,131 @@ class TestGroupIndex:
         assert gidx.n_groups == 0
         assert len(gidx.order) == 0
         assert gidx.nbytes_elements == 0
+
+
+def build_with_factor(keys, factor):
+    """``GroupIndex(keys)`` with the counting path forced (``math.inf``)
+    or switched off (``0``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoding, "DENSE_SPAN_FACTOR", factor)
+        return GroupIndex(keys)
+
+
+FIELDS = ("order", "starts", "first_idx", "inverse", "unique_keys")
+
+
+def assert_dense_sort_unique_agree(keys):
+    """Counting ≡ sorting ≡ ``np.unique``, field by field, dtype too."""
+    dense = build_with_factor(keys, math.inf)
+    sort = build_with_factor(keys, 0)
+    for field in FIELDS:
+        got, want = getattr(dense, field), getattr(sort, field)
+        assert got.dtype == want.dtype, field
+        assert np.array_equal(got, want), field
+    assert dense.n_groups == sort.n_groups
+    assert dense.nbytes_elements == sort.nbytes_elements
+    uniq, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    assert dense.unique_keys.dtype == uniq.dtype
+    assert np.array_equal(dense.unique_keys, uniq)
+    assert np.array_equal(dense.first_idx, first)
+    assert np.array_equal(dense.inverse, inverse.reshape(-1))
+    assert np.array_equal(dense.order, np.argsort(keys, kind="stable"))
+    return dense
+
+
+class TestDenseKeys:
+    """The counting build is the sort build, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("low", [0, 5])
+    def test_small_inputs(self, n, low):
+        rng = np.random.default_rng(n)
+        assert_dense_sort_unique_agree(rng.integers(low, low + 4, n))
+
+    def test_all_equal_keys(self):
+        gidx = assert_dense_sort_unique_agree(np.full(50, 9, dtype=np.int64))
+        assert gidx.n_groups == 1
+        assert np.array_equal(gidx.order, np.arange(50))
+
+    def test_all_distinct_keys(self):
+        rng = np.random.default_rng(1)
+        gidx = assert_dense_sort_unique_agree(rng.permutation(300) + 3)
+        assert gidx.n_groups == 300
+
+    @pytest.mark.parametrize("span", [255, 256, 257, 65_535, 65_536, 65_537])
+    def test_radix_width_boundaries(self, span):
+        # Every slot occupied, so the group count — what picks the
+        # 8-bit, 16-bit or two-pass order — sits on the boundary.
+        rng = np.random.default_rng(span)
+        keys = np.concatenate(
+            (rng.permutation(span), rng.integers(0, span, span // 2))
+        )
+        gidx = assert_dense_sort_unique_agree(keys)
+        assert gidx.n_groups == span
+
+    def test_gaps_in_the_span(self):
+        rng = np.random.default_rng(4)
+        keys = rng.choice(np.arange(0, 900, 7), size=500) + 100
+        assert_dense_sort_unique_agree(keys)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+    def test_other_integer_dtypes(self, dtype):
+        rng = np.random.default_rng(5)
+        assert_dense_sort_unique_agree(rng.integers(3, 40, 200).astype(dtype))
+
+    def test_threshold_picks_the_path(self, monkeypatch):
+        taken = []
+        real = encoding.dense_key_counts
+
+        def spy(keys):
+            found = real(keys)
+            taken.append(found is not None)
+            return found
+
+        monkeypatch.setattr("repro.algebra.groupindex.dense_key_counts", spy)
+        n = 100
+        for span, dense in [
+            (encoding.DENSE_SPAN_FACTOR * n, True),
+            (encoding.DENSE_SPAN_FACTOR * n + 1, False),
+        ]:
+            keys = np.random.default_rng(span).integers(0, span, n)
+            keys[:2] = 0, span - 1
+            gidx = GroupIndex(keys)
+            assert taken[-1] is dense
+            assert np.array_equal(gidx.unique_keys, np.unique(keys))
+
+    def test_inputs_the_counting_path_cannot_take(self):
+        # Sparse, huge and non-integer keys fall back to the sort.
+        for keys in (
+            np.asarray([0, 2**61, 7, 2**61], dtype=np.int64),
+            np.asarray([0.5, 0.25, 0.5]),
+            np.empty(0, dtype=np.int64),
+        ):
+            assert encoding.dense_key_counts(keys) is None
+            gidx = GroupIndex(keys)
+            uniq, first, inverse = np.unique(
+                keys, return_index=True, return_inverse=True
+            )
+            assert np.array_equal(gidx.unique_keys, uniq)
+            assert np.array_equal(gidx.first_idx, first)
+            assert np.array_equal(gidx.inverse, inverse.reshape(-1))
+
+    def test_inverse_never_aliases_the_keys(self):
+        keys = np.arange(10, dtype=np.int64)[::-1].copy()
+        gidx = GroupIndex(keys)
+        assert not np.shares_memory(gidx.inverse, keys)
+
+    @given(
+        st.lists(st.integers(0, 400), max_size=120),
+        st.integers(0, 2**40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_dense_equals_sort_equals_unique(self, codes, low):
+        assert_dense_sort_unique_agree(
+            np.asarray(codes, dtype=np.int64) + low
+        )
 
 
 class TestGroupIndexCache:

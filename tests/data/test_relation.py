@@ -38,6 +38,30 @@ class TestConstruction:
                 [a, b], [(1, 1, 2.0), (1, 1, 2.0)]
             )
 
+    def test_fd_error_names_the_first_offending_pair(self):
+        # Same message whether the duplicate test counted (dense keys)
+        # or sorted (a key space too sparse to count over).
+        for size in (6, 10**7):
+            a = var("a", size)
+            with pytest.raises(FunctionalDependencyError) as caught:
+                FunctionalRelation(
+                    [a],
+                    {"a": np.array([size - 1, 2, 0, 2, size - 1])},
+                    np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+                )
+            assert str(caught.value) == (
+                "FD violated: rows 1 and 3 share variables {'a': 2} "
+                f"with measures {np.float64(2.0)!r} and {np.float64(4.0)!r}"
+            )
+
+    def test_fd_holds_on_dense_and_sparse_keys(self):
+        for size in (6, 10**7):
+            a = var("a", size)
+            rel = FunctionalRelation(
+                [a], {"a": np.array([size - 1, 2, 0])}, np.ones(3)
+            )
+            assert rel.ntuples == 3
+
     def test_column_length_mismatch(self, ab):
         a, b = ab
         with pytest.raises(SchemaError):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.data import complete_relation, var
 from repro.errors import StorageError
+from repro.obs.metrics import MetricsRegistry
 from repro.storage import (
     BufferPool,
     HeapFile,
@@ -97,6 +98,66 @@ class TestBufferPool:
     def test_zero_capacity_rejected(self):
         with pytest.raises(StorageError):
             BufferPool(0)
+
+    def test_counters_appear_on_first_use_only(self):
+        registry = MetricsRegistry()
+        pool = BufferPool(capacity_pages=4, metrics=registry)
+        stats = IOStats()
+        assert registry.snapshot().to_dict() == {}
+        pool.read(PageId(1, 0), stats)
+        assert registry.snapshot().to_dict() == {
+            "bufferpool.reads": {"kind": "counter", "value": 1},
+        }
+        pool.read(PageId(1, 0), stats)
+        pool.read(PageId(1, 0), stats)
+        pool.write(PageId(1, 1), stats)
+        assert registry.snapshot().to_dict() == {
+            "bufferpool.reads": {"kind": "counter", "value": 1},
+            "bufferpool.hits": {"kind": "counter", "value": 2},
+            "bufferpool.writes": {"kind": "counter", "value": 1},
+        }
+
+    def test_counter_handles_are_resolved_once(self, monkeypatch):
+        registry = MetricsRegistry()
+        lookups = []
+        real = registry.counter
+        monkeypatch.setattr(
+            registry, "counter",
+            lambda name: lookups.append(name) or real(name),
+        )
+        pool = BufferPool(capacity_pages=2, metrics=registry)
+        stats = IOStats()
+        for i in range(50):
+            pool.read(PageId(1, i % 5), stats)
+        assert lookups == ["bufferpool.reads"]
+
+    def test_counter_handles_follow_a_reassigned_registry(self):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        pool = BufferPool(capacity_pages=4, metrics=first)
+        stats = IOStats()
+        pool.read(PageId(1, 0), stats)
+        pool.metrics = second
+        pool.read(PageId(1, 1), stats)
+        pool.read(PageId(1, 1), stats)
+        pool.metrics = None
+        pool.read(PageId(1, 2), stats)
+        pool.metrics = first
+        pool.read(PageId(1, 3), stats)
+        assert first.counter("bufferpool.reads").value == 2
+        assert first.keys() == ["bufferpool.reads"]
+        assert second.counter("bufferpool.reads").value == 1
+        assert second.counter("bufferpool.hits").value == 1
+
+    def test_counter_handles_survive_a_registry_restore(self):
+        registry = MetricsRegistry()
+        pool = BufferPool(capacity_pages=4, metrics=registry)
+        stats = IOStats()
+        pool.read(PageId(1, 0), stats)
+        registry.restore(
+            {"bufferpool.reads": {"kind": "counter", "value": 10}}
+        )
+        pool.read(PageId(1, 1), stats)
+        assert registry.counter("bufferpool.reads").value == 11
 
 
 class TestHeapFile:
