@@ -6,8 +6,8 @@ as nested :class:`Span`\\ s, and within an execute span the runtime's
 tracer hooks record one operator span per evaluated plan node (plus
 memo hits, guard degradations, and retries).  The tracer doubles as
 the profiling collector: its ``operators`` list is the per-operator
-breakdown ``EXPLAIN ANALYZE`` prints, which is why
-:class:`~repro.plans.profile.ProfilingTracer` is this class.
+breakdown ``EXPLAIN ANALYZE`` prints
+(:func:`~repro.plans.profile.profile_execution` attaches one).
 
 All span timing uses the simulated cost clock
 (:meth:`~repro.storage.iostats.IOStats.elapsed`), never the wall

@@ -18,17 +18,14 @@ from repro.plans.printer import explain
 from repro.plans.profile import (
     ExecutionProfile,
     OperatorProfile,
-    ProfilingTracer,
     profile_execution,
 )
 from repro.plans.runtime import (
     DEFAULT_WORKMEM_PAGES,
     ExecutionContext,
-    PhysicalOperator,
     Tracer,
     evaluate,
     evaluate_dag,
-    operator_for,
 )
 from repro.plans.serialize import (
     plan_from_dict,
@@ -54,15 +51,12 @@ __all__ = [
     "PlanDAG",
     "lower",
     "ExecutionContext",
-    "PhysicalOperator",
     "QueryGuard",
     "Tracer",
     "evaluate",
     "evaluate_dag",
-    "operator_for",
     "DEFAULT_WORKMEM_PAGES",
     "profile_execution",
-    "ProfilingTracer",
     "ExecutionProfile",
     "OperatorProfile",
     "plan_to_dict",

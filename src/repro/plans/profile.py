@@ -9,9 +9,8 @@ behavior — with each operator's incremental work captured from the
 stats deltas the runtime hands the tracer.
 
 The tracer itself lives in :mod:`repro.obs.trace`:
-:class:`~repro.obs.trace.QueryTracer` subsumes the old
-``ProfilingTracer`` (kept as an alias) and additionally records the
-query's lifecycle as a span tree.
+:class:`~repro.obs.trace.QueryTracer` collects the per-operator
+profile and additionally records the query's lifecycle as a span tree.
 """
 
 from __future__ import annotations
@@ -39,14 +38,8 @@ if TYPE_CHECKING:
 __all__ = [
     "OperatorProfile",
     "ExecutionProfile",
-    "ProfilingTracer",
     "profile_execution",
 ]
-
-# The span-based tracer subsumed the old profiling-only tracer; the
-# name survives for callers constructing one directly.
-ProfilingTracer = QueryTracer
-
 
 @dataclass
 class ExecutionProfile:

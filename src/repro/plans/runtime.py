@@ -17,11 +17,14 @@ The pieces:
   cache build) shares one context, which is what makes cross-query
   sharing real.
 
-* per-node-type :class:`PhysicalOperator` classes — ``execute(ctx,
-  inputs)`` runs one operator over already-evaluated inputs, charging
-  the clock the way a disk-based engine would (sequential page reads
-  through the pool for scans, hash/sort CPU for joins and aggregation,
-  spill writes past ``workmem_pages``).
+* one *body* function per node type — it runs the operator over
+  whatever relations it is handed (a node's whole inputs, or one shard
+  of them), charging the clock the way a disk-based engine would
+  (sequential page reads through the pool for scans, hash/sort CPU for
+  joins and aggregation, spill writes past ``workmem_pages``).  The
+  unsharded path calls a body once on the merged inputs; the sharded
+  path calls the same body once per partition — "serial" is the
+  one-shard case, so a cost charge cannot differ between the two.
 
 * :func:`evaluate` / :func:`evaluate_dag` — drive a lowered
   :class:`~repro.plans.lower.PlanDAG` in topological order.  A node
@@ -33,6 +36,7 @@ The pieces:
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Mapping, Protocol, Sequence
 
 from repro.algebra.aggregate import marginalize
@@ -78,15 +82,6 @@ __all__ = [
     "ExecutionContext",
     "QueryGuard",
     "Tracer",
-    "PhysicalOperator",
-    "ScanOperator",
-    "IndexScanOperator",
-    "FilterScanOperator",
-    "SelectOperator",
-    "ProductJoinOperator",
-    "GroupByOperator",
-    "SemiJoinOperator",
-    "operator_for",
     "evaluate",
     "evaluate_dag",
 ]
@@ -180,7 +175,7 @@ class ExecutionContext:
         self.task_policy = task_policy
         self.worker_faults = worker_faults
         self._task_runtime = TaskRuntime(
-            OrderedPool(workers), policy=task_policy,
+            OrderedPool(), policy=task_policy,
             injector=worker_faults, count=self.count,
             event=self._task_event,
         )
@@ -398,181 +393,87 @@ class ExecutionContext:
 
 
 # ----------------------------------------------------------------------
-# Physical operators
+# Operator bodies
 # ----------------------------------------------------------------------
-class PhysicalOperator:
-    """One plan node's physical implementation."""
-
-    def __init__(self, node: PlanNode):
-        self.node = node
-
-    def execute(
-        self, ctx: ExecutionContext, inputs: Sequence[FunctionalRelation]
-    ) -> FunctionalRelation:
-        raise NotImplementedError
+# One function per node type.  A body runs over the relations it is
+# handed — the node's merged inputs on the unsharded path, one shard of
+# them on the sharded path — and is the only place that operator's
+# clock charges are written.
+def _scan(ctx, node, relation, heapfile):
+    """Sequential page reads of a base heap file through the pool."""
+    heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
+    return relation
 
 
-class ScanOperator(PhysicalOperator):
-    """Sequential page reads of the base heap file through the pool."""
-
-    node: Scan
-
-    def execute(self, ctx, inputs):
-        relation = ctx.relation(self.node.table)
-        heapfile = ctx.heapfile_for(self.node.table, relation)
-        heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
-        return relation
-
-
-class IndexScanOperator(PhysicalOperator):
+def _index_scan(ctx, node):
     """Equality probe through a catalog hash index."""
-
-    node: IndexScan
-
-    def execute(self, ctx, inputs):
-        relation = ctx.relation(self.node.table)
-        if ctx.catalog is None:
-            raise PlanError("IndexScan requires a catalog-backed context")
-        index = ctx.catalog.index_on(self.node.table, self.node.variable)
-        if index is None:
-            raise PlanError(
-                f"no index on {self.node.table}({self.node.variable})"
-            )
-        value = self.node.predicate[self.node.variable]
-        code = relation.variables[self.node.variable].domain.code_of(value)
-        rows = index.lookup(code, ctx.pool, ctx.stats, guard=ctx.guard)
-        return relation.take(rows)
+    relation = ctx.relation(node.table)
+    if ctx.catalog is None:
+        raise PlanError("IndexScan requires a catalog-backed context")
+    index = ctx.catalog.index_on(node.table, node.variable)
+    if index is None:
+        raise PlanError(f"no index on {node.table}({node.variable})")
+    value = node.predicate[node.variable]
+    code = relation.variables[node.variable].domain.code_of(value)
+    rows = index.lookup(code, ctx.pool, ctx.stats, guard=ctx.guard)
+    return relation.take(rows)
 
 
-class FilterScanOperator(PhysicalOperator):
+def _filter_scan(ctx, node, relation, heapfile):
     """Fused Select→Scan: predicate evaluated during the base scan.
 
     Pays the scan's page reads plus CPU for the *surviving* rows only —
     the fusion's win over Scan-then-Select is exactly the dropped
     ``charge_cpu(n_input)`` materialization pass.
     """
-
-    node: FilterScan
-
-    def execute(self, ctx, inputs):
-        relation = ctx.relation(self.node.table)
-        heapfile = ctx.heapfile_for(self.node.table, relation)
-        heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
-        result = restrict(relation, self.node.predicate)
-        ctx.stats.charge_cpu(result.ntuples)
-        return result
+    heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
+    result = restrict(relation, node.predicate)
+    ctx.stats.charge_cpu(result.ntuples)
+    return result
 
 
-class SelectOperator(PhysicalOperator):
+def _select(ctx, node, child):
     """One pass over the input applying equality predicates."""
-
-    node: Select
-
-    def execute(self, ctx, inputs):
-        (child,) = inputs
-        ctx.stats.charge_cpu(child.ntuples)
-        return restrict(child, self.node.predicate)
+    ctx.stats.charge_cpu(child.ntuples)
+    return restrict(child, node.predicate)
 
 
-class ProductJoinOperator(PhysicalOperator):
-    """Hash (or sort-merge) product join with spill accounting.
-
-    A hash join needs its build side (the left input) resident in
-    memory.  Under a guard, a build side that does not fit in work-mem
-    (or the guard's remaining memory allowance) *degrades* to the
-    sort-merge spill path rather than aborting — unless the guard
-    forbids degradation, in which case it raises
-    :class:`~repro.errors.MemoryLimitExceeded`.
-    """
-
-    node: ProductJoin
-
-    def execute(self, ctx, inputs):
-        left, right = inputs
-        method = self.node.method
-        if method == "hash" and ctx.guard is not None:
-            build_pages = PageGeometry(left.arity).pages_for(left.ntuples)
-            if not ctx.guard.build_side_fits(build_pages, ctx.workmem_pages):
-                if not ctx.guard.allow_degrade:
-                    raise MemoryLimitExceeded(
-                        f"hash-join build side needs {build_pages} pages, "
-                        "over the memory allowance, and degradation is "
-                        "disabled"
-                    )
-                method = "sort_merge"
-                ctx.record_degradation(
-                    self.node,
-                    f"hash join degraded to sort-merge: build side "
-                    f"({build_pages} pages) exceeds the memory allowance",
-                )
-        result = product_join(left, right, ctx.semiring)
-        if method == "sort_merge":
-            nl, nr = max(left.ntuples, 2), max(right.ntuples, 2)
-            ctx.stats.charge_cpu(
-                int(nl * math.log2(nl) + nr * math.log2(nr))
-            )
-        ctx.stats.charge_cpu(left.ntuples + right.ntuples + result.ntuples)
-        ctx.maybe_spill(result)
-        return result
+def _product_join(ctx, node, method, left, right):
+    """Hash (or sort-merge) product join with spill accounting."""
+    result = product_join(left, right, ctx.semiring)
+    if method == "sort_merge":
+        nl, nr = max(left.ntuples, 2), max(right.ntuples, 2)
+        ctx.stats.charge_cpu(int(nl * math.log2(nl) + nr * math.log2(nr)))
+    ctx.stats.charge_cpu(left.ntuples + right.ntuples + result.ntuples)
+    ctx.maybe_spill(result)
+    return result
 
 
-class GroupByOperator(PhysicalOperator):
+def _group_by(ctx, node, method, child):
     """Sort- or hash-based semiring aggregation with spill accounting."""
-
-    node: GroupBy
-
-    def execute(self, ctx, inputs):
-        (child,) = inputs
-        n = max(child.ntuples, 2)
-        method = self.node.method
-        if method == "hash" and ctx.guard is not None:
-            # Pessimistic: the hash table may hold every input group.
-            table_pages = PageGeometry(child.arity).pages_for(child.ntuples)
-            if not ctx.guard.build_side_fits(table_pages, ctx.workmem_pages):
-                if not ctx.guard.allow_degrade:
-                    raise MemoryLimitExceeded(
-                        f"hash aggregation table needs {table_pages} pages, "
-                        "over the memory allowance, and degradation is "
-                        "disabled"
-                    )
-                method = "sort"
-                ctx.record_degradation(
-                    self.node,
-                    f"hash aggregation degraded to sort: table "
-                    f"({table_pages} pages) exceeds the memory allowance",
-                )
-        if method == "sort":
-            if _group_index_cached(child, self.node.group_names):
-                # The sorted group structure is already in the kernel
-                # cache: the aggregation is a linear gather over the
-                # cached order, not a fresh sort.
-                ctx.stats.charge_cpu(n)
-            else:
-                ctx.stats.charge_cpu(int(n * math.log2(n)))
-        else:  # hash aggregation: one pass + group emission
-            ctx.stats.charge_cpu(n)
-        result = marginalize(child, self.node.group_names, ctx.semiring)
-        ctx.stats.charge_cpu(result.ntuples)
-        ctx.maybe_spill(result)
-        return result
+    n = max(child.ntuples, 2)
+    if method == "sort" and not _group_index_cached(child, node.group_names):
+        ctx.stats.charge_cpu(int(n * math.log2(n)))
+    else:
+        # Hash aggregation is one pass + group emission; so is a sort
+        # whose group structure is already in the kernel cache — a
+        # linear gather over the cached order, not a fresh sort.
+        ctx.stats.charge_cpu(n)
+    result = marginalize(child, node.group_names, ctx.semiring)
+    ctx.stats.charge_cpu(result.ntuples)
+    ctx.maybe_spill(result)
+    return result
 
 
-class SemiJoinOperator(PhysicalOperator):
+def _semi_join(ctx, node, target, source):
     """Product / update semijoin — the workload message primitive."""
-
-    node: SemiJoin
-
-    def execute(self, ctx, inputs):
-        target, source = inputs
-        if self.node.kind == "product":
-            result = product_semijoin(target, source, ctx.semiring)
-        else:
-            result = update_semijoin(target, source, ctx.semiring)
-        ctx.stats.charge_cpu(
-            target.ntuples + source.ntuples + result.ntuples
-        )
-        ctx.maybe_spill(result)
-        return result
+    if node.kind == "product":
+        result = product_semijoin(target, source, ctx.semiring)
+    else:
+        result = update_semijoin(target, source, ctx.semiring)
+    ctx.stats.charge_cpu(target.ntuples + source.ntuples + result.ntuples)
+    ctx.maybe_spill(result)
+    return result
 
 
 def _group_index_cached(child: FunctionalRelation, group_names) -> bool:
@@ -588,24 +489,74 @@ def _group_index_cached(child: FunctionalRelation, group_names) -> bool:
     return DEFAULT_GROUP_INDEX_CACHE.contains(child, names)
 
 
-OPERATORS: dict[type[PlanNode], type[PhysicalOperator]] = {
-    Scan: ScanOperator,
-    IndexScan: IndexScanOperator,
-    FilterScan: FilterScanOperator,
-    Select: SelectOperator,
-    ProductJoin: ProductJoinOperator,
-    GroupBy: GroupByOperator,
-    SemiJoin: SemiJoinOperator,
+_BODIES = {
+    Scan: _scan,
+    IndexScan: _index_scan,
+    FilterScan: _filter_scan,
+    Select: _select,
+    ProductJoin: _product_join,
+    GroupBy: _group_by,
+    SemiJoin: _semi_join,
+}
+
+# node type -> (spill method, what must fit, how the downgrade reads)
+_DEGRADES = {
+    ProductJoin: (
+        "sort_merge",
+        "hash-join build side",
+        "hash join degraded to sort-merge: build side",
+    ),
+    GroupBy: (
+        "sort",
+        "hash aggregation table",
+        "hash aggregation degraded to sort: table",
+    ),
 }
 
 
-def operator_for(node: PlanNode) -> PhysicalOperator:
-    try:
-        return OPERATORS[type(node)](node)
-    except KeyError:
-        raise PlanError(
-            f"unknown plan node {type(node).__name__}"
-        ) from None
+def _physical_method(ctx, node, build):
+    """A ProductJoin's / GroupBy's method after the guard's say.
+
+    A hash join needs its build side (the left input) resident in
+    memory, and a hash aggregation its table — pessimistically, every
+    input group.  Under a guard, a ``build`` relation that does not fit
+    in work-mem (or the guard's remaining memory allowance) *degrades*
+    the node to its sort spill path rather than aborting — unless the
+    guard forbids degradation, in which case this raises
+    :class:`~repro.errors.MemoryLimitExceeded`.  Decided once per node,
+    on the merged input, whether or not the node then runs per shard.
+    """
+    if node.method != "hash" or ctx.guard is None:
+        return node.method
+    pages = PageGeometry(build.arity).pages_for(build.ntuples)
+    if ctx.guard.build_side_fits(pages, ctx.workmem_pages):
+        return node.method
+    spill_method, what, how = _DEGRADES[type(node)]
+    if not ctx.guard.allow_degrade:
+        raise MemoryLimitExceeded(
+            f"{what} needs {pages} pages, over the memory allowance, "
+            "and degradation is disabled"
+        )
+    ctx.record_degradation(
+        node, f"{how} ({pages} pages) exceeds the memory allowance"
+    )
+    return spill_method
+
+
+def _run_whole(ctx, node, inputs):
+    """Run ``node``'s body once over its merged inputs — one shard."""
+    body = _BODIES.get(type(node))
+    if body is None:
+        raise PlanError(f"unknown plan node {type(node).__name__}")
+    if isinstance(node, (Scan, FilterScan)):
+        relation = ctx.relation(node.table)
+        heapfile = ctx.heapfile_for(node.table, relation)
+        return body(ctx, node, relation, heapfile)
+    if isinstance(node, (ProductJoin, GroupBy)):
+        return body(
+            ctx, node, _physical_method(ctx, node, inputs[0]), *inputs
+        )
+    return body(ctx, node, *inputs)
 
 
 # ----------------------------------------------------------------------
@@ -700,9 +651,8 @@ def _catalog_spec(ctx, table):
 
 def _single_task(ctx, node, inputs, deps):
     """Execute one node unsharded as a single schedule task."""
-    operator = operator_for(node)
     (result,), task_ids = _run_tasks(
-        ctx, [deps], [lambda: operator.execute(ctx, inputs)], node.label()
+        ctx, [deps], [partial(_run_whole, ctx, node, inputs)], node.label()
     )
     return result, None, task_ids
 
@@ -753,93 +703,32 @@ def _aligned_side(ctx, relation, sharded, node_tasks, key, shards, side):
     return _repartition(ctx, relation, key, shards, _dedup(node_tasks), side)
 
 
-def _join_method(ctx, node, left):
-    """Legacy hash→sort-merge degrade decision on the merged build side."""
-    method = node.method
-    if method == "hash" and ctx.guard is not None:
-        build_pages = PageGeometry(left.arity).pages_for(left.ntuples)
-        if not ctx.guard.build_side_fits(build_pages, ctx.workmem_pages):
-            if not ctx.guard.allow_degrade:
-                raise MemoryLimitExceeded(
-                    f"hash-join build side needs {build_pages} pages, "
-                    "over the memory allowance, and degradation is "
-                    "disabled"
-                )
-            method = "sort_merge"
-            ctx.record_degradation(
-                node,
-                f"hash join degraded to sort-merge: build side "
-                f"({build_pages} pages) exceeds the memory allowance",
-            )
-    return method
-
-
-def _groupby_method(ctx, node, child):
-    """Legacy hash→sort degrade decision on the merged input."""
-    method = node.method
-    if method == "hash" and ctx.guard is not None:
-        table_pages = PageGeometry(child.arity).pages_for(child.ntuples)
-        if not ctx.guard.build_side_fits(table_pages, ctx.workmem_pages):
-            if not ctx.guard.allow_degrade:
-                raise MemoryLimitExceeded(
-                    f"hash aggregation table needs {table_pages} pages, "
-                    "over the memory allowance, and degradation is "
-                    "disabled"
-                )
-            method = "sort"
-            ctx.record_degradation(
-                node,
-                f"hash aggregation degraded to sort: table "
-                f"({table_pages} pages) exceeds the memory allowance",
-            )
-    return method
-
-
-def _execute_scan_sharded(ctx, node, deps):
+def _execute_table_sharded(ctx, node, deps):
+    """Scan / FilterScan: one task per catalog shard of the table."""
     spec = _catalog_spec(ctx, node.table)
     writer = ctx._table_writers.get(node.table, ())
     deps = _dedup((*deps, *writer))
     if spec is None:
         return _single_task(ctx, node, (), deps)
-    shards = ctx.catalog.shard_relations(node.table)
+    parts = ctx.catalog.shard_relations(node.table)
     files = ctx.catalog.shard_heapfiles(node.table)
-    thunks = []
-    for heapfile in files:
-        def scan_shard(heapfile=heapfile):
-            heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
-
-        thunks.append(scan_shard)
-    _, task_ids = _run_tasks(
-        ctx, [deps] * spec.shards, thunks, node.label()
-    )
-    ctx.count("shard.tasks", spec.shards)
-    return ctx.relation(node.table), (spec, shards), task_ids
-
-
-def _execute_filterscan_sharded(ctx, node, deps):
-    """Fused scan+filter per shard; selection preserves partitioning."""
-    spec = _catalog_spec(ctx, node.table)
-    writer = ctx._table_writers.get(node.table, ())
-    deps = _dedup((*deps, *writer))
-    if spec is None:
-        return _single_task(ctx, node, (), deps)
-    shards = ctx.catalog.shard_relations(node.table)
-    files = ctx.catalog.shard_heapfiles(node.table)
-    thunks = []
-    for heapfile, part in zip(files, shards):
-        def filter_shard(heapfile=heapfile, part=part):
-            heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
-            result = restrict(part, node.predicate)
-            ctx.stats.charge_cpu(result.ntuples)
-            return result
-
-        thunks.append(filter_shard)
+    body = _BODIES[type(node)]
     results, task_ids = _run_tasks(
-        ctx, [deps] * spec.shards, thunks, node.label()
+        ctx,
+        [deps] * spec.shards,
+        [partial(body, ctx, node, *shard) for shard in zip(parts, files)],
+        node.label(),
     )
     ctx.count("shard.tasks", spec.shards)
-    # Selection preserves key codes, hence the partitioning.
-    return concat_relations(results), (spec, results), task_ids
+    # The merged form of a scan is the catalog relation itself (and its
+    # results are the shards it was handed); selection preserves key
+    # codes, hence the partitioning.
+    merged = (
+        ctx.relation(node.table)
+        if isinstance(node, Scan)
+        else concat_relations(results)
+    )
+    return merged, (spec, results), task_ids
 
 
 def _execute_select_sharded(ctx, node, key, inputs, child_keys, deps):
@@ -851,14 +740,12 @@ def _execute_select_sharded(ctx, node, key, inputs, child_keys, deps):
     per_deps = _align_deps(
         ctx._node_tasks.get(child_key, ()), spec.shards, deps
     )
-    thunks = []
-    for part in parts:
-        def select_shard(part=part):
-            ctx.stats.charge_cpu(part.ntuples)
-            return restrict(part, node.predicate)
-
-        thunks.append(select_shard)
-    results, task_ids = _run_tasks(ctx, per_deps, thunks, node.label())
+    results, task_ids = _run_tasks(
+        ctx,
+        per_deps,
+        [partial(_select, ctx, node, part) for part in parts],
+        node.label(),
+    )
     ctx.count("shard.tasks", spec.shards)
     # Selection preserves key codes, hence the partitioning.
     return concat_relations(results), (spec, results), task_ids
@@ -888,7 +775,7 @@ def _execute_join_sharded(ctx, node, key, inputs, child_keys, deps):
         align_key = shared[0]
         shards = (left_sharded or right_sharded)[0].shards
 
-    method = _join_method(ctx, node, left)
+    method = _physical_method(ctx, node, left)
     left_parts, left_deps = _aligned_side(
         ctx, left, left_sharded, ctx._node_tasks.get(left_key, ()),
         align_key, shards, "left",
@@ -897,26 +784,18 @@ def _execute_join_sharded(ctx, node, key, inputs, child_keys, deps):
         ctx, right, right_sharded, ctx._node_tasks.get(right_key, ()),
         align_key, shards, "right",
     )
-
-    thunks = []
-    per_deps = []
-    for i in range(shards):
-        def join_shard(lp=left_parts[i], rp=right_parts[i]):
-            result = product_join(lp, rp, ctx.semiring)
-            if method == "sort_merge":
-                nl, nr = max(lp.ntuples, 2), max(rp.ntuples, 2)
-                ctx.stats.charge_cpu(
-                    int(nl * math.log2(nl) + nr * math.log2(nr))
-                )
-            ctx.stats.charge_cpu(
-                lp.ntuples + rp.ntuples + result.ntuples
-            )
-            ctx.maybe_spill(result)
-            return result
-
-        thunks.append(join_shard)
-        per_deps.append(_dedup((*left_deps[i], *right_deps[i], *deps)))
-    results, task_ids = _run_tasks(ctx, per_deps, thunks, node.label())
+    results, task_ids = _run_tasks(
+        ctx,
+        [
+            _dedup((*left_deps[i], *right_deps[i], *deps))
+            for i in range(shards)
+        ],
+        [
+            partial(_product_join, ctx, node, method, lp, rp)
+            for lp, rp in zip(left_parts, right_parts)
+        ],
+        node.label(),
+    )
     ctx.count("shard.tasks", shards)
     # Matching rows share the key value, so output shard i only holds
     # rows hashing to bucket i: the join result stays partitioned.
@@ -934,42 +813,31 @@ def _execute_groupby_sharded(ctx, node, key, inputs, child_keys, deps):
         return _single_task(ctx, node, inputs, deps)
     spec, parts = sharded
     (child,) = inputs
-    method = _groupby_method(ctx, node, child)
-    group_names = tuple(node.group_names)
+    method = _physical_method(ctx, node, child)
     per_deps = _align_deps(
         ctx._node_tasks.get(child_key, ()), spec.shards, deps
     )
-    thunks = []
-    for part in parts:
-        def aggregate_shard(part=part):
-            n = max(part.ntuples, 2)
-            if method == "sort":
-                if _group_index_cached(part, group_names):
-                    ctx.stats.charge_cpu(n)
-                else:
-                    ctx.stats.charge_cpu(int(n * math.log2(n)))
-            else:
-                ctx.stats.charge_cpu(n)
-            result = marginalize(part, group_names, ctx.semiring)
-            ctx.stats.charge_cpu(result.ntuples)
-            ctx.maybe_spill(result)
-            return result
-
-        thunks.append(aggregate_shard)
-    results, task_ids = _run_tasks(ctx, per_deps, thunks, node.label())
+    results, task_ids = _run_tasks(
+        ctx,
+        per_deps,
+        [partial(_group_by, ctx, node, method, part) for part in parts],
+        node.label(),
+    )
     ctx.count("shard.tasks", spec.shards)
 
-    if spec.key in group_names:
+    if spec.key in node.group_names:
         # The partitioning key survives aggregation: groups never span
         # shards, so per-shard aggregation is already complete.
         return concat_relations(results), (spec, results), task_ids
 
     # Partial aggregates: groups span shards; a final semiring-plus
     # merge combines them.  The combine is a barrier over all shards.
+    # It is its own step, not a second `_group_by`: always one hash
+    # pass, charged at the exact stacked row count.
     def combine():
         stacked = concat_relations(results)
         ctx.stats.charge_cpu(stacked.ntuples)
-        final = marginalize(stacked, group_names, ctx.semiring)
+        final = marginalize(stacked, node.group_names, ctx.semiring)
         ctx.stats.charge_cpu(final.ntuples)
         ctx.maybe_spill(final)
         return final
@@ -994,10 +862,8 @@ def _execute_node_scheduled(ctx, dag, node, key, inputs):
     deps = _dedup(
         t for k in child_keys for t in ctx._node_tasks.get(k, ())
     )
-    if isinstance(node, Scan):
-        return _execute_scan_sharded(ctx, node, deps)
-    if isinstance(node, FilterScan):
-        return _execute_filterscan_sharded(ctx, node, deps)
+    if isinstance(node, (Scan, FilterScan)):
+        return _execute_table_sharded(ctx, node, deps)
     if isinstance(node, IndexScan):
         writer = ctx._table_writers.get(node.table, ())
         return _single_task(ctx, node, inputs, _dedup((*deps, *writer)))
@@ -1031,15 +897,22 @@ def evaluate_dag(
     context) are served from it, charging a memo hit instead of work.
     Subtrees below a memoized node are skipped entirely.
 
-    With ``workers > 1`` or a partitioned catalog the run goes through
-    the *scheduled* path: operators over partitioned tables decompose
-    into per-shard tasks, and every task lands on the context's
-    :class:`CriticalPathClock` with its dependency edges.  Execution
-    order — and therefore results, counters, and WAL records — is
-    identical to the serial path by construction (ordered dispatch);
-    parallelism shows up as the schedule's modeled makespan.  At
-    ``workers=1`` with no partitioned tables this is exactly the
-    historical serial loop.
+    Every node runs the same operator body (see :func:`_run_whole`);
+    the one decision taken here is whether its work is *registered on
+    the modeled schedule* — ``workers > 1`` or a partitioned catalog,
+    both read off the inputs.  Registered, operators over partitioned
+    tables decompose into per-shard tasks (the body once per shard) and
+    everything else is a single task (the body once), each landing on
+    the context's :class:`CriticalPathClock` with its dependency edges
+    after in-order dispatch — so results, counters and WAL records are
+    those of a plain loop, and parallelism shows up only as the
+    schedule's modeled makespan.  Unregistered, the body is called
+    directly.  The branch is kept because registration is observable:
+    doing it for unpartitioned ``workers=1`` runs would append a
+    ``schedule:`` suffix to ``BatchReport.summary()``, emit
+    ``scheduler.*`` gauges into snapshot diffs, and start drawing
+    :class:`~repro.storage.faults.WorkerFaultInjector` faults where
+    none are drawn today.
     """
     if roots is None:
         roots = dag.roots
@@ -1102,7 +975,7 @@ def evaluate_dag(
                 ctx.shard_results.pop(key, None)
             ctx._node_tasks[key] = task_ids
         else:
-            result = operator_for(node).execute(ctx, inputs)
+            result = _run_whole(ctx, node, inputs)
         _publish_kernel_counters(ctx, kernel_before)
         ctx.stats.record_operator(node.label(), result.ntuples)
         ctx.memo[key] = result

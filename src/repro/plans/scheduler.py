@@ -15,17 +15,20 @@ Two pieces, deliberately decoupled:
   plain serial sum), so calibration, Q-error attribution, and the
   perf gate keep their existing clock untouched.
 
-* :class:`OrderedPool` — the *dispatch* side.  Shard tasks of one node
-  are submitted to a ``concurrent.futures`` thread pool, but admission
-  is ticketed: each task waits for its predecessor to finish before it
-  touches shared engine state (the stats clock, the buffer pool, the
-  WAL).  Execution order — and therefore every counter, every LRU
-  eviction, every WAL record — is exactly the serial order, for any
-  worker count.  ``workers=1`` skips the pool entirely and is the
-  plain loop.  This is the honest design for a *simulated* storage
-  engine: the cost clock, not wall time, is the measured quantity, and
+* :class:`OrderedPool` — the *dispatch* side.  The tasks of one node
+  (one per shard, or one for the whole node) run in list order on the
+  calling thread.  Execution order — and therefore every counter,
+  every LRU eviction, every WAL record — is the order of a plain loop
+  because it *is* a plain loop, for any worker count.  This is the
+  honest design for a *simulated* storage engine: the cost clock, not
+  wall time, is the measured quantity, the engine's shared state (the
+  stats clock, the buffer pool, the WAL) is not thread-safe, and
   determinism is a hard requirement (the differential suite asserts
   byte-identical results and counters across worker counts).
+  Threads would buy nothing: to keep that order each task would have
+  to wait for its predecessor, so no two could ever overlap.
+  ``workers`` therefore means one thing, the executor count of the
+  modeled clock above.
 
 The simulation is deterministic by construction: ties in finish time
 break by task id (submission order), and no wall-clock time is read.
@@ -45,8 +48,6 @@ injected faults may change the modeled schedule and the
 from __future__ import annotations
 
 import heapq
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.errors import WorkerError
@@ -169,63 +170,20 @@ class CriticalPathClock:
 
 
 class OrderedPool:
-    """Runs thunks on a thread pool with ticketed (serial) admission.
+    """The ordered-dispatch seam: runs thunks in list order.
 
-    ``run(thunks)`` returns their results in list order.  Shared-state
-    mutation order is identical to a plain loop: task *i* begins only
-    after task *i−1* completed, whatever the interleaving of pool
-    threads.  A raised exception (including ``BaseException`` — the
-    crash injector throws those) suppresses all later thunks, exactly
-    like a serial loop, and propagates to the caller.
+    ``run(thunks)`` returns their results in list order, and task *i*
+    begins only after task *i−1* completed.  A raised exception
+    (including ``BaseException`` — the crash injector throws those)
+    suppresses all later thunks and propagates to the caller.  Every
+    scheduled task goes through here (under :class:`TaskRuntime`), so a
+    dispatcher with real parallelism — worker processes over
+    shared-memory shards — would replace this one method and must keep
+    that contract.
     """
 
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-
     def run(self, thunks):
-        thunks = list(thunks)
-        if self.workers == 1 or len(thunks) <= 1:
-            return [thunk() for thunk in thunks]
-
-        cond = threading.Condition()
-        state = {"next": 0, "failed": False}
-
-        def gated(index, thunk):
-            def call():
-                with cond:
-                    cond.wait_for(
-                        lambda: state["next"] == index or state["failed"]
-                    )
-                    if state["failed"]:
-                        # A predecessor raised: behave like the serial
-                        # loop and never start.
-                        state["next"] = index + 1
-                        cond.notify_all()
-                        return None
-                try:
-                    result = thunk()
-                except BaseException:
-                    with cond:
-                        state["failed"] = True
-                        state["next"] = index + 1
-                        cond.notify_all()
-                    raise
-                with cond:
-                    state["next"] = index + 1
-                    cond.notify_all()
-                return result
-
-            return call
-
-        with ThreadPoolExecutor(
-            max_workers=min(self.workers, len(thunks))
-        ) as pool:
-            futures = [
-                pool.submit(gated(i, thunk)) for i, thunk in enumerate(thunks)
-            ]
-            return [f.result() for f in futures]
+        return [thunk() for thunk in thunks]
 
 
 @dataclass(frozen=True)
@@ -329,7 +287,7 @@ class TaskRuntime:
         self.injector = injector
         self.count = count if count is not None else (lambda *a, **k: None)
         # Trace-event hook (name, **attributes): the attempt loop runs
-        # inside the OrderedPool's ticket window, so events fire in
+        # inside the OrderedPool's in-order dispatch, so events fire in
         # serial order at any worker count — safe to append to a span.
         self.event = event if event is not None else (lambda *a, **k: None)
         self.degraded = False
@@ -355,9 +313,9 @@ class TaskRuntime:
 
     # ------------------------------------------------------------------
     def _supervise(self, thunk, label):
-        # The attempt loop runs inside the OrderedPool's ticket window,
-        # so ordinal assignment and every draw happen in serial order
-        # at any worker count.
+        # The attempt loop runs inside the OrderedPool's in-order
+        # dispatch, so ordinal assignment and every draw happen in
+        # serial order at any worker count.
         def attempt_loop():
             seq = self._seq
             self._seq += 1

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.catalog import Catalog
 from repro.data import complete_relation, var
 from repro.errors import (
     MemoryLimitExceeded,
@@ -16,6 +17,7 @@ from repro.plans import (
     Scan,
     evaluate,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.semiring import SUM_PRODUCT
 from repro.storage import IOStats, PageGeometry
 
@@ -279,6 +281,89 @@ class TestGracefulDegradation:
         text = profile.formatted()
         assert "[degraded]" in text
         assert "degraded: hash join degraded to sort-merge" in text
+
+
+class TestDegradationOnBothPaths:
+    """The degrade decision is taken once per node on the merged input,
+    so an unpartitioned run and a per-shard run agree on everything."""
+
+    SHARDS = 3
+    PLANS = {
+        "join": ProductJoin(Scan("s1"), Scan("s2"), method="hash"),
+        # Groups on `a` span the `b` shards: partials plus a combine.
+        "groupby": GroupBy(Scan("s1"), ["a"], method="hash"),
+    }
+
+    def _catalog(self, partitioned):
+        # Integer-valued measures: every sum is exact, so per-shard
+        # partial aggregation cannot perturb the result bytes.
+        a, b, c = var("a", 20), var("b", 20), var("c", 2)
+
+        def measure(cols):
+            return 1.0 + sum(cols.values()) % 5
+
+        catalog = Catalog()
+        catalog.register(complete_relation([a, b], measure, name="s1"))
+        catalog.register(complete_relation([b, c], measure, name="s2"))
+        if partitioned:
+            catalog.partition_table("s1", "b", self.SHARDS)
+            catalog.partition_table("s2", "b", self.SHARDS)
+        return catalog
+
+    def _build_pages(self):
+        s1 = self._catalog(False).relation("s1")
+        return PageGeometry(s1.arity).pages_for(s1.ntuples)
+
+    @staticmethod
+    def _result_bytes(relation):
+        keys, measure = relation.sorted_snapshot()
+        return keys.tobytes() + measure.tobytes()
+
+    def _run(self, plan, partitioned, guard):
+        registry = MetricsRegistry()
+        ctx = ExecutionContext(
+            self._catalog(partitioned), SUM_PRODUCT, workmem_pages=1,
+            guard=guard, metrics=registry,
+        )
+        return evaluate(plan, ctx), registry.snapshot()
+
+    @pytest.mark.parametrize("partitioned", [False, True])
+    @pytest.mark.parametrize("kind", ["join", "groupby"])
+    def test_degrades_once_per_node(self, kind, partitioned):
+        pages = self._build_pages()
+        assert pages > 1
+        guard = QueryGuard()
+        result, metrics = self._run(self.PLANS[kind], partitioned, guard)
+        assert guard.degradations == [{
+            "join": f"hash join degraded to sort-merge: build side "
+                    f"({pages} pages) exceeds the memory allowance",
+            "groupby": f"hash aggregation degraded to sort: table "
+                       f"({pages} pages) exceeds the memory allowance",
+        }[kind]]
+        assert metrics.get("query.degradations") == 1
+        if partitioned:
+            assert metrics.get("shard.tasks") >= self.SHARDS
+        else:
+            assert metrics.get("shard.tasks") == 0
+        # The undegraded, unpartitioned run is the reference.
+        reference, _ = self._run(self.PLANS[kind], False, None)
+        assert self._result_bytes(result) == self._result_bytes(reference)
+
+    @pytest.mark.parametrize("partitioned", [False, True])
+    @pytest.mark.parametrize("kind", ["join", "groupby"])
+    def test_degradation_disabled_message(self, kind, partitioned):
+        pages = self._build_pages()
+        with pytest.raises(MemoryLimitExceeded) as raised:
+            self._run(
+                self.PLANS[kind], partitioned,
+                QueryGuard(allow_degrade=False),
+            )
+        assert str(raised.value) == {
+            "join": f"hash-join build side needs {pages} pages, over the "
+                    "memory allowance, and degradation is disabled",
+            "groupby": f"hash aggregation table needs {pages} pages, over "
+                       "the memory allowance, and degradation is disabled",
+        }[kind]
 
 
 class TestExecutorIntegration:

@@ -141,9 +141,3 @@ class TestProfileReporting:
         assert len(doc["operators"]) == plan.count_nodes()
         assert doc["total"]["elapsed"] > 0
         assert doc["trace"]["name"] == "query"
-
-    def test_profiling_tracer_is_the_query_tracer(self):
-        from repro.obs import QueryTracer
-        from repro.plans.profile import ProfilingTracer
-
-        assert ProfilingTracer is QueryTracer

@@ -16,8 +16,8 @@ from repro.plans import (
     evaluate,
     evaluate_dag,
     lower,
-    operator_for,
 )
+from repro.plans.nodes import PlanNode
 from repro.semiring import BOOLEAN, SUM_PRODUCT
 from repro.storage import BufferPool, PageGeometry
 
@@ -148,12 +148,20 @@ class TestSemiJoinOperator:
         with pytest.raises(PlanError):
             SemiJoin(Scan("s1"), Scan("s2"), "sideways")
 
-    def test_unknown_node_type_rejected(self):
-        class Mystery:
-            pass
+    def test_unknown_node_type_rejected(self, relations):
+        class Mystery(PlanNode):
+            def label(self):
+                return "Mystery"
 
-        with pytest.raises(PlanError):
-            operator_for(Mystery())
+            def _key(self):
+                return ("Mystery",)
+
+        # Unregistered and registered on the schedule alike.
+        for workers in (1, 2):
+            ctx = ExecutionContext(relations, SUM_PRODUCT, workers=workers)
+            with pytest.raises(PlanError, match="unknown plan node Mystery"):
+                evaluate_dag(lower(Mystery()), ctx)
+            assert not ctx.memo
 
 
 class TestSpillAccounting:

@@ -1,14 +1,35 @@
 """Unit tests for the critical-path clock and the ordered pool."""
 
+import threading
+
 import pytest
 
-from repro.errors import WorkerError
+from repro.catalog import Catalog
+from repro.data import complete_relation, var
+from repro.errors import PlanError, WorkerError
+from repro.plans import GroupBy, ProductJoin, Scan, evaluate_dag, lower
+from repro.plans.runtime import ExecutionContext
 from repro.plans.scheduler import (
     CriticalPathClock,
     OrderedPool,
     TaskPolicy,
     TaskRuntime,
 )
+from repro.semiring import SUM_PRODUCT
+
+
+def _context_pool(workers):
+    """The dispatch seam of a context with ``workers`` modeled executors.
+
+    The worker count lives in the context (it sizes the
+    :class:`CriticalPathClock`); the pool it dispatches through takes
+    none, and must behave the same whatever the count.
+    """
+    ctx = ExecutionContext({}, SUM_PRODUCT, workers=workers)
+    assert ctx.schedule.workers == workers
+    pool = ctx._task_runtime.pool
+    assert isinstance(pool, OrderedPool)
+    return pool
 
 
 class TestCriticalPathClock:
@@ -74,13 +95,9 @@ class TestCriticalPathClock:
 
 
 class TestOrderedPool:
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            OrderedPool(0)
-
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_results_in_order(self, workers):
-        pool = OrderedPool(workers)
+        pool = _context_pool(workers)
         results = pool.run([lambda i=i: i * i for i in range(10)])
         assert results == [i * i for i in range(10)]
 
@@ -89,7 +106,7 @@ class TestOrderedPool:
         # The determinism contract: shared state mutates in list
         # order regardless of worker count.
         log = []
-        pool = OrderedPool(workers)
+        pool = _context_pool(workers)
         pool.run([lambda i=i: log.append(i) for i in range(20)])
         assert log == list(range(20))
 
@@ -105,7 +122,7 @@ class TestOrderedPool:
 
             return thunk
 
-        pool = OrderedPool(workers)
+        pool = _context_pool(workers)
         with pytest.raises(RuntimeError):
             pool.run([make(i) for i in range(6)])
         assert ran == [0, 1]
@@ -119,9 +136,48 @@ class TestOrderedPool:
         def boom():
             raise Crash()
 
-        pool = OrderedPool(3)
+        pool = OrderedPool()
         with pytest.raises(Crash):
             pool.run([lambda: 1, boom, lambda: 3])
+
+    def test_every_thunk_runs_on_the_calling_thread(self, monkeypatch):
+        # Dispatch is an in-order loop: four modeled workers over a
+        # partitioned catalog start no thread, and every shard task
+        # runs on the thread that called evaluate_dag.
+        a, b, c = var("a", 6), var("b", 5), var("c", 4)
+        catalog = Catalog()
+        catalog.register(complete_relation([a, b], name="r_ab"))
+        catalog.register(complete_relation([b, c], name="r_bc"))
+        catalog.partition_table("r_ab", "b", 3)
+        catalog.partition_table("r_bc", "b", 3)
+        ctx = ExecutionContext(catalog, SUM_PRODUCT, workers=4)
+
+        seen = []  # (thread id, live threads) inside each thunk
+        run = OrderedPool.run
+
+        def recording_run(pool, thunks):
+            def record(thunk):
+                def call():
+                    seen.append(
+                        (threading.get_ident(), threading.active_count())
+                    )
+                    return thunk()
+
+                return call
+
+            return run(pool, [record(thunk) for thunk in thunks])
+
+        monkeypatch.setattr(OrderedPool, "run", recording_run)
+        here = (threading.get_ident(), threading.active_count())
+        plan = GroupBy(ProductJoin(Scan("r_ab"), Scan("r_bc")), ["a"])
+        evaluate_dag(lower(plan), ctx)
+        assert len(seen) == ctx.schedule.report().tasks > 4
+        assert set(seen) == {here}
+        assert threading.active_count() == here[1]
+
+    def test_context_rejects_zero_workers(self):
+        with pytest.raises(PlanError):
+            ExecutionContext({}, SUM_PRODUCT, workers=0)
 
 
 class _StubInjector:
@@ -171,14 +227,14 @@ def _counting():
 
 class TestTaskRuntime:
     def test_passthrough_without_injector(self):
-        runtime = TaskRuntime(OrderedPool(1))
+        runtime = TaskRuntime(OrderedPool())
         assert runtime.run([lambda: 5.0, lambda: 7.0]) == [5.0, 7.0]
         assert not runtime.degraded
 
     def test_crash_retries_with_backoff(self):
         counts, count = _counting()
         runtime = TaskRuntime(
-            OrderedPool(1),
+            OrderedPool(),
             policy=TaskPolicy(base_delay=100.0),
             injector=_StubInjector({(0, 0): "crash"}),
             count=count,
@@ -195,7 +251,7 @@ class TestTaskRuntime:
     def test_lost_result_charges_the_wasted_run(self):
         counts, count = _counting()
         runtime = TaskRuntime(
-            OrderedPool(1),
+            OrderedPool(),
             policy=TaskPolicy(base_delay=100.0),
             injector=_StubInjector({(0, 0): "lost"}),
             count=count,
@@ -211,7 +267,7 @@ class TestTaskRuntime:
     def test_hang_killed_at_timeout_then_retried(self):
         counts, count = _counting()
         runtime = TaskRuntime(
-            OrderedPool(1),
+            OrderedPool(),
             policy=TaskPolicy(timeout=500.0, base_delay=100.0),
             injector=_StubInjector({(0, 0): "hang"}),
             count=count,
@@ -223,7 +279,7 @@ class TestTaskRuntime:
     def test_hang_rescued_by_hedge(self):
         counts, count = _counting()
         runtime = TaskRuntime(
-            OrderedPool(1),
+            OrderedPool(),
             policy=TaskPolicy(hedge_after=300.0),
             injector=_StubInjector({(0, 0): "hang"}),
             count=count,
@@ -235,7 +291,7 @@ class TestTaskRuntime:
     def test_straggler_capped_by_hedge(self):
         counts, count = _counting()
         runtime = TaskRuntime(
-            OrderedPool(1),
+            OrderedPool(),
             policy=TaskPolicy(hedge_after=15.0),
             injector=_StubInjector({(0, 0): "slow"}, slow_factor=10.0),
             count=count,
@@ -249,7 +305,7 @@ class TestTaskRuntime:
     def test_exhausted_budget_degrades_and_reruns(self):
         counts, count = _counting()
         runtime = TaskRuntime(
-            OrderedPool(1),
+            OrderedPool(),
             policy=TaskPolicy(max_attempts=2, base_delay=100.0),
             injector=_StubInjector(
                 {(0, 0): "crash", (0, 1): "crash", (1, 0): "crash"}
@@ -273,7 +329,7 @@ class TestTaskRuntime:
 
     def test_worker_error_when_degradation_disabled(self):
         runtime = TaskRuntime(
-            OrderedPool(1),
+            OrderedPool(),
             policy=TaskPolicy(max_attempts=1, allow_degrade=False),
             injector=_StubInjector({(0, 0): "crash"}),
         )
@@ -282,7 +338,7 @@ class TestTaskRuntime:
 
     def test_hang_without_timeout_or_hedge_is_unrecoverable(self):
         runtime = TaskRuntime(
-            OrderedPool(1),
+            OrderedPool(),
             policy=TaskPolicy(allow_degrade=False),
             injector=_StubInjector({(0, 0): "hang"}),
         )
@@ -293,7 +349,7 @@ class TestTaskRuntime:
         counts, count = _counting()
         script = {(i, 0): "crash" for i in range(8)}
         runtime = TaskRuntime(
-            OrderedPool(1),
+            OrderedPool(),
             policy=TaskPolicy(breaker_min_tasks=4, breaker_threshold=0.5),
             injector=_StubInjector(script),
             count=count,
@@ -307,7 +363,7 @@ class TestTaskRuntime:
     def test_mutation_order_is_serial_under_faults(self, workers):
         log = []
         runtime = TaskRuntime(
-            OrderedPool(workers),
+            _context_pool(workers),
             policy=TaskPolicy(timeout=100.0, hedge_after=50.0),
             injector=_StubInjector(
                 {(3, 0): "crash", (7, 0): "hang", (11, 0): "slow",
