@@ -1,9 +1,10 @@
 """Cardinality estimation and cost models (Section 5.1)."""
 
-from repro.cost.cardinality import group_stats, join_stats, select_stats
+from repro.cost.cardinality import group_stats, join_size, join_stats, select_stats
 from repro.cost.model import CostModel, IOCostModel, SimpleCostModel
 
 __all__ = [
+    "join_size",
     "join_stats",
     "group_stats",
     "select_stats",

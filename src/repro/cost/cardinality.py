@@ -24,11 +24,11 @@ estimates compose through deep plans.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.catalog.statistics import TableStats
 
-__all__ = ["join_stats", "group_stats", "select_stats"]
+__all__ = ["JoinSize", "join_size", "join_stats", "group_stats", "select_stats"]
 
 
 def _cap_distincts(
@@ -43,24 +43,43 @@ def _cap_distincts(
     }
 
 
-def join_stats(left: TableStats, right: TableStats, name: str = "") -> TableStats:
-    """Estimated stats of ``left ⋈* right``."""
-    shared = [v for v in left.var_sizes if v in right.var_sizes]
-    selectivity = 1.0
-    for v in shared:
-        selectivity /= max(left.distinct[v], right.distinct[v], 1.0)
-    cardinality = max(1.0, left.cardinality * right.cardinality * selectivity)
+class JoinSize(NamedTuple):
+    """What a :class:`~repro.cost.model.CostModel` reads from a join's output."""
 
+    cardinality: float
+    var_sizes: dict[str, int]
+
+
+def join_size(left: TableStats, right: TableStats) -> JoinSize:
+    """Estimated cardinality and merged schema of ``left ⋈* right``.
+
+    Enough to cost the join: ranking candidate joins needs the size of
+    the output, not its per-variable distinct counts, so the join-order
+    search calls this per candidate and :func:`join_stats` only for the
+    plans it keeps.
+    """
+    left_distinct, right_distinct = left.distinct, right.distinct
+    selectivity = 1.0
+    for v in left.var_sizes:
+        if v in right_distinct:
+            selectivity /= max(left_distinct[v], right_distinct[v], 1.0)
+    cardinality = max(1.0, left.cardinality * right.cardinality * selectivity)
     var_sizes = dict(left.var_sizes)
     var_sizes.update(right.var_sizes)
+    return JoinSize(cardinality, var_sizes)
+
+
+def join_stats(left: TableStats, right: TableStats, name: str = "") -> TableStats:
+    """Estimated stats of ``left ⋈* right``."""
+    cardinality, var_sizes = join_size(left, right)
     distinct: dict[str, float] = {}
     for v in var_sizes:
-        if v in shared:
-            distinct[v] = min(left.distinct[v], right.distinct[v])
-        elif v in left.var_sizes:
+        if v not in right.var_sizes:
             distinct[v] = left.distinct[v]
-        else:
+        elif v not in left.var_sizes:
             distinct[v] = right.distinct[v]
+        else:
+            distinct[v] = min(left.distinct[v], right.distinct[v])
     distinct = _cap_distincts(var_sizes, distinct, cardinality)
     return TableStats(
         name or f"({left.name}*{right.name})", cardinality, var_sizes, distinct

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 
 from repro.catalog.statistics import TableStats
+from repro.cost.cardinality import JoinSize
 from repro.storage.page import DEFAULT_PAGE_SIZE, PageGeometry
 
 __all__ = ["CostModel", "SimpleCostModel", "IOCostModel"]
@@ -46,9 +47,16 @@ class CostModel:
         self,
         left: TableStats,
         right: TableStats,
-        out: TableStats,
+        out: TableStats | JoinSize,
         method: str = "hash",
     ) -> float:
+        """Cost of ``left ⋈* right`` producing ``out``.
+
+        ``out`` carries ``cardinality`` and ``var_sizes`` only — the
+        join-order search costs candidates from
+        :func:`~repro.cost.cardinality.join_size` without deriving full
+        statistics — so implementations may read nothing else from it.
+        """
         raise NotImplementedError
 
     def group_cost(
@@ -78,7 +86,7 @@ class SimpleCostModel(CostModel):
         self,
         left: TableStats,
         right: TableStats,
-        out: TableStats,
+        out: TableStats | JoinSize,
         method: str = "hash",
     ) -> float:
         return left.cardinality * right.cardinality
@@ -118,7 +126,7 @@ class IOCostModel(CostModel):
         self.page_size = page_size
         self.cpu_per_tuple = cpu_per_tuple
 
-    def _pages(self, table: TableStats) -> float:
+    def _pages(self, table: TableStats | JoinSize) -> float:
         geometry = PageGeometry(len(table.var_sizes), self.page_size)
         return float(geometry.pages_for(int(math.ceil(table.cardinality))))
 
@@ -129,7 +137,7 @@ class IOCostModel(CostModel):
         self,
         left: TableStats,
         right: TableStats,
-        out: TableStats,
+        out: TableStats | JoinSize,
         method: str = "hash",
     ) -> float:
         io = self._pages(left) + self._pages(right) + self._pages(out)

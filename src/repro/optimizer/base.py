@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.statistics import TableStats
-from repro.cost.cardinality import group_stats, join_stats, select_stats
+from repro.cost.cardinality import group_stats, join_size, join_stats, select_stats
 from repro.cost.model import CostModel, SimpleCostModel
 from repro.errors import OptimizationError
 from repro.plans.nodes import GroupBy, IndexScan, PlanNode, ProductJoin, Scan, Select
@@ -66,7 +67,7 @@ class SubPlan:
     stats: TableStats
     cost: float
 
-    @property
+    @cached_property
     def variables(self) -> frozenset[str]:
         return frozenset(self.stats.var_sizes)
 
@@ -92,7 +93,10 @@ class PlanContext:
     """Composition helpers shared by all algorithms.
 
     Holds the catalog, cost model, and the query; builds selection-
-    pushed leaf subplans; composes joins and GroupBys with incremental
+    pushed leaf subplans; costs a join from its output size alone
+    (:meth:`cost_join`) and builds the subplan separately
+    (:meth:`build_join`), so a search pays for statistics and plan nodes
+    only on the candidates it keeps; composes GroupBys with incremental
     cost book-keeping; tracks the plans-considered counter.
     """
 
@@ -107,9 +111,12 @@ class PlanContext:
         self.model = model or SimpleCostModel()
         self.plans_considered = 0
         self._table_vars: dict[str, frozenset[str]] = {}
+        #: ``σ_X`` of every variable of the view.
+        self.domain_sizes: dict[str, int] = {}
         for t in spec.tables:
             stats = catalog.stats(t)
             self._table_vars[t] = frozenset(stats.var_sizes)
+            self.domain_sizes.update(stats.var_sizes)
         unknown_qv = set(spec.query_vars) - set().union(*self._table_vars.values())
         if unknown_qv:
             raise OptimizationError(
@@ -161,15 +168,28 @@ class PlanContext:
     # ------------------------------------------------------------------
     # Composition
     # ------------------------------------------------------------------
-    def join(self, left: SubPlan, right: SubPlan) -> SubPlan:
-        stats = join_stats(left.stats, right.stats)
-        cost = (
+    def cost_join(self, left: SubPlan, right: SubPlan) -> float:
+        """Cumulative cost of ``left ⋈* right``, from its size alone.
+
+        Counts one considered plan.  The join-order DPs rank every
+        candidate of a subset on this and :meth:`build_join` only the
+        winner.
+        """
+        size = join_size(left.stats, right.stats)
+        self.plans_considered += 1
+        return (
             left.cost
             + right.cost
-            + self.model.join_cost(left.stats, right.stats, stats)
+            + self.model.join_cost(left.stats, right.stats, size)
         )
-        self.plans_considered += 1
+
+    def build_join(self, left: SubPlan, right: SubPlan, cost: float) -> SubPlan:
+        """The join subplan itself, at the ``cost`` :meth:`cost_join` gave."""
+        stats = join_stats(left.stats, right.stats)
         return SubPlan(ProductJoin(left.plan, right.plan), stats, cost)
+
+    def join(self, left: SubPlan, right: SubPlan) -> SubPlan:
+        return self.build_join(left, right, self.cost_join(left, right))
 
     def group(self, child: SubPlan, group_names: Sequence[str]) -> SubPlan:
         group_names = tuple(n for n in group_names if n in child.stats.var_sizes)

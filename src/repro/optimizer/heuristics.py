@@ -78,9 +78,10 @@ class Candidate:
 
 
 def _domain_product(context: PlanContext, names) -> float:
+    sizes = context.domain_sizes
     size = 1.0
     for v in names:
-        size *= context.catalog.variable(v).size
+        size *= sizes[v]
     return size
 
 

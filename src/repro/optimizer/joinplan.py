@@ -14,6 +14,20 @@ Two dynamic programs over bitmask-indexed relation subsets:
   subset splits, and for each split the **four** candidates — no
   GroupBy, GroupBy on the left operand, on the right operand, on both.
 
+Both searches are two-phase.  A cost model ranks a join on the size of
+its output and nothing else, so every candidate of a subset is *costed*
+from :func:`~repro.cost.cardinality.join_size` alone
+(:meth:`PlanContext.cost_join`: cardinality, merged schema, cumulative
+cost), and only the subset's winner is *built*
+(:meth:`PlanContext.build_join`: full statistics with per-variable
+distinct counts, the ``ProductJoin`` node, the ``SubPlan``) — ``2^n``
+builds for ``n·2^(n-1)`` (linear) or ``3^n`` (bushy) costings.  The
+GroupBy cap of ``optPlan(S)`` likewise depends on ``S`` alone — the
+needed variables are ``outside_needed`` plus those of the items outside
+``S`` — so it is derived once per subset, however many extensions or
+splits use ``S`` as an operand; each reuse still counts as a considered
+plan, so ``plans_considered`` keeps meaning "candidates compared".
+
 ``outside_needed`` carries the correctness condition across search
 scopes: when these DPs run over a subset of the view's relations (as
 VE/VE+ do per elimination), variables referenced by relations *outside*
@@ -23,7 +37,7 @@ GroupBy.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import OptimizationError
 from repro.optimizer.base import PlanContext, SubPlan
@@ -40,6 +54,50 @@ def _variables_of(items: Sequence[SubPlan], mask: int) -> frozenset[str]:
     return frozenset(out)
 
 
+def _trivial_plan(items: Sequence[SubPlan]) -> SubPlan | None:
+    """The answer when there is nothing to order: one item, or an error."""
+    if not items:
+        raise OptimizationError("joinplan over an empty relation set")
+    return items[0] if len(items) == 1 else None
+
+
+def _subsets_by_size(n: int) -> list[int]:
+    """Masks of two or more of ``n`` items, in increasing popcount (so
+    predecessors exist) and ascending within one popcount."""
+    masks = [mask for mask in range(3, 1 << n) if mask & (mask - 1)]
+    masks.sort(key=int.bit_count)
+    return masks
+
+
+def _cap_memo(
+    items: Sequence[SubPlan],
+    dp: dict[int, SubPlan],
+    context: PlanContext,
+    outside_needed: frozenset[str],
+) -> Callable[[int], SubPlan | None]:
+    """``cap(S)``: ``dp[S]`` under a GroupBy on what is still needed
+    outside ``S``, or None when that drops nothing; derived on first use.
+
+    A reuse adds to ``plans_considered`` what the derivation added, as
+    if the cap had been costed again.
+    """
+    full = (1 << len(items)) - 1
+    memo: dict[int, tuple[SubPlan | None, int]] = {}
+
+    def cap(mask: int) -> SubPlan | None:
+        hit = memo.get(mask)
+        if hit is not None:
+            context.plans_considered += hit[1]
+            return hit[0]
+        before = context.plans_considered
+        needed = outside_needed | _variables_of(items, full ^ mask)
+        capped = context.group_if_useful(dp[mask], needed)
+        memo[mask] = capped, context.plans_considered - before
+        return capped
+
+    return cap
+
+
 def linear_dp(
     items: Sequence[SubPlan],
     context: PlanContext,
@@ -53,50 +111,37 @@ def linear_dp(
     pure join order (both candidates are always costed).
     """
     items = list(items)
+    trivial = _trivial_plan(items)
+    if trivial is not None:
+        return trivial
+
     n = len(items)
-    if n == 0:
-        raise OptimizationError("joinplan over an empty relation set")
-    if n == 1:
-        return items[0]
-
-    full = (1 << n) - 1
-    # Cache of "variables outside mask" per mask complement.
     dp: dict[int, SubPlan] = {1 << i: items[i] for i in range(n)}
+    cap = _cap_memo(items, dp, context, outside_needed)
+    cost_join = context.cost_join
 
-    # Iterate masks in increasing popcount so predecessors exist.
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1, full + 1):
-        masks_by_size[mask.bit_count()].append(mask)
-
-    for size in range(2, n + 1):
-        for mask in masks_by_size[size]:
-            best: SubPlan | None = None
-            for j in range(n):
-                bit = 1 << j
-                if not mask & bit:
-                    continue
-                prev_mask = mask ^ bit
-                prev = dp.get(prev_mask)
-                if prev is None:
-                    continue
-                q1 = context.join(prev, items[j])
-                candidate = q1
-                if use_groupbys:
-                    # Relations not yet joined into S_j: everything
-                    # outside prev_mask (r_j included), plus the query
-                    # variables / outside scope.
-                    needed = outside_needed | _variables_of(
-                        items, full ^ prev_mask
-                    )
-                    capped = context.group_if_useful(prev, needed)
-                    if capped is not None:
-                        q2 = context.join(capped, items[j])
-                        if q2.cost < candidate.cost:
-                            candidate = q2
-                if best is None or candidate.cost < best.cost:
-                    best = candidate
-            dp[mask] = best
-    return dp[full]
+    for mask in _subsets_by_size(n):
+        best_cost: float | None = None
+        for j in range(n):
+            bit = 1 << j
+            if not mask & bit:
+                continue
+            # S_j = mask without r_j; its cap keeps what the relations
+            # not yet joined into S_j (r_j included) and the outside
+            # scope still need.
+            prev_mask = mask ^ bit
+            left, right = dp[prev_mask], items[j]
+            cost = cost_join(left, right)
+            if use_groupbys:
+                capped = cap(prev_mask)
+                if capped is not None:
+                    capped_cost = cost_join(capped, right)
+                    if capped_cost < cost:
+                        left, cost = capped, capped_cost
+            if best_cost is None or cost < best_cost:
+                best_left, best_right, best_cost = left, right, cost
+        dp[mask] = context.build_join(best_left, best_right, best_cost)
+    return dp[(1 << n) - 1]
 
 
 def bushy_dp(
@@ -113,53 +158,37 @@ def bushy_dp(
     greedy-conservative rule to nonlinear plans.
     """
     items = list(items)
+    trivial = _trivial_plan(items)
+    if trivial is not None:
+        return trivial
+
     n = len(items)
-    if n == 0:
-        raise OptimizationError("joinplan over an empty relation set")
-    if n == 1:
-        return items[0]
-
-    full = (1 << n) - 1
     dp: dict[int, SubPlan] = {1 << i: items[i] for i in range(n)}
+    cap = _cap_memo(items, dp, context, outside_needed)
+    cost_join = context.cost_join
 
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1, full + 1):
-        masks_by_size[mask.bit_count()].append(mask)
-
-    for size in range(2, n + 1):
-        for mask in masks_by_size[size]:
-            best: SubPlan | None = None
-            # Enumerate unordered splits: sub iterates proper nonempty
-            # submasks; keep sub > complement to visit each split once.
-            sub = (mask - 1) & mask
-            while sub:
-                other = mask ^ sub
-                if sub > other:
-                    left, right = dp[sub], dp[other]
-                    left_mask, right_mask = sub, other
-                    candidates = [context.join(left, right)]
-                    if use_groupbys:
-                        needed_left = outside_needed | _variables_of(
-                            items, full ^ left_mask
-                        )
-                        needed_right = outside_needed | _variables_of(
-                            items, full ^ right_mask
-                        )
-                        capped_left = context.group_if_useful(left, needed_left)
-                        capped_right = context.group_if_useful(
-                            right, needed_right
-                        )
-                        if capped_left is not None:
-                            candidates.append(context.join(capped_left, right))
-                        if capped_right is not None:
-                            candidates.append(context.join(left, capped_right))
-                        if capped_left is not None and capped_right is not None:
-                            candidates.append(
-                                context.join(capped_left, capped_right)
-                            )
-                    local = min(candidates, key=lambda s: s.cost)
-                    if best is None or local.cost < best.cost:
-                        best = local
-                sub = (sub - 1) & mask
-            dp[mask] = best
-    return dp[full]
+    for mask in _subsets_by_size(n):
+        best_cost: float | None = None
+        # Enumerate unordered splits: sub iterates proper nonempty
+        # submasks; keep sub > complement to visit each split once.
+        sub = (mask - 1) & mask
+        while sub:
+            other = mask ^ sub
+            if sub > other:
+                left, right = dp[sub], dp[other]
+                pairs = [(left, right)]
+                if use_groupbys:
+                    capped_left, capped_right = cap(sub), cap(other)
+                    if capped_left is not None:
+                        pairs.append((capped_left, right))
+                    if capped_right is not None:
+                        pairs.append((left, capped_right))
+                    if capped_left is not None and capped_right is not None:
+                        pairs.append((capped_left, capped_right))
+                for left, right in pairs:
+                    cost = cost_join(left, right)
+                    if best_cost is None or cost < best_cost:
+                        best_left, best_right, best_cost = left, right, cost
+            sub = (sub - 1) & mask
+        dp[mask] = context.build_join(best_left, best_right, best_cost)
+    return dp[(1 << n) - 1]

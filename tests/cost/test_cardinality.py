@@ -1,9 +1,11 @@
 """Unit tests for cardinality estimation."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.catalog import Catalog, TableStats
-from repro.cost import group_stats, join_stats, select_stats
+from repro.cost import group_stats, join_size, join_stats, select_stats
 from repro.data import complete_relation, var
 
 
@@ -56,6 +58,56 @@ class TestJoinStats:
         s1 = _stats("s1", 1, {"a": 1000}, {"a": 1.0})
         s2 = _stats("s2", 1, {"a": 1000}, {"a": 1.0})
         assert join_stats(s1, s2).cardinality >= 1
+
+
+@st.composite
+def stats_pair(draw):
+    """Two derived-looking TableStats over overlapping variable pools,
+    with ``distinct`` keyed in a different order than ``var_sizes``."""
+    pool = [f"x{i}" for i in range(6)]
+    sizes = {v: draw(st.integers(1, 50)) for v in pool}
+
+    def one(name):
+        names = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        card = draw(st.floats(1.0, 1e9, allow_nan=False))
+        distinct = {
+            v: draw(st.floats(0.5, float(sizes[v]), allow_nan=False))
+            for v in reversed(names)
+        }
+        return TableStats(name, card, {v: sizes[v] for v in names}, distinct)
+
+    return one("l"), one("r")
+
+
+class TestJoinSize:
+    """``join_size`` is the part of ``join_stats`` a cost model reads."""
+
+    @given(stats_pair())
+    def test_agrees_with_join_stats_bitwise(self, pair):
+        left, right = pair
+        size, full = join_size(left, right), join_stats(left, right)
+        assert size.cardinality == full.cardinality
+        assert list(size.var_sizes) == list(full.var_sizes)
+        assert size.var_sizes == full.var_sizes
+
+    @given(stats_pair())
+    def test_cardinality_arithmetic_unchanged(self, pair):
+        """The estimate as ``join_stats`` computed it before the split:
+        shared variables in ``left.var_sizes`` order, one division each."""
+        left, right = pair
+        shared = [v for v in left.var_sizes if v in right.var_sizes]
+        selectivity = 1.0
+        for v in shared:
+            selectivity /= max(left.distinct[v], right.distinct[v], 1.0)
+        want = max(1.0, left.cardinality * right.cardinality * selectivity)
+        assert join_size(left, right).cardinality == want
+
+    def test_var_sizes_is_a_fresh_dict(self):
+        s1 = _stats("s1", 12, {"a": 3, "b": 4})
+        s2 = _stats("s2", 8, {"b": 4, "c": 2})
+        join_size(s1, s2).var_sizes["z"] = 1
+        assert list(s1.var_sizes) == ["a", "b"]
+        assert list(s2.var_sizes) == ["b", "c"]
 
 
 class TestGroupStats:

@@ -97,6 +97,44 @@ class TestScores:
             assert combo[c.var] == pytest.approx(expected)
 
 
+    @pytest.mark.parametrize("part", ["degree", "width"])
+    def test_domain_products_equal_catalog_lookups_in_any_order(
+        self, star_context, part
+    ):
+        """σ_X comes from the context's size map; the score is bitwise
+        the product of the catalog's domain sizes, whichever way the
+        scope is walked (small integers multiply exactly in float)."""
+        view, context = star_context
+        candidates = _candidates_for(view, context)
+
+        def product(names):
+            size = 1.0
+            for v in names:
+                size *= context.catalog.variable(v).size
+            return size
+
+        scope_of = {
+            "degree": lambda c: (c.neighborhood - {c.var}) & c.surviving,
+            "width": lambda c: c.neighborhood,
+        }[part]
+        forward = {c.var: product(sorted(scope_of(c))) for c in candidates}
+        backward = {
+            c.var: product(sorted(scope_of(c), reverse=True)) for c in candidates
+        }
+        assert forward == backward
+        top = max(forward.values())
+        scores = score_candidates(candidates, context, (part,))
+        assert scores == {v: raw / top for v, raw in forward.items()}
+
+    def test_context_domain_sizes_cover_the_view(self, star_context):
+        view, context = star_context
+        assert context.domain_sizes == {
+            v: view.catalog.variable(v).size
+            for t in view.tables
+            for v in view.catalog.stats(t).variables
+        }
+
+
 class TestChoose:
     def test_deterministic_tie_break(self, star_context):
         view, context = star_context

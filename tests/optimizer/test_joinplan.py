@@ -1,13 +1,29 @@
 """Unit tests for the joinplan dynamic programs."""
 
-import pytest
+from typing import Sequence
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bayes import random_network
 from repro.catalog import Catalog
+from repro.cost import IOCostModel, SimpleCostModel
 from repro.data import complete_relation, var
+from repro.datagen import linear_view, multistar_view, star_view
 from repro.errors import OptimizationError
-from repro.optimizer import QuerySpec
-from repro.optimizer.base import PlanContext
+from repro.optimizer import (
+    CSOptimizer,
+    CSPlusLinear,
+    CSPlusNonlinear,
+    QuerySpec,
+    VariableElimination,
+)
+from repro.optimizer import base as base_module
+from repro.optimizer import cs, csplus, ve
+from repro.optimizer.base import PlanContext, SubPlan
 from repro.optimizer.joinplan import bushy_dp, linear_dp
+from tests.optimizer.test_properties import schema_and_query
 
 
 @pytest.fixture
@@ -90,3 +106,340 @@ class TestBushyDP:
         assert bushy_dp(
             leaves, context, use_groupbys=False
         ).cost == pytest.approx(linear_dp(leaves, context).cost)
+
+
+# ----------------------------------------------------------------------
+# Reference: the eager DPs as they stood before candidates were costed
+# on size and only winners built.  Kept verbatim (names aside) — every
+# candidate goes through ``context.join``, i.e. full statistics, a
+# ``ProductJoin`` and a ``SubPlan``, and the GroupBy cap is re-derived
+# per candidate.  The shipped DPs must be indistinguishable from these.
+# ----------------------------------------------------------------------
+def _variables_of(items: Sequence[SubPlan], mask: int) -> frozenset[str]:
+    """Union of variables of the items selected by ``mask``."""
+    out: set[str] = set()
+    for i, item in enumerate(items):
+        if mask & (1 << i):
+            out |= item.variables
+    return frozenset(out)
+
+
+def eager_linear_dp(
+    items: Sequence[SubPlan],
+    context: PlanContext,
+    outside_needed: frozenset[str] = frozenset(),
+    use_groupbys: bool = False,
+) -> SubPlan:
+    """Best left-deep plan joining all ``items``.
+
+    ``use_groupbys`` enables the CS+ interior-GroupBy comparison; the
+    returned plan is then guaranteed no more expensive than the best
+    pure join order (both candidates are always costed).
+    """
+    items = list(items)
+    n = len(items)
+    if n == 0:
+        raise OptimizationError("joinplan over an empty relation set")
+    if n == 1:
+        return items[0]
+
+    full = (1 << n) - 1
+    # Cache of "variables outside mask" per mask complement.
+    dp: dict[int, SubPlan] = {1 << i: items[i] for i in range(n)}
+
+    # Iterate masks in increasing popcount so predecessors exist.
+    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1, full + 1):
+        masks_by_size[mask.bit_count()].append(mask)
+
+    for size in range(2, n + 1):
+        for mask in masks_by_size[size]:
+            best: SubPlan | None = None
+            for j in range(n):
+                bit = 1 << j
+                if not mask & bit:
+                    continue
+                prev_mask = mask ^ bit
+                prev = dp.get(prev_mask)
+                if prev is None:
+                    continue
+                q1 = context.join(prev, items[j])
+                candidate = q1
+                if use_groupbys:
+                    # Relations not yet joined into S_j: everything
+                    # outside prev_mask (r_j included), plus the query
+                    # variables / outside scope.
+                    needed = outside_needed | _variables_of(
+                        items, full ^ prev_mask
+                    )
+                    capped = context.group_if_useful(prev, needed)
+                    if capped is not None:
+                        q2 = context.join(capped, items[j])
+                        if q2.cost < candidate.cost:
+                            candidate = q2
+                if best is None or candidate.cost < best.cost:
+                    best = candidate
+            dp[mask] = best
+    return dp[full]
+
+
+def eager_bushy_dp(
+    items: Sequence[SubPlan],
+    context: PlanContext,
+    outside_needed: frozenset[str] = frozenset(),
+    use_groupbys: bool = True,
+) -> SubPlan:
+    """Best bushy plan joining all ``items`` (nonlinear CS+).
+
+    For every unordered split {L, R} of every subset, costs up to four
+    candidates (GroupBy caps on neither / left / right / both operands)
+    and keeps the cheapest — the Section 5.1 extension of the CS+
+    greedy-conservative rule to nonlinear plans.
+    """
+    items = list(items)
+    n = len(items)
+    if n == 0:
+        raise OptimizationError("joinplan over an empty relation set")
+    if n == 1:
+        return items[0]
+
+    full = (1 << n) - 1
+    dp: dict[int, SubPlan] = {1 << i: items[i] for i in range(n)}
+
+    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1, full + 1):
+        masks_by_size[mask.bit_count()].append(mask)
+
+    for size in range(2, n + 1):
+        for mask in masks_by_size[size]:
+            best: SubPlan | None = None
+            # Enumerate unordered splits: sub iterates proper nonempty
+            # submasks; keep sub > complement to visit each split once.
+            sub = (mask - 1) & mask
+            while sub:
+                other = mask ^ sub
+                if sub > other:
+                    left, right = dp[sub], dp[other]
+                    left_mask, right_mask = sub, other
+                    candidates = [context.join(left, right)]
+                    if use_groupbys:
+                        needed_left = outside_needed | _variables_of(
+                            items, full ^ left_mask
+                        )
+                        needed_right = outside_needed | _variables_of(
+                            items, full ^ right_mask
+                        )
+                        capped_left = context.group_if_useful(left, needed_left)
+                        capped_right = context.group_if_useful(
+                            right, needed_right
+                        )
+                        if capped_left is not None:
+                            candidates.append(context.join(capped_left, right))
+                        if capped_right is not None:
+                            candidates.append(context.join(left, capped_right))
+                        if capped_left is not None and capped_right is not None:
+                            candidates.append(
+                                context.join(capped_left, capped_right)
+                            )
+                    local = min(candidates, key=lambda s: s.cost)
+                    if best is None or local.cost < best.cost:
+                        best = local
+                sub = (sub - 1) & mask
+            dp[mask] = best
+    return dp[full]
+
+
+EAGER = {linear_dp: eager_linear_dp, bushy_dp: eager_bushy_dp}
+VIEWS = {"star": star_view, "multistar": multistar_view, "linear": linear_view}
+MODELS = [SimpleCostModel, IOCostModel]
+
+
+def _assert_same_subplan(got: SubPlan, want: SubPlan):
+    assert got.plan.structural_key() == want.plan.structural_key()
+    assert got.cost == want.cost  # bitwise, not approx
+    assert got.stats.name == want.stats.name
+    assert got.stats.cardinality == want.stats.cardinality
+    assert list(got.stats.var_sizes.items()) == list(want.stats.var_sizes.items())
+    assert list(got.stats.distinct.items()) == list(want.stats.distinct.items())
+
+
+def _assert_matches_eager(dp, catalog, spec, model, outside_needed, use_groupbys):
+    """Run ``dp`` and its eager reference from fresh contexts; compare."""
+    outcomes = []
+    for search in (dp, EAGER[dp]):
+        context = PlanContext(spec, catalog, model())
+        leaves = [context.leaf(t) for t in spec.tables]
+        plan = search(
+            leaves, context,
+            outside_needed=outside_needed, use_groupbys=use_groupbys,
+        )
+        outcomes.append((plan, context.plans_considered))
+    (got, got_considered), (want, want_considered) = outcomes
+    _assert_same_subplan(got, want)
+    assert got_considered == want_considered
+
+
+def _bn_case(n_variables, seed):
+    """A seeded random network as (catalog, spec) with one evidence var."""
+    network = random_network(n_variables, max_parents=3, seed=seed)
+    catalog = Catalog()
+    tables = tuple(catalog.register_all(network.to_relations()))
+    names = network.variable_names
+    spec = QuerySpec(
+        tables=tables, query_vars=(names[0],), selections={names[-1]: 0}
+    )
+    return catalog, spec
+
+
+class TestMatchesEagerDP:
+    """The two-phase DPs return what the eager ones did, bit for bit."""
+
+    @pytest.mark.parametrize("use_groupbys", [False, True])
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("n_tables", range(2, 9))
+    @pytest.mark.parametrize("kind", sorted(VIEWS))
+    def test_linear_on_synthetic_views(self, kind, n_tables, model, use_groupbys):
+        view = VIEWS[kind](n_tables=n_tables, domain_size=3)
+        spec = QuerySpec(view.tables, (view.chain_variables[0],))
+        _assert_matches_eager(
+            linear_dp, view.catalog, spec, model,
+            frozenset(spec.query_vars), use_groupbys,
+        )
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("n_tables", range(2, 9))
+    @pytest.mark.parametrize("kind", sorted(VIEWS))
+    def test_bushy_on_synthetic_views(self, kind, n_tables, model):
+        view = VIEWS[kind](n_tables=n_tables, domain_size=3)
+        spec = QuerySpec(view.tables, (view.chain_variables[-1],))
+        _assert_matches_eager(
+            bushy_dp, view.catalog, spec, model,
+            frozenset(spec.query_vars), True,
+        )
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_linear_on_random_network_with_evidence(self, model):
+        catalog, spec = _bn_case(12, seed=5)
+        _assert_matches_eager(
+            linear_dp, catalog, spec, model, frozenset(spec.query_vars), True
+        )
+
+    @given(
+        schema_and_query(),
+        st.sampled_from([linear_dp, bushy_dp]),
+        st.booleans(),
+        st.sampled_from(MODELS),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_schemas(self, case, dp, use_groupbys, model, data):
+        catalog, spec = case
+        covered = sorted({v for t in spec.tables for v in catalog.stats(t).variables})
+        outside = data.draw(st.sets(st.sampled_from(covered), min_size=1))
+        _assert_matches_eager(
+            dp, catalog, spec, model, frozenset(outside), use_groupbys
+        )
+
+
+def _optimizers():
+    yield CSOptimizer, {}
+    yield CSPlusLinear, {}
+    yield CSPlusNonlinear, {}
+    for heuristic in ("degree", "width", "elim_cost", "degree+width"):
+        for extended in (False, True):
+            yield VariableElimination, {
+                "heuristic": heuristic, "extended": extended,
+            }
+
+
+def _end_to_end_cases():
+    for kind in sorted(VIEWS):
+        view = VIEWS[kind](n_tables=6, domain_size=3)
+        yield kind, view.catalog, QuerySpec(
+            view.tables,
+            (view.chain_variables[0],),
+            {view.chain_variables[-1]: 1},
+        )
+    yield ("bn",) + _bn_case(9, seed=2)
+
+
+class TestOptimizersMatchEagerDP:
+    """Every optimizer, with the eager DPs patched in, returns the same
+    ``OptimizationResult`` as with the shipped ones."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize(
+        "case", _end_to_end_cases(), ids=lambda case: case[0]
+    )
+    def test_results_identical(self, case, model, monkeypatch):
+        _, catalog, spec = case
+        shipped = [
+            cls(**kwargs).optimize(spec, catalog, model())
+            for cls, kwargs in _optimizers()
+        ]
+        for module in (cs, csplus, ve):
+            monkeypatch.setattr(module, "linear_dp", eager_linear_dp)
+        monkeypatch.setattr(csplus, "bushy_dp", eager_bushy_dp)
+        for got, (cls, kwargs) in zip(shipped, _optimizers()):
+            want = cls(**kwargs).optimize(spec, catalog, model())
+            assert got.algorithm == want.algorithm
+            assert got.plan.structural_key() == want.plan.structural_key()
+            assert got.cost == want.cost
+            assert got.plans_considered == want.plans_considered
+            assert got.extras == want.extras
+            if cls is VariableElimination:
+                assert got.extras["elimination_order"]
+
+
+class TestWorkCounts:
+    """Builds are per subset, not per candidate (both fail on eager DPs)."""
+
+    N = 8
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """(context, leaves, calls): ``calls`` counts stats constructions."""
+        view = star_view(n_tables=self.N, domain_size=3)
+        spec = QuerySpec(view.tables, (view.chain_variables[0],))
+        context = PlanContext(spec, view.catalog)
+        leaves = [context.leaf(t) for t in view.tables]
+        calls = {"join_stats": 0, "group_stats": 0}
+
+        def counting(name):
+            original = getattr(base_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(base_module, name, wrapper)
+
+        counting("join_stats")
+        counting("group_stats")
+        return context, leaves, calls
+
+    def test_linear_builds_one_join_and_one_cap_per_subset(self, counted):
+        context, leaves, calls = counted
+        linear_dp(
+            leaves, context,
+            outside_needed=frozenset(context.spec.query_vars),
+            use_groupbys=True,
+        )
+        n = self.N
+        # One join per subset of two or more items ...
+        assert calls["join_stats"] == 2**n - n - 1
+        # ... and at most one cap per subset (here: those that drop
+        # something), though n * 2^(n-1) extensions looked one up.
+        assert 0 < calls["group_stats"] <= 2**n
+        assert context.plans_considered > n * 2 ** (n - 1)
+
+    def test_bushy_builds_one_cap_per_subset(self, counted):
+        context, leaves, calls = counted
+        bushy_dp(
+            leaves, context,
+            outside_needed=frozenset(context.spec.query_vars),
+            use_groupbys=True,
+        )
+        n = self.N
+        assert calls["join_stats"] == 2**n - n - 1
+        assert 0 < calls["group_stats"] <= 2**n - 2
