@@ -9,10 +9,21 @@ bench times both paths on the same inputs — the group-index build,
 to 100, and checks they return the same bytes.  The table it writes is
 what fixes the threshold constant (``EXPERIMENTS.md`` holds a copy).
 
+A second table, ``kernels_join_groupby``, times the elimination step
+itself — ``GroupBy(dimension ⋈ fact)`` with the group variable on the
+fact side — with the fact side *kept* (it probes the dimension's unique
+keys row by row, its columns are never gathered, and the GroupBy runs
+on its own group index) and *not kept* (runs expanded or columns
+gathered, then an index over the join), at match fractions from 1.0 to
+0.01, cold and warm, with the dimension on either side.  It fixes
+``repro.algebra.join.PROBE_KEEP_FACTOR`` and shows what
+``DEFER_MIN_ROWS`` leaves on the table.
+
 Unlike the gated suites this one reads the machine's clock, so it is
-not part of the perf gate: every cell is a median of repeats with a
-cold group-index cache.  The span/n = 100 rows at n = 1e6 force a
-table over 1e8 slots through the counting path and need ~3 GB.
+not part of the perf gate: every cell is a median of repeats, with a
+cold group-index cache unless the column says warm.  The span/n = 100
+rows at n = 1e6 force a table over 1e8 slots through the counting path
+and need ~3 GB.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import pytest
 
 from _harness import reporter
 
-from repro.algebra import marginalize, product_join
+from repro.algebra import join, marginalize, product_join
 from repro.algebra.groupindex import (
     DEFAULT_GROUP_INDEX_CACHE,
     GroupIndex,
@@ -81,15 +92,25 @@ def _fact_and_dimension(n: int, span: int, rng):
     return fact, dimension
 
 
-def _timed(kernel, repeats: int):
-    """(median milliseconds, last result) of ``kernel()`` run cold."""
+def _timed(kernel, repeats: int, cold: bool = True):
+    """(median milliseconds, last result) of ``kernel()`` run cold — or
+    warm, the group-index cache left as the previous call found it (a
+    base table's index is there after one query)."""
+    if not cold:
+        kernel()
     samples = []
     for _ in range(repeats):
-        DEFAULT_GROUP_INDEX_CACHE.clear()
+        if cold:
+            DEFAULT_GROUP_INDEX_CACHE.clear()
         started = time.perf_counter()
         result = kernel()
         samples.append((time.perf_counter() - started) * 1e3)
     return median(samples), result
+
+
+def _materialized(relation):
+    relation.columns
+    return relation
 
 
 _INDEX_ARRAYS = ("order", "starts", "first_idx", "inverse", "unique_keys")
@@ -124,7 +145,9 @@ def test_dense_vs_sort(benchmark, monkeypatch, n, ratio):
         lambda: marginalize(
             fact, ("k",), MIN_PRODUCT, cache=GroupIndexCache()
         ),
-        lambda: product_join(fact, dimension, SUM_PRODUCT),
+        # Columns touched inside the timed region: a large join gathers
+        # them on first access.
+        lambda: _materialized(product_join(fact, dimension, SUM_PRODUCT)),
     ]
     repeats = 9 if n < 1_000_000 else 3
     cells = []
@@ -144,3 +167,80 @@ def test_dense_vs_sort(benchmark, monkeypatch, n, ratio):
     benchmark.pedantic(GroupIndex, args=(keys,), rounds=3)
     _REPORT.metrics.counter("bench.kernel_cases").inc()
     _REPORT.add(n, float(ratio), span, *cells)
+
+
+# ----------------------------------------------------------------------
+# GroupBy through a join: keep the probe side, or not
+# ----------------------------------------------------------------------
+JOIN_GROUPBY_SHAPES = (
+    # (fact rows, dimension rows, match fractions)
+    (1_000, 64, (1.0, 0.6)),
+    (4_000, 256, (1.0, 0.6)),
+    (16_000, 1_000, (1.0, 0.6)),
+    (200_000, 1_000, (1.0, 0.6, 0.25, 0.1, 0.01)),
+    (200_000, 12_000, (1.0, 0.6, 0.25, 0.1, 0.01)),
+    (1_000_000, 1_000, (1.0, 0.6, 0.25, 0.1, 0.01)),
+    (1_000_000, 12_000, (1.0, 0.6, 0.25, 0.1, 0.01)),
+)
+
+_JOIN_GROUPBY = reporter(
+    "kernels_join_groupby",
+    "GroupBy(dimension join fact) on a fact-side variable — fact side "
+    "kept (probes, GroupBy fused) vs not, median wall ms",
+    ["fact_rows", "dim_rows", "match", "agg",
+     "dim_left_kept_cold_ms", "dim_left_kept_warm_ms",
+     "dim_left_expanded_cold_ms", "dim_left_expanded_warm_ms",
+     "dim_right_fused_cold_ms", "dim_right_fused_warm_ms",
+     "dim_right_gathered_cold_ms", "dim_right_gathered_warm_ms"],
+)
+
+
+def _star(n: int, dim_rows: int, match: float, rng, groups: int = 1_000):
+    """``fact(k, g)`` whose keys hit ``dim(k)`` (unique, half the key
+    space) on a ``match`` share of its rows."""
+    k, g = var("k", 2 * dim_rows), var("g", min(groups, max(4, n // 64)))
+    present = np.sort(rng.choice(k.size, size=dim_rows, replace=False))
+    absent = np.setdiff1d(np.arange(k.size), present)
+    codes = np.where(
+        rng.random(n) < match,
+        rng.choice(present, size=n), rng.choice(absent, size=n),
+    )
+    fact = FunctionalRelation(
+        [k, g], {"k": codes, "g": rng.integers(0, g.size, n)},
+        rng.random(n) + 0.5, check_fd=False,
+    )
+    dim = FunctionalRelation([k], {"k": present}, rng.random(dim_rows) + 0.5)
+    return fact, dim
+
+
+@pytest.mark.parametrize("shape", JOIN_GROUPBY_SHAPES, ids=str)
+def test_join_groupby(benchmark, monkeypatch, shape):
+    n, dim_rows, fractions = shape
+    rng = np.random.default_rng(SEED)
+    repeats = 15 if n < 100_000 else 7 if n < 1_000_000 else 3
+    monkeypatch.setattr(join, "DEFER_MIN_ROWS", 0)
+    for match in fractions:
+        fact, dim = _star(n, dim_rows, match, rng)
+        for agg, semiring in (("sum", SUM_PRODUCT), ("min", MIN_PRODUCT)):
+            cells, answers = [], []
+            for left, right in ((dim, fact), (fact, dim)):
+                def kernel():
+                    return marginalize(
+                        product_join(left, right, semiring), ("g",), semiring
+                    )
+                # inf keeps the fact side whatever the match count, 0 never.
+                for factor in (math.inf, 0):
+                    monkeypatch.setattr(join, "PROBE_KEEP_FACTOR", factor)
+                    for cold in (True, False):
+                        ms, answer = _timed(kernel, repeats, cold)
+                        cells.append(ms)
+                        answers.append(answer)
+            # Fused or not is invisible; only the expanded join lists
+            # its rows in another order, so its float sums may round
+            # differently.
+            kept, expanded, fused, gathered = answers[::2]
+            assert _same_bytes(fused, gathered) and _same_bytes(kept, fused)
+            assert np.allclose(kept.measure, expanded.measure, rtol=1e-9)
+            _JOIN_GROUPBY.add(n, dim_rows, float(match), agg, *cells)
+    DEFAULT_GROUP_INDEX_CACHE.clear()
+    benchmark.pedantic(kernel, rounds=3)

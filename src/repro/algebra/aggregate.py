@@ -19,6 +19,22 @@ the aggregate is a scatter by the row→group inverse (or a segment
 index is linear too when the group keys are dense — counting instead
 of sorting — so a GroupBy over coded variables costs ``O(n)`` wall
 time, not the ``n log n`` the simulated clock still charges a cold one.
+
+**Aggregating through a join.**  The elimination step of VE is "join
+the relations that mention X, then GroupBy X away".  When the join kept
+its probe side (:mod:`repro.algebra.join`) and every group variable
+lives there, the GroupBy never gathers the join's columns: each output
+row of the join *is* one probe row, so the probe relation's own group
+index — a cache hit for a base table on every query after the first —
+already says which group each row falls in; when only some probe rows
+matched, their measures are scattered by those group ids and the groups
+no matched row fell in are dropped.  The join lists its rows in
+ascending probe-row order, a group index is stable, and the scatter
+fold equals the segment fold bit for bit
+(:meth:`~repro.semiring.base.Semiring.aggregate`), so the fused GroupBy
+adds each group's terms in exactly the sequence the materialized one
+would: the two are bit-identical on every semiring, and which one ran
+is a cost decision nothing downstream can observe.
 """
 
 from __future__ import annotations
@@ -28,6 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.algebra.groupindex import GroupIndexCache, group_index
+from repro.algebra.join import _DeferredJoin
 from repro.data.relation import FunctionalRelation
 from repro.errors import FunctionalDependencyError, SchemaError
 from repro.semiring.base import Semiring
@@ -76,16 +93,34 @@ def marginalize(
     # makes every row its own group), but callers may deliberately feed
     # a key-colliding relation to plus-merge duplicates (alter_domain's
     # transfer semantics), so the general path runs unconditionally.
-    gidx = group_index(relation, out_vars.names, cache=cache)
-    measure = semiring.aggregate(
-        relation.measure,
-        gidx.inverse,
-        gidx.n_groups,
-        segments=(gidx.order, gidx.starts),
-    )
-    columns = {
-        n: relation.columns[n][gidx.first_idx] for n in out_vars.names
-    }
+    source = relation
+    if isinstance(relation, _DeferredJoin) and relation.fuses_group_by(
+        out_vars.names
+    ):
+        # Every join row is one probe row: group on the probe
+        # relation's own (cacheable) index instead of the join's.
+        source = relation.probe
+    gidx = group_index(source, out_vars.names, cache=cache)
+    if source is relation or relation.i_probe is None:
+        first_rows = gidx.first_idx
+        measure = semiring.aggregate(
+            relation.measure,
+            gidx.inverse,
+            gidx.n_groups,
+            segments=(gidx.order, gidx.starts),
+        )
+    else:
+        # Only some probe rows matched: scatter their measures by the
+        # probe index's group ids — in row order, as the segment fold
+        # over a stable sort would — and keep the groups that got one.
+        # Any row of a group carries its key, matched or not.
+        ids = gidx.inverse[relation.i_probe]
+        occupied = np.flatnonzero(np.bincount(ids, minlength=gidx.n_groups))
+        first_rows = gidx.first_idx[occupied]
+        measure = semiring.aggregate(relation.measure, ids, gidx.n_groups)[
+            occupied
+        ]
+    columns = {n: source.columns[n][first_rows] for n in out_vars.names}
     return FunctionalRelation(
         out_vars, columns, measure, name=name, check_fd=False
     )

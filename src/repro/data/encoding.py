@@ -69,6 +69,13 @@ def _fits_mixed_radix(sizes: tuple[int, ...]) -> bool:
 
 
 def _mixed_radix(columns: list[np.ndarray], sizes: tuple[int, ...]) -> np.ndarray:
+    if len(columns) == 1 and columns[0].dtype == np.int64:
+        # A single-column key is the column: no pass over the rows.  The
+        # view is read-only, so no caller can write into the relation
+        # through its keys.
+        keys = columns[0].view()
+        keys.flags.writeable = False
+        return keys
     n = len(columns[0]) if columns else 0
     keys = np.zeros(n, dtype=np.int64)
     for col, size in zip(columns, sizes):

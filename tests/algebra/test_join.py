@@ -216,6 +216,48 @@ class TestDirectAddressProbe:
         _assert_same_relation(direct, generic)
         assert direct.ntuples == 5
 
+    def test_large_right_side_probes_a_small_unique_left_side(
+        self, rng, probes, monkeypatch
+    ):
+        """The same shape once the right side is large enough to be
+        worth keeping whole (the floor is lowered to the test's size):
+        the unique left keys build, every right row looks its partner
+        up, and the rows come in right-row order — the same relation,
+        which is all ``product_join`` promises."""
+        monkeypatch.setattr(join, "DEFER_MIN_ROWS", 5)
+        left = _keyed(("k",), (40,), {"k": [3, 4, 9]}, rng)
+        right = _keyed(
+            ("k", "z"), (40, 5),
+            {"k": [4, 3, 4, 9, 4], "z": [0, 1, 2, 3, 4]}, rng,
+        )
+        direct, generic = self._both_paths(
+            lambda: product_join(left, right, SUM_PRODUCT), monkeypatch
+        )
+        assert len(probes) == 1
+        assert isinstance(direct, FunctionalRelation)
+        assert direct.ntuples == generic.ntuples == 5
+        assert direct.equals(generic, SUM_PRODUCT)
+        assert direct.columns["z"].tolist() == [0, 1, 2, 3, 4]
+        assert generic.columns["z"].tolist() == [1, 0, 2, 4, 3]
+        # A partial match keeps right-row order too ...
+        partial = product_join(
+            left.take(np.array([1, 0])), right, SUM_PRODUCT
+        )
+        assert len(probes) == 2
+        assert partial.columns["z"].tolist() == [0, 1, 2, 4]
+        # ... and too few matches leave the right side's runs to be
+        # expanded, left-major, as before.
+        probes.clear()
+        few = _keyed(("k",), (40,), {"k": [9]}, rng)
+        expanded = product_join(few, right, SUM_PRODUCT)
+        assert probes == [] and expanded.columns["z"].tolist() == [3]
+        # join_match_indices keeps its left-major contract regardless.
+        i_left, i_right = join_match_indices(
+            left, right, ("k",), cache=GroupIndexCache()
+        )
+        assert i_left.tolist() == [0, 1, 1, 1, 2]
+        assert i_right.tolist() == [1, 0, 2, 4, 3]
+
     def test_sparse_unique_build_keys_keep_the_generic_path(
         self, rng, probes
     ):
