@@ -89,15 +89,14 @@ create mpfview invest as
 
 def _build_database(
     scale: float, seed: int, pool=None, metrics=None, workers: int = 1,
-    partitions=None, task_policy=None, worker_faults=None,
-    fuse_select_scan: bool = False, clock=None,
+    partitions=None, task_policy=None, worker_faults=None, clock=None,
 ) -> Database:
     from repro.datagen import supply_chain
 
     sc = supply_chain(scale=scale, seed=seed)
     db = Database(pool=pool, metrics=metrics, workers=workers,
                   task_policy=task_policy, worker_faults=worker_faults,
-                  fuse_select_scan=fuse_select_scan, clock=clock)
+                  clock=clock)
     for t in sc.tables:
         db.register(sc.catalog.relation(t))
     for table, key, shards in partitions or ():
@@ -345,7 +344,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
                 db.workers = args.workers
                 db.task_policy = task_policy
                 db.worker_faults = worker_faults
-                db.fuse_select_scan = args.fuse_select_scan
                 print(
                     f"-- resumed from {state.checkpoint.name}: "
                     f"{len(recovered)} recorded statement(s), "
@@ -360,7 +358,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
                     metrics=state.registry, workers=args.workers,
                     partitions=partitions, task_policy=task_policy,
                     worker_faults=worker_faults,
-                    fuse_select_scan=args.fuse_select_scan,
                 )
                 print(
                     f"-- no checkpoint; rebuilt base tables, "
@@ -371,7 +368,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
                 args.scale, args.seed, pool=pool,
                 workers=args.workers, partitions=partitions,
                 task_policy=task_policy, worker_faults=worker_faults,
-                fuse_select_scan=args.fuse_select_scan,
             )
         wal = WriteAheadLog(
             wal_path(args.checkpoint_dir), crash=crash, metrics=db.metrics
@@ -385,7 +381,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
             args.scale, args.seed, pool=pool,
             workers=args.workers, partitions=partitions,
             task_policy=task_policy, worker_faults=worker_faults,
-            fuse_select_scan=args.fuse_select_scan,
         )
 
     guard = _guard_from_args(args, db)
@@ -650,8 +645,7 @@ def _serve_soak(args: argparse.Namespace, tracer=None):
     db = _build_database(
         args.scale, args.seed, workers=args.workers,
         partitions=partitions, task_policy=task_policy,
-        worker_faults=worker_faults,
-        fuse_select_scan=args.fuse_select_scan, clock=clock,
+        worker_faults=worker_faults, clock=clock,
     )
     runtime = ServingRuntime(
         db, tenants, clock=clock, strategy=args.strategy,
@@ -952,10 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="modeled executor count for partition-parallel "
                           "execution (results are identical for every "
                           "worker count; see docs/parallelism.md)")
-    sql.add_argument("--fuse-select-scan", action="store_true",
-                     help="lower plans with the Select over Scan fusion "
-                          "rewrite (results are identical; the fused scan "
-                          "skips the selection's separate full pass)")
     sql.add_argument("--partition", action="append", default=None,
                      metavar="TABLE=KEY:N",
                      help="hash-partition TABLE on variable KEY into N "
@@ -1034,9 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="TABLE=KEY:N",
                        help="hash-partition TABLE on variable KEY into N "
                             "shards before serving (repeatable)")
-        p.add_argument("--fuse-select-scan", action="store_true",
-                       help="lower plans with the Select over Scan "
-                            "fusion rewrite")
         p.add_argument("--task-timeout", type=float, default=None,
                        metavar="UNITS",
                        help="modeled per-task deadline (see `sql`)")

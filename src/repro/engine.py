@@ -260,7 +260,6 @@ class Database:
         workers: int = 1,
         task_policy=None,
         worker_faults=None,
-        fuse_select_scan: bool = False,
         clock=None,
     ):
         if workers < 1:
@@ -281,10 +280,6 @@ class Database:
         before every task dispatch.  Injected faults never change
         results or structural counters — only the modeled schedule and
         the ``scheduler.task_*`` metrics (``docs/robustness.md``)."""
-        self.fuse_select_scan = fuse_select_scan
-        """Lower plans with the Select→Scan fusion rewrite (see
-        ``docs/internals.md``).  Results are byte-identical fused or
-        not; only the modeled CPU charges differ."""
         self.cost_model = cost_model or SimpleCostModel()
         self.pool = pool or BufferPool()
         # Explicit None check: an empty registry is falsy (len() == 0)
@@ -344,9 +339,16 @@ class Database:
         catalog, and drops the now-stale plan-cache entries: cache keys
         are versioned by :attr:`Catalog.stats_epoch`, so a plan costed
         against the old statistics can never be served as ``+cached``
-        against the new data.
+        against the new data.  VE-caches of views over the table are
+        dropped for the same reason — :meth:`query_cached` then raises
+        until :meth:`build_cache` runs again, instead of answering from
+        the old data.
         """
         name = self.catalog.replace(relation, name)
+        self._caches = {
+            view: cache for view, cache in self._caches.items()
+            if name not in self._views[view].view_tables
+        }
         stale = [
             key for key in self._plan_cache
             if key[-1] != self.catalog.stats_epoch
@@ -599,7 +601,7 @@ class Database:
             self.catalog, query.view.semiring, pool=self.pool,
             metrics=self.metrics, workers=self.workers,
             task_policy=self.task_policy, worker_faults=self.worker_faults,
-            fuse_select_scan=self.fuse_select_scan, tracer=tracer,
+            tracer=tracer,
         )
         span = (
             tracer.span("execute") if tracer is not None
@@ -707,8 +709,6 @@ class Database:
         checkpointer=None,
         checkpoint_every: int = 1,
         workers: int | None = None,
-        task_policy=None,
-        worker_faults=None,
     ) -> BatchReport:
         """Optimize and execute a batch of queries with shared subplans.
 
@@ -798,21 +798,12 @@ class Database:
                     raise
                 optimizations.append(None)
                 plan_errors.append(exc)
-        dag = lower(
-            [opt.plan for opt in optimizations if opt is not None],
-            fuse_select_scan=self.fuse_select_scan,
-        )
+        dag = lower([opt.plan for opt in optimizations if opt is not None])
         ctx = ExecutionContext(
             self.catalog, semiring, pool=self.pool, guard=guard,
             metrics=self.metrics,
             workers=self.workers if workers is None else workers,
-            task_policy=(
-                self.task_policy if task_policy is None else task_policy
-            ),
-            worker_faults=(
-                self.worker_faults if worker_faults is None else worker_faults
-            ),
-            fuse_select_scan=self.fuse_select_scan,
+            task_policy=self.task_policy, worker_faults=self.worker_faults,
         )
         if resume_from is not None and hasattr(resume_from, "seed_context"):
             resume_from.seed_context(ctx)

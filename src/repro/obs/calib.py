@@ -8,10 +8,10 @@ and no one could say *where* the model was wrong.  This module is the
 join.
 
 Given an annotated plan tree and the actual per-node counts an
-execution recorded (the runtime's
-:attr:`~repro.plans.runtime.ExecutionContext.actuals` map, or the
-tracer's :class:`~repro.obs.trace.OperatorProfile` rows — both keyed
-by the structural plan keys of :mod:`repro.plans.lower`),
+execution recorded (a ``key → (rows, elapsed)`` map, or the tracer's
+:class:`~repro.obs.trace.OperatorProfile` rows — both keyed by the
+structural keys of the *plan tree's* nodes; rows of a lowered run get
+there through :meth:`repro.plans.lower.PlanDAG.plan_tree_rows`),
 :func:`calibrate_plan` produces a :class:`PlanCalibration`:
 
 * per-node and per-plan **Q-error** — ``max(est/act, act/est)``, the
@@ -253,6 +253,10 @@ def _normalize_actuals(actuals) -> dict[tuple, tuple[int, float | None]]:
         # memo hit's zero elapsed is reuse, not the operator's work).
         if key not in out or not row.memoized:
             out[key] = (row.out_rows, row.elapsed)
+        # Nodes a lowering rewrite absorbed did no work of their own:
+        # an exact row count, no elapsed.
+        for inner, rows in row.absorbed:
+            out.setdefault(inner, (rows, None))
     return out
 
 
@@ -264,13 +268,14 @@ def calibrate_plan(
     """Join a plan's per-node estimates with executed actuals.
 
     ``plan`` must be annotated (:func:`repro.plans.annotate.annotate`)
-    so every node carries estimated stats; ``actuals`` is either the
-    :attr:`~repro.plans.runtime.ExecutionContext.actuals` map of the
-    run or the tracer's :class:`~repro.obs.trace.OperatorProfile`
-    rows.  Matching is by structural plan key — the identity shared by
-    CSE, the runtime memo, and the per-operator hooks — so the join
-    survives plan-DAG sharing: a subtree repeated in the tree collapses
-    onto the one DAG node that actually ran.
+    so every node carries estimated stats; ``actuals`` is either a
+    ``key → (rows, elapsed)`` map or the
+    :class:`~repro.obs.trace.OperatorProfile` rows of a profiled run
+    (:func:`~repro.plans.profile.profile_execution` hands them out in
+    plan-tree vocabulary).  Matching is by structural plan key — the
+    identity shared by CSE and the runtime memo — so the join survives
+    plan-DAG sharing: a subtree repeated in the tree collapses onto the
+    one DAG node that actually ran.
     """
     actual_map = _normalize_actuals(actuals)
 

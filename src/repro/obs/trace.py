@@ -91,8 +91,14 @@ class OperatorProfile:
     degraded: str | None = None
     """Guard downgrade note (hash → sort spill path), if any."""
     node_key: tuple | None = field(default=None, compare=False, repr=False)
-    """Structural plan key of the producing node (not serialized: the
-    calibration layer joins estimates to this row by it)."""
+    """Structural plan key the calibration layer joins estimates to
+    this row by (not serialized).  The tracer records the executed
+    node's own key; :meth:`repro.plans.lower.PlanDAG.plan_tree_rows`
+    re-keys the row of a lowering rewrite (``FilterScan``) to the
+    outermost plan-tree node it replaces."""
+    absorbed: tuple = field(default=(), compare=False, repr=False)
+    """``(structural key, exact out_rows)`` of the plan-tree nodes a
+    lowering rewrite folded into this operator (not serialized)."""
 
     def to_dict(self) -> dict:
         return {

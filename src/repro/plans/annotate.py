@@ -15,7 +15,7 @@ from repro.cost.model import CostModel, SimpleCostModel
 from repro.errors import PlanError
 from repro.plans.nodes import GroupBy, IndexScan, PlanNode, ProductJoin, Scan, Select
 
-__all__ = ["annotate", "plan_cost", "estimate_map"]
+__all__ = ["annotate", "plan_cost"]
 
 
 def annotate(
@@ -107,28 +107,3 @@ def plan_cost(
     """Annotate and return the root's cumulative estimated cost."""
     annotate(plan, catalog, model, overrides)
     return float(plan.total_cost)
-
-
-def estimate_map(plan: PlanNode) -> dict[tuple, tuple[float, float]]:
-    """Per-node estimates keyed by structural plan key.
-
-    Returns ``{structural_key: (estimated_rows, estimated_op_cost)}``
-    for every annotated node of the tree.  The structural key is the
-    same identity :func:`repro.plans.lower.lower` and the runtime memo
-    use, so estimates from the annotated plan tree can be joined with
-    the *actual* per-node counts an execution recorded
-    (:attr:`~repro.plans.runtime.ExecutionContext.actuals`, or the
-    tracer's :class:`~repro.obs.trace.OperatorProfile` rows) — the
-    estimate→actual join the calibration layer is built on.  Nodes
-    sharing a structural key are structurally identical, so their
-    estimates agree and the collapse is lossless.
-    """
-    out: dict[tuple, tuple[float, float]] = {}
-    for node in plan.walk():
-        if node.stats is None:
-            continue
-        out[node.structural_key()] = (
-            float(node.stats.cardinality),
-            float(node.op_cost or 0.0),
-        )
-    return out

@@ -1,15 +1,10 @@
-"""Compatibility wrapper over the physical-operator runtime.
+"""Per-query wrapper over the physical-operator runtime.
 
-Historically this module held a recursive tree interpreter; execution
-now lives in :mod:`repro.plans.runtime` (operator classes over an
-:class:`~repro.plans.runtime.ExecutionContext`, driving a CSE'd plan
-DAG).  :class:`Executor` keeps the old surface — construct with a
-catalog (or plain name→relation mapping) and a semiring, call
-``run(plan)`` — while delegating to the runtime.
-
-Each ``run`` evaluates with a fresh memo, preserving the historical
-per-query semantics (repeat runs pay buffer-pool hits, not memo hits);
-callers that want cross-query subplan sharing use one
+:class:`Executor` owns one :class:`~repro.plans.runtime.ExecutionContext`
+over a catalog (or plain name→relation mapping) and a semiring;
+``run(plan)`` lowers and evaluates through :mod:`repro.plans.runtime`
+with a fresh memo each time (repeat runs pay buffer-pool hits, not memo
+hits).  Callers that want cross-query subplan sharing use one
 :class:`ExecutionContext` directly or :meth:`repro.engine.Database.run_batch`.
 """
 
@@ -42,19 +37,16 @@ class Executor:
         semiring: Semiring,
         pool: BufferPool | None = None,
         workmem_pages: int = DEFAULT_WORKMEM_PAGES,
-        context: ExecutionContext | None = None,
         metrics=None,
         workers: int = 1,
         task_policy=None,
         worker_faults=None,
-        fuse_select_scan: bool = False,
         tracer=None,
     ):
-        self.context = context or ExecutionContext(
+        self.context = ExecutionContext(
             catalog, semiring, pool=pool, workmem_pages=workmem_pages,
             metrics=metrics, workers=workers, task_policy=task_policy,
-            worker_faults=worker_faults, fuse_select_scan=fuse_select_scan,
-            tracer=tracer,
+            worker_faults=worker_faults, tracer=tracer,
         )
 
     @property
@@ -105,12 +97,9 @@ def execute(
     pool: BufferPool | None = None,
     workmem_pages: int = DEFAULT_WORKMEM_PAGES,
     guard: QueryGuard | None = None,
-    metrics=None,
-    workers: int = 1,
 ):
     """One-shot convenience wrapper around :class:`Executor`."""
     executor = Executor(
-        catalog, semiring, pool=pool, workmem_pages=workmem_pages,
-        metrics=metrics, workers=workers,
+        catalog, semiring, pool=pool, workmem_pages=workmem_pages
     )
     return executor.run(plan, guard=guard)

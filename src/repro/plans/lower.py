@@ -7,11 +7,19 @@ across a batch — become a single DAG node.  The runtime evaluates each
 unique node at most once (see :mod:`repro.plans.runtime`), which is the
 physical counterpart of the paper's Section 6 workload sharing: common
 work across an MPF query batch is detected and paid for once.
+
+Lowering also owns the physical rewrites the optimizers never see —
+today one: a ``Select`` over a ``Scan`` nothing else reads becomes a
+:class:`~repro.plans.nodes.FilterScan`.  Every rewrite is recorded in
+:attr:`PlanDAG.replaces`, which is how consumers that speak the plan
+trees' vocabulary (calibration, EXPLAIN ANALYZE's per-node actuals)
+keep joining on the nodes the optimizer produced.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from dataclasses import replace
+from typing import Callable, Iterator, Sequence
 
 from repro.plans.nodes import FilterScan, IndexScan, PlanNode, Scan, Select
 
@@ -26,6 +34,11 @@ class PlanDAG:
     the input trees, in input order (duplicates preserved so batch
     callers can zip results back to queries); ``order`` is a
     topological order with children before parents.
+
+    ``replaces`` records the lowering rewrites: it maps a rewritten
+    node's key to the structural keys of the plan-tree nodes it stands
+    for, outermost first (``FilterScan → (Select, Scan)``).  Nodes
+    lowered as they were planned have no entry.
     """
 
     def __init__(
@@ -36,6 +49,7 @@ class PlanDAG:
         roots: tuple[tuple, ...],
         order: tuple[tuple, ...],
         tree_nodes: int,
+        replaces: dict[tuple, tuple[tuple, ...]] | None = None,
     ):
         self.nodes = nodes
         self.children = children
@@ -43,6 +57,7 @@ class PlanDAG:
         self.roots = roots
         self.order = order
         self.tree_nodes = tree_nodes
+        self.replaces = replaces or {}
 
     # ------------------------------------------------------------------
     @property
@@ -51,8 +66,13 @@ class PlanDAG:
 
     @property
     def shared_nodes(self) -> int:
-        """Tree occurrences eliminated by CSE."""
-        return self.tree_nodes - self.unique_nodes
+        """Tree occurrences eliminated by CSE.
+
+        Counted in plan-tree nodes — a rewritten node counts as the
+        nodes it replaces — so a rewrite never reads as sharing.
+        """
+        absorbed = sum(len(r) - 1 for r in self.replaces.values())
+        return self.tree_nodes - self.unique_nodes - absorbed
 
     def node(self, key: tuple) -> PlanNode:
         return self.nodes[key]
@@ -65,6 +85,38 @@ class PlanDAG:
         """Base tables the subplan rooted at ``key`` reads."""
         return self.depends_on[key]
 
+    def plan_tree_rows(
+        self, rows: Sequence, table_rows: Callable[[str], int]
+    ) -> list:
+        """Executed-operator rows re-keyed to the plan trees' vocabulary.
+
+        A row (:class:`~repro.obs.trace.OperatorProfile`) of a rewritten
+        node takes the key of the outermost node it replaces — its rows
+        and elapsed are that node's actuals — and lists the nodes it
+        absorbed: a ``Scan`` with its exact output,
+        ``table_rows(table)``; anything else was never built and gets no
+        actual.  Labels and counts still show the operators that ran.
+        """
+        out = []
+        for row in rows:
+            replaced = self.replaces.get(row.node_key)
+            if replaced is not None:
+                outermost, *inner = replaced
+                scans = {
+                    Scan(table).structural_key(): table
+                    for table in self.base_tables(row.node_key)
+                }
+                row = replace(
+                    row,
+                    node_key=outermost,
+                    absorbed=tuple(
+                        (key, table_rows(scans[key]))
+                        for key in inner if key in scans
+                    ),
+                )
+            out.append(row)
+        return out
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"PlanDAG(roots={len(self.roots)}, unique={self.unique_nodes}, "
@@ -72,21 +124,23 @@ class PlanDAG:
         )
 
 
-def lower(
-    plans: PlanNode | Sequence[PlanNode],
-    fuse_select_scan: bool = False,
-) -> PlanDAG:
-    """Common-subexpression-eliminate plan trees into one DAG.
+def lower(plans: PlanNode | Sequence[PlanNode]) -> PlanDAG:
+    """Lower plan trees into one physical DAG: CSE, then rewrites.
 
-    ``fuse_select_scan`` additionally rewrites each ``Select`` whose
-    only child is a ``Scan`` *exclusively feeding that Select* into a
+    After common-subexpression elimination, each ``Select`` whose only
+    child is a ``Scan`` *exclusively feeding that Select* becomes a
     single :class:`~repro.plans.nodes.FilterScan` node, which
     evaluates the predicate during the scan and skips one full
     materialization pass.  Shared scans (another DAG node, or a root,
     also reads the table's scan) are never fused — fusing them would
     duplicate the page reads the CSE just eliminated.  Results are
-    byte-identical fused or not.
+    byte-identical to evaluating the un-rewritten DAG.
     """
+    return _push_selects_into_scans(_cse(plans))
+
+
+def _cse(plans: PlanNode | Sequence[PlanNode]) -> PlanDAG:
+    """Common-subexpression-eliminate plan trees into one DAG."""
     if isinstance(plans, PlanNode):
         plans = [plans]
     nodes: dict[tuple, PlanNode] = {}
@@ -126,7 +180,7 @@ def lower(
 
     roots = tuple(visit(plan) for plan in plans)
     tree_nodes = sum(plan.count_nodes() for plan in plans)
-    dag = PlanDAG(
+    return PlanDAG(
         nodes=nodes,
         children=children,
         depends_on=depends_on,
@@ -134,12 +188,9 @@ def lower(
         order=tuple(order),
         tree_nodes=tree_nodes,
     )
-    if fuse_select_scan:
-        dag = _fuse_select_scans(dag)
-    return dag
 
 
-def _fuse_select_scans(dag: PlanDAG) -> PlanDAG:
+def _push_selects_into_scans(dag: PlanDAG) -> PlanDAG:
     """Rewrite exclusive Select→Scan pairs into FilterScan nodes."""
     parents: dict[tuple, set[tuple]] = {key: set() for key in dag.nodes}
     for key, child_keys in dag.children.items():
@@ -147,9 +198,8 @@ def _fuse_select_scans(dag: PlanDAG) -> PlanDAG:
             parents[child_key].add(key)
     root_keys = set(dag.roots)
 
-    remap: dict[tuple, tuple] = {}     # select key -> filter-scan key
-    fused: dict[tuple, FilterScan] = {}
-    dropped: set[tuple] = set()        # scan keys absorbed into a fusion
+    fused: dict[tuple, FilterScan] = {}    # select key -> its replacement
+    replaces: dict[tuple, tuple[tuple, ...]] = {}
     for key, node in dag.nodes.items():
         if not isinstance(node, Select):
             continue
@@ -159,26 +209,25 @@ def _fuse_select_scans(dag: PlanDAG) -> PlanDAG:
             continue
         if scan_key in root_keys or parents[scan_key] != {key}:
             continue
-        fs = FilterScan(scan.table, node.predicate)
-        remap[key] = fs.structural_key()
-        fused[key] = fs
-        dropped.add(scan_key)
-    if not remap:
+        fused[key] = FilterScan(scan.table, node.predicate)
+        replaces[fused[key].structural_key()] = (key, scan_key)
+    if not fused:
         return dag
 
+    remap = {key: fs.structural_key() for key, fs in fused.items()}
+    absorbed = {scan_key for _, scan_key in replaces.values()}
     nodes: dict[tuple, PlanNode] = {}
     children: dict[tuple, tuple[tuple, ...]] = {}
     depends_on: dict[tuple, frozenset[str]] = {}
     order: list[tuple] = []
     for key in dag.order:
-        if key in dropped:
+        if key in absorbed:
             continue
-        if key in remap:
-            fs = fused[key]
+        if key in fused:
             fs_key = remap[key]
-            nodes[fs_key] = fs
+            nodes[fs_key] = fused[key]
             children[fs_key] = ()
-            depends_on[fs_key] = frozenset({fs.table})
+            depends_on[fs_key] = dag.depends_on[key]
             order.append(fs_key)
             continue
         nodes[key] = dag.nodes[key]
@@ -194,4 +243,5 @@ def _fuse_select_scans(dag: PlanDAG) -> PlanDAG:
         roots=tuple(remap.get(k, k) for k in dag.roots),
         order=tuple(order),
         tree_nodes=dag.tree_nodes,
+        replaces=replaces,
     )

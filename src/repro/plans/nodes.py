@@ -196,11 +196,11 @@ class IndexScan(PlanNode):
 class FilterScan(PlanNode):
     """Fused Select→Scan: evaluate equality predicates during the scan.
 
-    Produced by :func:`repro.plans.lower.lower` (``fuse_select_scan``)
-    when a ``Select`` sits directly over a ``Scan`` that no other node
-    shares: the scan's single pass evaluates the predicate in-stream,
-    so the selection's separate full-input pass (and its materialized
-    intermediate) disappears.  Never emitted by the optimizer itself —
+    Produced by :func:`repro.plans.lower.lower` wherever a ``Select``
+    sits directly over a ``Scan`` that no other node shares: the scan's
+    single pass evaluates the predicate in-stream, so the selection's
+    separate full-input pass (and its materialized intermediate)
+    disappears.  Never emitted by the optimizer itself —
     it is a lowering rewrite, which keeps plan trees, ``EXPLAIN``
     output, and the plan cache in the unfused vocabulary.
     """

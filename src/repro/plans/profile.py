@@ -172,11 +172,16 @@ def profile_execution(
         metrics=metrics,
     )
     tracer.bind_stats(ctx.stats)
+    dag = lower(plan)
     with tracer.span("execute"):
-        (result,) = evaluate_dag(lower(plan), ctx)
+        (result,) = evaluate_dag(dag, ctx)
     return ExecutionProfile(
         result=result,
-        operators=tracer.operators,
+        # The table keeps the physical operators' labels and counts;
+        # the rows join to estimates by the plan tree's own keys.
+        operators=dag.plan_tree_rows(
+            tracer.operators, lambda table: ctx.relation(table).ntuples
+        ),
         total=ctx.stats,
         trace=tracer.finish(),
     )

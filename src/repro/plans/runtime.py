@@ -148,7 +148,6 @@ class ExecutionContext:
         workers: int = 1,
         task_policy: TaskPolicy | None = None,
         worker_faults=None,
-        fuse_select_scan: bool = False,
     ):
         if workers < 1:
             raise PlanError(f"workers must be >= 1, got {workers}")
@@ -164,11 +163,6 @@ class ExecutionContext:
         self.guard = guard
         self.metrics = metrics
         self.workers = workers
-        self.fuse_select_scan = fuse_select_scan
-        """Whether :func:`evaluate` lowers plans with the Select→Scan
-        fusion rewrite (see :func:`repro.plans.lower.lower`).  Off by
-        default: fusion changes the modeled CPU charges (that is the
-        point), so callers opt in per database/context."""
         self.schedule = CriticalPathClock(workers)
         """Modeled task schedule accumulated over the context lifetime
         (a batch, a workload program); see :meth:`publish_schedule`."""
@@ -204,11 +198,6 @@ class ExecutionContext:
         :meth:`bind` records so a rebound table (a BP message target)
         serializes against its producer on the modeled clock."""
         self.memo: dict[tuple, FunctionalRelation] = {}
-        self.actuals: dict[tuple, tuple[int, float | None]] = {}
-        """Per-executed-node actual ``(out_rows, elapsed)`` keyed by
-        structural plan key — the execution side of the calibration
-        layer's estimate→actual join (``elapsed`` is ``None`` when no
-        tracer/registry asked for per-operator deltas)."""
         self._memo_reads: dict[tuple, frozenset[str]] = {}
         self._memo_nodes: dict[tuple, PlanNode] = {}
         self._temp = TempFileAllocator()
@@ -982,15 +971,11 @@ def evaluate_dag(
         ctx._memo_reads[key] = dag.base_tables(key)
         ctx._memo_nodes[key] = node
         executed.add(key)
-        delta = None
         if ctx.tracer is not None or ctx.metrics is not None:
             delta = ctx.stats.since(snapshot)
             ctx.publish_operator(node, delta)
             if ctx.tracer is not None:
                 ctx.tracer.on_execute(node, result, delta)
-        ctx.actuals[key] = (
-            result.ntuples, None if delta is None else delta.elapsed()
-        )
     if scheduled:
         ctx.last_root_tasks = _dedup(
             t for key in roots for t in ctx._node_tasks.get(key, ())
@@ -1017,7 +1002,5 @@ def _publish_kernel_counters(ctx, before: tuple[int, int, int]) -> None:
 
 def evaluate(plan: PlanNode, ctx: ExecutionContext) -> FunctionalRelation:
     """Lower one plan tree and evaluate it through the context."""
-    (result,) = evaluate_dag(
-        lower(plan, fuse_select_scan=ctx.fuse_select_scan), ctx
-    )
+    (result,) = evaluate_dag(lower(plan), ctx)
     return result

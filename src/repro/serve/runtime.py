@@ -353,7 +353,7 @@ class ServingRuntime:
                 snap.catalog, request.query.view.semiring, pool=db.pool,
                 metrics=db.metrics, workers=db.workers,
                 task_policy=db.task_policy, worker_faults=db.worker_faults,
-                fuse_select_scan=db.fuse_select_scan, tracer=qt,
+                tracer=qt,
             )
             execute_span = (
                 qt.span("execute") if qt is not None else nullcontext()

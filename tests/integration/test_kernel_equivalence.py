@@ -4,7 +4,8 @@ The contract: the group-index cache, the idempotent-semiring reduceat
 fast paths, and Select→Scan fusion are **invisible in results** —
 byte-identical outputs and identical structural counters across
 
-* fused vs unfused lowering,
+* the lowered DAG vs the retained reference — the same DAG after CSE
+  and before the Select→Scan rewrite, both run through ``evaluate_dag``,
 * workers 1, 2, and 4 (partitioned or not),
 * every builtin semiring,
 
@@ -20,9 +21,11 @@ from repro.algebra.groupindex import DEFAULT_GROUP_INDEX_CACHE
 from repro.data import complete_relation, var
 from repro.engine import Database
 from repro.obs.metrics import MetricsRegistry
-from repro.plans.runtime import ExecutionContext
+from repro.plans.lower import _cse, lower
+from repro.plans.runtime import ExecutionContext, evaluate_dag
 from repro.query import MPFQuery, MPFView
 from repro.semiring import ALL_SEMIRINGS, SUM_PRODUCT
+from repro.storage import WriteAheadLog
 from repro.workload.bp import belief_propagation
 
 WORKER_SWEEP = (1, 2, 4)
@@ -66,9 +69,8 @@ def _relations(semiring=SUM_PRODUCT):
     return rels
 
 
-def _db(metrics=None, workers=1, partitioned=False, fuse=False,
-        semiring=SUM_PRODUCT):
-    db = Database(metrics=metrics, workers=workers, fuse_select_scan=fuse)
+def _db(metrics=None, workers=1, partitioned=False, semiring=SUM_PRODUCT):
+    db = Database(metrics=metrics, workers=workers)
     for r in _relations(semiring):
         db.register(r)
     if partitioned:
@@ -95,76 +97,146 @@ def _sixteen_queries(semiring=SUM_PRODUCT):
     return queries
 
 
-def _run(fuse, workers=1, partitioned=False, semiring=SUM_PRODUCT):
+def _run_batch(workers=1, partitioned=False, semiring=SUM_PRODUCT):
+    """The sixteen queries as one engine batch (one shared DAG)."""
+    DEFAULT_GROUP_INDEX_CACHE.clear()
+    db = _db(workers=workers, partitioned=partitioned, semiring=semiring)
+    batch = db.run_batch(_sixteen_queries(semiring))
+    return [_report_fingerprint(r) for r in batch.reports]
+
+
+# "plain" is the retained reference: the DAG after CSE, before any
+# lowering rewrite — Scan and Select run as two operators.
+LOWERINGS = {"plain": _cse, "fused": lower}
+
+
+def _evaluate(lowering, workers=1, partitioned=False, semiring=SUM_PRODUCT,
+              wal=None):
+    """Each query's plan lowered on its own and run through evaluate_dag.
+
+    One DAG per query, not one per batch: a batch's CSE shares every
+    base scan across queries, so no scan is exclusive to one Select and
+    fusion (correctly) stands down there.  A lone query with a
+    pushed-down selection is where the rewrite fires.
+    """
     DEFAULT_GROUP_INDEX_CACHE.clear()
     registry = MetricsRegistry()
-    db = _db(metrics=registry, workers=workers, partitioned=partitioned,
-             fuse=fuse, semiring=semiring)
-    batch = db.run_batch(_sixteen_queries(semiring))
-    prints = [_report_fingerprint(r) for r in batch.reports]
-    return prints, _counters(registry), registry
+    db = _db(metrics=registry, partitioned=partitioned, semiring=semiring)
+    db.pool.wal = wal
+    optimizer = db.make_optimizer("auto")
+    prints, elapsed = [], 0.0
+    for query in _sixteen_queries(semiring):
+        plan = optimizer.optimize(
+            query.to_spec(db.catalog), db.catalog, db.cost_model
+        ).plan
+        ctx = ExecutionContext(
+            db.catalog, semiring, pool=db.pool, metrics=registry,
+            workers=workers,
+        )
+        (result,) = evaluate_dag(LOWERINGS[lowering](plan), ctx)
+        prints.append(("ok", _result_bytes(query.finish(result))))
+        elapsed += ctx.stats.elapsed()
+    return prints, _counters(registry), elapsed
+
+
+def _matching(counters, prefixes):
+    return {k: v for k, v in counters.items() if k.startswith(prefixes)}
+
+
+# What fusion must not move: page traffic, the pool, memo reuse.
+STORAGE_SIDE = (
+    "query.page_reads", "query.page_writes", "query.buffer_hits",
+    "query.memo_hits", "bufferpool.", "shard.repartitions",
+    "shard.shuffle_pages",
+)
 
 
 class TestFusedVsUnfused:
     def test_batch_results_byte_identical(self):
-        ref_prints, ref_counters, _ = _run(fuse=False)
-        prints, counters, _ = _run(fuse=True)
+        ref_prints, ref_counters, _ = _evaluate("plain")
+        prints, counters, _ = _evaluate("fused")
         assert prints == ref_prints
+        # The engine's own batch path answers the same sixteen queries.
+        assert _run_batch() == ref_prints
         # Fusion replaces Scan+Select operator pairs with FilterScan,
-        # so operator-shape counters legitimately differ; everything
-        # measuring *results* must not.
-        for key in ("query.tuples", "query.memo_hits", "queries.total"):
-            matching = {
-                k: v for k, v in ref_counters.items() if k.startswith(key)
-            }
-            assert matching == {
-                k: v for k, v in counters.items() if k.startswith(key)
-            }
+        # so operator-shape counters and CPU charges legitimately
+        # differ; page traffic and memo reuse must not.
+        assert _matching(counters, STORAGE_SIDE) == _matching(
+            ref_counters, STORAGE_SIDE
+        )
 
     def test_fusion_reduces_modeled_cost(self):
-        # Single-query execution: a batch's CSE shares every base scan
-        # across queries, so no scan is exclusive to one Select and
-        # fusion (correctly) stands down there.  A lone query with a
-        # pushed-down selection is where the rewrite fires.
-        query = _sixteen_queries()[4]  # group a, where b = 1
-        elapsed = {}
-        results = {}
-        for fuse in (False, True):
-            DEFAULT_GROUP_INDEX_CACHE.clear()
-            db = _db(fuse=fuse)
-            report = db.run_query(query)
-            elapsed[fuse] = report.exec_stats.elapsed()
-            results[fuse] = _result_bytes(report.result)
-        assert results[True] == results[False]
-        assert elapsed[True] < elapsed[False]
+        _, ref_counters, ref_elapsed = _evaluate("plain")
+        _, counters, elapsed = _evaluate("fused")
+        assert elapsed < ref_elapsed
+        assert (
+            counters["query.tuples"]["value"]
+            < ref_counters["query.tuples"]["value"]
+        )
 
     def test_fused_operator_ran_and_shape_counters_account_for_it(self):
-        DEFAULT_GROUP_INDEX_CACHE.clear()
-        registry = MetricsRegistry()
-        db = _db(metrics=registry, fuse=True)
-        db.run_query(_sixteen_queries()[4])
-        counters = _counters(registry)
-        assert counters["query.operator_runs{operator=FilterScan}"][
-            "value"
-        ] >= 1
+        _, ref_counters, _ = _evaluate("plain")
+        _, counters, _ = _evaluate("fused")
+
+        def runs(c, operator):
+            key = f"query.operator_runs{{operator={operator}}}"
+            return c.get(key, {"value": 0})["value"]
+
+        fused = runs(counters, "FilterScan")
+        assert fused >= 1
+        assert runs(ref_counters, "FilterScan") == 0
+        # Each FilterScan stands for exactly one Scan and one Select.
+        for operator in ("Scan", "Select"):
+            assert runs(ref_counters, operator) == (
+                runs(counters, operator) + fused
+            )
 
     @pytest.mark.parametrize("s", ALL_SEMIRINGS, ids=lambda s: s.name)
     def test_every_semiring_agrees(self, s):
-        ref_prints, _, _ = _run(fuse=False, semiring=s)
-        prints, _, _ = _run(fuse=True, semiring=s)
-        assert prints == ref_prints
+        for partitioned in (False, True):
+            # Partial aggregates reassociate float sums, so sharded
+            # runs are compared with the sharded reference.
+            ref_prints, _, _ = _evaluate(
+                "plain", partitioned=partitioned, semiring=s
+            )
+            assert _run_batch(partitioned=partitioned, semiring=s) == (
+                ref_prints
+            )
+            for workers in WORKER_SWEEP:
+                for lowering in LOWERINGS:
+                    prints, _, _ = _evaluate(
+                        lowering, workers=workers, partitioned=partitioned,
+                        semiring=s,
+                    )
+                    assert prints == ref_prints, (
+                        lowering, workers, partitioned
+                    )
+
+    def test_wal_records_and_page_traffic_identical(self, tmp_path):
+        logs = {}
+        for lowering in LOWERINGS:
+            path = tmp_path / f"{lowering}.wal"
+            with WriteAheadLog(str(path)) as wal:
+                _, counters, _ = _evaluate(
+                    lowering, workers=2, partitioned=True, wal=wal
+                )
+            logs[lowering] = (
+                path.read_bytes(), _matching(counters, STORAGE_SIDE)
+            )
+        assert logs["plain"][0]  # the shuffles really logged pages
+        assert logs["fused"] == logs["plain"]
 
 
 class TestKernelWorkerSweep:
-    @pytest.mark.parametrize("fuse", (False, True), ids=("plain", "fused"))
+    @pytest.mark.parametrize("lowering", LOWERINGS)
     @pytest.mark.parametrize("partitioned", (False, True),
                              ids=("whole", "sharded"))
     def test_sweep_byte_identical_with_kernel_counters(
-        self, fuse, partitioned
+        self, lowering, partitioned
     ):
         runs = {
-            workers: _run(fuse=fuse, workers=workers,
-                          partitioned=partitioned)
+            workers: _evaluate(lowering, workers=workers,
+                               partitioned=partitioned)
             for workers in WORKER_SWEEP
         }
         ref_prints, ref_counters, _ = runs[1]
@@ -190,22 +262,21 @@ class TestBPKernelEquivalence:
             complete_relation([c, d], rng=rng, name="t_cd"),
         ]
 
-    def test_bp_messages_unchanged_by_fusion_and_workers(self):
+    def test_bp_messages_unchanged_by_fusion_and_workers(self, monkeypatch):
         outputs = {}
-        for fuse in (False, True):
+        for lowering, dag_of in LOWERINGS.items():
+            # BP lowers its message plans itself, through evaluate().
+            monkeypatch.setattr("repro.plans.runtime.lower", dag_of)
             for workers in WORKER_SWEEP:
                 DEFAULT_GROUP_INDEX_CACHE.clear()
-                ctx = ExecutionContext(
-                    {}, SUM_PRODUCT, workers=workers,
-                    fuse_select_scan=fuse,
-                )
+                ctx = ExecutionContext({}, SUM_PRODUCT, workers=workers)
                 result = belief_propagation(
                     self._chain(), SUM_PRODUCT, context=ctx
                 )
-                outputs[(fuse, workers)] = {
+                outputs[(lowering, workers)] = {
                     name: _result_bytes(rel)
                     for name, rel in result.tables.items()
                 }
-        ref = outputs[(False, 1)]
+        ref = outputs[("plain", 1)]
         for key, got in outputs.items():
             assert got == ref, f"BP diverged at {key}"

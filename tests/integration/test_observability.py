@@ -84,7 +84,7 @@ class TestRegistryAgreesWithIOStats:
         ops = sum(
             snap.get("query.operator_runs", operator=kind)
             for kind in ("Scan", "Select", "ProductJoin", "GroupBy",
-                         "IndexScan", "SemiJoin")
+                         "IndexScan", "SemiJoin", "FilterScan")
         )
         assert ops == totals.operators_run
 

@@ -1,6 +1,7 @@
 """Structural keys and plan-DAG lowering (CSE)."""
 
 from repro.plans import (
+    FilterScan,
     GroupBy,
     IndexScan,
     ProductJoin,
@@ -9,6 +10,7 @@ from repro.plans import (
     SemiJoin,
     lower,
 )
+from repro.plans.lower import _cse
 
 
 def _shared_join():
@@ -90,6 +92,101 @@ class TestLower:
         assert dag.base_tables(q1.structural_key()) == {"s1", "s2"}
         assert dag.base_tables(q2.structural_key()) == {"s3"}
         assert dag.base_tables(Scan("s1").structural_key()) == {"s1"}
+
+
+class TestReplaces:
+    """Lowering rewrites and the one record of what they replaced."""
+
+    def _select(self, table="s1"):
+        return Select(Scan(table), {"a": 0})
+
+    def test_exclusive_select_scan_becomes_one_filter_scan(self):
+        select = self._select()
+        plan = GroupBy(ProductJoin(select, Scan("s2")), ["b"])
+        dag = lower(plan)
+        fs_key = FilterScan("s1", {"a": 0}).structural_key()
+        assert dag.replaces == {
+            fs_key: (select.structural_key(), Scan("s1").structural_key())
+        }
+        assert isinstance(dag.nodes[fs_key], FilterScan)
+        assert select.structural_key() not in dag.nodes
+        assert Scan("s1").structural_key() not in dag.nodes
+        assert dag.children[fs_key] == ()
+        assert dag.base_tables(fs_key) == {"s1"}
+        assert fs_key in dag.children[plan.child.structural_key()]
+
+    def test_unrewritten_nodes_have_no_entry(self):
+        assert lower(GroupBy(_shared_join(), ["a"])).replaces == {}
+        assert _cse(self._select()).replaces == {}
+
+    def test_shared_scan_is_not_fused(self):
+        # Scan(s1) also feeds the join directly: fusing would read s1
+        # twice where CSE reads it once.
+        plan = ProductJoin(self._select(), Scan("s1"))
+        dag = lower(plan)
+        assert dag.replaces == {}
+        assert set(dag.nodes) == set(_cse(plan).nodes)
+
+    def test_root_scan_is_not_fused(self):
+        dag = lower([self._select(), Scan("s1")])
+        assert dag.replaces == {}
+        assert dag.roots[1] == Scan("s1").structural_key()
+
+    def test_fused_root_select_remaps_roots(self):
+        dag = lower(self._select())
+        (fs_key,) = dag.replaces
+        assert dag.roots == (fs_key,)
+        assert list(dag.topological()) == [fs_key]
+
+    def test_entry_survives_cse_across_a_batch(self):
+        q1 = GroupBy(ProductJoin(self._select(), Scan("s2")), ["b"])
+        q2 = GroupBy(ProductJoin(self._select(), Scan("s2")), ["c"])
+        dag = lower([q1, q2])
+        # One CSE hit on the Select(Scan) pair, then one fusion.
+        assert list(dag.replaces.values()) == [
+            (self._select().structural_key(), Scan("s1").structural_key())
+        ]
+        assert sum(isinstance(n, FilterScan) for n in dag.nodes.values()) == 1
+
+    def test_a_fusion_is_not_a_shared_subplan(self):
+        plan = GroupBy(ProductJoin(self._select(), Scan("s2")), ["b"])
+        assert _cse(plan).shared_nodes == 0
+        dag = lower(plan)
+        assert dag.shared_nodes == 0
+        assert dag.tree_nodes == plan.count_nodes() == 5
+        assert dag.unique_nodes == 4
+
+    def test_sharing_is_counted_before_the_rewrite(self):
+        q1 = GroupBy(ProductJoin(self._select(), Scan("s2")), ["b"])
+        q2 = GroupBy(ProductJoin(self._select(), Scan("s2")), ["c"])
+        # Select, Scan(s1), Scan(s2) and the join each occur twice.
+        assert _cse([q1, q2]).shared_nodes == 4
+        assert lower([q1, q2]).shared_nodes == 4
+
+    def test_plan_tree_rows_rekey_and_list_absorbed_scans(self):
+        from repro.obs.trace import OperatorProfile
+
+        select = self._select()
+        plan = ProductJoin(select, Scan("s2"))
+        dag = lower(plan)
+        (fs_key,) = dag.replaces
+
+        def row(key, label, out_rows):
+            return OperatorProfile(
+                label=label, out_rows=out_rows, tuples=out_rows,
+                page_reads=1, page_writes=0, elapsed=9.0, node_key=key,
+            )
+
+        rows = [
+            row(fs_key, "FilterScan(s1, a=0)", 3),
+            row(Scan("s2").structural_key(), "Scan(s2)", 7),
+        ]
+        out = dag.plan_tree_rows(rows, {"s1": 40, "s2": 7}.__getitem__)
+        assert out == rows  # labels and counts untouched
+        assert out[0].node_key == select.structural_key()
+        assert out[0].absorbed == ((Scan("s1").structural_key(), 40),)
+        assert out[1] is rows[1]
+        assert rows[0].node_key == fs_key  # input rows not mutated
 
 
 class TestDeepPlans:

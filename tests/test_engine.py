@@ -185,6 +185,26 @@ class TestCache:
         with pytest.raises(QueryError):
             db.build_cache("ghost")
 
+    def test_reload_drops_the_caches_of_views_over_the_table(self, db):
+        sql = "select wid, sum(inv) from invest group by wid"
+        db.execute(
+            "create mpfview prices as (select pid, sid, "
+            "measure = (* contracts.price) from contracts)"
+        )
+        db.build_cache("invest")
+        db.build_cache("prices")
+        before = db.query_cached("invest", "wid")
+        ctdeals = db.catalog.relation("ctdeals")
+        db.reload_table(ctdeals.with_measure(ctdeals.measure * 10))
+        with pytest.raises(QueryError, match="no cache built for view"):
+            db.query_cached("invest", "wid")
+        db.query_cached("prices", "pid")  # not over ctdeals: kept
+        db.build_cache("invest")
+        after = db.query_cached("invest", "wid")
+        expected = db.execute(sql).result
+        assert after.equals(expected, SUM_PRODUCT, ignore_zero_rows=True)
+        assert not after.equals(before, SUM_PRODUCT, ignore_zero_rows=True)
+
 
 class TestProfile:
     def test_profile_breakdown(self, db):
@@ -430,6 +450,52 @@ class TestExplainAnalyze:
         formatted = report.formatted()
         assert "q-err" in formatted
         assert "plan q-error: 1.00" in formatted
+
+    @pytest.mark.parametrize("partitioned", (False, True),
+                             ids=("serial", "partitioned"))
+    def test_analyze_profiles_the_plan_execute_runs(
+        self, chain_db, partitioned
+    ):
+        from repro.obs.trace import QueryTracer
+        from repro.obs.validate import validate_document
+
+        if partitioned:
+            chain_db.catalog.partition_table("s1", "b", 2)
+            chain_db.catalog.partition_table("s2", "b", 2)
+        sql = "select d, sum(f) from chain where b = 0 group by d"
+        tracer = QueryTracer()
+        executed = chain_db.execute(sql, tracer=tracer)
+        report = chain_db.explain_analyze(sql)
+        labels = [op.label for op in report.profile.operators]
+        # One lowering for both: the operator table shows the physical
+        # operators a traced run of the same query records.
+        assert labels == [op.label for op in tracer.operators]
+        assert any(label.startswith("FilterScan(") for label in labels)
+        assert report.result.equals(executed.result, SUM_PRODUCT)
+        # ...while the calibration stays in the plan tree's vocabulary,
+        # with an actual for every node the FilterScans stand for.
+        doc = report.to_calibration_dict()
+        assert validate_document(doc) == "repro.calibration.v1"
+        assert validate_document(report.to_explain_dict()) == (
+            "repro.explain.v1"
+        )
+        ops = {n["op"] for n in doc["nodes"]}
+        assert {"scan", "select"} <= ops and "filter_scan" not in ops
+        assert all(n["actual_rows"] is not None for n in doc["nodes"])
+        for n in doc["nodes"]:
+            if n["op"] == "scan":
+                table = n["label"][len("Scan("):-1]
+                assert n["actual_rows"] == (
+                    chain_db.catalog.relation(table).ntuples
+                )
+                assert n["source"] == "exact"
+        assert "FilterScan" not in report.plan_text
+        formatted = report.formatted()
+        fused_row = next(
+            line for line in formatted.splitlines()
+            if line.startswith("FilterScan(")
+        )
+        assert not fused_row.rstrip().endswith("-")  # est.rows / q-err
 
     def test_audit_respects_max_tables(self, chain_db):
         report = chain_db.explain_analyze(
