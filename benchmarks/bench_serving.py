@@ -64,7 +64,7 @@ def _workload(db, gap, mix):
             )
         tenant = names[int(rng.integers(len(names)))]
         requests.append(ServeRequest(
-            tenant=tenant, query=db._select_query(sql), arrival=arrival,
+            tenant=tenant, query=db.bind(sql), arrival=arrival,
         ))
     return requests
 

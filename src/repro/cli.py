@@ -432,7 +432,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
                 sql, strategy=args.strategy, guard=guard, tracer=tracer
             )
         except MPFError as exc:
-            _record_statement(db, wal, key, before, error=exc)
+            db.record_query_unit(wal, key, before, error=exc)
             print(f"error: {exc}", file=sys.stderr)
             return exit_code_for(exc)
         if tracer is not None and not isinstance(outcome, str):
@@ -445,12 +445,12 @@ def cmd_sql(args: argparse.Namespace) -> int:
                 "root": tracer.finish().to_dict(),
             })
         if isinstance(outcome, str):
-            _record_statement(db, wal, key, before)
+            db.record_query_unit(wal, key, before)
             if checkpointer is not None:
                 checkpointer.checkpoint(db)
             print(f"view {outcome!r} created\n")
             continue
-        _record_statement(db, wal, key, before, result=outcome.result)
+        db.record_query_unit(wal, key, before, result=outcome.result)
         if checkpointer is not None:
             checkpointer.checkpoint(db)
         print(outcome.result.head(args.limit))
@@ -514,26 +514,6 @@ def _run_calibrated_statement(db, sql, args, guard):
     print(f"[{report.optimization.algorithm}; "
           f"{report.result.ntuples} rows]\n")
     return None
-
-
-def _record_statement(db, wal, key, before, result=None, error=None):
-    """Append one statement's durable WAL record (no-op without WAL)."""
-    if wal is None:
-        return
-    from repro.storage.journal import encode_unit
-    from repro.storage.wal import WAL_QUERY
-
-    delta = db.metrics.snapshot().diff(before).to_dict()
-    wal.log_unit(
-        WAL_QUERY,
-        encode_unit(
-            key,
-            "error" if error is not None else "ok",
-            result=result,
-            error=error,
-            delta=delta,
-        ),
-    )
 
 
 def _replay_recorded_statement(db, sql, record, args, guard):
@@ -670,7 +650,7 @@ def _serve_soak(args: argparse.Namespace, tracer=None):
             )
         requests.append(ServeRequest(
             tenant=names[int(rng.integers(len(names)))],
-            query=db._select_query(sql),
+            query=db.bind(sql),
             arrival=arrival,
         ))
 

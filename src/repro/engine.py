@@ -398,7 +398,9 @@ class Database:
         if isinstance(statement, CreateIndexStatement):
             self.catalog.create_index(statement.table, statement.variable)
             return f"{statement.table}({statement.variable})"
-        return self._run_select(statement, strategy, **options)
+        return self.run_query(
+            self.bind(statement), strategy=strategy, **options
+        )
 
     def _check_view_statement(self, statement: CreateViewStatement) -> None:
         for ref in statement.measure_refs:
@@ -418,9 +420,25 @@ class Database:
                     "shared variables"
                 )
 
-    def _run_select(
-        self, statement: SelectStatement, strategy: str, **options
-    ) -> QueryReport:
+    # ------------------------------------------------------------------
+    # The three steps every entry point composes: bind → plan → run
+    # ------------------------------------------------------------------
+    def bind(self, statement: SelectStatement | str | MPFQuery) -> MPFQuery:
+        """Bind step: resolve a select against the view registry.
+
+        Accepts SQL text, a parsed :class:`SelectStatement`, or an
+        already bound :class:`MPFQuery` (returned as is).  Every entry
+        point that takes a statement binds here, so they all raise the
+        same :class:`QueryError` for a non-select statement, an unknown
+        view, or an aggregate that forms no semiring with the view's
+        multiplicative operation — and all carry the ``having`` clause.
+        """
+        if isinstance(statement, MPFQuery):
+            return statement
+        if isinstance(statement, str):
+            statement = parse_statement(statement)
+        if not isinstance(statement, SelectStatement):
+            raise QueryError("expected a select statement")
         entry = self._views.get(statement.view)
         if entry is None:
             raise QueryError(f"unknown view {statement.view!r}")
@@ -435,17 +453,13 @@ class Database:
         having = None
         if statement.having is not None:
             having = HavingClause(*statement.having)
-        query = MPFQuery(
+        return MPFQuery(
             view=view,
             group_by=statement.group_by,
             selections=dict(statement.selections),
             having=having,
         )
-        return self.run_query(query, strategy=strategy, **options)
 
-    # ------------------------------------------------------------------
-    # Programmatic query execution
-    # ------------------------------------------------------------------
     def make_optimizer(
         self,
         strategy: str,
@@ -461,21 +475,43 @@ class Database:
             return CSPlusNonlinear()
         if strategy == "ve":
             return VariableElimination(heuristic, seed=seed)
-        if strategy in ("ve+", "ve-ext"):
-            return VariableElimination(heuristic, extended=True, seed=seed)
-        if strategy == "auto":
+        if strategy in ("ve+", "ve-ext", "auto"):
             return VariableElimination(heuristic, extended=True, seed=seed)
         raise QueryError(f"unknown evaluation strategy {strategy!r}")
+
+    def _plan(
+        self,
+        spec,
+        strategy: str,
+        heuristic: str = "degree",
+        seed: int | None = None,
+        catalog: Catalog | None = None,
+        clock=None,
+    ) -> OptimizationResult:
+        """Plan step, uncached: one optimizer run over a query spec.
+
+        The only place an optimizer is built and run.  No cache and no
+        metrics — :meth:`_optimize_query` and the serving runtime's
+        tenant-scoped cache wrap it with their own.
+        """
+        optimizer = self.make_optimizer(strategy, heuristic, seed)
+        return optimizer.optimize(
+            spec,
+            self.catalog if catalog is None else catalog,
+            self.cost_model,
+            clock=self.clock if clock is None else clock,
+        )
 
     def _optimize_query(
         self,
         query: MPFQuery,
         strategy: str,
-        heuristic: str,
-        seed: int | None,
-        use_plan_cache: bool,
+        heuristic: str = "degree",
+        seed: int | None = None,
+        use_plan_cache: bool = False,
     ) -> OptimizationResult:
-        """Plan one query, consulting the plan cache when enabled."""
+        """Plan step: plan one query, consulting the plan cache when
+        enabled, and count the optimizer's work."""
         spec = query.to_spec(self.catalog)
 
         cache_key = None
@@ -512,10 +548,7 @@ class Database:
 
         if cache_key is not None:
             self.metrics.counter("plan_cache.misses").inc()
-        optimizer = self.make_optimizer(strategy, heuristic, seed)
-        optimization = optimizer.optimize(
-            spec, self.catalog, self.cost_model, clock=self.clock
-        )
+        optimization = self._plan(spec, strategy, heuristic, seed)
         self.metrics.counter("optimizer.plans_considered").inc(
             optimization.plans_considered
         )
@@ -537,6 +570,21 @@ class Database:
             }
         return optimization
 
+    def _run_settings(self, **overrides) -> dict:
+        """Run step: the engine-wide execution settings, as the keyword
+        arguments of every ``Executor`` / ``ExecutionContext`` the
+        engine (or the serving runtime over it) builds.  ``overrides``
+        replace or extend them per call site: a tracer, a guard, a
+        fresh pool, a batch's worker count."""
+        return {
+            "pool": self.pool,
+            "metrics": self.metrics,
+            "workers": self.workers,
+            "task_policy": self.task_policy,
+            "worker_faults": self.worker_faults,
+            **overrides,
+        }
+
     def _finish_report(
         self,
         query: MPFQuery,
@@ -557,6 +605,9 @@ class Database:
             linearity=linearity,
         )
 
+    # ------------------------------------------------------------------
+    # Programmatic query execution
+    # ------------------------------------------------------------------
     def run_query(
         self,
         query: MPFQuery,
@@ -598,10 +649,8 @@ class Database:
                 plans_considered=optimization.plans_considered,
             )
         executor = Executor(
-            self.catalog, query.view.semiring, pool=self.pool,
-            metrics=self.metrics, workers=self.workers,
-            task_policy=self.task_policy, worker_faults=self.worker_faults,
-            tracer=tracer,
+            self.catalog, query.view.semiring,
+            **self._run_settings(tracer=tracer),
         )
         span = (
             tracer.span("execute") if tracer is not None
@@ -640,10 +689,11 @@ class Database:
         """
         return f"query:{index}:{query!r}"
 
-    def _record_query_unit(
+    def record_query_unit(
         self, wal, key: str, before, result=None, error=None
     ) -> None:
-        """Append one query's durable WAL record with its metric delta."""
+        """Append one query's (or CLI statement's) durable WAL record
+        with its metric delta since ``before``; a no-op without a WAL."""
         if wal is None:
             return
         from repro.storage.journal import encode_unit
@@ -671,27 +721,18 @@ class Database:
         self.metrics.counter(
             "checkpoint.steps_skipped", unit="query"
         ).inc()
+        error = result = None
         if record["status"] == "error":
-            return QueryReport(
-                result=None,
-                query=query,
-                optimization=None,
-                exec_stats=IOStats(),
-                semiring=semiring,
-                error=reconstruct_error(record["error"]),
-                recovered=True,
-            )
-        result = (
-            relation_from_dict(record["result"])
-            if record["result"] is not None
-            else None
-        )
+            error = reconstruct_error(record["error"])
+        elif record["result"] is not None:
+            result = relation_from_dict(record["result"])
         return QueryReport(
             result=result,
             query=query,
             optimization=None,
             exec_stats=IOStats(),
             semiring=semiring,
+            error=error,
             recovered=True,
         )
 
@@ -799,12 +840,10 @@ class Database:
                 optimizations.append(None)
                 plan_errors.append(exc)
         dag = lower([opt.plan for opt in optimizations if opt is not None])
-        ctx = ExecutionContext(
-            self.catalog, semiring, pool=self.pool, guard=guard,
-            metrics=self.metrics,
-            workers=self.workers if workers is None else workers,
-            task_policy=self.task_policy, worker_faults=self.worker_faults,
-        )
+        settings = self._run_settings(guard=guard)
+        if workers is not None:
+            settings["workers"] = workers
+        ctx = ExecutionContext(self.catalog, semiring, **settings)
         if resume_from is not None and hasattr(resume_from, "seed_context"):
             resume_from.seed_context(ctx)
         self.metrics.counter("batches.total").inc()
@@ -841,7 +880,7 @@ class Database:
                             error=plan_error,
                         )
                     )
-                    self._record_query_unit(
+                    self.record_query_unit(
                         wal, key, before, error=plan_error
                     )
                     continue
@@ -855,12 +894,9 @@ class Database:
                 try:
                     (result,) = evaluate_dag(dag, ctx, roots=[root])
                 except MPFError as exc:
-                    if stop_on_error:
-                        self.metrics.counter(
-                            "queries.total", status="error"
-                        ).inc()
-                        raise
                     self.metrics.counter("queries.total", status="error").inc()
+                    if stop_on_error:
+                        raise
                     reports.append(
                         QueryReport(
                             result=None,
@@ -871,13 +907,13 @@ class Database:
                             error=exc,
                         )
                     )
-                    self._record_query_unit(wal, key, before, error=exc)
+                    self.record_query_unit(wal, key, before, error=exc)
                     continue
                 stats = ctx.stats.since(snapshot)
                 self.metrics.counter("queries.total", status="ok").inc()
                 report = self._finish_report(query, optimization, result, stats)
                 reports.append(report)
-                self._record_query_unit(wal, key, before, result=report.result)
+                self.record_query_unit(wal, key, before, result=report.result)
                 completed += 1
                 if (
                     checkpointer is not None
@@ -893,22 +929,8 @@ class Database:
             schedule=ctx.publish_schedule(),
         )
 
-    def _select_query(self, sql: str, what: str = "profile") -> MPFQuery:
-        """Parse a ``select`` statement into an :class:`MPFQuery`."""
-        statement = parse_statement(sql)
-        if not isinstance(statement, SelectStatement):
-            raise QueryError(f"{what} expects a select statement")
-        entry = self._views.get(statement.view)
-        if entry is None:
-            raise QueryError(f"unknown view {statement.view!r}")
-        semiring = _SEMIRINGS[(entry.multiplicative_op, statement.aggregate)]
-        view = MPFView(statement.view, entry.view_tables, semiring)
-        return MPFQuery(
-            view, statement.group_by, dict(statement.selections)
-        )
-
     def profile(
-        self, sql: str, strategy: str = "auto",
+        self, sql, strategy: str = "auto",
         guard: QueryGuard | None = None, **options
     ):
         """EXPLAIN ANALYZE: plan, execute, and break down per operator.
@@ -918,25 +940,16 @@ class Database:
         resource limits apply and any hash→sort degradations the guard
         forces are visible in the breakdown.
         """
-        from repro.plans.profile import profile_execution
-
-        query = self._select_query(sql)
-        spec = query.to_spec(self.catalog)
-        optimizer = self.make_optimizer(strategy, **options)
-        optimization = optimizer.optimize(
-            spec, self.catalog, self.cost_model, clock=self.clock
-        )
-        return profile_execution(
-            optimization.plan, self.catalog, query.view.semiring,
-            pool=self.pool, guard=guard, metrics=self.metrics,
-        )
+        return self.explain_analyze(
+            sql, strategy, calibrate=False, guard=guard, **options
+        ).profile
 
     # ------------------------------------------------------------------
     # Cost-model calibration (EXPLAIN ANALYZE + estimate→actual join)
     # ------------------------------------------------------------------
     def explain_analyze(
         self,
-        sql: str,
+        sql,
         strategy: str = "auto",
         calibrate: bool = True,
         audit_plans: bool = False,
@@ -946,7 +959,10 @@ class Database:
     ) -> "AnalyzeReport":
         """Plan, execute, and calibrate the cost model against actuals.
 
-        Beyond :meth:`profile`, the chosen plan is annotated with the
+        The run is :meth:`run_query` under a
+        :class:`~repro.obs.trace.QueryTracer` — the binder, planner,
+        guard window and metrics of :meth:`execute`.  Beyond
+        :meth:`profile`, the chosen plan is annotated with the
         estimator's per-node cardinalities and joined (by structural
         plan key) with the actual per-node counts the run produced —
         yielding per-node Q-errors, misestimate attribution, and the
@@ -961,24 +977,31 @@ class Database:
         ``query.*`` metrics.
         """
         from repro.obs.calib import calibrate_plan
+        from repro.obs.trace import QueryTracer
         from repro.plans.annotate import annotate
-        from repro.plans.profile import profile_execution
+        from repro.plans.profile import ExecutionProfile
 
-        query = self._select_query(sql, what="explain_analyze")
-        spec = query.to_spec(self.catalog)
-        optimizer = self.make_optimizer(strategy, **options)
-        optimization = optimizer.optimize(
-            spec, self.catalog, self.cost_model, clock=self.clock
+        tracer = QueryTracer()
+        report = self.run_query(
+            self.bind(sql), strategy=strategy, guard=guard, tracer=tracer,
+            **options,
+        )
+        query, optimization = report.query, report.optimization
+        profile = ExecutionProfile(
+            result=report.result,
+            # The table keeps the physical operators' labels and counts;
+            # the rows join to estimates by the plan tree's own keys.
+            operators=lower(optimization.plan).plan_tree_rows(
+                tracer.operators,
+                lambda table: self.catalog.relation(table).ntuples,
+            ),
+            total=report.exec_stats,
+            trace=tracer.finish(),
         )
         # Optimizers keep estimates in their own search structures;
         # re-annotate so every plan node carries the estimator's
         # cardinality/cost for the calibration join.
         annotate(optimization.plan, self.catalog, self.cost_model)
-        profile = profile_execution(
-            optimization.plan, self.catalog, query.view.semiring,
-            pool=self.pool, guard=guard, metrics=self.metrics,
-        )
-        self._publish_guard(guard, profile.total)
         calibration = None
         if calibrate:
             calibration = calibrate_plan(
@@ -990,9 +1013,7 @@ class Database:
             profile.calibration = calibration
         audit = None
         if audit_plans and len(query.view.tables) <= audit_max_tables:
-            audit = self._audit_plan_choice(
-                spec, query.view.semiring, optimization, **options
-            )
+            audit = self._audit_plan_choice(query, optimization, **options)
             audit.publish(self.metrics)
         return AnalyzeReport(
             profile=profile,
@@ -1005,8 +1026,7 @@ class Database:
 
     def _audit_plan_choice(
         self,
-        spec,
-        semiring: Semiring,
+        query: MPFQuery,
         optimization: OptimizationResult,
         heuristic: str = "degree",
         seed: int | None = None,
@@ -1028,10 +1048,9 @@ class Database:
                 optimization.plan,
             )
         }
+        spec = query.to_spec(self.catalog)
         for strat in ("cs", "cs+", "cs+nonlinear", "ve", "ve+"):
-            alt = self.make_optimizer(strat, heuristic, seed).optimize(
-                spec, self.catalog, self.cost_model
-            )
+            alt = self._plan(spec, strat, heuristic, seed)
             candidates.setdefault(
                 alt.plan.structural_key(),
                 (alt.algorithm, float(alt.cost), alt.plan),
@@ -1040,8 +1059,10 @@ class Database:
         for key, (algorithm, estimated, plan) in candidates.items():
             ctx = ExecutionContext(
                 self.catalog,
-                semiring,
-                pool=BufferPool(self.pool.capacity_pages),
+                query.view.semiring,
+                **self._run_settings(
+                    pool=BufferPool(self.pool.capacity_pages), metrics=None
+                ),
             )
             evaluate_dag(lower(plan), ctx)
             replays.append(
@@ -1058,24 +1079,8 @@ class Database:
         self, sql_or_query, strategy: str = "auto", **options
     ) -> str:
         """Plan a query without executing it; returns the plan text."""
-        if isinstance(sql_or_query, str):
-            statement = parse_statement(sql_or_query)
-            if not isinstance(statement, SelectStatement):
-                raise QueryError("explain expects a select statement")
-            entry = self._views[statement.view]
-            semiring = _SEMIRINGS[
-                (entry.multiplicative_op, statement.aggregate)
-            ]
-            view = MPFView(statement.view, entry.view_tables, semiring)
-            query = MPFQuery(
-                view, statement.group_by, dict(statement.selections)
-            )
-        else:
-            query = sql_or_query
-        spec = query.to_spec(self.catalog)
-        optimizer = self.make_optimizer(strategy, **options)
-        optimization = optimizer.optimize(
-            spec, self.catalog, self.cost_model, clock=self.clock
+        optimization = self._optimize_query(
+            self.bind(sql_or_query), strategy, **options
         )
         return explain(optimization.plan)
 
@@ -1097,8 +1102,9 @@ class Database:
         a different price?").  ``domain_updates`` maps a base table to
         ``(row assignment, {variable: new value})`` — the *alternate
         domain* form ("what if c1's deal with t1 transferred to t2?").
-        The real catalog is untouched; the query runs against a
-        shadow catalog holding the patched relations.
+        The real catalog is untouched; the query runs through
+        :meth:`run_query` on a shadow engine — this engine's settings,
+        registry and clock over a catalog of the patched relations.
         """
         from repro.algebra.hypothetical import alter_domain, alter_measure
 
@@ -1111,7 +1117,12 @@ class Database:
                     f"base table of view {query.view.name!r}"
                 )
 
-        shadow = Catalog()
+        # A fresh pool: the shadow catalog numbers its heap files from 1
+        # again, which would alias resident pages of the real catalog.
+        shadow = Database(
+            cost_model=self.cost_model, clock=self.clock,
+            **self._run_settings(pool=BufferPool()),
+        )
         for table in query.view.tables:
             relation = self.catalog.relation(table)
             if table in measure_updates:
@@ -1123,20 +1134,7 @@ class Database:
                     relation, assignment, transfer, query.view.semiring
                 )
             shadow.register(relation, table)
-
-        spec = query.to_spec(shadow)
-        optimizer = self.make_optimizer(strategy, **options)
-        optimization = optimizer.optimize(spec, shadow, self.cost_model)
-        executor = Executor(shadow, query.view.semiring)
-        result, stats = executor.run(optimization.plan)
-        result = query.finish(result).with_name(query.view.name)
-        return QueryReport(
-            result=result,
-            query=query,
-            optimization=optimization,
-            exec_stats=stats,
-            semiring=query.view.semiring,
-        )
+        return shadow.run_query(query, strategy=strategy, **options)
 
     # ------------------------------------------------------------------
     # Workload cache (Section 6)
@@ -1148,13 +1146,12 @@ class Database:
         entry = self._views.get(view_name)
         if entry is None:
             raise QueryError(f"unknown view {view_name!r}")
-        semiring = _SEMIRINGS.get((entry.multiplicative_op, "sum"))
-        if semiring is None:
-            semiring = SUM_PRODUCT
+        semiring = _SEMIRINGS.get(
+            (entry.multiplicative_op, "sum"), SUM_PRODUCT
+        )
         relations = [self.catalog.relation(t) for t in entry.view_tables]
         context = ExecutionContext(
-            self.catalog, semiring, pool=self.pool, metrics=self.metrics,
-            workers=self.workers,
+            self.catalog, semiring, **self._run_settings()
         )
         cache = build_ve_cache(
             relations, semiring, heuristic=heuristic, context=context

@@ -325,7 +325,6 @@ class ServingRuntime:
         guard = spec.make_guard(
             clock=self.clock, remaining=remaining, wall=self.wall
         )
-        db = self.db
         stats = IOStats()
         status = "error"
         result = None
@@ -350,10 +349,8 @@ class ServingRuntime:
                 if ps is not None:
                     ps.attributes["cached"] = cached
             executor = Executor(
-                snap.catalog, request.query.view.semiring, pool=db.pool,
-                metrics=db.metrics, workers=db.workers,
-                task_policy=db.task_policy, worker_faults=db.worker_faults,
-                tracer=qt,
+                snap.catalog, request.query.view.semiring,
+                **self.db._run_settings(tracer=qt),
             )
             execute_span = (
                 qt.span("execute") if qt is not None else nullcontext()
@@ -416,11 +413,9 @@ class ServingRuntime:
         self.metrics.counter(
             "serve.plan_cache.misses", tenant=request.tenant
         ).inc()
-        optimizer = self.db.make_optimizer(
-            self.strategy, self.heuristic, self.seed
-        )
-        optimization = optimizer.optimize(
-            spec, snap.catalog, self.db.cost_model, clock=self.clock
+        optimization = self.db._plan(
+            spec, self.strategy, self.heuristic, self.seed,
+            catalog=snap.catalog, clock=self.clock,
         )
         self.metrics.histogram(
             "optimizer.elapsed", buckets=SECONDS_BUCKETS,

@@ -72,7 +72,7 @@ def build_workload(db):
             )
         tenant = names[int(rng.integers(len(names)))]
         requests.append(ServeRequest(
-            tenant=tenant, query=db._select_query(sql), arrival=arrival,
+            tenant=tenant, query=db.bind(sql), arrival=arrival,
         ))
         sqls.append(sql)
     return requests, sqls

@@ -269,3 +269,23 @@ class TestBPUnderWorkerFaults:
             assert injector.counts.get(kind, 0) >= 1
             assert tables == ref_tables
             assert counters == ref_counters
+
+
+class TestBuildCacheUnderWorkerFaults:
+    def _build(self, **db_kwargs):
+        db = _batch_db(metrics=MetricsRegistry(), workers=2, **db_kwargs)
+        cache = db.build_cache("v")
+        return {
+            name: _result_bytes(rel) for name, rel in cache.tables.items()
+        }
+
+    def test_cache_build_inherits_the_engine_fault_settings(self):
+        """``build_cache`` runs on the engine-wide settings like
+        ``run_batch``: an attached injector draws, the task policy
+        recovers, and every cached table is the fault-free one."""
+        injector = WorkerFaultInjector(seed=5, rate=0.3)
+        tables = self._build(
+            task_policy=RECOVERING_POLICY, worker_faults=injector
+        )
+        assert injector.counts
+        assert tables == self._build()

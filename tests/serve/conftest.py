@@ -31,7 +31,7 @@ def make_query():
     """Factory: ``(db, sql) -> MPFQuery`` against the invest view."""
 
     def make(db, sql="select wid, sum(inv) from invest group by wid"):
-        return db._select_query(sql)
+        return db.bind(sql)
 
     return make
 

@@ -27,7 +27,7 @@ class TestAsyncServer:
         async def scenario():
             async with AsyncServer(db, [TenantSpec("t")]) as server:
                 outcomes = await asyncio.gather(*[
-                    server.submit("t", db._select_query(SQL))
+                    server.submit("t", db.bind(SQL))
                     for _ in range(4)
                 ])
             return outcomes
@@ -42,7 +42,7 @@ class TestAsyncServer:
             async with AsyncServer(
                 db, [TenantSpec("t", queue_depth=0)]
             ) as server:
-                return await server.submit("t", db._select_query(SQL))
+                return await server.submit("t", db.bind(SQL))
 
         outcome = run(scenario())
         assert outcome.shed
@@ -55,7 +55,7 @@ class TestAsyncServer:
             await server.start()
             futures = [
                 asyncio.ensure_future(
-                    server.submit("t", db._select_query(SQL))
+                    server.submit("t", db.bind(SQL))
                 )
                 for _ in range(3)
             ]
@@ -74,7 +74,7 @@ class TestAsyncServer:
     def test_results_match_unloaded_execution(self, db):
         async def scenario():
             async with AsyncServer(db, [TenantSpec("t")]) as server:
-                return await server.submit("t", db._select_query(SQL))
+                return await server.submit("t", db.bind(SQL))
 
         outcome = run(scenario())
         baseline = _build_database(0.004, 7).execute(SQL).result

@@ -202,6 +202,17 @@ class TestSql:
         assert "act=" in out
         assert "q=" in out
 
+    def test_calibrate_reports_bind_errors_like_plain_sql(self, capsys):
+        codes, errors = [], []
+        for flags in ([], ["--calibrate"]):
+            codes.append(main(
+                ["sql", "--scale", "0.005", *flags,
+                 "-c", "select wid, or(inv) from invest group by wid"]
+            ))
+            errors.append(capsys.readouterr().err)
+        assert codes == [3, 3]
+        assert errors[0] == errors[1] != ""
+
     def test_create_view_statement(self, capsys):
         rc = main(
             [

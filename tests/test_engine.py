@@ -540,3 +540,101 @@ class TestExplainAnalyze:
     def test_non_select_rejected(self, chain_db):
         with pytest.raises(QueryError):
             chain_db.explain_analyze("create index on s1(a)")
+
+
+class TestOneFrontDoor:
+    """Every statement entry point binds, plans and runs the same way."""
+
+    HAVING = "select wid, sum(inv) from invest group by wid having f < {}"
+
+    ENTRY_POINTS = {
+        "execute": lambda db, sql: db.execute(sql),
+        "profile": lambda db, sql: db.profile(sql),
+        "explain_analyze": lambda db, sql: db.explain_analyze(sql),
+        "explain_query": lambda db, sql: db.explain_query(sql),
+    }
+    BAD_STATEMENTS = {
+        "unknown view": (
+            "select wid, sum(inv) from ghost group by wid",
+            "unknown view 'ghost'",
+        ),
+        "non-semiring aggregate": (
+            "select wid, or(inv) from invest group by wid",
+            "aggregate 'or' does not form a semiring with the view's '*'",
+        ),
+        "non-select statement": (
+            "drop mpfview invest",
+            "statement must start with 'create mpfview', 'create index', "
+            "or 'select'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", BAD_STATEMENTS)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_same_typed_error(self, db, entry, case):
+        sql, message = self.BAD_STATEMENTS[case]
+        with pytest.raises(QueryError) as via_execute:
+            db.execute(sql)
+        with pytest.raises(QueryError) as raised:
+            self.ENTRY_POINTS[entry](db, sql)
+        assert type(raised.value) is type(via_execute.value)
+        assert str(raised.value) == str(via_execute.value) == message
+
+    @pytest.mark.parametrize("entry", ("profile", "explain_analyze",
+                                       "explain_query"))
+    def test_ddl_is_not_a_query(self, db, entry):
+        with pytest.raises(QueryError) as raised:
+            self.ENTRY_POINTS[entry](db, "create index on contracts(pid)")
+        assert str(raised.value) == "expected a select statement"
+        assert db.catalog.index_on("contracts", "pid") is None
+
+    @pytest.mark.parametrize("entry", ("profile", "explain_analyze"))
+    def test_having_result_equals_execute(self, db, entry):
+        full = db.execute("select wid, sum(inv) from invest group by wid")
+        sql = self.HAVING.format(float(sorted(full.result.measure)[3]))
+        expected = db.execute(sql).result
+        got = self.ENTRY_POINTS[entry](db, sql).result
+        assert expected.ntuples == 3
+        assert got.name == expected.name == "invest"
+        assert got.var_names == expected.var_names
+        assert sorted(got.iter_rows()) == sorted(expected.iter_rows())
+
+    def test_reused_guard_window_restarts_like_execute(self, db):
+        from repro.errors import MemoryLimitExceeded
+
+        sql = "select cid, sum(inv) from invest group by cid"
+        probe = db.make_guard(memory_limit_pages=10_000)
+        db.execute(sql, guard=probe)
+        once = probe.pages_admitted
+        assert once > 1
+        for run in (
+            lambda guard: db.execute(sql, guard=guard),
+            lambda guard: db.explain_analyze(sql, guard=guard),
+        ):
+            # A ceiling one run fits under and two runs' worth does
+            # not: three runs pass only if each restarts the window.
+            guard = db.make_guard(memory_limit_pages=once)
+            for _ in range(3):
+                run(guard)
+            with pytest.raises(MemoryLimitExceeded):
+                run(db.make_guard(memory_limit_pages=once - 1))
+
+    def test_analyzed_queries_are_counted(self, db):
+        sql = "select wid, sum(inv) from invest group by wid"
+        before = db.metrics_snapshot()
+        report = db.explain_analyze(sql)
+        after = db.metrics_snapshot()
+        assert after.get("queries.total", status="ok") == (
+            before.get("queries.total", status="ok") + 1
+        )
+        considered = after.get("optimizer.plans_considered")
+        assert considered == report.optimization.plans_considered > 0
+        db.explain_query(sql)
+        assert db.metrics_snapshot().get(
+            "optimizer.plans_considered"
+        ) == 2 * considered
+
+    def test_profile_trace_carries_the_planned_event(self, db):
+        profile = db.profile("select wid, sum(inv) from invest group by wid")
+        assert [e["name"] for e in profile.trace.events] == ["planned"]
+        assert [c.name for c in profile.trace.children] == ["execute"]

@@ -338,3 +338,27 @@ class TestEngineHypothetical:
             db.run_hypothetical(
                 query, measure_updates={"ghost": ({"tid": 0}, 1.0)}
             )
+
+    def test_plans_and_finishes_like_run_query(self, tiny_supply_chain):
+        """The shared plan step honours the injected clock and counts
+        the optimizer's work; the shared finish reports linearity."""
+        from repro import Database
+
+        ticks = iter(range(1_000))
+        db = Database(clock=lambda: float(next(ticks)))
+        for t in tiny_supply_chain.tables:
+            db.register(tiny_supply_chain.catalog.relation(t))
+        db.create_view("invest", tiny_supply_chain.tables)
+        query = self._query(db, "wid")
+        report = db.run_hypothetical(
+            query, measure_updates={"transporters": ({"tid": 0}, 99.0)}
+        )
+        # Two reads of the injected clock, one tick apart.
+        assert report.optimization.planning_seconds == 1.0
+        assert report.linearity == db.run_query(query).linearity
+        assert report.linearity.variable == "wid"
+        snap = db.metrics_snapshot()
+        assert snap.get("queries.total", status="ok") == 2
+        assert snap.get("optimizer.plans_considered") == (
+            2 * report.optimization.plans_considered
+        )
