@@ -82,6 +82,37 @@ class MPFInference:
         self._executor = Executor(
             self.catalog, self._semiring, metrics=metrics
         )
+        self._map_executor = Executor(
+            self.catalog,
+            MAX_SUM if log_space else MAX_PRODUCT,
+            pool=self._executor.pool,
+            metrics=metrics,
+        )
+
+    def _run(
+        self,
+        executor: Executor,
+        variables: Sequence[str] | str,
+        evidence: Mapping[str, object] | None,
+        guard: QueryGuard | None,
+    ) -> FunctionalRelation:
+        """Plan the MPF query and run it under ``executor``'s semiring;
+        the answer is always linear-space."""
+        if isinstance(variables, str):
+            variables = (variables,)
+        spec = QuerySpec(
+            tables=self.tables,
+            query_vars=tuple(variables),
+            selections=dict(evidence or {}),
+        )
+        result = self.optimizer.optimize(spec, self.catalog)
+        answer, _stats = executor.run(result.plan, guard=guard)
+        # Each run starts from a fresh memo; holding this one until the
+        # next call would only pin its intermediates in memory.
+        executor.context.reset_memo()
+        if self.log_space:
+            answer = answer.with_measure(np.exp(answer.measure))
+        return answer
 
     # ------------------------------------------------------------------
     def query(
@@ -97,17 +128,7 @@ class MPFInference:
         the optimizer plans the marginalization, the executor runs it.
         ``guard`` bounds the execution (deadline, memory, retries).
         """
-        if isinstance(variables, str):
-            variables = (variables,)
-        spec = QuerySpec(
-            tables=self.tables,
-            query_vars=tuple(variables),
-            selections=dict(evidence or {}),
-        )
-        result = self.optimizer.optimize(spec, self.catalog)
-        answer, _stats = self._executor.run(result.plan, guard=guard)
-        if self.log_space:
-            answer = answer.with_measure(np.exp(answer.measure))
+        answer = self._run(self._executor, variables, evidence, guard)
         return normalize(answer) if normalized else answer
 
     def map_query(
@@ -123,24 +144,7 @@ class MPFInference:
         assignment — the MPE reading of the semiring generality in
         Section 2.
         """
-        if isinstance(variables, str):
-            variables = (variables,)
-        spec = QuerySpec(
-            tables=self.tables,
-            query_vars=tuple(variables),
-            selections=dict(evidence or {}),
-        )
-        result = self.optimizer.optimize(spec, self.catalog)
-        executor = Executor(
-            self.catalog,
-            MAX_SUM if self.log_space else MAX_PRODUCT,
-            pool=self._executor.pool,
-            metrics=self.metrics,
-        )
-        answer, _stats = executor.run(result.plan, guard=guard)
-        if self.log_space:
-            answer = answer.with_measure(np.exp(answer.measure))
-        return answer
+        return self._run(self._map_executor, variables, evidence, guard)
 
     # ------------------------------------------------------------------
     # Workload path (Section 6)

@@ -80,6 +80,17 @@ _SEMIRINGS: dict[tuple[str, str], Semiring] = {
 }
 
 
+def _semiring_for(multiplicative_op: str, aggregate: str) -> Semiring:
+    """The semiring a view's operation forms with an aggregate."""
+    semiring = _SEMIRINGS.get((multiplicative_op, aggregate))
+    if semiring is None:
+        raise QueryError(
+            f"aggregate {aggregate!r} does not form a semiring with the "
+            f"view's {multiplicative_op!r}"
+        )
+    return semiring
+
+
 @dataclass
 class QueryReport:
     """Everything a query execution produced.
@@ -442,13 +453,7 @@ class Database:
         entry = self._views.get(statement.view)
         if entry is None:
             raise QueryError(f"unknown view {statement.view!r}")
-        key = (entry.multiplicative_op, statement.aggregate)
-        semiring = _SEMIRINGS.get(key)
-        if semiring is None:
-            raise QueryError(
-                f"aggregate {statement.aggregate!r} does not form a "
-                f"semiring with the view's {entry.multiplicative_op!r}"
-            )
+        semiring = _semiring_for(entry.multiplicative_op, statement.aggregate)
         view = MPFView(statement.view, entry.view_tables, semiring)
         having = None
         if statement.having is not None:
@@ -1146,9 +1151,7 @@ class Database:
         entry = self._views.get(view_name)
         if entry is None:
             raise QueryError(f"unknown view {view_name!r}")
-        semiring = _SEMIRINGS.get(
-            (entry.multiplicative_op, "sum"), SUM_PRODUCT
-        )
+        semiring = _semiring_for(entry.multiplicative_op, "sum")
         relations = [self.catalog.relation(t) for t in entry.view_tables]
         context = ExecutionContext(
             self.catalog, semiring, **self._run_settings()

@@ -25,9 +25,19 @@ Two entry points:
   cyclic schemas (or unsuitable orders) it double-counts — we keep it
   so tests can demonstrate the Figure 12 failure mode.
 
+Both are "build a :class:`BPStep` list, hand it to the runner".  The
+program builders — :func:`collect` / :func:`distribute` from a root of
+a forest, :func:`literal_program` for Algorithm 4's all-pairs order —
+are pure functions of the schema; :func:`run_program` is the one place
+a message is sent (semijoin evaluated, target rebound, ``bp.messages``
+counted, error context attached, durable unit recorded).  The VE-cache
+backward pass, its evidence protocol and the alternate-measure patch
+(:mod:`repro.workload.vecache`) are distribute programs through the
+same runner (Theorem 10).
+
 The backward pass needs semiring division; for division-free semirings
 with idempotent multiplication (boolean), re-absorption is harmless and
-the product semijoin is used instead.
+the product semijoin is used instead (:func:`backward_kind`).
 """
 
 from __future__ import annotations
@@ -41,8 +51,14 @@ import networkx as nx
 from repro.algebra.aggregate import marginalize
 from repro.algebra.join import product_join
 from repro.data.relation import FunctionalRelation
-from repro.errors import AcyclicityError, MPFError, SemiringError, WorkloadError
-from repro.plans.nodes import Scan, SemiJoin
+from repro.errors import (
+    AcyclicityError,
+    MPFError,
+    ResourceError,
+    SemiringError,
+    WorkloadError,
+)
+from repro.plans.nodes import PlanNode, ProductJoin, Scan, SemiJoin
 from repro.plans.runtime import ExecutionContext, evaluate
 from repro.semiring.base import Semiring
 from repro.storage.iostats import IOStats
@@ -52,6 +68,11 @@ __all__ = [
     "BPStep",
     "BPFailure",
     "BPResult",
+    "backward_kind",
+    "collect",
+    "distribute",
+    "literal_program",
+    "run_program",
     "belief_propagation",
     "bp_program_literal",
     "satisfies_workload_invariant",
@@ -110,21 +131,35 @@ class BPResult:
         )
 
 
-def _as_dict(
+def named_relations(
     relations: Sequence[FunctionalRelation] | Mapping[str, FunctionalRelation],
 ) -> dict[str, FunctionalRelation]:
+    """Name → relation; an unnamed relation is ``s{i}`` by position."""
     if isinstance(relations, Mapping):
         return dict(relations)
-    out = {}
-    for i, rel in enumerate(relations):
-        out[rel.name or f"s{i}"] = rel
+    out = {rel.name or f"s{i}": rel for i, rel in enumerate(relations)}
     if len(out) != len(relations):
         raise WorkloadError("relations must have unique names")
     return out
 
 
-def _backward_kind(semiring: Semiring) -> str:
-    """SemiJoin kind of the backward pass (idempotent-times fallback)."""
+def join_chain(names: Sequence[str]) -> PlanNode:
+    """Left-deep ProductJoin plan over named (bound) relations."""
+    plan: PlanNode = Scan(names[0])
+    for name in names[1:]:
+        plan = ProductJoin(plan, Scan(name))
+    return plan
+
+
+def run_unit(journal, key: str, ctx: ExecutionContext, compute) -> dict:
+    """Run one resumable unit through ``journal`` (or directly)."""
+    if journal is None:
+        return compute()
+    return journal.run(key, ctx, compute)
+
+
+def backward_kind(semiring: Semiring) -> str:
+    """SemiJoin kind of an update message (idempotent-times fallback)."""
     if semiring.supports_division:
         return "update"
     if semiring.idempotent_times:
@@ -135,60 +170,122 @@ def _backward_kind(semiring: Semiring) -> str:
     )
 
 
-def _step_key(index: int, step: BPStep) -> str:
-    """Durable unit key: program position + message identity."""
-    return f"bp.step:{index}:{step.target}<{step.source}:{step.kind}"
+# ----------------------------------------------------------------------
+# Program builders: pure functions of a forest / schema, no data touched
+# ----------------------------------------------------------------------
+def collect(forest: nx.Graph, root: str) -> list[BPStep]:
+    """Product messages toward ``root``: children before parents."""
+    parent_of = {child: parent for parent, child in nx.bfs_edges(forest, root)}
+    return [
+        BPStep(target=parent_of[node], source=node, kind="product")
+        for node in nx.dfs_postorder_nodes(forest, source=root)
+        if node != root
+    ]
 
 
-def _run_step(
+def distribute(forest: nx.Graph, root: str) -> list[BPStep]:
+    """Update messages away from ``root``, breadth first: a table hears
+    from its parent only after the parent has heard from its own."""
+    return [
+        BPStep(target=child, source=parent, kind="update")
+        for parent, child in nx.bfs_edges(forest, root)
+    ]
+
+
+def literal_program(
+    scopes: Mapping[str, frozenset[str]], order: Sequence[str]
+) -> list[BPStep]:
+    """Algorithm 4's all-pairs order over tables sharing variables."""
+    sharing = [
+        (i, j)
+        for j in range(len(order))
+        for i in range(j)
+        if scopes[order[i]] & scopes[order[j]]
+    ]
+    # Forward: each table absorbs every earlier sharing table; backward:
+    # the same pairs reversed, each earlier table absorbs the later one.
+    return [
+        BPStep(target=order[j], source=order[i], kind="product")
+        for i, j in sharing
+    ] + [
+        BPStep(target=order[i], source=order[j], kind="update")
+        for i, j in reversed(sharing)
+    ]
+
+
+def run_program(
     ctx: ExecutionContext,
     tables: dict[str, FunctionalRelation],
-    step: BPStep,
-    kind: str,
-    failures: list[BPFailure] | None = None,
+    program: Sequence[BPStep],
+    semiring: Semiring,
     journal=None,
-    key: str | None = None,
-) -> bool:
-    """Execute one semijoin step through the runtime and rebind.
+    failures: list[BPFailure] | None = None,
+) -> None:
+    """Send every message of ``program``, in order, through the runtime.
 
-    Any :class:`MPFError` is attributed to the message (``step``) it
-    interrupted.  With a ``failures`` list the error is recorded there
-    and the step skipped (the target keeps its pre-message table) —
-    except :class:`ResourceError`, which always propagates: once the
-    query's deadline is blown or it is cancelled, every later message
-    would fail the same way.
+    The one place a §6 message is sent: the step's semijoin is
+    evaluated, its result (named after the target) rebound in ``ctx``
+    and stored in ``tables``, and counted in ``bp.messages``.  Update steps run as
+    :func:`backward_kind` of ``semiring`` says.
 
-    ``journal``/``key`` make the step a durable resumable unit: a
-    swallowed ``keep_going`` failure is recorded as an empty-tables
-    unit (the ``bp.failures`` count lives inside its delta), so a
-    resumed program skips it the same way.
+    Any :class:`MPFError` is attributed to the message it interrupted
+    and counted in ``bp.failures``.  With a ``failures`` list the error
+    is recorded there and the step skipped (the target keeps its
+    pre-message table) — except :class:`ResourceError`, which always
+    propagates: once the query's deadline is blown or it is cancelled,
+    every later message would fail the same way.
+
+    With a ``journal`` each message is a durable resumable unit keyed
+    by program position and message identity; a swallowed failure is
+    recorded as an empty-tables unit (the ``bp.failures`` count lives
+    inside its delta), so a resumed program skips it the same way.
     """
-    from repro.errors import ResourceError
+    kinds = {"product": "product", "update": backward_kind(semiring)}
+    for index, step in enumerate(program):
 
-    def compute() -> dict[str, FunctionalRelation]:
-        try:
-            result = evaluate(
-                SemiJoin(Scan(step.target), Scan(step.source), kind), ctx
-            ).with_name(step.target)
-        except MPFError as exc:
-            exc.add_context(f"BP message {step}")
-            ctx.count("bp.failures")
-            if failures is None or isinstance(exc, ResourceError):
-                raise
-            failures.append(BPFailure(step=step, error=exc))
-            return {}
-        ctx.count("bp.messages", kind=step.kind)
-        ctx.bind(step.target, result)
-        return {step.target: result}
+        def send(step=step) -> dict[str, FunctionalRelation]:
+            plan = SemiJoin(
+                Scan(step.target), Scan(step.source), kinds[step.kind]
+            )
+            try:
+                result = evaluate(plan, ctx)
+            except MPFError as exc:
+                exc.add_context(f"BP message {step}")
+                ctx.count("bp.failures")
+                if failures is None or isinstance(exc, ResourceError):
+                    raise
+                failures.append(BPFailure(step=step, error=exc))
+                return {}
+            if result.name != step.target:
+                # A semijoin's result takes its target relation's name,
+                # so this only fires for a table bound under another
+                # name; renaming regardless would gather a deferred
+                # join's columns for nothing.
+                result = result.with_name(step.target)
+            ctx.count("bp.messages", kind=step.kind)
+            ctx.bind(step.target, result)
+            return {step.target: result}
 
-    if journal is None:
-        produced = compute()
-    else:
-        produced = journal.run(key, ctx, compute)
-    if step.target not in produced:
-        return False
-    tables[step.target] = produced[step.target]
-    return True
+        key = f"bp.step:{index}:{step.target}<{step.source}:{step.kind}"
+        tables.update(run_unit(journal, key, ctx, send))
+
+
+def _run_bp(
+    tables, semiring, program, tree, context, keep_going, journal, workers
+) -> BPResult:
+    """Bind ``tables``, run ``program`` over them, package the result."""
+    ctx = context or ExecutionContext({}, semiring, workers=workers)
+    for name, rel in tables.items():
+        ctx.bind(name, rel)
+    failures: list[BPFailure] = []
+    run_program(
+        ctx, tables, program, semiring, journal=journal,
+        failures=failures if keep_going else None,
+    )
+    return BPResult(
+        tables=tables, program=program, tree=tree, stats=ctx.stats,
+        failures=failures,
+    )
 
 
 def belief_propagation(
@@ -225,62 +322,27 @@ def belief_propagation(
     the modeled clock while same-target chains stay serialized —
     results are identical for every worker count.
     """
-    tables = _as_dict(relations)
-    schema = {name: rel.var_names for name, rel in tables.items()}
+    tables = named_relations(relations)
     if tree is None:
-        tree = junction_tree_of_schema(schema)
+        tree = junction_tree_of_schema(
+            {name: rel.var_names for name, rel in tables.items()}
+        )
         if tree is None:
             raise AcyclicityError(
                 "schema is cyclic: no spanning tree has the running "
                 "intersection property (Theorem 7); build a junction "
                 "tree (Algorithm 5) first"
             )
-    names = list(tables)
-    root = root or names[-1]
+    root = root or list(tables)[-1]
     if root not in tables:
         raise WorkloadError(f"unknown root table {root!r}")
-
-    ctx = context or ExecutionContext({}, semiring, workers=workers)
-    for name, rel in tables.items():
-        ctx.bind(name, rel)
-    backward = _backward_kind(semiring)
     program: list[BPStep] = []
-    failures: list[BPFailure] = []
-    failure_sink = failures if keep_going else None
-
     for component in nx.connected_components(tree):
         component_root = root if root in component else sorted(component)[0]
-        ordered = list(nx.dfs_postorder_nodes(tree, source=component_root))
-        parent_of = {
-            child: parent
-            for parent, child in nx.bfs_edges(tree, source=component_root)
-        }
-
-        # Collect: children before parents; parent absorbs child.
-        for node in ordered:
-            if node == component_root:
-                continue
-            step = BPStep(target=parent_of[node], source=node, kind="product")
-            _run_step(
-                ctx, tables, step, "product", failure_sink,
-                journal=journal, key=_step_key(len(program), step),
-            )
-            program.append(step)
-
-        # Distribute: parents before children; child absorbs parent.
-        for node in nx.dfs_preorder_nodes(tree, source=component_root):
-            if node == component_root:
-                continue
-            step = BPStep(target=node, source=parent_of[node], kind="update")
-            _run_step(
-                ctx, tables, step, backward, failure_sink,
-                journal=journal, key=_step_key(len(program), step),
-            )
-            program.append(step)
-
-    return BPResult(
-        tables=tables, program=program, tree=tree, stats=ctx.stats,
-        failures=failures,
+        program += collect(tree, component_root)
+        program += distribute(tree, component_root)
+    return _run_bp(
+        tables, semiring, program, tree, context, keep_going, journal, workers
     )
 
 
@@ -301,48 +363,16 @@ def bp_program_literal(
     coincide with a junction-tree traversal (e.g. the chain schema of
     Figure 11).
     """
-    tables = _as_dict(relations)
+    tables = named_relations(relations)
     order = list(order)
     if set(order) != set(tables):
         raise WorkloadError(
             f"order {order} must be a permutation of {sorted(tables)}"
         )
     scopes = {name: frozenset(rel.var_names) for name, rel in tables.items()}
-    ctx = context or ExecutionContext({}, semiring, workers=workers)
-    for name, rel in tables.items():
-        ctx.bind(name, rel)
-    backward = _backward_kind(semiring)
-    program: list[BPStep] = []
-    failures: list[BPFailure] = []
-    failure_sink = failures if keep_going else None
-
-    # Forward pass: each table absorbs every earlier sharing table.
-    for j, name_j in enumerate(order):
-        for name_i in order[:j]:
-            if scopes[name_i] & scopes[name_j]:
-                step = BPStep(target=name_j, source=name_i, kind="product")
-                _run_step(
-                    ctx, tables, step, "product", failure_sink,
-                    journal=journal, key=_step_key(len(program), step),
-                )
-                program.append(step)
-
-    # Backward pass: reverse order, each earlier table absorbs later.
-    for j in range(len(order) - 1, -1, -1):
-        name_j = order[j]
-        for i in range(j - 1, -1, -1):
-            name_i = order[i]
-            if scopes[name_i] & scopes[name_j]:
-                step = BPStep(target=name_i, source=name_j, kind="update")
-                _run_step(
-                    ctx, tables, step, backward, failure_sink,
-                    journal=journal, key=_step_key(len(program), step),
-                )
-                program.append(step)
-
-    return BPResult(
-        tables=tables, program=program, tree=None, stats=ctx.stats,
-        failures=failures,
+    return _run_bp(
+        tables, semiring, literal_program(scopes, order), None, context,
+        keep_going, journal, workers,
     )
 
 

@@ -28,10 +28,10 @@ from repro.data.builders import identity_relation
 from repro.data.domain import VariableSet
 from repro.data.relation import FunctionalRelation
 from repro.errors import MPFError, WorkloadError
-from repro.plans.nodes import PlanNode, ProductJoin, Scan
 from repro.plans.runtime import ExecutionContext, evaluate
 from repro.semiring.base import Semiring
 from repro.storage.iostats import IOStats
+from repro.workload.bp import join_chain, named_relations, run_unit
 from repro.workload.graphs import (
     has_running_intersection,
     maximum_weight_spanning_tree,
@@ -102,9 +102,7 @@ def build_junction_tree(
     """
     if not relations:
         raise WorkloadError("junction tree over an empty schema")
-    by_name = {}
-    for i, rel in enumerate(relations):
-        by_name[rel.name or f"s{i}"] = rel
+    by_name = named_relations(relations)
     schema = {name: rel.var_names for name, rel in by_name.items()}
 
     graph = variable_graph(schema)
@@ -171,9 +169,7 @@ def build_junction_tree(
                 ).with_name(pad_name),
             )
             inputs.append(pad_name)
-        plan: PlanNode = Scan(inputs[0])
-        for name in inputs[1:]:
-            plan = ProductJoin(plan, Scan(name))
+        plan = join_chain(inputs)
 
         def compute_clique(clique_name=clique_name, plan=plan,
                            member_names=member_names):
@@ -190,13 +186,11 @@ def build_junction_tree(
             ctx.count("junction.cliques")
             return {clique_name: potential}
 
-        if journal is None:
-            produced = compute_clique()
-        else:
-            produced = journal.run(
-                f"junction.clique:{clique_name}", ctx, compute_clique
+        cliques.update(
+            run_unit(
+                journal, f"junction.clique:{clique_name}", ctx, compute_clique
             )
-        cliques[clique_name] = produced[clique_name]
+        )
 
     # Junction tree over the cliques.
     clique_graph = nx.Graph()

@@ -18,7 +18,8 @@ The construction follows Algorithm 3 literally:
    over them (Theorem 10.2);
 3. run the backward pass (lines 3–7): in reverse creation order, every
    cached table absorbs, via the update semijoin, the table its
-   GroupBy message fed — a BP distribute pass (Theorem 10.3).  The
+   GroupBy message fed — a BP distribute pass (Theorem 10.3), listed
+   as :class:`~repro.workload.bp.BPStep` messages.  The
    forward/collect pass already happened implicitly while executing
    the VE plan.
 
@@ -27,56 +28,53 @@ its scope, which is the invariant (Theorem 4).  The cache also
 supports the *constrained-domain* protocol of Section 6 (Theorem 5):
 apply a selection to one cached table containing the constrained
 variable, then propagate reductions along the forest to every other
-table (:meth:`VECache.absorb_evidence`).
+table (:meth:`VECache.absorb_evidence`) — BP's
+:func:`~repro.workload.bp.distribute` program rooted at the constrained
+table, as is the alternate-measure patch
+(:meth:`VECache.with_alternate_measure`).  Every message of all three
+is sent by :func:`~repro.workload.bp.run_program`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import networkx as nx
 
 from repro.catalog.catalog import Catalog
 from repro.data.relation import FunctionalRelation
-from repro.errors import MPFError, SemiringError, WorkloadError
+from repro.errors import MPFError, WorkloadError
 from repro.optimizer.base import QuerySpec
 from repro.optimizer.ve import VariableElimination
-from repro.plans.nodes import GroupBy, PlanNode, ProductJoin, Scan, Select, SemiJoin
+from repro.plans.nodes import GroupBy, PlanNode, Scan, Select
 from repro.plans.runtime import ExecutionContext, evaluate
 from repro.semiring.base import Semiring
 from repro.storage.page import PageGeometry
+from repro.workload.bp import (
+    BPStep,
+    distribute,
+    join_chain,
+    named_relations,
+    run_program,
+    run_unit,
+)
 from repro.workload.graphs import variable_graph
 from repro.workload.triangulate import triangulate
 
 __all__ = ["VECache", "build_ve_cache"]
 
 
-def _reduce_kind(semiring: Semiring) -> str:
-    """SemiJoin kind for the backward (calibration) message."""
-    if semiring.supports_division:
-        return "update"
-    if semiring.idempotent_times:
-        return "product"
-    raise SemiringError(
-        f"semiring {semiring.name!r} supports neither division nor "
-        "idempotent multiplication; VE-cache calibration is undefined"
-    )
-
-
-def _join_chain(names: Sequence[str]) -> PlanNode:
-    """Left-deep ProductJoin plan over named (bound) relations."""
-    plan: PlanNode = Scan(names[0])
-    for name in names[1:]:
-        plan = ProductJoin(plan, Scan(name))
-    return plan
-
-
-def _unit(journal, key: str, ctx: ExecutionContext, compute):
-    """Run one resumable unit through ``journal`` (or directly)."""
-    if journal is None:
-        return compute()
-    return journal.run(key, ctx, compute)
+def _smallest_table_with(
+    tables: Mapping[str, FunctionalRelation], var_name: str
+) -> str:
+    """Name of the smallest of ``tables`` containing the variable."""
+    candidates = [
+        name for name, rel in tables.items() if var_name in rel.variables
+    ]
+    if not candidates:
+        raise WorkloadError(f"no cached table contains {var_name!r}")
+    return min(candidates, key=lambda n: (tables[n].ntuples, n))
 
 
 @dataclass
@@ -136,14 +134,7 @@ class VECache:
     # ------------------------------------------------------------------
     def table_for(self, var_name: str) -> str:
         """Smallest cached table containing the variable."""
-        candidates = [
-            name
-            for name, rel in self.tables.items()
-            if var_name in rel.variables
-        ]
-        if not candidates:
-            raise WorkloadError(f"no cached table contains {var_name!r}")
-        return min(candidates, key=lambda n: (self.tables[n].ntuples, n))
+        return _smallest_table_with(self.tables, var_name)
 
     def answer(
         self,
@@ -170,6 +161,42 @@ class VECache:
         # cached table, and exact repeats hit the context memo.
         return evaluate(plan, self.runtime())
 
+    def _propagate(
+        self,
+        ctx: ExecutionContext,
+        tables: dict[str, FunctionalRelation],
+        start: str,
+        old_total,
+    ) -> None:
+        """Spread a change just bound to ``start`` over the whole cache.
+
+        Inside ``start``'s tree it is BP's distribute program rooted at
+        ``start``.  Tables in *other* connected components never see
+        that message flow, yet Definition 5 against the changed view
+        requires their mass to scale by the component's total-mass
+        change (``old_total`` is ``start``'s mass before the change).
+        """
+        run_program(ctx, tables, distribute(self.forest, start), self.semiring)
+        component = nx.node_connected_component(self.forest, start)
+        outside = [n for n in tables if n not in component]
+        if not outside:
+            return
+        new_total = self.semiring.reduce(tables[start].measure)
+        if self.semiring.supports_division:
+            factor = self.semiring.divide(new_total, old_total)
+        else:
+            # Idempotent times (boolean): re-absorbing the new total
+            # directly is exact; old_total was the multiplicative
+            # identity of a consistent cache.
+            factor = new_total
+        for name in outside:
+            rel = tables[name]
+            ctx.stats.charge_cpu(rel.ntuples)
+            tables[name] = rel.with_measure(
+                self.semiring.times(rel.measure, factor)
+            )
+            ctx.bind(name, tables[name])
+
     def absorb_evidence(self, evidence: Mapping[str, object]) -> "VECache":
         """Constrained-domain protocol (Theorem 5): returns a new cache.
 
@@ -180,22 +207,9 @@ class VECache:
         """
         tables = dict(self.tables)
         ctx = self._derived_context(tables)
-        kind = _reduce_kind(self.semiring)
         for var_name, value in evidence.items():
             ctx.count("vecache.evidence_absorptions")
-            start = min(
-                (
-                    name
-                    for name, rel in tables.items()
-                    if var_name in rel.variables
-                ),
-                key=lambda n: (tables[n].ntuples, n),
-                default=None,
-            )
-            if start is None:
-                raise WorkloadError(
-                    f"no cached table contains evidence variable {var_name!r}"
-                )
+            start = _smallest_table_with(tables, var_name)
             old_total = self.semiring.reduce(tables[start].measure)
             try:
                 tables[start] = evaluate(
@@ -207,50 +221,8 @@ class VECache:
                 )
                 raise
             ctx.bind(start, tables[start])
-            for parent, child in nx.bfs_edges(self.forest, source=start):
-                try:
-                    tables[child] = evaluate(
-                        SemiJoin(Scan(child), Scan(parent), kind), ctx
-                    )
-                except MPFError as exc:
-                    exc.add_context(
-                        f"evidence message {parent} → {child} "
-                        f"(variable {var_name!r})"
-                    )
-                    raise
-                ctx.bind(child, tables[child])
-            # Tables in *other* connected components never see the
-            # message flow, yet Definition 5 against the restricted
-            # view requires their mass to scale by the evidence
-            # component's total-mass change.
-            component = nx.node_connected_component(self.forest, start)
-            outside = [n for n in tables if n not in component]
-            if outside:
-                new_total = self.semiring.reduce(tables[start].measure)
-                if self.semiring.supports_division:
-                    factor = self.semiring.divide(new_total, old_total)
-                else:
-                    # Idempotent times (boolean): re-absorbing the new
-                    # total directly is exact; old_total was the
-                    # multiplicative identity of a consistent cache.
-                    factor = new_total
-                for name in outside:
-                    rel = tables[name]
-                    ctx.stats.charge_cpu(rel.ntuples)
-                    tables[name] = rel.with_measure(
-                        self.semiring.times(rel.measure, factor)
-                    )
-                    ctx.bind(name, tables[name])
-        return VECache(
-            tables=tables,
-            forest=self.forest,
-            semiring=self.semiring,
-            elimination_order=self.elimination_order,
-            eliminated_by=self.eliminated_by,
-            base_step=self.base_step,
-            base_relations=self.base_relations,
-            context=ctx,
-        )
+            self._propagate(ctx, tables, start, old_total)
+        return replace(self, tables=tables, context=ctx)
 
     # ------------------------------------------------------------------
     # Hypothetical queries (Section 3.1's alternate-measure form)
@@ -288,28 +260,17 @@ class VECache:
         step = self.base_step[base_table]
         tables = dict(self.tables)
         ctx = self._derived_context(tables)
-        kind = _reduce_kind(self.semiring)
+        old_total = self.semiring.reduce(tables[step].measure)
         ctx.stats.charge_cpu(tables[step].ntuples)
         tables[step] = apply_patch(tables[step], patch, self.semiring)
         ctx.bind(step, tables[step])
-        for parent, child in nx.bfs_edges(self.forest, source=step):
-            tables[child] = evaluate(
-                SemiJoin(Scan(child), Scan(parent), kind), ctx
-            )
-            ctx.bind(child, tables[child])
+        self._propagate(ctx, tables, step, old_total)
         base_relations = dict(self.base_relations)
         base_relations[base_table] = alter_measure(
             base, assignment, new_value
         )
-        return VECache(
-            tables=tables,
-            forest=self.forest,
-            semiring=self.semiring,
-            elimination_order=self.elimination_order,
-            eliminated_by=self.eliminated_by,
-            base_step=self.base_step,
-            base_relations=base_relations,
-            context=ctx,
+        return replace(
+            self, tables=tables, base_relations=base_relations, context=ctx
         )
 
     def refresh(
@@ -333,7 +294,8 @@ class VECache:
             for name, rel in self.base_relations.items()
         ]
         return build_ve_cache(
-            relations, self.semiring, order=list(self.elimination_order)
+            relations, self.semiring, order=list(self.elimination_order),
+            context=self._derived_context({}),
         )
 
     # ------------------------------------------------------------------
@@ -409,16 +371,16 @@ def build_ve_cache(
     calibration message is one durable unit — units already on the WAL
     are skipped, rebinding their recorded tables instead of recomputing.
     """
-    relations = list(relations)
     if not relations:
         raise WorkloadError("VE-cache over an empty view")
+    base_relations = named_relations(relations)
 
-    schema = {
-        (r.name or f"s{i}"): r.var_names for i, r in enumerate(relations)
-    }
+    schema = {name: r.var_names for name, r in base_relations.items()}
     if order is None:
         catalog = Catalog()
-        names = catalog.register_all([r.copy() for r in relations])
+        names = catalog.register_all(
+            [r.copy() for r in base_relations.values()]
+        )
         spec = QuerySpec(tables=tuple(names), query_vars=())
         ve = VariableElimination(heuristic)
         result = ve.optimize(spec, catalog)
@@ -427,23 +389,18 @@ def build_ve_cache(
     full_order = triangulate(variable_graph(schema), order=order).order
 
     ctx = context or ExecutionContext({}, semiring)
-    base_names = {id(rel): (rel.name or f"s{i}")
-                  for i, rel in enumerate(relations)}
-    for rel in relations:
-        ctx.bind(base_names[id(rel)], rel)
-    reserved = set(schema)
+    for name, rel in base_relations.items():
+        ctx.bind(name, rel)
 
     def step_name(i: int) -> str:
         name = f"t{i}"
-        return name if name not in reserved else f"vecache_t{i}"
+        return name if name not in schema else f"vecache_t{i}"
 
     # ------------------------------------------------------------------
     # Line 2: execute the no-query-variable VE plan, caching the table
     # preceding each GroupBy, and recording message edges.
     # ------------------------------------------------------------------
-    work: list[tuple[str, str | None]] = [
-        (base_names[id(rel)], None) for rel in relations
-    ]
+    work: list[tuple[str, str | None]] = [(n, None) for n in base_relations]
     steps: list[_Step] = []
     base_step: dict[str, str] = {}
 
@@ -453,7 +410,7 @@ def build_ve_cache(
             continue
         rest = [(n, src) for n, src in work if v not in ctx.env[n].variables]
         name = step_name(len(steps) + 1)
-        join_plan = _join_chain([n for n, _ in chosen])
+        join_plan = join_chain([n for n, _ in chosen])
 
         def compute_step(name=name, v=v, join_plan=join_plan):
             try:
@@ -472,7 +429,7 @@ def build_ve_cache(
             ctx.count("vecache.steps")
             return {name: ctx.env[name], f"{name}.msg": ctx.env[f"{name}.msg"]}
 
-        _unit(journal, f"vecache.step:{name}:{v}", ctx, compute_step)
+        run_unit(journal, f"vecache.step:{name}:{v}", ctx, compute_step)
 
         children = [src for _, src in chosen if src is not None]
         for n, src in chosen:
@@ -512,13 +469,12 @@ def build_ve_cache(
 
                     def compute_scalar(step=step, scalar_name=scalar_name):
                         patched = evaluate(
-                            ProductJoin(Scan(step.name), Scan(scalar_name)),
-                            ctx,
+                            join_chain([step.name, scalar_name]), ctx
                         )
                         ctx.bind(step.name, patched.with_name(step.name))
                         return {step.name: ctx.env[step.name]}
 
-                    _unit(
+                    run_unit(
                         journal,
                         f"vecache.scalar:{step.name}:{scalar_name}",
                         ctx,
@@ -526,42 +482,24 @@ def build_ve_cache(
                     )
 
     # ------------------------------------------------------------------
-    # Lines 3-7: backward update-semijoin pass, last created first.
+    # Lines 3-7: the backward pass, in Algorithm 3's own order — last
+    # created first, which sends to every table after its parent.
     # ------------------------------------------------------------------
-    kind = _reduce_kind(semiring)
-    for step in reversed(steps):
-        for child in step.children:
+    program = [
+        BPStep(target=child, source=step.name, kind="update")
+        for step in reversed(steps)
+        for child in step.children
+    ]
+    tables = {s.name: ctx.env[s.name] for s in steps}
+    run_program(ctx, tables, program, semiring, journal=journal)
 
-            def compute_calibrate(step=step, child=child):
-                try:
-                    updated = evaluate(
-                        SemiJoin(Scan(child), Scan(step.name), kind), ctx
-                    )
-                except MPFError as exc:
-                    exc.add_context(
-                        f"VE-cache calibration message {step.name} → {child}"
-                    )
-                    raise
-                ctx.bind(child, updated.with_name(child))
-                return {child: ctx.env[child]}
-
-            _unit(
-                journal,
-                f"vecache.calibrate:{step.name}:{child}",
-                ctx,
-                compute_calibrate,
-            )
-
-    eliminated_by = {s.name: s.variable for s in steps}
     return VECache(
-        tables={s.name: ctx.env[s.name] for s in steps},
+        tables=tables,
         forest=forest,
         semiring=semiring,
         elimination_order=tuple(full_order),
-        eliminated_by=eliminated_by,
+        eliminated_by={s.name: s.variable for s in steps},
         base_step=base_step,
-        base_relations={
-            base_names[id(rel)]: rel for rel in relations
-        },
+        base_relations=base_relations,
         context=ctx,
     )

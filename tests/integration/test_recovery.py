@@ -196,6 +196,25 @@ class TestWorkloadRecoveryOracle:
         }
         return tables, _structural(registry)
 
+    def test_calibration_messages_are_bp_units(self, reference, tmp_path):
+        """The backward pass goes through BP's runner: one counted,
+        journaled ``bp.step`` unit per forest edge."""
+        _tables, counters = reference
+        assert counters["bp.messages{kind=update}"]["value"] == self.CHAIN
+        wal = WriteAheadLog(wal_path(str(tmp_path)))
+        try:
+            build_ve_cache(
+                _chain_relations(3), SUM_PRODUCT, journal=StepJournal(wal=wal)
+            )
+        finally:
+            wal.close()
+        steps = RecoveryManager(str(tmp_path)).recover().steps
+        assert [k for k in steps if not k.startswith("vecache.step:")] == [
+            "bp.step:0:t3<t4:update",
+            "bp.step:1:t2<t3:update",
+            "bp.step:2:t1<t2:update",
+        ]
+
     @pytest.mark.parametrize("point", CRASH_POINTS)
     def test_vecache_workload_resumes_identically(
         self, tmp_path, point, reference

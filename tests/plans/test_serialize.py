@@ -107,6 +107,33 @@ class TestRoundTrip:
         assert result.var_names == ("cid",)
 
 
+class TestDeepPlans:
+    def test_depth_3000_chain_round_trips(self):
+        """Every other plan walk is iterative (docs/robustness.md "Deep
+        plans"); the plan caches and a checkpoint's memo section go
+        through these two functions, so they must be too."""
+        plan = Scan("a")
+        for i in range(3000):
+            plan = Select(plan, {"x": i})
+        data = plan_to_dict(plan)
+        rebuilt = plan_from_dict(data)
+        assert rebuilt.structural_key() is plan.structural_key()
+        depth, node = 0, data
+        while "child" in node:
+            assert list(node) == ["op", "predicate", "child"]
+            depth, node = depth + 1, node["child"]
+        assert depth == 3000 and node == {"op": "scan", "table": "a"}
+
+    def test_deep_left_and_right_spines(self):
+        left = right = Scan("t0")
+        for i in range(1, 1500):
+            left = ProductJoin(left, Scan(f"t{i}"))
+            right = SemiJoin(Scan(f"t{i}"), right, "update")
+        for plan in (left, right, GroupBy(ProductJoin(left, right), ["x"])):
+            rebuilt = plan_from_dict(plan_to_dict(plan))
+            assert rebuilt.structural_key() is plan.structural_key()
+
+
 class TestEveryNodeKind:
     """Introspective coverage: every concrete PlanNode round-trips.
 

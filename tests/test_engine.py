@@ -185,6 +185,20 @@ class TestCache:
         with pytest.raises(QueryError):
             db.build_cache("ghost")
 
+    @pytest.mark.parametrize("op", ["+", "and"])
+    def test_view_whose_op_forms_no_semiring_with_sum(self, db, op):
+        """A VE-cache answers ``sum`` queries; over a ``+`` (or ``and``)
+        view that aggregate forms no semiring, and a sum-product cache
+        built anyway answered ``query_cached`` with wrong numbers."""
+        db.create_view("other", ("location", "warehouses"), op)
+        with pytest.raises(
+            QueryError,
+            match="aggregate 'sum' does not form a semiring with the view's",
+        ):
+            db.build_cache("other")
+        with pytest.raises(QueryError, match="no cache built"):
+            db.query_cached("other", "wid")
+
     def test_reload_drops_the_caches_of_views_over_the_table(self, db):
         sql = "select wid, sum(inv) from invest group by wid"
         db.execute(

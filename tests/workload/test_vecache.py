@@ -248,6 +248,35 @@ class TestMaintenance:
         # Scopes stable: same elimination order reused.
         assert refreshed.elimination_order == cache.elimination_order
 
+    def test_refresh_runs_in_the_cache_pool_and_registry(
+        self, tiny_supply_chain
+    ):
+        """A refreshed cache is a derived cache: it shares the buffer
+        pool and the metrics registry, so its IO stays on the books."""
+        from repro.obs.metrics import MetricsRegistry
+        from repro.plans.runtime import ExecutionContext
+
+        sc = tiny_supply_chain
+        relations = [sc.catalog.relation(t) for t in sc.tables]
+        registry = MetricsRegistry()
+        cache = build_ve_cache(
+            relations, SUM_PRODUCT,
+            context=ExecutionContext({}, SUM_PRODUCT, metrics=registry),
+        )
+
+        def count(name):
+            return registry.snapshot().get(name)
+
+        steps, reads = count("vecache.steps"), count("query.page_reads")
+        ctdeals = sc.catalog.relation("ctdeals")
+        refreshed = cache.refresh(
+            "ctdeals", ctdeals.with_measure(ctdeals.measure * 2)
+        )
+        assert refreshed.context.pool is cache.context.pool
+        assert refreshed.context.metrics is registry
+        assert count("vecache.steps") == steps + len(refreshed.tables)
+        assert count("query.page_reads") > reads
+
     def test_refresh_unknown_table(self, tiny_supply_chain):
         sc = tiny_supply_chain
         relations = [sc.catalog.relation(t) for t in sc.tables]
