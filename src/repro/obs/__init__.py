@@ -28,6 +28,7 @@ from repro.obs.trace import (
     SPAN_KINDS,
     TRACE_SCHEMA,
     TraceContext,
+    trace_document,
 )
 from repro.obs.export import (
     BENCH_SCHEMA,
@@ -40,7 +41,6 @@ from repro.obs.export import (
     explain_document,
     metrics_document,
     plan_explain_dict,
-    trace_document,
     validate_bench_document,
     validate_calibration_document,
     validate_explain_document,

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.obs.export import CALIBRATION_SCHEMA
+from repro.obs.export import CALIBRATION_SCHEMA, PLAN_OPS
 
 __all__ = [
     "NodeCalibration",
@@ -65,26 +65,6 @@ MISESTIMATE_THRESHOLD = 2.0
 # buckets (DEFAULT_BUCKETS) would dump everything into one bin.
 Q_ERROR_BUCKETS = (1.0, 1.1, 1.25, 1.5, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0)
 PLAN_REGRET_BUCKETS = (1.0, 1.05, 1.1, 1.25, 1.5, 2.0, 4.0, 10.0, 100.0)
-
-# Node class name → the estimator step that produced its cardinality.
-_OWN_SOURCE: dict[str, str] = {
-    "Scan": "base_table_stats",
-    "IndexScan": "base_table_stats",
-    "Select": "selection",
-    "ProductJoin": "join_selectivity",
-    "GroupBy": "group_by_collapse",
-    "SemiJoin": "semijoin",
-}
-
-# Node class name → the `op` vocabulary of repro.explain.v1.
-_OP_NAMES: dict[str, str] = {
-    "Scan": "scan",
-    "IndexScan": "index_scan",
-    "Select": "select",
-    "ProductJoin": "product_join",
-    "GroupBy": "group_by",
-    "SemiJoin": "semijoin",
-}
 
 _EXACT_EPS = 1e-9
 
@@ -302,7 +282,8 @@ def calibrate_plan(
         seen.add(key)
 
         kind = type(node).__name__
-        op = _OP_NAMES.get(kind, kind.lower())
+        spec = PLAN_OPS.get(kind)
+        op = kind.lower() if spec is None else spec.op
         estimated_rows = (
             float(node.stats.cardinality) if node.stats is not None else 1.0
         )
@@ -327,7 +308,7 @@ def calibrate_plan(
             elif q <= child_q + _EXACT_EPS:
                 source = "inherited"
             else:
-                source = _OWN_SOURCE.get(kind, "unknown")
+                source = "unknown" if spec is None else spec.source
         nodes.append(
             NodeCalibration(
                 key=key,

@@ -1,8 +1,11 @@
 """Structured exporters and their schemas.
 
-Three JSON document shapes, each carrying an explicit ``schema`` tag
+Six JSON document shapes, each carrying an explicit ``schema`` tag
 and validated strictly (unknown or missing keys fail — the CI
-benchmark-smoke job depends on that):
+benchmark-smoke job depends on that).  :data:`SCHEMAS` is the one
+definition of each shape: a table entry per tag, walked by one checker
+(:func:`validate_document`) that reports every problem with its JSON
+path in a single :class:`ValueError`.
 
 * **metrics document** (:data:`METRICS_SCHEMA`) — a flat map of
   canonical metric keys (``name`` or ``name{label=value,...}``) to
@@ -26,28 +29,42 @@ benchmark-smoke job depends on that):
   actual rows, Q-error, misestimate attribution, and (optionally) the
   plan-choice audit.  Built by
   :meth:`repro.obs.calib.PlanCalibration.document`.
+
+* **bench-history document** (:data:`HISTORY_SCHEMA`) — one benchmark
+  suite's run trajectory (:mod:`repro.obs.history`).
+
+* **trace document** (:data:`TRACE_SCHEMA`) — served requests' span
+  trees and server events (:func:`repro.obs.trace.trace_document`).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, base_name
-from repro.obs.trace import SPAN_KINDS, TRACE_SCHEMA, OperatorProfile
+from repro.obs.trace import (
+    SPAN_KINDS,
+    TRACE_SCHEMA,
+    OperatorProfile,
+    trace_document,
+)
 from repro.storage.iostats import IOStats
 
 # NOTE: this module must not import repro.plans — repro.plans.profile
 # imports repro.obs.trace, so a module-level dependency here would be
 # a circular import.  Plan nodes are dispatched by class name.
-# (TRACE_SCHEMA and SPAN_KINDS live in repro.obs.trace for the same
-# reason, in the other direction: trace cannot import this module.)
+# (TRACE_SCHEMA, SPAN_KINDS and trace_document live in repro.obs.trace
+# for the same reason the other way: trace cannot import this module.)
 
 __all__ = [
     "METRICS_SCHEMA",
     "EXPLAIN_SCHEMA",
     "BENCH_SCHEMA",
     "CALIBRATION_SCHEMA",
+    "HISTORY_SCHEMA",
     "TRACE_SCHEMA",
+    "SCHEMAS",
     "METRIC_CATALOG",
     "SPAN_KINDS",
     "SHED_REASONS",
@@ -57,10 +74,12 @@ __all__ = [
     "metrics_document",
     "bench_document",
     "trace_document",
+    "validate_document",
     "validate_metrics_document",
     "validate_explain_document",
     "validate_bench_document",
     "validate_calibration_document",
+    "validate_history_document",
     "validate_trace_document",
 ]
 
@@ -68,6 +87,7 @@ METRICS_SCHEMA = "repro.metrics.v1"
 EXPLAIN_SCHEMA = "repro.explain.v1"
 BENCH_SCHEMA = "repro.bench.v1"
 CALIBRATION_SCHEMA = "repro.calibration.v1"
+HISTORY_SCHEMA = "repro.bench_history.v1"
 
 # The typed load-shedding vocabulary: every shed outcome — the
 # ``serve.shed`` counter's ``reason`` label, an OverloadError's
@@ -201,29 +221,35 @@ METRIC_CATALOG: dict[str, str] = {
     "serve.slo_burn_rate": "gauge",
 }
 
-_IOSTATS_KEYS = (
-    "page_reads",
-    "page_writes",
-    "buffer_hits",
-    "tuples",
-    "operators_run",
-    "memo_hits",
-    "retries",
-    "retry_wait",
-    "elapsed",
-)
 
-_OPERATOR_KEYS = frozenset(
-    OperatorProfile(
-        label="", out_rows=0, tuples=0, page_reads=0, page_writes=0,
-        elapsed=0.0,
-    ).to_dict()
-)
+class PlanOp(NamedTuple):
+    op: str  # the node's ``op`` in explain and calibration documents
+    fields: tuple[str, ...]  # what an explain node adds (_NODE_FIELDS)
+    inputs: int  # child plans
+    source: str  # the estimator step a calibration blames it on
 
-_ENTRY_KEYS = {
-    "counter": frozenset({"kind", "value"}),
-    "gauge": frozenset({"kind", "value"}),
-    "histogram": frozenset({"kind", "count", "sum", "bounds", "counts"}),
+
+# Plan node class name -> its document vocabulary: the one op table
+# behind the explain plan tree, the calibration rows and their schemas.
+PLAN_OPS: dict[str, PlanOp] = {
+    "Scan": PlanOp("scan", ("table",), 0, "base_table_stats"),
+    "IndexScan": PlanOp(
+        "index_scan", ("table", "predicate"), 0, "base_table_stats"
+    ),
+    "Select": PlanOp("select", ("predicate",), 1, "selection"),
+    "ProductJoin": PlanOp("product_join", ("method",), 2, "join_selectivity"),
+    "GroupBy": PlanOp(
+        "group_by", ("method", "group_names"), 1, "group_by_collapse"
+    ),
+    "SemiJoin": PlanOp("semijoin", ("semijoin_kind",), 2, "semijoin"),
+}
+
+_NODE_FIELDS = {
+    "table": lambda node: node.table,
+    "predicate": lambda node: dict(node.predicate),
+    "method": lambda node: node.method,
+    "group_names": lambda node: list(node.group_names),
+    "semijoin_kind": lambda node: node.kind,
 }
 
 
@@ -273,20 +299,12 @@ def plan_explain_dict(plan, calibration=None) -> dict:
 
 
 def _node_dict(node, inputs: list[dict], calibration=None) -> dict:
-    op = _OP_NAMES.get(type(node).__name__)
-    if op is None:
+    spec = PLAN_OPS.get(type(node).__name__)
+    if spec is None:
         raise ValueError(f"unknown plan node {type(node).__name__}")
-    out: dict = {"op": op, "label": node.label()}
-    if op in ("scan", "index_scan"):
-        out["table"] = node.table
-    if op in ("index_scan", "select"):
-        out["predicate"] = dict(node.predicate)
-    if op in ("product_join", "group_by"):
-        out["method"] = node.method
-    if op == "group_by":
-        out["group_names"] = list(node.group_names)
-    if op == "semijoin":
-        out["semijoin_kind"] = node.kind
+    out: dict = {"op": spec.op, "label": node.label()}
+    for name in spec.fields:
+        out[name] = _NODE_FIELDS[name](node)
     if node.stats is not None:
         estimated: dict = {"cardinality": node.stats.cardinality}
         if node.op_cost is not None:
@@ -306,33 +324,6 @@ def _node_dict(node, inputs: list[dict], calibration=None) -> dict:
     if inputs:
         out["inputs"] = inputs
     return out
-
-
-_OP_NAMES: dict[str, str] = {
-    "Scan": "scan",
-    "IndexScan": "index_scan",
-    "Select": "select",
-    "ProductJoin": "product_join",
-    "GroupBy": "group_by",
-    "SemiJoin": "semijoin",
-}
-
-_NODE_REQUIRED: dict[str, frozenset] = {
-    "scan": frozenset({"table"}),
-    "index_scan": frozenset({"table", "predicate"}),
-    "select": frozenset({"predicate", "inputs"}),
-    "product_join": frozenset({"method", "inputs"}),
-    "group_by": frozenset({"method", "group_names", "inputs"}),
-    "semijoin": frozenset({"semijoin_kind", "inputs"}),
-}
-_NODE_CHILDREN: dict[str, int] = {
-    "scan": 0,
-    "index_scan": 0,
-    "select": 1,
-    "product_join": 2,
-    "group_by": 1,
-    "semijoin": 2,
-}
 
 
 def explain_document(
@@ -422,414 +413,354 @@ def bench_document(
     return doc
 
 
-def trace_document(
-    requests: Sequence,
-    events: Sequence[Mapping] = (),
-    name: str | None = None,
-    clock: str = "virtual",
-) -> dict:
-    """Build a ``repro.trace.v1`` document from request trace entries.
-
-    ``requests`` may hold ready entry dicts or objects exposing
-    ``entry()`` (:class:`~repro.obs.trace.RequestTrace`).  ``clock``
-    names the timestamp domain: ``virtual`` (simulated cost units —
-    deterministic) or ``wall`` (seconds — best effort).
-    """
-    entries = [
-        r if isinstance(r, Mapping) else r.entry() for r in requests
-    ]
-    return {
-        "schema": TRACE_SCHEMA,
-        "name": name,
-        "clock": clock,
-        "requests": [dict(e) for e in entries],
-        "events": [dict(e) for e in events],
-    }
-
-
 # ----------------------------------------------------------------------
-# Strict validation
+# The schema table
 # ----------------------------------------------------------------------
-def _fail(problems: list[str]) -> None:
-    if problems:
-        raise ValueError("; ".join(problems))
+# A shape is ANY (any value), a frozenset (one of its values), a string
+# (the shape of that name in SCHEMAS or _PARTS), or one of the tuples
+# below.  A rule comparing fields is a named predicate an Obj lists: it
+# yields ``(keys below the object, message)`` per violation, and runs
+# only once the object and everything in it match their shapes — so
+# it may index and compare without checking types.
+ANY = None
+CLOSED = object()  # Obj.rest: no key besides required and optional
 
 
-def _check_keys(
-    what: str, data, required: frozenset, problems: list[str],
-    optional: frozenset = frozenset(),
-) -> bool:
-    if not isinstance(data, Mapping):
-        problems.append(f"{what}: expected an object, got {type(data).__name__}")
+class Obj(NamedTuple):  # an object; ``rest`` shapes any other key
+    required: Mapping = {}
+    optional: Mapping = {}
+    rest: Any = CLOSED
+    rules: tuple = ()
+
+
+class ListOf(NamedTuple):
+    item: Any = ANY
+    length: int | None = None
+    nonempty: bool = False
+
+
+class Number(NamedTuple):
+    minimum: float | None = None
+
+
+class Nullable(NamedTuple):
+    shape: Any
+
+
+class Tagged(NamedTuple):  # an object shaped by the variant ``key`` names
+    key: str
+    variants: Mapping
+
+
+def _keys(names: str) -> dict:
+    """``_keys("a b")`` is ``{"a": ANY, "b": ANY}``."""
+    return dict.fromkeys(names.split())
+
+
+Problems = Iterator[tuple[tuple, str]]
+
+
+def _member(value, values) -> bool:
+    """``value in values``; an unhashable value is simply not in it."""
+    try:
+        return value in values
+    except TypeError:
         return False
-    keys = set(data)
-    missing = sorted(required - keys)
-    unknown = sorted(keys - required - optional)
-    if missing:
-        problems.append(f"{what}: missing keys {missing}")
-    if unknown:
-        problems.append(f"{what}: unknown keys {unknown}")
-    return not missing and not unknown
 
 
-def validate_metrics_document(doc) -> None:
-    """Raise :class:`ValueError` unless ``doc`` matches the schema."""
-    problems: list[str] = []
-    if _check_keys(
-        "metrics document", doc, frozenset({"schema", "name", "metrics"}),
-        problems,
-    ):
-        if doc["schema"] != METRICS_SCHEMA:
-            problems.append(
-                f"metrics document: schema {doc['schema']!r} != "
-                f"{METRICS_SCHEMA!r}"
-            )
-        _validate_metrics_map(doc["metrics"], problems)
-    _fail(problems)
+def _counts_match_bounds(entry) -> Problems:
+    counts, bounds = entry["counts"], entry["bounds"]
+    if len(counts) != len(bounds) + 1:
+        yield ("counts",), f"{len(counts)} counts for {len(bounds)} bounds"
 
 
-def _validate_metrics_map(metrics, problems: list[str]) -> None:
-    if not isinstance(metrics, Mapping):
-        problems.append("metrics: expected an object")
-        return
-    for key in sorted(metrics):
-        entry = metrics[key]
-        name = base_name(key)
-        expected_kind = METRIC_CATALOG.get(name)
-        if expected_kind is None and not name.startswith("bench."):
-            problems.append(f"metric {key!r}: name not in the catalog")
-            continue
-        if not isinstance(entry, Mapping) or "kind" not in entry:
-            problems.append(f"metric {key!r}: malformed entry")
-            continue
-        kind = entry["kind"]
-        if expected_kind is not None and kind != expected_kind:
-            problems.append(
-                f"metric {key!r}: kind {kind!r}, catalog says "
-                f"{expected_kind!r}"
-            )
-            continue
-        allowed = _ENTRY_KEYS.get(kind)
-        if allowed is None:
-            problems.append(f"metric {key!r}: unknown kind {kind!r}")
-            continue
-        _check_keys(f"metric {key!r}", entry, allowed, problems)
-        if kind == "histogram" and set(entry) == set(allowed):
-            if len(entry["counts"]) != len(entry["bounds"]) + 1:
-                problems.append(
-                    f"metric {key!r}: counts/bounds length mismatch"
-                )
+def _in_the_catalog(metrics) -> Problems:
+    for key, entry in metrics.items():
+        name = base_name(str(key))
+        kind = METRIC_CATALOG.get(name)
+        if kind is None and not name.startswith("bench."):
+            yield (key,), "name not in the catalog"
+        elif kind is not None and entry["kind"] != kind:
+            yield (key,), f"kind {entry['kind']!r}, catalog says {kind!r}"
 
 
-def validate_explain_document(doc) -> None:
-    """Raise :class:`ValueError` unless ``doc`` matches the schema."""
-    problems: list[str] = []
-    top = frozenset({
-        "schema", "query", "algorithm", "estimated_cost",
-        "plans_considered", "planning_seconds", "plan", "execution",
+def _rows_match_columns(doc) -> Problems:
+    """A bench table's rows, or every history run's, fit the columns."""
+    width = len(doc["columns"])
+    tables = enumerate(doc["runs"]) if "runs" in doc else [(None, doc)]
+    for run, table in tables:
+        for i, row in enumerate(table["rows"]):
+            if len(row) != width:
+                at = ("rows", i) if run is None else ("runs", run, "rows", i)
+                yield at, f"{len(row)} cells for {width} columns"
+
+
+def _baseline_has_no_delta(doc) -> Problems:
+    if doc["runs"][0]["metrics_delta"] is not None:
+        yield ("runs", 0), "baseline run cannot carry a delta"
+
+
+def _q_error_iff_actual(node) -> Problems:
+    if (node["q_error"] is None) != (node["actual_rows"] is None):
+        yield (), "q_error and actual_rows must be both present or absent"
+
+
+def _shed_has_typed_reason(entry) -> Problems:
+    status, reason = entry["status"], entry["reason"]
+    if status == "shed" and not _member(reason, SHED_REASONS):
+        yield ("reason",), f"shed without a typed reason (got {reason!r})"
+    elif status != "shed" and reason is not None:
+        yield ("reason",), f"reason {reason!r} on non-shed status {status!r}"
+
+
+def _completed_has_lifecycle(entry) -> Problems:
+    """A completed request's spans link admission, queue and dispatch."""
+    root = entry["root"]
+    kinds = [child["kind"] for child in root["children"]]
+    missing = [k for k in ("admission", "queue", "dispatch") if k not in kinds]
+    if entry["status"] == "ok" and root["kind"] == "request" and missing:
+        yield ("root",), f"completed request missing lifecycle spans {missing}"
+
+
+def _span_closed_in_order(span) -> Problems:
+    if span["end"] is None:
+        yield (), "span left open (end is None)"
+    elif span["end"] < span["start"]:
+        yield (), f"end {span['end']!r} < start {span['start']!r}"
+
+
+def _plan_node(spec: PlanOp) -> Obj:
+    required = dict.fromkeys(("op", "label", *spec.fields))
+    if spec.inputs:
+        required["inputs"] = ListOf("plan node", length=spec.inputs)
+    return Obj(required, {
+        "estimated": Nullable(Obj(_keys("cardinality"), _keys("cost op_cost"))),
+        "actual": Nullable(Obj(_keys("rows"), _keys("elapsed"))),
+        "q_error": ANY,
     })
-    if _check_keys("explain document", doc, top, problems):
-        if doc["schema"] != EXPLAIN_SCHEMA:
-            problems.append(
-                f"explain document: schema {doc['schema']!r} != "
-                f"{EXPLAIN_SCHEMA!r}"
-            )
-        _validate_plan_node(doc["plan"], problems, path="plan")
-        execution = doc["execution"]
-        if execution is not None and _check_keys(
-            "execution", execution, frozenset({"totals", "operators"}),
-            problems,
-        ):
-            if execution["totals"] is not None:
-                _check_keys(
-                    "execution.totals", execution["totals"],
-                    frozenset(_IOSTATS_KEYS), problems,
-                )
-            if isinstance(execution["operators"], list):
-                for i, op in enumerate(execution["operators"]):
-                    _check_keys(
-                        f"execution.operators[{i}]", op, _OPERATOR_KEYS,
-                        problems,
-                    )
-            else:
-                problems.append("execution.operators: expected a list")
-    _fail(problems)
 
 
-def _validate_plan_node(node, problems: list[str], path: str) -> None:
-    pending = [(node, path)]
-    while pending:
-        node, path = pending.pop()
-        if not isinstance(node, Mapping):
-            problems.append(f"{path}: expected an object")
-            continue
-        op = node.get("op")
-        if op not in _NODE_REQUIRED:
-            problems.append(f"{path}: unknown op {op!r}")
-            continue
-        required = _NODE_REQUIRED[op] | {"op", "label"}
-        _check_keys(
-            path, node, required, problems,
-            optional=frozenset({"estimated", "actual", "q_error"}),
-        )
-        estimated = node.get("estimated")
-        if estimated is not None:
-            _check_keys(
-                f"{path}.estimated", estimated,
-                frozenset({"cardinality"}), problems,
-                optional=frozenset({"cost", "op_cost"}),
-            )
-        actual = node.get("actual")
-        if actual is not None:
-            _check_keys(
-                f"{path}.actual", actual, frozenset({"rows"}), problems,
-                optional=frozenset({"elapsed"}),
-            )
-        inputs = node.get("inputs", [])
-        if len(inputs) != _NODE_CHILDREN[op]:
-            problems.append(
-                f"{path}: op {op!r} expects {_NODE_CHILDREN[op]} inputs, "
-                f"got {len(inputs)}"
-            )
-        for i, child in enumerate(inputs):
-            pending.append((child, f"{path}.inputs[{i}]"))
+_EVENT = Obj(_keys("name at"), rest=ANY)
+_AT_LEAST_ONE = Number(minimum=1.0)
+
+# The recursive parts: plan nodes nest in ``inputs``, spans in ``children``.
+_PARTS: dict[str, Any] = {
+    "plan node": Tagged(
+        "op", {spec.op: _plan_node(spec) for spec in PLAN_OPS.values()}
+    ),
+    "span": Obj(
+        {
+            **_keys("name cost attributes"), "kind": SPAN_KINDS,
+            "start": Number(), "end": Nullable(Number()),
+            "events": ListOf(_EVENT), "children": ListOf("span"),
+        },
+        rules=(_span_closed_in_order,),
+    ),
+}
+
+# The one definition of every document shape, keyed by schema tag.
+SCHEMAS: dict[str, Obj] = {
+    METRICS_SCHEMA: Obj({
+        "schema": frozenset({METRICS_SCHEMA}),
+        "name": ANY,
+        "metrics": Obj(rest=Tagged("kind", {
+            "counter": Obj(_keys("kind value")),
+            "gauge": Obj(_keys("kind value")),
+            "histogram": Obj(
+                {**_keys("kind count sum"), "bounds": ListOf(),
+                 "counts": ListOf()},
+                rules=(_counts_match_bounds,),
+            ),
+        }), rules=(_in_the_catalog,)),
+    }),
+    EXPLAIN_SCHEMA: Obj({
+        "schema": frozenset({EXPLAIN_SCHEMA}),
+        **_keys("query algorithm estimated_cost plans_considered planning_seconds"),
+        "plan": "plan node",
+        "execution": Nullable(Obj({
+            "totals": Nullable(Obj(dict.fromkeys(iostats_dict(IOStats())))),
+            "operators": ListOf(Obj(dict.fromkeys(
+                OperatorProfile("", 0, 0, 0, 0, 0.0).to_dict()
+            ))),
+        })),
+    }),
+    BENCH_SCHEMA: Obj(
+        {
+            "schema": frozenset({BENCH_SCHEMA}), **_keys("name title"),
+            "columns": ListOf(), "rows": ListOf(ListOf()),
+            "metrics": METRICS_SCHEMA,
+        },
+        _keys("git_sha suite"),
+        rules=(_rows_match_columns,),
+    ),
+    CALIBRATION_SCHEMA: Obj({
+        "schema": frozenset({CALIBRATION_SCHEMA}),
+        **_keys("query algorithm stats_epoch"),
+        "nodes": ListOf(Obj(
+            {
+                "op": frozenset(spec.op for spec in PLAN_OPS.values()),
+                **_keys("label estimated_rows estimated_cost actual_rows"),
+                "actual_elapsed": ANY,
+                "q_error": Nullable(_AT_LEAST_ONE),
+                "source": Nullable(frozenset({
+                    "exact", "inherited", "unknown",
+                    *(spec.source for spec in PLAN_OPS.values()),
+                })),
+            },
+            rules=(_q_error_iff_actual,),
+        ), nonempty=True),
+        "plan_q_error": _AT_LEAST_ONE,
+        "mean_q_error": _AT_LEAST_ONE,
+        "dominant": Nullable(Obj(_keys("label q_error source"))),
+        "audit": Nullable(Obj({
+            "candidates": ListOf(Obj(
+                _keys("algorithm estimated_cost actual_cost chosen")
+            )),
+            "plan_regret": _AT_LEAST_ONE,
+        })),
+    }),
+    HISTORY_SCHEMA: Obj(
+        {
+            "schema": frozenset({HISTORY_SCHEMA}), **_keys("suite title"),
+            "columns": ListOf(),
+            "runs": ListOf(Obj({
+                **_keys("run_id git_sha metrics metrics_delta"),
+                "rows": ListOf(ListOf()),
+            }), nonempty=True),
+        },
+        rules=(_rows_match_columns, _baseline_has_no_delta),
+    ),
+    TRACE_SCHEMA: Obj({
+        "schema": frozenset({TRACE_SCHEMA}),
+        "name": ANY,
+        "clock": frozenset({"virtual", "wall"}),
+        "requests": ListOf(Obj(
+            {
+                **_keys("request_id tenant stats_epoch reason"),
+                "status": frozenset({"ok", "shed", "error"}),
+                "root": "span",
+            },
+            rules=(_shed_has_typed_reason, _completed_has_lifecycle),
+        )),
+        "events": ListOf(_EVENT),
+    }),
+}
 
 
-def validate_bench_document(doc) -> None:
-    """Raise :class:`ValueError` unless ``doc`` matches the schema."""
+# ----------------------------------------------------------------------
+# The checker
+# ----------------------------------------------------------------------
+def _render(path) -> str:
+    """A ``(parent, key)`` chain as a JSON path: ``$.plan.inputs[0]``."""
+    out = ""
+    while path is not None:
+        path, key = path
+        out = (
+            f"[{key}]" if isinstance(key, int)
+            else f".{key}" if str(key).isidentifier() else f"[{key!r}]"
+        ) + out
+    return "$" + out
+
+
+class _Rules(NamedTuple):  # an Obj's rules, stacked beneath its fields
+    rules: tuple
+    mark: int  # problems found before the object was checked
+
+
+def _problems(shape, doc) -> list[str]:
+    """Every way ``doc`` departs from ``shape``, each with its JSON path
+    (iteratively: plan and span trees may nest past the recursion limit)."""
     problems: list[str] = []
-    top = frozenset({"schema", "name", "title", "columns", "rows", "metrics"})
-    if _check_keys(
-        "bench document", doc, top, problems,
-        optional=frozenset({"git_sha", "suite"}),
-    ):
-        if doc["schema"] != BENCH_SCHEMA:
-            problems.append(
-                f"bench document: schema {doc['schema']!r} != "
-                f"{BENCH_SCHEMA!r}"
-            )
-        if not isinstance(doc["columns"], list):
-            problems.append("bench document: columns must be a list")
-        elif not isinstance(doc["rows"], list) or any(
-            not isinstance(r, list) or len(r) != len(doc["columns"])
-            for r in doc["rows"]
-        ):
-            problems.append(
-                "bench document: rows must be lists matching columns"
-            )
-        try:
-            validate_metrics_document(doc["metrics"])
-        except ValueError as exc:
-            problems.append(f"bench document metrics: {exc}")
-    _fail(problems)
 
+    def report(path, message: str, keys: tuple = ()) -> None:
+        for key in keys:
+            path = (path, key)
+        problems.append(f"{_render(path)}: {message}")
 
-_CALIB_SOURCES = frozenset({
-    "exact", "inherited", "base_table_stats", "selection",
-    "join_selectivity", "group_by_collapse", "semijoin", "unknown",
-})
-_CALIB_NODE_KEYS = frozenset({
-    "op", "label", "estimated_rows", "estimated_cost",
-    "actual_rows", "actual_elapsed", "q_error", "source",
-})
-
-
-def validate_calibration_document(doc) -> None:
-    """Raise :class:`ValueError` unless ``doc`` matches the schema."""
-    problems: list[str] = []
-    top = frozenset({
-        "schema", "query", "algorithm", "stats_epoch", "nodes",
-        "plan_q_error", "mean_q_error", "dominant", "audit",
-    })
-    if _check_keys("calibration document", doc, top, problems):
-        if doc["schema"] != CALIBRATION_SCHEMA:
-            problems.append(
-                f"calibration document: schema {doc['schema']!r} != "
-                f"{CALIBRATION_SCHEMA!r}"
-            )
-        nodes = doc["nodes"]
-        if not isinstance(nodes, list) or not nodes:
-            problems.append(
-                "calibration document: nodes must be a non-empty list"
-            )
-        else:
-            for i, node in enumerate(nodes):
-                if not _check_keys(
-                    f"nodes[{i}]", node, _CALIB_NODE_KEYS, problems
-                ):
-                    continue
-                if node["op"] not in frozenset(_OP_NAMES.values()):
-                    problems.append(
-                        f"nodes[{i}]: unknown op {node['op']!r}"
-                    )
-                q = node["q_error"]
-                if q is not None and (
-                    not isinstance(q, (int, float)) or q < 1.0
-                ):
-                    problems.append(
-                        f"nodes[{i}]: q_error must be >= 1.0, got {q!r}"
-                    )
-                source = node["source"]
-                if source is not None and source not in _CALIB_SOURCES:
-                    problems.append(
-                        f"nodes[{i}]: unknown source {source!r}"
-                    )
-                if (q is None) != (node["actual_rows"] is None):
-                    problems.append(
-                        f"nodes[{i}]: q_error and actual_rows must be "
-                        "both present or both absent"
-                    )
-        for field in ("plan_q_error", "mean_q_error"):
-            value = doc[field]
-            if not isinstance(value, (int, float)) or value < 1.0:
-                problems.append(
-                    f"calibration document: {field} must be >= 1.0, "
-                    f"got {value!r}"
-                )
-        dominant = doc["dominant"]
-        if dominant is not None:
-            _check_keys(
-                "dominant", dominant,
-                frozenset({"label", "q_error", "source"}), problems,
-            )
-        audit = doc["audit"]
-        if audit is not None and _check_keys(
-            "audit", audit, frozenset({"candidates", "plan_regret"}),
-            problems,
-        ):
-            if not isinstance(audit["candidates"], list):
-                problems.append("audit.candidates: expected a list")
-            else:
-                for i, cand in enumerate(audit["candidates"]):
-                    _check_keys(
-                        f"audit.candidates[{i}]", cand,
-                        frozenset({
-                            "algorithm", "estimated_cost", "actual_cost",
-                            "chosen",
-                        }),
-                        problems,
-                    )
-            regret = audit["plan_regret"]
-            if not isinstance(regret, (int, float)) or regret < 1.0:
-                problems.append(
-                    f"audit: plan_regret must be >= 1.0, got {regret!r}"
-                )
-    _fail(problems)
-
-
-_TRACE_REQUEST_KEYS = frozenset({
-    "request_id", "tenant", "stats_epoch", "status", "reason", "root",
-})
-_SPAN_KEYS = frozenset({
-    "name", "kind", "start", "end", "cost", "attributes", "events",
-    "children",
-})
-_TRACE_STATUSES = frozenset({"ok", "shed", "error"})
-
-# An admitted-and-completed request's span tree must link the serving
-# lifecycle end to end; operator spans then hang off the dispatch span.
-_REQUIRED_OK_KINDS = frozenset({"admission", "queue", "dispatch"})
-
-
-def _validate_span_tree(what: str, root, problems: list[str]) -> None:
-    stack = [(what, root)]
+    stack: list = [(shape, doc, None)]
     while stack:
-        label, span = stack.pop()
-        if not _check_keys(label, span, _SPAN_KEYS, problems):
+        shape, value, path = stack.pop()
+        if isinstance(shape, str):
+            shape = SCHEMAS.get(shape) or _PARTS[shape]
+        if shape is ANY:
             continue
-        if span["kind"] not in SPAN_KINDS:
-            problems.append(f"{label}: unknown span kind {span['kind']!r}")
-        if span["end"] is None:
-            problems.append(f"{label}: span left open (end is None)")
-        elif span["end"] < span["start"]:
-            problems.append(
-                f"{label}: end {span['end']!r} < start {span['start']!r}"
-            )
-        events = span["events"]
-        if not isinstance(events, list):
-            problems.append(f"{label}: events must be a list")
+        if isinstance(shape, _Rules):
+            if len(problems) == shape.mark:  # all well formed below here
+                for rule in shape.rules:
+                    for keys, message in rule(value):
+                        report(path, message, keys)
+        elif isinstance(shape, Nullable):
+            if value is not None:
+                stack.append((shape.shape, value, path))
+        elif isinstance(shape, frozenset):
+            if not _member(value, shape):  # a field: path is (parent, key)
+                report(path, f"unknown {path[1]} {value!r}, not in {sorted(shape)}")
+        elif isinstance(shape, Number):
+            least = shape.minimum
+            if not isinstance(value, (int, float)) or (
+                least is not None and value < least
+            ):
+                at_least = "" if least is None else f" >= {least}"
+                report(path, f"expected a number{at_least}, got {value!r}")
+        elif isinstance(shape, ListOf):
+            if not isinstance(value, list):
+                report(path, f"expected a list, got {type(value).__name__}")
+                continue
+            if shape.length is not None and len(value) != shape.length:
+                report(path, f"expected {shape.length} items, got {len(value)}")
+            if shape.nonempty and not value:
+                report(path, "expected a non-empty list")
+            for i in reversed(range(len(value))):
+                stack.append((shape.item, value[i], (path, i)))
+        elif not isinstance(value, Mapping):
+            report(path, f"expected an object, got {type(value).__name__}")
+        elif isinstance(shape, Tagged):
+            tag = value.get(shape.key)
+            if _member(tag, shape.variants):
+                stack.append((shape.variants[tag], value, path))
+            else:
+                report(path, f"unknown {shape.key} {tag!r}, not in "
+                       f"{sorted(shape.variants)}", (shape.key,))
         else:
-            for i, event in enumerate(events):
-                if (
-                    not isinstance(event, Mapping)
-                    or "name" not in event
-                    or "at" not in event
-                ):
-                    problems.append(
-                        f"{label}.events[{i}]: needs 'name' and 'at'"
-                    )
-        children = span["children"]
-        if not isinstance(children, list):
-            problems.append(f"{label}: children must be a list")
-            continue
-        for i, child in enumerate(children):
-            stack.append((f"{label}.children[{i}]", child))
+            mark, known = len(problems), {**shape.optional, **shape.required}
+            missing = sorted(k for k in shape.required if k not in value)
+            unknown = [k for k in value if k not in known and shape.rest is CLOSED]
+            if missing:
+                report(path, f"missing keys {missing}")
+            if unknown:
+                report(path, f"unknown keys {sorted(unknown, key=str)}")
+            if shape.rules:
+                stack.append((_Rules(shape.rules, mark), value, path))
+            stack.extend(
+                (known.get(key, shape.rest), value[key], (path, key))
+                for key in reversed(list(value)) if key not in unknown
+            )
+    return problems
 
 
-def validate_trace_document(doc) -> None:
-    """Raise :class:`ValueError` unless ``doc`` matches the schema."""
-    problems: list[str] = []
-    top = frozenset({"schema", "name", "clock", "requests", "events"})
-    if _check_keys("trace document", doc, top, problems):
-        if doc["schema"] != TRACE_SCHEMA:
-            problems.append(
-                f"trace document: schema {doc['schema']!r} != "
-                f"{TRACE_SCHEMA!r}"
-            )
-        if doc["clock"] not in {"virtual", "wall"}:
-            problems.append(
-                f"trace document: unknown clock {doc['clock']!r}"
-            )
-        events = doc["events"]
-        if not isinstance(events, list):
-            problems.append("trace document: events must be a list")
-        else:
-            for i, event in enumerate(events):
-                if (
-                    not isinstance(event, Mapping)
-                    or "name" not in event
-                    or "at" not in event
-                ):
-                    problems.append(
-                        f"events[{i}]: needs 'name' and 'at'"
-                    )
-        requests = doc["requests"]
-        if not isinstance(requests, list):
-            problems.append("trace document: requests must be a list")
-            requests = []
-        for i, entry in enumerate(requests):
-            what = f"requests[{i}]"
-            if not _check_keys(what, entry, _TRACE_REQUEST_KEYS, problems):
-                continue
-            status = entry["status"]
-            if status not in _TRACE_STATUSES:
-                problems.append(f"{what}: unknown status {status!r}")
-            reason = entry["reason"]
-            if status == "shed":
-                if reason not in SHED_REASONS:
-                    problems.append(
-                        f"{what}: shed without a typed reason "
-                        f"(got {reason!r})"
-                    )
-            elif reason is not None:
-                problems.append(
-                    f"{what}: reason {reason!r} on non-shed status "
-                    f"{status!r}"
-                )
-            root = entry["root"]
-            _validate_span_tree(f"{what}.root", root, problems)
-            if not isinstance(root, Mapping):
-                continue
-            if root.get("kind") == "request" and status == "ok":
-                kinds = {
-                    c.get("kind")
-                    for c in root.get("children", ())
-                    if isinstance(c, Mapping)
-                }
-                missing = sorted(_REQUIRED_OK_KINDS - kinds)
-                if missing:
-                    problems.append(
-                        f"{what}: completed request missing lifecycle "
-                        f"spans {missing}"
-                    )
-    _fail(problems)
+def _check(schema: str, doc) -> str:
+    problems = _problems(SCHEMAS[schema], doc)
+    if problems:
+        raise ValueError(f"{schema}: " + "; ".join(problems))
+    return schema
+
+
+def validate_document(doc) -> str:
+    """Check ``doc`` against the :data:`SCHEMAS` entry its ``schema`` tag
+    names; returns the tag.  Every problem is reported, with its JSON
+    path, in one :class:`ValueError`; whatever ``doc`` holds, no other
+    exception escapes."""
+    if not isinstance(doc, Mapping) or "schema" not in doc:
+        raise ValueError("document has no 'schema' tag")
+    if not _member(doc["schema"], SCHEMAS):
+        raise ValueError(f"unknown schema {doc['schema']!r}")
+    return _check(doc["schema"], doc)
+
+
+# The same check against one entry, whatever tag ``doc`` carries.
+validate_metrics_document = partial(_check, METRICS_SCHEMA)
+validate_explain_document = partial(_check, EXPLAIN_SCHEMA)
+validate_bench_document = partial(_check, BENCH_SCHEMA)
+validate_calibration_document = partial(_check, CALIBRATION_SCHEMA)
+validate_history_document = partial(_check, HISTORY_SCHEMA)
+validate_trace_document = partial(_check, TRACE_SCHEMA)

@@ -35,7 +35,12 @@ import sys
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.obs.export import validate_bench_document
+from repro.obs.export import (
+    BENCH_SCHEMA,
+    HISTORY_SCHEMA,
+    validate_bench_document,
+    validate_history_document,
+)
 
 __all__ = [
     "HISTORY_SCHEMA",
@@ -51,18 +56,11 @@ __all__ = [
     "main",
 ]
 
-HISTORY_SCHEMA = "repro.bench_history.v1"
-
 # Generous for simulated-clock metrics (which are exactly reproducible
 # at equal code): the cushion absorbs benign cross-version drift such
 # as dict-ordering differences, while still catching the 2x page-read
 # regressions the gate exists for.
 DEFAULT_TOLERANCE = 0.25
-
-_RUN_KEYS = frozenset(
-    {"run_id", "git_sha", "rows", "metrics", "metrics_delta"}
-)
-_TOP_KEYS = frozenset({"schema", "suite", "title", "columns", "runs"})
 
 
 def current_git_sha(repo_root: str | Path | None = None) -> str:
@@ -115,51 +113,6 @@ def load_history(path: str | Path) -> dict:
         doc = json.load(fh)
     validate_history_document(doc)
     return doc
-
-
-def validate_history_document(doc) -> None:
-    """Raise :class:`ValueError` unless ``doc`` matches the schema."""
-    problems: list[str] = []
-    if not isinstance(doc, Mapping):
-        raise ValueError("history document: expected an object")
-    missing = sorted(_TOP_KEYS - set(doc))
-    unknown = sorted(set(doc) - _TOP_KEYS)
-    if missing:
-        problems.append(f"history document: missing keys {missing}")
-    if unknown:
-        problems.append(f"history document: unknown keys {unknown}")
-    if not problems:
-        if doc["schema"] != HISTORY_SCHEMA:
-            problems.append(
-                f"history document: schema {doc['schema']!r} != "
-                f"{HISTORY_SCHEMA!r}"
-            )
-        if not isinstance(doc["columns"], list):
-            problems.append("history document: columns must be a list")
-        runs = doc["runs"]
-        if not isinstance(runs, list) or not runs:
-            problems.append(
-                "history document: runs must be a non-empty list"
-            )
-        else:
-            for i, run in enumerate(runs):
-                if not isinstance(run, Mapping) or set(run) != _RUN_KEYS:
-                    problems.append(f"runs[{i}]: malformed run entry")
-                    continue
-                if not isinstance(run["rows"], list) or any(
-                    not isinstance(r, list)
-                    or len(r) != len(doc["columns"])
-                    for r in run["rows"]
-                ):
-                    problems.append(
-                        f"runs[{i}]: rows must be lists matching columns"
-                    )
-                if i == 0 and run["metrics_delta"] is not None:
-                    problems.append(
-                        "runs[0]: baseline run cannot carry a delta"
-                    )
-    if problems:
-        raise ValueError("; ".join(problems))
 
 
 def ingest_document(
@@ -317,7 +270,7 @@ def _cmd_ingest(args) -> int:
     for path in sorted(out_dir.glob("*.json")):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("schema") != "repro.bench.v1":
+        if not isinstance(doc, dict) or doc.get("schema") != BENCH_SCHEMA:
             continue
         suite = doc.get("suite") or doc.get("name")
         if args.suites and suite not in args.suites:

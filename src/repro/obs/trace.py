@@ -29,8 +29,8 @@ epoch); a :class:`RequestTrace` wraps one request's
 queue wait → dispatch → plan/execute (operator spans nest inside
 execute); a :class:`ServeTracer` collects every request trace of a
 soak plus server-level events (reloads, snapshot retirements) and
-assembles the strict ``repro.trace.v1`` document (validated by
-:func:`repro.obs.export.validate_trace_document`).  All serving spans
+assembles the strict ``repro.trace.v1`` document with
+:func:`trace_document` (shape: ``export.SCHEMAS``).  All serving spans
 are timestamped on the runtime's clock — the virtual clock under the
 deterministic driver — so two identical seeded soaks emit
 byte-identical trace documents.
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.storage.iostats import IOStats
 
@@ -56,6 +56,7 @@ __all__ = [
     "ServeTracer",
     "TRACE_SCHEMA",
     "SPAN_KINDS",
+    "trace_document",
 ]
 
 TRACE_SCHEMA = "repro.trace.v1"
@@ -522,14 +523,27 @@ class ServeTracer:
     def requests(self) -> list[RequestTrace]:
         return list(self._requests)
 
-    def document(
-        self, name: str | None = None, clock: str = "virtual"
-    ) -> dict:
+    def document(self, name: str | None = None, clock: str = "virtual") -> dict:
         """The strict schema-tagged ``repro.trace.v1`` document."""
-        return {
-            "schema": TRACE_SCHEMA,
-            "name": name,
-            "clock": clock,
-            "requests": [t.entry() for t in self._requests],
-            "events": [dict(e) for e in self.events],
-        }
+        return trace_document(self._requests, self.events, name, clock)
+
+
+def trace_document(
+    requests: Sequence,
+    events: Sequence[Mapping] = (),
+    name: str | None = None,
+    clock: str = "virtual",
+) -> dict:
+    """The ``repro.trace.v1`` document of entry dicts or
+    :class:`RequestTrace` objects; ``clock`` is ``virtual`` (simulated
+    cost units — deterministic) or ``wall`` (seconds — best effort)."""
+    return {
+        "schema": TRACE_SCHEMA,
+        "name": name,
+        "clock": clock,
+        "requests": [
+            dict(r if isinstance(r, Mapping) else r.entry())
+            for r in requests
+        ],
+        "events": [dict(e) for e in events],
+    }

@@ -1,14 +1,15 @@
 """Schema validation entry point: ``python -m repro.obs.validate``.
 
 Validates observability JSON documents (metrics, explain, bench,
-calibration, bench-history, trace — dispatched on their ``schema``
-tag) read from file arguments or stdin (``-``).  With ``--text`` the
-inputs are instead Prometheus-style text expositions (the CLI's
-``--metrics-text`` output), checked line by line against
-METRIC_CATALOG.  Exits non-zero on the first malformed document; the
-CI benchmark-smoke job runs this over ``benchmarks/out/*.json``, the
-CLI's ``--metrics-json``/``--metrics-text`` and ``--calibrate``
-output, the serving soak's ``--trace-json`` stream, and the committed
+calibration, bench-history, trace — each against the ``SCHEMAS`` entry
+its ``schema`` tag names) read from file arguments or stdin (``-``).
+With ``--text`` the inputs are instead Prometheus-style text
+expositions (the CLI's ``--metrics-text`` output), checked line by line
+against METRIC_CATALOG.  Every input is checked; a malformed one prints
+an ``INVALID`` line and makes the exit status 1.  The CI
+benchmark-smoke job runs this over ``benchmarks/out/*.json``, the CLI's
+``--metrics-json``/``--metrics-text`` and ``--calibrate`` output, the
+serving soak's ``--trace-json`` stream, and the committed
 ``BENCH_*.json`` baselines.
 """
 
@@ -16,44 +17,12 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
-from repro.obs.export import (
-    BENCH_SCHEMA,
-    CALIBRATION_SCHEMA,
-    EXPLAIN_SCHEMA,
-    METRICS_SCHEMA,
-    TRACE_SCHEMA,
-    validate_bench_document,
-    validate_calibration_document,
-    validate_explain_document,
-    validate_metrics_document,
-    validate_trace_document,
-)
+from repro.obs.export import validate_document
 from repro.obs.expo import validate_metrics_text
-from repro.obs.history import HISTORY_SCHEMA, validate_history_document
 
 __all__ = ["validate_document", "main"]
-
-_VALIDATORS = {
-    METRICS_SCHEMA: validate_metrics_document,
-    EXPLAIN_SCHEMA: validate_explain_document,
-    BENCH_SCHEMA: validate_bench_document,
-    CALIBRATION_SCHEMA: validate_calibration_document,
-    HISTORY_SCHEMA: validate_history_document,
-    TRACE_SCHEMA: validate_trace_document,
-}
-
-
-def validate_document(doc) -> str:
-    """Validate one document by its ``schema`` tag; returns the tag."""
-    if not isinstance(doc, dict) or "schema" not in doc:
-        raise ValueError("document has no 'schema' tag")
-    schema = doc["schema"]
-    validator = _VALIDATORS.get(schema)
-    if validator is None:
-        raise ValueError(f"unknown schema {schema!r}")
-    validator(doc)
-    return schema
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -71,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     status = 0
     for path in paths:
         try:
-            text = sys.stdin.read() if path == "-" else open(path).read()
+            text = sys.stdin.read() if path == "-" else Path(path).read_text()
             if text_mode:
                 samples = validate_metrics_text(text)
                 schema = f"metrics text, {samples} samples"
