@@ -17,7 +17,15 @@ on its own group index) and *not kept* (runs expanded or columns
 gathered, then an index over the join), at match fractions from 1.0 to
 0.01, cold and warm, with the dimension on either side.  It fixes
 ``repro.algebra.join.PROBE_KEEP_FACTOR`` and shows what
-``DEFER_MIN_ROWS`` leaves on the table.
+``DEFER_MIN_ROWS`` leaves on the table.  A third, ``kernels_eliminate_
+small``, times the same step on the few-row shapes of the planning-
+bound workloads, fused and as a plain join-then-GroupBy.
+
+A fourth, ``kernels_aggregate``, times grouped aggregation two ways
+over 2e5 rows at 2 to 1e5 groups: a scatter by the row→group inverse
+(what ``Semiring.aggregate`` does) and a segment ``reduceat`` over the
+sorted order (the path it no longer has), on the semirings whose
+``plus`` has a ``reduceat``.
 
 Unlike the gated suites this one reads the machine's clock, so it is
 not part of the perf gate: every cell is a median of repeats, with a
@@ -44,7 +52,7 @@ from repro.algebra.groupindex import (
     GroupIndexCache,
 )
 from repro.data import FunctionalRelation, encoding, var
-from repro.semiring import MIN_PRODUCT, SUM_PRODUCT
+from repro.semiring import BOOLEAN, LOG_PROB, MIN_PRODUCT, SUM_PRODUCT
 
 SIZES = (1_000, 100_000, 1_000_000)
 RATIOS = (0.01, 0.1, 1, 4, 16, 100)
@@ -244,3 +252,88 @@ def test_join_groupby(benchmark, monkeypatch, shape):
             _JOIN_GROUPBY.add(n, dim_rows, float(match), agg, *cells)
     DEFAULT_GROUP_INDEX_CACHE.clear()
     benchmark.pedantic(kernel, rounds=3)
+
+
+# ----------------------------------------------------------------------
+# The elimination step on few rows: fused or not
+# ----------------------------------------------------------------------
+SMALL_SHAPES = ((64, 8), (512, 64), (1_024, 100), (4_095, 256), (4_096, 256))
+
+_ELIMINATE_SMALL = reporter(
+    "kernels_eliminate_small",
+    "GroupBy(dimension join fact) on few rows — aggregated through the "
+    "join vs over its gathered columns, median wall ms, warm",
+    ["fact_rows", "dim_rows", "agg", "eliminate_ms", "join_then_groupby_ms"],
+)
+
+
+def _gathered(relation):
+    """A copy of ``relation`` with every column gathered: the join a
+    GroupBy sees when it is materialized."""
+    return FunctionalRelation(
+        relation.variables, dict(relation.columns), relation.measure,
+        check_fd=False,
+    )
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
+def test_eliminate_small(benchmark, shape):
+    """Below ``DEFER_MIN_ROWS`` (4 096 probe rows, as shipped) the join
+    is built at once and the fused GroupBy is the plain one: the step
+    must cost no more than join then GroupBy."""
+    n, dim_rows = shape
+    fact, dim = _star(n, dim_rows, 0.8, np.random.default_rng(SEED))
+    for agg, semiring in (("sum", SUM_PRODUCT), ("min", MIN_PRODUCT)):
+        cells, answers = [], []
+        for gather in (lambda r: r, _gathered):
+            def kernel():
+                return marginalize(
+                    gather(product_join(dim, fact, semiring)), ("g",),
+                    semiring,
+                )
+            ms, answer = _timed(kernel, 51, cold=False)
+            cells.append(ms)
+            answers.append(answer)
+        assert _same_bytes(*answers)
+        _ELIMINATE_SMALL.add(n, dim_rows, agg, *cells)
+    benchmark.pedantic(kernel, rounds=3)
+
+
+# ----------------------------------------------------------------------
+# Grouped aggregation: scatter or segments
+# ----------------------------------------------------------------------
+AGGREGATE_ROWS = 200_000
+AGGREGATE_GROUPS = (2, 10, 100, 1_000, 20_000, 100_000)
+
+_AGGREGATE = reporter(
+    "kernels_aggregate",
+    "Grouped aggregation over 2e5 rows — scatter by the inverse vs "
+    "segment reduceat over the sorted order, median wall ms",
+    ["semiring", "groups", "scatter_ms", "segment_ms"],
+)
+
+
+@pytest.mark.parametrize("groups", AGGREGATE_GROUPS)
+def test_aggregate_scatter_vs_segment(benchmark, groups):
+    rng = np.random.default_rng(SEED)
+    index = GroupIndex(rng.integers(0, groups, AGGREGATE_ROWS))
+    for semiring, ufunc in ((MIN_PRODUCT, np.minimum),
+                            (LOG_PROB, np.logaddexp),
+                            (BOOLEAN, np.logical_or)):
+        values = (
+            rng.random(AGGREGATE_ROWS) < 0.5 if semiring is BOOLEAN
+            else np.log(rng.random(AGGREGATE_ROWS)) if semiring is LOG_PROB
+            else rng.random(AGGREGATE_ROWS)
+        )
+
+        def scatter():
+            return semiring.aggregate(values, index.inverse, index.n_groups)
+
+        def segment():
+            return ufunc.reduceat(values[index.order], index.starts)
+
+        scatter_ms, by_scatter = _timed(scatter, 15, cold=False)
+        segment_ms, by_segment = _timed(segment, 15, cold=False)
+        assert by_scatter.tobytes() == by_segment.tobytes()
+        _AGGREGATE.add(semiring.name, index.n_groups, scatter_ms, segment_ms)
+    benchmark.pedantic(scatter, rounds=3)

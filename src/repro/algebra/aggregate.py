@@ -14,27 +14,30 @@ FD), marginalizing it out equals plain duplicate-eliminating projection
 — :func:`project_fd` implements that cheaper path.
 
 Both are one pass over a :class:`~repro.algebra.groupindex.GroupIndex`:
-the aggregate is a scatter by the row→group inverse (or a segment
-``reduceat`` over the sorted order), linear in the rows.  Building the
-index is linear too when the group keys are dense — counting instead
-of sorting — so a GroupBy over coded variables costs ``O(n)`` wall
-time, not the ``n log n`` the simulated clock still charges a cold one.
+the aggregate is a scatter by the row→group inverse, linear in the
+rows (``benchmarks/bench_kernels.py``'s ``kernels_aggregate`` table: a
+segment ``reduceat`` over the sorted order wins only at a couple of
+groups, or for ``or`` by ~0.1 ms on 2e5 rows, and loses up to sixfold
+elsewhere).  Building the index is linear too when the group keys are
+dense — counting instead of sorting — so a GroupBy over coded variables
+costs ``O(n)`` wall time, not the ``n log n`` the simulated clock still
+charges a cold one.
 
 **Aggregating through a join.**  The elimination step of VE is "join
 the relations that mention X, then GroupBy X away".  When the join kept
-its probe side (:mod:`repro.algebra.join`) and every group variable
-lives there, the GroupBy never gathers the join's columns: each output
-row of the join *is* one probe row, so the probe relation's own group
-index — a cache hit for a base table on every query after the first —
-already says which group each row falls in; when only some probe rows
-matched, their measures are scattered by those group ids and the groups
-no matched row fell in are dropped.  The join lists its rows in
-ascending probe-row order, a group index is stable, and the scatter
-fold equals the segment fold bit for bit
-(:meth:`~repro.semiring.base.Semiring.aggregate`), so the fused GroupBy
-adds each group's terms in exactly the sequence the materialized one
-would: the two are bit-identical on every semiring, and which one ran
-is a cost decision nothing downstream can observe.
+its inputs' rows (:mod:`repro.algebra.join`) and every group variable
+lives in one input, the GroupBy never gathers the join's columns, over
+a chain of joins as over one: each output row of the join *is* one row
+of that input, so the input's own group index — a cache hit for a base
+table on every query after the first — already says which group each
+row falls in.  The measures are scattered by those group ids and the
+groups no row fell in are dropped.  The join lists its rows in the
+order the materialized join would and a scatter folds each group's
+terms in row order (:meth:`~repro.semiring.base.Semiring
+.aggregate`), so the fused GroupBy adds each group's terms in exactly
+the sequence :func:`marginalize` would on the materialized join: the
+two are bit-identical on every semiring, and which one ran is a cost
+decision nothing downstream can observe.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.algebra.groupindex import GroupIndexCache, group_index
-from repro.algebra.join import _DeferredJoin
+from repro.algebra.join import PROBE_KEEP_FACTOR, _DeferredJoin
 from repro.data.relation import FunctionalRelation
 from repro.errors import FunctionalDependencyError, SchemaError
 from repro.semiring.base import Semiring
@@ -65,12 +68,17 @@ def marginalize(
     variables present in the input (lexicographically ordered), so it
     is a functional relation by construction.
 
-    The group structure (sorted order / first occurrences / inverse)
-    comes from the group-index cache: a repeat marginalization over the
-    same relation instance and key set skips the index build entirely,
-    and semirings with a segment-``reduceat`` fast path aggregate
-    straight over the cached sorted order.  Results are bit-identical
-    either way.  ``cache=None`` uses the process-wide default cache.
+    The group structure (first occurrences / inverse) comes from the
+    group-index cache: a repeat marginalization over the same relation
+    instance and key set skips the index build entirely.
+    ``cache=None`` uses the process-wide default cache.
+
+    A deferred join's rows are rows of its inputs: when one input holds
+    every group variable and enough of its rows matched that indexing
+    all of them is no worse than indexing the matches
+    (:data:`~repro.algebra.join.PROBE_KEEP_FACTOR`), the measures are
+    scattered on that input's own, cacheable group index and the join's
+    columns are never gathered.  The result is the same either way.
     """
     group_names = tuple(group_names)
     unknown = set(group_names) - set(relation.var_names)
@@ -89,37 +97,41 @@ def marginalize(
             name=name,
             check_fd=False,
         )
+    if isinstance(relation, _DeferredJoin):
+        for source, rows in relation.sources:
+            if all(n in source.variables for n in group_names) and (
+                rows is None
+                or len(rows) * PROBE_KEEP_FACTOR >= source.ntuples
+            ):
+                return _aggregate(
+                    source, rows, relation.measure, out_vars, semiring,
+                    name, cache,
+                )
     # Note: grouping on *all* variables is usually the identity (the FD
     # makes every row its own group), but callers may deliberately feed
     # a key-colliding relation to plus-merge duplicates (alter_domain's
     # transfer semantics), so the general path runs unconditionally.
-    source = relation
-    if isinstance(relation, _DeferredJoin) and relation.fuses_group_by(
-        out_vars.names
-    ):
-        # Every join row is one probe row: group on the probe
-        # relation's own (cacheable) index instead of the join's.
-        source = relation.probe
+    return _aggregate(
+        relation, None, relation.measure, out_vars, semiring, name, cache
+    )
+
+
+def _aggregate(source, rows, measure, out_vars, semiring, name, cache):
+    """Aggregate ``measure`` — one value per ``source`` row at
+    ``rows``, every row in order when ``None`` — by the groups of
+    ``source``'s ``out_vars`` columns."""
     gidx = group_index(source, out_vars.names, cache=cache)
-    if source is relation or relation.i_probe is None:
+    if rows is None:
         first_rows = gidx.first_idx
-        measure = semiring.aggregate(
-            relation.measure,
-            gidx.inverse,
-            gidx.n_groups,
-            segments=(gidx.order, gidx.starts),
-        )
+        measure = semiring.aggregate(measure, gidx.inverse, gidx.n_groups)
     else:
-        # Only some probe rows matched: scatter their measures by the
-        # probe index's group ids — in row order, as the segment fold
-        # over a stable sort would — and keep the groups that got one.
-        # Any row of a group carries its key, matched or not.
-        ids = gidx.inverse[relation.i_probe]
+        # Scatter the measures by their rows' group ids — in row order,
+        # as over the materialized join — and keep the groups that got
+        # one.  Any row of a group carries its key.
+        ids = gidx.inverse[rows]
         occupied = np.flatnonzero(np.bincount(ids, minlength=gidx.n_groups))
         first_rows = gidx.first_idx[occupied]
-        measure = semiring.aggregate(relation.measure, ids, gidx.n_groups)[
-            occupied
-        ]
+        measure = semiring.aggregate(measure, ids, gidx.n_groups)[occupied]
     columns = {n: source.columns[n][first_rows] for n in out_vars.names}
     return FunctionalRelation(
         out_vars, columns, measure, name=name, check_fd=False

@@ -8,8 +8,11 @@ the row→group inverse (the FAQ framing: a factor is a tensor over a
 bounded index space, marginalization an axis reduction, and the axis
 layout is reusable).
 
-Keys are mixed-radix codes, so their span is known and usually no
-larger than the row count.  On such *dense* keys
+Keys that already strictly increase — a GroupBy's output keyed on its
+own group variables — are their own group structure: every field is the
+identity, built in one check.  Otherwise keys are mixed-radix codes, so
+their span is known and usually no larger than the row count.  On such
+*dense* keys
 (:func:`repro.data.encoding.dense_key_counts`) the structure is built
 by counting — ``bincount``, prefix sums, and a radix sort of the group
 ids — in time linear in the rows; sparse, oversized or non-integer keys
@@ -101,6 +104,18 @@ def _counted_fields(
     return order, starts, order[starts], inverse, unique_keys
 
 
+def _strictly_increasing(keys: np.ndarray) -> bool:
+    """Whether ``keys`` are non-empty and strictly increasing — checked
+    on a short prefix first, so unordered keys are turned away in
+    constant time."""
+    head = keys[:16]
+    return (
+        len(keys) > 0
+        and bool((head[1:] > head[:-1]).all())
+        and bool((keys[1:] > keys[:-1]).all())
+    )
+
+
 def _radix_argsort(ids: np.ndarray, bound: int) -> np.ndarray:
     """Stable argsort of int64 ``ids`` in ``[0, bound)``.
 
@@ -141,8 +156,12 @@ class GroupIndex:
     )
 
     def __init__(self, keys: np.ndarray):
-        dense = dense_key_counts(keys)
-        if dense is not None:
+        if _strictly_increasing(keys):
+            # Every row its own group, already in key order — a
+            # GroupBy's output over its own keys: the identity.
+            identity = np.arange(len(keys), dtype=np.int64)
+            fields = (identity,) * 4 + (keys,)
+        elif (dense := dense_key_counts(keys)) is not None:
             fields = _counted_fields(keys, *dense)
         elif len(keys):
             fields = _sorted_fields(keys)

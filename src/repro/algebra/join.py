@@ -35,16 +35,21 @@ function of the two inputs alone.
 
 **Late materialization.**  A large join with a build side returns a
 relation whose measure is computed (so errors surface at the call) but
-whose columns are gathered on first access: ``ntuples``, ``arity``,
-``var_names`` and ``fingerprint`` never touch them, and a fully matched
-probe side's columns pass through as read-only views.  A GroupBy over
-such a relation whose group variables all live on the probe side never
-gathers them at all (:mod:`repro.algebra.aggregate`): it aggregates on
-the probe relation's own rows.  The materialized form lists the same
-rows in the same order, so nothing downstream can tell which happened.
+whose columns are gathered one at a time, on first access: ``ntuples``,
+``arity``, ``var_names`` and ``fingerprint`` never touch them, a fully
+matched probe side's columns pass through as read-only views, and a
+join over such a relation reads only its key columns and composes the
+row indices of its inputs instead of gathering them.  A GroupBy over it
+(:func:`repro.algebra.aggregate.marginalize`) aggregates on the rows
+of the input that holds the group variables, never gathering the
+join's.  The materialized form
+lists the same rows in the same order, so nothing downstream can tell
+which happened.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -141,54 +146,40 @@ def _match_indices(
                     left_keys, gidx, *span
                 )
                 return i_left, partner, left
+        # Each left key's run of equal right keys: their lengths decide
+        # whether the left side may build instead.
+        lo, counts = _runs(left_keys, gidx, n_right)
+        if (
+            either_side_probes
+            and n_left < n_right
+            and n_right >= DEFER_MIN_ROWS
+            and int(counts.sum()) * PROBE_KEEP_FACTOR >= n_right
+        ):
+            # Enough right rows match: see whether the smaller left
+            # side can build instead.
+            build = group_index(left, shared_names, cache=cache)
+            if build.n_groups == n_left:
+                span = _dense_unique_span(build, n_right)
+                if span is not None:
+                    right_keys = _mixed_radix(
+                        [right.columns[n] for n in shared_names], sizes
+                    )
+                    i_right, partner = _direct_address_probe(
+                        right_keys, build, *span
+                    )
+                    return partner, i_right, right
         order = gidx.order
-        # Locate each probe key's run via the distinct sorted keys:
-        # starts[j]..starts[j+1] is exactly the searchsorted lo..hi
-        # over the full sorted key column.
-        starts_ext = np.concatenate(
-            (gidx.starts, np.asarray([n_right], dtype=np.int64))
-        )
-        pos = np.searchsorted(gidx.unique_keys, left_keys, side="left")
-        found = pos < gidx.n_groups
-        matched = np.zeros(n_left, dtype=bool)
-        matched[found] = gidx.unique_keys[pos[found]] == left_keys[found]
-        lo = np.where(matched, starts_ext[np.minimum(pos, gidx.n_groups)], 0)
-        hi = np.where(
-            matched, starts_ext[np.minimum(pos + 1, gidx.n_groups)], 0
-        )
     else:
         left_keys, right_keys = encode_rows_pair(
             [left.columns[n] for n in shared_names],
             [right.columns[n] for n in shared_names],
             sizes,
         )
-        gidx = None
         order = np.argsort(right_keys, kind="stable")
         sorted_keys = right_keys[order]
         lo = np.searchsorted(sorted_keys, left_keys, side="left")
-        hi = np.searchsorted(sorted_keys, left_keys, side="right")
-    counts = hi - lo
+        counts = np.searchsorted(sorted_keys, left_keys, side="right") - lo
     total = int(counts.sum())
-    if (
-        either_side_probes
-        and gidx is not None
-        and n_left < n_right
-        and n_right >= DEFER_MIN_ROWS
-        and total * PROBE_KEEP_FACTOR >= n_right
-    ):
-        # The right side's runs are known; before expanding them, see
-        # whether the smaller left side can build instead.
-        build = group_index(left, shared_names, cache=cache)
-        if build.n_groups == n_left:
-            span = _dense_unique_span(build, n_right)
-            if span is not None:
-                right_keys = _mixed_radix(
-                    [right.columns[n] for n in shared_names], sizes
-                )
-                i_right, partner = _direct_address_probe(
-                    right_keys, build, *span
-                )
-                return partner, i_right, right
     i_left = np.repeat(np.arange(n_left, dtype=np.int64), counts)
     if total == 0:
         return i_left, np.empty(0, dtype=np.int64), None
@@ -196,6 +187,39 @@ def _match_indices(
     offsets = np.arange(total, dtype=np.int64) - run_starts
     i_right = order[np.repeat(lo, counts) + offsets]
     return i_left, i_right, None
+
+
+def _runs(
+    keys: np.ndarray, gidx: GroupIndex, n_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, counts)``: where each key's run of equal keys starts in
+    ``gidx.order``, and its length — 0 when the key is absent.
+
+    Looked up in tables over the index's key span when building them
+    costs less than a binary search per key, searched otherwise.
+    """
+    n_groups = gidx.n_groups
+    if not n_groups:
+        zeros = np.zeros(len(keys), dtype=np.int64)
+        return zeros, zeros
+    lengths = np.diff(gidx.starts, append=n_rows)
+    low = int(gidx.unique_keys[0])
+    span = int(gidx.unique_keys[-1]) - low + 1
+    if span + n_groups <= len(keys) * n_groups.bit_length():
+        # Slot k + 1 describes key low + k; the end slots, where keys
+        # outside the span are clipped, describe no run.
+        slots = gidx.unique_keys - (low - 1)
+        at = np.clip(keys - (low - 1), 0, span + 1)
+        table = np.zeros(span + 2, dtype=np.int64)
+        table[slots] = lengths
+        counts = table[at]
+        table[slots] = gidx.starts
+        return table[at], counts
+    pos = np.searchsorted(gidx.unique_keys, keys)
+    np.minimum(pos, n_groups - 1, out=pos)
+    counts = lengths[pos]
+    counts[gidx.unique_keys[pos] != keys] = 0
+    return gidx.starts[pos], counts
 
 
 def _dense_unique_span(gidx: GroupIndex, rows: int) -> tuple[int, int] | None:
@@ -213,89 +237,130 @@ def _direct_address_probe(
 
     The functional / foreign-key join that chain and star views are
     made of: each probe row has at most one partner, so one ``take``
-    replaces the binary search and the run expansion.  Slot ``k + 1``
-    holds the build row whose key is ``low + k``; the two end slots
-    stay ``-1`` and catch, by clipping, every probe key outside the
-    build side's span.  Returns ``(i_probe, partner)`` in ascending
-    probe-row order, ``i_probe=None`` when every probe row matched.
+    replaces the binary search and the run expansion.  Slot ``k`` of
+    the table holds the build row whose key is ``k - base``; the end
+    slot stays ``-1`` and catches, by clipping, every probe key above
+    the build side's span.  Keys are codes, never negative, so when
+    the span starts near zero the table starts at zero (``base = 0``)
+    and the probe keys index it as they are; otherwise a ``-1`` slot
+    below the span catches the keys under it.  Returns ``(i_probe,
+    partner)`` in ascending probe-row order, ``i_probe=None`` when
+    every probe row matched.
     """
-    table = np.full(span + 2, -1, dtype=np.int64)
-    table[gidx.unique_keys - (low - 1)] = gidx.first_idx
-    partner = table.take(probe_keys - (low - 1), mode="clip")
-    i_probe = np.flatnonzero(partner >= 0)
-    if len(i_probe) == len(partner):
+    base = 0 if low <= span else low - 1
+    if base:
+        probe_keys = probe_keys - base
+    table = np.full(low + span + 1 - base, -1, dtype=np.int64)
+    table[gidx.unique_keys - base] = gidx.first_idx
+    partner = table.take(probe_keys, mode="clip")
+    matched = partner >= 0
+    if matched.all():
         return None, partner
+    i_probe = np.flatnonzero(matched)
     return i_probe, partner[i_probe]
 
 
 class _DeferredJoin(FunctionalRelation):
     """A join result whose columns are gathered on first access.
 
-    Every output row is one probe row (``i_probe``, ascending; ``None``
-    for all of them) with its one build-side partner (``i_build``).  The
-    measure is computed by the join; the columns are whatever a plain
-    relation built from the same indices would hold, so every inherited
+    Every output row is one row of each of its ``sources`` — ``(input,
+    rows)`` pairs, ``rows`` the input's row of every output row, or
+    ``None`` for all of them in order.  The first source is the probe
+    side, its rows ascending; the others were probed, one partner row
+    each.  A join over a deferred join composes its sources instead of
+    gathering them, so the inputs are always plain relations and a
+    chain of joins is still one probe relation plus its partners.
+
+    The measure is computed by the join; each column is gathered when
+    first read (:class:`_GatheredColumns`) and holds what a plain
+    relation built from the same indices would, so every inherited
     method works unchanged and returns plain relations.  Built only by
     :func:`_combined_join`, from validated inputs, which is why it
     skips the public constructor's checks.
     """
 
-    __slots__ = ("_columns", "probe", "i_probe", "_build", "_i_build")
+    __slots__ = ("_columns", "sources")
 
-    def __init__(
-        self, variables, measure, name, probe, i_probe, build, i_build
-    ):
+    def __init__(self, variables, measure, name, sources):
         self.variables = variables
         self.measure = np.asarray(measure)
         self.name = name
         self.measure_name = "f"
         self._fingerprint = next(_FINGERPRINTS)
+        self.sources = sources
         self._columns = None
-        self.probe = probe
-        self.i_probe = i_probe
-        self._build = build
-        self._i_build = i_build
 
     @property
-    def columns(self) -> dict[str, np.ndarray]:
+    def columns(self) -> "_GatheredColumns":
         if self._columns is None:
-            self._columns = _gather_columns(
-                self.variables, self.probe, self.i_probe,
-                self._build, self._i_build,
-            )
-            # The probe side stays: a GroupBy fuses whether or not
-            # anyone has looked at the columns.  The build side is done.
-            self._build = self._i_build = None
+            self._columns = _GatheredColumns(self.variables, self.sources)
         return self._columns
 
-    def fuses_group_by(self, group_names: tuple[str, ...]) -> bool:
-        """Whether a GroupBy on ``group_names`` can aggregate on the
-        probe relation's rows: every group variable lives there, and
-        enough probe rows matched that indexing all of them is no worse
-        than indexing the matches."""
-        return (
-            self.ntuples * PROBE_KEEP_FACTOR >= self.probe.ntuples
-            and all(n in self.probe.variables for n in group_names)
-        )
+
+class _GatheredColumns(Mapping):
+    """A deferred join's columns, each gathered from its source on
+    first read: a join over it, or a GroupBy on a few variables, never
+    touches the others."""
+
+    __slots__ = ("_owner", "_done")
+
+    def __init__(self, variables, sources):
+        self._owner = {}
+        for v in variables:
+            self._owner[v.name] = next(
+                (relation, rows) for relation, rows in sources
+                if v.name in relation.variables
+            )
+        self._done: dict[str, np.ndarray] = {}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        column = self._done.get(name)
+        if column is None:
+            relation, rows = self._owner[name]
+            column = self._done[name] = _gather(relation, name, rows)
+        return column
+
+    def __iter__(self):
+        return iter(self._owner)
+
+    def __len__(self) -> int:
+        return len(self._owner)
+
+
+def _gather(relation, name, rows):
+    """``relation``'s column ``name`` at ``rows`` (all of it, ungathered,
+    when ``None``)."""
+    if rows is not None:
+        return relation.columns[name][rows]
+    # Relations are immutable, so the output may share the input's
+    # columns (as with_measure does); a read-only view keeps a careless
+    # writer from reaching the input through the output.
+    column = relation.columns[name].view()
+    column.flags.writeable = False
+    return column
 
 
 def _gather_columns(variables, probe, i_probe, other, i_other):
     """Output columns of a join: ``probe`` rows ``i_probe`` (all of
     them, ungathered, when ``None``) beside ``other`` rows ``i_other``."""
-    columns: dict[str, np.ndarray] = {}
-    for v in variables:
-        if v.name not in probe.variables:
-            columns[v.name] = other.columns[v.name][i_other]
-        elif i_probe is None:
-            # Relations are immutable, so the output may share the
-            # probe side's columns (as with_measure does); a read-only
-            # view keeps a careless writer from reaching the input
-            # through the output.
-            columns[v.name] = probe.columns[v.name].view()
-            columns[v.name].flags.writeable = False
-        else:
-            columns[v.name] = probe.columns[v.name][i_probe]
-    return columns
+    return {
+        v.name: _gather(probe, v.name, i_probe) if v.name in probe.variables
+        else other.columns[v.name][i_other]
+        for v in variables
+    }
+
+
+def _sources(relation, rows):
+    """``relation`` at ``rows`` as deferred-join sources, composing the
+    sources of a relation that is itself deferred."""
+    if not isinstance(relation, _DeferredJoin):
+        return ((relation, rows),)
+    if rows is None:
+        return relation.sources
+    return tuple(
+        (source, rows if inner is None else inner[rows])
+        for source, inner in relation.sources
+    )
 
 
 def _combined_join(
@@ -314,11 +379,13 @@ def _combined_join(
         right.measure if i_right is None else right.measure[i_right],
     )
     if probe is not None and probe.ntuples >= DEFER_MIN_ROWS:
-        sides = (
-            (left, i_left, right, i_right) if probe is left
-            else (right, i_right, left, i_left)
+        sides = ((left, i_left), (right, i_right))
+        if probe is right:
+            sides = sides[::-1]
+        return _DeferredJoin(
+            out_vars, measure, name,
+            _sources(*sides[0]) + _sources(*sides[1]),
         )
-        return _DeferredJoin(out_vars, measure, name, *sides)
     columns = _gather_columns(out_vars, left, i_left, right, i_right)
     return FunctionalRelation(
         out_vars, columns, measure, name=name, check_fd=False

@@ -68,7 +68,7 @@ from repro.plans.scheduler import (
 )
 from repro.semiring.base import Semiring
 from repro.storage.buffer import BufferPool
-from repro.storage.heapfile import HeapFile, TempFileAllocator
+from repro.storage.heapfile import HeapFile
 from repro.storage.iostats import IOStats
 from repro.storage.page import PageGeometry
 from repro.storage.partition import (
@@ -200,7 +200,6 @@ class ExecutionContext:
         self.memo: dict[tuple, FunctionalRelation] = {}
         self._memo_reads: dict[tuple, frozenset[str]] = {}
         self._memo_nodes: dict[tuple, PlanNode] = {}
-        self._temp = TempFileAllocator()
         self._adhoc_files: dict[str, HeapFile] = {}
 
     # ------------------------------------------------------------------
@@ -285,10 +284,14 @@ class ExecutionContext:
         if self.catalog is not None and table in self.catalog:
             return self.catalog.heapfile(table)
         if table not in self._adhoc_files:
-            self._adhoc_files[table] = self._temp.allocate(
+            self._adhoc_files[table] = self.temp_file(
                 relation.ntuples, relation.arity
             )
         return self._adhoc_files[table]
+
+    def temp_file(self, ntuples: int, arity: int) -> HeapFile:
+        """A temporary heap file, its id drawn from the pool."""
+        return HeapFile(self.pool.temp_file_id(), ntuples, arity)
 
     def maybe_spill(self, relation: FunctionalRelation) -> None:
         """Charge a materialization write when a result exceeds work-mem.
@@ -303,7 +306,7 @@ class ExecutionContext:
         if self.guard is not None:
             self.guard.admit_pages(pages)
         if pages > self.workmem_pages:
-            temp = self._temp.allocate(relation.ntuples, relation.arity)
+            temp = self.temp_file(relation.ntuples, relation.arity)
             temp.write_out(self.pool, self.stats, guard=self.guard)
 
     def record_degradation(self, node: PlanNode, description: str) -> None:
@@ -652,15 +655,19 @@ def _repartition(ctx, relation, key, shards, producer_tasks, side):
     Every shard is written out and read back through the pool (spill
     writes + re-reads on the cost clock, WAL page records when a log
     is attached), one schedule task per shard, each depending on all
-    of the side's producer tasks — a repartition is a barrier.
+    of the side's producer tasks — a repartition is a barrier.  Read
+    back, a shard's file is dropped from the pool: temporary ids are
+    never reused, so a long-lived pool would otherwise fill with spent
+    shards until the LRU pushed them out.
     """
     parts = partition_relation(relation, key, shards)
     thunks = []
     for part in parts:
         def shuffle(part=part):
-            temp = ctx._temp.allocate(part.ntuples, part.arity)
+            temp = ctx.temp_file(part.ntuples, part.arity)
             temp.write_out(ctx.pool, ctx.stats, guard=ctx.guard)
             temp.scan(ctx.pool, ctx.stats, guard=ctx.guard)
+            temp.drop(ctx.pool)
             return temp.n_pages
 
         thunks.append(shuffle)

@@ -59,16 +59,6 @@ class Semiring:
         Optional unbuffered scatter-reduce ``op.at(out, idx, vals)``
         used for fast grouped aggregation.  When omitted, grouped
         aggregation falls back to a sort-based segment reduction.
-    plus_reduceat:
-        Optional ufunc whose ``reduceat`` implements ``plus`` over
-        contiguous segments.  When the caller supplies a precomputed
-        sorted order (see :meth:`aggregate`'s ``segments``), the
-        aggregation runs as one ``reduceat`` over the sorted values —
-        no scatter, no re-sort.  Only safe for semirings where the
-        segment fold is bit-identical to the scatter fold: idempotent
-        ``plus`` (min/max/or — order-free and exact) and ``logaddexp``
-        (``logaddexp(zero, v) == v`` exactly, and both folds apply the
-        same operations in the same order over a stable sort).
     idempotent_plus:
         Whether ``plus(a, a) == a`` (true for min/max semirings).
         Idempotent aggregation tolerates duplicated propagation, which
@@ -90,7 +80,6 @@ class Semiring:
         dtype=np.float64,
         divide: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
         plus_at: Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None = None,
-        plus_reduceat: np.ufunc | None = None,
         idempotent_plus: bool = False,
         idempotent_times: bool = False,
     ):
@@ -102,7 +91,6 @@ class Semiring:
         self.dtype = np.dtype(dtype)
         self._divide = divide
         self._plus_at = plus_at
-        self._plus_reduceat = plus_reduceat
         self.idempotent_plus = idempotent_plus
         self.idempotent_times = idempotent_times
 
@@ -147,32 +135,19 @@ class Semiring:
         values: np.ndarray,
         group_ids: np.ndarray,
         n_groups: int,
-        segments: "tuple[np.ndarray, np.ndarray] | None" = None,
     ) -> np.ndarray:
         """Reduce ``values`` with ``plus`` within each group.
 
         ``group_ids`` assigns every value to a group in
         ``range(n_groups)``; the result has one reduced measure per
-        group (groups with no members get the additive identity).
-
-        ``segments`` optionally supplies a precomputed ``(order,
-        starts)`` pair — a stable argsort of ``group_ids`` and the
-        start offset of each group's run, with every group non-empty
-        (the shape a cached :class:`~repro.algebra.groupindex
-        .GroupIndex` provides).  Semirings with a ``plus_reduceat``
-        ufunc then aggregate as one segment ``reduceat`` over the
-        pre-sorted values, skipping both the scatter and any re-sort;
-        the result is bit-identical to the scatter path.
+        group (groups with no members get the additive identity).  Each
+        group's values are folded in the order they come, so the result
+        equals a segment fold over any stable sort of ``group_ids``.
         """
         values = np.asarray(values, dtype=self.dtype)
         out = self.zeros(n_groups)
         if len(values) == 0:
             return out
-        if segments is not None and self._plus_reduceat is not None:
-            order, starts = segments
-            return self._plus_reduceat.reduceat(
-                values[order], starts
-            ).astype(self.dtype, copy=False)
         if self._plus_at is not None:
             self._plus_at(out, group_ids, values)
             return out

@@ -84,7 +84,6 @@ MIN_SUM = Semiring(
     dtype=np.float64,
     divide=_tropical_subtract,
     plus_at=np.minimum.at,
-    plus_reduceat=np.minimum,
     idempotent_plus=True,
 )
 """(R∪{∞}, min, +): additive costs; ``MIN`` aggregate."""
@@ -98,7 +97,6 @@ MAX_SUM = Semiring(
     dtype=np.float64,
     divide=_tropical_subtract,
     plus_at=np.maximum.at,
-    plus_reduceat=np.maximum,
     idempotent_plus=True,
 )
 """(R∪{-∞}, max, +): additive rewards; ``MAX`` aggregate."""
@@ -110,13 +108,19 @@ def _minprod_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     semiring; IEEE's 0·∞ = NaN would break distributivity at
     (0, 0, ∞).
     """
-    a, b = np.broadcast_arrays(
-        np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    )
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        out = a * b
-    either_inf = np.isinf(a) | np.isinf(b)
-    return np.where(either_inf, np.inf, out)
+        out = np.asarray(a * b)
+    # An infinite factor makes the product infinite or NaN, never
+    # finite: only the few non-finite products need a second look.
+    odd = ~np.isfinite(out)
+    if odd.any():
+        a, b = np.broadcast_arrays(a, b)
+        out[odd] = np.where(
+            np.isinf(a[odd]) | np.isinf(b[odd]), np.inf, out[odd]
+        )
+    return out
 
 
 def _minprod_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -139,7 +143,6 @@ MIN_PRODUCT = Semiring(
     dtype=np.float64,
     divide=_minprod_divide,
     plus_at=np.minimum.at,
-    plus_reduceat=np.minimum,
     idempotent_plus=True,
 )
 """([0, ∞], min, ×): multiplicative overheads; ``MIN`` aggregate."""
@@ -153,10 +156,15 @@ MAX_PRODUCT = Semiring(
     dtype=np.float64,
     divide=_safe_divide,
     plus_at=np.maximum.at,
-    plus_reduceat=np.maximum,
     idempotent_plus=True,
 )
 """(R≥0, max, ×): most-probable-explanation queries; ``MAX`` aggregate."""
+
+def _or_at(out: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
+    """``logical_or.at`` as ``maximum.at`` over the bytes: or is max on
+    {0, 1}, and NumPy has a fast indexed loop for the latter only."""
+    np.maximum.at(out.view(np.uint8), indices, values.view(np.uint8))
+
 
 BOOLEAN = Semiring(
     name="boolean",
@@ -166,8 +174,7 @@ BOOLEAN = Semiring(
     one=True,
     dtype=np.bool_,
     divide=None,
-    plus_at=np.logical_or.at,
-    plus_reduceat=np.logical_or,
+    plus_at=_or_at,
     idempotent_plus=True,
     idempotent_times=True,
 )
@@ -182,7 +189,6 @@ LOG_PROB = Semiring(
     dtype=np.float64,
     divide=_tropical_subtract,
     plus_at=np.logaddexp.at,
-    plus_reduceat=np.logaddexp,
 )
 """(R∪{-∞}, logaddexp, +): sum-product in log space.
 

@@ -13,7 +13,7 @@ from repro.storage.faults import (
     WorkerFaultInjector,
     read_with_retry,
 )
-from repro.storage.heapfile import HeapFile, TempFileAllocator
+from repro.storage.heapfile import HeapFile
 from repro.storage.iostats import IOStats
 from repro.storage.journal import (
     StepJournal,
@@ -47,7 +47,6 @@ __all__ = [
     "BufferPool",
     "DEFAULT_POOL_PAGES",
     "HeapFile",
-    "TempFileAllocator",
     "IOStats",
     "PageGeometry",
     "PageId",

@@ -3,13 +3,11 @@
 A :class:`HeapFile` records the page layout of one relation and knows
 how to charge a sequential scan or a bulk write through the buffer
 pool.  Base relations get heap files from the catalog; executors create
-temporary heap files for intermediates that exceed the in-memory
-workspace.
+temporary heap files (with ids from :meth:`BufferPool.temp_file_id`)
+for intermediates that exceed the in-memory workspace.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from repro.data.relation import FunctionalRelation
 from repro.storage.buffer import BufferPool
@@ -17,7 +15,7 @@ from repro.storage.faults import read_with_retry
 from repro.storage.iostats import IOStats
 from repro.storage.page import DEFAULT_PAGE_SIZE, PageGeometry, PageId
 
-__all__ = ["HeapFile", "TempFileAllocator", "GUARD_CHECK_INTERVAL_PAGES"]
+__all__ = ["HeapFile", "GUARD_CHECK_INTERVAL_PAGES"]
 
 # A scan re-checks its QueryGuard every this many pages — the "row
 # batch" granularity of cooperative cancellation and deadlines.
@@ -48,31 +46,43 @@ class HeapFile:
     ) -> "HeapFile":
         return cls(file_id, relation.ntuples, relation.arity, page_size)
 
+    def _runs(self, stats: IOStats, guard):
+        """``(start, n)`` page runs, checking ``guard`` before each.
+
+        One run per :data:`GUARD_CHECK_INTERVAL_PAGES` pages under a
+        guard, so deadline / cancellation fire mid-scan, not only
+        between operators; the whole file otherwise.
+        """
+        step = self.n_pages if guard is None else GUARD_CHECK_INTERVAL_PAGES
+        for start in range(0, self.n_pages, step):
+            if guard is not None:
+                guard.check(stats)
+            yield start, min(step, self.n_pages - start)
+
     def scan(
         self, pool: BufferPool, stats: IOStats, guard=None
     ) -> None:
         """Charge a full sequential scan.
 
         Transient page faults (see :mod:`repro.storage.faults`) are
-        retried with backoff; ``guard`` supplies the retry budget and
-        is re-checked every :data:`GUARD_CHECK_INTERVAL_PAGES` pages so
-        deadline / cancellation fire mid-scan, not only between
-        operators.
+        retried with backoff; ``guard`` supplies the retry budget.
+        Faults are drawn per page, so a pool with an injector attached
+        is read page by page; otherwise a run at a time.
         """
-        for page_no in range(self.n_pages):
-            if guard is not None and page_no % GUARD_CHECK_INTERVAL_PAGES == 0:
-                guard.check(stats)
-            read_with_retry(
-                pool, PageId(self.file_id, page_no), stats, guard=guard
-            )
+        for start, n in self._runs(stats, guard):
+            if pool.injector is None:
+                pool.read_run(self.file_id, start, n, stats)
+                continue
+            for page_no in range(start, start + n):
+                read_with_retry(
+                    pool, PageId(self.file_id, page_no), stats, guard=guard
+                )
         stats.charge_cpu(self.ntuples)
 
     def write_out(self, pool: BufferPool, stats: IOStats, guard=None) -> None:
         """Charge a bulk write of the whole file."""
-        for page_no in range(self.n_pages):
-            if guard is not None and page_no % GUARD_CHECK_INTERVAL_PAGES == 0:
-                guard.check(stats)
-            pool.write(PageId(self.file_id, page_no), stats)
+        for start, n in self._runs(stats, guard):
+            pool.write_run(self.file_id, start, n, stats)
         stats.charge_cpu(self.ntuples)
 
     def drop(self, pool: BufferPool) -> None:
@@ -83,18 +93,3 @@ class HeapFile:
             f"HeapFile(id={self.file_id}, tuples={self.ntuples}, "
             f"pages={self.n_pages})"
         )
-
-
-class TempFileAllocator:
-    """Hands out unique negative file ids for temporary spills."""
-
-    def __init__(self):
-        self._counter = itertools.count(1)
-
-    def allocate(
-        self,
-        ntuples: int,
-        arity: int,
-        page_size: int = DEFAULT_PAGE_SIZE,
-    ) -> HeapFile:
-        return HeapFile(-next(self._counter), ntuples, arity, page_size)

@@ -85,6 +85,34 @@ def assert_dense_sort_unique_agree(keys):
     return dense
 
 
+class TestIncreasingKeys:
+    """Strictly increasing keys — a GroupBy's output over its own group
+    variables — are their own group structure, built in one check."""
+
+    @pytest.mark.parametrize("keys", [
+        [7], [0, 1, 2, 3], list(range(0, 300, 3)), [5, 9, 10, 2_000_000],
+    ], ids=["one", "dense", "strided", "sparse"])
+    def test_identity_fields_equal_the_other_builds(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        gidx = assert_dense_sort_unique_agree(keys)
+        identity = np.arange(len(keys))
+        for field in ("order", "starts", "first_idx", "inverse"):
+            assert np.array_equal(getattr(gidx, field), identity)
+
+    @pytest.mark.parametrize("at", [1, 15, 16, 40, 99])
+    def test_one_repeat_anywhere_is_not_the_identity(self, at):
+        # The check looks at a short prefix first; a repeat past it
+        # must still be seen.
+        keys = np.arange(100, dtype=np.int64)
+        keys[at] = keys[at - 1]
+        gidx = assert_dense_sort_unique_agree(keys)
+        assert gidx.n_groups == 99
+
+    def test_decreasing_keys_are_not_the_identity(self):
+        gidx = assert_dense_sort_unique_agree(np.arange(50, 0, -1))
+        assert np.array_equal(gidx.order, np.arange(49, -1, -1))
+
+
 class TestDenseKeys:
     """The counting build is the sort build, bit for bit."""
 

@@ -2,9 +2,10 @@
 
 A join with a unique, dense build side returns a relation whose columns
 are gathered on first access, and a GroupBy whose group variables live
-on the probe side aggregates on the probe relation's own rows.  Nothing
-may be able to tell: the fused GroupBy equals the materialized one byte
-for byte on every builtin semiring, whatever touched the join first.
+in one of the join's inputs aggregates on that input's own rows.
+Nothing may be able to tell: the fused GroupBy equals the materialized
+one byte for byte on every builtin semiring, whatever touched the join
+first.
 
 ``DEFER_MIN_ROWS`` is patched to 0 so the few-row relations Hypothesis
 draws take the paths large ones take as shipped; patched to a huge
@@ -166,9 +167,9 @@ class TestFusedEqualsMaterialized:
         deferred = isinstance(joined, join._DeferredJoin)
         event(f"deferred={deferred}")
         if deferred:
-            event(f"probe_is_left={joined.probe is left}")
-            event(f"all_matched={joined.i_probe is None}")
-            event(f"fuses={joined.fuses_group_by(group_names)}")
+            probe, i_probe = joined.sources[0]
+            event(f"probe_is_left={probe is left}")
+            event(f"all_matched={i_probe is None}")
         fused = marginalize(
             joined, group_names, semiring, cache=GroupIndexCache()
         )
@@ -192,7 +193,10 @@ class TestFusedEqualsMaterialized:
         # Same function; the same rows in the same order whenever the
         # left side probed, which it always does in the eager join.
         assert joined.equals(eager, semiring) or joined.ntuples == 0
-        if not isinstance(joined, join._DeferredJoin) or joined.probe is left:
+        if (
+            not isinstance(joined, join._DeferredJoin)
+            or joined.sources[0][0] is left
+        ):
             _assert_same_bytes(joined, eager)
 
     @_SETTINGS
@@ -236,15 +240,15 @@ class TestFusedEqualsMaterialized:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def gathers(monkeypatch):
-    """Counts column materializations of deferred joins."""
+    """Names the columns deferred joins gather, one entry per gather."""
     calls = []
-    real = join._gather_columns
+    real = join._gather
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(relation, name, rows):
+        calls.append(name)
+        return real(relation, name, rows)
 
-    monkeypatch.setattr(join, "_gather_columns", spy)
+    monkeypatch.setattr(join, "_gather", spy)
     return calls
 
 
@@ -274,8 +278,9 @@ class TestDeferredJoin:
         sides = (dim, fact) if dim_on_the_left else (fact, dim)
         joined = product_join(*sides, SUM_PRODUCT)
         assert isinstance(joined, join._DeferredJoin)
-        assert joined.probe is fact
-        assert (joined.i_probe is None) == (match == 1.0)
+        probe, i_probe = joined.sources[0]
+        assert probe is fact
+        assert (i_probe is None) == (match == 1.0)
         assert joined.ntuples == int(np.isin(fact.columns["k"],
                                              dim.columns["k"]).sum())
         assert joined.arity == 2 and set(joined.var_names) == {"k", "g"}
@@ -290,9 +295,9 @@ class TestDeferredJoin:
         _assert_same_bytes(
             out, marginalize(_plain(joined), ("g",), SUM_PRODUCT)
         )
-        assert len(gathers) == 1
+        assert sorted(gathers) == ["g", "k"]
         joined.columns
-        assert len(gathers) == 1
+        assert sorted(gathers) == ["g", "k"]
 
     def test_group_variable_on_the_build_side_materializes(
         self, rng, gathers
@@ -305,13 +310,31 @@ class TestDeferredJoin:
         )
         joined = product_join(fact, dim, MIN_PRODUCT)
         assert isinstance(joined, join._DeferredJoin)
-        assert not joined.fuses_group_by(("z",))
-        assert not joined.fuses_group_by(("g", "z"))
-        assert joined.fuses_group_by(("k", "g"))
+        # z and g live in different inputs: their columns are gathered
+        # and indexed like any relation's, and only theirs.
         out = marginalize(joined, ("z", "g"), MIN_PRODUCT)
-        assert len(gathers) == 1
+        assert sorted(gathers) == ["g", "z"]
         _assert_same_bytes(
             out, marginalize(_plain(joined), ("z", "g"), MIN_PRODUCT)
+        )
+
+    def test_group_variable_of_one_build_side_aggregates_there(
+        self, rng, gathers
+    ):
+        k, z = var("k", 40), var("z", 3)
+        fact, _ = _fact_and_dimension(rng)
+        dim = FunctionalRelation(
+            [k, z], {"k": np.arange(40), "z": np.arange(40) % 3},
+            rng.random(40) + 0.5,
+        )
+        joined = product_join(fact, dim, SUM_PRODUCT)
+        # Every join row has one dim partner: the dim's own index says
+        # which z group it falls in.
+        out = marginalize(joined, ("z",), SUM_PRODUCT)
+        assert gathers == []
+        assert DEFAULT_GROUP_INDEX_CACHE.contains(dim, ("z",))
+        _assert_same_bytes(
+            out, marginalize(_plain(joined), ("z",), SUM_PRODUCT)
         )
 
     def test_few_matches_keep_the_run_expanding_join(self, rng, gathers):
@@ -330,10 +353,11 @@ class TestDeferredJoin:
         fact, dim = _fact_and_dimension(rng, match=0.05)
         joined = product_join(fact, dim, SUM_PRODUCT)
         assert isinstance(joined, join._DeferredJoin)
-        assert joined.probe is fact
-        assert not joined.fuses_group_by(("g",))
+        assert joined.sources[0][0] is fact
+        # Indexing every fact row to group the few matches would cost
+        # more than indexing the matches: the g column is gathered.
         out = marginalize(joined, ("g",), SUM_PRODUCT)
-        assert len(gathers) == 1
+        assert gathers == ["g"]
         assert not DEFAULT_GROUP_INDEX_CACHE.contains(fact, ("g",))
         _assert_same_bytes(
             out, marginalize(_plain(joined), ("g",), SUM_PRODUCT)

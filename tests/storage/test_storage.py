@@ -11,7 +11,6 @@ from repro.storage import (
     IOStats,
     PageGeometry,
     PageId,
-    TempFileAllocator,
 )
 
 
@@ -196,12 +195,42 @@ class TestHeapFile:
 
 
 class TestTempAllocator:
+    """Temporary file ids come from the pool, one sequence per pool."""
+
     def test_unique_negative_ids(self):
-        alloc = TempFileAllocator()
-        a = alloc.allocate(10, 1)
-        b = alloc.allocate(10, 1)
-        assert a.file_id != b.file_id
-        assert a.file_id < 0 and b.file_id < 0
+        pool = BufferPool()
+        a, b = pool.temp_file_id(), pool.temp_file_id()
+        assert a != b
+        assert a < 0 and b < 0
+
+    def test_warmed_temp_pages_are_never_handed_out_again(self):
+        # A recovered pool re-admits the checkpoint's resident pages,
+        # temporary ones included: new spills must not land on them.
+        pool = BufferPool()
+        pool.warm([PageId(3, 0), PageId(-7, 2), PageId(-4, 0)])
+        assert pool.temp_file_id() == -8
+
+    def test_contexts_sharing_a_pool_never_share_a_temp_page(self):
+        # Each context used to restart its own allocator at -1, so two
+        # contexts over one pool spilled to the same pages and the
+        # second one's spill found the first one's still resident.
+        from repro.data import complete_relation, var
+        from repro.plans.runtime import ExecutionContext
+        from repro.semiring import SUM_PRODUCT
+
+        relation = complete_relation([var("a", 50), var("b", 40)])
+        pool = BufferPool(capacity_pages=64)
+        spilled = []
+        for _ in range(2):
+            ctx = ExecutionContext({}, SUM_PRODUCT, pool=pool,
+                                   workmem_pages=0)
+            before = set(pool.resident_pages())
+            ctx.maybe_spill(relation)
+            assert ctx.stats.page_writes > 0
+            spilled.append(set(pool.resident_pages()) - before)
+        assert all(page.file_id < 0 for page in spilled[0] | spilled[1])
+        assert spilled[0] and spilled[1]
+        assert not spilled[0] & spilled[1]
 
 
 class TestIOStats:
