@@ -35,17 +35,18 @@ class TableStats:
     distinct: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        missing = set(self.var_sizes) ^ set(self.distinct)
-        if missing:
+        var_sizes, distinct = self.var_sizes, self.distinct
+        if var_sizes.keys() != distinct.keys():
+            missing = set(var_sizes) ^ set(distinct)
             raise CatalogError(
                 f"stats for {self.name!r}: var_sizes/distinct disagree on "
                 f"{sorted(missing)}"
             )
-        for v, d in self.distinct.items():
-            if d > self.var_sizes[v] + 1e-9:
+        for v, d in distinct.items():
+            if d > var_sizes[v] + 1e-9:
                 raise CatalogError(
                     f"stats for {self.name!r}: distinct({v})={d} exceeds "
-                    f"domain size {self.var_sizes[v]}"
+                    f"domain size {var_sizes[v]}"
                 )
 
     @classmethod

@@ -24,63 +24,96 @@ estimates compose through deep plans.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from repro.catalog.statistics import TableStats
 
 __all__ = ["JoinSize", "join_size", "join_stats", "group_stats", "select_stats"]
 
 
-def _cap_distincts(
-    var_sizes: Mapping[str, int],
-    distinct: Mapping[str, float],
-    cardinality: float,
-) -> dict[str, float]:
-    """No variable can have more distinct values than there are rows."""
-    return {
-        v: max(1.0, min(distinct[v], float(var_sizes[v]), cardinality))
-        for v in var_sizes
-    }
+def _capped(distinct: float, size: int, cardinality: float) -> float:
+    """``max(1.0, min(distinct, float(size), cardinality))``, spelled as
+    comparisons (it runs once per variable of every derived estimate):
+    no variable has more distinct values than its domain or the rows."""
+    if size < distinct:
+        distinct = float(size)
+    if cardinality < distinct:
+        distinct = cardinality
+    return distinct if distinct > 1.0 else 1.0
 
 
-class JoinSize(NamedTuple):
-    """What a :class:`~repro.cost.model.CostModel` reads from a join's output."""
-
-    cardinality: float
-    var_sizes: dict[str, int]
-
-
-def join_size(left: TableStats, right: TableStats) -> JoinSize:
-    """Estimated cardinality and merged schema of ``left ⋈* right``.
-
-    Enough to cost the join: ranking candidate joins needs the size of
-    the output, not its per-variable distinct counts, so the join-order
-    search calls this per candidate and :func:`join_stats` only for the
-    plans it keeps.
-    """
+def join_size(left: TableStats, right: TableStats) -> float:
+    """Estimated cardinality of ``left ⋈* right``: one division per
+    shared variable, in ``left.var_sizes`` order."""
     left_distinct, right_distinct = left.distinct, right.distinct
     selectivity = 1.0
     for v in left.var_sizes:
         if v in right_distinct:
             selectivity /= max(left_distinct[v], right_distinct[v], 1.0)
-    cardinality = max(1.0, left.cardinality * right.cardinality * selectivity)
-    var_sizes = dict(left.var_sizes)
-    var_sizes.update(right.var_sizes)
-    return JoinSize(cardinality, var_sizes)
+    return max(1.0, left.cardinality * right.cardinality * selectivity)
+
+
+class JoinSize:
+    """What a :class:`~repro.cost.model.CostModel` reads from a join's
+    output — its cardinality and merged schema — each derived from the
+    operands on first read.
+
+    The join-order search hands one to the model per costed candidate.
+    A model that prices a join from its inputs alone (the paper's
+    ``|L|·|R|``) never reads it, so no size is estimated for the
+    candidates it only ranks; one that does read it gets the numbers
+    :func:`join_stats` would give, computed once.
+    """
+
+    __slots__ = ("left", "right", "_cardinality", "_var_sizes")
+
+    def __init__(self, left: TableStats, right: TableStats):
+        self.left = left
+        self.right = right
+        self._cardinality: float | None = None
+        self._var_sizes: dict[str, int] | None = None
+
+    @property
+    def cardinality(self) -> float:
+        if self._cardinality is None:
+            self._cardinality = join_size(self.left, self.right)
+        return self._cardinality
+
+    @property
+    def var_sizes(self) -> dict[str, int]:
+        if self._var_sizes is None:
+            var_sizes = dict(self.left.var_sizes)
+            var_sizes.update(self.right.var_sizes)
+            self._var_sizes = var_sizes
+        return self._var_sizes
 
 
 def join_stats(left: TableStats, right: TableStats, name: str = "") -> TableStats:
-    """Estimated stats of ``left ⋈* right``."""
-    cardinality, var_sizes = join_size(left, right)
+    """Estimated stats of ``left ⋈* right``.
+
+    One pass over the merged schema — ``left``'s variables first, so the
+    shared ones divide the selectivity in the order :func:`join_size`
+    divides it — where a shared variable takes its domain size from
+    ``right`` and the smaller of the two distinct counts; then every
+    distinct count is capped by its domain size and the cardinality.
+    """
+    left_distinct, right_distinct = left.distinct, right.distinct
+    var_sizes = dict(left.var_sizes)
+    var_sizes.update(right.var_sizes)
+    selectivity = 1.0
     distinct: dict[str, float] = {}
     for v in var_sizes:
-        if v not in right.var_sizes:
-            distinct[v] = left.distinct[v]
-        elif v not in left.var_sizes:
-            distinct[v] = right.distinct[v]
-        else:
-            distinct[v] = min(left.distinct[v], right.distinct[v])
-    distinct = _cap_distincts(var_sizes, distinct, cardinality)
+        d = left_distinct.get(v)
+        if d is None:
+            d = right_distinct[v]
+        elif v in right_distinct:
+            r = right_distinct[v]
+            selectivity /= max(d, r, 1.0)
+            d = min(d, r)
+        distinct[v] = d
+    cardinality = max(1.0, left.cardinality * right.cardinality * selectivity)
+    for v, d in distinct.items():
+        distinct[v] = _capped(d, var_sizes[v], cardinality)
     return TableStats(
         name or f"({left.name}*{right.name})", cardinality, var_sizes, distinct
     )
@@ -90,15 +123,17 @@ def group_stats(
     child: TableStats, group_vars: Sequence[str], name: str = ""
 ) -> TableStats:
     """Estimated stats of ``GroupBy_{group_vars}(child)``."""
-    group_vars = [v for v in group_vars if v in child.var_sizes]
+    child_sizes, child_distinct = child.var_sizes, child.distinct
+    group_vars = [v for v in group_vars if v in child_sizes]
     groups = 1.0
     for v in group_vars:
-        groups *= child.distinct[v]
+        groups *= child_distinct[v]
     cardinality = max(1.0, min(child.cardinality, groups))
-    var_sizes = {v: child.var_sizes[v] for v in group_vars}
-    distinct = _cap_distincts(
-        var_sizes, {v: child.distinct[v] for v in group_vars}, cardinality
-    )
+    var_sizes: dict[str, int] = {}
+    distinct: dict[str, float] = {}
+    for v in group_vars:
+        size = var_sizes[v] = child_sizes[v]
+        distinct[v] = _capped(child_distinct[v], size, cardinality)
     return TableStats(
         name or f"g({child.name})", cardinality, var_sizes, distinct
     )
@@ -116,7 +151,11 @@ def select_stats(
         cardinality /= max(child.distinct[v], 1.0)
         distinct[v] = 1.0
     cardinality = max(1.0, cardinality)
-    distinct = _cap_distincts(child.var_sizes, distinct, cardinality)
+    var_sizes = dict(child.var_sizes)
+    distinct = {
+        v: _capped(distinct[v], size, cardinality)
+        for v, size in var_sizes.items()
+    }
     return TableStats(
-        name or f"sel({child.name})", cardinality, dict(child.var_sizes), distinct
+        name or f"sel({child.name})", cardinality, var_sizes, distinct
     )

@@ -53,9 +53,10 @@ class CostModel:
         """Cost of ``left ⋈* right`` producing ``out``.
 
         ``out`` carries ``cardinality`` and ``var_sizes`` only — the
-        join-order search costs candidates from
-        :func:`~repro.cost.cardinality.join_size` without deriving full
-        statistics — so implementations may read nothing else from it.
+        join-order search costs candidates with a
+        :class:`~repro.cost.cardinality.JoinSize`, which derives each on
+        first read, and never builds full statistics for them — so
+        implementations may read nothing else from it.
         """
         raise NotImplementedError
 

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.statistics import TableStats
-from repro.cost.cardinality import group_stats, join_size, join_stats, select_stats
+from repro.cost.cardinality import JoinSize, group_stats, join_stats, select_stats
 from repro.cost.model import CostModel, SimpleCostModel
 from repro.errors import OptimizationError
 from repro.plans.nodes import GroupBy, IndexScan, PlanNode, ProductJoin, Scan, Select
@@ -98,6 +98,10 @@ class PlanContext:
     (:meth:`build_join`), so a search pays for statistics and plan nodes
     only on the candidates it keeps; composes GroupBys with incremental
     cost book-keeping; tracks the plans-considered counter.
+
+    One context serves one ``optimize`` call, so everything a search
+    reports besides its plan goes in ``extras`` here, never on the
+    (possibly shared) optimizer instance.
     """
 
     def __init__(
@@ -110,6 +114,8 @@ class PlanContext:
         self.catalog = catalog
         self.model = model or SimpleCostModel()
         self.plans_considered = 0
+        #: Becomes :attr:`OptimizationResult.extras`.
+        self.extras: dict = {}
         self._table_vars: dict[str, frozenset[str]] = {}
         #: ``σ_X`` of every variable of the view.
         self.domain_sizes: dict[str, int] = {}
@@ -169,18 +175,21 @@ class PlanContext:
     # Composition
     # ------------------------------------------------------------------
     def cost_join(self, left: SubPlan, right: SubPlan) -> float:
-        """Cumulative cost of ``left ⋈* right``, from its size alone.
+        """Cumulative cost of ``left ⋈* right``, from sizes alone.
 
         Counts one considered plan.  The join-order DPs rank every
         candidate of a subset on this and :meth:`build_join` only the
-        winner.
+        winner.  The output size is a :class:`JoinSize`, estimated only
+        if the cost model reads it.
         """
-        size = join_size(left.stats, right.stats)
         self.plans_considered += 1
+        left_stats, right_stats = left.stats, right.stats
         return (
             left.cost
             + right.cost
-            + self.model.join_cost(left.stats, right.stats, size)
+            + self.model.join_cost(
+                left_stats, right_stats, JoinSize(left_stats, right_stats)
+            )
         )
 
     def build_join(self, left: SubPlan, right: SubPlan, cost: float) -> SubPlan:
@@ -202,10 +211,10 @@ class PlanContext:
         self, child: SubPlan, needed: frozenset[str]
     ) -> SubPlan | None:
         """GroupBy on ``needed ∩ vars(child)``, or None if it drops nothing."""
-        keep = tuple(v for v in child.stats.var_sizes if v in needed)
-        if len(keep) == len(child.stats.var_sizes):
+        var_sizes = child.stats.var_sizes
+        if needed.issuperset(var_sizes):
             return None
-        return self.group(child, keep)
+        return self.group(child, tuple(v for v in var_sizes if v in needed))
 
     # ------------------------------------------------------------------
     # Semantic-correctness rule
@@ -222,9 +231,14 @@ class PlanContext:
         return frozenset(needed)
 
     def finalize(self, root: SubPlan) -> SubPlan:
-        """Add the root GroupBy on the query variables when required."""
+        """Add the root GroupBy on the query variables when required.
+
+        A root that already holds exactly the query variables is kept,
+        whatever its column order: the answer takes the query's order
+        where it leaves the engine (:meth:`MPFQuery.finish`), so no plan
+        or cost depends on it.
+        """
         if set(root.stats.var_sizes) == set(self.spec.query_vars):
-            # Order the output columns like the query asked.
             return root
         return self.group(root, self.spec.query_vars)
 
@@ -259,11 +273,8 @@ class Optimizer:
             algorithm=self.algorithm,
             planning_seconds=elapsed,
             plans_considered=context.plans_considered,
-            extras=self._extras(),
+            extras=context.extras,
         )
 
     def _search(self, context: PlanContext) -> SubPlan:
         raise NotImplementedError
-
-    def _extras(self) -> dict:
-        return {}

@@ -38,7 +38,7 @@ pending GroupBy caps will drop it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +68,11 @@ class Candidate:
     variables plus live variables of subplans outside ``rels``);
     ``rels_live`` gives each rel's live variables, so cost estimates
     can pre-shrink delayed subplans the way pending GroupBy caps will.
+
+    Scorers read ``surviving`` only inside ``neighborhood``, which is
+    what lets VE keep a candidate across elimination steps that do not
+    touch it (:mod:`repro.optimizer.ve`): its raw score under each
+    heuristic component is computed once, by :meth:`score`.
     """
 
     var: str
@@ -75,6 +80,25 @@ class Candidate:
     neighborhood: frozenset[str]
     surviving: frozenset[str]
     rels_live: list[frozenset[str]] | None = None
+    _scores: dict[str, tuple[float, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def score(self, part: str, context: PlanContext) -> float:
+        """Raw score under one base heuristic, computed on first use (a
+        candidate belongs to one search, so to one ``context``).
+
+        A reuse adds to ``plans_considered`` what the computation added
+        (``elim_cost`` costs one plan), as if it had been scored again.
+        """
+        hit = self._scores.get(part)
+        if hit is not None:
+            context.plans_considered += hit[1]
+            return hit[0]
+        before = context.plans_considered
+        raw = _SCORERS[part](self, context)
+        self._scores[part] = raw, context.plans_considered - before
+        return raw
 
 
 def _domain_product(context: PlanContext, names) -> float:
@@ -157,8 +181,7 @@ def score_candidates(
     """Combined (normalized-product) score per candidate variable."""
     combined = {c.var: 1.0 for c in candidates}
     for part in parts:
-        scorer = _SCORERS[part]
-        raw = {c.var: scorer(c, context) for c in candidates}
+        raw = {c.var: c.score(part, context) for c in candidates}
         top = max(raw.values())
         if top <= 0 or math.isinf(top):
             top = 1.0

@@ -14,17 +14,19 @@ Two dynamic programs over bitmask-indexed relation subsets:
   subset splits, and for each split the **four** candidates — no
   GroupBy, GroupBy on the left operand, on the right operand, on both.
 
-Both searches are two-phase.  A cost model ranks a join on the size of
-its output and nothing else, so every candidate of a subset is *costed*
-from :func:`~repro.cost.cardinality.join_size` alone
-(:meth:`PlanContext.cost_join`: cardinality, merged schema, cumulative
-cost), and only the subset's winner is *built*
-(:meth:`PlanContext.build_join`: full statistics with per-variable
-distinct counts, the ``ProductJoin`` node, the ``SubPlan``) — ``2^n``
-builds for ``n·2^(n-1)`` (linear) or ``3^n`` (bushy) costings.  The
-GroupBy cap of ``optPlan(S)`` likewise depends on ``S`` alone — the
-needed variables are ``outside_needed`` plus those of the items outside
-``S`` — so it is derived once per subset, however many extensions or
+Both searches are two-phase, and each phase derives only what is read.
+A cost model ranks a join on its inputs and the size of its output and
+nothing else, so every candidate of a subset is *costed*
+(:meth:`PlanContext.cost_join`) against a
+:class:`~repro.cost.cardinality.JoinSize` that estimates the output only
+if the model reads it — the paper's ``|L|·|R|`` model never does — and
+only the subset's winner is *built* (:meth:`PlanContext.build_join`:
+full statistics with per-variable distinct counts, the ``ProductJoin``
+node, the ``SubPlan``) — ``2^n`` builds for ``n·2^(n-1)`` (linear) or
+``3^n`` (bushy) costings.  The GroupBy cap of ``optPlan(S)`` likewise
+depends on ``S`` alone — the needed variables are ``outside_needed``
+plus those of the items outside ``S``, read from a per-mask table of
+unions — so it is derived once per subset, however many extensions or
 splits use ``S`` as an operand; each reuse still counts as a considered
 plan, so ``plans_considered`` keeps meaning "candidates compared".
 
@@ -45,13 +47,14 @@ from repro.optimizer.base import PlanContext, SubPlan
 __all__ = ["linear_dp", "bushy_dp"]
 
 
-def _variables_of(items: Sequence[SubPlan], mask: int) -> frozenset[str]:
-    """Union of variables of the items selected by ``mask``."""
-    out: set[str] = set()
-    for i, item in enumerate(items):
-        if mask & (1 << i):
-            out |= item.variables
-    return frozenset(out)
+def _unions(items: Sequence[SubPlan]) -> list[frozenset[str]]:
+    """``out[mask]``: the union of the variables of the items in ``mask``,
+    each mask one union away from the mask without its lowest item."""
+    out = [frozenset()] * (1 << len(items))
+    for mask in range(1, len(out)):
+        low = mask & -mask
+        out[mask] = out[mask ^ low] | items[low.bit_length() - 1].variables
+    return out
 
 
 def _trivial_plan(items: Sequence[SubPlan]) -> SubPlan | None:
@@ -79,18 +82,22 @@ def _cap_memo(
     outside ``S``, or None when that drops nothing; derived on first use.
 
     A reuse adds to ``plans_considered`` what the derivation added, as
-    if the cap had been costed again.
+    if the cap had been costed again.  The variables of the complement
+    come from one per-mask table, built on the first derivation.
     """
     full = (1 << len(items)) - 1
     memo: dict[int, tuple[SubPlan | None, int]] = {}
+    unions: list[frozenset[str]] = []
 
     def cap(mask: int) -> SubPlan | None:
         hit = memo.get(mask)
         if hit is not None:
             context.plans_considered += hit[1]
             return hit[0]
+        if not unions:
+            unions.extend(_unions(items))
         before = context.plans_considered
-        needed = outside_needed | _variables_of(items, full ^ mask)
+        needed = outside_needed | unions[full ^ mask]
         capped = context.group_if_useful(dp[mask], needed)
         memo[mask] = capped, context.plans_considered - before
         return capped

@@ -34,6 +34,21 @@ Proposition 1 (FD-based pruning) is exposed via
 variable outside every key can be dropped by mere projection; VE
 eliminates such variables first since their elimination carries no
 aggregation cost risk.
+
+The search keeps its elimination state across steps and pays per
+change.  Candidates are built once; eliminating ``v`` replaces
+``rels(v)`` by one subplan whose live variables lie in ``v``'s
+neighbourhood, so only the candidates of those variables are rebuilt
+(and dropped when no longer live anywhere).  Every other candidate is
+exact as it stands: its ``rels`` are the same subplan objects, in the
+same order, with the same live scopes, and the one field the step does
+change — ``surviving``, which traded ``rels(v)``'s live variables for
+the new subplan's — agrees with a rebuilt one inside the candidate's
+neighbourhood, the only place scorers read it (a variable there that
+``rels(v)`` held is still needed outside them, so the new subplan keeps
+it).  Such a candidate therefore keeps its raw heuristic scores
+(:meth:`~repro.optimizer.heuristics.Candidate.score`); the combined
+score is still normalised over the current pool at every step.
 """
 
 from __future__ import annotations
@@ -98,126 +113,118 @@ class VariableElimination(Optimizer):
         self.extended = extended
         self.seed = seed
         self.table_keys = dict(table_keys or {})
-        self._elimination_order: list[str] = []
 
     @property
     def algorithm(self) -> str:
         suffix = "+ext" if self.extended else ""
         return f"ve({self.heuristic}){suffix}"
 
-    def _extras(self) -> dict:
-        return {"elimination_order": tuple(self._elimination_order)}
-
     # ------------------------------------------------------------------
-    def _candidates(
-        self,
-        names: Sequence[str],
-        subplans: list[SubPlan],
-        processed: frozenset[str],
+    @staticmethod
+    def _candidate(
+        v: str,
+        held: list[tuple[SubPlan, frozenset[str]]],
         query_vars: frozenset[str],
-    ) -> list[Candidate]:
-        """Build scoring scopes; live scopes exclude delayed variables."""
-        live_of = [s.variables - processed for s in subplans]
-        out: list[Candidate] = []
-        for v in names:
-            rels = []
-            rels_live = []
-            neighborhood: set[str] = set()
-            outside: set[str] = set(query_vars)
-            for s, live in zip(subplans, live_of):
-                if v in live:
-                    rels.append(s)
-                    rels_live.append(frozenset(live))
-                    neighborhood |= live
-                else:
-                    outside |= live
-            if not rels:
-                continue
-            out.append(
-                Candidate(
-                    var=v,
-                    rels=rels,
-                    neighborhood=frozenset(neighborhood),
-                    surviving=frozenset(outside),
-                    rels_live=rels_live,
-                )
-            )
-        return out
+    ) -> Candidate | None:
+        """Scoring scopes of ``v`` over ``(subplan, live variables)``
+        pairs — live scopes exclude delayed variables — or None when
+        ``v`` is live nowhere."""
+        rels = []
+        rels_live = []
+        neighborhood: set[str] = set()
+        outside: set[str] = set(query_vars)
+        for s, live in held:
+            if v in live:
+                rels.append(s)
+                rels_live.append(live)
+                neighborhood |= live
+            else:
+                outside |= live
+        if not rels:
+            return None
+        return Candidate(
+            var=v,
+            rels=rels,
+            neighborhood=frozenset(neighborhood),
+            surviving=frozenset(outside),
+            rels_live=rels_live,
+        )
 
     def _search(self, context: PlanContext) -> SubPlan:
-        if not self.extended:
-            return self._search_mode(context, extended=False)
-        # Theorem 3's practical guarantee — VE+ returns a plan no worse
-        # than plain VE with the same heuristic — is enforced directly:
-        # both searches are cheap, so cost the delayed-elimination plan
-        # *and* the plain plan and keep the cheaper.
-        delayed = self._search_mode(context, extended=True)
-        delayed_order = self._elimination_order
-        plain = self._search_mode(context, extended=False)
-        if delayed.cost <= plain.cost:
-            self._elimination_order = delayed_order
-            return delayed
-        return plain
+        best, order = self._search_mode(context, extended=self.extended)
+        if self.extended:
+            # Theorem 3's practical guarantee — VE+ returns a plan no
+            # worse than plain VE with the same heuristic — is enforced
+            # directly: both searches are cheap, so cost the
+            # delayed-elimination plan *and* the plain plan and keep the
+            # cheaper.
+            plain, plain_order = self._search_mode(context, extended=False)
+            if plain.cost < best.cost:
+                best, order = plain, plain_order
+        context.extras["elimination_order"] = tuple(order)
+        return best
 
-    def _search_mode(self, context: PlanContext, extended: bool) -> SubPlan:
+    def _search_mode(
+        self, context: PlanContext, extended: bool
+    ) -> tuple[SubPlan, list[str]]:
+        """One elimination search; the plan and its elimination order."""
         spec = context.spec
         rng = np.random.default_rng(self.seed)
-        self._elimination_order = []
+        order: list[str] = []
 
-        subplans: list[SubPlan] = [context.leaf(t) for t in spec.tables]
+        held = [(s, s.variables) for s in map(context.leaf, spec.tables)]
         query_vars = frozenset(spec.query_vars)
-        present = set().union(*(s.variables for s in subplans))
-        remaining = sorted(present - query_vars)
-        processed: frozenset[str] = frozenset()
+        present = set().union(*(live for _, live in held))
+        processed: set[str] = set()
+        candidates = {
+            v: self._candidate(v, held, query_vars)
+            for v in sorted(present - query_vars)
+        }
 
         prunable = fd_prunable_variables(
             {t: tuple(context.table_variables(t)) for t in spec.tables},
             self.table_keys,
         )
 
-        while remaining:
-            candidates = self._candidates(
-                remaining, subplans, processed, query_vars
-            )
-            if not candidates:
-                break
+        while candidates:
             # Proposition 1: projection-prunable variables are free —
             # eliminate them first regardless of the heuristic.
-            free = [c for c in candidates if c.var in prunable]
-            pool = free or candidates
+            free = [c for c in candidates.values() if c.var in prunable]
+            pool = free or list(candidates.values())
             v = choose_variable(pool, context, self.parts, rng)
-            self._elimination_order.append(v)
-            chosen = next(c for c in pool if c.var == v)
-            rels = chosen.rels
-            rel_ids = {id(s) for s in rels}
-            others = [s for s in subplans if id(s) not in rel_ids]
+            order.append(v)
+            chosen = candidates.pop(v)
+            rel_ids = {id(s) for s in chosen.rels}
+            others = [(s, live) for s, live in held if id(s) not in rel_ids]
+            needed = query_vars.union(*(s.variables for s, _ in others))
 
             if extended:
-                outside = query_vars.union(*(s.variables for s in others)) \
-                    if others else query_vars
                 p = linear_dp(
-                    rels, context, outside_needed=outside, use_groupbys=True
+                    chosen.rels, context,
+                    outside_needed=needed, use_groupbys=True,
                 )
             else:
-                joined = linear_dp(rels, context, use_groupbys=False)
-                needed = set(query_vars)
-                for s in others:
-                    needed |= s.variables
+                joined = linear_dp(chosen.rels, context, use_groupbys=False)
                 keep = [
                     x for x in joined.stats.var_sizes
                     if x != v and x in needed
                 ]
                 p = context.group(joined, keep)
 
-            subplans = others + [p]
-            processed = processed | {v}
-            # The GroupBy may have dropped additional locally-finished
-            # variables; anything no longer live anywhere is done.
-            still_live = set().union(
-                *((s.variables - processed) for s in subplans)
-            )
-            remaining = [x for x in remaining if x != v and x in still_live]
+            processed.add(v)
+            held = others + [(p, p.variables - processed)]
+            # Only the candidates of v's neighbourhood can have changed:
+            # rebuild them, and drop those the GroupBy finished (live
+            # nowhere any more).
+            for u in chosen.neighborhood:
+                if u in candidates:
+                    rebuilt = self._candidate(u, held, query_vars)
+                    if rebuilt is None:
+                        del candidates[u]
+                    else:
+                        candidates[u] = rebuilt
 
+        subplans = [s for s, _ in held]
         if len(subplans) > 1:
             final = linear_dp(
                 subplans,
@@ -227,4 +234,4 @@ class VariableElimination(Optimizer):
             )
         else:
             final = subplans[0]
-        return context.finalize(final)
+        return context.finalize(final), order

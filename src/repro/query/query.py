@@ -96,7 +96,11 @@ class MPFQuery:
         )
 
     def finish(self, relation: FunctionalRelation) -> FunctionalRelation:
-        """Apply the post-aggregation having clause, if any."""
+        """The answer as the query asked for it: the group-by columns in
+        group-by order, then the post-aggregation having clause, if any."""
+        order = tuple(dict.fromkeys(self.group_by))
+        if relation.var_names != order and set(relation.var_names) == set(order):
+            relation = relation.reorder(order)
         if self.having is None:
             return relation
         return self.having.apply(relation)

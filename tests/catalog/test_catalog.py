@@ -28,6 +28,12 @@ class TestTableStats:
     def test_var_sets_must_agree(self):
         with pytest.raises(CatalogError):
             TableStats("bad", 10, {"a": 3}, {})
+        with pytest.raises(CatalogError, match=r"disagree on \['b', 'c'\]"):
+            TableStats("bad", 10, {"a": 3, "b": 2}, {"c": 1.0, "a": 1.0})
+
+    def test_var_sets_agree_in_any_key_order(self):
+        stats = TableStats("r", 10, {"a": 3, "b": 2}, {"b": 2.0, "a": 3.0})
+        assert stats.variables == ("a", "b")
 
     def test_unknown_variable_lookup(self):
         stats = TableStats("r", 10, {"a": 3}, {"a": 3.0})

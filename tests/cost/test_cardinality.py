@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.catalog import Catalog, TableStats
-from repro.cost import group_stats, join_size, join_stats, select_stats
+from repro.cost import JoinSize, group_stats, join_size, join_stats, select_stats
 from repro.data import complete_relation, var
 
 
@@ -79,13 +79,38 @@ def stats_pair(draw):
     return one("l"), one("r")
 
 
+def _reference_join_stats(left, right):
+    """``join_stats`` as three passes — size, dict merge, then distinct
+    counts and their caps — the way it was first written."""
+    selectivity = 1.0
+    for v in left.var_sizes:
+        if v in right.distinct:
+            selectivity /= max(left.distinct[v], right.distinct[v], 1.0)
+    cardinality = max(1.0, left.cardinality * right.cardinality * selectivity)
+    var_sizes = dict(left.var_sizes)
+    var_sizes.update(right.var_sizes)
+    distinct = {}
+    for v in var_sizes:
+        if v not in right.var_sizes:
+            distinct[v] = left.distinct[v]
+        elif v not in left.var_sizes:
+            distinct[v] = right.distinct[v]
+        else:
+            distinct[v] = min(left.distinct[v], right.distinct[v])
+    distinct = {
+        v: max(1.0, min(distinct[v], float(var_sizes[v]), cardinality))
+        for v in var_sizes
+    }
+    return cardinality, var_sizes, distinct
+
+
 class TestJoinSize:
-    """``join_size`` is the part of ``join_stats`` a cost model reads."""
+    """``JoinSize`` is the part of ``join_stats`` a cost model reads."""
 
     @given(stats_pair())
     def test_agrees_with_join_stats_bitwise(self, pair):
         left, right = pair
-        size, full = join_size(left, right), join_stats(left, right)
+        size, full = JoinSize(left, right), join_stats(left, right)
         assert size.cardinality == full.cardinality
         assert list(size.var_sizes) == list(full.var_sizes)
         assert size.var_sizes == full.var_sizes
@@ -95,17 +120,38 @@ class TestJoinSize:
         """The estimate as ``join_stats`` computed it before the split:
         shared variables in ``left.var_sizes`` order, one division each."""
         left, right = pair
-        shared = [v for v in left.var_sizes if v in right.var_sizes]
-        selectivity = 1.0
-        for v in shared:
-            selectivity /= max(left.distinct[v], right.distinct[v], 1.0)
-        want = max(1.0, left.cardinality * right.cardinality * selectivity)
-        assert join_size(left, right).cardinality == want
+        want, _, _ = _reference_join_stats(left, right)
+        assert join_size(left, right) == want
+        assert JoinSize(left, right).cardinality == want
+
+    @given(stats_pair())
+    def test_one_pass_join_stats_is_bitwise_the_three_pass_one(self, pair):
+        left, right = pair
+        cardinality, var_sizes, distinct = _reference_join_stats(left, right)
+        got = join_stats(left, right)
+        assert got.cardinality == cardinality
+        assert list(got.var_sizes.items()) == list(var_sizes.items())
+        assert list(got.distinct.items()) == list(distinct.items())
+
+    def test_derived_once_on_first_read(self, monkeypatch):
+        import repro.cost.cardinality as cardinality
+
+        calls = []
+        monkeypatch.setattr(
+            cardinality, "join_size",
+            lambda left, right: calls.append(1) or 24.0,
+        )
+        size = JoinSize(
+            _stats("s1", 12, {"a": 3, "b": 4}), _stats("s2", 8, {"b": 4, "c": 2})
+        )
+        assert calls == []
+        assert size.cardinality == size.cardinality == 24.0
+        assert calls == [1]
 
     def test_var_sizes_is_a_fresh_dict(self):
         s1 = _stats("s1", 12, {"a": 3, "b": 4})
         s2 = _stats("s2", 8, {"b": 4, "c": 2})
-        join_size(s1, s2).var_sizes["z"] = 1
+        JoinSize(s1, s2).var_sizes["z"] = 1
         assert list(s1.var_sizes) == ["a", "b"]
         assert list(s2.var_sizes) == ["b", "c"]
 
@@ -129,6 +175,25 @@ class TestGroupStats:
         s = _stats("s", 10, {"a": 3}, {"a": 3.0})
         out = group_stats(s, ["a", "ghost"])
         assert list(out.var_sizes) == ["a"]
+
+    @given(stats_pair(), st.lists(st.sampled_from([f"x{i}" for i in range(7)])))
+    def test_estimate_bitwise_as_first_written(self, pair, group_vars):
+        """Caps spelled as comparisons give ``max(1, min(d, σ, |R|))``
+        bit for bit, duplicates and unknown variables included."""
+        child, _ = pair
+        kept = [v for v in group_vars if v in child.var_sizes]
+        groups = 1.0
+        for v in kept:
+            groups *= child.distinct[v]
+        cardinality = max(1.0, min(child.cardinality, groups))
+        var_sizes = {v: child.var_sizes[v] for v in kept}
+        got = group_stats(child, group_vars)
+        assert got.cardinality == cardinality
+        assert list(got.var_sizes.items()) == list(var_sizes.items())
+        assert list(got.distinct.items()) == [
+            (v, max(1.0, min(child.distinct[v], float(size), cardinality)))
+            for v, size in var_sizes.items()
+        ]
 
 
 class TestSelectStats:

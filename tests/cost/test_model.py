@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.catalog import TableStats
-from repro.cost import IOCostModel, SimpleCostModel, join_size, join_stats
+from repro.cost import IOCostModel, JoinSize, SimpleCostModel, join_stats
 
 
 def _stats(name, card, arity=2):
@@ -64,11 +64,11 @@ class TestIOCostModel:
 @pytest.mark.parametrize("method", ["hash", "sort_merge"])
 @pytest.mark.parametrize("model", [SimpleCostModel(), IOCostModel()])
 def test_join_cost_reads_only_the_output_size(model, method):
-    """``out`` may be a ``join_size`` result: same cost as full stats."""
+    """``out`` may be a ``JoinSize``: same cost as full stats."""
     left = TableStats(
         "l", 5000.0, {"a": 40, "b": 300, "c": 7}, {"a": 40.0, "b": 250.0, "c": 7.0}
     )
     right = TableStats("r", 900.0, {"b": 300, "d": 3}, {"b": 300.0, "d": 3.0})
     assert model.join_cost(
-        left, right, join_size(left, right), method
+        left, right, JoinSize(left, right), method
     ) == model.join_cost(left, right, join_stats(left, right), method)

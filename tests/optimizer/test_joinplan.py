@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.bayes import random_network
 from repro.catalog import Catalog
 from repro.cost import IOCostModel, SimpleCostModel
+from repro.cost import cardinality as cardinality_module
 from repro.data import complete_relation, var
 from repro.datagen import linear_view, multistar_view, star_view
 from repro.errors import OptimizationError
@@ -443,3 +444,36 @@ class TestWorkCounts:
         n = self.N
         assert calls["join_stats"] == 2**n - n - 1
         assert 0 < calls["group_stats"] <= 2**n - 2
+
+    @pytest.mark.parametrize("dp", [linear_dp, bushy_dp])
+    def test_join_sizes_are_estimated_only_when_the_model_reads_them(
+        self, dp, monkeypatch
+    ):
+        """``|L|·|R|`` reads no output size, so none is estimated; the
+        IO model reads one twice per candidate, estimated once."""
+        sizes = []
+        estimate = cardinality_module.join_size
+        monkeypatch.setattr(
+            cardinality_module, "join_size",
+            lambda left, right: sizes.append(1) or estimate(left, right),
+        )
+        costed = []
+        cost_join = PlanContext.cost_join
+        monkeypatch.setattr(
+            PlanContext, "cost_join",
+            lambda self, left, right: costed.append(1) or cost_join(
+                self, left, right
+            ),
+        )
+        view = star_view(n_tables=6, domain_size=3)
+        spec = QuerySpec(view.tables, (view.chain_variables[0],))
+        for model in MODELS:
+            sizes.clear()
+            costed.clear()
+            context = PlanContext(spec, view.catalog, model())
+            dp(
+                [context.leaf(t) for t in view.tables], context,
+                outside_needed=frozenset(spec.query_vars), use_groupbys=True,
+            )
+            assert len(costed) > 2**6
+            assert len(sizes) == (len(costed) if model is IOCostModel else 0)

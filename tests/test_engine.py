@@ -132,6 +132,63 @@ class TestQueries:
             db.execute("select select select")
 
 
+class TestAnswerColumnOrder:
+    """Answers list their columns in group-by order, however the plan
+    root happens to hold them — including a root that needs no GroupBy
+    (a one-table view grouped on all its variables)."""
+
+    STRATEGIES = ("cs", "cs+", "cs+nonlinear", "ve", "ve+")
+
+    @pytest.fixture(params=[1, 2, 3], ids=lambda n: f"{n}-table")
+    def chain(self, request):
+        from repro.datagen import linear_view
+
+        view = linear_view(n_tables=request.param, domain_size=3)
+        database = Database()
+        for t in view.tables:
+            database.register(view.catalog.relation(t))
+        database.create_view("chain", view.tables)
+        return database
+
+    def test_execute(self, chain):
+        sql = "select v1, v0, sum(f) from chain group by v1, v0"
+        reference = chain.execute(sql, strategy="cs").result
+        for strategy in self.STRATEGIES:
+            got = chain.execute(sql, strategy=strategy).result
+            assert got.var_names == ("v1", "v0"), strategy
+            assert got.equals(reference, SUM_PRODUCT), strategy
+
+    def test_run_query_and_having(self, chain):
+        for sql in (
+            "select v1, v0, sum(f) from chain group by v1, v0",
+            "select v1, v0, sum(f) from chain group by v1, v0 having f > 0",
+        ):
+            query = chain.bind(sql)
+            for strategy in self.STRATEGIES:
+                report = chain.run_query(query, strategy=strategy)
+                assert report.result.var_names == ("v1", "v0"), strategy
+
+    def test_group_by_order_differs_from_the_grouped_input(self, db):
+        """A root GroupBy lists its columns in its input's order; the
+        answer still lists them in the query's."""
+        sql = "select tid, cid, sum(inv) from invest group by tid, cid"
+        for strategy in self.STRATEGIES:
+            report = db.execute(sql, strategy=strategy)
+            assert report.result.var_names == ("tid", "cid"), strategy
+
+    def test_run_batch(self, chain):
+        queries = [
+            chain.bind("select v1, v0, sum(f) from chain group by v1, v0"),
+            chain.bind("select v0, v1, sum(f) from chain group by v0, v1"),
+        ]
+        for strategy in self.STRATEGIES:
+            reports = chain.run_batch(queries, strategy=strategy).reports
+            assert [r.result.var_names for r in reports] == [
+                ("v1", "v0"), ("v0", "v1"),
+            ], strategy
+            assert reports[0].result.equals(reports[1].result, SUM_PRODUCT)
+
+
 class TestReport:
     def test_summary_fields(self, db):
         report = db.execute(
