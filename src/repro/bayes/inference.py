@@ -30,7 +30,6 @@ from repro.data.relation import FunctionalRelation
 from repro.errors import QueryError
 from repro.optimizer.base import Optimizer, QuerySpec
 from repro.optimizer.ve import VariableElimination
-from repro.plans.executor import Executor
 from repro.plans.guard import QueryGuard
 from repro.plans.runtime import ExecutionContext
 from repro.semiring.builtins import LOG_PROB, MAX_PRODUCT, MAX_SUM, SUM_PRODUCT
@@ -79,24 +78,24 @@ class MPFInference:
                 ]
         self.tables = tuple(self.catalog.register_all(relations))
         self._semiring = LOG_PROB if log_space else SUM_PRODUCT
-        self._executor = Executor(
+        self._context = ExecutionContext(
             self.catalog, self._semiring, metrics=metrics
         )
-        self._map_executor = Executor(
+        self._map_context = ExecutionContext(
             self.catalog,
             MAX_SUM if log_space else MAX_PRODUCT,
-            pool=self._executor.pool,
+            pool=self._context.pool,
             metrics=metrics,
         )
 
     def _run(
         self,
-        executor: Executor,
+        context: ExecutionContext,
         variables: Sequence[str] | str,
         evidence: Mapping[str, object] | None,
         guard: QueryGuard | None,
     ) -> FunctionalRelation:
-        """Plan the MPF query and run it under ``executor``'s semiring;
+        """Plan the MPF query and run it under ``context``'s semiring;
         the answer is always linear-space."""
         if isinstance(variables, str):
             variables = (variables,)
@@ -106,10 +105,10 @@ class MPFInference:
             selections=dict(evidence or {}),
         )
         result = self.optimizer.optimize(spec, self.catalog)
-        answer, _stats = executor.run(result.plan, guard=guard)
+        answer, _stats = context.run(result.plan, guard=guard)
         # Each run starts from a fresh memo; holding this one until the
         # next call would only pin its intermediates in memory.
-        executor.context.reset_memo()
+        context.reset_memo()
         if self.log_space:
             answer = answer.with_measure(np.exp(answer.measure))
         return answer
@@ -128,7 +127,7 @@ class MPFInference:
         the optimizer plans the marginalization, the executor runs it.
         ``guard`` bounds the execution (deadline, memory, retries).
         """
-        answer = self._run(self._executor, variables, evidence, guard)
+        answer = self._run(self._context, variables, evidence, guard)
         return normalize(answer) if normalized else answer
 
     def map_query(
@@ -144,7 +143,7 @@ class MPFInference:
         assignment — the MPE reading of the semiring generality in
         Section 2.
         """
-        return self._run(self._map_executor, variables, evidence, guard)
+        return self._run(self._map_context, variables, evidence, guard)
 
     # ------------------------------------------------------------------
     # Workload path (Section 6)
@@ -158,7 +157,7 @@ class MPFInference:
         """
         relations = [self.catalog.relation(t) for t in self.tables]
         context = ExecutionContext(
-            self.catalog, self._semiring, pool=self._executor.pool,
+            self.catalog, self._semiring, pool=self._context.pool,
             metrics=self.metrics,
         )
         return build_ve_cache(

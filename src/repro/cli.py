@@ -88,21 +88,54 @@ create mpfview invest as
 
 
 def _build_database(
-    scale: float, seed: int, pool=None, metrics=None, workers: int = 1,
-    partitions=None, task_policy=None, worker_faults=None, clock=None,
+    scale: float, seed: int, partitions=None, **settings
 ) -> Database:
+    """The supply-chain database with the ``invest`` view defined.
+
+    ``settings`` are :class:`Database` keyword arguments; ``partitions``
+    is ``[(table, key, shards), ...]`` as :func:`_parse_partitions`
+    returns it.
+    """
     from repro.datagen import supply_chain
 
     sc = supply_chain(scale=scale, seed=seed)
-    db = Database(pool=pool, metrics=metrics, workers=workers,
-                  task_policy=task_policy, worker_faults=worker_faults,
-                  clock=clock)
+    db = Database(**settings)
     for t in sc.tables:
         db.register(sc.catalog.relation(t))
     for table, key, shards in partitions or ():
         db.catalog.partition_table(table, key, shards)
     db.execute(CREATE_INVEST)
     return db
+
+
+def _usage_error(exc: Exception) -> int:
+    print(str(exc), file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _check_scale(args: argparse.Namespace) -> None:
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise ValueError(
+            f"--scale must be a finite number > 0, got {args.scale}"
+        )
+
+
+def _engine_settings(args: argparse.Namespace):
+    """The data and engine flags, validated: ``(partitions, settings)``
+    for :func:`_build_database`.
+
+    Raises ``ValueError`` with a usage message, or the
+    :class:`~repro.errors.StorageError` of a fault injector whose
+    constructor rejects a flag value.
+    """
+    _check_scale(args)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    return _parse_partitions(args.partition), {
+        "workers": args.workers,
+        "task_policy": _task_policy_from_args(args),
+        "worker_faults": _worker_faults_from_args(args),
+    }
 
 
 def _parse_partitions(specs):
@@ -137,6 +170,10 @@ def _parse_partitions(specs):
 # Commands
 # ----------------------------------------------------------------------
 def cmd_demo(args: argparse.Namespace) -> int:
+    try:
+        _check_scale(args)
+    except ValueError as exc:
+        return _usage_error(exc)
     db = _build_database(args.scale, args.seed)
     print(f"supply chain @ scale {args.scale}; view `invest` defined\n")
     queries = [
@@ -176,55 +213,46 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _guard_from_args(args: argparse.Namespace, db: Database | None = None):
-    """A QueryGuard from the CLI resource flags, or None when unset.
-
-    With a ``db``, the guard is built by :meth:`Database.make_guard`
-    so it inherits any clock injected into the engine (the serving
-    soak and guard tests run deadlines on a controlled clock).
-    """
-    timeout = getattr(args, "timeout", None)
-    memory_limit = getattr(args, "memory_limit", None)
-    cost_budget = getattr(args, "cost_budget", None)
-    if timeout is None and memory_limit is None and cost_budget is None:
+def _guard_limits(args: argparse.Namespace) -> dict | None:
+    """The resource flags as :class:`~repro.plans.guard.QueryGuard`
+    arguments, or None when all are unset; ``ValueError`` on a value
+    below zero or NaN."""
+    limits = {
+        "deadline_seconds": args.timeout,
+        "cost_budget": args.cost_budget,
+        "memory_limit_pages": args.memory_limit,
+    }
+    flags = ("--timeout", "--cost-budget", "--memory-limit")
+    for flag, value in zip(flags, limits.values()):
+        if value is not None and not value >= 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
+    if all(value is None for value in limits.values()):
         return None
-    kwargs = dict(
-        deadline_seconds=timeout,
-        cost_budget=cost_budget,
-        memory_limit_pages=memory_limit,
-    )
-    if db is not None:
-        return db.make_guard(**kwargs)
-    from repro.plans.guard import QueryGuard
-
-    return QueryGuard(**kwargs)
+    return limits
 
 
 def _crash_injector_from_args(args: argparse.Namespace):
     """A CrashInjector from ``--crash-at POINT[:N]`` / ``seeded``."""
-    spec = getattr(args, "crash_at", None)
-    if not spec:
+    if not args.crash_at:
         return None
     from repro.storage.faults import CrashInjector
 
-    if spec == "seeded":
+    if args.crash_at == "seeded":
         return CrashInjector.seeded(args.seed)
-    point, _, after = spec.partition(":")
+    point, _, after = args.crash_at.partition(":")
     return CrashInjector(point, after=int(after) if after else 0)
 
 
 def _fault_injector_from_args(args: argparse.Namespace):
     """A seeded FaultInjector from the ``--fault-*-rate`` flags."""
-    transient = getattr(args, "fault_transient_rate", 0.0) or 0.0
-    permanent = getattr(args, "fault_permanent_rate", 0.0) or 0.0
-    if not transient and not permanent:
+    if not args.fault_transient_rate and not args.fault_permanent_rate:
         return None
     from repro.storage import FaultInjector
 
     return FaultInjector(
         seed=args.seed,
-        transient_rate=transient,
-        permanent_rate=permanent,
+        transient_rate=args.fault_transient_rate,
+        permanent_rate=args.fault_permanent_rate,
     )
 
 
@@ -234,57 +262,45 @@ def _task_policy_from_args(args: argparse.Namespace):
     Returns ``None`` when every knob is unset, so fault-free runs keep
     the default (policy-less) task runtime.
     """
-    timeout = getattr(args, "task_timeout", None)
-    retries = getattr(args, "task_retries", None)
-    hedge_after = getattr(args, "hedge_after", None)
-    no_degrade = getattr(args, "no_task_degrade", False)
-    if (timeout is None and retries is None and hedge_after is None
-            and not no_degrade):
+    retries = args.task_retries
+    if (args.task_timeout is None and retries is None
+            and args.hedge_after is None and not args.no_task_degrade):
         return None
     from repro.plans.scheduler import TaskPolicy
 
-    kwargs = {"allow_degrade": not no_degrade}
-    if timeout is not None:
-        kwargs["timeout"] = timeout
+    kwargs = {"allow_degrade": not args.no_task_degrade}
+    if args.task_timeout is not None:
+        kwargs["timeout"] = args.task_timeout
     if retries is not None:
         if retries < 0:
             raise ValueError(
                 f"--task-retries must be >= 0, got {retries}"
             )
         kwargs["max_attempts"] = retries + 1
-    if hedge_after is not None:
-        kwargs["hedge_after"] = hedge_after
+    if args.hedge_after is not None:
+        kwargs["hedge_after"] = args.hedge_after
     return TaskPolicy(**kwargs)
 
 
 def _worker_faults_from_args(args: argparse.Namespace):
-    """A WorkerFaultInjector from the ``--fault-worker*`` flags."""
-    specs = getattr(args, "fault_worker", None) or ()
-    rate = getattr(args, "fault_worker_rate", 0.0) or 0.0
-    kinds_csv = getattr(args, "fault_worker_kinds", None)
-    if not specs and not rate:
+    """A WorkerFaultInjector from the ``--fault-worker*`` flags; the
+    injector itself rejects unknown kinds, rates and ordinals."""
+    specs = args.fault_worker or ()
+    if not specs and not args.fault_worker_rate:
         return None
-    import math
-
     from repro.storage.faults import WORKER_FAULT_KINDS, WorkerFaultInjector
 
     kinds = WORKER_FAULT_KINDS
-    if kinds_csv:
-        kinds = tuple(k.strip() for k in kinds_csv.split(",") if k.strip())
-    for kind in kinds:
-        if kind not in WORKER_FAULT_KINDS:
-            raise ValueError(
-                f"unknown worker fault kind {kind!r}; known kinds: "
-                f"{', '.join(WORKER_FAULT_KINDS)}"
-            )
-    injector = WorkerFaultInjector(seed=args.seed, rate=rate, kinds=kinds)
+    if args.fault_worker_kinds:
+        kinds = tuple(
+            k.strip() for k in args.fault_worker_kinds.split(",")
+            if k.strip()
+        )
+    injector = WorkerFaultInjector(
+        seed=args.seed, rate=args.fault_worker_rate, kinds=kinds
+    )
     for spec in specs:
         kind, _, seq = spec.partition(":")
-        if kind not in WORKER_FAULT_KINDS:
-            raise ValueError(
-                f"--fault-worker expects KIND[:N] with KIND one of "
-                f"{', '.join(WORKER_FAULT_KINDS)}, got {spec!r}"
-            )
         try:
             ordinal = int(seq) if seq else 0
         except ValueError:
@@ -292,10 +308,6 @@ def _worker_faults_from_args(args: argparse.Namespace):
                 f"--fault-worker expects an integer task ordinal, "
                 f"got {spec!r}"
             ) from None
-        if ordinal < 0:
-            raise ValueError(
-                f"--fault-worker task ordinal must be >= 0, got {spec!r}"
-            )
         # Targeted CLI faults hit every attempt: with the default policy
         # the batch degrades to serial and still succeeds; with
         # --no-task-degrade it surfaces WorkerError (exit 9).
@@ -309,66 +321,45 @@ def cmd_sql(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return EXIT_USAGE
-    if args.workers < 1:
-        print(
-            f"--workers must be >= 1, got {args.workers}", file=sys.stderr
-        )
-        return EXIT_USAGE
     try:
-        partitions = _parse_partitions(args.partition)
-        task_policy = _task_policy_from_args(args)
-        worker_faults = _worker_faults_from_args(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        partitions, settings = _engine_settings(args)
+        limits = _guard_limits(args)
+        crash = _crash_injector_from_args(args)
+        settings["pool"] = BufferPool(injector=_fault_injector_from_args(args))
+    except (ValueError, StorageError) as exc:
+        return _usage_error(exc)
 
-    crash = _crash_injector_from_args(args)
-    pool = BufferPool(injector=_fault_injector_from_args(args))
     wal = checkpointer = None
     recovered: dict[str, dict] = {}
+    if args.resume:
+        from repro.storage import RecoveryManager
 
-    if args.checkpoint_dir:
-        from repro.storage import (
-            CheckpointManager,
-            RecoveryManager,
-            WriteAheadLog,
-            wal_path,
-        )
-
-        if args.resume:
-            manager = RecoveryManager(args.checkpoint_dir)
-            state = manager.recover()
-            recovered = dict(state.queries)
-            if state.has_checkpoint:
-                db = manager.restore_database(state, pool=pool)
-                db.workers = args.workers
-                db.task_policy = task_policy
-                db.worker_faults = worker_faults
-                print(
-                    f"-- resumed from {state.checkpoint.name}: "
-                    f"{len(recovered)} recorded statement(s), "
-                    f"{state.replayed_records} WAL record(s) replayed"
-                )
-            else:
-                # Cold start: no checkpoint committed before the crash.
-                # Rebuild the base tables; the WAL's unit records still
-                # let recorded statements skip execution.
-                db = _build_database(
-                    args.scale, args.seed, pool=pool,
-                    metrics=state.registry, workers=args.workers,
-                    partitions=partitions, task_policy=task_policy,
-                    worker_faults=worker_faults,
-                )
-                print(
-                    f"-- no checkpoint; rebuilt base tables, "
-                    f"{len(recovered)} recorded statement(s) on the WAL"
-                )
-        else:
-            db = _build_database(
-                args.scale, args.seed, pool=pool,
-                workers=args.workers, partitions=partitions,
-                task_policy=task_policy, worker_faults=worker_faults,
+        state = RecoveryManager(args.checkpoint_dir).recover()
+        recovered = dict(state.queries)
+        if state.has_checkpoint:
+            db = Database.restore(state, **settings)
+            print(
+                f"-- resumed from {state.checkpoint.name}: "
+                f"{len(recovered)} recorded statement(s), "
+                f"{state.replayed_records} WAL record(s) replayed"
             )
+        else:
+            # Cold start: no checkpoint committed before the crash.
+            # Rebuild the base tables; the WAL's unit records still
+            # let recorded statements skip execution.
+            db = _build_database(
+                args.scale, args.seed, partitions,
+                metrics=state.registry, **settings,
+            )
+            print(
+                f"-- no checkpoint; rebuilt base tables, "
+                f"{len(recovered)} recorded statement(s) on the WAL"
+            )
+    else:
+        db = _build_database(args.scale, args.seed, partitions, **settings)
+    if args.checkpoint_dir:
+        from repro.storage import CheckpointManager, WriteAheadLog, wal_path
+
         wal = WriteAheadLog(
             wal_path(args.checkpoint_dir), crash=crash, metrics=db.metrics
         )
@@ -376,14 +367,8 @@ def cmd_sql(args: argparse.Namespace) -> int:
         checkpointer = CheckpointManager(
             args.checkpoint_dir, wal=wal, metrics=db.metrics
         )
-    else:
-        db = _build_database(
-            args.scale, args.seed, pool=pool,
-            workers=args.workers, partitions=partitions,
-            task_policy=task_policy, worker_faults=worker_faults,
-        )
 
-    guard = _guard_from_args(args, db)
+    guard = db.make_guard(**limits) if limits else None
     statements: list[str] = []
     if args.command:
         statements.extend(args.command)
@@ -564,11 +549,14 @@ def _parse_reloads(specs):
                 f"--reload-at expects TABLE@TIME, got {spec!r}"
             )
         try:
-            parsed.append((float(at), table.strip()))
+            when = float(at)
         except ValueError:
+            when = math.nan
+        if not math.isfinite(when):
             raise ValueError(
-                f"--reload-at expects a numeric time, got {spec!r}"
-            ) from None
+                f"--reload-at expects a finite numeric time, got {spec!r}"
+            )
+        parsed.append((when, table.strip()))
     return parsed
 
 
@@ -600,32 +588,26 @@ def _serve_soak(args: argparse.Namespace, tracer=None):
         parse_tenant_spec,
     )
 
-    if args.workers < 1:
-        print(
-            f"--workers must be >= 1, got {args.workers}", file=sys.stderr
-        )
-        return EXIT_USAGE
-    if args.mix < 1:
-        print(f"--mix must be >= 1, got {args.mix}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        partitions = _parse_partitions(args.partition)
-        task_policy = _task_policy_from_args(args)
-        worker_faults = _worker_faults_from_args(args)
+        partitions, settings = _engine_settings(args)
+        if args.mix < 1:
+            raise ValueError(f"--mix must be >= 1, got {args.mix}")
+        if not (math.isfinite(args.arrival_gap) and args.arrival_gap >= 0):
+            raise ValueError(
+                f"--arrival-gap must be a finite number >= 0, "
+                f"got {args.arrival_gap}"
+            )
         tenants = [
             parse_tenant_spec(text)
             for text in (args.tenant or _DEFAULT_TENANTS)
         ]
         reload_specs = _parse_reloads(args.reload_at)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    except (ValueError, StorageError) as exc:
+        return _usage_error(exc)
 
     clock = VirtualClock()
     db = _build_database(
-        args.scale, args.seed, workers=args.workers,
-        partitions=partitions, task_policy=task_policy,
-        worker_faults=worker_faults, clock=clock,
+        args.scale, args.seed, partitions, clock=clock, **settings
     )
     runtime = ServingRuntime(
         db, tenants, clock=clock, strategy=args.strategy,
@@ -857,19 +839,100 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    demo = sub.add_parser("demo", help="supply-chain walkthrough")
-    demo.add_argument("--scale", type=float, default=0.01)
-    demo.add_argument("--seed", type=int, default=42)
-    demo.add_argument("--strategy", default="auto")
+    # Option groups that several subcommands share, defined once.
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--scale", type=float, default=0.01)
+    data.add_argument("--seed", type=int, default=42)
+    data.add_argument("--strategy", default="auto")
+
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--workers", type=int, default=1,
+                        help="modeled executor count for partition-parallel "
+                             "execution (results are identical for every "
+                             "worker count; see docs/parallelism.md)")
+    engine.add_argument("--partition", action="append", default=None,
+                        metavar="TABLE=KEY:N",
+                        help="hash-partition TABLE on variable KEY into N "
+                             "shards before running (repeatable)")
+    engine.add_argument("--task-timeout", type=float, default=None,
+                        metavar="UNITS",
+                        help="modeled per-task deadline: a hung worker is "
+                             "killed and the task retried after this many "
+                             "cost units")
+    engine.add_argument("--task-retries", type=int, default=None,
+                        metavar="N",
+                        help="retry budget per scheduled task (N retries "
+                             "after the first attempt, with capped "
+                             "exponential backoff)")
+    engine.add_argument("--hedge-after", type=float, default=None,
+                        metavar="UNITS",
+                        help="launch a hedged duplicate of a straggling "
+                             "task after this many cost units; the first "
+                             "finisher wins")
+    engine.add_argument("--no-task-degrade", action="store_true",
+                        help="disable graceful degradation to serial "
+                             "re-execution; an unrecoverable worker fault "
+                             "exits with code 9 instead")
+    engine.add_argument("--fault-worker", action="append", default=None,
+                        metavar="KIND[:N]",
+                        help="inject a worker fault (crash, hang, slow, "
+                             "lost, poison) on every attempt of scheduled "
+                             "task ordinal N (default 0); repeatable")
+    engine.add_argument("--fault-worker-rate", type=float, default=0.0,
+                        metavar="P",
+                        help="seeded per-task worker fault probability")
+    engine.add_argument("--fault-worker-kinds", default=None, metavar="CSV",
+                        help="restrict seeded worker faults to these kinds "
+                             "(comma-separated; default: all kinds)")
+    engine.add_argument("--metrics-text", nargs="?", const="-",
+                        default=None, metavar="PATH",
+                        help="at the end of the run, write the metrics as "
+                             "a Prometheus-style text exposition to PATH "
+                             "(default: stdout)")
+
+    documents = argparse.ArgumentParser(add_help=False)
+    documents.add_argument("--metrics-json", action="store_true",
+                           help="at the end of the run, print the "
+                                "session's metrics document on one line")
+    documents.add_argument("--trace-json", action="store_true",
+                           help="at the end of the run, print one "
+                                "repro.trace.v1 document with every "
+                                "query's span tree on one line (before "
+                                "--metrics-json)")
+
+    soak = argparse.ArgumentParser(add_help=False)
+    soak.add_argument("--tenant", action="append", default=None,
+                      metavar="SPEC",
+                      help="tenant spec 'name[,key=value,...]' with keys "
+                           "priority, rate, burst, slots, queue, slo, "
+                           "objective, cost, mem, retries (repeatable; "
+                           "default: a gold/bulk pair that contends at "
+                           "the default arrival gap)")
+    soak.add_argument("--mix", type=int, default=40, metavar="N",
+                      help="seeded queries to submit across the tenants")
+    soak.add_argument("--arrival-gap", type=float, default=5e4,
+                      metavar="UNITS",
+                      help="mean inter-arrival gap in simulated cost "
+                           "units (exponential, seeded)")
+    soak.add_argument("--reload-at", action="append", default=None,
+                      metavar="TABLE@TIME",
+                      help="reload TABLE with freshly regenerated data "
+                           "at virtual time TIME, snapshot-isolated "
+                           "from in-flight queries (repeatable)")
+    soak.add_argument("--drain", choices=("finish", "shed"),
+                      default="finish",
+                      help="queued work after the last arrival is "
+                           "finished or shed")
+
+    demo = sub.add_parser("demo", parents=[data],
+                          help="supply-chain walkthrough")
     demo.set_defaults(fn=cmd_demo)
 
-    sql = sub.add_parser("sql", help="run MPF statements")
+    sql = sub.add_parser("sql", parents=[data, engine, documents],
+                         help="run MPF statements")
     sql.add_argument("-c", "--command", action="append",
                      help="statement to run (repeatable)")
     sql.add_argument("-f", "--file", help="file of ;-separated statements")
-    sql.add_argument("--scale", type=float, default=0.01)
-    sql.add_argument("--seed", type=int, default=42)
-    sql.add_argument("--strategy", default="auto")
     sql.add_argument("--limit", type=int, default=10,
                      help="rows to print per result")
     sql.add_argument("--explain", action="store_true",
@@ -877,18 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument("--explain-json", action="store_true",
                      help="print each query's EXPLAIN (FORMAT JSON) "
                           "document on one line")
-    sql.add_argument("--metrics-json", action="store_true",
-                     help="after all statements, print the session's "
-                          "metrics document on one line")
-    sql.add_argument("--metrics-text", nargs="?", const="-", default=None,
-                     metavar="PATH",
-                     help="after all statements, write the session's "
-                          "metrics as a Prometheus-style text exposition "
-                          "to PATH (default: stdout)")
-    sql.add_argument("--trace-json", action="store_true",
-                     help="after all statements, print one "
-                          "repro.trace.v1 document with each select's "
-                          "span tree on one line")
     sql.add_argument("--calibrate", action="store_true",
                      help="run selects as EXPLAIN ANALYZE with cost-model "
                           "calibration: print each query's one-line "
@@ -922,138 +973,26 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument("--fault-transient-rate", type=float, default=0.0,
                      metavar="P",
                      help="seeded per-page transient fault probability")
-    sql.add_argument("--workers", type=int, default=1,
-                     help="modeled executor count for partition-parallel "
-                          "execution (results are identical for every "
-                          "worker count; see docs/parallelism.md)")
-    sql.add_argument("--partition", action="append", default=None,
-                     metavar="TABLE=KEY:N",
-                     help="hash-partition TABLE on variable KEY into N "
-                          "shards before running (repeatable)")
     sql.add_argument("--fault-permanent-rate", type=float, default=0.0,
                      metavar="P",
                      help="seeded per-page permanent fault probability")
-    sql.add_argument("--task-timeout", type=float, default=None,
-                     metavar="UNITS",
-                     help="modeled per-task deadline: a hung worker is "
-                          "killed and the task retried after this many "
-                          "cost units")
-    sql.add_argument("--task-retries", type=int, default=None,
-                     metavar="N",
-                     help="retry budget per scheduled task (N retries "
-                          "after the first attempt, with capped "
-                          "exponential backoff)")
-    sql.add_argument("--hedge-after", type=float, default=None,
-                     metavar="UNITS",
-                     help="launch a hedged duplicate of a straggling "
-                          "task after this many cost units; the first "
-                          "finisher wins")
-    sql.add_argument("--no-task-degrade", action="store_true",
-                     help="disable graceful degradation to serial "
-                          "re-execution; an unrecoverable worker fault "
-                          "exits with code 9 instead")
-    sql.add_argument("--fault-worker", action="append", default=None,
-                     metavar="KIND[:N]",
-                     help="inject a worker fault (crash, hang, slow, "
-                          "lost, poison) on every attempt of scheduled "
-                          "task ordinal N (default 0); repeatable")
-    sql.add_argument("--fault-worker-rate", type=float, default=0.0,
-                     metavar="P",
-                     help="seeded per-task worker fault probability")
-    sql.add_argument("--fault-worker-kinds", default=None, metavar="CSV",
-                     help="restrict seeded worker faults to these kinds "
-                          "(comma-separated; default: all kinds)")
     sql.set_defaults(fn=cmd_sql)
 
-    def add_serve_soak_options(p):
-        """Workload-shaping flags shared by `serve` and `top`."""
-        p.add_argument("--scale", type=float, default=0.01)
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--strategy", default="auto")
-        p.add_argument("--tenant", action="append", default=None,
-                       metavar="SPEC",
-                       help="tenant spec 'name[,key=value,...]' with keys "
-                            "priority, rate, burst, slots, queue, slo, "
-                            "objective, cost, mem, retries (repeatable; "
-                            "default: a gold/bulk pair that contends at "
-                            "the default arrival gap)")
-        p.add_argument("--mix", type=int, default=40, metavar="N",
-                       help="seeded queries to submit across the tenants")
-        p.add_argument("--arrival-gap", type=float, default=5e4,
-                       metavar="UNITS",
-                       help="mean inter-arrival gap in simulated cost "
-                            "units (exponential, seeded)")
-        p.add_argument("--reload-at", action="append", default=None,
-                       metavar="TABLE@TIME",
-                       help="reload TABLE with freshly regenerated data "
-                            "at virtual time TIME, snapshot-isolated "
-                            "from in-flight queries (repeatable)")
-        p.add_argument("--drain", choices=("finish", "shed"),
-                       default="finish",
-                       help="queued work after the last arrival is "
-                            "finished or shed")
-        p.add_argument("--metrics-text", nargs="?", const="-",
-                       default=None, metavar="PATH",
-                       help="after the soak, write the metrics as a "
-                            "Prometheus-style text exposition to PATH "
-                            "(default: stdout)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="modeled executor count for "
-                            "partition-parallel execution")
-        p.add_argument("--partition", action="append", default=None,
-                       metavar="TABLE=KEY:N",
-                       help="hash-partition TABLE on variable KEY into N "
-                            "shards before serving (repeatable)")
-        p.add_argument("--task-timeout", type=float, default=None,
-                       metavar="UNITS",
-                       help="modeled per-task deadline (see `sql`)")
-        p.add_argument("--task-retries", type=int, default=None,
-                       metavar="N",
-                       help="retry budget per scheduled task")
-        p.add_argument("--hedge-after", type=float, default=None,
-                       metavar="UNITS",
-                       help="hedge straggling tasks after this many "
-                            "cost units")
-        p.add_argument("--no-task-degrade", action="store_true",
-                       help="disable graceful degradation to serial "
-                            "re-execution on worker faults")
-        p.add_argument("--fault-worker", action="append", default=None,
-                       metavar="KIND[:N]",
-                       help="inject a worker fault on scheduled task "
-                            "ordinal N (repeatable; see `sql`)")
-        p.add_argument("--fault-worker-rate", type=float, default=0.0,
-                       metavar="P",
-                       help="seeded per-task worker fault probability")
-        p.add_argument("--fault-worker-kinds", default=None,
-                       metavar="CSV",
-                       help="restrict seeded worker faults to these "
-                            "kinds")
-
     srv = sub.add_parser(
-        "serve",
+        "serve", parents=[data, engine, documents, soak],
         help="deterministic multi-tenant serving soak (admission "
              "control, load shedding, snapshot-isolated reloads)",
     )
-    add_serve_soak_options(srv)
     srv.add_argument("--fail-on-shed", action="store_true",
                      help=f"exit {EXIT_OVERLOAD} if any request was "
                           "shed (overload is a failure for this run)")
-    srv.add_argument("--metrics-json", action="store_true",
-                     help="after the soak, print the session's metrics "
-                          "document on one line")
-    srv.add_argument("--trace-json", action="store_true",
-                     help="after the soak, print its repro.trace.v1 "
-                          "document — every request's admission → queue "
-                          "→ dispatch → operator span tree — on one "
-                          "line (before --metrics-json)")
     srv.set_defaults(fn=cmd_serve)
 
     top = sub.add_parser(
-        "top",
+        "top", parents=[data, engine, soak],
         help="one-shot per-tenant SLO summary (latency/queue-wait "
              "p50/p95/p99, attainment, burn rate) over a seeded soak",
     )
-    add_serve_soak_options(top)
     top.set_defaults(fn=cmd_top)
 
     t2 = sub.add_parser("table2", help="regenerate paper Table 2")

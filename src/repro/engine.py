@@ -26,7 +26,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from repro.catalog.catalog import Catalog
 from repro.cost.model import CostModel, SimpleCostModel
 from repro.data.relation import FunctionalRelation
-from repro.errors import MPFError, QueryError
+from repro.data.serialize import relation_from_payload
+from repro.errors import MPFError, QueryError, RecoveryError
 from repro.obs.export import explain_document, metrics_document
 from repro.obs.metrics import SECONDS_BUCKETS, MetricsRegistry
 from repro.optimizer.base import OptimizationResult, Optimizer
@@ -34,7 +35,6 @@ from repro.optimizer.cs import CSOptimizer
 from repro.optimizer.csplus import CSPlusLinear, CSPlusNonlinear
 from repro.optimizer.linearity import LinearityTest, linearity_test
 from repro.optimizer.ve import VariableElimination
-from repro.plans.executor import Executor
 from repro.plans.guard import QueryGuard
 from repro.plans.lower import PlanDAG, lower
 from repro.plans.printer import explain
@@ -60,11 +60,13 @@ from repro.semiring.builtins import (
 )
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IOStats
+from repro.storage.page import PageId
 from repro.workload.vecache import VECache, build_ve_cache
 
 if TYPE_CHECKING:
     from repro.obs.calib import PlanAudit, PlanCalibration
     from repro.plans.profile import ExecutionProfile
+    from repro.storage.recovery import RecoveredState
 
 __all__ = ["Database", "QueryReport", "BatchReport", "AnalyzeReport"]
 
@@ -312,6 +314,78 @@ class Database:
         self._caches: dict[str, VECache] = {}
         self._plan_cache: dict[tuple, dict] = {}
         self.plan_cache_hits = 0
+
+    @classmethod
+    def restore(cls, state: "RecoveredState", **settings) -> "Database":
+        """Rebuild a database from a recovered checkpoint.
+
+        ``state`` comes from
+        :meth:`~repro.storage.recovery.RecoveryManager.recover`;
+        ``settings`` are the constructor's keyword arguments bar
+        ``metrics``, which is the recovered registry.  DDL is replayed
+        in recorded file-id order against a fresh catalog, pinning
+        ``_next_file_id`` before each statement so the rebuilt heap
+        files and indexes land on exactly their original ids (verified
+        — a mismatch raises :class:`~repro.errors.RecoveryError`, since
+        plans and the WAL reference those ids).  Views, the statistics
+        epoch, the pool's residency, and the restored metrics registry
+        all carry over.
+        """
+        if state.checkpoint is None:
+            raise RecoveryError(
+                f"no loadable checkpoint in {state.directory!r}; rebuild "
+                "base tables and resume from the WAL's unit records"
+            )
+        manifest = state.checkpoint.manifest
+        db = cls(metrics=state.registry, **settings)
+        catalog = db.catalog
+
+        ddl = sorted(
+            [("table", e) for e in manifest["tables"]]
+            + [("index", e) for e in manifest["indexes"]],
+            key=lambda item: item[1]["file_id"],
+        )
+        for kind, entry in ddl:
+            catalog._next_file_id = entry["file_id"]
+            if kind == "table":
+                relation = relation_from_payload(
+                    entry["meta"],
+                    state.checkpoint.payloads.get(entry["file_id"], b""),
+                )
+                catalog.register(relation, entry["name"])
+                rebuilt = catalog.heapfile(entry["name"]).file_id
+            else:
+                rebuilt = catalog.create_index(
+                    entry["table"], entry["variable"]
+                ).file_id
+            if rebuilt != entry["file_id"]:
+                raise RecoveryError(
+                    f"file id drift replaying DDL: {entry!r} rebuilt as "
+                    f"file {rebuilt}"
+                )
+        catalog._next_file_id = manifest["next_file_id"]
+        # Re-declare partitionings after DDL replay (shard heap files
+        # get fresh ids past the manifest's high-water mark — plans and
+        # WAL records only ever reference base-table ids).  ``get``:
+        # pre-partitioning checkpoints have no "partitions" key.
+        for entry in manifest.get("partitions", []):
+            catalog.partition_table(
+                entry["table"], entry["key"], entry["shards"]
+            )
+        catalog._epoch = manifest["stats_epoch"]
+
+        for view in manifest["views"]:
+            db.create_view(
+                view["name"],
+                tuple(view["tables"]),
+                view["multiplicative_op"],
+            )
+
+        db.pool.warm(
+            PageId(file_id, page_no)
+            for file_id, page_no in manifest["pool"]["resident"]
+        )
+        return db
 
     def make_guard(self, **kwargs) -> QueryGuard:
         """Build a :class:`QueryGuard` on the database's clock.
@@ -577,10 +651,10 @@ class Database:
 
     def _run_settings(self, **overrides) -> dict:
         """Run step: the engine-wide execution settings, as the keyword
-        arguments of every ``Executor`` / ``ExecutionContext`` the
-        engine (or the serving runtime over it) builds.  ``overrides``
-        replace or extend them per call site: a tracer, a guard, a
-        fresh pool, a batch's worker count."""
+        arguments of every ``ExecutionContext`` the engine (or the
+        serving runtime over it) builds.  ``overrides`` replace or
+        extend them per call site: a tracer, a guard, a fresh pool, a
+        batch's worker count."""
         return {
             "pool": self.pool,
             "metrics": self.metrics,
@@ -653,7 +727,7 @@ class Database:
                 algorithm=optimization.algorithm,
                 plans_considered=optimization.plans_considered,
             )
-        executor = Executor(
+        context = ExecutionContext(
             self.catalog, query.view.semiring,
             **self._run_settings(tracer=tracer),
         )
@@ -663,7 +737,7 @@ class Database:
         )
         try:
             with span:
-                result, stats = executor.run(
+                result, stats = context.run(
                     optimization.plan, stats=run_stats, guard=guard
                 )
         except MPFError:
@@ -992,16 +1066,9 @@ class Database:
             **options,
         )
         query, optimization = report.query, report.optimization
-        profile = ExecutionProfile(
-            result=report.result,
-            # The table keeps the physical operators' labels and counts;
-            # the rows join to estimates by the plan tree's own keys.
-            operators=lower(optimization.plan).plan_tree_rows(
-                tracer.operators,
-                lambda table: self.catalog.relation(table).ntuples,
-            ),
-            total=report.exec_stats,
-            trace=tracer.finish(),
+        profile = ExecutionProfile.traced(
+            optimization.plan, report.result, report.exec_stats, tracer,
+            lambda table: self.catalog.relation(table).ntuples,
         )
         # Optimizers keep estimates in their own search structures;
         # re-annotate so every plan node carries the estimator's

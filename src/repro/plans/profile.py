@@ -23,11 +23,7 @@ from repro.data.relation import FunctionalRelation
 from repro.obs.trace import OperatorProfile, QueryTracer, Span
 from repro.plans.lower import lower
 from repro.plans.nodes import PlanNode
-from repro.plans.runtime import (
-    DEFAULT_WORKMEM_PAGES,
-    ExecutionContext,
-    evaluate_dag,
-)
+from repro.plans.runtime import DEFAULT_WORKMEM_PAGES, ExecutionContext
 from repro.semiring.base import Semiring
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IOStats
@@ -53,6 +49,28 @@ class ExecutionProfile:
     calibration: "PlanCalibration | None" = None
     """Estimate→actual join (:mod:`repro.obs.calib`), when calibrated:
     adds ``est.rows`` / ``q-err`` columns to :meth:`formatted`."""
+
+    @classmethod
+    def traced(
+        cls,
+        plan: PlanNode,
+        result: FunctionalRelation,
+        total: IOStats,
+        tracer: QueryTracer,
+        table_rows,
+    ) -> "ExecutionProfile":
+        """The profile of one run of ``plan`` that ``tracer`` watched.
+
+        The table keeps the physical operators' labels and counts; the
+        rows join to estimates by the plan tree's own keys.
+        ``table_rows`` maps a base table name to its row count.
+        """
+        return cls(
+            result=result,
+            operators=lower(plan).plan_tree_rows(tracer.operators, table_rows),
+            total=total,
+            trace=tracer.finish(),
+        )
 
     def _calibration_columns(self, op: OperatorProfile) -> str:
         row = (
@@ -168,20 +186,13 @@ def profile_execution(
         pool=pool,
         workmem_pages=workmem_pages,
         tracer=tracer,
-        guard=guard,
         metrics=metrics,
     )
-    tracer.bind_stats(ctx.stats)
-    dag = lower(plan)
+    stats = IOStats()
+    tracer.bind_stats(stats)
     with tracer.span("execute"):
-        (result,) = evaluate_dag(dag, ctx)
-    return ExecutionProfile(
-        result=result,
-        # The table keeps the physical operators' labels and counts;
-        # the rows join to estimates by the plan tree's own keys.
-        operators=dag.plan_tree_rows(
-            tracer.operators, lambda table: ctx.relation(table).ntuples
-        ),
-        total=ctx.stats,
-        trace=tracer.finish(),
+        result, _ = ctx.run(plan, stats=stats, guard=guard)
+    return ExecutionProfile.traced(
+        plan, result, stats, tracer,
+        lambda table: ctx.relation(table).ntuples,
     )

@@ -66,6 +66,7 @@ from repro.plans.scheduler import (
     TaskPolicy,
     TaskRuntime,
 )
+from repro.plans.serialize import plan_from_dict, plan_to_dict
 from repro.semiring.base import Semiring
 from repro.storage.buffer import BufferPool
 from repro.storage.heapfile import HeapFile
@@ -250,26 +251,60 @@ class ExecutionContext:
         self.shard_results.clear()
         self._node_tasks.clear()
 
+    def run(
+        self,
+        plan: PlanNode,
+        stats: IOStats | None = None,
+        guard: QueryGuard | None = None,
+    ) -> tuple[FunctionalRelation, IOStats]:
+        """Evaluate ``plan`` as one query; returns ``(relation, stats)``.
+
+        The run starts from a fresh memo (repeat runs pay buffer-pool
+        hits, not memo hits) and charges ``stats``, a new
+        :class:`IOStats` when omitted.  ``guard``, when given, governs
+        just this run (deadline, memory ceiling, cancellation, retry
+        budget); whichever guard applies has its window restarted here.
+        The context's own stats and guard are restored afterwards, also
+        when the run raises.
+        """
+        if stats is None:
+            stats = IOStats()
+        self.reset_memo()
+        previous = self.stats, self.guard
+        self.stats = stats
+        if guard is not None:
+            self.guard = guard
+        if self.guard is not None:
+            self.guard.restart(stats)
+        try:
+            result = evaluate(plan, self)
+        finally:
+            self.stats, self.guard = previous
+        return result, stats
+
     def memo_entries(self):
-        """Yield ``(node, relation)`` for every memoized subplan.
+        """Yield ``(plan document, relation)`` for every memoized subplan.
 
         Only entries whose producing :class:`PlanNode` is known are
         yielded (results seeded or executed through this context) —
         this is what a checkpoint persists as completed shared work.
+        Plans leave as :func:`~repro.plans.serialize.plan_to_dict`
+        documents, so storage never needs the plan codec.
         """
         for key, relation in self.memo.items():
             node = self._memo_nodes.get(key)
             if node is not None:
-                yield node, relation
+                yield plan_to_dict(node), relation
 
-    def seed_memo(self, node: PlanNode, relation: FunctionalRelation) -> None:
+    def seed_memo(self, plan: dict, relation: FunctionalRelation) -> None:
         """Install a completed subplan result (checkpoint restore).
 
-        The entry behaves exactly like one produced by execution: it is
-        keyed by the node's structural key, invalidated when any base
-        table it reads is rebound, and re-persisted by later
-        checkpoints.
+        ``plan`` is a document from :meth:`memo_entries`.  The entry
+        behaves exactly like one produced by execution: it is keyed by
+        the node's structural key, invalidated when any base table it
+        reads is rebound, and re-persisted by later checkpoints.
         """
+        node = plan_from_dict(plan)
         key = node.structural_key()
         self.memo[key] = relation
         self._memo_reads[key] = frozenset(node.base_tables())

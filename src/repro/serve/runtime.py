@@ -26,6 +26,7 @@ executing.  Otherwise the remaining budget tightens the tenant's
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ from repro.errors import MPFError, OverloadError, QueryError
 from repro.obs.metrics import SECONDS_BUCKETS
 from repro.obs.slo import SLOMonitor
 from repro.obs.trace import RequestTrace, ServeTracer
-from repro.plans.executor import Executor
+from repro.plans.runtime import ExecutionContext
 from repro.serve.admission import AdmissionController
 from repro.serve.snapshot import Snapshot, SnapshotManager
 from repro.serve.tenancy import TenantSpec
@@ -66,7 +67,7 @@ class VirtualClock:
         return self.now
 
     def advance(self, delta: float) -> float:
-        if delta < 0:
+        if not delta >= 0:
             raise ValueError(f"clock cannot run backwards ({delta})")
         self.now += delta
         return self.now
@@ -348,7 +349,7 @@ class ServingRuntime:
                 plan, cached = self._plan(request, snap)
                 if ps is not None:
                     ps.attributes["cached"] = cached
-            executor = Executor(
+            context = ExecutionContext(
                 snap.catalog, request.query.view.semiring,
                 **self.db._run_settings(tracer=qt),
             )
@@ -356,7 +357,7 @@ class ServingRuntime:
                 qt.span("execute") if qt is not None else nullcontext()
             )
             with execute_span:
-                raw, stats = executor.run(plan, stats=stats, guard=guard)
+                raw, stats = context.run(plan, stats=stats, guard=guard)
         except MPFError as exc:
             error = exc
         else:
@@ -498,6 +499,12 @@ class ServingRuntime:
                 entry if len(entry) == 3 else (*entry, None)
             )
             events.append((float(at), 1, j, (relation, name)))
+        for at, kind, order, _ in events:
+            # The clock can never reach a NaN or infinite event time:
+            # the loop below would wait for it forever.
+            if not math.isfinite(at):
+                what = "arrival of request" if kind == 0 else "reload"
+                raise QueryError(f"{what} #{order} at non-finite time {at}")
         events.sort(key=lambda e: e[:3])
 
         outcomes: dict[int, RequestOutcome] = {}

@@ -92,6 +92,10 @@ class TenantSpec:
             raise QueryError(
                 f"tenant {self.name!r}: burst must be >= 1, got {self.burst}"
             )
+        if self.slo is not None and not self.slo > 0:
+            raise QueryError(
+                f"tenant {self.name!r}: slo must be > 0, got {self.slo}"
+            )
         if not 0.0 < self.slo_objective < 1.0:
             raise QueryError(
                 f"tenant {self.name!r}: slo_objective must be in (0, 1), "

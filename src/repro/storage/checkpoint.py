@@ -7,8 +7,8 @@ assignments and statistics epoch, the defined MPF views and indexes,
 the buffer pool's residency (so a restarted pool is warm, not cold),
 the full metrics snapshot, and — when an
 :class:`~repro.plans.runtime.ExecutionContext` is passed — the runtime
-memo's completed subplan results serialized through
-``plans/serialize.py``.
+memo's completed subplan results, whose plans the context hands over
+already serialized (this package never imports the plan codec).
 
 File layout::
 
@@ -31,10 +31,6 @@ from dataclasses import dataclass
 from repro.data.serialize import relation_from_payload, relation_meta, relation_payload
 from repro.errors import RecoveryError
 from repro.storage.page import DEFAULT_PAGE_SIZE, PageId, PageImage
-
-# NOTE: repro.plans is imported lazily inside checkpoint() —
-# repro.plans.__init__ pulls the catalog, which pulls this package, so
-# a module-level import here would be circular.
 
 __all__ = ["CheckpointManager", "CheckpointData", "CHECKPOINT_FORMAT"]
 
@@ -160,9 +156,7 @@ class CheckpointManager:
 
         memo = []
         if context is not None:
-            from repro.plans.serialize import plan_to_dict
-
-            for idx, (node, relation) in enumerate(context.memo_entries()):
+            for idx, (plan, relation) in enumerate(context.memo_entries()):
                 # Memo payloads live under synthetic negative file ids:
                 # they are checkpoint-internal and never collide with
                 # the catalog's positive heap-file ids.
@@ -170,7 +164,7 @@ class CheckpointManager:
                 chunks = _chunk_payload(file_id, relation_payload(relation))
                 images.extend(chunks)
                 memo.append({
-                    "plan": plan_to_dict(node),
+                    "plan": plan,
                     "meta": relation_meta(relation),
                     "file_id": file_id,
                     "pages": len(chunks),

@@ -27,11 +27,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.data.serialize import relation_from_payload
 from repro.errors import RecoveryError
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.storage.checkpoint import CheckpointData, CheckpointManager
 from repro.storage.journal import decode_unit
-from repro.storage.page import PageId
 from repro.storage.wal import (
     WAL_PAGE,
     WAL_QUERY,
@@ -68,17 +68,13 @@ class RecoveredState:
         how many entries were seeded."""
         if self.checkpoint is None:
             return 0
-        from repro.data.serialize import relation_from_payload
-        from repro.plans.serialize import plan_from_dict
-
         count = 0
         for entry in self.checkpoint.manifest["memo"]:
-            node = plan_from_dict(entry["plan"])
             relation = relation_from_payload(
                 entry["meta"],
                 self.checkpoint.payloads.get(entry["file_id"], b""),
             )
-            ctx.seed_memo(node, relation)
+            ctx.seed_memo(entry["plan"], relation)
             count += 1
         return count
 
@@ -160,75 +156,3 @@ class RecoveryManager:
             replayed_records=replayed_records,
             checkpoints_discarded=discarded,
         )
-
-    def restore_database(
-        self, state: RecoveredState, cost_model=None, pool=None
-    ):
-        """Rebuild a :class:`~repro.engine.Database` from a checkpoint.
-
-        DDL is replayed in recorded file-id order against a fresh
-        catalog, pinning ``_next_file_id`` before each statement so the
-        rebuilt heap files and indexes land on exactly their original
-        ids (verified — a mismatch raises
-        :class:`~repro.errors.RecoveryError`, since plans and the WAL
-        reference those ids).  Views, the statistics epoch, the pool's
-        residency, and the restored metrics registry all carry over.
-        """
-        if state.checkpoint is None:
-            raise RecoveryError(
-                f"no loadable checkpoint in {self.directory!r}; rebuild "
-                "base tables and resume from the WAL's unit records"
-            )
-        from repro.data.serialize import relation_from_payload
-        from repro.engine import Database
-
-        manifest = state.checkpoint.manifest
-        db = Database(cost_model=cost_model, pool=pool, metrics=state.registry)
-        catalog = db.catalog
-
-        ddl = sorted(
-            [("table", e) for e in manifest["tables"]]
-            + [("index", e) for e in manifest["indexes"]],
-            key=lambda item: item[1]["file_id"],
-        )
-        for kind, entry in ddl:
-            catalog._next_file_id = entry["file_id"]
-            if kind == "table":
-                relation = relation_from_payload(
-                    entry["meta"],
-                    state.checkpoint.payloads.get(entry["file_id"], b""),
-                )
-                catalog.register(relation, entry["name"])
-                rebuilt = catalog.heapfile(entry["name"]).file_id
-            else:
-                rebuilt = catalog.create_index(
-                    entry["table"], entry["variable"]
-                ).file_id
-            if rebuilt != entry["file_id"]:
-                raise RecoveryError(
-                    f"file id drift replaying DDL: {entry!r} rebuilt as "
-                    f"file {rebuilt}"
-                )
-        catalog._next_file_id = manifest["next_file_id"]
-        # Re-declare partitionings after DDL replay (shard heap files
-        # get fresh ids past the manifest's high-water mark — plans and
-        # WAL records only ever reference base-table ids).  ``get``:
-        # pre-partitioning checkpoints have no "partitions" key.
-        for entry in manifest.get("partitions", []):
-            catalog.partition_table(
-                entry["table"], entry["key"], entry["shards"]
-            )
-        catalog._epoch = manifest["stats_epoch"]
-
-        for view in manifest["views"]:
-            db.create_view(
-                view["name"],
-                tuple(view["tables"]),
-                view["multiplicative_op"],
-            )
-
-        db.pool.warm(
-            PageId(file_id, page_no)
-            for file_id, page_no in manifest["pool"]["resident"]
-        )
-        return db

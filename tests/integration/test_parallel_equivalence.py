@@ -243,7 +243,7 @@ class TestCrashDifferential:
             manager = RecoveryManager(directory)
             state = manager.recover()
             if state.has_checkpoint:
-                db = manager.restore_database(state)
+                db = Database.restore(state)
                 # The checkpoint manifest re-declared the partition
                 # specs: the restored catalog is sharded again.
                 assert db.catalog.has_partitions

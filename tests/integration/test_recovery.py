@@ -139,7 +139,7 @@ class TestBatchRecoveryOracle:
                 state.wal.of_kind(WAL_PAGE)
             )
             if state.has_checkpoint:
-                db = manager.restore_database(state)
+                db = Database.restore(state)
             else:
                 db = _batch_db(metrics=state.registry)
             wal2 = WriteAheadLog(wal_path(directory),

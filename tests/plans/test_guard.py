@@ -368,21 +368,17 @@ class TestDegradationOnBothPaths:
 
 class TestExecutorIntegration:
     def test_run_with_guard_restores_context(self, relations):
-        from repro.plans import Executor
-
-        executor = Executor(relations, SUM_PRODUCT)
+        executor = ExecutionContext(relations, SUM_PRODUCT)
         guard = QueryGuard(cost_budget=10**9)
         result, stats = executor.run(PLAN, guard=guard)
         assert result.ntuples == 4
-        assert executor.context.guard is None
+        assert executor.guard is None
 
     def test_run_guard_violation_restores_context(self, relations):
-        from repro.plans import Executor
-
-        executor = Executor(relations, SUM_PRODUCT)
+        executor = ExecutionContext(relations, SUM_PRODUCT)
         with pytest.raises(QueryTimeout):
             executor.run(PLAN, guard=QueryGuard(cost_budget=1.0))
-        assert executor.context.guard is None
+        assert executor.guard is None
         # The executor still works afterwards.
         result, _ = executor.run(PLAN)
         assert result.ntuples == 4

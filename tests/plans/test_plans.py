@@ -8,7 +8,7 @@ from repro.cost import IOCostModel, SimpleCostModel
 from repro.data import complete_relation, var
 from repro.errors import PlanError
 from repro.plans import (
-    Executor,
+    ExecutionContext,
     GroupBy,
     ProductJoin,
     Scan,
@@ -181,7 +181,7 @@ class TestExecutor:
 
     def test_buffer_reuse_across_queries(self, small_catalog):
         pool = BufferPool()
-        executor = Executor(small_catalog, SUM_PRODUCT, pool=pool)
+        executor = ExecutionContext(small_catalog, SUM_PRODUCT, pool=pool)
         plan = ProductJoin(Scan("s1"), Scan("s2"))
         _, stats1 = executor.run(plan)
         _, stats2 = executor.run(plan)
@@ -192,7 +192,7 @@ class TestExecutor:
         """Regression: a freshly constructed (empty, hence falsy) pool
         must not be silently replaced by the default one."""
         pool = BufferPool(capacity_pages=1)
-        executor = Executor(small_catalog, SUM_PRODUCT, pool=pool)
+        executor = ExecutionContext(small_catalog, SUM_PRODUCT, pool=pool)
         assert executor.pool is pool
 
     def test_tiny_pool_rereads_pages(self, rng):
@@ -202,7 +202,7 @@ class TestExecutor:
         cat = Catalog()
         cat.register(big)
         pool = BufferPool(capacity_pages=2)
-        executor = Executor(cat, SUM_PRODUCT, pool=pool)
+        executor = ExecutionContext(cat, SUM_PRODUCT, pool=pool)
         _, first = executor.run(Scan("big"))
         _, second = executor.run(Scan("big"))
         assert second.page_reads == first.page_reads  # nothing cached
@@ -214,6 +214,6 @@ class TestExecutor:
         cat = Catalog()
         cat.register_all([big1, big2])
         plan = ProductJoin(Scan("b1"), Scan("b2"))
-        executor = Executor(cat, SUM_PRODUCT, workmem_pages=4)
+        executor = ExecutionContext(cat, SUM_PRODUCT, workmem_pages=4)
         _, stats = executor.run(plan)
         assert stats.page_writes > 0

@@ -17,9 +17,10 @@ from repro.plans import (
     evaluate_dag,
     lower,
 )
+from repro.plans.guard import QueryGuard
 from repro.plans.nodes import PlanNode
 from repro.semiring import BOOLEAN, SUM_PRODUCT
-from repro.storage import BufferPool, PageGeometry
+from repro.storage import BufferPool, IOStats, PageGeometry
 
 
 @pytest.fixture
@@ -211,3 +212,52 @@ class TestContext:
             BOOLEAN,
         )
         assert result.equals(expected, BOOLEAN)
+
+
+class TestRun:
+    """``ExecutionContext.run``: one query per call on a long-lived
+    context."""
+
+    PLAN = GroupBy(ProductJoin(Scan("s1"), Scan("s2")), ["a"])
+
+    def test_each_run_starts_from_a_fresh_memo(self, ctx):
+        _, first = ctx.run(self.PLAN)
+        assert ctx.memo
+        _, second = ctx.run(self.PLAN)
+        assert second.memo_hits == 0
+        assert second.operators_run == first.operators_run
+
+    def test_charges_the_callers_stats_window(self, ctx):
+        own = ctx.stats
+        window = IOStats()
+        _, stats = ctx.run(self.PLAN, stats=window)
+        assert stats is window
+        assert window.tuples_processed > 0
+        assert ctx.stats is own
+        assert own.tuples_processed == 0
+
+    def test_per_run_guard_restarts_then_restores(self, relations):
+        standing = QueryGuard()
+        ctx = ExecutionContext(relations, SUM_PRODUCT, guard=standing)
+        per_run = QueryGuard(memory_limit_pages=10**6)
+        per_run.pages_admitted = 10**6  # an exhausted earlier window
+        result, _ = ctx.run(self.PLAN, guard=per_run)
+        assert result.ntuples == 4
+        assert 0 < per_run.pages_admitted < 10**6
+        assert ctx.guard is standing
+
+    def test_context_guard_window_restarts_per_run(self, relations):
+        guard = QueryGuard(memory_limit_pages=10**6)
+        ctx = ExecutionContext(relations, SUM_PRODUCT, guard=guard)
+        ctx.run(self.PLAN)
+        admitted = guard.pages_admitted
+        assert admitted > 0
+        ctx.run(self.PLAN)
+        assert guard.pages_admitted == admitted
+
+    def test_previous_stats_and_guard_restored_on_error(self, ctx):
+        own = ctx.stats
+        with pytest.raises(PlanError):
+            ctx.run(Scan("ghost"), stats=IOStats(), guard=QueryGuard())
+        assert ctx.stats is own
+        assert ctx.guard is None

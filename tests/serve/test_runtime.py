@@ -35,6 +35,26 @@ class TestConstruction:
         clock.advance(5.0)
         with pytest.raises(ValueError):
             clock.advance(-1.0)
+        with pytest.raises(ValueError):
+            clock.advance(float("nan"))
+        assert clock() == 5.0
+
+    @pytest.mark.timeout(10)
+    @pytest.mark.parametrize("where", ["arrival", "reload"])
+    @pytest.mark.parametrize("at", [float("nan"), float("inf")])
+    def test_non_finite_event_time_is_rejected(
+        self, make_runtime, make_request, where, at
+    ):
+        # A NaN time never satisfies `at <= clock`: run_workload used
+        # to wait for it forever.
+        db, runtime = make_runtime([TenantSpec("t")])
+        arrival = at if where == "arrival" else 0.0
+        request = make_request(db, "t", arrival=arrival)
+        reloads = []
+        if where == "reload":
+            reloads = [(at, db.catalog.relation("location"), "location")]
+        with pytest.raises(QueryError, match="non-finite time"):
+            runtime.run_workload([request], reloads)
 
 
 class TestRunWorkload:

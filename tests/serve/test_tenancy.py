@@ -26,6 +26,9 @@ class TestTenantSpec:
         {"name": "t", "slo_objective": 0.0},
         {"name": "t", "slo_objective": 1.0},
         {"name": "t", "slo_objective": -0.5},
+        {"name": "t", "slo": 0.0},
+        {"name": "t", "slo": -1.0},
+        {"name": "t", "slo": float("nan")},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(QueryError):

@@ -60,7 +60,7 @@ class TestCheckpointRestore:
         recovery = RecoveryManager(directory)
         state = recovery.recover()
         assert state.has_checkpoint
-        restored = recovery.restore_database(state)
+        restored = Database.restore(state)
         for table, expected in originals.items():
             assert _snapshot_bytes(
                 restored.catalog.relation(table)
@@ -80,11 +80,38 @@ class TestCheckpointRestore:
         manager.checkpoint(db)
 
         recovery = RecoveryManager(directory)
-        restored = recovery.restore_database(recovery.recover())
+        restored = Database.restore(recovery.recover())
         again = restored.execute(
             "select a, sum(f) from v group by a"
         ).result
         assert _snapshot_bytes(again) == _snapshot_bytes(reference)
+
+    def test_restore_carries_every_setting(self, tmp_path):
+        from repro.plans.scheduler import TaskPolicy
+        from repro.storage import BufferPool, WorkerFaultInjector
+
+        directory = str(tmp_path)
+        CheckpointManager(directory).checkpoint(_database())
+        state = RecoveryManager(directory).recover()
+        settings = {
+            "pool": BufferPool(capacity_pages=64),
+            "workers": 3,
+            "task_policy": TaskPolicy(max_attempts=2),
+            "worker_faults": WorkerFaultInjector(seed=5, rate=0.1),
+        }
+        restored = Database.restore(state, **settings)
+        for name, value in settings.items():
+            assert getattr(restored, name) is value, name
+        assert restored.metrics is state.registry
+        # The settings reach the contexts the engine builds.
+        assert restored._run_settings() == {
+            **settings, "metrics": state.registry,
+        }
+
+    def test_restore_without_checkpoint_raises(self, tmp_path):
+        state = RecoveryManager(str(tmp_path)).recover()
+        with pytest.raises(RecoveryError, match="no loadable checkpoint"):
+            Database.restore(state)
 
     def test_memo_round_trips_through_seed_context(self, tmp_path):
         directory = str(tmp_path)
@@ -117,7 +144,7 @@ class TestCheckpointRestore:
         manager = CheckpointManager(directory)
         name = manager.checkpoint(db)
         recovery = RecoveryManager(directory)
-        restored = recovery.restore_database(recovery.recover())
+        restored = Database.restore(recovery.recover())
         assert list(restored.catalog.table_names) == []
         assert manager.load(name).manifest["tables"] == []
 

@@ -534,3 +534,158 @@ class TestTop:
     def test_usage_errors_match_serve(self, capsys):
         assert main(["top", "--mix", "0"]) == EXIT_USAGE
         assert main(["top", "--tenant", "t,bogus=1"]) == EXIT_USAGE
+
+
+# Every subcommand's options as (dest, default, metavar, choices),
+# taken from the parser before its shared option groups existed: the
+# groups may reorder --help, never add, drop or change a flag.
+FLAGS_BY_SUBCOMMAND = {
+    "demo": {
+        ("scale", 0.01, None, None),
+        ("seed", 42, None, None),
+        ("strategy", "auto", None, None),
+    },
+    "sql": {
+        ("audit_max_tables", 6, "N", None),
+        ("calibrate", False, None, None),
+        ("checkpoint_dir", None, "DIR", None),
+        ("command", None, None, None),
+        ("cost_budget", None, "UNITS", None),
+        ("crash_at", None, "POINT[:N]", None),
+        ("explain", False, None, None),
+        ("explain_json", False, None, None),
+        ("fault_permanent_rate", 0.0, "P", None),
+        ("fault_transient_rate", 0.0, "P", None),
+        ("fault_worker", None, "KIND[:N]", None),
+        ("fault_worker_kinds", None, "CSV", None),
+        ("fault_worker_rate", 0.0, "P", None),
+        ("file", None, None, None),
+        ("hedge_after", None, "UNITS", None),
+        ("limit", 10, None, None),
+        ("memory_limit", None, "PAGES", None),
+        ("metrics_json", False, None, None),
+        ("metrics_text", None, "PATH", None),
+        ("no_task_degrade", False, None, None),
+        ("partition", None, "TABLE=KEY:N", None),
+        ("resume", False, None, None),
+        ("scale", 0.01, None, None),
+        ("seed", 42, None, None),
+        ("strategy", "auto", None, None),
+        ("task_retries", None, "N", None),
+        ("task_timeout", None, "UNITS", None),
+        ("timeout", None, "SECONDS", None),
+        ("trace_json", False, None, None),
+        ("workers", 1, None, None),
+    },
+    "serve": {
+        ("arrival_gap", 50000.0, "UNITS", None),
+        ("drain", "finish", None, ("finish", "shed")),
+        ("fail_on_shed", False, None, None),
+        ("fault_worker", None, "KIND[:N]", None),
+        ("fault_worker_kinds", None, "CSV", None),
+        ("fault_worker_rate", 0.0, "P", None),
+        ("hedge_after", None, "UNITS", None),
+        ("metrics_json", False, None, None),
+        ("metrics_text", None, "PATH", None),
+        ("mix", 40, "N", None),
+        ("no_task_degrade", False, None, None),
+        ("partition", None, "TABLE=KEY:N", None),
+        ("reload_at", None, "TABLE@TIME", None),
+        ("scale", 0.01, None, None),
+        ("seed", 42, None, None),
+        ("strategy", "auto", None, None),
+        ("task_retries", None, "N", None),
+        ("task_timeout", None, "UNITS", None),
+        ("tenant", None, "SPEC", None),
+        ("trace_json", False, None, None),
+        ("workers", 1, None, None),
+    },
+    "top": {
+        ("arrival_gap", 50000.0, "UNITS", None),
+        ("drain", "finish", None, ("finish", "shed")),
+        ("fault_worker", None, "KIND[:N]", None),
+        ("fault_worker_kinds", None, "CSV", None),
+        ("fault_worker_rate", 0.0, "P", None),
+        ("hedge_after", None, "UNITS", None),
+        ("metrics_text", None, "PATH", None),
+        ("mix", 40, "N", None),
+        ("no_task_degrade", False, None, None),
+        ("partition", None, "TABLE=KEY:N", None),
+        ("reload_at", None, "TABLE@TIME", None),
+        ("scale", 0.01, None, None),
+        ("seed", 42, None, None),
+        ("strategy", "auto", None, None),
+        ("task_retries", None, "N", None),
+        ("task_timeout", None, "UNITS", None),
+        ("tenant", None, "SPEC", None),
+        ("workers", 1, None, None),
+    },
+    "table2": {
+        ("domain", 10, None, None),
+        ("n_tables", 5, None, None),
+    },
+    "table3": {
+        ("domain", 10, None, None),
+        ("n_tables", 5, None, None),
+        ("runs", 10, None, None),
+    },
+    "inference": set(),
+}
+
+
+def _flag_table():
+    from repro.cli import build_parser
+
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    return {
+        name: {
+            (a.dest, a.default, a.metavar,
+             tuple(a.choices) if a.choices else None)
+            for a in sub._actions if a.dest != "help"
+        }
+        for name, sub in subcommands.items()
+    }
+
+
+def test_no_subcommand_gains_or_loses_a_flag():
+    assert _flag_table() == FLAGS_BY_SUBCOMMAND
+
+
+SQL_Q = ["-c", "select cid, sum(inv) from invest group by cid"]
+
+
+class TestBadFlagValues:
+    """Every bad flag value is a usage error: exit 2, one stderr line,
+    no traceback, and no data generated first."""
+
+    @pytest.mark.timeout(30)
+    @pytest.mark.parametrize("argv", [
+        ["demo", "--scale", "nan"],
+        ["sql", "--scale", "nan", *SQL_Q],
+        ["sql", "--scale", "0", *SQL_Q],
+        ["sql", "--scale", "-1", *SQL_Q],
+        ["sql", "--scale", "inf", *SQL_Q],
+        ["sql", "--fault-transient-rate", "2", *SQL_Q],
+        ["sql", "--fault-permanent-rate", "nan", *SQL_Q],
+        ["sql", "--fault-worker-rate", "1.5", *SQL_Q],
+        ["sql", "--crash-at", "nowhere", *SQL_Q],
+        ["sql", "--crash-at", "batch.query:x", *SQL_Q],
+        ["sql", "--timeout", "-1", *SQL_Q],
+        ["sql", "--timeout", "nan", *SQL_Q],
+        ["sql", "--cost-budget", "-1", *SQL_Q],
+        ["sql", "--memory-limit", "-3", *SQL_Q],
+        ["serve", "--arrival-gap", "-1"],
+        ["serve", "--arrival-gap", "nan"],
+        ["serve", "--reload-at", "ctdeals@nan"],
+        ["serve", "--reload-at", "location@inf"],
+        ["serve", "--tenant", "gold,slo=-1"],
+        ["serve", "--scale", "nan"],
+        ["serve", "--fault-worker-rate", "1.5"],
+        ["top", "--arrival-gap", "nan"],
+        ["top", "--tenant", "gold,slo=0"],
+    ])
+    def test_exits_usage_with_one_line(self, argv, capsys):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "Traceback" not in err
