@@ -118,7 +118,7 @@ def test_parallel_scaling_hedged(benchmark):
     fault run's own makespan/speedup.
     """
     from repro.plans.scheduler import TaskPolicy
-    from repro.storage.faults import WorkerFaultInjector
+    from repro.storage.faults import Faults
 
     workers = 4
     policy = TaskPolicy(timeout=50_000.0, hedge_after=1_000.0)
@@ -126,9 +126,7 @@ def test_parallel_scaling_hedged(benchmark):
     def run():
         db = _make_db(workers)
         db.task_policy = policy
-        db.worker_faults = WorkerFaultInjector(
-            seed=5, rate=0.25, kinds=("slow",)
-        )
+        db.pool.faults = Faults(seed=5).rate("task", "slow", 0.25)
         return db.run_batch(_queries(db))
 
     batch = benchmark(run)

@@ -125,16 +125,18 @@ def _engine_settings(args: argparse.Namespace):
     for :func:`_build_database`.
 
     Raises ``ValueError`` with a usage message, or the
-    :class:`~repro.errors.StorageError` of a fault injector whose
-    constructor rejects a flag value.
+    :class:`~repro.errors.StorageError` of a fault flag value the
+    registry rejects.
     """
+    from repro.storage import BufferPool
+
     _check_scale(args)
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     return _parse_partitions(args.partition), {
         "workers": args.workers,
         "task_policy": _task_policy_from_args(args),
-        "worker_faults": _worker_faults_from_args(args),
+        "pool": BufferPool(faults=_faults_from_args(args)),
     }
 
 
@@ -231,31 +233,6 @@ def _guard_limits(args: argparse.Namespace) -> dict | None:
     return limits
 
 
-def _crash_injector_from_args(args: argparse.Namespace):
-    """A CrashInjector from ``--crash-at POINT[:N]`` / ``seeded``."""
-    if not args.crash_at:
-        return None
-    from repro.storage.faults import CrashInjector
-
-    if args.crash_at == "seeded":
-        return CrashInjector.seeded(args.seed)
-    point, _, after = args.crash_at.partition(":")
-    return CrashInjector(point, after=int(after) if after else 0)
-
-
-def _fault_injector_from_args(args: argparse.Namespace):
-    """A seeded FaultInjector from the ``--fault-*-rate`` flags."""
-    if not args.fault_transient_rate and not args.fault_permanent_rate:
-        return None
-    from repro.storage import FaultInjector
-
-    return FaultInjector(
-        seed=args.seed,
-        transient_rate=args.fault_transient_rate,
-        permanent_rate=args.fault_permanent_rate,
-    )
-
-
 def _task_policy_from_args(args: argparse.Namespace):
     """A TaskPolicy from the ``--task-*`` / ``--hedge-after`` flags.
 
@@ -282,23 +259,24 @@ def _task_policy_from_args(args: argparse.Namespace):
     return TaskPolicy(**kwargs)
 
 
-def _worker_faults_from_args(args: argparse.Namespace):
-    """A WorkerFaultInjector from the ``--fault-worker*`` flags; the
-    injector itself rejects unknown kinds, rates and ordinals."""
-    specs = args.fault_worker or ()
-    if not specs and not args.fault_worker_rate:
-        return None
-    from repro.storage.faults import WORKER_FAULT_KINDS, WorkerFaultInjector
+def _faults_from_args(args: argparse.Namespace):
+    """One seeded registry from the subcommand's fault flags — the
+    engine group's ``--fault-worker*`` and, under ``sql``,
+    ``--fault-*-rate`` and ``--crash-at POINT[:N]`` / ``seeded`` — or
+    ``None`` when no flag asks for a fault.  The registry rejects
+    unknown kinds and points, bad rates and negative ordinals."""
+    from repro.storage.faults import CRASH_POINTS, SITES, Faults
 
-    kinds = WORKER_FAULT_KINDS
-    if args.fault_worker_kinds:
-        kinds = tuple(
-            k.strip() for k in args.fault_worker_kinds.split(",")
-            if k.strip()
-        )
-    injector = WorkerFaultInjector(
-        seed=args.seed, rate=args.fault_worker_rate, kinds=kinds
-    )
+    faults = Faults(seed=args.seed)
+    specs = args.fault_worker or ()
+    if specs or args.fault_worker_rate:
+        kinds = SITES["task"]
+        if args.fault_worker_kinds:
+            kinds = tuple(
+                k.strip() for k in args.fault_worker_kinds.split(",")
+                if k.strip()
+            )
+        faults.rate("task", kinds, args.fault_worker_rate)
     for spec in specs:
         kind, _, seq = spec.partition(":")
         try:
@@ -311,21 +289,31 @@ def _worker_faults_from_args(args: argparse.Namespace):
         # Targeted CLI faults hit every attempt: with the default policy
         # the batch degrades to serial and still succeeds; with
         # --no-task-degrade it surfaces WorkerError (exit 9).
-        injector.fail_task(ordinal, kind, attempts=math.inf)
-    return injector
+        faults.target("task", kind, ordinal, times=math.inf)
+    if args.cmd == "sql":
+        faults.rate("page.read", "permanent", args.fault_permanent_rate,
+                    times=math.inf)
+        faults.rate("page.read", "transient", args.fault_transient_rate)
+        if args.crash_at == "seeded":
+            faults.target_seeded(CRASH_POINTS, "crash")
+        elif args.crash_at:
+            point, _, after = args.crash_at.partition(":")
+            if point not in CRASH_POINTS:
+                raise StorageError(
+                    f"unknown crash point {point!r}; registered points: "
+                    f"{', '.join(CRASH_POINTS)}"
+                )
+            faults.target(point, "crash", after=int(after) if after else 0)
+    return faults if faults.armed(*SITES) else None
 
 
 def cmd_sql(args: argparse.Namespace) -> int:
-    from repro.storage import BufferPool
-
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return EXIT_USAGE
     try:
         partitions, settings = _engine_settings(args)
         limits = _guard_limits(args)
-        crash = _crash_injector_from_args(args)
-        settings["pool"] = BufferPool(injector=_fault_injector_from_args(args))
     except (ValueError, StorageError) as exc:
         return _usage_error(exc)
 
@@ -357,11 +345,12 @@ def cmd_sql(args: argparse.Namespace) -> int:
             )
     else:
         db = _build_database(args.scale, args.seed, partitions, **settings)
+    faults = db.pool.faults
     if args.checkpoint_dir:
         from repro.storage import CheckpointManager, WriteAheadLog, wal_path
 
         wal = WriteAheadLog(
-            wal_path(args.checkpoint_dir), crash=crash, metrics=db.metrics
+            wal_path(args.checkpoint_dir), faults=faults, metrics=db.metrics
         )
         db.pool.wal = wal
         checkpointer = CheckpointManager(
@@ -404,8 +393,8 @@ def cmd_sql(args: argparse.Namespace) -> int:
                 return code
             continue
 
-        if crash is not None:
-            crash.reach("batch.query")
+        if faults is not None:
+            faults.reach("batch.query")
         before = db.metrics.snapshot() if wal is not None else None
         tracer = None
         if args.trace_json:

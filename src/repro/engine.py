@@ -272,7 +272,6 @@ class Database:
         metrics: MetricsRegistry | None = None,
         workers: int = 1,
         task_policy=None,
-        worker_faults=None,
         clock=None,
     ):
         if workers < 1:
@@ -287,12 +286,6 @@ class Database:
         """Retry/timeout/hedging policy
         (:class:`~repro.plans.scheduler.TaskPolicy`) applied to every
         scheduled task; ``None`` uses the default policy."""
-        self.worker_faults = worker_faults
-        """Optional seeded
-        :class:`~repro.storage.faults.WorkerFaultInjector` consulted
-        before every task dispatch.  Injected faults never change
-        results or structural counters — only the modeled schedule and
-        the ``scheduler.task_*`` metrics (``docs/robustness.md``)."""
         self.cost_model = cost_model or SimpleCostModel()
         self.pool = pool or BufferPool()
         # Explicit None check: an empty registry is falsy (len() == 0)
@@ -660,7 +653,6 @@ class Database:
             "metrics": self.metrics,
             "workers": self.workers,
             "task_policy": self.task_policy,
-            "worker_faults": self.worker_faults,
             **overrides,
         }
 
@@ -928,7 +920,6 @@ class Database:
         self.metrics.counter("batches.total").inc()
         self.metrics.counter("batch.shared_subplans").inc(dag.shared_nodes)
 
-        crash = getattr(wal, "crash", None)
         previous_wal = self.pool.wal
         if wal is not None:
             self.pool.wal = wal
@@ -964,8 +955,8 @@ class Database:
                     )
                     continue
                 root = next(roots)
-                if crash is not None:
-                    crash.reach("batch.query")
+                if wal is not None:
+                    wal.reach("batch.query")
                 before = self.metrics.snapshot() if wal is not None else None
                 snapshot = ctx.stats.snapshot()
                 if guard is not None:

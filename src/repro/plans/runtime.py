@@ -148,7 +148,6 @@ class ExecutionContext:
         metrics=None,
         workers: int = 1,
         task_policy: TaskPolicy | None = None,
-        worker_faults=None,
     ):
         if workers < 1:
             raise PlanError(f"workers must be >= 1, got {workers}")
@@ -168,15 +167,15 @@ class ExecutionContext:
         """Modeled task schedule accumulated over the context lifetime
         (a batch, a workload program); see :meth:`publish_schedule`."""
         self.task_policy = task_policy
-        self.worker_faults = worker_faults
         self._task_runtime = TaskRuntime(
             OrderedPool(), policy=task_policy,
-            injector=worker_faults, count=self.count,
+            faults=self.pool.faults, count=self.count,
             event=self._task_event,
         )
         """Fault-tolerant dispatch: every scheduled task goes through
-        the runtime's retry/timeout/hedging supervision (a no-op
-        pass-through without an injector); see
+        the runtime's retry/timeout/hedging supervision, drawing
+        ``task`` faults from the pool's registry (a no-op pass-through
+        without one); see
         :class:`~repro.plans.scheduler.TaskRuntime`."""
         self.scheduled_run = False
         """True once any :func:`evaluate_dag` call took the scheduled
@@ -942,8 +941,7 @@ def evaluate_dag(
     doing it for unpartitioned ``workers=1`` runs would append a
     ``schedule:`` suffix to ``BatchReport.summary()``, emit
     ``scheduler.*`` gauges into snapshot diffs, and start drawing
-    :class:`~repro.storage.faults.WorkerFaultInjector` faults where
-    none are drawn today.
+    ``task`` faults where none are drawn today.
     """
     if roots is None:
         roots = dag.roots

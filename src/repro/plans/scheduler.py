@@ -36,8 +36,8 @@ break by task id (submission order), and no wall-clock time is read.
 A third piece, :class:`TaskRuntime`, wraps :class:`OrderedPool` with a
 worker-fault model: a per-task :class:`TaskPolicy` (attempt deadline,
 retry budget with capped exponential backoff, hedged duplicate launch
-for stragglers) supervises every dispatch, consulting an optional
-seeded :class:`~repro.storage.faults.WorkerFaultInjector`.  The
+for stragglers) supervises every dispatch, drawing ``task`` faults
+from an optional seeded :class:`~repro.storage.faults.Faults`.  The
 idempotent-task contract (see :mod:`repro.plans.runtime`) makes this
 safe: a task's side effects publish only when the pool accepts exactly
 one winning attempt, so a replayed task never double-applies work —
@@ -48,9 +48,11 @@ injected faults may change the modeled schedule and the
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from repro.errors import WorkerError
+from repro.storage.faults import Backoff
 
 __all__ = [
     "CriticalPathClock",
@@ -174,7 +176,7 @@ class OrderedPool:
 
     ``run(thunks)`` returns their results in list order, and task *i*
     begins only after task *i−1* completed.  A raised exception
-    (including ``BaseException`` — the crash injector throws those)
+    (including ``BaseException`` — injected crashes are those)
     suppresses all later thunks and propagates to the caller.  Every
     scheduled task goes through here (under :class:`TaskRuntime`), so a
     dispatcher with real parallelism — worker processes over
@@ -187,7 +189,7 @@ class OrderedPool:
 
 
 @dataclass(frozen=True)
-class TaskPolicy:
+class TaskPolicy(Backoff):
     """Fault-tolerance policy applied to every scheduled task attempt.
 
     All durations are simulated cost units (the
@@ -201,9 +203,9 @@ class TaskPolicy:
     ``max_attempts``
         Total dispatches of one task (first try + retries).
     ``base_delay`` / ``max_delay``
-        Capped exponential backoff before the ``n``-th retry:
-        ``min(base_delay * 2**n, max_delay)``.  Charged to the modeled
-        schedule, never to the structural cost clock.
+        The :class:`~repro.storage.faults.Backoff` before each retry.
+        Charged to the modeled schedule, never to the structural cost
+        clock.
     ``hedge_after``
         Straggler hedging: when an attempt is still running this long
         past its expected start, a duplicate launches on a fresh
@@ -234,16 +236,15 @@ class TaskPolicy:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
-        if self.hedge_after is not None and self.hedge_after <= 0:
-            raise ValueError("hedge_after must be positive (or None)")
+        for name in ("timeout", "hedge_after"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be a finite number > 0 (or None), "
+                    f"got {value}"
+                )
         if not 0.0 < self.breaker_threshold <= 1.0:
             raise ValueError("breaker_threshold must lie in (0, 1]")
-
-    def delay_for(self, retry_index: int) -> float:
-        """Backoff before the ``retry_index``-th retry (0-based)."""
-        return min(self.base_delay * (2.0 ** retry_index), self.max_delay)
 
 
 DEFAULT_TASK_POLICY = TaskPolicy()
@@ -280,11 +281,11 @@ class TaskRuntime:
     :class:`~repro.errors.WorkerError` instead.
     """
 
-    def __init__(self, pool, policy=None, injector=None, count=None,
+    def __init__(self, pool, policy=None, faults=None, count=None,
                  event=None):
         self.pool = pool
         self.policy = policy if policy is not None else DEFAULT_TASK_POLICY
-        self.injector = injector
+        self.faults = faults
         self.count = count if count is not None else (lambda *a, **k: None)
         # Trace-event hook (name, **attributes): the attempt loop runs
         # inside the OrderedPool's in-order dispatch, so events fire in
@@ -327,8 +328,8 @@ class TaskRuntime:
             attempt = 0
             while True:
                 kind = None
-                if self.injector is not None and not self.degraded:
-                    kind = self.injector.draw(seq, label, attempt)
+                if self.faults is not None and not self.degraded:
+                    kind = self.faults.draw("task", seq, label, attempt)
                 if kind is None:
                     elapsed = thunk()
                     return self._commit(faulted, elapsed, wait, lost)
@@ -340,7 +341,7 @@ class TaskRuntime:
                     # hedge does — same pure result either way); only
                     # the modeled duration differs.
                     elapsed = thunk()
-                    slowed = elapsed * self.injector.slow_factor
+                    slowed = elapsed * self.faults.slow_factor
                     if (
                         policy.hedge_after is not None
                         and slowed > policy.hedge_after + elapsed

@@ -5,12 +5,10 @@ from repro.storage.checkpoint import CheckpointData, CheckpointManager
 from repro.storage.faults import (
     CRASH_POINTS,
     DEFAULT_RETRY_POLICY,
-    WORKER_FAULT_KINDS,
-    CrashInjector,
-    FaultInjector,
+    SITES,
+    Faults,
     InjectedCrash,
     RetryPolicy,
-    WorkerFaultInjector,
     read_with_retry,
 )
 from repro.storage.heapfile import HeapFile
@@ -53,15 +51,13 @@ __all__ = [
     "PageImage",
     "page_crc",
     "DEFAULT_PAGE_SIZE",
-    "FaultInjector",
+    "Faults",
+    "SITES",
+    "CRASH_POINTS",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
     "read_with_retry",
     "InjectedCrash",
-    "CrashInjector",
-    "CRASH_POINTS",
-    "WorkerFaultInjector",
-    "WORKER_FAULT_KINDS",
     "WriteAheadLog",
     "WALRecord",
     "ReplayResult",

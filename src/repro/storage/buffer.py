@@ -42,27 +42,28 @@ _PAGE_MASK = (1 << _PAGE_BITS) - 1
 class BufferPool:
     """Fixed-capacity LRU cache of pages.
 
-    ``injector`` optionally attaches a
-    :class:`~repro.storage.faults.FaultInjector`: every *disk* read of
-    a page (a buffer miss) first consults it and may raise a transient
-    or permanent storage error.  Buffer hits never fault — a resident
+    ``faults`` optionally attaches a :class:`~repro.storage.faults.Faults`
+    registry: every *disk* read of a page (a buffer miss) first
+    consults its ``page.read`` site and may raise a transient or
+    permanent storage error.  Buffer hits never fault — a resident
     page needs no IO — which mirrors how a real pool masks flaky disks
-    for hot data.  Faults are drawn per page, so with an injector
-    attached callers read page by page (:meth:`read`) instead of by
-    run.
+    for hot data.  Faults are drawn per page, so while that site is
+    armed callers read page by page (:meth:`read`) instead of by run.
+    Scheduled tasks draw their ``task`` faults from the same registry
+    through the execution context's pool.
     """
 
     def __init__(
         self,
         capacity_pages: int = DEFAULT_POOL_PAGES,
-        injector=None,
+        faults=None,
         metrics=None,
         wal=None,
     ):
         if capacity_pages <= 0:
             raise StorageError("buffer pool capacity must be positive")
         self.capacity_pages = capacity_pages
-        self.injector = injector
+        self.faults = faults
         self.metrics = metrics
         """Optional :class:`~repro.obs.metrics.MetricsRegistry`; the
         pool publishes ``bufferpool.*`` and ``faults.*`` counters into
@@ -128,9 +129,9 @@ class BufferPool:
             stats.charge_hit()
             self._count("bufferpool.hits")
             return
-        if self.injector is not None:
+        if self.faults is not None:
             try:
-                self.injector.before_read(page)
+                self.faults.before_read(page)
             except TransientStorageError:
                 self._count("faults.transient")
                 raise
@@ -159,7 +160,8 @@ class BufferPool:
 
         Exactly :meth:`read` once per page — hits, misses, evictions,
         LRU order, :class:`IOStats` and ``bufferpool.*`` totals — but
-        with no fault draws: with an injector attached, read per page.
+        with no fault draws: while ``page.read`` faults are armed, read
+        per page.
         """
         hits = self._touch_run(file_id, start, n)
         stats.charge_hit(hits)
@@ -173,10 +175,14 @@ class BufferPool:
         """Write pages ``start .. start + n - 1`` of a file in order.
 
         Exactly :meth:`write` once per page, including the WAL records
-        (one ``write`` for the run).  A WAL with a crash injector is
-        written record by record, since a crash may land on any one.
+        (one ``write`` for the run).  A WAL whose faults arm a WAL
+        crash point is written record by record, since a crash may land
+        on any one.
         """
-        if self.wal is not None and self.wal.crash is not None:
+        wal = self.wal
+        if wal is not None and wal.faults is not None and wal.faults.armed(
+            "wal.append", "wal.flush"
+        ):
             for page_no in range(start, start + n):
                 self.write(PageId(file_id, page_no), stats)
             return

@@ -76,16 +76,15 @@ class CheckpointManager:
     ``wal`` ties checkpoints into the log: the manifest records the
     WAL position at snapshot time (so recovery knows which records the
     checkpoint already covers) and a ``CHECKPOINT`` record is appended
-    after a successful commit.  ``crash`` (defaulting to the WAL's
-    injector) supplies the ``checkpoint.*`` crash boundaries.
+    after a successful commit.  The ``checkpoint.*`` crash points are
+    reached through the WAL's fault registry.
     """
 
-    def __init__(self, directory: str, wal=None, metrics=None, crash=None):
+    def __init__(self, directory: str, wal=None, metrics=None):
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.wal = wal
         self.metrics = metrics
-        self.crash = crash if crash is not None else getattr(wal, "crash", None)
         self._next_id = self._scan_next_id()
 
     def _scan_next_id(self) -> int:
@@ -120,8 +119,8 @@ class CheckpointManager:
         :class:`~repro.engine.Database` (duck-typed: ``catalog``,
         ``pool``, ``metrics``, ``_views``).
         """
-        if self.crash is not None:
-            self.crash.reach("checkpoint.begin")
+        if self.wal is not None:
+            self.wal.reach("checkpoint.begin")
 
         catalog = db.catalog
         images: list[PageImage] = []
@@ -199,14 +198,14 @@ class CheckpointManager:
             fh.write(_MAGIC)
             fh.write(_LEN.pack(len(manifest_bytes)))
             fh.write(manifest_bytes)
-            if self.crash is not None:
-                self.crash.reach("checkpoint.pages")
+            if self.wal is not None:
+                self.wal.reach("checkpoint.pages")
             for image in images:
                 fh.write(image.encode())
             fh.flush()
             os.fsync(fh.fileno())
-        if self.crash is not None:
-            self.crash.reach("checkpoint.commit")
+        if self.wal is not None:
+            self.wal.reach("checkpoint.commit")
         os.replace(tmp, path)
         self._next_id = checkpoint_id + 1
 

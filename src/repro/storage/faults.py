@@ -1,17 +1,19 @@
-"""Deterministic fault injection and retry for the storage layer.
+"""Deterministic fault injection and retry.
 
 The paper's testbed assumes a disk that always answers; a production
 MPF server cannot.  This module adds the two pieces the robustness
 harness needs:
 
-* :class:`FaultInjector` — a seeded, fully deterministic source of
-  page-read faults.  A page can fail *transiently* (its first ``k``
-  reads raise :class:`~repro.errors.TransientStorageError`, then it
-  heals — a flaky sector, a timed-out request) or *permanently*
-  (every read raises :class:`~repro.errors.PermanentStorageError` — a
-  bad block).  Faults can be targeted at explicit pages/files or drawn
-  at a seeded per-page rate, so a failing run is reproducible bit for
-  bit.
+* :class:`Faults` — one seeded registry of injection sites.  :data:`SITES`
+  names every site the engine reaches and the fault kinds it can take:
+  page reads fail transiently (the first ``times`` reads of a page
+  raise :class:`~repro.errors.TransientStorageError`, then it heals) or
+  permanently; the durability boundaries crash the process; scheduled
+  tasks crash, hang, straggle, lose their result or poison their
+  worker.  Faults are targeted at one occurrence of a site or drawn at
+  a seeded per-key rate, so a failing run is reproducible bit for bit.
+  A buffer pool hosts the registry for page reads and scheduled tasks,
+  a write-ahead log for the crash points.
 
 * :class:`RetryPolicy` / :func:`read_with_retry` — the retry loop the
   runtime wraps around every page read: transient faults are retried
@@ -24,8 +26,11 @@ harness needs:
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 from repro.errors import (
     PermanentStorageError,
@@ -36,20 +41,19 @@ from repro.storage.iostats import IOStats
 from repro.storage.page import PageId
 
 __all__ = [
-    "FaultInjector",
+    "SITES",
+    "CRASH_POINTS",
+    "Faults",
+    "InjectedCrash",
+    "Backoff",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
     "read_with_retry",
-    "InjectedCrash",
-    "CrashInjector",
-    "CRASH_POINTS",
-    "WorkerFaultInjector",
-    "WORKER_FAULT_KINDS",
 ]
 
 
 class InjectedCrash(BaseException):
-    """A simulated process kill from a :class:`CrashInjector`.
+    """A simulated process kill at a crash point.
 
     Deliberately *not* an :class:`~repro.errors.MPFError` — not even an
     ``Exception`` — so that no recovery-oblivious ``except MPFError`` /
@@ -60,363 +64,330 @@ class InjectedCrash(BaseException):
     """
 
 
-# Every registered crash boundary, in rough lifecycle order.  The CI
-# crash-recovery job sweeps this tuple, so adding a point here
-# automatically adds it to the differential oracle.
-CRASH_POINTS = (
-    "wal.append",        # mid-record: a torn half-record hits the log
-    "wal.flush",         # after the record is durable
-    "checkpoint.begin",  # before any checkpoint bytes are written
-    "checkpoint.pages",  # while page images are being emitted
-    "checkpoint.commit", # tmp file written+synced, before the rename
-    "batch.query",       # between queries of a batch
-    "workload.step",     # between workload units (VE step / BP message / clique)
+# Every injection site and the fault kinds it takes.  The crash points
+# are listed in rough lifecycle order and the task kinds in rough
+# severity order; the CI sweeps iterate this table, so a site or kind
+# added here automatically joins the differential oracles.
+SITES = {
+    "page.read": ("transient", "permanent"),
+    # mid-record: a torn half-record hits the log
+    "wal.append": ("crash",),
+    # after the record is durable
+    "wal.flush": ("crash",),
+    # before any checkpoint bytes are written
+    "checkpoint.begin": ("crash",),
+    # while page images are being emitted
+    "checkpoint.pages": ("crash",),
+    # tmp file written+synced, before the rename
+    "checkpoint.commit": ("crash",),
+    # between queries of a batch
+    "batch.query": ("crash",),
+    # between workload units (VE step / BP message / clique)
+    "workload.step": ("crash",),
+    "task": (
+        "crash",   # the worker dies before starting the task
+        "hang",    # the worker wedges; only a deadline or a hedge frees it
+        "slow",    # a straggler: the task completes, slow_factor times later
+        "lost",    # the task completes but its result envelope is dropped
+        "poison",  # a bad worker: this and the next poison_tasks dispatches die
+    ),
+}
+
+CRASH_POINTS = tuple(
+    site for site, kinds in SITES.items() if kinds == ("crash",)
 )
 
+_MIX = 1_000_003
 
-class CrashInjector:
-    """Deterministically aborts execution at a chosen crash boundary.
 
-    ``crash_point`` names one of :data:`CRASH_POINTS`; ``after`` skips
-    that many occurrences first, so a crash can land mid-pass (e.g. the
-    third checkpoint, the 200th workload step).  The injector fires at
-    most once per instance and records per-point hit counts either way,
-    which lets tests assert a boundary was actually exercised.
-    """
+def _checked(name, value, low=0, high=math.inf, count=False, forever=False):
+    """The one validator of fault parameters: a finite number in
+    ``[low, high]``, an integer when ``count`` — or ``math.inf`` when
+    ``forever``."""
+    if count:
+        ok = isinstance(value, Integral) or (forever and value == math.inf)
+    else:
+        ok = isinstance(value, Real) and math.isfinite(value)
+    if isinstance(value, bool) or not ok or not low <= value <= high:
+        kind = "an integer" if count else "a finite number"
+        raise StorageError(
+            f"{name} must be {kind} in [{low}, {high}], got {value!r}"
+        )
+    return value
 
-    def __init__(self, crash_point: str | None = None, after: int = 0):
-        if crash_point is not None and crash_point not in CRASH_POINTS:
-            raise StorageError(
-                f"unknown crash point {crash_point!r}; "
-                f"registered points: {', '.join(CRASH_POINTS)}"
-            )
-        if after < 0:
-            raise StorageError("crash 'after' count must be >= 0")
-        self.crash_point = crash_point
-        self.after = after
-        self.fired = False
-        self.counts: dict[str, int] = {}
 
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        points: tuple[str, ...] = CRASH_POINTS,
-        max_after: int = 3,
-    ) -> "CrashInjector":
-        """Pick a reproducible (point, after) pair from a seed."""
-        rng = random.Random(seed)
-        return cls(rng.choice(list(points)), rng.randrange(max_after))
-
-    def _arm(self, point: str) -> bool:
-        if point not in CRASH_POINTS:
-            raise StorageError(f"unknown crash point {point!r}")
-        seen = self.counts.get(point, 0)
-        self.counts[point] = seen + 1
-        return (
-            not self.fired
-            and point == self.crash_point
-            and seen >= self.after
+def _checked_kind(site: str, kind: str) -> None:
+    kinds = SITES.get(site)
+    if kinds is None:
+        raise StorageError(
+            f"unknown fault site {site!r}; registered sites: "
+            f"{', '.join(SITES)}"
+        )
+    if kind not in kinds:
+        raise StorageError(
+            f"unknown {site} fault kind {kind!r}; registered kinds: "
+            f"{', '.join(kinds)}"
         )
 
-    def _fire(self, point: str) -> None:
-        self.fired = True
-        raise InjectedCrash(
-            f"injected crash at {point} (occurrence {self.counts[point]})"
-        )
 
-    def reach(self, point: str) -> None:
-        """Mark a crash boundary; raises when armed for it."""
-        if self._arm(point):
-            self._fire(point)
+class Faults:
+    """Seeded, deterministic fault registry over the :data:`SITES` table.
 
-    def reach_torn(self, point: str, torn_write) -> None:
-        """Like :meth:`reach`, but run ``torn_write()`` before dying.
+    Two ways to configure a site, each validated once:
 
-        The WAL uses this at ``wal.append``: the callback writes the
-        first half of the record, simulating a kill mid-``write(2)`` —
-        the torn tail recovery must detect and discard.
-        """
-        if self._arm(point):
-            torn_write()
-            self._fire(point)
+    * :meth:`target` faults one occurrence: a key (a page, every page
+      of a file, a task ordinal), the ``after``-th reach whose label
+      contains a substring, or the ``after``-th reach of the site.
+    * :meth:`rate` faults each key with a probability drawn from
+      ``random.Random`` seeded by ``seed`` mixed with the key —
+      ``(seed·M + file_id)·M + page_no`` for a page, ``seed·M + seq``
+      for a task — so two registries with the same seed and rates
+      fault the same keys at any worker count.
 
+    ``times`` is how many consecutive attempts of a key fail
+    (``math.inf``: it never heals).  A site that is neither targeted
+    nor drawn is left alone — its hosts keep their bulk paths.
 
-# Every registered worker-fault kind, in rough severity order.  The CI
-# worker-fault sweep iterates this tuple (like CRASH_POINTS), so a new
-# kind added here automatically joins the differential oracle.
-WORKER_FAULT_KINDS = (
-    "crash",   # the worker dies before starting the task
-    "hang",    # the worker wedges; only a deadline or a hedge frees the task
-    "slow",    # a straggler: the task completes, slow_factor times later
-    "lost",    # the task completes but its result envelope is dropped
-    "poison",  # a bad worker: this and the next poison_tasks dispatches die
-)
-
-
-class WorkerFaultInjector:
-    """Seeded, deterministic source of scheduled-task worker faults.
-
-    The task runtime (:class:`repro.plans.scheduler.TaskRuntime`) asks
-    :meth:`draw` before dispatching every attempt of every task.  A
-    drawn fault means that attempt never touches shared engine state —
-    the worker died, hung, or lost the result *around* the task, whose
-    work is pure and replayable — so injected faults can never change
-    results or structural counters, only the modeled schedule and the
-    ``scheduler.task_*`` fault metrics.
-
-    Faults are targeted (by global task ordinal or by task-label
-    substring, like :class:`CrashInjector`'s ``after``) or drawn at a
-    seeded per-task rate.  Draws are keyed by the task's *serial
-    ordinal*, never by worker identity, so the same faults fire at any
-    worker count.
-
-    ``poison`` models one bad worker: the drawn attempt fails, and the
-    next ``poison_tasks`` dispatches (any task, any attempt) fail as
-    crashes until the modeled health check replaces the worker.
+    The hooks: the buffer pool calls :meth:`before_read` on a disk
+    read, the write-ahead log, checkpoints, journal and batch loop call
+    :meth:`reach` at their crash points, and the task runtime calls
+    :meth:`draw` before every attempt.  ``counts[(site, kind)]`` counts
+    the faults injected — a targeted site that never fires is a test
+    bug, not a pass.  A drawn ``poison`` fault makes the next
+    ``poison_tasks`` reaches of its site crash while the modeled health
+    check replaces the worker; a ``slow`` task takes ``slow_factor``
+    times its clean run.
     """
 
     def __init__(
-        self,
-        seed: int = 0,
-        rate: float = 0.0,
-        kinds: tuple[str, ...] = WORKER_FAULT_KINDS,
-        slow_factor: float = 4.0,
-        poison_tasks: int = 2,
+        self, seed: int = 0, slow_factor: float = 4.0, poison_tasks: int = 2
     ):
-        if not 0.0 <= rate <= 1.0:
-            raise StorageError("worker fault rate must lie in [0, 1]")
-        for kind in kinds:
-            if kind not in WORKER_FAULT_KINDS:
-                raise StorageError(
-                    f"unknown worker fault kind {kind!r}; registered "
-                    f"kinds: {', '.join(WORKER_FAULT_KINDS)}"
-                )
-        if slow_factor < 1.0:
-            raise StorageError("slow_factor must be >= 1")
-        if poison_tasks < 0:
-            raise StorageError("poison_tasks must be >= 0")
         self.seed = seed
-        self.rate = rate
-        self.kinds = tuple(kinds)
-        self.slow_factor = slow_factor
-        self.poison_tasks = poison_tasks
-        self._targeted: dict[int, tuple[str, float]] = {}
-        self._label_targets: list[tuple[str, int, str, float]] = []
-        self._label_seen: dict[str, int] = {}
-        self._poison_left = 0
-        self.counts: dict[str, int] = {}
-        """Per-kind injected-fault counts — lets tests assert a fault
-        actually fired (a targeted site that never runs is a test bug,
-        not a pass)."""
+        self.slow_factor = _checked("slow_factor", slow_factor, 1.0)
+        self.poison_tasks = _checked("poison_tasks", poison_tasks, count=True)
+        self.counts: Counter[tuple[str, str]] = Counter()
+        self._rates: dict[str, list[tuple[float, tuple[str, ...], float]]] = {}
+        self._keyed: dict[tuple, tuple[str, float]] = {}
+        # [site, label substring, after, kind, times, matches seen]
+        self._pending: list[list] = []
+        self._armed: set[str] = set()
+        self._attempts: dict[PageId, int] = {}
+        self._reached: Counter[str] = Counter()
+        self._poison: Counter[str] = Counter()
 
     # ------------------------------------------------------------------
-    # Targeted faults
+    # Configuration
     # ------------------------------------------------------------------
-    def fail_task(
-        self, seq: int, kind: str, attempts: float = 1
-    ) -> None:
-        """Fault the first ``attempts`` attempts of task ordinal ``seq``.
-
-        ``attempts=math.inf`` makes the task unrecoverable by retrying
-        alone (the degradation / :class:`~repro.errors.WorkerError`
-        paths); the default faults only the first attempt, so one retry
-        heals it.
-        """
-        self._check_kind(kind)
-        if seq < 0:
-            raise StorageError("task ordinal must be >= 0")
-        self._targeted[seq] = (kind, attempts)
-
-    def fail_label(
+    def target(
         self,
-        substring: str,
+        site: str,
         kind: str,
-        occurrence: int = 0,
-        attempts: float = 1,
-    ) -> None:
-        """Fault the ``occurrence``-th task whose label contains
-        ``substring`` — an *injection site* ("the first shuffle", "the
-        combine barrier") independent of absolute task numbering."""
-        self._check_kind(kind)
-        if occurrence < 0:
-            raise StorageError("label occurrence must be >= 0")
-        self._label_targets.append((substring, occurrence, kind, attempts))
+        key=None,
+        *,
+        label: str | None = None,
+        after: int = 0,
+        times: float = 1,
+    ) -> "Faults":
+        """Fault one occurrence of ``site`` with ``kind``.
 
-    def _check_kind(self, kind: str) -> None:
-        if kind not in WORKER_FAULT_KINDS:
-            raise StorageError(
-                f"unknown worker fault kind {kind!r}; registered "
-                f"kinds: {', '.join(WORKER_FAULT_KINDS)}"
-            )
-
-    # ------------------------------------------------------------------
-    # The hook the task runtime calls
-    # ------------------------------------------------------------------
-    def draw(self, seq: int, label: str, attempt: int) -> str | None:
-        """The fault (if any) hitting attempt ``attempt`` of task ``seq``.
-
-        Deterministic in ``(seed, seq, attempt)`` plus the targeted
-        configuration; label sites resolve on first sight of a task and
-        then stick to its ordinal, so retries of a targeted task keep
-        drawing against the same site.
+        ``key`` names it directly: a :class:`PageId` or a file id at
+        ``page.read``, a task ordinal at ``task``.  Otherwise it is the
+        ``after``-th reach (0-based) whose label contains ``label``, or
+        of the site at all; a task found this way keeps the fault
+        through its retries.  The occurrence's first ``times`` attempts
+        fail.
         """
+        _checked_kind(site, kind)
+        _checked("after", after, count=True)
+        _checked("times", times, 1, count=True, forever=True)
+        if key is not None:
+            if not isinstance(key, PageId):
+                # A file id may be negative (a temporary file).
+                low = -math.inf if site == "page.read" else 0
+                _checked(f"{site} key", key, low, count=True)
+            self._keyed[(site, key)] = (kind, times)
+        elif site == "page.read":
+            raise StorageError("page.read targets need a page or file key")
+        else:
+            self._pending.append([site, label or "", after, kind, times, 0])
+        self._armed.add(site)
+        return self
+
+    def rate(
+        self, site: str, kinds, p: float, *, times: float = 1
+    ) -> "Faults":
+        """Fault each key of ``site`` with probability ``p``.
+
+        A drawn key takes one of ``kinds`` (a name or a tuple; the seeded
+        generator picks among several).  The rates of one site share
+        one roll per key, laid out in call order: with permanent then
+        transient page rates, a roll below the first is permanent.
+        """
+        kinds = (kinds,) if isinstance(kinds, str) else tuple(kinds)
+        for kind in kinds:
+            _checked_kind(site, kind)
+        _checked("fault rate", p, high=1.0)
+        _checked("times", times, 1, count=True, forever=True)
+        if p > 0.0 and kinds:
+            self._rates.setdefault(site, []).append((p, kinds, times))
+            self._armed.add(site)
+        return self
+
+    def target_seeded(self, sites, kind: str) -> "Faults":
+        """Target the ``after``-th reach of one of ``sites``, both picked
+        by ``random.Random(seed)`` (``after`` below 3)."""
+        rng = random.Random(self.seed)
+        site = rng.choice(list(sites))
+        return self.target(site, kind, after=rng.randrange(3))
+
+    def heal(self) -> None:
+        """Clear every target and attempt history; rates stay."""
+        self._keyed.clear()
+        self._pending.clear()
+        self._attempts.clear()
+        self._armed = set(self._rates)
+
+    def armed(self, *sites: str) -> bool:
+        """Whether any of ``sites`` is targeted or drawn at all."""
+        return not self._armed.isdisjoint(sites)
+
+    # ------------------------------------------------------------------
+    # The one draw
+    # ------------------------------------------------------------------
+    def draw(self, site: str, key=None, label: str = "", attempt: int = 0):
+        """The fault kind hitting this reach of ``site``, or ``None``.
+
+        ``key`` identifies the occurrence (a page, a task ordinal);
+        crash points pass none and are keyed by their reach ordinal.
+        ``attempt`` counts a task's dispatches; a page's reads are
+        counted here.  Deterministic in the seed, the key and the
+        configuration.
+        """
+        fault = self._fault(site, key, label, attempt)
+        return None if fault is None else fault[0]
+
+    def _fault(self, site, key, label, attempt):
+        """:meth:`draw`, as ``(kind, attempt, times)``."""
+        if site not in self._armed:
+            return None
+        if key is None:
+            key = self._reached[site]
+            self._reached[site] += 1
         if attempt == 0:
-            # Resolve label sites the first time this task is seen.
-            for substring, occurrence, kind, attempts in self._label_targets:
-                if substring in label:
-                    seen = self._label_seen.get(substring, 0)
-                    self._label_seen[substring] = seen + 1
-                    if seen == occurrence and seq not in self._targeted:
-                        self._targeted[seq] = (kind, attempts)
-        if self._poison_left > 0:
-            self._poison_left -= 1
-            return self._record("crash")
-        targeted = self._targeted.get(seq)
-        if targeted is not None and attempt < targeted[1]:
-            return self._record(targeted[0])
-        if self.rate > 0.0 and attempt == 0 and self.kinds:
-            rng = random.Random(self.seed * 1_000_003 + seq)
-            if rng.random() < self.rate:
-                return self._record(rng.choice(list(self.kinds)))
+            self._bind(site, key, label)
+        if self._poison[site]:
+            self._poison[site] -= 1
+            return self._record(site, "crash"), attempt, 1
+        rule = self._keyed.get((site, key))
+        if rule is None and isinstance(key, PageId):
+            rule = self._keyed.get((site, key.file_id))
+        if rule is None:
+            rule = self._roll(site, key)
+        if rule is None:
+            return None
+        kind, times = rule
+        if isinstance(key, PageId):
+            attempt = self._attempts.get(key, 0)
+            self._attempts[key] = attempt + 1
+        if attempt >= times:
+            return None
+        return self._record(site, kind), attempt, times
+
+    def _bind(self, site, key, label) -> None:
+        """Resolve label and ``after`` targets on a key's first reach;
+        a bound target sticks to the key, so its retries keep drawing
+        against it."""
+        for pending in self._pending:
+            if pending[0] != site or pending[1] not in label:
+                continue
+            seen = pending[5]
+            pending[5] = seen + 1
+            if seen == pending[2] and (site, key) not in self._keyed:
+                self._keyed[(site, key)] = (pending[3], pending[4])
+
+    def _roll(self, site, key):
+        rates = self._rates.get(site)
+        if not rates:
+            return None
+        mixed = self.seed
+        for part in (
+            (key.file_id, key.page_no) if isinstance(key, PageId) else (key,)
+        ):
+            mixed = mixed * _MIX + part
+        rng = random.Random(mixed)
+        roll = rng.random()
+        bound = 0.0
+        for p, kinds, times in rates:
+            bound += p
+            if roll < bound:
+                return rng.choice(kinds), times
         return None
 
-    def _record(self, kind: str) -> str:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
+    def _record(self, site: str, kind: str) -> str:
+        self.counts[(site, kind)] += 1
         if kind == "poison":
-            self._poison_left = self.poison_tasks
+            self._poison[site] = self.poison_tasks
         return kind
 
+    # ------------------------------------------------------------------
+    # Hooks
+    # ------------------------------------------------------------------
+    def before_read(self, page: PageId) -> None:
+        """Raise the injected fault for this disk read of ``page``."""
+        fault = self._fault("page.read", page, "", 0)
+        if fault is None:
+            return
+        kind, attempt, times = fault
+        if kind == "permanent":
+            raise PermanentStorageError(
+                f"permanent fault injected on page {page}"
+            )
+        raise TransientStorageError(
+            f"transient fault injected on page {page} "
+            f"(attempt {attempt + 1}/{times})"
+        )
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff for transient page faults.
+    def reach(self, point: str, torn_write=None) -> None:
+        """Mark a crash point; raises :class:`InjectedCrash` when it is
+        targeted here.  ``torn_write()`` runs first: the WAL passes one
+        at ``wal.append`` that writes the first half of the record —
+        the torn tail recovery must detect and discard."""
+        if self.draw(point) is None:
+            return
+        if torn_write is not None:
+            torn_write()
+        raise InjectedCrash(
+            f"injected crash at {point} (occurrence {self._reached[point]})"
+        )
 
-    ``max_attempts`` bounds reads of one page (first try + retries);
-    the ``n``-th retry waits ``min(base_delay * 2**n, max_delay)``
-    cost units, charged to the stats clock as simulated wait.
-    """
 
-    max_attempts: int = 4
-    base_delay: float = 100.0
-    max_delay: float = 2000.0
+class Backoff:
+    """Capped exponential backoff: the ``n``-th retry (0-based) waits
+    ``min(base_delay * 2**n, max_delay)`` cost units."""
+
+    base_delay: float
+    max_delay: float
 
     def delay_for(self, retry_index: int) -> float:
         """Backoff before the ``retry_index``-th retry (0-based)."""
         return min(self.base_delay * (2.0 ** retry_index), self.max_delay)
 
 
-DEFAULT_RETRY_POLICY = RetryPolicy()
+@dataclass(frozen=True)
+class RetryPolicy(Backoff):
+    """Retry policy for transient page faults.
 
-
-class FaultInjector:
-    """Seeded page-read fault source attached to a :class:`BufferPool`.
-
-    Parameters
-    ----------
-    seed:
-        Drives the per-page random draws; two injectors with the same
-        seed and rates fault exactly the same pages.
-    transient_rate:
-        Probability that any given page is transiently faulty.
-    permanent_rate:
-        Probability that any given page is permanently unreadable.
-        A page drawn for both is permanent.
-    transient_failures:
-        How many times a transiently faulty page fails before healing.
+    ``max_attempts`` bounds reads of one page (first try + retries);
+    the :class:`Backoff` wait is charged to the stats clock as
+    simulated wait.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        transient_rate: float = 0.0,
-        permanent_rate: float = 0.0,
-        transient_failures: int = 1,
-    ):
-        if not (0.0 <= transient_rate <= 1.0 and 0.0 <= permanent_rate <= 1.0):
-            raise StorageError("fault rates must lie in [0, 1]")
-        if transient_failures < 1:
-            raise StorageError("transient_failures must be >= 1")
-        self.seed = seed
-        self.transient_rate = transient_rate
-        self.permanent_rate = permanent_rate
-        self.transient_failures = transient_failures
-        self._forced_transient: dict[PageId, int] = {}
-        self._forced_permanent_pages: set[PageId] = set()
-        self._forced_permanent_files: set[int] = set()
-        self._attempts: dict[PageId, int] = {}
-        self.transient_injected = 0
-        self.permanent_injected = 0
+    max_attempts: int = 4
+    base_delay: float = 100.0
+    max_delay: float = 2000.0
 
-    # ------------------------------------------------------------------
-    # Targeted faults
-    # ------------------------------------------------------------------
-    def fail_page(
-        self, page: PageId, permanent: bool = False, times: int | None = None
-    ) -> None:
-        """Force a fault on one specific page."""
-        if permanent:
-            self._forced_permanent_pages.add(page)
-        else:
-            self._forced_transient[page] = (
-                self.transient_failures if times is None else times
-            )
 
-    def fail_file(self, file_id: int) -> None:
-        """Mark every page of a file permanently unreadable."""
-        self._forced_permanent_files.add(file_id)
-
-    def heal(self) -> None:
-        """Clear all targeted faults and attempt history."""
-        self._forced_transient.clear()
-        self._forced_permanent_pages.clear()
-        self._forced_permanent_files.clear()
-        self._attempts.clear()
-
-    # ------------------------------------------------------------------
-    # The hook the buffer pool calls
-    # ------------------------------------------------------------------
-    def _drawn_fault(self, page: PageId) -> str | None:
-        """Seeded per-page draw: 'permanent', 'transient', or None."""
-        if self.permanent_rate == 0.0 and self.transient_rate == 0.0:
-            return None
-        mixed = (self.seed * 1_000_003 + page.file_id) * 1_000_003 + page.page_no
-        rng = random.Random(mixed)
-        roll = rng.random()
-        if roll < self.permanent_rate:
-            return "permanent"
-        if roll < self.permanent_rate + self.transient_rate:
-            return "transient"
-        return None
-
-    def before_read(self, page: PageId) -> None:
-        """Raise the injected fault for this read attempt, if any."""
-        if (
-            page.file_id in self._forced_permanent_files
-            or page in self._forced_permanent_pages
-        ):
-            self.permanent_injected += 1
-            raise PermanentStorageError(
-                f"permanent fault injected on page {page}"
-            )
-        drawn = self._drawn_fault(page)
-        if drawn == "permanent":
-            self.permanent_injected += 1
-            raise PermanentStorageError(
-                f"permanent fault injected on page {page}"
-            )
-        budget = self._forced_transient.get(page)
-        if budget is None and drawn == "transient":
-            budget = self.transient_failures
-        if budget is not None:
-            attempts = self._attempts.get(page, 0)
-            self._attempts[page] = attempts + 1
-            if attempts < budget:
-                self.transient_injected += 1
-                raise TransientStorageError(
-                    f"transient fault injected on page {page} "
-                    f"(attempt {attempts + 1}/{budget})"
-                )
+DEFAULT_RETRY_POLICY = RetryPolicy()
 
 
 def read_with_retry(pool, page: PageId, stats: IOStats, guard=None) -> None:

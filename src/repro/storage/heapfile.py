@@ -66,11 +66,13 @@ class HeapFile:
 
         Transient page faults (see :mod:`repro.storage.faults`) are
         retried with backoff; ``guard`` supplies the retry budget.
-        Faults are drawn per page, so a pool with an injector attached
-        is read page by page; otherwise a run at a time.
+        Faults are drawn per page, so a pool whose faults arm
+        ``page.read`` is read page by page; otherwise a run at a time.
         """
+        faults = pool.faults
+        per_page = faults is not None and faults.armed("page.read")
         for start, n in self._runs(stats, guard):
-            if pool.injector is None:
+            if not per_page:
                 pool.read_run(self.file_id, start, n, stats)
                 continue
             for page_no in range(start, start + n):

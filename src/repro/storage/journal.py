@@ -127,9 +127,8 @@ class StepJournal:
         skip, those tables are rebound into ``ctx`` from the record and
         the recorded metrics delta is merged into the live registry.
         """
-        crash = getattr(self.wal, "crash", None)
-        if crash is not None:
-            crash.reach("workload.step")
+        if self.wal is not None:
+            self.wal.reach("workload.step")
 
         record = self.recovered.get(key)
         if record is not None:

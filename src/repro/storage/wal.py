@@ -13,11 +13,12 @@ ends the scan and everything after it is discarded as a **torn tail**
 — the expected residue of a crash mid-append, not an error.  A missing
 or zero-length WAL replays to zero records.
 
-Crash boundaries: an attached :class:`~repro.storage.faults.CrashInjector`
-is consulted at ``wal.append`` (fires *mid-write*, leaving a torn
-half-record on disk) and ``wal.flush`` (fires after the record is
+Crash boundaries: an attached :class:`~repro.storage.faults.Faults`
+registry is reached at ``wal.append`` (fires *mid-write*, leaving a
+torn half-record on disk) and ``wal.flush`` (fires after the record is
 fully durable) so the differential recovery oracle can exercise both
-sides of the durability line.
+sides of the durability line.  Checkpoints, step journals and batches
+reach their own crash points through the same registry.
 """
 
 from __future__ import annotations
@@ -144,17 +145,17 @@ class WriteAheadLog:
     ----------
     path:
         Log file location (created on first append).
-    crash:
-        Optional :class:`~repro.storage.faults.CrashInjector` consulted
-        at the ``wal.append`` / ``wal.flush`` boundaries.
+    faults:
+        Optional :class:`~repro.storage.faults.Faults` registry, reached
+        at every crash point of the log and of its users.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; appends
         land on ``wal.appends`` / ``wal.bytes``.
     """
 
-    def __init__(self, path: str, crash=None, metrics=None):
+    def __init__(self, path: str, faults=None, metrics=None):
         self.path = path
-        self.crash = crash
+        self.faults = faults
         self.metrics = metrics
         parent = os.path.dirname(path)
         if parent:
@@ -172,25 +173,31 @@ class WriteAheadLog:
     def append(self, kind: int, payload: bytes) -> int:
         """Append one record and flush; returns its LSN.
 
-        With a crash injector armed at ``wal.append``, the first half
-        of the record is written before dying — the torn tail replay
-        must discard.  ``wal.flush`` fires after the record is durable.
+        With a crash targeted at ``wal.append``, the first half of the
+        record is written before dying — the torn tail replay must
+        discard.  ``wal.flush`` fires after the record is durable.
         """
         record = encode_record(kind, payload)
         lsn = self.position
-        if self.crash is not None:
+        if self.faults is not None:
             def torn_write():
                 self._fh.write(record[: max(1, len(record) // 2)])
                 self._fh.flush()
-            self.crash.reach_torn("wal.append", torn_write)
+            self.faults.reach("wal.append", torn_write)
         self._fh.write(record)
         self._fh.flush()
         if self.metrics is not None:
             self.metrics.counter("wal.appends").inc()
             self.metrics.counter("wal.bytes").inc(len(record))
-        if self.crash is not None:
-            self.crash.reach("wal.flush")
+        if self.faults is not None:
+            self.faults.reach("wal.flush")
         return lsn
+
+    def reach(self, point: str) -> None:
+        """Mark a crash point of a WAL user (a checkpoint, a journal
+        step, a batch query) against the attached registry."""
+        if self.faults is not None:
+            self.faults.reach(point)
 
     def log_page(self, page: PageId) -> int:
         """Record a page write from the buffer pool."""
@@ -201,8 +208,8 @@ class WriteAheadLog:
         first record's LSN.
 
         The bytes of ``n`` :meth:`log_page` calls in one ``write`` and
-        one flush.  It draws no crash points: with a crash injector
-        attached, callers log record by record.
+        one flush.  It draws no crash points: while a WAL crash point is
+        armed, callers log record by record.
         """
         lsn = self.position
         records = b"".join(

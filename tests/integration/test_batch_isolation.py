@@ -3,10 +3,12 @@
 Under a seeded random fault sweep, ``run_batch(stop_on_error=False)``
 must behave as if each query ran alone: every query's result (or its
 error class) is identical to a solo run against a fresh database with
-the identically seeded injector.  Shared subplans, the shared buffer
+the identically seeded fault registry.  Shared subplans, the shared buffer
 pool, and partial-failure handling must never let one query's fault
 change another query's answer.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from repro.engine import Database
 from repro.errors import MPFError
 from repro.query import MPFQuery, MPFView
 from repro.semiring import SUM_PRODUCT
-from repro.storage import BufferPool, FaultInjector
+from repro.storage import BufferPool, Faults
 
 TRANSIENT_RATE = 0.05
 PERMANENT_RATE = 0.03
@@ -24,16 +26,14 @@ SEEDS = range(8)
 
 
 def _database(seed=None):
-    injector = None
+    faults = None
     if seed is not None:
-        injector = FaultInjector(
-            seed=seed,
-            transient_rate=TRANSIENT_RATE,
-            permanent_rate=PERMANENT_RATE,
-        )
+        faults = Faults(seed)
+        faults.rate("page.read", "permanent", PERMANENT_RATE, times=math.inf)
+        faults.rate("page.read", "transient", TRANSIENT_RATE)
     rng = np.random.default_rng(99)
     a, b, c, d = var("a", 8), var("b", 6), var("c", 5), var("d", 4)
-    db = Database(pool=BufferPool(injector=injector))
+    db = Database(pool=BufferPool(faults=faults))
     db.register(complete_relation([a, b], rng=rng, name="p_ab"))
     db.register(complete_relation([b, c], rng=rng, name="p_bc"))
     db.register(complete_relation([c, d], rng=rng, name="p_cd"))
@@ -94,6 +94,5 @@ def test_seeded_sweep_hits_at_least_one_fault():
     for seed in SEEDS:
         db = _database(seed=seed)
         db.run_batch(_queries(db), stop_on_error=False)
-        injector = db.pool.injector
-        injected += injector.transient_injected + injector.permanent_injected
+        injected += sum(db.pool.faults.counts.values())
     assert injected > 0

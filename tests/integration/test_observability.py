@@ -7,6 +7,8 @@ retries — on clean runs, shared-subplan batches, and fault-injected
 runs that recover through retries.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from repro.plans import QueryGuard
 from repro.plans.runtime import ExecutionContext
 from repro.query import MPFQuery, MPFView
 from repro.semiring import SUM_PRODUCT
-from repro.storage import BufferPool, FaultInjector, PageId
+from repro.storage import BufferPool, Faults, PageId
 from repro.workload import (
     belief_propagation,
     build_junction_tree,
@@ -35,8 +37,8 @@ def _relations():
     ]
 
 
-def _database(injector=None):
-    db = Database(pool=BufferPool(injector=injector))
+def _database(faults=None):
+    db = Database(pool=BufferPool(faults=faults))
     for rel in _relations():
         db.register(rel)
     db.create_view("left_view", ("r_ab", "r_bc"))
@@ -108,11 +110,14 @@ class TestRegistryAgreesWithIOStats:
         assert snap.get("batch.shared_subplans") > 0
 
     def test_transient_faults_retries_agree(self):
-        injector = FaultInjector()
-        db = _database(injector=injector)
+        faults = Faults()
+        db = _database(faults=faults)
         heapfile = db.catalog.heapfile("r_ab")
         for page_no in range(heapfile.n_pages):
-            injector.fail_page(PageId(heapfile.file_id, page_no), times=2)
+            faults.target(
+                "page.read", "transient",
+                PageId(heapfile.file_id, page_no), times=2,
+            )
 
         report = db.run_query(
             _query(db, "left_view", "a"), guard=QueryGuard(retry_budget=1000)
@@ -121,16 +126,19 @@ class TestRegistryAgreesWithIOStats:
         assert report.exec_stats.retries > 0
         snap = db.metrics_snapshot()
         _assert_io_agreement(snap, report.exec_stats)
-        assert snap.get("faults.transient") == injector.transient_injected
+        assert snap.get("faults.transient") == faults.counts[("page.read", "transient")]
         assert snap.get("guard.retries_used") == report.exec_stats.retries
         assert snap.get("guard.budget_consumed") == pytest.approx(
             report.exec_stats.elapsed()
         )
 
     def test_failed_query_counts_error_status(self):
-        injector = FaultInjector()
-        db = _database(injector=injector)
-        injector.fail_file(db.catalog.heapfile("r_ab").file_id)
+        faults = Faults()
+        db = _database(faults=faults)
+        faults.target(
+            "page.read", "permanent", db.catalog.heapfile("r_ab").file_id,
+            times=math.inf,
+        )
         with pytest.raises(PermanentStorageError):
             db.run_query(_query(db, "left_view", "a"))
         snap = db.metrics_snapshot()

@@ -31,7 +31,7 @@ from repro.semiring import SUM_PRODUCT
 from repro.storage import (
     CRASH_POINTS,
     CheckpointManager,
-    CrashInjector,
+    Faults,
     InjectedCrash,
     RecoveryManager,
     WriteAheadLog,
@@ -218,13 +218,13 @@ class TestCrashDifferential:
         return db.run_batch(_sixteen_queries(db)).reports
 
     def _crash_and_resume(self, directory, point, workers):
-        crash = CrashInjector(point, after=2)
+        crash = Faults().target(point, "crash", after=2)
         registry = MetricsRegistry()
         db = _batch_db(
             metrics=registry, workers=workers, partitioned=True
         )
         wal = WriteAheadLog(
-            wal_path(directory), crash=crash, metrics=registry
+            wal_path(directory), faults=crash, metrics=registry
         )
         checkpointer = CheckpointManager(directory, wal=wal,
                                          metrics=registry)

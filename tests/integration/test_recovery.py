@@ -28,7 +28,7 @@ from repro.semiring import SUM_PRODUCT
 from repro.storage import (
     CRASH_POINTS,
     CheckpointManager,
-    CrashInjector,
+    Faults,
     InjectedCrash,
     RecoveryManager,
     StepJournal,
@@ -114,10 +114,10 @@ class TestBatchRecoveryOracle:
     ):
         ref_prints, ref_counters = reference
         directory = str(tmp_path)
-        crash = CrashInjector(point, after=2)
+        crash = Faults().target(point, "crash", after=2)
         registry = MetricsRegistry()
         db = _batch_db(metrics=registry)
-        wal = WriteAheadLog(wal_path(directory), crash=crash,
+        wal = WriteAheadLog(wal_path(directory), faults=crash,
                             metrics=registry)
         checkpointer = CheckpointManager(directory, wal=wal,
                                          metrics=registry)
@@ -222,10 +222,10 @@ class TestWorkloadRecoveryOracle:
         ref_tables, ref_counters = reference
         directory = str(tmp_path)
         relations = _chain_relations(self.CHAIN)
-        crash = CrashInjector(point, after=30)
+        crash = Faults().target(point, "crash", after=30)
         registry = MetricsRegistry()
         db = Database(metrics=registry)
-        wal = WriteAheadLog(wal_path(directory), crash=crash,
+        wal = WriteAheadLog(wal_path(directory), faults=crash,
                             metrics=registry)
         checkpointer = CheckpointManager(directory, wal=wal,
                                          metrics=registry)
@@ -305,7 +305,7 @@ class TestBPJournal:
         registry = MetricsRegistry()
         wal = WriteAheadLog(
             wal_path(directory),
-            crash=CrashInjector("workload.step", after=2),
+            faults=Faults().target("workload.step", "crash", after=2),
             metrics=registry,
         )
         journal = StepJournal(wal=wal)
@@ -355,7 +355,7 @@ class TestBPJournal:
         registry = MetricsRegistry()
         wal = WriteAheadLog(
             wal_path(directory),
-            crash=CrashInjector("workload.step", after=1),
+            faults=Faults().target("workload.step", "crash", after=1),
             metrics=registry,
         )
         with pytest.raises(InjectedCrash):

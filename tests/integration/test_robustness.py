@@ -10,6 +10,8 @@ Three scenarios the PR must demonstrate end to end:
     not corrupt the runtime memo for subsequent queries.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from repro.errors import (
 from repro.plans import QueryGuard
 from repro.query import MPFQuery, MPFView
 from repro.semiring import SUM_PRODUCT
-from repro.storage import BufferPool, FaultInjector, PageId
+from repro.storage import BufferPool, Faults, PageId
 
 
 def _relations():
@@ -39,8 +41,8 @@ def _relations():
     ]
 
 
-def _database(injector=None):
-    db = Database(pool=BufferPool(injector=injector))
+def _database(faults=None):
+    db = Database(pool=BufferPool(faults=faults))
     for rel in _relations():
         db.register(rel)
     db.create_view("left_view", ("r_ab", "r_bc"))
@@ -63,12 +65,15 @@ class TestTransientFaultsRecovered:
     def test_query_survives_transient_faults(self):
         clean = _database().run_query(_query(_database(), "left_view", "a"))
 
-        injector = FaultInjector()
-        db = _database(injector=injector)
+        faults = Faults()
+        db = _database(faults=faults)
         file_id = db.catalog.heapfile("r_ab").file_id
         n_pages = db.catalog.heapfile("r_ab").n_pages
         for page_no in range(n_pages):
-            injector.fail_page(PageId(file_id, page_no), times=2)
+            faults.target(
+                "page.read", "transient",
+                PageId(file_id, page_no), times=2,
+            )
 
         guard = QueryGuard(retry_budget=1000)
         report = db.run_query(_query(db, "left_view", "a"), guard=guard)
@@ -76,15 +81,18 @@ class TestTransientFaultsRecovered:
         assert report.result.equals(clean.result, SUM_PRODUCT)
         assert report.exec_stats.retries >= n_pages * 2
         assert report.exec_stats.retry_wait > 0
-        assert injector.transient_injected >= n_pages * 2
+        assert faults.counts[("page.read", "transient")] >= n_pages * 2
 
     def test_retry_budget_exhaustion_surfaces_the_fault(self):
-        injector = FaultInjector()
-        db = _database(injector=injector)
+        faults = Faults()
+        db = _database(faults=faults)
         file_id = db.catalog.heapfile("r_ab").file_id
         n_pages = db.catalog.heapfile("r_ab").n_pages
         for page_no in range(n_pages):
-            injector.fail_page(PageId(file_id, page_no), times=2)
+            faults.target(
+                "page.read", "transient",
+                PageId(file_id, page_no), times=2,
+            )
 
         with pytest.raises(TransientStorageError):
             db.run_query(
@@ -109,9 +117,12 @@ class TestPermanentFaultIsolatedInBatch:
         clean = clean_db.run_batch(self._batch(clean_db))
         assert all(r.ok for r in clean.reports)
 
-        injector = FaultInjector()
-        db = _database(injector=injector)
-        injector.fail_file(db.catalog.heapfile("r_ab").file_id)
+        faults = Faults()
+        db = _database(faults=faults)
+        faults.target(
+            "page.read", "permanent", db.catalog.heapfile("r_ab").file_id,
+            times=math.inf,
+        )
 
         batch = db.run_batch(self._batch(db))
         assert [r.ok for r in batch.reports] == [True, False, True, True]
@@ -123,20 +134,26 @@ class TestPermanentFaultIsolatedInBatch:
             )
 
     def test_stop_on_error_restores_fail_fast(self):
-        injector = FaultInjector()
-        db = _database(injector=injector)
-        injector.fail_file(db.catalog.heapfile("r_ab").file_id)
+        faults = Faults()
+        db = _database(faults=faults)
+        faults.target(
+            "page.read", "permanent", db.catalog.heapfile("r_ab").file_id,
+            times=math.inf,
+        )
         with pytest.raises(PermanentStorageError):
             db.run_batch(self._batch(db), stop_on_error=True)
 
     def test_healed_fault_allows_rerun_on_same_database(self):
-        injector = FaultInjector()
-        db = _database(injector=injector)
-        injector.fail_file(db.catalog.heapfile("r_ab").file_id)
+        faults = Faults()
+        db = _database(faults=faults)
+        faults.target(
+            "page.read", "permanent", db.catalog.heapfile("r_ab").file_id,
+            times=math.inf,
+        )
         failed = db.run_batch(self._batch(db))
         assert not failed.reports[1].ok
 
-        injector.heal()
+        faults.heal()
         recovered = db.run_query(_query(db, "left_view", "a"))
         clean_db = _database()
         clean = clean_db.run_query(_query(clean_db, "left_view", "a"))
@@ -246,10 +263,8 @@ class TestGuardedWorkloadErrorsCarryContext:
         # Every page of every (ad-hoc temp) file faults more times
         # than the retry policy tolerates: every message fails, but
         # keep_going collects the failures instead of aborting.
-        injector = FaultInjector(
-            transient_rate=1.0, transient_failures=10_000
-        )
-        pool = BufferPool(injector=injector)
+        faults = Faults().rate("page.read", "transient", 1.0, times=10_000)
+        pool = BufferPool(faults=faults)
         ctx = ExecutionContext({}, SUM_PRODUCT, pool=pool)
         result = belief_propagation(
             chain_relations, SUM_PRODUCT, context=ctx, keep_going=True

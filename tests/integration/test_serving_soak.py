@@ -31,7 +31,7 @@ from repro.serve import (
     TenantSpec,
     VirtualClock,
 )
-from repro.storage.faults import WorkerFaultInjector
+from repro.storage import SITES, BufferPool, Faults
 
 SCALE, SEED = 0.004, 7
 N_QUERIES = 1000
@@ -90,7 +90,7 @@ def run_soak():
     clock = VirtualClock()
     db = _build_database(
         SCALE, SEED, clock=clock, workers=2, partitions=PARTITIONS,
-        worker_faults=WorkerFaultInjector(seed=11, rate=0.05),
+        pool=BufferPool(faults=Faults(11).rate("task", SITES["task"], 0.05)),
     )
     tracer = ServeTracer()
     runtime = ServingRuntime(db, tenant_mix(), clock=clock, tracer=tracer)

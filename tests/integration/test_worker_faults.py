@@ -31,7 +31,7 @@ from repro.plans.runtime import ExecutionContext
 from repro.plans.scheduler import TaskPolicy
 from repro.query import MPFQuery, MPFView
 from repro.semiring import SUM_PRODUCT
-from repro.storage.faults import WORKER_FAULT_KINDS, WorkerFaultInjector
+from repro.storage import SITES, BufferPool, Faults
 from repro.workload.bp import belief_propagation
 
 WORKER_SWEEP = (1, 2, 4)
@@ -43,7 +43,7 @@ NON_STRUCTURAL = ("scheduler.", "faults.")
 # Injection sites, by task-label substring: the shard scans, the
 # repartition shuffles, the partial-aggregate combine barrier, and the
 # sharded join tasks.  Each site must actually fire (asserted via
-# ``injector.counts``), so a renamed label breaks the oracle loudly.
+# ``faults.counts``), so a renamed label breaks the oracle loudly.
 LABEL_SITES = ("Scan(", "shuffle[", "+combine", "ProductJoin")
 
 # A policy under which every fault kind is recoverable without
@@ -70,12 +70,12 @@ def _counters(registry, exclude_prefixes=NON_STRUCTURAL) -> dict:
     }
 
 
-def _batch_db(metrics=None, workers=1, task_policy=None, worker_faults=None):
+def _batch_db(metrics=None, workers=1, task_policy=None, faults=None):
     rng = np.random.default_rng(20260806)
     a, b, c, d = var("a", 6), var("b", 5), var("c", 4), var("d", 3)
     db = Database(
         metrics=metrics, workers=workers, task_policy=task_policy,
-        worker_faults=worker_faults,
+        pool=BufferPool(faults=faults),
     )
     db.register(complete_relation([a, b], rng=rng, name="r_ab"))
     db.register(complete_relation([b, c], rng=rng, name="r_bc"))
@@ -103,11 +103,11 @@ def _sixteen_queries(db):
     return queries
 
 
-def _run_batch(workers=1, task_policy=None, worker_faults=None):
+def _run_batch(workers=1, task_policy=None, faults=None):
     registry = MetricsRegistry()
     db = _batch_db(
         metrics=registry, workers=workers, task_policy=task_policy,
-        worker_faults=worker_faults,
+        faults=faults,
     )
     batch = db.run_batch(_sixteen_queries(db))
     prints = [_report_fingerprint(r) for r in batch.reports]
@@ -122,19 +122,18 @@ def reference():
 
 
 class TestFaultDifferentialOracle:
-    @pytest.mark.parametrize("kind", WORKER_FAULT_KINDS)
+    @pytest.mark.parametrize("kind", SITES["task"])
     @pytest.mark.parametrize("site", LABEL_SITES)
     @pytest.mark.parametrize("workers", WORKER_SWEEP)
     def test_kind_by_site_sweep(self, reference, kind, site, workers):
         ref_prints, ref_counters = reference
-        injector = WorkerFaultInjector(seed=11)
-        injector.fail_label(site, kind)
+        faults = Faults(11).target("task", kind, label=site)
         prints, registry, _ = _run_batch(
             workers=workers, task_policy=RECOVERING_POLICY,
-            worker_faults=injector,
+            faults=faults,
         )
         # The site fired (a label that never matches is a test bug)...
-        assert injector.counts.get(kind, 0) >= 1, (kind, site)
+        assert faults.counts[("task", kind)] >= 1, (kind, site)
         # ...and left results and structural counters byte-identical.
         assert prints == ref_prints
         assert _counters(registry) == ref_counters
@@ -147,32 +146,30 @@ class TestFaultDifferentialOracle:
     def test_seeded_rate_sweep(self, reference):
         ref_prints, ref_counters = reference
         for workers in WORKER_SWEEP:
-            injector = WorkerFaultInjector(seed=5, rate=0.25)
+            faults = Faults(5).rate("task", SITES["task"], 0.25)
             prints, registry, _ = _run_batch(
                 workers=workers, task_policy=RECOVERING_POLICY,
-                worker_faults=injector,
+                faults=faults,
             )
-            assert injector.counts, "seeded faults never fired"
+            assert faults.counts, "seeded faults never fired"
             assert prints == ref_prints
             assert _counters(registry) == ref_counters
 
     def test_retries_surface_in_scheduler_metrics(self, reference):
-        injector = WorkerFaultInjector(seed=11)
-        injector.fail_task(3, "crash")
+        faults = Faults(11).target("task", "crash", 3)
         _, registry, _ = _run_batch(
             workers=2, task_policy=RECOVERING_POLICY,
-            worker_faults=injector,
+            faults=faults,
         )
         snap = registry.snapshot().to_dict()
         assert snap["scheduler.task_retries"]["value"] >= 1
 
     def test_faults_inflate_the_modeled_makespan(self):
         _, _, clean = _run_batch(workers=2)
-        injector = WorkerFaultInjector(seed=11)
-        injector.fail_label("Scan(", "slow")
+        faults = Faults(11).target("task", "slow", label="Scan(")
         _, _, faulted = _run_batch(
             workers=2, task_policy=TaskPolicy(timeout=50_000.0),
-            worker_faults=injector,
+            faults=faults,
         )
         # Same task set, same structural work; the straggler shows up
         # only on the modeled clock.
@@ -183,9 +180,8 @@ class TestFaultDifferentialOracle:
 class TestGracefulDegradation:
     def test_exhausted_budget_degrades_and_batch_succeeds(self, reference):
         ref_prints, ref_counters = reference
-        injector = WorkerFaultInjector(seed=11)
-        injector.fail_task(1, "crash", attempts=math.inf)
-        prints, registry, _ = _run_batch(workers=2, worker_faults=injector)
+        faults = Faults(11).target("task", "crash", 1, times=math.inf)
+        prints, registry, _ = _run_batch(workers=2, faults=faults)
         assert prints == ref_prints
         assert _counters(registry) == ref_counters
         snap = registry.snapshot().to_dict()
@@ -193,10 +189,10 @@ class TestGracefulDegradation:
 
     def test_breaker_trips_wholesale(self, reference):
         ref_prints, ref_counters = reference
-        injector = WorkerFaultInjector(seed=11, rate=1.0, kinds=("crash",))
+        faults = Faults(11).rate("task", "crash", 1.0)
         policy = TaskPolicy(breaker_min_tasks=4, breaker_threshold=0.5)
         prints, registry, _ = _run_batch(
-            workers=2, task_policy=policy, worker_faults=injector,
+            workers=2, task_policy=policy, faults=faults,
         )
         assert prints == ref_prints
         assert _counters(registry) == ref_counters
@@ -204,11 +200,10 @@ class TestGracefulDegradation:
         assert snap["scheduler.degraded{reason=breaker}"]["value"] == 1
 
     def test_unrecoverable_fault_raises_worker_error(self):
-        injector = WorkerFaultInjector(seed=11)
-        injector.fail_task(1, "crash", attempts=math.inf)
+        faults = Faults(11).target("task", "crash", 1, times=math.inf)
         policy = TaskPolicy(allow_degrade=False)
         prints, _, batch = _run_batch(
-            workers=2, task_policy=policy, worker_faults=injector,
+            workers=2, task_policy=policy, faults=faults,
         )
         # run_batch's partial-failure contract holds: the poisoned
         # query fails with WorkerError, later queries still run.
@@ -218,11 +213,10 @@ class TestGracefulDegradation:
         assert any(isinstance(e, WorkerError) for e in errors)
 
     def test_worker_error_is_fail_fast_with_stop_on_error(self):
-        injector = WorkerFaultInjector(seed=11)
-        injector.fail_task(1, "crash", attempts=math.inf)
+        faults = Faults(11).target("task", "crash", 1, times=math.inf)
         db = _batch_db(
             workers=2, task_policy=TaskPolicy(allow_degrade=False),
-            worker_faults=injector,
+            faults=faults,
         )
         # Well-formed queries only: the two deliberately-malformed ones
         # would fail fast at planning time, before any task runs.
@@ -240,11 +234,11 @@ class TestBPUnderWorkerFaults:
             complete_relation([c, d], rng=rng, name="t_cd"),
         ]
 
-    def _run(self, workers=1, task_policy=None, worker_faults=None):
+    def _run(self, workers=1, task_policy=None, faults=None):
         registry = MetricsRegistry()
         ctx = ExecutionContext(
             {}, SUM_PRODUCT, metrics=registry, workers=workers,
-            task_policy=task_policy, worker_faults=worker_faults,
+            task_policy=task_policy, pool=BufferPool(faults=faults),
         )
         result = belief_propagation(
             self._relations(), SUM_PRODUCT, context=ctx
@@ -254,19 +248,18 @@ class TestBPUnderWorkerFaults:
         }
         return tables, _counters(registry)
 
-    @pytest.mark.parametrize("kind", WORKER_FAULT_KINDS)
+    @pytest.mark.parametrize("kind", SITES["task"])
     def test_bp_messages_identical_under_faults(self, kind):
         ref_tables, ref_counters = self._run()
         # Pure-serial (workers=1, unpartitioned) has no scheduled
-        # tasks to fault — the injector only sees scheduled dispatch.
+        # tasks to fault — the registry only sees scheduled dispatch.
         for workers in WORKER_SWEEP[1:]:
-            injector = WorkerFaultInjector(seed=3)
-            injector.fail_task(2, kind)
+            faults = Faults(3).target("task", kind, 2)
             tables, counters = self._run(
                 workers=workers, task_policy=RECOVERING_POLICY,
-                worker_faults=injector,
+                faults=faults,
             )
-            assert injector.counts.get(kind, 0) >= 1
+            assert faults.counts[("task", kind)] >= 1
             assert tables == ref_tables
             assert counters == ref_counters
 
@@ -281,11 +274,9 @@ class TestBuildCacheUnderWorkerFaults:
 
     def test_cache_build_inherits_the_engine_fault_settings(self):
         """``build_cache`` runs on the engine-wide settings like
-        ``run_batch``: an attached injector draws, the task policy
+        ``run_batch``: the pool's registry draws, the task policy
         recovers, and every cached table is the fault-free one."""
-        injector = WorkerFaultInjector(seed=5, rate=0.3)
-        tables = self._build(
-            task_policy=RECOVERING_POLICY, worker_faults=injector
-        )
-        assert injector.counts
+        faults = Faults(5).rate("task", SITES["task"], 0.3)
+        tables = self._build(task_policy=RECOVERING_POLICY, faults=faults)
+        assert faults.counts
         assert tables == self._build()

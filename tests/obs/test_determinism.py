@@ -16,7 +16,7 @@ from repro.obs import validate_metrics_document
 from repro.plans import QueryGuard
 from repro.query import MPFQuery, MPFView
 from repro.semiring import SUM_PRODUCT
-from repro.storage import BufferPool, FaultInjector, PageId
+from repro.storage import BufferPool, Faults, PageId
 
 
 def _seeded_run() -> Database:
@@ -27,8 +27,8 @@ def _seeded_run() -> Database:
         complete_relation([a, b], rng=rng, name="s1"),
         complete_relation([b, c], rng=rng, name="s2"),
     ]
-    injector = FaultInjector(seed=17)
-    db = Database(pool=BufferPool(injector=injector))
+    faults = Faults(seed=17)
+    db = Database(pool=BufferPool(faults=faults))
     for rel in relations:
         db.register(rel)
     db.create_view("v", ("s1", "s2"))
@@ -39,7 +39,10 @@ def _seeded_run() -> Database:
 
     heapfile = db.catalog.heapfile("s1")
     for page_no in range(heapfile.n_pages):
-        injector.fail_page(PageId(heapfile.file_id, page_no), times=1)
+        faults.target(
+            "page.read", "transient",
+            PageId(heapfile.file_id, page_no), times=1,
+        )
 
     db.run_query(query("a"), guard=QueryGuard(retry_budget=1000))
     db.run_query(query("c", a=2), use_plan_cache=True)

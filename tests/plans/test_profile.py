@@ -112,16 +112,19 @@ class TestProfileReporting:
 
     def test_retries_column_and_footer(self, setting):
         from repro.plans import QueryGuard
-        from repro.storage import BufferPool, FaultInjector, PageId
+        from repro.storage import BufferPool, Faults, PageId
 
         cat, plan = setting
-        injector = FaultInjector()
+        faults = Faults()
         heapfile = cat.heapfile("s1")
         for page_no in range(heapfile.n_pages):
-            injector.fail_page(PageId(heapfile.file_id, page_no), times=1)
+            faults.target(
+                "page.read", "transient",
+                PageId(heapfile.file_id, page_no), times=1,
+            )
         profile = profile_execution(
             plan, cat, SUM_PRODUCT,
-            pool=BufferPool(injector=injector),
+            pool=BufferPool(faults=faults),
             guard=QueryGuard(retry_budget=1000),
         )
         assert profile.total.retries == heapfile.n_pages

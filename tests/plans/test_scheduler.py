@@ -1,5 +1,6 @@
 """Unit tests for the critical-path clock and the ordered pool."""
 
+import math
 import threading
 
 import pytest
@@ -16,6 +17,7 @@ from repro.plans.scheduler import (
     TaskRuntime,
 )
 from repro.semiring import SUM_PRODUCT
+from repro.storage import Faults
 
 
 def _context_pool(workers):
@@ -128,7 +130,7 @@ class TestOrderedPool:
         assert ran == [0, 1]
 
     def test_base_exception_propagates(self):
-        # The crash injector raises BaseException subclasses; those
+        # Injected crashes are BaseException subclasses; those
         # must cross the pool boundary too.
         class Crash(BaseException):
             pass
@@ -180,15 +182,14 @@ class TestOrderedPool:
             ExecutionContext({}, SUM_PRODUCT, workers=0)
 
 
-class _StubInjector:
-    """Scripted fault source: {(seq, attempt): kind}."""
-
-    def __init__(self, script, slow_factor=4.0):
-        self.script = dict(script)
-        self.slow_factor = slow_factor
-
-    def draw(self, seq, label, attempt):
-        return self.script.get((seq, attempt))
+def _scripted(script, slow_factor=4.0):
+    """A registry faulting the scripted attempts: {(seq, attempt): kind},
+    each task's faulted attempts running from 0."""
+    faults = Faults(slow_factor=slow_factor)
+    for (seq, attempt), kind in script.items():
+        if (seq, attempt + 1) not in script:
+            faults.target("task", kind, seq, times=attempt + 1)
+    return faults
 
 
 class TestTaskPolicy:
@@ -201,6 +202,12 @@ class TestTaskPolicy:
             TaskPolicy(timeout=0.0)
         with pytest.raises(ValueError):
             TaskPolicy(hedge_after=-1.0)
+        # A NaN or infinite duration would turn the schedule into NaN.
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                TaskPolicy(timeout=bad)
+            with pytest.raises(ValueError):
+                TaskPolicy(hedge_after=bad)
 
     def test_rejects_bad_breaker_threshold(self):
         with pytest.raises(ValueError):
@@ -236,7 +243,7 @@ class TestTaskRuntime:
         runtime = TaskRuntime(
             OrderedPool(),
             policy=TaskPolicy(base_delay=100.0),
-            injector=_StubInjector({(0, 0): "crash"}),
+            faults=_scripted({(0, 0): "crash"}),
             count=count,
         )
         calls = []
@@ -253,7 +260,7 @@ class TestTaskRuntime:
         runtime = TaskRuntime(
             OrderedPool(),
             policy=TaskPolicy(base_delay=100.0),
-            injector=_StubInjector({(0, 0): "lost"}),
+            faults=_scripted({(0, 0): "lost"}),
             count=count,
         )
         calls = []
@@ -269,7 +276,7 @@ class TestTaskRuntime:
         runtime = TaskRuntime(
             OrderedPool(),
             policy=TaskPolicy(timeout=500.0, base_delay=100.0),
-            injector=_StubInjector({(0, 0): "hang"}),
+            faults=_scripted({(0, 0): "hang"}),
             count=count,
         )
         modeled = runtime.run([lambda: 10.0])
@@ -281,7 +288,7 @@ class TestTaskRuntime:
         runtime = TaskRuntime(
             OrderedPool(),
             policy=TaskPolicy(hedge_after=300.0),
-            injector=_StubInjector({(0, 0): "hang"}),
+            faults=_scripted({(0, 0): "hang"}),
             count=count,
         )
         modeled = runtime.run([lambda: 10.0])
@@ -293,7 +300,7 @@ class TestTaskRuntime:
         runtime = TaskRuntime(
             OrderedPool(),
             policy=TaskPolicy(hedge_after=15.0),
-            injector=_StubInjector({(0, 0): "slow"}, slow_factor=10.0),
+            faults=_scripted({(0, 0): "slow"}, slow_factor=10.0),
             count=count,
         )
         modeled = runtime.run([lambda: 10.0])
@@ -307,7 +314,7 @@ class TestTaskRuntime:
         runtime = TaskRuntime(
             OrderedPool(),
             policy=TaskPolicy(max_attempts=2, base_delay=100.0),
-            injector=_StubInjector(
+            faults=_scripted(
                 {(0, 0): "crash", (0, 1): "crash", (1, 0): "crash"}
             ),
             count=count,
@@ -331,7 +338,7 @@ class TestTaskRuntime:
         runtime = TaskRuntime(
             OrderedPool(),
             policy=TaskPolicy(max_attempts=1, allow_degrade=False),
-            injector=_StubInjector({(0, 0): "crash"}),
+            faults=_scripted({(0, 0): "crash"}),
         )
         with pytest.raises(WorkerError, match="retry budget exhausted"):
             runtime.run([lambda: 10.0])
@@ -340,7 +347,7 @@ class TestTaskRuntime:
         runtime = TaskRuntime(
             OrderedPool(),
             policy=TaskPolicy(allow_degrade=False),
-            injector=_StubInjector({(0, 0): "hang"}),
+            faults=_scripted({(0, 0): "hang"}),
         )
         with pytest.raises(WorkerError, match="no task timeout"):
             runtime.run([lambda: 10.0])
@@ -351,7 +358,7 @@ class TestTaskRuntime:
         runtime = TaskRuntime(
             OrderedPool(),
             policy=TaskPolicy(breaker_min_tasks=4, breaker_threshold=0.5),
-            injector=_StubInjector(script),
+            faults=_scripted(script),
             count=count,
         )
         runtime.run([lambda i=i: float(i) for i in range(8)])
@@ -365,7 +372,7 @@ class TestTaskRuntime:
         runtime = TaskRuntime(
             _context_pool(workers),
             policy=TaskPolicy(timeout=100.0, hedge_after=50.0),
-            injector=_StubInjector(
+            faults=_scripted(
                 {(3, 0): "crash", (7, 0): "hang", (11, 0): "slow",
                  (15, 0): "lost"}
             ),

@@ -21,7 +21,7 @@ from repro.plans.runtime import ExecutionContext, evaluate_dag
 from repro.semiring import BOOLEAN, SUM_PRODUCT
 from repro.storage import (
     CheckpointManager,
-    CrashInjector,
+    Faults,
     InjectedCrash,
     RecoveryManager,
     WriteAheadLog,
@@ -88,16 +88,16 @@ class TestCheckpointRestore:
 
     def test_restore_carries_every_setting(self, tmp_path):
         from repro.plans.scheduler import TaskPolicy
-        from repro.storage import BufferPool, WorkerFaultInjector
+        from repro.storage import SITES, BufferPool
 
         directory = str(tmp_path)
         CheckpointManager(directory).checkpoint(_database())
         state = RecoveryManager(directory).recover()
+        faults = Faults(5).rate("task", SITES["task"], 0.1)
         settings = {
-            "pool": BufferPool(capacity_pages=64),
+            "pool": BufferPool(capacity_pages=64, faults=faults),
             "workers": 3,
             "task_policy": TaskPolicy(max_attempts=2),
-            "worker_faults": WorkerFaultInjector(seed=5, rate=0.1),
         }
         restored = Database.restore(state, **settings)
         for name, value in settings.items():
@@ -149,6 +149,11 @@ class TestCheckpointRestore:
         assert manager.load(name).manifest["tables"] == []
 
 
+def _crashing_wal(directory, point):
+    faults = Faults().target(point, "crash")
+    return WriteAheadLog(wal_path(directory), faults=faults)
+
+
 class TestCrashDuringCheckpoint:
     @pytest.mark.parametrize(
         "point", ["checkpoint.begin", "checkpoint.pages", "checkpoint.commit"]
@@ -158,7 +163,9 @@ class TestCrashDuringCheckpoint:
     ):
         directory = str(tmp_path)
         db = _database()
-        manager = CheckpointManager(directory, crash=CrashInjector(point))
+        manager = CheckpointManager(
+            directory, wal=_crashing_wal(directory, point)
+        )
         with pytest.raises(InjectedCrash):
             manager.checkpoint(db)
         # Nothing committed: at most a stray .tmp file remains.
@@ -175,7 +182,7 @@ class TestCrashDuringCheckpoint:
         manager = CheckpointManager(directory)
         first = manager.checkpoint(db)
         crashing = CheckpointManager(
-            directory, crash=CrashInjector("checkpoint.commit")
+            directory, wal=_crashing_wal(directory, "checkpoint.commit")
         )
         with pytest.raises(InjectedCrash):
             crashing.checkpoint(db)

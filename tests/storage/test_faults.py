@@ -1,5 +1,8 @@
 """Fault injection and retry: determinism, backoff, accounting."""
 
+import math
+import random
+
 import pytest
 
 from repro.errors import (
@@ -8,14 +11,14 @@ from repro.errors import (
     TransientStorageError,
 )
 from repro.storage import (
-    BufferPool,
     DEFAULT_RETRY_POLICY,
-    FaultInjector,
+    SITES,
+    BufferPool,
+    Faults,
     HeapFile,
     IOStats,
     PageId,
     RetryPolicy,
-    WorkerFaultInjector,
     read_with_retry,
 )
 
@@ -38,55 +41,56 @@ class TestRetryPolicy:
 
 class TestFaultInjectorTargeted:
     def test_transient_page_heals_after_k_failures(self):
-        injector = FaultInjector()
+        faults = Faults()
         page = PageId(1, 0)
-        injector.fail_page(page, times=2)
+        faults.target("page.read", "transient", page, times=2)
         for _ in range(2):
             with pytest.raises(TransientStorageError):
-                injector.before_read(page)
-        injector.before_read(page)  # healed
-        assert injector.transient_injected == 2
+                faults.before_read(page)
+        faults.before_read(page)  # healed
+        assert faults.counts[("page.read", "transient")] == 2
 
     def test_permanent_page_never_heals(self):
-        injector = FaultInjector()
+        faults = Faults()
         page = PageId(1, 3)
-        injector.fail_page(page, permanent=True)
+        faults.target("page.read", "permanent", page, times=math.inf)
         for _ in range(5):
             with pytest.raises(PermanentStorageError):
-                injector.before_read(page)
-        assert injector.permanent_injected == 5
+                faults.before_read(page)
+        assert faults.counts[("page.read", "permanent")] == 5
 
     def test_fail_file_poisons_every_page(self):
-        injector = FaultInjector()
-        injector.fail_file(7)
+        faults = Faults()
+        faults.target("page.read", "permanent", 7, times=math.inf)
         for page_no in range(4):
             with pytest.raises(PermanentStorageError):
-                injector.before_read(PageId(7, page_no))
-        injector.before_read(PageId(8, 0))  # other files unaffected
+                faults.before_read(PageId(7, page_no))
+        faults.before_read(PageId(8, 0))  # other files unaffected
 
     def test_heal_clears_everything(self):
-        injector = FaultInjector()
-        injector.fail_page(PageId(1, 0), times=5)
-        injector.fail_file(2)
-        injector.heal()
-        injector.before_read(PageId(1, 0))
-        injector.before_read(PageId(2, 0))
+        faults = Faults()
+        faults.target("page.read", "transient", PageId(1, 0), times=5)
+        faults.target("page.read", "permanent", 2, times=math.inf)
+        faults.heal()
+        faults.before_read(PageId(1, 0))
+        faults.before_read(PageId(2, 0))
+        assert not faults.armed("page.read")
 
     def test_bad_rates_rejected(self):
         with pytest.raises(StorageError):
-            FaultInjector(transient_rate=1.5)
+            Faults().rate("page.read", "transient", 1.5)
         with pytest.raises(StorageError):
-            FaultInjector(transient_failures=0)
+            Faults().rate("page.read", "transient", 0.1, times=0)
 
 
 class TestFaultInjectorSeeded:
     def _fault_map(self, seed, rate, pages=200):
-        injector = FaultInjector(seed=seed, transient_rate=rate)
+        faults = Faults(seed).rate("page.read", "transient", rate)
         hit = set()
         for page_no in range(pages):
             page = PageId(1, page_no)
             try:
-                injector.before_read(page)
+                faults.before_read(page)
             except TransientStorageError:
                 hit.add(page_no)
         return hit
@@ -107,10 +111,10 @@ class TestFaultInjectorSeeded:
 
 class TestReadWithRetry:
     def test_transient_fault_retried_and_charged(self):
-        injector = FaultInjector()
+        faults = Faults()
         page = PageId(1, 0)
-        injector.fail_page(page, times=2)
-        pool = BufferPool(capacity_pages=4, injector=injector)
+        faults.target("page.read", "transient", page, times=2)
+        pool = BufferPool(capacity_pages=4, faults=faults)
         stats = IOStats()
         read_with_retry(pool, page, stats)
         assert stats.page_reads == 1
@@ -121,22 +125,23 @@ class TestReadWithRetry:
         assert stats.elapsed() > 1000.0  # retry wait is on the clock
 
     def test_permanent_fault_not_retried(self):
-        injector = FaultInjector()
+        faults = Faults()
         page = PageId(1, 0)
-        injector.fail_page(page, permanent=True)
-        pool = BufferPool(capacity_pages=4, injector=injector)
+        faults.target("page.read", "permanent", page, times=math.inf)
+        pool = BufferPool(capacity_pages=4, faults=faults)
         stats = IOStats()
         with pytest.raises(PermanentStorageError):
             read_with_retry(pool, page, stats)
         assert stats.retries == 0
 
     def test_exhausted_attempts_raise_transient(self):
-        injector = FaultInjector()
+        faults = Faults()
         page = PageId(1, 0)
-        injector.fail_page(
-            page, times=DEFAULT_RETRY_POLICY.max_attempts + 5
+        faults.target(
+            "page.read", "transient", page,
+            times=DEFAULT_RETRY_POLICY.max_attempts + 5,
         )
-        pool = BufferPool(capacity_pages=4, injector=injector)
+        pool = BufferPool(capacity_pages=4, faults=faults)
         stats = IOStats()
         with pytest.raises(TransientStorageError):
             read_with_retry(pool, page, stats)
@@ -145,25 +150,25 @@ class TestReadWithRetry:
     def test_guard_retry_budget_caps_total_retries(self):
         from repro.plans.guard import QueryGuard
 
-        injector = FaultInjector()
-        pool = BufferPool(capacity_pages=8, injector=injector)
+        faults = Faults()
+        pool = BufferPool(capacity_pages=8, faults=faults)
         guard = QueryGuard(retry_budget=1)
         stats = IOStats()
         guard.restart(stats)
         page_a, page_b = PageId(1, 0), PageId(1, 1)
-        injector.fail_page(page_a, times=1)
-        injector.fail_page(page_b, times=1)
+        faults.target("page.read", "transient", page_a)
+        faults.target("page.read", "transient", page_b)
         read_with_retry(pool, page_a, stats, guard=guard)  # spends budget
         with pytest.raises(TransientStorageError):
             read_with_retry(pool, page_b, stats, guard=guard)
 
     def test_buffer_hits_never_fault(self):
-        injector = FaultInjector()
+        faults = Faults()
         page = PageId(1, 0)
-        pool = BufferPool(capacity_pages=4, injector=injector)
+        pool = BufferPool(capacity_pages=4, faults=faults)
         stats = IOStats()
         pool.read(page, stats)  # clean miss, page now cached
-        injector.fail_page(page, permanent=True)
+        faults.target("page.read", "permanent", page, times=math.inf)
         pool.read(page, stats)  # hit: no storage access, no fault
         assert stats.buffer_hits == 1
 
@@ -171,10 +176,10 @@ class TestReadWithRetry:
 class TestHeapFileUnderFaults:
     def test_scan_retries_transient_pages(self):
         hf = HeapFile(1, ntuples=50_000, arity=2)
-        injector = FaultInjector()
-        injector.fail_page(PageId(1, 0), times=1)
-        injector.fail_page(PageId(1, hf.n_pages - 1), times=1)
-        pool = BufferPool(capacity_pages=hf.n_pages + 4, injector=injector)
+        faults = Faults()
+        faults.target("page.read", "transient", PageId(1, 0))
+        faults.target("page.read", "transient", PageId(1, hf.n_pages - 1))
+        pool = BufferPool(capacity_pages=hf.n_pages + 4, faults=faults)
         stats = IOStats()
         hf.scan(pool, stats)
         assert stats.page_reads == hf.n_pages
@@ -182,9 +187,9 @@ class TestHeapFileUnderFaults:
 
     def test_scan_propagates_permanent_fault(self):
         hf = HeapFile(1, ntuples=50_000, arity=2)
-        injector = FaultInjector()
-        injector.fail_page(PageId(1, 1), permanent=True)
-        pool = BufferPool(capacity_pages=hf.n_pages + 4, injector=injector)
+        faults = Faults()
+        faults.target("page.read", "permanent", PageId(1, 1), times=math.inf)
+        pool = BufferPool(capacity_pages=hf.n_pages + 4, faults=faults)
         with pytest.raises(PermanentStorageError):
             hf.scan(pool, IOStats())
 
@@ -218,67 +223,211 @@ class TestIOStatsRetryAccounting:
 class TestWorkerFaultInjector:
     def test_validates_configuration(self):
         with pytest.raises(StorageError):
-            WorkerFaultInjector(rate=1.5)
+            Faults().rate("task", SITES["task"], 1.5)
         with pytest.raises(StorageError):
-            WorkerFaultInjector(kinds=("crash", "bogus"))
+            Faults().rate("task", ("crash", "bogus"), 0.1)
         with pytest.raises(StorageError):
-            WorkerFaultInjector(slow_factor=0.5)
+            Faults(slow_factor=0.5)
         with pytest.raises(StorageError):
-            WorkerFaultInjector(poison_tasks=-1)
+            Faults(poison_tasks=-1)
 
     def test_rejects_unknown_targeted_kind(self):
-        injector = WorkerFaultInjector()
+        faults = Faults()
         with pytest.raises(StorageError):
-            injector.fail_task(0, "bogus")
+            faults.target("task", "bogus", 0)
         with pytest.raises(StorageError):
-            injector.fail_label("Scan", "bogus")
+            faults.target("task", "bogus", label="Scan")
 
     def test_targeted_task_faults_requested_attempts(self):
-        injector = WorkerFaultInjector()
-        injector.fail_task(2, "crash", attempts=2)
-        assert injector.draw(2, "", 0) == "crash"
-        assert injector.draw(2, "", 1) == "crash"
-        assert injector.draw(2, "", 2) is None
-        assert injector.draw(3, "", 0) is None
-        assert injector.counts == {"crash": 2}
+        faults = Faults().target("task", "crash", 2, times=2)
+        assert faults.draw("task", 2, "", 0) == "crash"
+        assert faults.draw("task", 2, "", 1) == "crash"
+        assert faults.draw("task", 2, "", 2) is None
+        assert faults.draw("task", 3, "", 0) is None
+        assert faults.counts == {("task", "crash"): 2}
 
     def test_label_target_binds_to_occurrence(self):
-        injector = WorkerFaultInjector()
-        injector.fail_label("shuffle", "lost", occurrence=1)
-        assert injector.draw(0, "shuffle[left](b)", 0) is None
-        assert injector.draw(1, "Scan(r_ab)", 0) is None
-        assert injector.draw(2, "shuffle[right](b)", 0) == "lost"
+        faults = Faults().target("task", "lost", label="shuffle", after=1)
+        assert faults.draw("task", 0, "shuffle[left](b)", 0) is None
+        assert faults.draw("task", 1, "Scan(r_ab)", 0) is None
+        assert faults.draw("task", 2, "shuffle[right](b)", 0) == "lost"
         # Retries of the bound task keep drawing against the site...
-        assert injector.draw(2, "shuffle[right](b)", 0) == "lost"
+        assert faults.draw("task", 2, "shuffle[right](b)", 0) == "lost"
         # ...but only for the configured single attempt.
-        assert injector.draw(2, "shuffle[right](b)", 1) is None
+        assert faults.draw("task", 2, "shuffle[right](b)", 1) is None
 
     def test_poison_takes_out_following_dispatches(self):
-        injector = WorkerFaultInjector(poison_tasks=2)
-        injector.fail_task(1, "poison")
-        assert injector.draw(0, "", 0) is None
-        assert injector.draw(1, "", 0) == "poison"
+        faults = Faults(poison_tasks=2).target("task", "poison", 1)
+        assert faults.draw("task", 0, "", 0) is None
+        assert faults.draw("task", 1, "", 0) == "poison"
         # The next two dispatches — any task, any attempt — die as
         # crashes while the bad worker is replaced.
-        assert injector.draw(1, "", 1) == "crash"
-        assert injector.draw(2, "", 0) == "crash"
-        assert injector.draw(3, "", 0) is None
-        assert injector.counts == {"poison": 1, "crash": 2}
+        assert faults.draw("task", 1, "", 1) == "crash"
+        assert faults.draw("task", 2, "", 0) == "crash"
+        assert faults.draw("task", 3, "", 0) is None
+        assert faults.counts == {("task", "poison"): 1, ("task", "crash"): 2}
 
     def test_seeded_draws_are_deterministic_and_ordinal_keyed(self):
-        a = WorkerFaultInjector(seed=7, rate=0.3)
-        b = WorkerFaultInjector(seed=7, rate=0.3)
-        draws_a = [a.draw(seq, "", 0) for seq in range(200)]
-        draws_b = [b.draw(seq, "", 0) for seq in range(200)]
+        a = Faults(7).rate("task", SITES["task"], 0.3)
+        b = Faults(7).rate("task", SITES["task"], 0.3)
+        draws_a = [a.draw("task", seq, "", 0) for seq in range(200)]
+        draws_b = [b.draw("task", seq, "", 0) for seq in range(200)]
         assert draws_a == draws_b
         assert any(k is not None for k in draws_a)
         # A different seed draws a different fault pattern.
-        c = WorkerFaultInjector(seed=8, rate=0.3)
-        assert draws_a != [c.draw(seq, "", 0) for seq in range(200)]
+        c = Faults(8).rate("task", SITES["task"], 0.3)
+        assert draws_a != [c.draw("task", seq, "", 0) for seq in range(200)]
 
     def test_seeded_draws_only_hit_first_attempts(self):
-        injector = WorkerFaultInjector(seed=7, rate=1.0, kinds=("crash",))
-        assert injector.draw(0, "", 0) == "crash"
+        faults = Faults(7).rate("task", "crash", 1.0)
+        assert faults.draw("task", 0, "", 0) == "crash"
         # Retries run on a fresh worker: the seeded draw never dooms a
         # task forever.
-        assert injector.draw(0, "", 1) is None
+        assert faults.draw("task", 0, "", 1) is None
+
+
+class TestOneValidator:
+    """Every fault parameter goes through one check: non-finite rates
+    and factors, non-integer or negative counts are rejected."""
+
+    @pytest.mark.parametrize("configure", [
+        pytest.param(
+            lambda f: f.rate("page.read", "transient", math.nan),
+            id="nan-rate",
+        ),
+        pytest.param(
+            lambda f: f.rate("page.read", "permanent", math.inf),
+            id="inf-rate",
+        ),
+        pytest.param(lambda f: f.rate("task", "crash", -0.1), id="negative-rate"),
+        pytest.param(
+            lambda f: f.rate("page.read", "transient", 0.1, times=1.5),
+            id="fractional-times",
+        ),
+        pytest.param(
+            lambda f: f.rate("page.read", "transient", 0.1, times=math.nan),
+            id="nan-times",
+        ),
+        pytest.param(
+            lambda f: f.target("batch.query", "crash", after=1.5),
+            id="fractional-after",
+        ),
+        pytest.param(
+            lambda f: f.target("batch.query", "crash", after=-1),
+            id="negative-after",
+        ),
+        pytest.param(
+            lambda f: f.target("batch.query", "crash", after=math.inf),
+            id="infinite-after",
+        ),
+        pytest.param(lambda f: f.target("task", "crash", -1), id="negative-ordinal"),
+        pytest.param(lambda f: f.target("task", "crash", 2.5), id="fractional-ordinal"),
+        pytest.param(lambda f: f.target("task", "crash", 0, times=0), id="zero-times"),
+        pytest.param(
+            lambda f: f.target("page.read", "transient", PageId(1, 0), times=2.0),
+            id="float-times",
+        ),
+        pytest.param(lambda f: f.target("warp.core", "crash"), id="unknown-site"),
+        pytest.param(
+            lambda f: f.target("page.read", "crash", PageId(1, 0)),
+            id="unknown-kind",
+        ),
+        pytest.param(lambda f: f.target("page.read", "transient"), id="keyless-page"),
+        pytest.param(lambda f: Faults(slow_factor=math.nan), id="nan-slow-factor"),
+        pytest.param(lambda f: Faults(slow_factor=math.inf), id="inf-slow-factor"),
+        pytest.param(lambda f: Faults(poison_tasks=1.5), id="fractional-poison-tasks"),
+        pytest.param(lambda f: Faults(poison_tasks=True), id="bool-poison-tasks"),
+    ])
+    def test_rejected_with_storage_error(self, configure):
+        with pytest.raises(StorageError):
+            configure(Faults())
+
+    def test_temporary_file_keys_are_accepted(self):
+        faults = Faults().target("page.read", "permanent", -3, times=2)
+        with pytest.raises(PermanentStorageError):
+            faults.before_read(PageId(-3, 0))
+
+    def test_infinite_times_never_heals(self):
+        faults = Faults().target("task", "hang", 0, times=math.inf)
+        assert all(
+            faults.draw("task", 0, "", attempt) == "hang"
+            for attempt in range(50)
+        )
+
+
+# ----------------------------------------------------------------------
+# The parent's three seeded draw rules, kept verbatim as the reference
+# the registry must reproduce bit for bit.
+# ----------------------------------------------------------------------
+def _reference_page(seed, transient_rate, permanent_rate, page):
+    if permanent_rate == 0.0 and transient_rate == 0.0:
+        return None
+    mixed = (seed * 1_000_003 + page.file_id) * 1_000_003 + page.page_no
+    rng = random.Random(mixed)
+    roll = rng.random()
+    if roll < permanent_rate:
+        return "permanent"
+    if roll < permanent_rate + transient_rate:
+        return "transient"
+    return None
+
+
+def _reference_task(seed, rate, kinds, seq):
+    if rate > 0.0 and kinds:
+        rng = random.Random(seed * 1_000_003 + seq)
+        if rng.random() < rate:
+            return rng.choice(list(kinds))
+    return None
+
+
+def _reference_crash(seed, points, max_after=3):
+    rng = random.Random(seed)
+    return rng.choice(list(points)), rng.randrange(max_after)
+
+
+class TestSeededDrawsMatchTheParentRules:
+    SEEDS = (0, 1, 7, 42, 1234, -3, 2**40 + 5)
+    RATES = (0.0, 0.05, 0.3, 0.77, 1.0)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pages(self, seed):
+        pages = [PageId(f, p) for f in (-2, 1, 9, 300) for p in range(40)]
+        for transient in self.RATES:
+            for permanent in self.RATES:
+                faults = Faults(seed)
+                faults.rate("page.read", "permanent", permanent,
+                            times=math.inf)
+                faults.rate("page.read", "transient", transient)
+                for page in pages:
+                    expected = _reference_page(
+                        seed, transient, permanent, page
+                    )
+                    got = faults.draw("page.read", page)
+                    assert got == expected, (transient, permanent, page)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tasks(self, seed):
+        kind_sets = [
+            SITES["task"], ("crash",), ("slow", "hang"),
+            ("poison", "lost", "crash"), (),
+        ]
+        for rate in self.RATES:
+            for kinds in kind_sets:
+                for seq in range(60):
+                    # A fresh registry per task: poison's follow-on
+                    # crashes are the targeting rule, not the draw.
+                    faults = Faults(seed).rate("task", kinds, rate)
+                    assert faults.draw("task", seq, "", 0) == \
+                        _reference_task(seed, rate, kinds, seq)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_crash_point(self, seed):
+        from repro.storage import CRASH_POINTS, InjectedCrash
+
+        point, after = _reference_crash(seed, CRASH_POINTS)
+        faults = Faults(seed).target_seeded(CRASH_POINTS, "crash")
+        assert [s for s in SITES if faults.armed(s)] == [point]
+        for _ in range(after):
+            faults.reach(point)
+        with pytest.raises(InjectedCrash):
+            faults.reach(point)

@@ -8,17 +8,19 @@ after every step: the resident pages in LRU order, every ``IOStats``
 field, the ``bufferpool.*`` / ``wal.*`` counters and the WAL's bytes.
 """
 
+import math
 from collections import OrderedDict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import (
     BufferPool,
-    CrashInjector,
-    FaultInjector,
+    Faults,
     HeapFile,
+    InjectedCrash,
     IOStats,
     PageId,
     WriteAheadLog,
@@ -131,10 +133,12 @@ class _RecordingGuard:
 )
 def test_scans_check_the_guard_at_the_same_pages(capacity, ntuples, warm):
     """A run per guard interval: the checks fall on the pages the
-    per-page loop (which an attached injector forces) checked at."""
+    per-page loop (which armed page faults force) checked at."""
+    # Armed on a file the scan never reads: per page, and no fault.
+    elsewhere = Faults().target("page.read", "permanent", 99, times=math.inf)
     results = []
-    for injector in (None, FaultInjector()):
-        pool = BufferPool(capacity, injector=injector)
+    for faults in (None, elsewhere):
+        pool = BufferPool(capacity, faults=faults)
         heap = HeapFile(7, ntuples, arity=2)
         stats, guard = IOStats(), _RecordingGuard()
         pool.read_run(7, 0, warm, IOStats())
@@ -156,24 +160,49 @@ def test_scans_check_the_guard_at_the_same_pages(capacity, ntuples, warm):
 def test_write_out_with_a_crash_injector_writes_record_by_record(
     tmp_path_factory, capacity, ntuples
 ):
-    """An armed-nowhere crash injector takes the per-record path; the
-    log, the pool and the guard checks are the bulk path's."""
+    """A crash armed one record past the run takes the per-record path
+    without firing; the log, the pool and the guard checks are the bulk
+    path's."""
     directory = tmp_path_factory.mktemp("wal")
+    heap = HeapFile(-4, ntuples, arity=3)
+    past_the_run = Faults().target("wal.append", "crash", after=heap.n_pages)
     results = []
-    for name, crash in (("bulk", None), ("records", CrashInjector())):
+    for name, faults in (("bulk", None), ("records", past_the_run)):
         path = directory / f"{name}.wal"
         registry = MetricsRegistry()
-        with WriteAheadLog(str(path), crash=crash, metrics=registry) as wal:
+        with WriteAheadLog(str(path), faults=faults, metrics=registry) as wal:
             pool = BufferPool(capacity, metrics=registry, wal=wal)
             stats, guard = IOStats(), _RecordingGuard()
-            HeapFile(-4, ntuples, arity=3).write_out(pool, stats, guard=guard)
-        results.append((
-            path.read_bytes(), stats, guard.checks, pool.resident_pages(),
-            registry.snapshot().to_dict(),
-        ))
-        if crash is not None:
-            assert crash.counts["wal.append"] == stats.page_writes
+            heap.write_out(pool, stats, guard=guard)
+            wal._fh.flush()
+            results.append((
+                path.read_bytes(), stats, guard.checks,
+                pool.resident_pages(), registry.snapshot().to_dict(),
+            ))
+            if faults is not None:
+                # Every page written reached wal.append once.
+                with pytest.raises(InjectedCrash):
+                    wal.log_page(PageId(0, 0))
     assert results[0] == results[1]
+
+
+def test_an_unarmed_site_keeps_the_bulk_paths(tmp_path, monkeypatch):
+    """A registry that neither targets nor draws at ``page.read`` or a
+    WAL crash point leaves scans on ``read_run`` and writes on
+    ``log_run``."""
+    def per_page(*args):
+        raise AssertionError("took the per-page path")
+
+    monkeypatch.setattr(BufferPool, "read", per_page)
+    monkeypatch.setattr(WriteAheadLog, "log_page", per_page)
+    faults = Faults(3).rate("task", "crash", 0.5)
+    faults.target("batch.query", "crash", after=5)
+    with WriteAheadLog(str(tmp_path / "wal.log"), faults=faults) as wal:
+        pool = BufferPool(8, faults=faults, wal=wal)
+        heap = HeapFile(2, 20_000, arity=2)
+        heap.write_out(pool, IOStats())
+        heap.scan(pool, IOStats())
+    assert not faults.counts
 
 
 def test_invalidate_file_touches_only_that_file():

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import RecoveryError, StorageError
 from repro.storage import (
     CRASH_POINTS,
-    CrashInjector,
+    Faults,
     InjectedCrash,
     PageId,
     PageImage,
@@ -116,7 +116,9 @@ class TestTornTails:
 class TestCrashDuringAppend:
     def test_crash_at_wal_append_leaves_torn_record(self, tmp_path):
         path = wal_path(str(tmp_path))
-        wal = WriteAheadLog(path, crash=CrashInjector("wal.append"))
+        wal = WriteAheadLog(
+            path, faults=Faults().target("wal.append", "crash")
+        )
         with pytest.raises(InjectedCrash):
             wal.log_page(PageId(1, 0))
         replay = replay_wal(path)
@@ -125,7 +127,9 @@ class TestCrashDuringAppend:
 
     def test_crash_at_wal_flush_record_is_durable(self, tmp_path):
         path = wal_path(str(tmp_path))
-        wal = WriteAheadLog(path, crash=CrashInjector("wal.flush"))
+        wal = WriteAheadLog(
+            path, faults=Faults().target("wal.flush", "crash")
+        )
         with pytest.raises(InjectedCrash):
             wal.log_page(PageId(1, 0))
         replay = replay_wal(path)
@@ -136,34 +140,34 @@ class TestCrashDuringAppend:
 class TestCrashInjector:
     def test_unknown_point_rejected(self):
         with pytest.raises(StorageError):
-            CrashInjector("warp.core")
+            Faults().target("warp.core", "crash")
 
     def test_negative_after_rejected(self):
         with pytest.raises(StorageError):
-            CrashInjector("wal.flush", after=-1)
+            Faults().target("wal.flush", "crash", after=-1)
 
     def test_fires_once_then_disarms(self):
-        crash = CrashInjector("batch.query")
+        faults = Faults().target("batch.query", "crash")
         with pytest.raises(InjectedCrash):
-            crash.reach("batch.query")
-        assert crash.fired
-        crash.reach("batch.query")  # no second crash
+            faults.reach("batch.query")
+        assert faults.counts[("batch.query", "crash")] == 1
+        faults.reach("batch.query")  # no second crash
 
     def test_after_skips_earlier_hits(self):
-        crash = CrashInjector("batch.query", after=2)
-        crash.reach("batch.query")
-        crash.reach("batch.query")
-        with pytest.raises(InjectedCrash):
-            crash.reach("batch.query")
-        assert crash.counts["batch.query"] == 3
+        faults = Faults().target("batch.query", "crash", after=2)
+        faults.reach("batch.query")
+        faults.reach("batch.query")
+        assert not faults.counts
+        with pytest.raises(InjectedCrash, match="occurrence 3"):
+            faults.reach("batch.query")
 
     def test_seeded_is_deterministic_and_valid(self):
         for seed in range(20):
-            a = CrashInjector.seeded(seed)
-            b = CrashInjector.seeded(seed)
-            assert a.crash_point == b.crash_point
-            assert a.after == b.after
-            assert a.crash_point in CRASH_POINTS
+            a = Faults(seed).target_seeded(CRASH_POINTS, "crash")
+            b = Faults(seed).target_seeded(CRASH_POINTS, "crash")
+            armed = [p for p in CRASH_POINTS if a.armed(p)]
+            assert armed == [p for p in CRASH_POINTS if b.armed(p)]
+            assert len(armed) == 1
 
 
 class TestPageImages:

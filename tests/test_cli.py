@@ -683,6 +683,10 @@ class TestBadFlagValues:
         ["serve", "--fault-worker-rate", "1.5"],
         ["top", "--arrival-gap", "nan"],
         ["top", "--tenant", "gold,slo=0"],
+        ["sql", "--task-timeout", "nan", *SQL_Q],
+        ["sql", "--hedge-after", "nan", *SQL_Q],
+        ["sql", "--task-timeout", "inf", *SQL_Q],
+        ["sql", "--hedge-after", "inf", *SQL_Q],
     ])
     def test_exits_usage_with_one_line(self, argv, capsys):
         assert main(argv) == EXIT_USAGE

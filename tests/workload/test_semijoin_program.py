@@ -21,7 +21,7 @@ from repro.errors import SemiringError, TransientStorageError
 from repro.obs.metrics import MetricsRegistry
 from repro.plans.runtime import ExecutionContext
 from repro.semiring import BOOLEAN, COUNTING, LOG_PROB, MIN_SUM, SUM_PRODUCT
-from repro.storage.faults import FaultInjector
+from repro.storage.faults import Faults
 from repro.workload import (
     belief_propagation,
     bp_program_literal,
@@ -313,8 +313,8 @@ class TestRunnerCountsAndContext:
         relations = [sc.catalog.relation(t) for t in sc.tables]
         pool = BufferPool()
         cache, registry = self._cache(relations, pool=pool)
-        pool.injector = FaultInjector(
-            transient_rate=1.0, transient_failures=10_000
+        pool.faults = Faults().rate(
+            "page.read", "transient", 1.0, times=10_000
         )
         base = relations[0]
         row = {
