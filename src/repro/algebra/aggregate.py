@@ -61,7 +61,8 @@ def marginalize(
     semiring: Semiring,
     name: str | None = None,
     cache: GroupIndexCache | None = None,
-) -> FunctionalRelation:
+    shards: np.ndarray | None = None,
+):
     """GroupBy ``group_names`` aggregating the measure with ``plus``.
 
     The result contains one row per distinct combination of the group
@@ -79,6 +80,13 @@ def marginalize(
     (:data:`~repro.algebra.join.PROBE_KEEP_FACTOR`), the measures are
     scattered on that input's own, cacheable group index and the join's
     columns are never gathered.  The result is the same either way.
+
+    ``shards`` — the row offsets of a shard-major ``relation`` — groups
+    by (shard, group) in one scatter and makes the result ``(partials,
+    offsets)``: each shard's groups in key order, shard after shard,
+    every measure folded in row order — the bytes of marginalizing each
+    shard on its own and stacking the results.  Grouping on nothing
+    gives one row per shard, empty shards included.
     """
     group_names = tuple(group_names)
     unknown = set(group_names) - set(relation.var_names)
@@ -88,6 +96,10 @@ def marginalize(
             f"relation has {relation.var_names}"
         )
     out_vars = relation.variables.subset(group_names)
+    if shards is not None:
+        return _marginalize_shards(
+            relation, out_vars, semiring, name, cache, shards
+        )
 
     if not group_names:
         return FunctionalRelation(
@@ -97,23 +109,60 @@ def marginalize(
             name=name,
             check_fd=False,
         )
+    # Note: grouping on *all* variables is usually the identity (the FD
+    # makes every row its own group), but callers may deliberately feed
+    # a key-colliding relation to plus-merge duplicates (alter_domain's
+    # transfer semantics), so the general path runs unconditionally.
+    return _aggregate(
+        *_group_rows(relation, group_names), relation.measure, out_vars,
+        semiring, name, cache,
+    )
+
+
+def _group_rows(relation, group_names):
+    """``(source, rows)``: whose group index to aggregate on.
+
+    A deferred join's input that holds every group variable, at the
+    join's rows, when enough of its rows matched; otherwise the
+    relation itself (``rows=None``).
+    """
     if isinstance(relation, _DeferredJoin):
         for source, rows in relation.sources:
             if all(n in source.variables for n in group_names) and (
                 rows is None
                 or len(rows) * PROBE_KEEP_FACTOR >= source.ntuples
             ):
-                return _aggregate(
-                    source, rows, relation.measure, out_vars, semiring,
-                    name, cache,
-                )
-    # Note: grouping on *all* variables is usually the identity (the FD
-    # makes every row its own group), but callers may deliberately feed
-    # a key-colliding relation to plus-merge duplicates (alter_domain's
-    # transfer semantics), so the general path runs unconditionally.
-    return _aggregate(
-        relation, None, relation.measure, out_vars, semiring, name, cache
+                return source, rows
+    return relation, None
+
+
+def _marginalize_shards(relation, out_vars, semiring, name, cache, shards):
+    """Per-(shard, group) aggregates of a shard-major relation, and the
+    offsets of each shard's groups among them."""
+    n_shards = len(shards) - 1
+    shard_of_row = np.repeat(
+        np.arange(n_shards, dtype=np.int64), np.diff(shards)
     )
+    if not out_vars.names:
+        measure = semiring.aggregate(relation.measure, shard_of_row, n_shards)
+        partials = FunctionalRelation(
+            out_vars, {}, measure, name=name, check_fd=False
+        )
+        return partials, np.arange(n_shards + 1, dtype=np.int64)
+    source, rows = _group_rows(relation, out_vars.names)
+    gidx = group_index(source, out_vars.names, cache=cache)
+    ids = gidx.inverse if rows is None else gidx.inverse[rows]
+    slots = n_shards * gidx.n_groups
+    ids = shard_of_row * gidx.n_groups + ids
+    occupied = np.flatnonzero(np.bincount(ids, minlength=slots))
+    measure = semiring.aggregate(relation.measure, ids, slots)[occupied]
+    first_rows = gidx.first_idx[occupied % max(gidx.n_groups, 1)]
+    columns = {n: source.columns[n][first_rows] for n in out_vars.names}
+    partials = FunctionalRelation(
+        out_vars, columns, measure, name=name, check_fd=False
+    )
+    bounds = np.arange(n_shards + 1, dtype=np.int64) * gidx.n_groups
+    return partials, np.searchsorted(occupied, bounds)
 
 
 def _aggregate(source, rows, measure, out_vars, semiring, name, cache):

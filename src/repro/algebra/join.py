@@ -392,13 +392,150 @@ def _combined_join(
     )
 
 
+def _sharded_join(left, right, combine, name, left_offsets, right_offsets):
+    """Join two inputs co-partitioned shard-major on a shared variable.
+
+    Matching rows share the partitioning key, hence the shard, so one
+    match over the whole inputs pairs every shard's rows with its own
+    partners, left-major: shard after shard, each shard's pairs in the
+    order a join of its two slices would list them when the left side
+    probes.  Where that slice join would have probed with the right
+    side instead (a big, mostly matched right slice against unique,
+    dense left keys), the shard's pairs are put in right-row order.
+    The result is materialized unless every shard's slice join would
+    have deferred its columns the same way.  So each shard's rows are,
+    byte for byte and in order, the join of its slices, whatever the
+    sizes of the others.
+    """
+    shared = left.variables.intersect(right.variables).names
+    out_vars = left.variables.union(right.variables)
+    i_left, i_right, _ = _match_indices(left, right, shared, None)
+    rows = np.arange(left.ntuples) if i_left is None else i_left
+    offsets = np.searchsorted(rows, left_offsets)
+    n_left, n_right = np.diff(left_offsets), np.diff(right_offsets)
+    probes = None
+    if max(n_left.max(initial=0), n_right.max(initial=0)) >= DEFER_MIN_ROWS:
+        probes = _slice_probes(
+            left, right, shared, left_offsets, right_offsets,
+            np.diff(offsets),
+        )
+        # The match's index arrays are its own: reorder them in place.
+        # A swapped slice's left keys are unique, so each right row has
+        # one pair at most: placing the pairs at their right rows sorts
+        # them.
+        for shard in np.flatnonzero(probes == _RIGHT):
+            part = slice(offsets[shard], offsets[shard + 1])
+            pairs, low = i_right[part], right_offsets[shard]
+            slot = np.full(right_offsets[shard + 1] - low, -1)
+            slot[pairs - low] = np.arange(len(pairs))
+            order = slot[slot >= 0]
+            rows[part] = rows[part][order]
+            i_right[part] = i_right[part][order]
+            i_left = rows
+    measure = combine(
+        left.measure if i_left is None else left.measure[i_left],
+        right.measure[i_right],
+    )
+    probe = _deferred_probe(probes, n_left, n_right)
+    if probe == _LEFT:
+        sources = _sources(left, _all_or(rows, left)) + _sources(right, i_right)
+    elif probe == _RIGHT:
+        sources = _sources(right, _all_or(i_right, right)) + _sources(left, rows)
+    else:
+        columns = _gather_columns(out_vars, left, i_left, right, i_right)
+        result = FunctionalRelation(
+            out_vars, columns, measure, name=name, check_fd=False
+        )
+        return result, offsets
+    return _DeferredJoin(out_vars, measure, name, sources), offsets
+
+
+# Which input a join of two shard slices probes with.
+_NEITHER, _LEFT, _RIGHT = 0, 1, 2
+
+
+def _slice_probes(left, right, shared, left_offsets, right_offsets, matched):
+    """Per shard, the side :func:`_match_indices` would probe with on
+    that shard's two slices alone (``either_side_probes``): the same
+    decisions, read off the whole inputs' group indices."""
+    probes = np.zeros(len(left_offsets) - 1, dtype=np.int64)
+    sizes = tuple(left.variables[n].size for n in shared)
+    right_sizes = tuple(right.variables[n].size for n in shared)
+    if not (_fits_mixed_radix(sizes) and right_sizes == sizes):
+        return probes
+    n_left, n_right = np.diff(left_offsets), np.diff(right_offsets)
+    groups, span = _slice_groups(
+        group_index(right, shared), right_offsets
+    )
+    probes[
+        (n_right > 0) & (groups == n_right)
+        & is_dense_span(span, np.maximum(n_left, n_right))
+    ] = _LEFT
+    swap = (
+        (probes == _NEITHER) & (n_left < n_right)
+        & (n_right >= DEFER_MIN_ROWS)
+        & (matched * PROBE_KEEP_FACTOR >= n_right)
+    )
+    if swap.any():
+        groups, span = _slice_groups(
+            group_index(left, shared), left_offsets
+        )
+        probes[swap & (groups == n_left) & is_dense_span(span, n_right)] = (
+            _RIGHT
+        )
+    return probes
+
+
+def _slice_groups(gidx, offsets):
+    """Per shard: how many distinct keys its slice holds, and their span.
+
+    A group's rows share the partitioning key, so its first row names
+    its shard."""
+    n_shards = len(offsets) - 1
+    shard = np.searchsorted(offsets, gidx.first_idx, side="right") - 1
+    groups = np.bincount(shard, minlength=n_shards)
+    low = np.full(n_shards, np.iinfo(np.int64).max)
+    high = np.zeros(n_shards, dtype=np.int64)
+    np.minimum.at(low, shard, gidx.unique_keys)
+    np.maximum.at(high, shard, gidx.unique_keys)
+    span = np.where(groups > 0, high - np.minimum(low, high) + 1, 0)
+    return groups, span
+
+
+def _deferred_probe(probes, n_left, n_right):
+    """The side every shard's slice join would have probed with *and*
+    deferred on, or :data:`_NEITHER` when they were not all alike."""
+    if probes is None or not len(probes):
+        return _NEITHER
+    side = int(probes[0])
+    if side == _NEITHER or (probes != side).any():
+        return _NEITHER
+    probe_rows = n_left if side == _LEFT else n_right
+    return side if (probe_rows >= DEFER_MIN_ROWS).all() else _NEITHER
+
+
+def _all_or(rows, relation):
+    """``None`` for a probe side whose every row matched, in order."""
+    return None if len(rows) == relation.ntuples else rows
+
+
 def product_join(
     left: FunctionalRelation,
     right: FunctionalRelation,
     semiring: Semiring,
     name: str | None = None,
-) -> FunctionalRelation:
-    """``left ⋈* right`` with measures combined by ``semiring.times``."""
+    shards: tuple[np.ndarray, np.ndarray] | None = None,
+):
+    """``left ⋈* right`` with measures combined by ``semiring.times``.
+
+    ``shards=(left_offsets, right_offsets)`` joins two inputs held
+    shard-major and co-partitioned on a shared variable, and makes the
+    result ``(relation, offsets)``: shard-major too, each shard's rows
+    exactly those of joining its two slices alone (see
+    :func:`_sharded_join`).
+    """
+    if shards is not None:
+        return _sharded_join(left, right, semiring.times, name, *shards)
     return _combined_join(left, right, semiring.times, name)
 
 

@@ -29,12 +29,18 @@ def restrict(
     relation: FunctionalRelation,
     predicate: Mapping[str, object],
     name: str | None = None,
-) -> FunctionalRelation:
+    shards: np.ndarray | None = None,
+):
     """Keep rows matching every ``{variable: value}`` equality.
 
     Values may be labels or codes.  The selected variables remain in
     the schema (with a single value), matching the paper's queries such
     as ``select wid, sum(inv) ... where wid = w1 group by wid``.
+
+    ``shards`` — the row offsets of a shard-major ``relation`` — makes
+    the result ``(relation, offsets)``: surviving rows keep their
+    order, so the result is shard-major too and ``offsets`` delimit
+    each shard's survivors.
     """
     mask = np.ones(relation.ntuples, dtype=bool)
     for var_name, value in predicate.items():
@@ -45,8 +51,13 @@ def restrict(
             )
         code = relation.variables[var_name].domain.code_of(value)
         mask &= relation.columns[var_name] == code
-    selected = relation.take(np.flatnonzero(mask))
-    return selected.with_name(name) if name else selected
+    rows = np.flatnonzero(mask)
+    selected = relation.take(rows)
+    if name:
+        selected = selected.with_name(name)
+    if shards is None:
+        return selected
+    return selected, np.searchsorted(rows, shards)
 
 
 def restrict_range(

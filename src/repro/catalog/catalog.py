@@ -17,7 +17,7 @@ from repro.errors import CatalogError, SchemaError
 from repro.storage.heapfile import HeapFile
 from repro.storage.index import HashIndex
 from repro.storage.page import DEFAULT_PAGE_SIZE
-from repro.storage.partition import PartitionSpec, partition_relation
+from repro.storage.partition import PartitionSpec, Sharded, shard_major
 
 __all__ = ["Catalog"]
 
@@ -36,7 +36,7 @@ class Catalog:
         self._heapfiles: dict[str, HeapFile] = {}
         self._indexes: dict[tuple[str, str], HashIndex] = {}
         self._partitions: dict[str, PartitionSpec] = {}
-        self._shard_relations: dict[str, list[FunctionalRelation]] = {}
+        self._sharded: dict[str, Sharded] = {}
         self._shard_files: dict[str, list[HeapFile]] = {}
         self._variables: dict[str, Variable] = {}
         self._page_size = page_size
@@ -129,7 +129,7 @@ class Catalog:
         for v in relation.variables:
             self._variables[v.name] = v
         spec = self._partitions.pop(name, None)
-        self._shard_relations.pop(name, None)
+        self._sharded.pop(name, None)
         self._shard_files.pop(name, None)
         self._epoch += 1
         if spec is not None:
@@ -171,9 +171,11 @@ class Catalog:
 
         The table's rows are split into ``shards`` co-located heap
         files by the deterministic bucket function of
-        :mod:`repro.storage.partition`; the full-table heap file is
-        kept (unsharded consumers and the optimizer still see one
-        table).  Re-partitioning replaces the previous decomposition.
+        :mod:`repro.storage.partition`, and held once more in
+        shard-major order for the runtime (:meth:`sharded`); the
+        full-table heap file is kept (unsharded consumers and the
+        optimizer still see one table).  Re-partitioning replaces the
+        previous decomposition.
         The statistics epoch advances: physical layout is plan-relevant
         to the runtime's shard-wise execution.
         """
@@ -184,15 +186,15 @@ class Catalog:
                 f"{name!r} (has {list(relation.var_names)})"
             )
         spec = PartitionSpec(key, shards)
-        parts = partition_relation(relation, key, shards)
+        sharded = Sharded(spec, *shard_major(relation, key, shards))
         files = []
-        for part in parts:
+        for n in sharded.sizes:
             files.append(
-                HeapFile.for_relation(self._next_file_id, part, self._page_size)
+                HeapFile(self._next_file_id, n, relation.arity, self._page_size)
             )
             self._next_file_id += 1
         self._partitions[name] = spec
-        self._shard_relations[name] = parts
+        self._sharded[name] = sharded
         self._shard_files[name] = files
         self._epoch += 1
         return spec
@@ -217,9 +219,7 @@ class Catalog:
         clone._heapfiles = dict(self._heapfiles)
         clone._indexes = dict(self._indexes)
         clone._partitions = dict(self._partitions)
-        clone._shard_relations = {
-            k: list(v) for k, v in self._shard_relations.items()
-        }
+        clone._sharded = dict(self._sharded)
         clone._shard_files = {k: list(v) for k, v in self._shard_files.items()}
         clone._variables = dict(self._variables)
         clone._next_file_id = self._next_file_id
@@ -238,9 +238,10 @@ class Catalog:
     def has_partitions(self) -> bool:
         return bool(self._partitions)
 
-    def shard_relations(self, name: str) -> list[FunctionalRelation]:
+    def sharded(self, name: str) -> Sharded:
+        """The table's rows in shard-major order, with shard offsets."""
         try:
-            return self._shard_relations[name]
+            return self._sharded[name]
         except KeyError:
             raise CatalogError(f"table {name!r} is not partitioned") from None
 

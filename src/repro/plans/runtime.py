@@ -17,14 +17,14 @@ The pieces:
   cache build) shares one context, which is what makes cross-query
   sharing real.
 
-* one *body* function per node type — it runs the operator over
-  whatever relations it is handed (a node's whole inputs, or one shard
-  of them), charging the clock the way a disk-based engine would
-  (sequential page reads through the pool for scans, hash/sort CPU for
-  joins and aggregation, spill writes past ``workmem_pages``).  The
-  unsharded path calls a body once on the merged inputs; the sharded
-  path calls the same body once per partition — "serial" is the
-  one-shard case, so a cost charge cannot differ between the two.
+* one *charge* function per node type, written in row counts — it
+  charges the clock the way a disk-based engine would (sequential page
+  reads through the pool for scans, hash/sort CPU for joins and
+  aggregation, spill writes past ``workmem_pages``).  The unsharded
+  path runs a node's kernel on its whole inputs and charges once; the
+  sharded path runs the kernel once over shard-major inputs and
+  charges once per shard, from that shard's slice of the offsets — so
+  a cost charge cannot differ between the two.
 
 * :func:`evaluate` / :func:`evaluate_dag` — drive a lowered
   :class:`~repro.plans.lower.PlanDAG` in topological order.  A node
@@ -74,8 +74,9 @@ from repro.storage.iostats import IOStats
 from repro.storage.page import PageGeometry
 from repro.storage.partition import (
     PartitionSpec,
-    concat_relations,
-    partition_relation,
+    Sharded,
+    shard_major,
+    shard_offsets,
 )
 
 __all__ = [
@@ -183,13 +184,12 @@ class ExecutionContext:
         (a pure-serial context must not emit a zero-makespan schedule
         into snapshot diffs)."""
         self._schedule_tail: int | None = None
-        self.shard_results: dict[
-            tuple, tuple[PartitionSpec, list[FunctionalRelation]]
-        ] = {}
-        """Sharded form of memoized results — ``key -> (spec, shards)``.
-        The memo itself always holds the merged relation, so
-        checkpointing, recovery seeding, and unsharded consumers are
-        oblivious to partitioning."""
+        self.shard_results: dict[tuple, Sharded] = {}
+        """Sharded form of memoized results — ``key -> Sharded``: the
+        partitioning, the result in shard-major row order and its shard
+        offsets.  Except for a Scan (whose memo entry is the catalog
+        relation) that relation *is* the memo entry, so checkpointing,
+        recovery seeding and unsharded consumers see one relation."""
         self._node_tasks: dict[tuple, tuple[int, ...]] = {}
         self._table_writers: dict[str, tuple[int, ...]] = {}
         self.last_root_tasks: tuple[int, ...] = ()
@@ -301,13 +301,19 @@ class ExecutionContext:
         ``plan`` is a document from :meth:`memo_entries`.  The entry
         behaves exactly like one produced by execution: it is keyed by
         the node's structural key, invalidated when any base table it
-        reads is rebound, and re-persisted by later checkpoints.
+        reads is rebound, and re-persisted by later checkpoints.  It
+        gets the shard form execution would have given it, so the
+        operators over it run the same shard-wise steps — and fold
+        their sums in the same order — as in an uninterrupted run.
         """
         node = plan_from_dict(plan)
         key = node.structural_key()
         self.memo[key] = relation
         self._memo_reads[key] = frozenset(node.base_tables())
         self._memo_nodes[key] = node
+        sharded = _seeded_shards(self, node, relation)
+        if sharded is not None:
+            self.shard_results[key] = sharded
 
     # ------------------------------------------------------------------
     # Storage accounting
@@ -327,20 +333,20 @@ class ExecutionContext:
         """A temporary heap file, its id drawn from the pool."""
         return HeapFile(self.pool.temp_file_id(), ntuples, arity)
 
-    def maybe_spill(self, relation: FunctionalRelation) -> None:
-        """Charge a materialization write when a result exceeds work-mem.
+    def maybe_spill(self, ntuples: int, arity: int) -> None:
+        """Charge a materialization write when a result of ``ntuples``
+        rows of ``arity`` variables exceeds work-mem.
 
         With a guard attached, the materialized pages are also admitted
         against its hard memory ceiling — this is where a runaway
         (e.g. exponential CS) intermediate raises
         :class:`~repro.errors.MemoryLimitExceeded`.
         """
-        geometry = PageGeometry(relation.arity)
-        pages = geometry.pages_for(relation.ntuples)
+        pages = PageGeometry(arity).pages_for(ntuples)
         if self.guard is not None:
             self.guard.admit_pages(pages)
         if pages > self.workmem_pages:
-            temp = self.temp_file(relation.ntuples, relation.arity)
+            temp = self.temp_file(ntuples, arity)
             temp.write_out(self.pool, self.stats, guard=self.guard)
 
     def record_degradation(self, node: PlanNode, description: str) -> None:
@@ -419,12 +425,51 @@ class ExecutionContext:
 
 
 # ----------------------------------------------------------------------
-# Operator bodies
+# Operator charges and bodies
 # ----------------------------------------------------------------------
-# One function per node type.  A body runs over the relations it is
-# handed — the node's merged inputs on the unsharded path, one shard of
-# them on the sharded path — and is the only place that operator's
-# clock charges are written.
+# One charge function per node type, written in row counts: the only
+# place that operator's clock charges are written.  The unsharded path
+# charges a node once with its whole inputs' counts; the sharded path
+# once per shard with that shard's, so a cost charge cannot differ
+# between the two.
+def _charge_filter_scan(ctx, heapfile, n_out):
+    """Fused Select→Scan: the scan's page reads plus CPU for the
+    *surviving* rows only — the fusion's win over Scan-then-Select is
+    exactly the dropped ``charge_cpu(n_input)`` materialization pass."""
+    heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
+    ctx.stats.charge_cpu(n_out)
+
+
+def _charge_select(ctx, n_in):
+    """One pass over the input applying equality predicates."""
+    ctx.stats.charge_cpu(n_in)
+
+
+def _charge_join(ctx, method, n_left, n_right, n_out, arity):
+    """Hash (or sort-merge) product join with spill accounting."""
+    if method == "sort_merge":
+        nl, nr = max(n_left, 2), max(n_right, 2)
+        ctx.stats.charge_cpu(int(nl * math.log2(nl) + nr * math.log2(nr)))
+    ctx.stats.charge_cpu(n_left + n_right + n_out)
+    ctx.maybe_spill(n_out, arity)
+
+
+def _charge_group_by(ctx, sorts, n_in, n_out, arity):
+    """Sort- or hash-based semiring aggregation with spill accounting.
+
+    Hash aggregation is one pass + group emission; so is a sort whose
+    group structure is already in the kernel cache — a linear gather
+    over the cached order, not a fresh sort.  ``sorts`` says a sort
+    runs.
+    """
+    n = max(n_in, 2)
+    ctx.stats.charge_cpu(int(n * math.log2(n)) if sorts else n)
+    ctx.stats.charge_cpu(n_out)
+    ctx.maybe_spill(n_out, arity)
+
+
+# One body per node type: the kernel over the node's whole inputs, then
+# its charge — the unsharded path.
 def _scan(ctx, node, relation, heapfile):
     """Sequential page reads of a base heap file through the pool."""
     heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
@@ -446,48 +491,29 @@ def _index_scan(ctx, node):
 
 
 def _filter_scan(ctx, node, relation, heapfile):
-    """Fused Select→Scan: predicate evaluated during the base scan.
-
-    Pays the scan's page reads plus CPU for the *surviving* rows only —
-    the fusion's win over Scan-then-Select is exactly the dropped
-    ``charge_cpu(n_input)`` materialization pass.
-    """
-    heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
     result = restrict(relation, node.predicate)
-    ctx.stats.charge_cpu(result.ntuples)
+    _charge_filter_scan(ctx, heapfile, result.ntuples)
     return result
 
 
 def _select(ctx, node, child):
-    """One pass over the input applying equality predicates."""
-    ctx.stats.charge_cpu(child.ntuples)
+    _charge_select(ctx, child.ntuples)
     return restrict(child, node.predicate)
 
 
 def _product_join(ctx, node, method, left, right):
-    """Hash (or sort-merge) product join with spill accounting."""
     result = product_join(left, right, ctx.semiring)
-    if method == "sort_merge":
-        nl, nr = max(left.ntuples, 2), max(right.ntuples, 2)
-        ctx.stats.charge_cpu(int(nl * math.log2(nl) + nr * math.log2(nr)))
-    ctx.stats.charge_cpu(left.ntuples + right.ntuples + result.ntuples)
-    ctx.maybe_spill(result)
+    _charge_join(
+        ctx, method, left.ntuples, right.ntuples, result.ntuples,
+        result.arity,
+    )
     return result
 
 
 def _group_by(ctx, node, method, child):
-    """Sort- or hash-based semiring aggregation with spill accounting."""
-    n = max(child.ntuples, 2)
-    if method == "sort" and not _group_index_cached(child, node.group_names):
-        ctx.stats.charge_cpu(int(n * math.log2(n)))
-    else:
-        # Hash aggregation is one pass + group emission; so is a sort
-        # whose group structure is already in the kernel cache — a
-        # linear gather over the cached order, not a fresh sort.
-        ctx.stats.charge_cpu(n)
+    sorts = _sorts(method, child, node.group_names)
     result = marginalize(child, node.group_names, ctx.semiring)
-    ctx.stats.charge_cpu(result.ntuples)
-    ctx.maybe_spill(result)
+    _charge_group_by(ctx, sorts, child.ntuples, result.ntuples, result.arity)
     return result
 
 
@@ -498,21 +524,24 @@ def _semi_join(ctx, node, target, source):
     else:
         result = update_semijoin(target, source, ctx.semiring)
     ctx.stats.charge_cpu(target.ntuples + source.ntuples + result.ntuples)
-    ctx.maybe_spill(result)
+    ctx.maybe_spill(result.ntuples, result.arity)
     return result
 
 
-def _group_index_cached(child: FunctionalRelation, group_names) -> bool:
-    """Cost-clock peek: would this GroupBy's group index be a cache hit?
+def _sorts(method, child: FunctionalRelation, group_names) -> bool:
+    """Whether a GroupBy over ``child`` pays a fresh sort.
 
-    Uses the same key names :func:`~repro.algebra.aggregate.marginalize`
-    will look up (the child's variable order), without touching the
-    cache's counters or LRU order.
+    A ``sort`` GroupBy whose group index is in the kernel cache does
+    not.  The peek uses the key names
+    :func:`~repro.algebra.aggregate.marginalize` will look up (the
+    child's variable order) without touching the cache's counters or
+    LRU order, and must come before the kernel, which caches the index.
     """
+    if method != "sort":
+        return False
     names = child.variables.subset(group_names).names
-    if not names:
-        return False  # empty grouping bypasses the cache entirely
-    return DEFAULT_GROUP_INDEX_CACHE.contains(child, names)
+    # An empty grouping bypasses the cache entirely.
+    return not names or not DEFAULT_GROUP_INDEX_CACHE.contains(child, names)
 
 
 _BODIES = {
@@ -570,7 +599,7 @@ def _physical_method(ctx, node, build):
 
 
 def _run_whole(ctx, node, inputs):
-    """Run ``node``'s body once over its merged inputs — one shard."""
+    """Run ``node``'s body once over its whole inputs."""
     body = _BODIES.get(type(node))
     if body is None:
         raise PlanError(f"unknown plan node {type(node).__name__}")
@@ -622,7 +651,7 @@ def _run_tasks(ctx, deps_list, thunks, label):
         def call():
             snapshot = ctx.stats.snapshot()
             results[index] = thunk()
-            return ctx.stats.since(snapshot).elapsed()
+            return ctx.stats.elapsed_since(snapshot)
 
         return call
 
@@ -683,54 +712,84 @@ def _single_task(ctx, node, inputs, deps):
     return result, None, task_ids
 
 
-def _repartition(ctx, relation, key, shards, producer_tasks, side):
-    """Explicit shuffle: split ``relation`` on ``key`` and charge it.
+def _shard_tasks(ctx, deps_list, thunks, label):
+    """One schedule task per shard: ``thunks[s]`` charges shard ``s``'s
+    work.  Returns the task ids."""
+    _, task_ids = _run_tasks(ctx, deps_list, thunks, label)
+    ctx.count("shard.tasks", len(thunks))
+    return task_ids
 
-    Every shard is written out and read back through the pool (spill
-    writes + re-reads on the cost clock, WAL page records when a log
-    is attached), one schedule task per shard, each depending on all
-    of the side's producer tasks — a repartition is a barrier.  Read
-    back, a shard's file is dropped from the pool: temporary ids are
-    never reused, so a long-lived pool would otherwise fill with spent
-    shards until the LRU pushed them out.
+
+def _repartition(ctx, relation, spec, producer_tasks, side):
+    """Explicit shuffle: ``relation`` shard-major under ``spec``, charged.
+
+    One stable sort by shard moves the rows.  Every shard is written
+    out and read back through the pool (spill writes + re-reads on the
+    cost clock, WAL page records when a log is attached), one schedule
+    task per shard, each depending on all of the side's producer tasks
+    — a repartition is a barrier.  Read back, a shard's file is dropped
+    from the pool: temporary ids are never reused, so a long-lived pool
+    would otherwise fill with spent shards until the LRU pushed them
+    out.
     """
-    parts = partition_relation(relation, key, shards)
-    thunks = []
-    for part in parts:
-        def shuffle(part=part):
-            temp = ctx.temp_file(part.ntuples, part.arity)
-            temp.write_out(ctx.pool, ctx.stats, guard=ctx.guard)
-            temp.scan(ctx.pool, ctx.stats, guard=ctx.guard)
-            temp.drop(ctx.pool)
-            return temp.n_pages
+    moved = Sharded(spec, *shard_major(relation, spec.key, spec.shards))
 
-        thunks.append(shuffle)
+    def shuffle(ntuples):
+        temp = ctx.temp_file(ntuples, relation.arity)
+        temp.write_out(ctx.pool, ctx.stats, guard=ctx.guard)
+        temp.scan(ctx.pool, ctx.stats, guard=ctx.guard)
+        temp.drop(ctx.pool)
+        return temp.n_pages
+
     pages, task_ids = _run_tasks(
-        ctx, [producer_tasks] * shards, thunks, f"shuffle[{side}]({key})"
+        ctx,
+        [producer_tasks] * spec.shards,
+        [partial(shuffle, n) for n in moved.sizes],
+        f"shuffle[{side}]({spec.key})",
     )
     ctx.count("shard.repartitions")
     ctx.count("shard.shuffle_pages", sum(pages))
-    return parts, [(t,) for t in task_ids]
+    return moved, [(t,) for t in task_ids]
 
 
-def _aligned_side(ctx, relation, sharded, node_tasks, key, shards, side):
-    """A join side as ``shards`` parts partitioned on ``key``.
+def _aligned_side(ctx, relation, sharded, node_tasks, spec, side):
+    """A join side held shard-major under ``spec``.
 
-    Co-partitioned sides reuse their existing shard relations (and
+    Co-partitioned sides reuse their existing shard form (and
     shard-aligned dependencies); everything else repartitions.
     """
-    if (
-        sharded is not None
-        and sharded[0].key == key
-        and sharded[0].shards == shards
-    ):
-        parts = sharded[1]
-        if len(node_tasks) == shards:
-            deps = [(node_tasks[i],) for i in range(shards)]
+    if sharded is not None and sharded.spec == spec:
+        if len(node_tasks) == spec.shards:
+            deps = [(node_tasks[i],) for i in range(spec.shards)]
         else:
-            deps = [_dedup(node_tasks)] * shards
-        return parts, deps
-    return _repartition(ctx, relation, key, shards, _dedup(node_tasks), side)
+            deps = [_dedup(node_tasks)] * spec.shards
+        return sharded, deps
+    return _repartition(ctx, relation, spec, _dedup(node_tasks), side)
+
+
+def _join_spec(left, right, shared) -> PartitionSpec | None:
+    """How a join whose sides are partitioned ``left`` / ``right``
+    (``None``: unsharded) on ``shared`` variables runs sharded.
+
+    An existing partition key among the join variables wins (left
+    preferred, deterministically); otherwise both sides shuffle onto
+    the lexicographically first shared variable with the sharded side's
+    shard count.  ``None`` — run whole — when neither side is sharded
+    or the join is a cross product (no key to align on).
+    """
+    if (left is None and right is None) or not shared:
+        return None
+    for spec in (left, right):
+        if spec is not None and spec.key in shared:
+            return spec
+    return PartitionSpec(min(shared), (left or right).shards)
+
+
+def _group_spec(spec, group_names) -> PartitionSpec | None:
+    """A GroupBy over input partitioned ``spec`` stays partitioned when
+    it keeps the key: groups never span shards.  Otherwise its per-shard
+    aggregates are partial and a combine step merges them."""
+    return spec if spec is not None and spec.key in group_names else None
 
 
 def _execute_table_sharded(ctx, node, deps):
@@ -740,45 +799,50 @@ def _execute_table_sharded(ctx, node, deps):
     deps = _dedup((*deps, *writer))
     if spec is None:
         return _single_task(ctx, node, (), deps)
-    parts = ctx.catalog.shard_relations(node.table)
+    table = ctx.catalog.sharded(node.table)
     files = ctx.catalog.shard_heapfiles(node.table)
-    body = _BODIES[type(node)]
-    results, task_ids = _run_tasks(
-        ctx,
-        [deps] * spec.shards,
-        [partial(body, ctx, node, *shard) for shard in zip(parts, files)],
-        node.label(),
+    if isinstance(node, Scan):
+        # A scan's memo entry is the catalog relation itself; the
+        # catalog's shard-major copy is its sharded form.
+        result, sharded = ctx.relation(node.table), table
+        thunks = [
+            partial(f.scan, ctx.pool, ctx.stats, guard=ctx.guard)
+            for f in files
+        ]
+    else:
+        # Selection keeps rows in order and preserves key codes, hence
+        # the partitioning.
+        result, offsets = restrict(
+            table.relation, node.predicate, shards=table.offsets
+        )
+        sharded = Sharded(spec, result, offsets)
+        thunks = [
+            partial(_charge_filter_scan, ctx, f, n)
+            for f, n in zip(files, sharded.sizes)
+        ]
+    task_ids = _shard_tasks(
+        ctx, [deps] * spec.shards, thunks, node.label()
     )
-    ctx.count("shard.tasks", spec.shards)
-    # The merged form of a scan is the catalog relation itself (and its
-    # results are the shards it was handed); selection preserves key
-    # codes, hence the partitioning.
-    merged = (
-        ctx.relation(node.table)
-        if isinstance(node, Scan)
-        else concat_relations(results)
-    )
-    return merged, (spec, results), task_ids
+    return result, sharded, task_ids
 
 
 def _execute_select_sharded(ctx, node, key, inputs, child_keys, deps):
     (child_key,) = child_keys
-    sharded = ctx.shard_results.get(child_key)
-    if sharded is None:
+    child = ctx.shard_results.get(child_key)
+    if child is None:
         return _single_task(ctx, node, inputs, deps)
-    spec, parts = sharded
-    per_deps = _align_deps(
-        ctx._node_tasks.get(child_key, ()), spec.shards, deps
+    result, offsets = restrict(
+        child.relation, node.predicate, shards=child.offsets
     )
-    results, task_ids = _run_tasks(
+    task_ids = _shard_tasks(
         ctx,
-        per_deps,
-        [partial(_select, ctx, node, part) for part in parts],
+        _align_deps(
+            ctx._node_tasks.get(child_key, ()), child.spec.shards, deps
+        ),
+        [partial(_charge_select, ctx, n) for n in child.sizes],
         node.label(),
     )
-    ctx.count("shard.tasks", spec.shards)
-    # Selection preserves key codes, hence the partitioning.
-    return concat_relations(results), (spec, results), task_ids
+    return result, Sharded(child.spec, result, offsets), task_ids
 
 
 def _execute_join_sharded(ctx, node, key, inputs, child_keys, deps):
@@ -786,90 +850,82 @@ def _execute_join_sharded(ctx, node, key, inputs, child_keys, deps):
     left, right = inputs
     left_sharded = ctx.shard_results.get(left_key)
     right_sharded = ctx.shard_results.get(right_key)
-    if left_sharded is None and right_sharded is None:
+    spec = _join_spec(
+        left_sharded and left_sharded.spec,
+        right_sharded and right_sharded.spec,
+        set(left.var_names) & set(right.var_names),
+    )
+    if spec is None:
         return _single_task(ctx, node, inputs, deps)
-    shared = sorted(set(left.var_names) & set(right.var_names))
-    if not shared:
-        # Cross product: no key to align on; de-shard and run whole.
-        return _single_task(ctx, node, inputs, deps)
-
-    # Alignment key: an existing partition key among the join
-    # variables wins (left preferred, deterministically); otherwise
-    # both sides shuffle onto the lexicographically first shared
-    # variable with the sharded side's shard count.
-    if left_sharded is not None and left_sharded[0].key in shared:
-        align_key, shards = left_sharded[0].key, left_sharded[0].shards
-    elif right_sharded is not None and right_sharded[0].key in shared:
-        align_key, shards = right_sharded[0].key, right_sharded[0].shards
-    else:
-        align_key = shared[0]
-        shards = (left_sharded or right_sharded)[0].shards
 
     method = _physical_method(ctx, node, left)
-    left_parts, left_deps = _aligned_side(
+    left_side, left_deps = _aligned_side(
         ctx, left, left_sharded, ctx._node_tasks.get(left_key, ()),
-        align_key, shards, "left",
+        spec, "left",
     )
-    right_parts, right_deps = _aligned_side(
+    right_side, right_deps = _aligned_side(
         ctx, right, right_sharded, ctx._node_tasks.get(right_key, ()),
-        align_key, shards, "right",
+        spec, "right",
     )
-    results, task_ids = _run_tasks(
+    result, offsets = product_join(
+        left_side.relation, right_side.relation, ctx.semiring,
+        shards=(left_side.offsets, right_side.offsets),
+    )
+    # Matching rows share the key value, so output shard i only holds
+    # rows hashing to bucket i: the join result stays partitioned.
+    sharded = Sharded(spec, result, offsets)
+    task_ids = _shard_tasks(
         ctx,
         [
             _dedup((*left_deps[i], *right_deps[i], *deps))
-            for i in range(shards)
+            for i in range(spec.shards)
         ],
         [
-            partial(_product_join, ctx, node, method, lp, rp)
-            for lp, rp in zip(left_parts, right_parts)
+            partial(_charge_join, ctx, method, nl, nr, n, result.arity)
+            for nl, nr, n in zip(
+                left_side.sizes, right_side.sizes, sharded.sizes
+            )
         ],
         node.label(),
     )
-    ctx.count("shard.tasks", shards)
-    # Matching rows share the key value, so output shard i only holds
-    # rows hashing to bucket i: the join result stays partitioned.
-    return (
-        concat_relations(results),
-        (PartitionSpec(align_key, shards), results),
-        task_ids,
-    )
+    return result, sharded, task_ids
 
 
 def _execute_groupby_sharded(ctx, node, key, inputs, child_keys, deps):
     (child_key,) = child_keys
-    sharded = ctx.shard_results.get(child_key)
-    if sharded is None:
+    child = ctx.shard_results.get(child_key)
+    if child is None:
         return _single_task(ctx, node, inputs, deps)
-    spec, parts = sharded
-    (child,) = inputs
-    method = _physical_method(ctx, node, child)
-    per_deps = _align_deps(
-        ctx._node_tasks.get(child_key, ()), spec.shards, deps
+    method = _physical_method(ctx, node, inputs[0])
+    sorts = _sorts(method, child.relation, node.group_names)
+    result, offsets = marginalize(
+        child.relation, node.group_names, ctx.semiring,
+        shards=child.offsets,
     )
-    results, task_ids = _run_tasks(
+    sharded = Sharded(child.spec, result, offsets)
+    task_ids = _shard_tasks(
         ctx,
-        per_deps,
-        [partial(_group_by, ctx, node, method, part) for part in parts],
+        _align_deps(
+            ctx._node_tasks.get(child_key, ()), child.spec.shards, deps
+        ),
+        [
+            partial(_charge_group_by, ctx, sorts, n_in, n, result.arity)
+            for n_in, n in zip(child.sizes, sharded.sizes)
+        ],
         node.label(),
     )
-    ctx.count("shard.tasks", spec.shards)
+    if _group_spec(child.spec, node.group_names) is not None:
+        return result, sharded, task_ids
 
-    if spec.key in node.group_names:
-        # The partitioning key survives aggregation: groups never span
-        # shards, so per-shard aggregation is already complete.
-        return concat_relations(results), (spec, results), task_ids
-
-    # Partial aggregates: groups span shards; a final semiring-plus
-    # merge combines them.  The combine is a barrier over all shards.
-    # It is its own step, not a second `_group_by`: always one hash
-    # pass, charged at the exact stacked row count.
+    # Partial aggregates, shard after shard: a final semiring-plus
+    # merge folds each group's partials in shard order.  The combine is
+    # a barrier over all shards.  It is its own step, not a second
+    # `_group_by`: always one hash pass, charged at the partial count.
     def combine():
-        stacked = concat_relations(results)
-        ctx.stats.charge_cpu(stacked.ntuples)
-        final = marginalize(stacked, node.group_names, ctx.semiring)
+        ctx.stats.charge_cpu(result.ntuples)
+        final = marginalize(result, node.group_names, ctx.semiring)
         ctx.stats.charge_cpu(final.ntuples)
-        ctx.maybe_spill(final)
+        ctx.maybe_spill(final.ntuples, final.arity)
         return final
 
     (final,), combine_ids = _run_tasks(
@@ -879,14 +935,52 @@ def _execute_groupby_sharded(ctx, node, key, inputs, child_keys, deps):
     return final, None, combine_ids
 
 
+def _seeded_shards(ctx, node, relation) -> Sharded | None:
+    """The shard form execution gives ``node``'s result, for a result
+    installed from a checkpoint: the partitioning follows from the plan
+    and the catalog's partition specs, the offsets from the key column,
+    since the rows are shard-major."""
+    spec, _ = _plan_layout(ctx, node)
+    if spec is None:
+        return None
+    if isinstance(node, Scan):
+        return ctx.catalog.sharded(node.table)
+    offsets = shard_offsets(relation, spec.key, spec.shards)
+    return None if offsets is None else Sharded(spec, relation, offsets)
+
+
+def _plan_layout(ctx, node) -> tuple[PartitionSpec | None, set[str]]:
+    """``(spec, variables)`` of ``node``'s result on the scheduled path:
+    how it is partitioned (``None``: unsharded), by the rules the
+    sharded operators apply to their inputs."""
+    if isinstance(node, (Scan, FilterScan, IndexScan)):
+        variables = set(ctx.relation(node.table).var_names)
+        if isinstance(node, IndexScan):
+            return None, variables
+        return _catalog_spec(ctx, node.table), variables
+    if isinstance(node, Select):
+        return _plan_layout(ctx, node.child)
+    if isinstance(node, ProductJoin):
+        (left, lv), (right, rv) = (
+            _plan_layout(ctx, child) for child in node.children()
+        )
+        return _join_spec(left, right, lv & rv), lv | rv
+    if isinstance(node, GroupBy):
+        spec, _ = _plan_layout(ctx, node.child)
+        return _group_spec(spec, node.group_names), set(node.group_names)
+    # A semijoin keeps its target's variables and runs whole.
+    return None, _plan_layout(ctx, node.children()[0])[1]
+
+
 def _execute_node_scheduled(ctx, dag, node, key, inputs):
     """Execute one DAG node on the scheduled path.
 
-    Returns ``(merged_result, sharded_or_None, task_ids)``.  Work is
-    decomposed over catalog shards where the operator composes with
-    hash partitioning (Scan/Select/ProductJoin/GroupBy); everything
-    else de-shards its inputs (the memo always has the merged form)
-    and runs as a single task.
+    Returns ``(result, sharded_or_None, task_ids)``.  Where the
+    operator composes with hash partitioning
+    (Scan/Select/ProductJoin/GroupBy) its kernel runs once over the
+    shard-major inputs and its work is accounted in one task per
+    shard; everything else reads the memo's relations (one per node,
+    whatever its partitioning) and runs as a single task.
     """
     child_keys = dag.children[key]
     deps = _dedup(
@@ -927,12 +1021,13 @@ def evaluate_dag(
     context) are served from it, charging a memo hit instead of work.
     Subtrees below a memoized node are skipped entirely.
 
-    Every node runs the same operator body (see :func:`_run_whole`);
-    the one decision taken here is whether its work is *registered on
-    the modeled schedule* — ``workers > 1`` or a partitioned catalog,
-    both read off the inputs.  Registered, operators over partitioned
-    tables decompose into per-shard tasks (the body once per shard) and
-    everything else is a single task (the body once), each landing on
+    Every node charges through the same charge function; the one
+    decision taken here is whether its work is *registered on the
+    modeled schedule* — ``workers > 1`` or a partitioned catalog, both
+    read off the inputs.  Registered, operators over partitioned tables
+    run their kernel once and decompose into per-shard tasks (the
+    charge once per shard) and everything else is a single task (the
+    body once, see :func:`_run_whole`), each landing on
     the context's :class:`CriticalPathClock` with its dependency edges
     after in-order dispatch — so results, counters and WAL records are
     those of a plain loop, and parallelism shows up only as the

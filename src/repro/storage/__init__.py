@@ -28,9 +28,10 @@ from repro.storage.page import (
 )
 from repro.storage.partition import (
     PartitionSpec,
-    concat_relations,
-    partition_relation,
+    Sharded,
     shard_assignments,
+    shard_major,
+    shard_offsets,
 )
 from repro.storage.recovery import RecoveredState, RecoveryManager
 from repro.storage.wal import (
@@ -72,7 +73,8 @@ __all__ = [
     "decode_unit",
     "reconstruct_error",
     "PartitionSpec",
-    "partition_relation",
+    "Sharded",
     "shard_assignments",
-    "concat_relations",
+    "shard_major",
+    "shard_offsets",
 ]

@@ -122,6 +122,19 @@ class IOStats:
             per_operator=self.per_operator[snapshot[6]:],
         )
 
+    def elapsed_since(self, snapshot: tuple) -> float:
+        """``self.since(snapshot).elapsed()``, without building the
+        delta: the same expression over the same counter differences."""
+        return (
+            self.io_weight
+            * (
+                (self.page_reads - snapshot[0])
+                + (self.page_writes - snapshot[1])
+            )
+            + self.cpu_weight * (self.tuples_processed - snapshot[3])
+            + (self.retry_wait - snapshot[8])
+        )
+
     def summary(self) -> str:
         text = (
             f"reads={self.page_reads} writes={self.page_writes} "

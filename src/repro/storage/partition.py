@@ -27,11 +27,18 @@ Sharding composes through the algebra:
 
 Misaligned inputs are re-partitioned explicitly (a shuffle), which the
 runtime charges to the cost clock like any other materialization.
+
+A partitioned relation is held *shard-major* (:class:`Sharded`): one
+relation whose rows are grouped by shard, in shard order, plus
+``shards + 1`` offsets.  A shard is a slice, never a relation of its
+own, so an operator calls its kernel once over every shard, and each
+shard's task accounts for its own slice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +47,10 @@ from repro.errors import CatalogError
 
 __all__ = [
     "PartitionSpec",
+    "Sharded",
     "shard_assignments",
-    "partition_relation",
-    "concat_relations",
+    "shard_major",
+    "shard_offsets",
 ]
 
 # Fixed 64-bit multiplicative-hash constant (2^64 / golden ratio).
@@ -73,14 +81,36 @@ def shard_assignments(codes: np.ndarray, shards: int) -> np.ndarray:
     return (hashed % np.uint64(shards)).astype(np.int64)
 
 
-def partition_relation(
-    relation: FunctionalRelation, key: str, shards: int
-) -> list[FunctionalRelation]:
-    """Split ``relation`` into ``shards`` row-disjoint shard relations.
+@dataclass(frozen=True, eq=False)
+class Sharded:
+    """A partitioned result: one relation in shard-major row order.
 
-    Rows keep their original relative order within a shard, so the
-    decomposition is stable: partitioning the same relation twice
-    yields identical shard relations.
+    Shard ``s`` holds rows ``offsets[s]:offsets[s + 1]`` of
+    ``relation``, every one of them hashing to bucket ``s`` of
+    ``spec``.  Kernels run once over the whole relation; the offsets
+    say which rows each shard's task accounts for.
+    """
+
+    spec: PartitionSpec
+    relation: FunctionalRelation
+    offsets: np.ndarray
+
+    @cached_property
+    def sizes(self) -> list[int]:
+        """Rows per shard, in shard order."""
+        return np.diff(self.offsets).tolist()
+
+
+def shard_major(
+    relation: FunctionalRelation, key: str, shards: int
+) -> tuple[FunctionalRelation, np.ndarray]:
+    """``relation``'s rows grouped by shard, and the shard offsets.
+
+    One stable sort by shard number: rows keep their original relative
+    order within a shard, so splitting the same relation twice yields
+    identical bytes, and shard ``s`` is exactly the rows whose ``key``
+    hashes to ``s``.  ``offsets`` has ``shards + 1`` entries; an empty
+    shard is an empty slice.
     """
     if key not in relation.columns:
         raise CatalogError(
@@ -88,42 +118,27 @@ def partition_relation(
             f"{relation.name or '<anonymous>'!r} (has {list(relation.var_names)})"
         )
     assignment = shard_assignments(relation.columns[key], shards)
-    return [
-        relation.take(np.flatnonzero(assignment == shard))
-        for shard in range(shards)
-    ]
+    counts = np.bincount(assignment, minlength=shards)
+    # A stable sort of small integers is a radix sort in NumPy.
+    small = np.uint8 if shards <= 1 << 8 else np.int64
+    order = np.argsort(assignment.astype(small), kind="stable")
+    return relation.take(order), _offsets(counts)
 
 
-def concat_relations(
-    parts: list[FunctionalRelation],
-    name: str | None = None,
-) -> FunctionalRelation:
-    """Stack shard relations back into one relation (shard order).
+def shard_offsets(
+    relation: FunctionalRelation, key: str, shards: int
+) -> np.ndarray | None:
+    """The shard offsets of a relation already in shard-major order on
+    ``key``, or ``None`` when its rows are not grouped by shard."""
+    if key not in relation.columns:
+        return None
+    assignment = shard_assignments(relation.columns[key], shards)
+    if np.any(assignment[1:] < assignment[:-1]):
+        return None
+    return _offsets(np.bincount(assignment, minlength=shards))
 
-    Shards of one table are row-disjoint by construction, so the FD
-    check is skipped; callers concatenating *partial aggregates* (which
-    may repeat group keys across shards) must re-aggregate the result
-    before treating it as a functional relation.
-    """
-    if not parts:
-        raise CatalogError("concat_relations needs at least one part")
-    first = parts[0]
-    if len(parts) == 1:
-        return first if name is None else first.with_name(name)
-    for part in parts[1:]:
-        if part.var_names != first.var_names:
-            raise CatalogError(
-                f"cannot concatenate shards with differing variables: "
-                f"{part.var_names} vs {first.var_names}"
-            )
-    return FunctionalRelation(
-        first.variables,
-        {
-            n: np.concatenate([p.columns[n] for p in parts])
-            for n in first.var_names
-        },
-        np.concatenate([p.measure for p in parts]),
-        name=name if name is not None else first.name,
-        measure_name=first.measure_name,
-        check_fd=False,
-    )
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets

@@ -9,9 +9,9 @@ from repro.data import complete_relation, var
 from repro.errors import CatalogError
 from repro.storage.partition import (
     PartitionSpec,
-    concat_relations,
-    partition_relation,
     shard_assignments,
+    shard_major,
+    shard_offsets,
 )
 
 
@@ -56,45 +56,79 @@ class TestPartitionSpec:
 
 
 class TestPartitionRelation:
+    """The shard-major split: one relation grouped by shard, plus offsets."""
+
     def test_rows_partition_exactly(self):
         rel = _rel()
-        parts = partition_relation(rel, "a", 3)
-        assert len(parts) == 3
-        assert sum(p.ntuples for p in parts) == rel.ntuples
-        # Every row lands in the shard its key code hashes to.
-        for shard, part in enumerate(parts):
-            codes = part.columns["a"]
+        rows, offsets = shard_major(rel, "a", 3)
+        assert len(offsets) == 4
+        assert offsets[0] == 0 and offsets[-1] == rel.ntuples
+        # Every row lands in the slice of the shard its key code hashes to.
+        for shard in range(3):
+            codes = rows.columns["a"][offsets[shard]:offsets[shard + 1]]
             assert (shard_assignments(codes, 3) == shard).all()
 
     def test_unknown_key_raises(self):
         with pytest.raises(CatalogError):
-            partition_relation(_rel(), "zzz", 3)
+            shard_major(_rel(), "zzz", 3)
 
-    def test_roundtrip_through_concat(self):
+    def test_roundtrip_restores_rows(self):
         rel = _rel()
-        parts = partition_relation(rel, "b", 4)
-        merged = concat_relations(parts, name=rel.name)
+        rows, _ = shard_major(rel, "b", 4)
+        assert rows.name == rel.name
         k0, m0 = rel.sorted_snapshot()
-        k1, m1 = merged.sorted_snapshot()
+        k1, m1 = rows.sorted_snapshot()
         assert np.array_equal(k0, k1)
         assert np.array_equal(m0, m1)
 
+    def test_offsets_count_each_shard(self):
+        rel = _rel(na=40, nb=3)
+        _, offsets = shard_major(rel, "a", 5)
+        counts = np.bincount(
+            shard_assignments(rel.columns["a"], 5), minlength=5
+        )
+        assert np.array_equal(np.diff(offsets), counts)
 
-class TestConcatRelations:
-    def test_empty_input_raises(self):
-        with pytest.raises(CatalogError):
-            concat_relations([])
+    def test_stable_within_shard_order(self):
+        # A shard's slice lists its rows in their original relative
+        # order: the rows of the input that hash to it, as they came.
+        rel = _rel(na=30, nb=4)
+        rows, offsets = shard_major(rel, "a", 3)
+        assignment = shard_assignments(rel.columns["a"], 3)
+        for shard in range(3):
+            mine = np.flatnonzero(assignment == shard)
+            part = slice(offsets[shard], offsets[shard + 1])
+            for name in rel.var_names:
+                assert np.array_equal(
+                    rows.columns[name][part], rel.columns[name][mine]
+                )
+            assert np.array_equal(rows.measure[part], rel.measure[mine])
 
-    def test_mismatched_schemas_raise(self):
-        rng = np.random.default_rng(0)
-        r1 = complete_relation([var("a", 2), var("b", 2)], rng=rng)
-        r2 = complete_relation([var("a", 2), var("c", 2)], rng=rng)
-        with pytest.raises(CatalogError):
-            concat_relations([r1, r2])
+    def test_empty_shards(self):
+        # Two key codes cannot fill seven shards: the rest are empty
+        # slices, and the offsets still cover every row once.
+        rel = _rel(na=2, nb=3)
+        rows, offsets = shard_major(rel, "a", 7)
+        sizes = np.diff(offsets)
+        assert (sizes == 0).sum() >= 5
+        assert sizes.sum() == rel.ntuples == rows.ntuples
 
-    def test_single_part_short_circuits(self):
+    def test_single_shard(self):
         rel = _rel()
-        assert concat_relations([rel]) is rel
+        rows, offsets = shard_major(rel, "a", 1)
+        assert offsets.tolist() == [0, rel.ntuples]
+        for name in rel.var_names:
+            assert np.array_equal(rows.columns[name], rel.columns[name])
+        assert np.array_equal(rows.measure, rel.measure)
+
+    def test_offsets_rederived_from_the_key_column(self):
+        rel = _rel(na=30, nb=4)
+        rows, offsets = shard_major(rel, "a", 3)
+        assert np.array_equal(shard_offsets(rows, "a", 3), offsets)
+        # Rows not grouped by shard have no offsets to derive.
+        scrambled = rows.take(np.arange(rows.ntuples)[::-1])
+        assert shard_offsets(scrambled, "a", 3) is None
+        assert shard_offsets(rows, "zzz", 3) is None
 
 
 class TestCatalogPartitioning:
@@ -108,10 +142,12 @@ class TestCatalogPartitioning:
         assert catalog.has_partitions
         assert catalog.partition_spec("t") == spec
         assert catalog.partitioned_tables == ("t",)
-        shards = catalog.shard_relations("t")
+        sharded = catalog.sharded("t")
         files = catalog.shard_heapfiles("t")
-        assert len(shards) == len(files) == 3
-        assert sum(s.ntuples for s in shards) == catalog.relation("t").ntuples
+        assert sharded.spec == spec
+        assert len(sharded.sizes) == len(files) == 3
+        assert sharded.sizes == [f.ntuples for f in files]
+        assert sum(sharded.sizes) == catalog.relation("t").ntuples
         # Shard heap files have distinct ids, none colliding with the
         # base table's.
         ids = {f.file_id for f in files} | {catalog.heapfile("t").file_id}
@@ -124,7 +160,7 @@ class TestCatalogPartitioning:
         catalog.register(_rel(name="t"), "t")
         assert catalog.partition_spec("t") is None
         with pytest.raises(CatalogError):
-            catalog.shard_relations("t")
+            catalog.sharded("t")
         with pytest.raises(CatalogError):
             catalog.shard_heapfiles("t")
 
@@ -146,8 +182,7 @@ class TestCatalogPartitioning:
         catalog.replace(fresh, "t")
         # Spec survives and the shards hold the *new* rows.
         assert catalog.partition_spec("t") == PartitionSpec("a", 3)
-        shards = catalog.shard_relations("t")
-        merged = concat_relations(shards, name="t")
+        merged = catalog.sharded("t").relation
         k0, m0 = fresh.sorted_snapshot()
         k1, m1 = merged.sorted_snapshot()
         assert np.array_equal(k0, k1)

@@ -225,7 +225,7 @@ class TestTempAllocator:
             ctx = ExecutionContext({}, SUM_PRODUCT, pool=pool,
                                    workmem_pages=0)
             before = set(pool.resident_pages())
-            ctx.maybe_spill(relation)
+            ctx.maybe_spill(relation.ntuples, relation.arity)
             assert ctx.stats.page_writes > 0
             spilled.append(set(pool.resident_pages()) - before)
         assert all(page.file_id < 0 for page in spilled[0] | spilled[1])
