@@ -24,9 +24,10 @@ keys, never a setting, and both produce the same bytes.
 per-instance (see :attr:`FunctionalRelation.fingerprint`), so a
 rebuilt or reloaded table can never be served a stale index — entries
 keyed on the dead instance age out of the LRU.  The cache is bounded
-both by entry count and by total retained array elements; eviction is
-strict LRU and fully deterministic, so hit/miss/eviction sequences are
-identical across worker counts (the differential-suite contract).
+both by entry count and by the bytes its entries retain
+(:attr:`GroupIndex.nbytes`); eviction is strict LRU and fully
+deterministic, so hit/miss/eviction sequences are identical across
+worker counts (the differential-suite contract).
 
 Either derivation is byte-compatible with
 ``np.unique(keys, return_index=True, return_inverse=True)``: ``order``
@@ -55,8 +56,12 @@ __all__ = [
 # Defaults sized so the pinned differential suites never evict (their
 # eviction counters must not depend on how warm the process-wide cache
 # is when a sweep starts) while still bounding memory on big workloads.
+# The byte budget is set by measurement: the entries a long run keeps
+# beyond it belong to dead intermediates and are never hit again, and a
+# larger budget only raises peak memory (EXPERIMENTS.md, "The planner
+# pays per decision").
 DEFAULT_CAPACITY = 4096
-DEFAULT_ELEMENT_BUDGET = 16_000_000  # int64 elements across all entries
+DEFAULT_BYTE_BUDGET = 32_000_000  # bytes retained across all entries
 
 
 def _sorted_fields(keys: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -173,9 +178,16 @@ class GroupIndex:
         self.n_groups = len(self.starts)
 
     @property
-    def nbytes_elements(self) -> int:
-        """Retained element count (the cache's size-budget unit)."""
-        return 4 * len(self.order) + 2 * self.n_groups
+    def nbytes(self) -> int:
+        """Bytes of the distinct arrays the entry retains — the cache's
+        budget unit: ``order`` and ``inverse`` (a row each), ``starts``,
+        ``first_idx`` and ``unique_keys`` (a group each), or, for an
+        identity index, the one shared array and the keys."""
+        retained = {}
+        for array in (self.order, self.starts, self.first_idx, self.inverse,
+                      self.unique_keys):
+            retained[id(array)] = array.nbytes
+        return sum(retained.values())
 
 
 class GroupIndexCache:
@@ -184,14 +196,14 @@ class GroupIndexCache:
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
-        element_budget: int = DEFAULT_ELEMENT_BUDGET,
+        byte_budget: int = DEFAULT_BYTE_BUDGET,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.element_budget = element_budget
+        self.byte_budget = byte_budget
         self._entries: OrderedDict[tuple, GroupIndex] = OrderedDict()
-        self._elements = 0
+        self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -206,7 +218,7 @@ class GroupIndexCache:
     def clear(self) -> None:
         """Drop every entry; counters are reset too."""
         self._entries.clear()
-        self._elements = 0
+        self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -230,7 +242,7 @@ class GroupIndexCache:
 
         Served from cache when present (LRU refresh), built and
         inserted otherwise.  An oversized single index (beyond the
-        element budget) is still returned but never retained.
+        byte budget) is still returned but never retained.
         """
         key = (relation.fingerprint, tuple(names))
         entry = self._entries.get(key)
@@ -240,17 +252,17 @@ class GroupIndexCache:
             return entry
         self.misses += 1
         entry = GroupIndex(relation.key_codes(names))
-        size = entry.nbytes_elements
-        if size > self.element_budget:
+        size = entry.nbytes
+        if size > self.byte_budget:
             return entry
         self._entries[key] = entry
-        self._elements += size
+        self._bytes += size
         while (
             len(self._entries) > self.capacity
-            or self._elements > self.element_budget
+            or self._bytes > self.byte_budget
         ):
             _, evicted = self._entries.popitem(last=False)
-            self._elements -= evicted.nbytes_elements
+            self._bytes -= evicted.nbytes
             self.evictions += 1
         return entry
 

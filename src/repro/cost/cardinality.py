@@ -48,9 +48,15 @@ def join_size(left: TableStats, right: TableStats) -> float:
     left_distinct, right_distinct = left.distinct, right.distinct
     selectivity = 1.0
     for v in left.var_sizes:
-        if v in right_distinct:
-            selectivity /= max(left_distinct[v], right_distinct[v], 1.0)
-    return max(1.0, left.cardinality * right.cardinality * selectivity)
+        r = right_distinct.get(v)
+        if r is not None:
+            # max(d, r, 1.0), spelled as its comparisons: it runs once
+            # per costed candidate when a model reads the output size.
+            d = left_distinct[v]
+            most = r if r > d else d
+            selectivity /= 1.0 if 1.0 > most else most
+    cardinality = left.cardinality * right.cardinality * selectivity
+    return cardinality if cardinality > 1.0 else 1.0
 
 
 class JoinSize:
@@ -58,20 +64,26 @@ class JoinSize:
     output — its cardinality and merged schema — each derived from the
     operands on first read.
 
-    The join-order search hands one to the model per costed candidate.
-    A model that prices a join from its inputs alone (the paper's
-    ``|L|·|R|``) never reads it, so no size is estimated for the
-    candidates it only ranks; one that does read it gets the numbers
-    :func:`join_stats` would give, computed once.
+    The join-order search hands one to the model per costed candidate —
+    the same object, re-aimed (:meth:`aim`) at each, so a model may read
+    it only during the call.  A model that prices a join from its inputs
+    alone (the paper's ``|L|·|R|``) never reads it, so no size is
+    estimated for the candidates it only ranks; one that does read it
+    gets the numbers :func:`join_stats` would give, computed once.
     """
 
     __slots__ = ("left", "right", "_cardinality", "_var_sizes")
 
     def __init__(self, left: TableStats, right: TableStats):
+        self.aim(left, right)
+
+    def aim(self, left: TableStats, right: TableStats) -> "JoinSize":
+        """Stand for ``left ⋈* right`` instead, nothing yet derived."""
         self.left = left
         self.right = right
         self._cardinality: float | None = None
         self._var_sizes: dict[str, int] | None = None
+        return self
 
     @property
     def cardinality(self) -> float:
@@ -82,9 +94,7 @@ class JoinSize:
     @property
     def var_sizes(self) -> dict[str, int]:
         if self._var_sizes is None:
-            var_sizes = dict(self.left.var_sizes)
-            var_sizes.update(self.right.var_sizes)
-            self._var_sizes = var_sizes
+            self._var_sizes = {**self.left.var_sizes, **self.right.var_sizes}
         return self._var_sizes
 
 

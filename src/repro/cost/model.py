@@ -55,8 +55,11 @@ class CostModel:
         ``out`` carries ``cardinality`` and ``var_sizes`` only — the
         join-order search costs candidates with a
         :class:`~repro.cost.cardinality.JoinSize`, which derives each on
-        first read, and never builds full statistics for them — so
-        implementations may read nothing else from it.
+        first read and is re-aimed at the next candidate after the call,
+        and never builds full statistics for them — so implementations
+        may read nothing else from it, and must not keep it.  The
+        inputs are :class:`TableStats` or the search's per-subset
+        estimates; read ``cardinality`` and ``var_sizes`` from them too.
         """
         raise NotImplementedError
 
@@ -126,10 +129,23 @@ class IOCostModel(CostModel):
     ):
         self.page_size = page_size
         self.cpu_per_tuple = cpu_per_tuple
+        #: ``PageGeometry(arity, page_size).tuples_per_page`` by arity.
+        self._per_page: dict[int, int] = {}
+        PageGeometry(0, page_size)  # validates the page size
 
     def _pages(self, table: TableStats | JoinSize) -> float:
-        geometry = PageGeometry(len(table.var_sizes), self.page_size)
-        return float(geometry.pages_for(int(math.ceil(table.cardinality))))
+        """``PageGeometry.pages_for`` of the table's rows, one geometry
+        per arity."""
+        rows = math.ceil(table.cardinality)
+        if rows <= 0:
+            return 1.0
+        arity = len(table.var_sizes)
+        try:
+            per_page = self._per_page[arity]
+        except KeyError:
+            per_page = PageGeometry(arity, self.page_size).tuples_per_page
+            self._per_page[arity] = per_page
+        return float(-(-rows // per_page))
 
     def scan_cost(self, table: TableStats) -> float:
         return self._pages(table)

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.statistics import TableStats
-from repro.cost.cardinality import JoinSize, group_stats, join_stats, select_stats
+from repro.cost.cardinality import group_stats, join_stats, select_stats
 from repro.cost.model import CostModel, SimpleCostModel
 from repro.errors import OptimizationError
 from repro.plans.nodes import GroupBy, IndexScan, PlanNode, ProductJoin, Scan, Select
@@ -92,12 +92,14 @@ class OptimizationResult:
 class PlanContext:
     """Composition helpers shared by all algorithms.
 
-    Holds the catalog, cost model, and the query; builds selection-
-    pushed leaf subplans; costs a join from its output size alone
-    (:meth:`cost_join`) and builds the subplan separately
-    (:meth:`build_join`), so a search pays for statistics and plan nodes
-    only on the candidates it keeps; composes GroupBys with incremental
-    cost book-keeping; tracks the plans-considered counter.
+    Holds the catalog, cost model, and the query; numbers the view's
+    variables once (:attr:`var_bits`, :meth:`mask`), so the searches
+    keep scopes as integer bitmasks; builds selection-pushed leaf
+    subplans; composes joins and GroupBys with incremental cost
+    book-keeping; tracks the plans-considered counter.  The join-order
+    DPs (:mod:`repro.optimizer.joinplan`) cost their candidates on lean
+    per-subset records of their own and come back here only for the
+    plan they return.
 
     One context serves one ``optimize`` call, so everything a search
     reports besides its plan goes in ``extras`` here, never on the
@@ -123,6 +125,15 @@ class PlanContext:
             stats = catalog.stats(t)
             self._table_vars[t] = frozenset(stats.var_sizes)
             self.domain_sizes.update(stats.var_sizes)
+        #: Variable id ``i`` (first appearance over the view's tables) as
+        #: the bit ``1 << i``; and each bit's name and domain size.
+        self.var_bits: dict[str, int] = {
+            v: 1 << i for i, v in enumerate(self.domain_sizes)
+        }
+        self._name_of = {1 << i: v for i, v in enumerate(self.domain_sizes)}
+        self._size_of = {
+            1 << i: size for i, size in enumerate(self.domain_sizes.values())
+        }
         unknown_qv = set(spec.query_vars) - set().union(*self._table_vars.values())
         if unknown_qv:
             raise OptimizationError(
@@ -165,40 +176,54 @@ class PlanContext:
                     )
         return best
 
-    def leaves(self) -> dict[str, SubPlan]:
-        return {t: self.leaf(t) for t in self.spec.tables}
-
     def table_variables(self, table: str) -> frozenset[str]:
         return self._table_vars[table]
 
     # ------------------------------------------------------------------
+    # Variable numbering
+    # ------------------------------------------------------------------
+    def mask(self, names) -> int:
+        """The bitmask of ``names``; a name outside the view adds nothing
+        (no subplan of this query can hold it)."""
+        bits = self.var_bits
+        out = 0
+        for v in names:
+            out |= bits.get(v, 0)
+        return out
+
+    def names(self, mask: int) -> list[str]:
+        """The variables of ``mask``, in id order."""
+        name_of = self._name_of
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(name_of[low])
+            mask ^= low
+        return out
+
+    def domain_product(self, mask: int) -> float:
+        """``Π σ_X`` over the variables of ``mask``, in id order (products
+        of integer domain sizes are exact below 2^53, so the order moves
+        no bits)."""
+        size_of = self._size_of
+        size = 1.0
+        while mask:
+            low = mask & -mask
+            size *= size_of[low]
+            mask ^= low
+        return size
+
+    # ------------------------------------------------------------------
     # Composition
     # ------------------------------------------------------------------
-    def cost_join(self, left: SubPlan, right: SubPlan) -> float:
-        """Cumulative cost of ``left ⋈* right``, from sizes alone.
-
-        Counts one considered plan.  The join-order DPs rank every
-        candidate of a subset on this and :meth:`build_join` only the
-        winner.  The output size is a :class:`JoinSize`, estimated only
-        if the cost model reads it.
-        """
-        self.plans_considered += 1
-        left_stats, right_stats = left.stats, right.stats
-        return (
-            left.cost
-            + right.cost
-            + self.model.join_cost(
-                left_stats, right_stats, JoinSize(left_stats, right_stats)
-            )
-        )
-
-    def build_join(self, left: SubPlan, right: SubPlan, cost: float) -> SubPlan:
-        """The join subplan itself, at the ``cost`` :meth:`cost_join` gave."""
-        stats = join_stats(left.stats, right.stats)
-        return SubPlan(ProductJoin(left.plan, right.plan), stats, cost)
-
     def join(self, left: SubPlan, right: SubPlan) -> SubPlan:
-        return self.build_join(left, right, self.cost_join(left, right))
+        """``left ⋈* right`` with full statistics; one considered plan."""
+        self.plans_considered += 1
+        stats = join_stats(left.stats, right.stats)
+        cost = left.cost + right.cost + self.model.join_cost(
+            left.stats, right.stats, stats
+        )
+        return SubPlan(ProductJoin(left.plan, right.plan), stats, cost)
 
     def group(self, child: SubPlan, group_names: Sequence[str]) -> SubPlan:
         group_names = tuple(n for n in group_names if n in child.stats.var_sizes)
@@ -215,20 +240,6 @@ class PlanContext:
         if needed.issuperset(var_sizes):
             return None
         return self.group(child, tuple(v for v in var_sizes if v in needed))
-
-    # ------------------------------------------------------------------
-    # Semantic-correctness rule
-    # ------------------------------------------------------------------
-    def needed_variables(self, unjoined_tables: Sequence[str]) -> frozenset[str]:
-        """Variables an interior GroupBy must retain.
-
-        Query variables, plus every variable of every relation not yet
-        joined in (the Chaudhuri–Shim correctness condition).
-        """
-        needed = set(self.spec.query_vars)
-        for t in unjoined_tables:
-            needed |= self._table_vars[t]
-        return frozenset(needed)
 
     def finalize(self, root: SubPlan) -> SubPlan:
         """Add the root GroupBy on the query variables when required.

@@ -33,6 +33,11 @@ Scoring operates on *live* variable scopes supplied by the caller: in
 the VE+ extended space, a variable already processed but whose physical
 elimination was delayed must not inflate its neighbors' scores, since
 pending GroupBy caps will drop it.
+
+Scopes are variable-id bitmasks (:meth:`PlanContext.mask`), and the
+``degree``/``width`` domain products walk their bits in id order
+(:meth:`PlanContext.domain_product`): integer domain sizes multiply
+exactly in float below 2^53, so the walk order moves no bits.
 """
 
 from __future__ import annotations
@@ -58,28 +63,29 @@ __all__ = [
 BASE_HEURISTICS = ("degree", "width", "elim_cost", "random")
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     """One elimination candidate with its precomputed scopes.
 
-    ``neighborhood`` is the union of *live* variables over ``rels``
-    (including the candidate itself); ``surviving`` is the subset of
-    the post-elimination scope that future operators still need (query
-    variables plus live variables of subplans outside ``rels``);
+    ``neighborhood`` is the bitmask of *live* variables over ``rels``
+    (including the candidate itself); ``surviving`` holds those of its
+    bits that future operators still need — query variables and
+    variables live in some subplan outside ``rels`` (scorers read
+    nothing of the post-elimination scope outside the neighbourhood);
     ``rels_live`` gives each rel's live variables, so cost estimates
     can pre-shrink delayed subplans the way pending GroupBy caps will.
 
-    Scorers read ``surviving`` only inside ``neighborhood``, which is
-    what lets VE keep a candidate across elimination steps that do not
-    touch it (:mod:`repro.optimizer.ve`): its raw score under each
-    heuristic component is computed once, by :meth:`score`.
+    Because scorers read ``surviving`` only inside ``neighborhood``, VE
+    can keep a candidate across elimination steps that do not touch it
+    (:mod:`repro.optimizer.ve`): its raw score under each heuristic
+    component is computed once, by :meth:`score`.
     """
 
     var: str
     rels: list[SubPlan]
-    neighborhood: frozenset[str]
-    surviving: frozenset[str]
-    rels_live: list[frozenset[str]] | None = None
+    neighborhood: int
+    surviving: int
+    rels_live: list[int]
     _scores: dict[str, tuple[float, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -93,7 +99,8 @@ class Candidate:
         """
         hit = self._scores.get(part)
         if hit is not None:
-            context.plans_considered += hit[1]
+            if hit[1]:
+                context.plans_considered += hit[1]
             return hit[0]
         before = context.plans_considered
         raw = _SCORERS[part](self, context)
@@ -101,21 +108,15 @@ class Candidate:
         return raw
 
 
-def _domain_product(context: PlanContext, names) -> float:
-    sizes = context.domain_sizes
-    size = 1.0
-    for v in names:
-        size *= sizes[v]
-    return size
-
-
 def _degree(candidate: Candidate, context: PlanContext) -> float:
-    scope = (candidate.neighborhood - {candidate.var}) & candidate.surviving
-    return _domain_product(context, scope)
+    var_bit = context.var_bits[candidate.var]
+    return context.domain_product(
+        candidate.neighborhood & ~var_bit & candidate.surviving
+    )
 
 
 def _width(candidate: Candidate, context: PlanContext) -> float:
-    return _domain_product(context, candidate.neighborhood)
+    return context.domain_product(candidate.neighborhood)
 
 
 def _elim_cost(candidate: Candidate, context: PlanContext) -> float:
@@ -127,26 +128,27 @@ def _elim_cost(candidate: Candidate, context: PlanContext) -> float:
     cardinality would systematically mis-rank candidates.
     """
     model = context.model
-    live = candidate.rels_live or [r.variables for r in candidate.rels]
+    bits = context.var_bits
 
-    def effective(subplan: SubPlan, live_vars: frozenset[str]):
-        if live_vars >= subplan.variables:
+    def effective(subplan: SubPlan, live: int):
+        var_sizes = subplan.stats.var_sizes
+        keep = [v for v in var_sizes if bits[v] & live]
+        if len(keep) == len(var_sizes):
             return subplan.stats
-        keep = [v for v in subplan.stats.var_sizes if v in live_vars]
         return group_stats(subplan.stats, keep)
 
-    operands = [effective(r, lv) for r, lv in zip(candidate.rels, live)]
+    operands = [
+        effective(r, live)
+        for r, live in zip(candidate.rels, candidate.rels_live)
+    ]
     stats = operands[0]
     cost = 0.0
     for other in operands[1:]:
         joined = join_stats(stats, other)
         cost += model.join_cost(stats, other, joined)
         stats = joined
-    keep = [
-        v
-        for v in stats.var_sizes
-        if v != candidate.var and v in candidate.surviving
-    ]
+    surviving = candidate.surviving & ~bits[candidate.var]
+    keep = [v for v in stats.var_sizes if bits[v] & surviving]
     grouped = group_stats(stats, keep)
     cost += model.group_cost(stats, grouped)
     context.plans_considered += 1
@@ -173,21 +175,39 @@ def parse_heuristic(spec: str) -> tuple[str, ...]:
     return parts
 
 
+def _combined(
+    candidates: Sequence[Candidate],
+    context: PlanContext,
+    parts: tuple[str, ...],
+) -> list[float]:
+    """Combined (normalized-product) score per candidate, in order."""
+    combined = [1.0] * len(candidates)
+    for part in parts:
+        raw = []
+        for c in candidates:
+            hit = c._scores.get(part)
+            if hit is None:
+                raw.append(c.score(part, context))
+            else:  # Candidate.score's reuse, inlined: it runs per step
+                if hit[1]:
+                    context.plans_considered += hit[1]
+                raw.append(hit[0])
+        top = max(raw)
+        if top <= 0 or math.isinf(top):
+            top = 1.0
+        combined = [x * (r / top) for x, r in zip(combined, raw)]
+    return combined
+
+
 def score_candidates(
     candidates: Sequence[Candidate],
     context: PlanContext,
     parts: tuple[str, ...],
 ) -> dict[str, float]:
     """Combined (normalized-product) score per candidate variable."""
-    combined = {c.var: 1.0 for c in candidates}
-    for part in parts:
-        raw = {c.var: c.score(part, context) for c in candidates}
-        top = max(raw.values())
-        if top <= 0 or math.isinf(top):
-            top = 1.0
-        for v in combined:
-            combined[v] *= raw[v] / top
-    return combined
+    return dict(
+        zip([c.var for c in candidates], _combined(candidates, context, parts))
+    )
 
 
 def choose_variable(
@@ -202,5 +222,5 @@ def choose_variable(
     if parts == ("random",):
         rng = rng or np.random.default_rng()
         return str(rng.choice(sorted(c.var for c in candidates)))
-    scores = score_candidates(candidates, context, parts)
-    return min(sorted(scores), key=lambda v: scores[v])
+    combined = _combined(candidates, context, parts)
+    return min(zip(combined, [c.var for c in candidates]))[1]

@@ -50,7 +50,41 @@ class TestGroupIndex:
         gidx = GroupIndex(np.empty(0, dtype=np.int64))
         assert gidx.n_groups == 0
         assert len(gidx.order) == 0
-        assert gidx.nbytes_elements == 0
+        assert gidx.nbytes == 0
+
+
+class TestRetainedBytes:
+    """An entry is charged the bytes of the distinct arrays it keeps,
+    whichever builder made it."""
+
+    def test_identity(self):
+        keys = np.arange(0, 60, 3, dtype=np.int64)  # strictly increasing
+        gidx = GroupIndex(keys)
+        assert gidx.order is gidx.inverse is gidx.starts is gidx.first_idx
+        # One shared int64 array, and the keys.
+        assert gidx.nbytes == 8 * 20 + keys.nbytes
+
+    @pytest.mark.parametrize("factor", [math.inf, 0], ids=["counted", "sorted"])
+    def test_counted_and_sorted(self, factor):
+        keys = np.array([4, 1, 4, 2, 1, 4, 0, 2], dtype=np.int64)
+        gidx = build_with_factor(keys, factor)
+        n, g = len(keys), gidx.n_groups
+        assert g == 4
+        # order, inverse: a row each; starts, first_idx, unique_keys: a
+        # group each.
+        assert gidx.nbytes == 8 * (2 * n) + 8 * (3 * g)
+
+    def test_never_more_than_eight_bytes_per_element_once_charged(self):
+        """Bytes are bounded by 8 × the ``4n + 2g`` elements the cache
+        once charged: that count overstated what an entry keeps."""
+        rng = np.random.default_rng(5)
+        for keys in (
+            np.arange(50, dtype=np.int64),
+            rng.integers(0, 7, 50).astype(np.int64),
+            rng.integers(0, 10**12, 50).astype(np.int64),
+        ):
+            gidx = GroupIndex(keys)
+            assert gidx.nbytes <= 8 * (4 * len(keys) + 2 * gidx.n_groups)
 
 
 def build_with_factor(keys, factor):
@@ -73,7 +107,7 @@ def assert_dense_sort_unique_agree(keys):
         assert got.dtype == want.dtype, field
         assert np.array_equal(got, want), field
     assert dense.n_groups == sort.n_groups
-    assert dense.nbytes_elements == sort.nbytes_elements
+    assert dense.nbytes == sort.nbytes
     uniq, first, inverse = np.unique(
         keys, return_index=True, return_inverse=True
     )
@@ -233,10 +267,10 @@ class TestGroupIndexCache:
         assert not cache.contains(r2, ("a",))
         assert cache.contains(r3, ("a",))
 
-    def test_element_budget_eviction(self):
+    def test_byte_budget_eviction(self):
         rel = _relation(n_rows=100)
-        entry_size = GroupIndex(rel.key_codes(("a", "b"))).nbytes_elements
-        cache = GroupIndexCache(capacity=100, element_budget=entry_size)
+        entry_size = GroupIndex(rel.key_codes(("a", "b"))).nbytes
+        cache = GroupIndexCache(capacity=100, byte_budget=entry_size)
         group_index(rel, ("a", "b"), cache=cache)
         assert len(cache) == 1
         other = _relation(n_rows=100, seed=9)
@@ -247,7 +281,7 @@ class TestGroupIndexCache:
         assert cache.contains(other, ("a", "b"))
 
     def test_oversized_entry_not_retained(self):
-        cache = GroupIndexCache(element_budget=1)
+        cache = GroupIndexCache(byte_budget=1)
         rel = _relation()
         gidx = group_index(rel, ("a",), cache=cache)
         assert gidx.n_groups > 0  # still served

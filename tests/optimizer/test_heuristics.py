@@ -40,24 +40,33 @@ def star_context():
 
 
 def _candidates_for(view, context):
+    """Every candidate over the view's leaves, scopes as bitmasks."""
     subplans = [context.leaf(t) for t in view.tables]
-    query_vars = frozenset(context.spec.query_vars)
+    scopes = [context.mask(s.variables) for s in subplans]
+    query = context.mask(context.spec.query_vars)
     out = []
     names = sorted(
-        set().union(*(s.variables for s in subplans)) - query_vars
+        set().union(*(s.variables for s in subplans))
+        - set(context.spec.query_vars)
     )
     for v in names:
-        rels = [s for s in subplans if v in s.variables]
-        neighborhood = frozenset().union(*(s.variables for s in rels))
-        outside = query_vars.union(
-            *(s.variables for s in subplans if v not in s.variables)
-        ) if any(v not in s.variables for s in subplans) else query_vars
+        bit = context.var_bits[v]
+        rels = [s for s, scope in zip(subplans, scopes) if scope & bit]
+        rels_live = [scope for scope in scopes if scope & bit]
+        neighborhood = 0
+        for scope in rels_live:
+            neighborhood |= scope
+        outside = query
+        for scope in scopes:
+            if not scope & bit:
+                outside |= scope
         out.append(
             Candidate(
                 var=v,
                 rels=rels,
                 neighborhood=neighborhood,
-                surviving=frozenset(outside),
+                surviving=outside & neighborhood,
+                rels_live=rels_live,
             )
         )
     return out
@@ -114,8 +123,10 @@ class TestScores:
             return size
 
         scope_of = {
-            "degree": lambda c: (c.neighborhood - {c.var}) & c.surviving,
-            "width": lambda c: c.neighborhood,
+            "degree": lambda c: context.names(
+                c.neighborhood & ~context.var_bits[c.var] & c.surviving
+            ),
+            "width": lambda c: context.names(c.neighborhood),
         }[part]
         forward = {c.var: product(sorted(scope_of(c))) for c in candidates}
         backward = {

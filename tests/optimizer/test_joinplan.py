@@ -20,10 +20,13 @@ from repro.optimizer import (
     QuerySpec,
     VariableElimination,
 )
-from repro.optimizer import base as base_module
+from repro.catalog.statistics import TableStats
+from repro.cost.cardinality import group_stats, join_stats
 from repro.optimizer import cs, csplus, ve
+from repro.optimizer import joinplan as joinplan_module
 from repro.optimizer.base import PlanContext, SubPlan
-from repro.optimizer.joinplan import bushy_dp, linear_dp
+from repro.optimizer.joinplan import Estimate, bushy_dp, linear_dp
+from repro.plans import Scan
 from tests.optimizer.test_properties import schema_and_query
 
 
@@ -393,87 +396,241 @@ class TestOptimizersMatchEagerDP:
 
 
 class TestWorkCounts:
-    """Builds are per subset, not per candidate (both fail on eager DPs)."""
+    """Objects are per subset and per call, not per candidate (each of
+    these fails on the eager DPs)."""
 
     N = 8
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        """(context, leaves, calls): ``calls`` counts stats constructions."""
+        """(context, leaves, made): ``made`` counts the estimates a DP
+        derives — joins and GroupBy caps — and the ``TableStats`` built
+        anywhere while it runs."""
         view = star_view(n_tables=self.N, domain_size=3)
         spec = QuerySpec(view.tables, (view.chain_variables[0],))
         context = PlanContext(spec, view.catalog)
         leaves = [context.leaf(t) for t in view.tables]
-        calls = {"join_stats": 0, "group_stats": 0}
+        made = {"join": 0, "cap": 0, "TableStats": 0}
 
-        def counting(name):
-            original = getattr(base_module, name)
+        def counting(name, kind):
+            original = getattr(joinplan_module, name)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
+            def wrapper(*args):
+                out = original(*args)
+                made[kind] += out is not None
+                return out
 
-            monkeypatch.setattr(base_module, name, wrapper)
+            monkeypatch.setattr(joinplan_module, name, wrapper)
 
-        counting("join_stats")
-        counting("group_stats")
-        return context, leaves, calls
+        counting("_joined", "join")
+        counting("_extended", "join")
+        counting("_grouped", "cap")
+        validate = TableStats.__post_init__
+
+        def counting_stats(stats):
+            made["TableStats"] += 1
+            validate(stats)
+
+        monkeypatch.setattr(TableStats, "__post_init__", counting_stats)
+        return context, leaves, made
 
     def test_linear_builds_one_join_and_one_cap_per_subset(self, counted):
-        context, leaves, calls = counted
+        context, leaves, made = counted
         linear_dp(
             leaves, context,
             outside_needed=frozenset(context.spec.query_vars),
             use_groupbys=True,
         )
         n = self.N
-        # One join per subset of two or more items ...
-        assert calls["join_stats"] == 2**n - n - 1
-        # ... and at most one cap per subset (here: those that drop
-        # something), though n * 2^(n-1) extensions looked one up.
-        assert 0 < calls["group_stats"] <= 2**n
+        # One record per subset of two or more items ...
+        assert made["join"] == 2**n - n - 1
+        # ... at most one cap per subset (here: those that drop
+        # something), though n * 2^(n-1) extensions looked one up ...
+        assert 0 < made["cap"] <= 2**n
         assert context.plans_considered > n * 2 ** (n - 1)
+        # ... and statistics only for the plan returned.
+        assert made["TableStats"] == 1
 
     def test_bushy_builds_one_cap_per_subset(self, counted):
-        context, leaves, calls = counted
+        context, leaves, made = counted
         bushy_dp(
             leaves, context,
             outside_needed=frozenset(context.spec.query_vars),
             use_groupbys=True,
         )
         n = self.N
-        assert calls["join_stats"] == 2**n - n - 1
-        assert 0 < calls["group_stats"] <= 2**n - 2
+        assert made["join"] == 2**n - n - 1
+        assert 0 < made["cap"] <= 2**n - 2
+        assert made["TableStats"] == 1
 
     @pytest.mark.parametrize("dp", [linear_dp, bushy_dp])
     def test_join_sizes_are_estimated_only_when_the_model_reads_them(
         self, dp, monkeypatch
     ):
-        """``|L|·|R|`` reads no output size, so none is estimated; the
-        IO model reads one twice per candidate, estimated once."""
+        """``|L|·|R|`` reads no output size, so no candidate's is read or
+        estimated; the IO model reads each candidate's, estimated once."""
         sizes = []
         estimate = cardinality_module.join_size
         monkeypatch.setattr(
             cardinality_module, "join_size",
             lambda left, right: sizes.append(1) or estimate(left, right),
         )
-        costed = []
-        cost_join = PlanContext.cost_join
-        monkeypatch.setattr(
-            PlanContext, "cost_join",
-            lambda self, left, right: costed.append(1) or cost_join(
-                self, left, right
-            ),
-        )
+        reads = []
+
+        class CountingJoinSize(cardinality_module.JoinSize):
+            __slots__ = ()
+
+            def aim(self, left, right):
+                if left is not None:  # one per costed candidate
+                    reads.append(0)
+                return super().aim(left, right)
+
+            @property
+            def cardinality(self):
+                reads[-1] += 1
+                return super().cardinality
+
+            @property
+            def var_sizes(self):
+                reads[-1] += 1
+                return super().var_sizes
+
+        monkeypatch.setattr(joinplan_module, "JoinSize", CountingJoinSize)
         view = star_view(n_tables=6, domain_size=3)
         spec = QuerySpec(view.tables, (view.chain_variables[0],))
         for model in MODELS:
             sizes.clear()
-            costed.clear()
+            reads.clear()
             context = PlanContext(spec, view.catalog, model())
             dp(
                 [context.leaf(t) for t in view.tables], context,
                 outside_needed=frozenset(spec.query_vars), use_groupbys=True,
             )
-            assert len(costed) > 2**6
-            assert len(sizes) == (len(costed) if model is IOCostModel else 0)
+            assert len(reads) > 2**6
+            if model is IOCostModel:
+                assert len(sizes) == len(reads)
+                assert all(reads)
+            else:
+                assert sizes == []
+                assert not any(reads)
+
+
+# ----------------------------------------------------------------------
+# Every estimate a DP derives is join_stats / group_stats of its
+# operands, bit for bit.
+# ----------------------------------------------------------------------
+def _as_stats(estimate):
+    if estimate.item is not None:
+        return estimate.item.stats
+    return TableStats(
+        "e", estimate.cardinality, estimate.var_sizes, estimate.distinct
+    )
+
+
+def _same_numbers(got, want: TableStats):
+    assert repr(got.cardinality) == repr(want.cardinality)
+    assert list(got.var_sizes.items()) == list(want.var_sizes.items())
+    assert [(v, repr(d)) for v, d in got.distinct.items()] == [
+        (v, repr(d)) for v, d in want.distinct.items()
+    ]
+
+
+@st.composite
+def dp_items(draw):
+    """``(catalog, spec, items)``: hand-made item statistics over a small
+    view — empty relations (cardinality and distinct counts 0.0), counts
+    up to 1e-9 above the domain size, and items 0 and 1 sharing two or
+    more variables."""
+    n_vars = draw(st.integers(2, 5))
+    variables = [var(f"x{i}", draw(st.integers(1, 4))) for i in range(n_vars)]
+    catalog = Catalog()
+    catalog.register(complete_relation(variables, name="view"))
+    spec = QuerySpec(("view",), (variables[0].name,))
+    items = []
+    for i in range(draw(st.integers(2, 5))):
+        scope = set(draw(st.sets(st.integers(0, n_vars - 1), min_size=1)))
+        if i < 2:
+            scope |= {0, 1}
+        empty = draw(st.booleans()) and draw(st.booleans())
+        cardinality = 0.0 if empty else draw(
+            st.floats(1.0, 200.0) | st.integers(1, 60).map(float)
+        )
+        var_sizes, distinct = {}, {}
+        for j in sorted(scope, key=lambda j: draw(st.integers(0, 9))):
+            size = variables[j].size
+            var_sizes[variables[j].name] = size
+            distinct[variables[j].name] = 0.0 if empty else draw(
+                st.sampled_from([1.0, float(size), size + 1e-9, size + 5e-10])
+                | st.floats(0.0, float(size))
+            )
+        if draw(st.booleans()):  # distinct listed in another order
+            distinct = dict(reversed(distinct.items()))
+        stats = TableStats(f"s{i}", cardinality, var_sizes, distinct)
+        items.append(SubPlan(Scan(f"s{i}"), stats, draw(st.floats(0.0, 10.0))))
+    return catalog, spec, items
+
+
+class TestEstimates:
+    @given(
+        dp_items(),
+        st.sampled_from([linear_dp, bushy_dp]),
+        st.booleans(),
+        st.sampled_from(MODELS),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_record_equals_the_reference_stats(
+        self, case, dp, use_groupbys, model, data
+    ):
+        catalog, spec, items = case
+        context = PlanContext(spec, catalog, model())
+        names = list(context.var_bits)
+        outside = frozenset(data.draw(st.sets(st.sampled_from(names))))
+        derived = []
+
+        def recording(name):
+            original = getattr(joinplan_module, name)
+
+            def wrapper(*args):
+                out = original(*args)
+                derived.append((name, args, out))
+                return out
+
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_joined", "_extended", "_grouped"):
+                patch.setattr(joinplan_module, name, recording(name))
+            result = dp(
+                items, context, outside_needed=outside,
+                use_groupbys=use_groupbys,
+            )
+        assert derived
+        for name, args, out in derived:
+            if name == "_grouped":
+                child, needed, _ = args
+                group = [v for v in child.var_sizes if context.var_bits[v] & needed]
+                if len(group) == len(child.var_sizes):
+                    assert out is None
+                    continue
+                assert list(out.group) == group
+                _same_numbers(out, group_stats(_as_stats(child), group))
+            else:
+                left, right, cost = args
+                assert out.cost == cost
+                _same_numbers(
+                    out, join_stats(_as_stats(left), _as_stats(right))
+                )
+        # The returned plan's statistics are the full set's record's.
+        assert derived[-1][0] != "_grouped"
+        _same_numbers(result.stats, derived[-1][2])
+        # A search keeps small results left, so it rarely extends a
+        # record into a smaller one; extend every record by every item.
+        leaves = [Estimate.of(item, context) for item in items]
+        for _, _, record in derived:
+            if record is None:
+                continue
+            for leaf in leaves:
+                want = join_stats(_as_stats(record), leaf.item.stats)
+                _same_numbers(joinplan_module._extended(record, leaf, 0.0), want)
+                _same_numbers(joinplan_module._joined(record, leaf, 0.0), want)

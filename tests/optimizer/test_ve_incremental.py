@@ -36,24 +36,28 @@ HEURISTICS = (
 # ----------------------------------------------------------------------
 # Reference: rebuild every candidate at every step.
 # ----------------------------------------------------------------------
-def _all_candidates(names, subplans, processed, query_vars):
-    live_of = [s.variables - processed for s in subplans]
+def _all_candidates(names, subplans, processed, context):
+    """Every remaining variable's candidate, from a scan of all subplans;
+    scopes are bitmasks over ``context``'s variable numbering."""
+    query = context.mask(context.spec.query_vars)
+    live_of = [context.mask(s.variables - processed) for s in subplans]
     out = []
     for v in names:
+        bit = context.var_bits[v]
         rels, rels_live = [], []
-        neighborhood, outside = set(), set(query_vars)
+        neighborhood, outside = 0, query
         for s, live in zip(subplans, live_of):
-            if v in live:
+            if live & bit:
                 rels.append(s)
-                rels_live.append(frozenset(live))
+                rels_live.append(live)
                 neighborhood |= live
             else:
                 outside |= live
         if not rels:
             continue
         out.append(Candidate(
-            var=v, rels=rels, neighborhood=frozenset(neighborhood),
-            surviving=frozenset(outside), rels_live=rels_live,
+            var=v, rels=rels, neighborhood=neighborhood,
+            surviving=outside, rels_live=rels_live,
         ))
     return out
 
@@ -72,7 +76,7 @@ def _eager_search_mode(ve, context, extended):
         ve.table_keys,
     )
     while remaining:
-        candidates = _all_candidates(remaining, subplans, processed, query_vars)
+        candidates = _all_candidates(remaining, subplans, processed, context)
         if not candidates:
             break
         free = [c for c in candidates if c.var in prunable]
@@ -237,7 +241,7 @@ class TestWorkCounts:
         # (a chain link: two or three variables, of eight).
         rebuilt = [n for n, _ in steps[1:]] + [after_last]
         for n, (_, chosen) in zip(rebuilt, steps):
-            assert n <= len(chosen.neighborhood) <= 3
+            assert n <= chosen.neighborhood.bit_count() <= 3
 
 
 # ----------------------------------------------------------------------
