@@ -211,6 +211,10 @@ class GroupIndexCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def keys(self) -> list[tuple]:
+        """``(fingerprint, names)`` of every entry, least recent first."""
+        return list(self._entries)
+
     def counters(self) -> tuple[int, int, int]:
         """``(hits, misses, evictions)`` — for delta-based publication."""
         return (self.hits, self.misses, self.evictions)

@@ -516,9 +516,7 @@ def _replay_recorded_statement(db, sql, record, args, guard):
                 return exit_code_for(exc)
         print("view created [recovered]\n")
         return None
-    from repro.data.serialize import relation_from_dict
-
-    result = relation_from_dict(record["result"])
+    result = record["result"]
     print(result.head(args.limit))
     print(f"[recovered; {result.ntuples} rows]\n")
     return None

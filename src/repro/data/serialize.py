@@ -9,13 +9,15 @@ data can be validated independently:
   :class:`~repro.storage.page.PageImage` frames by the checkpoint
   writer.
 
-A fully JSON form (:func:`relation_to_dict`) also exists for small
-relations embedded in WAL records (durable per-query results).  Floats
-survive JSON exactly: ``repr`` of a float64 is its shortest round-trip
-representation, so ``json.dumps`` → ``json.loads`` is lossless.
+WAL unit records (durable per-query and per-step results) embed the
+same two layers in JSON (:func:`relation_to_dict`): the meta dict and
+the payload as base64 text, so every value round-trips bit for bit.
 """
 
 from __future__ import annotations
+
+import base64
+import binascii
 
 import numpy as np
 
@@ -110,41 +112,21 @@ def relation_from_payload(meta: dict, payload: bytes) -> FunctionalRelation:
     )
 
 
-def _measure_scalar(value, kind: str):
-    if kind == "f":
-        return float(value)
-    if kind == "b":
-        return bool(value)
-    return int(value)
-
-
 def relation_to_dict(relation: FunctionalRelation) -> dict:
-    """Fully-JSON form: meta plus explicit column and measure lists."""
-    kind = relation.measure.dtype.kind
+    """JSON form for WAL records: meta plus the base64 payload."""
     return {
         "meta": relation_meta(relation),
-        "columns": {
-            n: [int(x) for x in relation.columns[n]]
-            for n in relation.var_names
-        },
-        "measure": [_measure_scalar(x, kind) for x in relation.measure],
+        "payload": base64.b64encode(relation_payload(relation)).decode("ascii"),
     }
 
 
 def relation_from_dict(d: dict) -> FunctionalRelation:
-    """Inverse of :func:`relation_to_dict` (bit-exact for float64)."""
-    meta = d["meta"]
-    variables = VariableSet.of([_variable_from_dict(v) for v in meta["variables"]])
-    dtype = np.dtype(meta["dtype"])
-    columns = {
-        name: np.asarray(values, dtype=np.int64)
-        for name, values in d["columns"].items()
-    }
-    return FunctionalRelation(
-        variables,
-        columns,
-        np.asarray(d["measure"], dtype=dtype),
-        name=meta["name"],
-        measure_name=meta["measure_name"],
-        check_fd=False,
-    )
+    """Inverse of :func:`relation_to_dict`, bit for bit; anything else
+    raises :class:`~repro.errors.RecoveryError`."""
+    try:
+        payload = base64.b64decode(d["payload"], validate=True)
+    except (KeyError, TypeError, binascii.Error):
+        raise RecoveryError(
+            "relation record is not meta plus a base64 payload"
+        ) from None
+    return relation_from_payload(d["meta"], payload)

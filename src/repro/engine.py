@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from repro.catalog.catalog import Catalog
 from repro.cost.model import CostModel, SimpleCostModel
 from repro.data.relation import FunctionalRelation
-from repro.data.serialize import relation_from_payload
 from repro.errors import MPFError, QueryError, RecoveryError
 from repro.obs.export import explain_document, metrics_document
 from repro.obs.metrics import SECONDS_BUCKETS, MetricsRegistry
@@ -333,6 +332,7 @@ class Database:
         db = cls(metrics=state.registry, **settings)
         catalog = db.catalog
 
+        group_owners = {}  # for the checkpoint's group-index section
         ddl = sorted(
             [("table", e) for e in manifest["tables"]]
             + [("index", e) for e in manifest["indexes"]],
@@ -341,12 +341,10 @@ class Database:
         for kind, entry in ddl:
             catalog._next_file_id = entry["file_id"]
             if kind == "table":
-                relation = relation_from_payload(
-                    entry["meta"],
-                    state.checkpoint.payloads.get(entry["file_id"], b""),
-                )
-                catalog.register(relation, entry["name"])
-                rebuilt = catalog.heapfile(entry["name"]).file_id
+                name = entry["name"]
+                catalog.register(state.checkpoint.relation(entry), name)
+                group_owners[entry["file_id"], False] = catalog.relation(name)
+                rebuilt = catalog.heapfile(name).file_id
             else:
                 rebuilt = catalog.create_index(
                     entry["table"], entry["variable"]
@@ -359,12 +357,12 @@ class Database:
         catalog._next_file_id = manifest["next_file_id"]
         # Re-declare partitionings after DDL replay (shard heap files
         # get fresh ids past the manifest's high-water mark — plans and
-        # WAL records only ever reference base-table ids).  ``get``:
-        # pre-partitioning checkpoints have no "partitions" key.
-        for entry in manifest.get("partitions", []):
-            catalog.partition_table(
-                entry["table"], entry["key"], entry["shards"]
-            )
+        # WAL records only ever reference base-table ids).
+        for entry in manifest["partitions"]:
+            table = entry["table"]
+            catalog.partition_table(table, entry["key"], entry["shards"])
+            file_id = catalog.heapfile(table).file_id
+            group_owners[file_id, True] = catalog.sharded(table).relation
         catalog._epoch = manifest["stats_epoch"]
 
         for view in manifest["views"]:
@@ -378,6 +376,8 @@ class Database:
             PageId(file_id, page_no)
             for file_id, page_no in manifest["pool"]["resident"]
         )
+        db.pool.temp_files = manifest["pool"]["temp_files"]
+        state.checkpoint.warm_group_indexes(group_owners)
         return db
 
     def make_guard(self, **kwargs) -> QueryGuard:
@@ -786,19 +786,16 @@ class Database:
         self, query: MPFQuery, record: dict, semiring: Semiring
     ) -> QueryReport:
         """Rebuild a report from a durable unit record (no execution)."""
-        from repro.data.serialize import relation_from_dict
         from repro.storage.journal import reconstruct_error
 
         self.metrics.counter(
             "checkpoint.steps_skipped", unit="query"
         ).inc()
-        error = result = None
+        error = None
         if record["status"] == "error":
             error = reconstruct_error(record["error"])
-        elif record["result"] is not None:
-            result = relation_from_dict(record["result"])
         return QueryReport(
-            result=result,
+            result=record["result"],
             query=query,
             optimization=None,
             exec_stats=IOStats(),
@@ -856,8 +853,9 @@ class Database:
         (``recovered=True``), and their counters were already restored
         by recovery.  ``checkpointer`` (a
         :class:`~repro.storage.checkpoint.CheckpointManager`) takes a
-        full database checkpoint after every ``checkpoint_every``
-        freshly executed queries.
+        database checkpoint after every ``checkpoint_every`` freshly
+        executed queries; its memo section holds only the entries the
+        queries yet to run would read.
 
         ``workers`` overrides the database's worker count for this
         batch.  Queries whose plan roots are independent (and, over
@@ -925,7 +923,7 @@ class Database:
             self.pool.wal = wal
         completed = 0
         reports = []
-        roots = iter(dag.roots)
+        pending = list(dag.roots)  # roots yet to run
         try:
             for key, query, optimization, plan_error, record in zip(
                 keys, queries, optimizations, plan_errors, recovered
@@ -954,7 +952,7 @@ class Database:
                         wal, key, before, error=plan_error
                     )
                     continue
-                root = next(roots)
+                root = pending.pop(0)
                 if wal is not None:
                     wal.reach("batch.query")
                 before = self.metrics.snapshot() if wal is not None else None
@@ -990,7 +988,9 @@ class Database:
                     and checkpoint_every
                     and completed % checkpoint_every == 0
                 ):
-                    checkpointer.checkpoint(self, context=ctx)
+                    checkpointer.checkpoint(
+                        self, context=ctx, dag=dag, roots=pending
+                    )
         finally:
             self.pool.wal = previous_wal
         self._publish_guard(guard, ctx.stats)

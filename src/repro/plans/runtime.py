@@ -281,18 +281,21 @@ class ExecutionContext:
             self.stats, self.guard = previous
         return result, stats
 
-    def memo_entries(self):
-        """Yield ``(plan document, relation)`` for every memoized subplan.
+    def memo_entries(
+        self, dag: PlanDAG | None = None, roots: Sequence[tuple] = ()
+    ):
+        """Yield ``(plan document, relation)`` for the memoized subplans
+        a checkpoint persists: with a ``dag``, those :func:`evaluate_dag`
+        would fetch for its unrun ``roots``; without, every entry.
 
-        Only entries whose producing :class:`PlanNode` is known are
-        yielded (results seeded or executed through this context) —
-        this is what a checkpoint persists as completed shared work.
-        Plans leave as :func:`~repro.plans.serialize.plan_to_dict`
-        documents, so storage never needs the plan codec.
+        Only entries whose :class:`PlanNode` is known (seeded or executed
+        here) qualify.  Plans leave as :func:`plan_to_dict` documents, so
+        storage never needs the plan codec.
         """
+        wanted = None if dag is None else _walk(dag, self.memo, roots)[1]
         for key, relation in self.memo.items():
             node = self._memo_nodes.get(key)
-            if node is not None:
+            if node is not None and (wanted is None or key in wanted):
                 yield plan_to_dict(node), relation
 
     def seed_memo(self, plan: dict, relation: FunctionalRelation) -> None:
@@ -308,6 +311,9 @@ class ExecutionContext:
         """
         node = plan_from_dict(plan)
         key = node.structural_key()
+        if isinstance(node, Scan):
+            # As in execution, a scan's entry is the table it scans.
+            relation = self.env.get(node.table, relation)
         self.memo[key] = relation
         self._memo_reads[key] = frozenset(node.base_tables())
         self._memo_nodes[key] = node
@@ -1009,6 +1015,22 @@ def _execute_node_scheduled(ctx, dag, node, key, inputs):
 # ----------------------------------------------------------------------
 # Evaluation drivers
 # ----------------------------------------------------------------------
+def _walk(dag: PlanDAG, memo, roots) -> tuple[set[tuple], set[tuple]]:
+    """Walk down from ``roots`` to the memo: ``(needed, boundary)`` are
+    the nodes to execute and the memo entries evaluation fetches."""
+    needed: set[tuple] = set()
+    boundary: set[tuple] = set()
+    pending = list(roots)
+    while pending:
+        key = pending.pop()
+        if key in memo:
+            boundary.add(key)
+        elif key not in needed:
+            needed.add(key)
+            pending.extend(dag.children[key])
+    return needed, boundary
+
+
 def evaluate_dag(
     dag: PlanDAG,
     ctx: ExecutionContext,
@@ -1042,20 +1064,7 @@ def evaluate_dag(
         roots = dag.roots
     if ctx.guard is not None:
         ctx.guard.ensure_started(ctx.stats)
-
-    # Which nodes actually need executing: walk down from the requested
-    # roots, stopping at memo boundaries.
-    needed: set[tuple] = set()
-    pending = [key for key in roots if key not in ctx.memo]
-    while pending:
-        key = pending.pop()
-        if key in needed:
-            continue
-        needed.add(key)
-        pending.extend(
-            k for k in dag.children[key]
-            if k not in needed and k not in ctx.memo
-        )
+    needed, _ = _walk(dag, ctx.memo, roots)
 
     hits_counted: set[tuple] = set()
 

@@ -7,8 +7,9 @@ assignments and statistics epoch, the defined MPF views and indexes,
 the buffer pool's residency (so a restarted pool is warm, not cold),
 the full metrics snapshot, and — when an
 :class:`~repro.plans.runtime.ExecutionContext` is passed — the runtime
-memo's completed subplan results, whose plans the context hands over
-already serialized (this package never imports the plan codec).
+memo's completed subplan results a resume can read (after a batch's
+last query, none), whose plans the context hands over already
+serialized (this package never imports the plan codec).
 
 File layout::
 
@@ -28,13 +29,14 @@ import os
 import struct
 from dataclasses import dataclass
 
+from repro.algebra.groupindex import DEFAULT_GROUP_INDEX_CACHE
 from repro.data.serialize import relation_from_payload, relation_meta, relation_payload
 from repro.errors import RecoveryError
 from repro.storage.page import DEFAULT_PAGE_SIZE, PageId, PageImage
 
 __all__ = ["CheckpointManager", "CheckpointData", "CHECKPOINT_FORMAT"]
 
-CHECKPOINT_FORMAT = "repro.checkpoint.v1"
+CHECKPOINT_FORMAT = "repro.checkpoint.v2"
 _MAGIC = b"MPFCKPT1"
 _LEN = struct.Struct("<I")
 
@@ -68,6 +70,22 @@ class CheckpointData:
     def wal_position(self) -> int:
         """End-of-WAL offset when this checkpoint was taken."""
         return self.manifest["wal_position"]
+
+    def relation(self, entry: dict):
+        """Rebuild one table/memo entry's relation."""
+        return relation_from_payload(
+            entry["meta"], self.payloads.get(entry["file_id"], b"")
+        )
+
+    def warm_group_indexes(self, relations: dict) -> None:
+        """Rebuild the kernel's cached group indexes over ``relations``
+        (``(file id, shard-major copy?) -> restored relation``), least
+        recent first, so the cost clock charges the sorts it would have
+        charged without the restart."""
+        for file_id, sharded, names in self.manifest["group_indexes"]:
+            relation = relations.get((file_id, sharded))
+            if relation is not None:
+                DEFAULT_GROUP_INDEX_CACHE.get(relation, names)
 
 
 class CheckpointManager:
@@ -112,12 +130,13 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def checkpoint(self, db, context=None) -> str:
+    def checkpoint(self, db, context=None, dag=None, roots=()) -> str:
         """Snapshot ``db`` (and optionally a context's memo); atomic.
 
         Returns the committed checkpoint file name.  ``db`` is a
         :class:`~repro.engine.Database` (duck-typed: ``catalog``,
-        ``pool``, ``metrics``, ``_views``).
+        ``pool``, ``metrics``, ``_views``).  A ``dag`` and its unrun
+        ``roots`` keep only the memo entries those roots read.
         """
         if self.wal is not None:
             self.wal.reach("checkpoint.begin")
@@ -125,9 +144,15 @@ class CheckpointManager:
         catalog = db.catalog
         images: list[PageImage] = []
         tables = []
+        # relation fingerprint -> (file id, shard-major copy?)
+        owners: dict[int, tuple[int, bool]] = {}
         for name in catalog.table_names:
             relation = catalog.relation(name)
             file_id = catalog.heapfile(name).file_id
+            owners[relation.fingerprint] = (file_id, False)
+            if catalog.partition_spec(name) is not None:
+                shards = catalog.sharded(name).relation
+                owners[shards.fingerprint] = (file_id, True)
             chunks = _chunk_payload(file_id, relation_payload(relation))
             images.extend(chunks)
             tables.append({
@@ -155,11 +180,13 @@ class CheckpointManager:
 
         memo = []
         if context is not None:
-            for idx, (plan, relation) in enumerate(context.memo_entries()):
+            entries = context.memo_entries(dag, roots)
+            for idx, (plan, relation) in enumerate(entries):
                 # Memo payloads live under synthetic negative file ids:
                 # they are checkpoint-internal and never collide with
                 # the catalog's positive heap-file ids.
                 file_id = -(idx + 1)
+                owners.setdefault(relation.fingerprint, (file_id, False))
                 chunks = _chunk_payload(file_id, relation_payload(relation))
                 images.extend(chunks)
                 memo.append({
@@ -181,8 +208,14 @@ class CheckpointManager:
             "partitions": partitions,
             "views": views,
             "memo": memo,
+            "group_indexes": [
+                [*owners[fingerprint], list(names)]
+                for fingerprint, names in DEFAULT_GROUP_INDEX_CACHE.keys()
+                if fingerprint in owners
+            ],
             "pool": {
                 "capacity_pages": db.pool.capacity_pages,
+                "temp_files": db.pool.temp_files,
                 "resident": [
                     [p.file_id, p.page_no] for p in db.pool.resident_pages()
                 ],
@@ -280,9 +313,3 @@ class CheckpointManager:
                     f"manifest says {entry['pages']}"
                 )
         return CheckpointData(name=name, manifest=manifest, payloads=payloads)
-
-    def relation_for(self, data: CheckpointData, entry: dict):
-        """Rebuild one table/memo entry's relation from loaded data."""
-        return relation_from_payload(
-            entry["meta"], data.payloads.get(entry["file_id"], b"")
-        )

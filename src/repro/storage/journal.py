@@ -4,13 +4,14 @@ A **unit** is one resumable piece of work — a batch query, a VE-cache
 elimination step, a BP message, a junction-tree clique.  When a unit
 completes, a JSON record of its outputs and its metrics *delta* (the
 counters the unit itself incremented, captured with the snapshot
-algebra) is appended to the WAL.  After a crash, recovery hands the
-decoded records back; re-running the same workload **skips** every
-recorded unit — rebinding its output tables and merging its metric
-delta instead of recomputing — so the structural counters
-(``vecache.steps``, ``bp.messages``, ``queries.total``, ...) end up
-identical to an uninterrupted run: each unit is counted exactly once,
-either live or via its merged delta.
+algebra) is appended to the WAL, its relations packed as in a
+checkpoint (:func:`~repro.data.serialize.relation_to_dict`).  After a
+crash, recovery hands the decoded records back; re-running the same
+workload **skips** every recorded unit — rebinding its output tables
+and merging its metric delta instead of recomputing — so the
+structural counters (``vecache.steps``, ``bp.messages``,
+``queries.total``, ...) end up identical to an uninterrupted run: each
+unit is counted exactly once, either live or via its merged delta.
 
 Journal bookkeeping (``checkpoint.steps_recorded`` /
 ``checkpoint.steps_skipped``) is deliberately counted *outside* the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 
+from repro.data.serialize import relation_from_dict, relation_to_dict
 from repro.errors import MPFError
 from repro.storage.wal import WAL_STEP
 
@@ -41,8 +43,6 @@ def encode_unit(
     delta=None,
 ) -> str:
     """JSON text for one completed unit (deterministic key order)."""
-    from repro.data.serialize import relation_to_dict
-
     return json.dumps(
         {
             "key": key,
@@ -65,7 +65,17 @@ def encode_unit(
 
 
 def decode_unit(text: str) -> dict:
-    return json.loads(text)
+    """Inverse of :func:`encode_unit`, relations rebuilt; any other
+    relation form raises :class:`~repro.errors.RecoveryError`."""
+    unit = json.loads(text)
+    if unit["result"] is not None:
+        unit["result"] = relation_from_dict(unit["result"])
+    if unit["tables"] is not None:
+        unit["tables"] = {
+            name: relation_from_dict(entry)
+            for name, entry in unit["tables"].items()
+        }
+    return unit
 
 
 def reconstruct_error(entry: dict) -> MPFError:
@@ -134,12 +144,7 @@ class StepJournal:
         if record is not None:
             if record["status"] == "error":
                 raise reconstruct_error(record["error"])
-            from repro.data.serialize import relation_from_dict
-
-            tables = {
-                name: relation_from_dict(entry)
-                for name, entry in (record["tables"] or {}).items()
-            }
+            tables = record["tables"] or {}
             for name, relation in tables.items():
                 ctx.bind(name, relation.with_name(name))
             # The record's metric delta is NOT merged here: recovery

@@ -27,7 +27,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from repro.data.serialize import relation_from_payload
 from repro.errors import RecoveryError
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.storage.checkpoint import CheckpointData, CheckpointManager
@@ -68,15 +67,13 @@ class RecoveredState:
         how many entries were seeded."""
         if self.checkpoint is None:
             return 0
-        count = 0
+        seeded = {}
         for entry in self.checkpoint.manifest["memo"]:
-            relation = relation_from_payload(
-                entry["meta"],
-                self.checkpoint.payloads.get(entry["file_id"], b""),
-            )
+            relation = self.checkpoint.relation(entry)
             ctx.seed_memo(entry["plan"], relation)
-            count += 1
-        return count
+            seeded[entry["file_id"], False] = relation
+        self.checkpoint.warm_group_indexes(seeded)
+        return len(seeded)
 
 
 class RecoveryManager:

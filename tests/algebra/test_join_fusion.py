@@ -226,7 +226,7 @@ class TestFusedEqualsMaterialized:
             manager = CheckpointManager(str(directory))
             data = manager.load(manager.checkpoint(db))
             (entry,) = data.manifest["tables"]
-            restored = manager.relation_for(data, entry)
+            restored = data.relation(entry)
             _assert_same_bytes(restored, joined)
             joined = restored
         touched = marginalize(

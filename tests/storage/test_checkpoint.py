@@ -1,17 +1,20 @@
 """Checkpoints: atomic snapshots, restore, corruption fallback."""
 
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import complete_relation, var
+from repro.data.domain import Domain, Variable
+from repro.data.relation import FunctionalRelation
 from repro.data.serialize import (
-    relation_from_dict,
     relation_from_payload,
     relation_meta,
     relation_payload,
-    relation_to_dict,
 )
 from repro.engine import Database
 from repro.errors import RecoveryError
@@ -25,8 +28,11 @@ from repro.storage import (
     InjectedCrash,
     RecoveryManager,
     WriteAheadLog,
+    decode_unit,
+    encode_unit,
     wal_path,
 )
+from repro.storage.wal import WAL_QUERY
 
 
 def _snapshot_bytes(relation):
@@ -226,10 +232,123 @@ class TestCorruptCheckpoints:
             RecoveryManager(str(tmp_path / "nope")).recover()
 
 
+def _unit_round_trip(relation):
+    """A relation through a WAL unit record, as result and as table."""
+    unit = decode_unit(
+        encode_unit("k", "ok", tables={"t": relation}, result=relation)
+    )
+    assert _identical(unit["tables"]["t"], unit["result"])
+    return unit["result"]
+
+
+def _identical(left, right) -> bool:
+    """Same schema, names and dtype, and the same bytes in every column
+    and the measure (NaN payloads and signed zeros included)."""
+    return (
+        relation_meta(left) == relation_meta(right)
+        and relation_payload(left) == relation_payload(right)
+    )
+
+
+_SPECIAL_FLOATS = (
+    0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+    5e-324, -2.2250738585072e-308, np.finfo(np.float64).max,
+)
+
+
+@st.composite
+def relations(draw):
+    """Small relations of every measure dtype a unit record carries,
+    including zero-row and zero-variable (constant) ones."""
+    sizes = draw(st.lists(st.integers(1, 4), max_size=3))
+    variables = [
+        Variable(f"v{i}", Domain(f"d{i}", size)) for i, size in enumerate(sizes)
+    ]
+    cells = int(np.prod(sizes)) if sizes else 1
+    rows = draw(st.lists(
+        st.integers(0, cells - 1), unique=True, max_size=min(cells, 12)
+    ))
+    codes = np.unravel_index(np.array(rows, dtype=np.int64), sizes or (1,))
+    dtype = draw(st.sampled_from(["float64", "int64", "bool"]))
+    values = {
+        "float64": st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(_SPECIAL_FLOATS),
+        ),
+        "int64": st.integers(-(2 ** 63), 2 ** 63 - 1),
+        "bool": st.booleans(),
+    }[dtype]
+    measure = np.array(
+        draw(st.lists(values, min_size=len(rows), max_size=len(rows))),
+        dtype=dtype,
+    )
+    return FunctionalRelation(
+        variables,
+        {v.name: codes[i] for i, v in enumerate(variables)},
+        measure,
+        name=draw(st.sampled_from([None, "r", "answer"])),
+        measure_name=draw(st.sampled_from(["f", "p"])),
+    )
+
+
+class TestUnitRecordCodec:
+    @given(relations())
+    @settings(max_examples=150, deadline=None)
+    def test_unit_records_round_trip_bit_for_bit(self, relation):
+        assert _identical(_unit_round_trip(relation), relation)
+
+    def test_special_doubles_keep_their_bits(self):
+        a = var("a", len(_SPECIAL_FLOATS))
+        rel = FunctionalRelation.from_rows(
+            [a], list(enumerate(_SPECIAL_FLOATS)), name="edge"
+        )
+        rebuilt = _unit_round_trip(rel)
+        assert rebuilt.measure.tobytes() == rel.measure.tobytes()
+        assert np.signbit(rebuilt.measure[1])
+
+    def _record(self, mutate):
+        rng = np.random.default_rng(6)
+        rel = complete_relation([var("a", 5)], rng=rng, name="r")
+        unit = json.loads(encode_unit("k", "ok", result=rel))
+        mutate(unit["result"], rel)
+        return json.dumps(unit)
+
+    def test_truncated_payload_raises(self):
+        def truncate(entry, rel):
+            # Still valid base64, one measure short of the meta's rows.
+            entry["payload"] = entry["payload"][:-12]
+
+        with pytest.raises(RecoveryError, match="payload is"):
+            decode_unit(self._record(truncate))
+
+    def test_list_form_record_raises(self):
+        def as_lists(entry, rel):
+            del entry["payload"]
+            entry["columns"] = {"a": rel.columns["a"].tolist()}
+            entry["measure"] = rel.measure.tolist()
+
+        with pytest.raises(RecoveryError, match="base64 payload"):
+            decode_unit(self._record(as_lists))
+
+    def test_recovery_rejects_a_list_form_record(self, tmp_path):
+        def as_lists(entry, rel):
+            del entry["payload"]
+            entry["measure"] = rel.measure.tolist()
+
+        with WriteAheadLog(wal_path(str(tmp_path))) as wal:
+            wal.log_unit(WAL_QUERY, self._record(as_lists))
+        with pytest.raises(RecoveryError):
+            RecoveryManager(str(tmp_path)).recover()
+
+
 class TestRelationSerialization:
     def _round_trip(self, relation):
+        """Through the checkpoint's meta + payload, and through a WAL
+        unit record, which carries the same two layers."""
         payload = relation_payload(relation)
-        return relation_from_payload(relation_meta(relation), payload)
+        rebuilt = relation_from_payload(relation_meta(relation), payload)
+        assert _identical(_unit_round_trip(relation), rebuilt)
+        return rebuilt
 
     def test_float64_measures_are_exact(self):
         rng = np.random.default_rng(3)
@@ -243,25 +362,20 @@ class TestRelationSerialization:
     def test_json_round_trip_is_exact_for_doubles(self):
         rng = np.random.default_rng(4)
         rel = complete_relation([var("a", 9)], rng=rng, name="r")
-        rebuilt = relation_from_dict(relation_to_dict(rel))
+        rebuilt = _unit_round_trip(rel)
         assert _snapshot_bytes(rebuilt) == _snapshot_bytes(rel)
 
     def test_boolean_dtype_round_trips(self):
-        from repro.data.relation import FunctionalRelation
-
         a = var("a", 3)
         rel = FunctionalRelation.from_rows(
             [a], [(0, True), (1, False), (2, True)],
             name="flags", measure_name="present", dtype=BOOLEAN.dtype,
         )
-        rebuilt = relation_from_dict(relation_to_dict(rel))
+        rebuilt = _unit_round_trip(rel)
         assert rebuilt.measure.dtype == rel.measure.dtype
         assert _snapshot_bytes(rebuilt) == _snapshot_bytes(rel)
 
     def test_labeled_domain_round_trips(self):
-        from repro.data.domain import Domain, Variable
-        from repro.data.relation import FunctionalRelation
-
         color = Variable(
             "color", Domain("colors", 3, labels=("red", "green", "blue"))
         )
@@ -275,16 +389,12 @@ class TestRelationSerialization:
         assert _snapshot_bytes(rebuilt) == _snapshot_bytes(rel)
 
     def test_zero_row_relation_round_trips(self):
-        from repro.data.relation import FunctionalRelation
-
         rel = FunctionalRelation.from_rows([var("a", 2)], [], name="empty")
         rebuilt = self._round_trip(rel)
         assert rebuilt.ntuples == 0
         assert rebuilt.var_names == ("a",)
 
     def test_constant_relation_round_trips(self):
-        from repro.data.relation import FunctionalRelation
-
         rel = FunctionalRelation.constant(3.25, name="k")
         rebuilt = self._round_trip(rel)
         assert rebuilt.arity == 0
