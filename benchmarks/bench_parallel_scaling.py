@@ -107,48 +107,3 @@ def test_parallel_scaling(benchmark, workers):
         batch.stats.page_reads, shard_tasks,
     )
 
-
-def test_parallel_scaling_hedged(benchmark):
-    """Fault-tolerance overhead: the batch under seeded slow-worker
-    faults with hedging enabled (``docs/robustness.md``).
-
-    Results and structural counters are fault-invariant; the modeled
-    makespan absorbs the (hedge-capped) straggler inflation.  Recorded
-    as one extra row at the 4-worker point: same columns, with the
-    fault run's own makespan/speedup.
-    """
-    from repro.plans.scheduler import TaskPolicy
-    from repro.storage.faults import Faults
-
-    workers = 4
-    policy = TaskPolicy(timeout=50_000.0, hedge_after=1_000.0)
-
-    def run():
-        db = _make_db(workers)
-        db.task_policy = policy
-        db.pool.faults = Faults(seed=5).rate("task", "slow", 0.25)
-        return db.run_batch(_queries(db))
-
-    batch = benchmark(run)
-    schedule = batch.schedule
-
-    # The straggler inflation is bounded by hedging, so the hedged run
-    # still clears the 2x speedup bar against its own serial elapsed.
-    assert schedule.speedup >= 2.0
-
-    db1 = _make_db(1)
-    baseline = db1.run_batch(_queries(db1))
-    assert schedule.tasks == baseline.schedule.tasks
-    # Structural reads are fault-invariant.
-    assert batch.stats.page_reads == baseline.stats.page_reads
-
-    shard_tasks = _shard_tasks(workers)
-    benchmark.extra_info.update(
-        makespan=schedule.makespan, speedup=schedule.speedup, hedged=True
-    )
-    _REPORT.metrics.counter("bench.parallel_runs").inc()
-    _REPORT.add(
-        workers, schedule.tasks, schedule.serial_elapsed,
-        schedule.makespan, round(schedule.speedup, 3),
-        batch.stats.page_reads, shard_tasks,
-    )

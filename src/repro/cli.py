@@ -33,7 +33,6 @@ from repro.errors import (
     QueryError,
     ResourceError,
     StorageError,
-    WorkerError,
     WorkloadError,
 )
 
@@ -49,7 +48,7 @@ EXIT_STORAGE = 5      # storage faults (retry budget exhausted, bad block)
 EXIT_WORKLOAD = 6     # workload-layer precondition failures
 EXIT_PLAN = 7         # planning / optimization failures
 EXIT_CRASH = 8        # simulated crash (--crash-at); resume with --resume
-EXIT_WORKER = 9       # unrecoverable worker fault (degradation disabled)
+# 9 is retired: it was an unrecoverable simulated worker fault.
 EXIT_OVERLOAD = 10    # request(s) shed by serving admission control
 
 
@@ -59,8 +58,6 @@ def exit_code_for(exc: MPFError) -> int:
         # Checked first: shedding means "retry later with backoff",
         # unlike every family below where retrying cannot help.
         return EXIT_OVERLOAD
-    if isinstance(exc, WorkerError):
-        return EXIT_WORKER
     if isinstance(exc, ResourceError):
         return EXIT_RESOURCE
     if isinstance(exc, StorageError):
@@ -135,7 +132,6 @@ def _engine_settings(args: argparse.Namespace):
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     return _parse_partitions(args.partition), {
         "workers": args.workers,
-        "task_policy": _task_policy_from_args(args),
         "pool": BufferPool(faults=_faults_from_args(args)),
     }
 
@@ -233,77 +229,29 @@ def _guard_limits(args: argparse.Namespace) -> dict | None:
     return limits
 
 
-def _task_policy_from_args(args: argparse.Namespace):
-    """A TaskPolicy from the ``--task-*`` / ``--hedge-after`` flags.
-
-    Returns ``None`` when every knob is unset, so fault-free runs keep
-    the default (policy-less) task runtime.
-    """
-    retries = args.task_retries
-    if (args.task_timeout is None and retries is None
-            and args.hedge_after is None and not args.no_task_degrade):
-        return None
-    from repro.plans.scheduler import TaskPolicy
-
-    kwargs = {"allow_degrade": not args.no_task_degrade}
-    if args.task_timeout is not None:
-        kwargs["timeout"] = args.task_timeout
-    if retries is not None:
-        if retries < 0:
-            raise ValueError(
-                f"--task-retries must be >= 0, got {retries}"
-            )
-        kwargs["max_attempts"] = retries + 1
-    if args.hedge_after is not None:
-        kwargs["hedge_after"] = args.hedge_after
-    return TaskPolicy(**kwargs)
-
-
 def _faults_from_args(args: argparse.Namespace):
-    """One seeded registry from the subcommand's fault flags — the
-    engine group's ``--fault-worker*`` and, under ``sql``,
+    """One seeded registry from ``sql``'s fault flags —
     ``--fault-*-rate`` and ``--crash-at POINT[:N]`` / ``seeded`` — or
     ``None`` when no flag asks for a fault.  The registry rejects
-    unknown kinds and points, bad rates and negative ordinals."""
+    unknown points, bad rates and negative ordinals."""
+    if args.cmd != "sql":
+        return None
     from repro.storage.faults import CRASH_POINTS, SITES, Faults
 
     faults = Faults(seed=args.seed)
-    specs = args.fault_worker or ()
-    if specs or args.fault_worker_rate:
-        kinds = SITES["task"]
-        if args.fault_worker_kinds:
-            kinds = tuple(
-                k.strip() for k in args.fault_worker_kinds.split(",")
-                if k.strip()
+    faults.rate("page.read", "permanent", args.fault_permanent_rate,
+                times=math.inf)
+    faults.rate("page.read", "transient", args.fault_transient_rate)
+    if args.crash_at == "seeded":
+        faults.target_seeded(CRASH_POINTS, "crash")
+    elif args.crash_at:
+        point, _, after = args.crash_at.partition(":")
+        if point not in CRASH_POINTS:
+            raise StorageError(
+                f"unknown crash point {point!r}; registered points: "
+                f"{', '.join(CRASH_POINTS)}"
             )
-        faults.rate("task", kinds, args.fault_worker_rate)
-    for spec in specs:
-        kind, _, seq = spec.partition(":")
-        try:
-            ordinal = int(seq) if seq else 0
-        except ValueError:
-            raise ValueError(
-                f"--fault-worker expects an integer task ordinal, "
-                f"got {spec!r}"
-            ) from None
-        # Targeted CLI faults hit every attempt: with the default policy
-        # the batch degrades to serial and still succeeds; with
-        # --no-task-degrade it surfaces WorkerError (exit 9).
-        faults.target("task", kind, ordinal, times=math.inf)
-    if args.cmd == "sql":
-        faults.rate("page.read", "permanent", args.fault_permanent_rate,
-                    times=math.inf)
-        faults.rate("page.read", "transient", args.fault_transient_rate)
-        if args.crash_at == "seeded":
-            faults.target_seeded(CRASH_POINTS, "crash")
-        elif args.crash_at:
-            point, _, after = args.crash_at.partition(":")
-            if point not in CRASH_POINTS:
-                raise StorageError(
-                    f"unknown crash point {point!r}; registered points: "
-                    f"{', '.join(CRASH_POINTS)}"
-                )
-            faults.target(point, "crash", after=int(after) if after else 0)
+        faults.target(point, "crash", after=int(after) if after else 0)
     return faults if faults.armed(*SITES) else None
 
 
@@ -841,36 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="TABLE=KEY:N",
                         help="hash-partition TABLE on variable KEY into N "
                              "shards before running (repeatable)")
-    engine.add_argument("--task-timeout", type=float, default=None,
-                        metavar="UNITS",
-                        help="modeled per-task deadline: a hung worker is "
-                             "killed and the task retried after this many "
-                             "cost units")
-    engine.add_argument("--task-retries", type=int, default=None,
-                        metavar="N",
-                        help="retry budget per scheduled task (N retries "
-                             "after the first attempt, with capped "
-                             "exponential backoff)")
-    engine.add_argument("--hedge-after", type=float, default=None,
-                        metavar="UNITS",
-                        help="launch a hedged duplicate of a straggling "
-                             "task after this many cost units; the first "
-                             "finisher wins")
-    engine.add_argument("--no-task-degrade", action="store_true",
-                        help="disable graceful degradation to serial "
-                             "re-execution; an unrecoverable worker fault "
-                             "exits with code 9 instead")
-    engine.add_argument("--fault-worker", action="append", default=None,
-                        metavar="KIND[:N]",
-                        help="inject a worker fault (crash, hang, slow, "
-                             "lost, poison) on every attempt of scheduled "
-                             "task ordinal N (default 0); repeatable")
-    engine.add_argument("--fault-worker-rate", type=float, default=0.0,
-                        metavar="P",
-                        help="seeded per-task worker fault probability")
-    engine.add_argument("--fault-worker-kinds", default=None, metavar="CSV",
-                        help="restrict seeded worker faults to these kinds "
-                             "(comma-separated; default: all kinds)")
     engine.add_argument("--metrics-text", nargs="?", const="-",
                         default=None, metavar="PATH",
                         help="at the end of the run, write the metrics as "

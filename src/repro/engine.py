@@ -270,7 +270,6 @@ class Database:
         pool: BufferPool | None = None,
         metrics: MetricsRegistry | None = None,
         workers: int = 1,
-        task_policy=None,
         clock=None,
     ):
         if workers < 1:
@@ -281,10 +280,6 @@ class Database:
         of one batch/query are scheduled over this many modeled
         executors (``docs/parallelism.md``).  Results and structural
         counters are worker-count independent by construction."""
-        self.task_policy = task_policy
-        """Retry/timeout/hedging policy
-        (:class:`~repro.plans.scheduler.TaskPolicy`) applied to every
-        scheduled task; ``None`` uses the default policy."""
         self.cost_model = cost_model or SimpleCostModel()
         self.pool = pool or BufferPool()
         # Explicit None check: an empty registry is falsy (len() == 0)
@@ -652,7 +647,6 @@ class Database:
             "pool": self.pool,
             "metrics": self.metrics,
             "workers": self.workers,
-            "task_policy": self.task_policy,
             **overrides,
         }
 

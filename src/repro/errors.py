@@ -116,18 +116,6 @@ class RecoveryError(StorageError):
     """
 
 
-class WorkerError(MPFError):
-    """A scheduled task could not be completed by the worker pool.
-
-    Raised by the fault-tolerant task runtime when a task exhausts its
-    retry budget (or hangs with no detection mechanism configured) and
-    graceful degradation to serial re-execution is disabled.  Worker
-    faults are infrastructure failures, not query errors: the same
-    task re-run on a healthy worker would succeed, which is why the
-    default policy degrades instead of raising this.
-    """
-
-
 class OverloadError(MPFError):
     """A request was shed by the serving runtime's admission control.
 

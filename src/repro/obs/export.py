@@ -166,15 +166,6 @@ METRIC_CATALOG: dict[str, str] = {
     "scheduler.serial_elapsed": "gauge",
     "scheduler.makespan": "gauge",
     "scheduler.speedup": "gauge",
-    # fault-tolerant task execution (labels on scheduler.degraded:
-    # reason=retry_budget|breaker; on faults.worker_injected:
-    # kind=crash|hang|slow|lost|poison).  Counters, not gauges: they
-    # accumulate across the batch and appear only when faults fire.
-    "scheduler.task_retries": "counter",
-    "scheduler.task_timeouts": "counter",
-    "scheduler.hedges": "counter",
-    "scheduler.degraded": "counter",
-    "faults.worker_injected": "counter",
     # kernel acceleration: group-index cache traffic of the executed
     # operators (deltas of the process-wide cache, published per node;
     # see docs/internals.md)

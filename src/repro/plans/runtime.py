@@ -63,8 +63,6 @@ from repro.plans.scheduler import (
     CriticalPathClock,
     OrderedPool,
     ScheduleReport,
-    TaskPolicy,
-    TaskRuntime,
 )
 from repro.plans.serialize import plan_from_dict, plan_to_dict
 from repro.semiring.base import Semiring
@@ -148,7 +146,6 @@ class ExecutionContext:
         guard: QueryGuard | None = None,
         metrics=None,
         workers: int = 1,
-        task_policy: TaskPolicy | None = None,
     ):
         if workers < 1:
             raise PlanError(f"workers must be >= 1, got {workers}")
@@ -167,23 +164,11 @@ class ExecutionContext:
         self.schedule = CriticalPathClock(workers)
         """Modeled task schedule accumulated over the context lifetime
         (a batch, a workload program); see :meth:`publish_schedule`."""
-        self.task_policy = task_policy
-        self._task_runtime = TaskRuntime(
-            OrderedPool(), policy=task_policy,
-            faults=self.pool.faults, count=self.count,
-            event=self._task_event,
-        )
-        """Fault-tolerant dispatch: every scheduled task goes through
-        the runtime's retry/timeout/hedging supervision, drawing
-        ``task`` faults from the pool's registry (a no-op pass-through
-        without one); see
-        :class:`~repro.plans.scheduler.TaskRuntime`."""
         self.scheduled_run = False
         """True once any :func:`evaluate_dag` call took the scheduled
         path — the gate for the worker-dependent ``scheduler.*`` gauges
         (a pure-serial context must not emit a zero-makespan schedule
         into snapshot diffs)."""
-        self._schedule_tail: int | None = None
         self.shard_results: dict[tuple, Sharded] = {}
         """Sharded form of memoized results — ``key -> Sharded``: the
         partitioning, the result in shard-major row order and its shard
@@ -373,14 +358,6 @@ class ExecutionContext:
         if self.metrics is not None:
             self.metrics.counter(name, **labels).inc(amount)
 
-    def _task_event(self, name: str, **attributes) -> None:
-        """Forward a task-dispatch event (retry/hedge/timeout/fault/
-        degrade) to the attached tracer's innermost open span."""
-        if self.tracer is not None:
-            hook = getattr(self.tracer, "event", None)
-            if hook is not None:
-                hook(name, **attributes)
-
     def publish_schedule(self) -> ScheduleReport:
         """Compute and publish the accumulated modeled schedule.
 
@@ -438,11 +415,16 @@ class ExecutionContext:
 # charges a node once with its whole inputs' counts; the sharded path
 # once per shard with that shard's, so a cost charge cannot differ
 # between the two.
+def _charge_scan(ctx, heapfile):
+    """Sequential page reads of a heap file through the pool."""
+    heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
+
+
 def _charge_filter_scan(ctx, heapfile, n_out):
     """Fused Select→Scan: the scan's page reads plus CPU for the
     *surviving* rows only — the fusion's win over Scan-then-Select is
     exactly the dropped ``charge_cpu(n_input)`` materialization pass."""
-    heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
+    _charge_scan(ctx, heapfile)
     ctx.stats.charge_cpu(n_out)
 
 
@@ -451,7 +433,7 @@ def _charge_select(ctx, n_in):
     ctx.stats.charge_cpu(n_in)
 
 
-def _charge_join(ctx, method, n_left, n_right, n_out, arity):
+def _charge_join(ctx, method, arity, n_left, n_right, n_out):
     """Hash (or sort-merge) product join with spill accounting."""
     if method == "sort_merge":
         nl, nr = max(n_left, 2), max(n_right, 2)
@@ -460,7 +442,7 @@ def _charge_join(ctx, method, n_left, n_right, n_out, arity):
     ctx.maybe_spill(n_out, arity)
 
 
-def _charge_group_by(ctx, sorts, n_in, n_out, arity):
+def _charge_group_by(ctx, sorts, arity, n_in, n_out):
     """Sort- or hash-based semiring aggregation with spill accounting.
 
     Hash aggregation is one pass + group emission; so is a sort whose
@@ -474,11 +456,20 @@ def _charge_group_by(ctx, sorts, n_in, n_out, arity):
     ctx.maybe_spill(n_out, arity)
 
 
+def _charge_shuffle(ctx, arity, ntuples):
+    """One repartitioned shard written out and read back through the
+    pool; read back, its file is dropped from the pool."""
+    temp = ctx.temp_file(ntuples, arity)
+    temp.write_out(ctx.pool, ctx.stats, guard=ctx.guard)
+    temp.scan(ctx.pool, ctx.stats, guard=ctx.guard)
+    temp.drop(ctx.pool)
+
+
 # One body per node type: the kernel over the node's whole inputs, then
 # its charge — the unsharded path.
 def _scan(ctx, node, relation, heapfile):
     """Sequential page reads of a base heap file through the pool."""
-    heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
+    _charge_scan(ctx, heapfile)
     return relation
 
 
@@ -510,8 +501,8 @@ def _select(ctx, node, child):
 def _product_join(ctx, node, method, left, right):
     result = product_join(left, right, ctx.semiring)
     _charge_join(
-        ctx, method, left.ntuples, right.ntuples, result.ntuples,
-        result.arity,
+        ctx, method, result.arity, left.ntuples, right.ntuples,
+        result.ntuples,
     )
     return result
 
@@ -519,7 +510,7 @@ def _product_join(ctx, node, method, left, right):
 def _group_by(ctx, node, method, child):
     sorts = _sorts(method, child, node.group_names)
     result = marginalize(child, node.group_names, ctx.semiring)
-    _charge_group_by(ctx, sorts, child.ntuples, result.ntuples, result.arity)
+    _charge_group_by(ctx, sorts, result.arity, child.ntuples, result.ntuples)
     return result
 
 
@@ -623,57 +614,31 @@ def _run_whole(ctx, node, inputs):
 # ----------------------------------------------------------------------
 # Sharded execution
 # ----------------------------------------------------------------------
-def _run_tasks(ctx, deps_list, thunks, label):
-    """Run independent thunks via the task runtime as schedule tasks.
+_POOL = OrderedPool()
 
-    Each thunk becomes one task on the modeled clock: its elapsed is
-    the cost-clock delta it charged while running.  Dispatch goes
-    through :class:`~repro.plans.scheduler.TaskRuntime` (an
-    :class:`OrderedPool` under retry/timeout/hedging supervision), so
-    shared-state mutation order (and every counter) is the serial
-    order regardless of worker count or injected worker faults.
 
-    **Idempotent-task contract** (publish-on-commit): a task's side
-    effects — cost-clock charges, buffer-pool reads, temp-heapfile
-    shuffle writes — happen only inside the one winning attempt the
-    runtime accepts, and everything downstream of the task publishes
-    only after ``run`` returns: memo writes, ``shard.*`` / ``query.*``
-    counters, schedule registration, and ``ctx.shard_results`` updates
-    all live in the callers, past this commit point.  A faulted
-    attempt is discarded before it starts, so a replayed task can
-    never double-apply memo writes, shuffles, or metrics.  Tasks are
-    registered only after all thunks succeed — a failed operator
-    contributes no schedule entries, mirroring how it contributes no
-    memo entry.
+def _shard_tasks(ctx, deps_list, label, charge, *columns):
+    """One schedule task per shard of an operator whose kernel already
+    ran: ``charge(*row)`` charges shard ``s`` from row ``s`` of
+    ``columns``, through :meth:`OrderedPool.run`.  Returns the task ids.
 
-    When the runtime has degraded to serial (exhausted retry budget or
-    a tripped breaker), the remaining DAG is chained on the modeled
-    clock — each new task depends on its predecessor, so the schedule
-    honestly reports the serial drain.
+    Memo writes, ``shard.*`` / ``query.*`` counters and
+    ``ctx.shard_results`` all publish in the callers, after every
+    shard charged, so an operator that raises leaves none of them.
     """
-    results = [None] * len(thunks)
-
-    def timed(index, thunk):
-        def call():
-            snapshot = ctx.stats.snapshot()
-            results[index] = thunk()
-            return ctx.stats.elapsed_since(snapshot)
-
-        return call
-
-    modeled = ctx._task_runtime.run(
-        [timed(i, thunk) for i, thunk in enumerate(thunks)], label=label
+    task_ids = _POOL.run(
+        ctx.schedule, ctx.stats, deps_list, label, charge, *columns
     )
-    task_ids = []
-    for i, deps in enumerate(deps_list):
-        if ctx._task_runtime.degraded:
-            tail = task_ids[-1] if task_ids else ctx._schedule_tail
-            if tail is not None:
-                deps = _dedup((*deps, tail))
-        task_ids.append(ctx.schedule.add_task(deps, modeled[i], label))
-    if task_ids:
-        ctx._schedule_tail = task_ids[-1]
-    return results, tuple(task_ids)
+    ctx.count("shard.tasks", len(task_ids))
+    return task_ids
+
+
+def _timed_task(ctx, deps, label, body, *args):
+    """Run ``body(*args)`` as one schedule task; ``(result, task ids)``."""
+    snapshot = ctx.stats.snapshot()
+    result = body(*args)
+    spent = ctx.stats.elapsed_since(snapshot)
+    return result, (ctx.schedule.add_task(deps, spent, label),)
 
 
 def _dedup(ids) -> tuple[int, ...]:
@@ -712,18 +677,10 @@ def _catalog_spec(ctx, table):
 
 def _single_task(ctx, node, inputs, deps):
     """Execute one node unsharded as a single schedule task."""
-    (result,), task_ids = _run_tasks(
-        ctx, [deps], [partial(_run_whole, ctx, node, inputs)], node.label()
+    result, task_ids = _timed_task(
+        ctx, deps, node.label(), _run_whole, ctx, node, inputs
     )
     return result, None, task_ids
-
-
-def _shard_tasks(ctx, deps_list, thunks, label):
-    """One schedule task per shard: ``thunks[s]`` charges shard ``s``'s
-    work.  Returns the task ids."""
-    _, task_ids = _run_tasks(ctx, deps_list, thunks, label)
-    ctx.count("shard.tasks", len(thunks))
-    return task_ids
 
 
 def _repartition(ctx, relation, spec, producer_tasks, side):
@@ -739,22 +696,15 @@ def _repartition(ctx, relation, spec, producer_tasks, side):
     out.
     """
     moved = Sharded(spec, *shard_major(relation, spec.key, spec.shards))
-
-    def shuffle(ntuples):
-        temp = ctx.temp_file(ntuples, relation.arity)
-        temp.write_out(ctx.pool, ctx.stats, guard=ctx.guard)
-        temp.scan(ctx.pool, ctx.stats, guard=ctx.guard)
-        temp.drop(ctx.pool)
-        return temp.n_pages
-
-    pages, task_ids = _run_tasks(
-        ctx,
-        [producer_tasks] * spec.shards,
-        [partial(shuffle, n) for n in moved.sizes],
+    sizes = moved.sizes
+    task_ids = _POOL.run(
+        ctx.schedule, ctx.stats, [producer_tasks] * spec.shards,
         f"shuffle[{side}]({spec.key})",
+        partial(_charge_shuffle, ctx, relation.arity), sizes,
     )
     ctx.count("shard.repartitions")
-    ctx.count("shard.shuffle_pages", sum(pages))
+    geometry = PageGeometry(relation.arity)
+    ctx.count("shard.shuffle_pages", sum(map(geometry.pages_for, sizes)))
     return moved, [(t,) for t in task_ids]
 
 
@@ -811,10 +761,7 @@ def _execute_table_sharded(ctx, node, deps):
         # A scan's memo entry is the catalog relation itself; the
         # catalog's shard-major copy is its sharded form.
         result, sharded = ctx.relation(node.table), table
-        thunks = [
-            partial(f.scan, ctx.pool, ctx.stats, guard=ctx.guard)
-            for f in files
-        ]
+        charge, columns = partial(_charge_scan, ctx), (files,)
     else:
         # Selection keeps rows in order and preserves key codes, hence
         # the partitioning.
@@ -822,12 +769,10 @@ def _execute_table_sharded(ctx, node, deps):
             table.relation, node.predicate, shards=table.offsets
         )
         sharded = Sharded(spec, result, offsets)
-        thunks = [
-            partial(_charge_filter_scan, ctx, f, n)
-            for f, n in zip(files, sharded.sizes)
-        ]
+        charge = partial(_charge_filter_scan, ctx)
+        columns = (files, sharded.sizes)
     task_ids = _shard_tasks(
-        ctx, [deps] * spec.shards, thunks, node.label()
+        ctx, [deps] * spec.shards, node.label(), charge, *columns
     )
     return result, sharded, task_ids
 
@@ -845,8 +790,7 @@ def _execute_select_sharded(ctx, node, key, inputs, child_keys, deps):
         _align_deps(
             ctx._node_tasks.get(child_key, ()), child.spec.shards, deps
         ),
-        [partial(_charge_select, ctx, n) for n in child.sizes],
-        node.label(),
+        node.label(), partial(_charge_select, ctx), child.sizes,
     )
     return result, Sharded(child.spec, result, offsets), task_ids
 
@@ -886,13 +830,8 @@ def _execute_join_sharded(ctx, node, key, inputs, child_keys, deps):
             _dedup((*left_deps[i], *right_deps[i], *deps))
             for i in range(spec.shards)
         ],
-        [
-            partial(_charge_join, ctx, method, nl, nr, n, result.arity)
-            for nl, nr, n in zip(
-                left_side.sizes, right_side.sizes, sharded.sizes
-            )
-        ],
-        node.label(),
+        node.label(), partial(_charge_join, ctx, method, result.arity),
+        left_side.sizes, right_side.sizes, sharded.sizes,
     )
     return result, sharded, task_ids
 
@@ -914,11 +853,8 @@ def _execute_groupby_sharded(ctx, node, key, inputs, child_keys, deps):
         _align_deps(
             ctx._node_tasks.get(child_key, ()), child.spec.shards, deps
         ),
-        [
-            partial(_charge_group_by, ctx, sorts, n_in, n, result.arity)
-            for n_in, n in zip(child.sizes, sharded.sizes)
-        ],
-        node.label(),
+        node.label(), partial(_charge_group_by, ctx, sorts, result.arity),
+        child.sizes, sharded.sizes,
     )
     if _group_spec(child.spec, node.group_names) is not None:
         return result, sharded, task_ids
@@ -927,18 +863,21 @@ def _execute_groupby_sharded(ctx, node, key, inputs, child_keys, deps):
     # merge folds each group's partials in shard order.  The combine is
     # a barrier over all shards.  It is its own step, not a second
     # `_group_by`: always one hash pass, charged at the partial count.
-    def combine():
-        ctx.stats.charge_cpu(result.ntuples)
-        final = marginalize(result, node.group_names, ctx.semiring)
-        ctx.stats.charge_cpu(final.ntuples)
-        ctx.maybe_spill(final.ntuples, final.arity)
-        return final
-
-    (final,), combine_ids = _run_tasks(
-        ctx, [task_ids], [combine], node.label() + "+combine"
+    final, combine_ids = _timed_task(
+        ctx, task_ids, node.label() + "+combine", _combine, ctx, node, result
     )
     ctx.count("shard.partial_aggregates")
     return final, None, combine_ids
+
+
+def _combine(ctx, node, partials):
+    """Merge a GroupBy's per-shard partial aggregates: one hash pass,
+    charged at the partial count."""
+    ctx.stats.charge_cpu(partials.ntuples)
+    final = marginalize(partials, node.group_names, ctx.semiring)
+    ctx.stats.charge_cpu(final.ntuples)
+    ctx.maybe_spill(final.ntuples, final.arity)
+    return final
 
 
 def _seeded_shards(ctx, node, relation) -> Sharded | None:
@@ -1046,19 +985,18 @@ def evaluate_dag(
     Every node charges through the same charge function; the one
     decision taken here is whether its work is *registered on the
     modeled schedule* — ``workers > 1`` or a partitioned catalog, both
-    read off the inputs.  Registered, operators over partitioned tables
-    run their kernel once and decompose into per-shard tasks (the
-    charge once per shard) and everything else is a single task (the
-    body once, see :func:`_run_whole`), each landing on
-    the context's :class:`CriticalPathClock` with its dependency edges
-    after in-order dispatch — so results, counters and WAL records are
-    those of a plain loop, and parallelism shows up only as the
-    schedule's modeled makespan.  Unregistered, the body is called
-    directly.  The branch is kept because registration is observable:
-    doing it for unpartitioned ``workers=1`` runs would append a
-    ``schedule:`` suffix to ``BatchReport.summary()``, emit
-    ``scheduler.*`` gauges into snapshot diffs, and start drawing
-    ``task`` faults where none are drawn today.
+    read off the inputs.  Registered, an operator over partitioned
+    tables runs its kernel once and then charges each shard in turn,
+    one task per shard through :class:`OrderedPool`; everything else
+    runs its body once (:func:`_run_whole`) as a single task.  Each
+    task lands on the context's :class:`CriticalPathClock` with its
+    dependency edges, so results, counters and WAL records are those
+    of a plain loop, and parallelism shows up only as the schedule's
+    modeled makespan.  Unregistered, the body is called directly.  The
+    branch is kept because registration is observable: doing it for
+    unpartitioned ``workers=1`` runs would append a ``schedule:``
+    suffix to ``BatchReport.summary()`` and emit ``scheduler.*`` gauges
+    into snapshot diffs.
     """
     if roots is None:
         roots = dag.roots

@@ -8,12 +8,11 @@ harness needs:
   names every site the engine reaches and the fault kinds it can take:
   page reads fail transiently (the first ``times`` reads of a page
   raise :class:`~repro.errors.TransientStorageError`, then it heals) or
-  permanently; the durability boundaries crash the process; scheduled
-  tasks crash, hang, straggle, lose their result or poison their
-  worker.  Faults are targeted at one occurrence of a site or drawn at
-  a seeded per-key rate, so a failing run is reproducible bit for bit.
-  A buffer pool hosts the registry for page reads and scheduled tasks,
-  a write-ahead log for the crash points.
+  permanently; the durability boundaries crash the process.  Faults
+  are targeted at one occurrence of a site or drawn at a seeded
+  per-key rate, so a failing run is reproducible bit for bit.  A
+  buffer pool hosts the registry for page reads, a write-ahead log for
+  the crash points.
 
 * :class:`RetryPolicy` / :func:`read_with_retry` — the retry loop the
   runtime wraps around every page read: transient faults are retried
@@ -45,7 +44,6 @@ __all__ = [
     "CRASH_POINTS",
     "Faults",
     "InjectedCrash",
-    "Backoff",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",
     "read_with_retry",
@@ -65,9 +63,9 @@ class InjectedCrash(BaseException):
 
 
 # Every injection site and the fault kinds it takes.  The crash points
-# are listed in rough lifecycle order and the task kinds in rough
-# severity order; the CI sweeps iterate this table, so a site or kind
-# added here automatically joins the differential oracles.
+# are listed in rough lifecycle order; the CI sweeps iterate this
+# table, so a site or kind added here automatically joins the
+# differential oracles.
 SITES = {
     "page.read": ("transient", "permanent"),
     # mid-record: a torn half-record hits the log
@@ -84,13 +82,6 @@ SITES = {
     "batch.query": ("crash",),
     # between workload units (VE step / BP message / clique)
     "workload.step": ("crash",),
-    "task": (
-        "crash",   # the worker dies before starting the task
-        "hang",    # the worker wedges; only a deadline or a hedge frees it
-        "slow",    # a straggler: the task completes, slow_factor times later
-        "lost",    # the task completes but its result envelope is dropped
-        "poison",  # a bad worker: this and the next poison_tasks dispatches die
-    ),
 }
 
 CRASH_POINTS = tuple(
@@ -136,44 +127,36 @@ class Faults:
     Two ways to configure a site, each validated once:
 
     * :meth:`target` faults one occurrence: a key (a page, every page
-      of a file, a task ordinal), the ``after``-th reach whose label
-      contains a substring, or the ``after``-th reach of the site.
+      of a file, a reach ordinal) or the ``after``-th reach of the
+      site.
     * :meth:`rate` faults each key with a probability drawn from
       ``random.Random`` seeded by ``seed`` mixed with the key —
-      ``(seed·M + file_id)·M + page_no`` for a page, ``seed·M + seq``
-      for a task — so two registries with the same seed and rates
-      fault the same keys at any worker count.
+      ``(seed·M + file_id)·M + page_no`` for a page, ``seed·M + n``
+      for the ``n``-th reach of a crash point — so two registries with
+      the same seed and rates fault the same keys at any worker
+      count.
 
     ``times`` is how many consecutive attempts of a key fail
     (``math.inf``: it never heals).  A site that is neither targeted
     nor drawn is left alone — its hosts keep their bulk paths.
 
     The hooks: the buffer pool calls :meth:`before_read` on a disk
-    read, the write-ahead log, checkpoints, journal and batch loop call
-    :meth:`reach` at their crash points, and the task runtime calls
-    :meth:`draw` before every attempt.  ``counts[(site, kind)]`` counts
-    the faults injected — a targeted site that never fires is a test
-    bug, not a pass.  A drawn ``poison`` fault makes the next
-    ``poison_tasks`` reaches of its site crash while the modeled health
-    check replaces the worker; a ``slow`` task takes ``slow_factor``
-    times its clean run.
+    read, and the write-ahead log, checkpoints, journal and batch loop
+    call :meth:`reach` at their crash points.  ``counts[(site, kind)]``
+    counts the faults injected — a targeted site that never fires is a
+    test bug, not a pass.
     """
 
-    def __init__(
-        self, seed: int = 0, slow_factor: float = 4.0, poison_tasks: int = 2
-    ):
+    def __init__(self, seed: int = 0):
         self.seed = seed
-        self.slow_factor = _checked("slow_factor", slow_factor, 1.0)
-        self.poison_tasks = _checked("poison_tasks", poison_tasks, count=True)
         self.counts: Counter[tuple[str, str]] = Counter()
         self._rates: dict[str, list[tuple[float, tuple[str, ...], float]]] = {}
         self._keyed: dict[tuple, tuple[str, float]] = {}
-        # [site, label substring, after, kind, times, matches seen]
+        # [site, after, kind, times, reaches seen]
         self._pending: list[list] = []
         self._armed: set[str] = set()
         self._attempts: dict[PageId, int] = {}
         self._reached: Counter[str] = Counter()
-        self._poison: Counter[str] = Counter()
 
     # ------------------------------------------------------------------
     # Configuration
@@ -184,18 +167,15 @@ class Faults:
         kind: str,
         key=None,
         *,
-        label: str | None = None,
         after: int = 0,
         times: float = 1,
     ) -> "Faults":
         """Fault one occurrence of ``site`` with ``kind``.
 
         ``key`` names it directly: a :class:`PageId` or a file id at
-        ``page.read``, a task ordinal at ``task``.  Otherwise it is the
-        ``after``-th reach (0-based) whose label contains ``label``, or
-        of the site at all; a task found this way keeps the fault
-        through its retries.  The occurrence's first ``times`` attempts
-        fail.
+        ``page.read``, a reach ordinal at a crash point.  Otherwise it
+        is the ``after``-th reach (0-based) of the site.  The
+        occurrence's first ``times`` attempts fail.
         """
         _checked_kind(site, kind)
         _checked("after", after, count=True)
@@ -209,7 +189,7 @@ class Faults:
         elif site == "page.read":
             raise StorageError("page.read targets need a page or file key")
         else:
-            self._pending.append([site, label or "", after, kind, times, 0])
+            self._pending.append([site, after, kind, times, 0])
         self._armed.add(site)
         return self
 
@@ -254,30 +234,25 @@ class Faults:
     # ------------------------------------------------------------------
     # The one draw
     # ------------------------------------------------------------------
-    def draw(self, site: str, key=None, label: str = "", attempt: int = 0):
+    def draw(self, site: str, key=None):
         """The fault kind hitting this reach of ``site``, or ``None``.
 
-        ``key`` identifies the occurrence (a page, a task ordinal);
-        crash points pass none and are keyed by their reach ordinal.
-        ``attempt`` counts a task's dispatches; a page's reads are
+        ``key`` identifies the occurrence (a page); crash points pass
+        none and are keyed by their reach ordinal.  A page's reads are
         counted here.  Deterministic in the seed, the key and the
         configuration.
         """
-        fault = self._fault(site, key, label, attempt)
+        fault = self._fault(site, key)
         return None if fault is None else fault[0]
 
-    def _fault(self, site, key, label, attempt):
+    def _fault(self, site, key):
         """:meth:`draw`, as ``(kind, attempt, times)``."""
         if site not in self._armed:
             return None
         if key is None:
             key = self._reached[site]
             self._reached[site] += 1
-        if attempt == 0:
-            self._bind(site, key, label)
-        if self._poison[site]:
-            self._poison[site] -= 1
-            return self._record(site, "crash"), attempt, 1
+        self._bind(site, key)
         rule = self._keyed.get((site, key))
         if rule is None and isinstance(key, PageId):
             rule = self._keyed.get((site, key.file_id))
@@ -286,6 +261,7 @@ class Faults:
         if rule is None:
             return None
         kind, times = rule
+        attempt = 0
         if isinstance(key, PageId):
             attempt = self._attempts.get(key, 0)
             self._attempts[key] = attempt + 1
@@ -293,17 +269,16 @@ class Faults:
             return None
         return self._record(site, kind), attempt, times
 
-    def _bind(self, site, key, label) -> None:
-        """Resolve label and ``after`` targets on a key's first reach;
-        a bound target sticks to the key, so its retries keep drawing
-        against it."""
+    def _bind(self, site, key) -> None:
+        """Resolve ``after`` targets: the ``after``-th reach of a site
+        binds the target to that reach's key."""
         for pending in self._pending:
-            if pending[0] != site or pending[1] not in label:
+            if pending[0] != site:
                 continue
-            seen = pending[5]
-            pending[5] = seen + 1
-            if seen == pending[2] and (site, key) not in self._keyed:
-                self._keyed[(site, key)] = (pending[3], pending[4])
+            seen = pending[4]
+            pending[4] = seen + 1
+            if seen == pending[1] and (site, key) not in self._keyed:
+                self._keyed[(site, key)] = (pending[2], pending[3])
 
     def _roll(self, site, key):
         rates = self._rates.get(site)
@@ -325,8 +300,6 @@ class Faults:
 
     def _record(self, site: str, kind: str) -> str:
         self.counts[(site, kind)] += 1
-        if kind == "poison":
-            self._poison[site] = self.poison_tasks
         return kind
 
     # ------------------------------------------------------------------
@@ -334,7 +307,7 @@ class Faults:
     # ------------------------------------------------------------------
     def before_read(self, page: PageId) -> None:
         """Raise the injected fault for this disk read of ``page``."""
-        fault = self._fault("page.read", page, "", 0)
+        fault = self._fault("page.read", page)
         if fault is None:
             return
         kind, attempt, times = fault
@@ -361,30 +334,23 @@ class Faults:
         )
 
 
-class Backoff:
-    """Capped exponential backoff: the ``n``-th retry (0-based) waits
-    ``min(base_delay * 2**n, max_delay)`` cost units."""
-
-    base_delay: float
-    max_delay: float
-
-    def delay_for(self, retry_index: int) -> float:
-        """Backoff before the ``retry_index``-th retry (0-based)."""
-        return min(self.base_delay * (2.0 ** retry_index), self.max_delay)
-
-
 @dataclass(frozen=True)
-class RetryPolicy(Backoff):
+class RetryPolicy:
     """Retry policy for transient page faults.
 
-    ``max_attempts`` bounds reads of one page (first try + retries);
-    the :class:`Backoff` wait is charged to the stats clock as
-    simulated wait.
+    ``max_attempts`` bounds reads of one page (first try + retries).
+    Backoff is capped exponential: the ``n``-th retry (0-based) waits
+    ``min(base_delay * 2**n, max_delay)`` cost units, charged to the
+    stats clock as simulated wait.
     """
 
     max_attempts: int = 4
     base_delay: float = 100.0
     max_delay: float = 2000.0
+
+    def delay_for(self, retry_index: int) -> float:
+        """Backoff before the ``retry_index``-th retry (0-based)."""
+        return min(self.base_delay * (2.0 ** retry_index), self.max_delay)
 
 
 DEFAULT_RETRY_POLICY = RetryPolicy()

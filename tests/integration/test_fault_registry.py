@@ -4,14 +4,14 @@ Two properties of hosting faults where the hooks live:
 
 * Fresh pools are fault-free, on purpose.  The plan-choice audit and
   ``run_hypothetical``'s shadow engine run on pools of their own, so
-  they draw neither page nor worker faults: a label-targeted fault
-  cannot be used up by an audit replay.
-* Faults compose.  One registry carries a seeded transient page rate,
-  a hung shard task and a crash between batch queries; the crashed
-  batch, recovered and resumed under the same registry, answers what
-  the uninterrupted fault-free batch answers, bit for bit — and what
-  the independent oracle of ``tests/oracle.py`` says the view means —
-  and is bit for bit the batch the crash alone leaves behind.
+  they draw no page faults: an audit replay cannot use up a fault
+  meant for the profiled run.
+* Faults compose.  One registry carries a seeded transient page rate
+  and a crash between batch queries; the crashed batch, recovered and
+  resumed under the same registry, answers what the uninterrupted
+  fault-free batch answers, bit for bit — and what the independent
+  oracle of ``tests/oracle.py`` says the view means — and is bit for
+  bit the batch the crash alone leaves behind.
 """
 
 import numpy as np
@@ -19,11 +19,9 @@ import pytest
 
 from repro.data import complete_relation, var
 from repro.engine import Database
-from repro.plans.scheduler import TaskPolicy
 from repro.query import MPFQuery, MPFView
 from repro.semiring import SUM_PRODUCT
 from repro.storage import (
-    SITES,
     BufferPool,
     CheckpointManager,
     Faults,
@@ -33,8 +31,6 @@ from repro.storage import (
     wal_path,
 )
 from tests.oracle import assert_agrees, engine_answer, mpf_answer
-
-POLICY = TaskPolicy(timeout=50_000.0, hedge_after=1_000.0)
 
 # (group variables, selections) of the batch; selections are codes.
 QUERIES = (
@@ -60,7 +56,6 @@ def _relations():
 def _settings(faults):
     return {
         "workers": 2,
-        "task_policy": POLICY,
         "pool": BufferPool(faults=faults),
     }
 
@@ -91,9 +86,7 @@ def _bytes(relation):
 class TestFreshPoolsAreFaultFree:
     @staticmethod
     def _faults():
-        faults = Faults(5).rate("page.read", "transient", 0.3)
-        faults.rate("task", SITES["task"], 0.3)
-        return faults.target("task", "crash", label="Scan(", after=1)
+        return Faults(5).rate("page.read", "transient", 0.3)
 
     def test_audit_replays_draw_nothing(self):
         query_of = lambda db: _queries(db)[3]  # noqa: E731
@@ -105,7 +98,7 @@ class TestFreshPoolsAreFaultFree:
         assert len(audited.audit.candidates) > 1
         # The replays drew nothing: the counts are the profiled run's.
         assert audited_db.pool.faults.counts == plain_db.pool.faults.counts
-        assert audited_db.pool.faults.counts[("task", "crash")] >= 1
+        assert audited_db.pool.faults.counts[("page.read", "transient")] >= 1
         # Results and replayed costs are the fault-free engine's.
         clean_db = _db()
         clean = clean_db.explain_analyze(
@@ -132,9 +125,8 @@ class TestFreshPoolsAreFaultFree:
 
 
 class TestComposedFaults:
-    """ROADMAP 1(f), first slice: storage fault × worker fault × crash
-    point in one registry, on a partitioned batch with a WAL and a
-    checkpointer."""
+    """ROADMAP 1(f), first slice: storage fault × crash point in one
+    registry, on a partitioned batch with a WAL and a checkpointer."""
 
     @staticmethod
     def _crash_and_resume(directory, faults):
@@ -165,17 +157,15 @@ class TestComposedFaults:
         self, tmp_path, after
     ):
         faults = Faults(7).rate("page.read", "transient", 0.25)
-        faults.target("task", "hang", label="Scan(")
         faults.target("batch.query", "crash", after=after)
         batch = self._crash_and_resume(tmp_path / "composed", faults)
         assert sum(r.recovered for r in batch.reports) == after
-        # Every family fired: the page rate, the hung task, the crash.
+        # Both families fired: the page rate and the crash.
         assert faults.counts[("page.read", "transient")] >= 1
-        assert faults.counts[("task", "hang")] >= 1
         assert faults.counts[("batch.query", "crash")] == 1
 
-        # The page and worker faults change nothing, bit for bit, next
-        # to the same crash alone...
+        # The page faults change nothing, bit for bit, next to the same
+        # crash alone...
         crash_only = Faults().target("batch.query", "crash", after=after)
         alone = self._crash_and_resume(tmp_path / "alone", crash_only)
         assert [_bytes(r.result) for r in batch.reports] == [

@@ -22,11 +22,11 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, engine
-from repro.algebra import join
+from repro.algebra import aggregate, join
 from repro.algebra.aggregate import marginalize
 from repro.algebra.groupindex import DEFAULT_GROUP_INDEX_CACHE
 from repro.algebra.join import product_join
@@ -36,7 +36,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.plans import runtime
 from repro.plans.nodes import FilterScan, GroupBy, ProductJoin, Scan, Select
 from repro.query import MPFQuery, MPFView
-from repro.semiring import ALL_SEMIRINGS
+from repro.semiring import ALL_SEMIRINGS, SUM_PRODUCT
 from repro.storage.partition import (
     PartitionSpec,
     shard_assignments,
@@ -92,6 +92,10 @@ def _catalog_parts(ctx, table):
     return held[1]
 
 
+_OWN_ROUTE = object()
+"""A GroupBy that takes whatever route ``marginalize`` picks for it."""
+
+
 def _scan(ctx, node, relation, heapfile):
     heapfile.scan(ctx.pool, ctx.stats, guard=ctx.guard)
     return relation
@@ -119,7 +123,7 @@ def _product_join(ctx, node, method, left, right):
     return result
 
 
-def _group_by(ctx, node, method, child):
+def _group_by(ctx, node, method, child, route=_OWN_ROUTE):
     n = max(child.ntuples, 2)
     names = child.variables.subset(node.group_names).names
     cached = bool(names) and DEFAULT_GROUP_INDEX_CACHE.contains(child, names)
@@ -127,10 +131,52 @@ def _group_by(ctx, node, method, child):
         ctx.stats.charge_cpu(int(n * math.log2(n)))
     else:
         ctx.stats.charge_cpu(n)
-    result = marginalize(child, node.group_names, ctx.semiring)
+    if route is _OWN_ROUTE or not names:
+        result = marginalize(child, node.group_names, ctx.semiring)
+    else:
+        source, rows = (child, None) if route is None else child.sources[route]
+        result = aggregate._aggregate(
+            source, rows, child.measure, child.variables.subset(names),
+            ctx.semiring, None, None,
+        )
     ctx.stats.charge_cpu(result.ntuples)
     ctx.maybe_spill(result.ntuples, result.arity)
     return result
+
+
+def _shard_major_route(parts, group_names):
+    """Which relation the shard-major GroupBy over these join shards
+    aggregates through: the index of a deferred-join source, or
+    ``None`` for the join itself.
+
+    The shard-major kernel decides once, over all shards: the join
+    defers only when every shard's slice join does, probing with the
+    same side (so with the same sources in the same order), and a
+    source is taken when it holds every group variable and enough of
+    its rows matched, counted over all shards.  A per-shard GroupBy
+    deciding shard by shard could aggregate through a source its own
+    charge never peeks, and be charged a sort its kernel did not do.
+    """
+    if not group_names or not all(
+        isinstance(part, join._DeferredJoin) for part in parts
+    ):
+        return None
+    layouts = {
+        tuple((source.name, source.var_names) for source, _ in part.sources)
+        for part in parts
+    }
+    if len(layouts) > 1:
+        return None
+    for route, (source, _) in enumerate(parts[0].sources):
+        if not all(n in source.variables for n in group_names):
+            continue
+        pairs = [part.sources[route] for part in parts]
+        kept = sum(
+            src.ntuples if rows is None else len(rows) for src, rows in pairs
+        )
+        if kept * join.PROBE_KEEP_FACTOR >= sum(s.ntuples for s, _ in pairs):
+            return route
+    return None
 
 
 _BODIES = {
@@ -156,29 +202,16 @@ def _run_whole(ctx, node, inputs):
 
 
 def _run_tasks(ctx, deps_list, thunks, label):
-    results = [None] * len(thunks)
-
-    def timed(index, thunk):
-        def call():
-            snapshot = ctx.stats.snapshot()
-            results[index] = thunk()
-            return ctx.stats.since(snapshot).elapsed()
-
-        return call
-
-    modeled = ctx._task_runtime.run(
-        [timed(i, thunk) for i, thunk in enumerate(thunks)], label=label
+    results, elapsed = [], []
+    for thunk in thunks:
+        snapshot = ctx.stats.snapshot()
+        results.append(thunk())
+        elapsed.append(ctx.stats.since(snapshot).elapsed())
+    task_ids = tuple(
+        ctx.schedule.add_task(deps, spent, label)
+        for deps, spent in zip(deps_list, elapsed)
     )
-    task_ids = []
-    for i, deps in enumerate(deps_list):
-        if ctx._task_runtime.degraded:
-            tail = task_ids[-1] if task_ids else ctx._schedule_tail
-            if tail is not None:
-                deps = runtime._dedup((*deps, tail))
-        task_ids.append(ctx.schedule.add_task(deps, modeled[i], label))
-    if task_ids:
-        ctx._schedule_tail = task_ids[-1]
-    return results, tuple(task_ids)
+    return results, task_ids
 
 
 def _single_task(ctx, node, inputs, deps):
@@ -320,12 +353,16 @@ def _group_node(ctx, node, inputs, child_keys, deps):
         return _single_task(ctx, node, inputs, deps)
     spec, parts = sharded
     method = runtime._physical_method(ctx, node, inputs[0])
+    route = _shard_major_route(parts, node.group_names)
     results, task_ids = _run_tasks(
         ctx,
         runtime._align_deps(
             ctx._node_tasks.get(child_key, ()), spec.shards, deps
         ),
-        [partial(_group_by, ctx, node, method, part) for part in parts],
+        [
+            partial(_group_by, ctx, node, method, part, route)
+            for part in parts
+        ],
         node.label(),
     )
     ctx.count("shard.tasks", spec.shards)
@@ -494,6 +531,32 @@ _SETTINGS = settings(
 )
 
 
+def _route_case():
+    """Two queries whose GroupBy reads the same deferred join, one shard
+    of which has too few matched rows for the shard-major kernel (over
+    all shards) to aggregate through ``t0``, but enough for a shard on
+    its own: the per-shard reference once charged the second GroupBy a
+    sort (7 tuples) where the kernel gathers from the cached index (6)."""
+    v0, v1, v2 = var("v0", 3), var("v1", 1), var("v2", 3)
+    t0 = FunctionalRelation(
+        [v0, v1, v2],
+        {
+            "v0": np.array([1, 0, 2, 0, 1, 1, 2, 0]),
+            "v1": np.zeros(8, dtype=np.int64),
+            "v2": np.array([2, 1, 1, 0, 1, 0, 0, 2]),
+        },
+        np.array([0.5, 1.0, 2.0, 0.5, 1.0, 2.0, 0.5, 1.0]),
+        name="t0",
+    )
+    t1 = FunctionalRelation(
+        [v0, v1], {"v0": np.array([1]), "v1": np.array([0])},
+        np.array([1.0]), name="t1",
+    )
+    specs = {"t0": ("v0", 2), "t1": ("v0", 2)}
+    queries = [(("v0", "v1"), {}), (("v1", "v0"), {})]
+    return [t0, t1], specs, queries, SUM_PRODUCT
+
+
 class TestAgainstThePerShardReference:
     @_SETTINGS
     @given(
@@ -501,6 +564,7 @@ class TestAgainstThePerShardReference:
         st.sampled_from(["ve+", "ve", "cs+"]),
         st.sampled_from([0, join.DEFER_MIN_ROWS]),
     )
+    @example(case=_route_case(), strategy="ve+", defer_min_rows=0)
     def test_same_bytes_same_clock_same_schedule(
         self, case, strategy, defer_min_rows
     ):

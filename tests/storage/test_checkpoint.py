@@ -93,17 +93,15 @@ class TestCheckpointRestore:
         assert _snapshot_bytes(again) == _snapshot_bytes(reference)
 
     def test_restore_carries_every_setting(self, tmp_path):
-        from repro.plans.scheduler import TaskPolicy
-        from repro.storage import SITES, BufferPool
+        from repro.storage import BufferPool
 
         directory = str(tmp_path)
         CheckpointManager(directory).checkpoint(_database())
         state = RecoveryManager(directory).recover()
-        faults = Faults(5).rate("task", SITES["task"], 0.1)
+        faults = Faults(5).rate("page.read", "transient", 0.1)
         settings = {
             "pool": BufferPool(capacity_pages=64, faults=faults),
             "workers": 3,
-            "task_policy": TaskPolicy(max_attempts=2),
         }
         restored = Database.restore(state, **settings)
         for name, value in settings.items():
