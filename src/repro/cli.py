@@ -262,6 +262,10 @@ def cmd_sql(args: argparse.Namespace) -> int:
     try:
         partitions, settings = _engine_settings(args)
         limits = _guard_limits(args)
+        for flag, value in (("--limit", args.limit),
+                            ("--audit-max-tables", args.audit_max_tables)):
+            if value < 0:
+                raise ValueError(f"{flag} must be >= 0, got {value}")
     except (ValueError, StorageError) as exc:
         return _usage_error(exc)
 
@@ -335,36 +339,23 @@ def cmd_sql(args: argparse.Namespace) -> int:
                 return outcome
             continue
 
-        if args.calibrate and _is_select(sql):
-            code = _run_calibrated_statement(db, sql, args, guard)
-            if code is not None:
-                return code
-            continue
-
         if faults is not None:
             faults.reach("batch.query")
         before = db.metrics.snapshot() if wal is not None else None
-        tracer = None
-        if args.trace_json:
-            from repro.obs.trace import QueryTracer
-
-            tracer = QueryTracer()
         try:
-            outcome = db.execute(
-                sql, strategy=args.strategy, guard=guard, tracer=tracer
-            )
+            outcome, trace = _run_statement(db, sql, args, guard)
         except MPFError as exc:
             db.record_query_unit(wal, key, before, error=exc)
             print(f"error: {exc}", file=sys.stderr)
             return exit_code_for(exc)
-        if tracer is not None and not isinstance(outcome, str):
+        if args.trace_json and trace is not None:
             trace_entries.append({
                 "request_id": f"stmt-{i:04d}",
                 "tenant": None,
                 "stats_epoch": db.catalog.stats_epoch,
                 "status": "ok",
                 "reason": None,
-                "root": tracer.finish().to_dict(),
+                "root": trace.to_dict(),
             })
         if isinstance(outcome, str):
             db.record_query_unit(wal, key, before)
@@ -378,7 +369,7 @@ def cmd_sql(args: argparse.Namespace) -> int:
         print(outcome.result.head(args.limit))
         if args.explain:
             print(outcome.plan_text)
-        if args.explain_json:
+        if args.explain_json or args.calibrate:
             print(json.dumps(outcome.to_explain_dict(), sort_keys=True))
         print(f"[{outcome.optimization.algorithm}; "
               f"{outcome.result.ntuples} rows]\n")
@@ -400,25 +391,18 @@ def cmd_sql(args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_select(sql: str) -> bool:
-    """True for a parsable select statement (calibration applies)."""
+def _run_statement(db, sql, args, guard):
+    """Run one statement: ``(outcome, trace)``.
+
+    Under ``--calibrate`` a select runs as EXPLAIN ANALYZE
+    (:meth:`Database.explain_analyze`, plan-choice audit included);
+    every other statement through :meth:`Database.execute`.  ``trace``
+    is the select's lifecycle span tree, when one was recorded.
+    """
+    from repro.obs.trace import QueryTracer
     from repro.query.parser import SelectStatement, parse_statement
 
-    try:
-        return isinstance(parse_statement(sql), SelectStatement)
-    except MPFError:
-        # Let the ordinary execution path raise the real parse error.
-        return False
-
-
-def _run_calibrated_statement(db, sql, args, guard):
-    """Run one select under ``--calibrate``.
-
-    Prints the result head, optionally the calibrated plan tree, and
-    the one-line ``repro.calibration.v1`` document.  Returns an exit
-    code to abort with, or ``None`` on success.
-    """
-    try:
+    if args.calibrate and isinstance(parse_statement(sql), SelectStatement):
         report = db.explain_analyze(
             sql,
             strategy=args.strategy,
@@ -426,16 +410,14 @@ def _run_calibrated_statement(db, sql, args, guard):
             audit_plans=True,
             audit_max_tables=args.audit_max_tables,
         )
-    except MPFError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
-    print(report.result.head(args.limit))
-    if args.explain:
-        print(report.plan_text)
-    print(json.dumps(report.to_calibration_dict(), sort_keys=True))
-    print(f"[{report.optimization.algorithm}; "
-          f"{report.result.ntuples} rows]\n")
-    return None
+        return report, report.profile.trace
+    tracer = QueryTracer() if args.trace_json else None
+    outcome = db.execute(
+        sql, strategy=args.strategy, guard=guard, tracer=tracer
+    )
+    if tracer is None or isinstance(outcome, str):
+        return outcome, None
+    return outcome, tracer.finish()
 
 
 def _replay_recorded_statement(db, sql, record, args, guard):
@@ -848,10 +830,9 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument("--calibrate", action="store_true",
                      help="run selects as EXPLAIN ANALYZE with cost-model "
                           "calibration: print each query's one-line "
-                          "repro.calibration.v1 document (per-node "
-                          "Q-errors, misestimate attribution, plan-choice "
-                          "audit); calibrated selects are not recorded on "
-                          "the WAL")
+                          "repro.explain.v1 document with per-node "
+                          "Q-errors, misestimate attribution and the "
+                          "plan-choice audit")
     sql.add_argument("--audit-max-tables", type=int, default=6,
                      metavar="N",
                      help="replay candidate plans (the --calibrate audit) "

@@ -28,7 +28,7 @@ from repro.cost.model import CostModel, SimpleCostModel
 from repro.data.relation import FunctionalRelation
 from repro.errors import MPFError, QueryError, RecoveryError
 from repro.obs.export import explain_document, metrics_document
-from repro.obs.metrics import SECONDS_BUCKETS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.optimizer.base import OptimizationResult, Optimizer
 from repro.optimizer.cs import CSOptimizer
 from repro.optimizer.csplus import CSPlusLinear, CSPlusNonlinear
@@ -210,16 +210,20 @@ class AnalyzeReport:
     """What :meth:`Database.explain_analyze` produced.
 
     Wraps the profiled run with the estimate→actual calibration
-    (:class:`~repro.obs.calib.PlanCalibration`) and, when requested,
-    the plan-choice audit (:class:`~repro.obs.calib.PlanAudit`).
+    (:class:`~repro.obs.calib.PlanCalibration`), which carries the
+    plan-choice audit (:class:`~repro.obs.calib.PlanAudit`) when one
+    was requested.
     """
 
     profile: "ExecutionProfile"
     query: MPFQuery
     optimization: OptimizationResult
     calibration: "PlanCalibration | None"
-    audit: "PlanAudit | None"
     stats_epoch: int
+
+    @property
+    def audit(self) -> "PlanAudit | None":
+        return None if self.calibration is None else self.calibration.audit
 
     @property
     def result(self) -> FunctionalRelation:
@@ -234,18 +238,9 @@ class AnalyzeReport:
         """The per-operator breakdown with est.rows / q-err columns."""
         return self.profile.formatted()
 
-    def to_calibration_dict(self) -> dict:
-        """The schema-tagged ``repro.calibration.v1`` document."""
-        if self.calibration is None:
-            raise QueryError("explain_analyze ran with calibrate=False")
-        return self.calibration.document(
-            query=self.query,
-            algorithm=self.optimization.algorithm,
-            audit=self.audit,
-        )
-
     def to_explain_dict(self) -> dict:
-        """The ANALYZE explain document with per-node actuals."""
+        """The ANALYZE explain document; calibrated, it carries per-node
+        actuals, Q-errors and sources and the ``calibration`` block."""
         return explain_document(
             self.optimization,
             query=self.query,
@@ -619,14 +614,6 @@ class Database:
         self.metrics.counter("optimizer.plans_considered").inc(
             optimization.plans_considered
         )
-        if self.clock is not None:
-            # Planning elapsed enters the registry only under an
-            # injected clock: the default wall clock would make metric
-            # snapshots differ between identical seeded runs, and the
-            # determinism suite treats that as a bug.
-            self.metrics.histogram(
-                "optimizer.elapsed", buckets=SECONDS_BUCKETS
-            ).observe(optimization.planning_seconds)
         if cache_key is not None:
             from repro.plans.serialize import plan_to_dict
 
@@ -1034,11 +1021,11 @@ class Database:
 
         ``audit_plans`` additionally replays the candidate plans of
         every optimizer family (CS, CS+, CS+nonlinear, VE, VE+) under
-        the cost clock and reports the plan regret of the chosen plan;
-        the replay is quadratic-ish in plan count, so it only runs for
-        queries over at most ``audit_max_tables`` relations.  Replays
-        use fresh cold buffer pools and do not touch the engine-wide
-        ``query.*`` metrics.
+        the cost clock and reports the plan regret of the chosen plan
+        as the calibration's ``audit``; the replay is quadratic-ish in
+        plan count, so it only runs for calibrated queries over at most
+        ``audit_max_tables`` relations.  Replays use fresh cold buffer
+        pools and do not touch the engine-wide ``query.*`` metrics.
         """
         from repro.obs.calib import calibrate_plan
         from repro.obs.trace import QueryTracer
@@ -1068,16 +1055,16 @@ class Database:
             )
             calibration.publish(self.metrics)
             profile.calibration = calibration
-        audit = None
-        if audit_plans and len(query.view.tables) <= audit_max_tables:
-            audit = self._audit_plan_choice(query, optimization, **options)
-            audit.publish(self.metrics)
+            if audit_plans and len(query.view.tables) <= audit_max_tables:
+                calibration.audit = self._audit_plan_choice(
+                    query, optimization, **options
+                )
+                calibration.audit.publish(self.metrics)
         return AnalyzeReport(
             profile=profile,
             query=query,
             optimization=optimization,
             calibration=calibration,
-            audit=audit,
             stats_epoch=self.catalog.stats_epoch,
         )
 

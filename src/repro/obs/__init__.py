@@ -32,7 +32,6 @@ from repro.obs.trace import (
 )
 from repro.obs.export import (
     BENCH_SCHEMA,
-    CALIBRATION_SCHEMA,
     EXPLAIN_SCHEMA,
     METRIC_CATALOG,
     METRICS_SCHEMA,
@@ -42,7 +41,6 @@ from repro.obs.export import (
     metrics_document,
     plan_explain_dict,
     validate_bench_document,
-    validate_calibration_document,
     validate_explain_document,
     validate_metrics_document,
     validate_trace_document,
@@ -82,7 +80,6 @@ __all__ = [
     "Span",
     "TraceContext",
     "BENCH_SCHEMA",
-    "CALIBRATION_SCHEMA",
     "EXPLAIN_SCHEMA",
     "METRICS_SCHEMA",
     "METRIC_CATALOG",
@@ -104,7 +101,6 @@ __all__ = [
     "quantile",
     "trace_document",
     "validate_bench_document",
-    "validate_calibration_document",
     "validate_explain_document",
     "validate_metrics_document",
     "validate_metrics_text",

@@ -32,6 +32,10 @@ the candidate plans the optimizer family considered and report
 ``plan_regret`` — chosen-plan actual cost over best-replayed actual
 cost (1.0 means the optimizer picked the fastest plan it had).
 
+Neither has a document of its own: the ANALYZE form of the
+``repro.explain.v1`` document carries both
+(:func:`repro.obs.export.explain_document`).
+
 Like :mod:`repro.obs.export`, this module must not import
 ``repro.plans`` at runtime (the plans layer imports ``repro.obs``);
 plan nodes are traversed duck-typed and dispatched by class name.
@@ -42,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from repro.obs.export import CALIBRATION_SCHEMA, PLAN_OPS
+from repro.obs.export import PLAN_OPS
 
 __all__ = [
     "NodeCalibration",
@@ -53,7 +57,6 @@ __all__ = [
     "q_error",
     "MISESTIMATE_THRESHOLD",
     "Q_ERROR_BUCKETS",
-    "PLAN_REGRET_BUCKETS",
 ]
 
 # A node is *counted* as a misestimate (calib.misestimates) once its
@@ -61,10 +64,9 @@ __all__ = [
 # line used in the cardinality-estimation literature.
 MISESTIMATE_THRESHOLD = 2.0
 
-# Q-error and regret are ratios ≥ 1, concentrated near 1 — decade
-# buckets (DEFAULT_BUCKETS) would dump everything into one bin.
+# Q-errors are ratios ≥ 1, concentrated near 1 — decade buckets
+# (DEFAULT_BUCKETS) would dump everything into one bin.
 Q_ERROR_BUCKETS = (1.0, 1.1, 1.25, 1.5, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0)
-PLAN_REGRET_BUCKETS = (1.0, 1.05, 1.1, 1.25, 1.5, 2.0, 4.0, 10.0, 100.0)
 
 _EXACT_EPS = 1e-9
 
@@ -89,7 +91,6 @@ class NodeCalibration:
     op: str
     label: str
     estimated_rows: float
-    estimated_cost: float
     actual_rows: int | None
     actual_elapsed: float | None
     q_error: float | None
@@ -99,18 +100,6 @@ class NodeCalibration:
     (``base_table_stats`` / ``selection`` / ``join_selectivity`` /
     ``group_by_collapse`` / ``semijoin``).  ``None`` when the node
     was never executed, so no actual exists to compare against."""
-
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "label": self.label,
-            "estimated_rows": self.estimated_rows,
-            "estimated_cost": self.estimated_cost,
-            "actual_rows": self.actual_rows,
-            "actual_elapsed": self.actual_elapsed,
-            "q_error": self.q_error,
-            "source": self.source,
-        }
 
 
 @dataclass
@@ -124,6 +113,8 @@ class PlanCalibration:
 
     nodes: list[NodeCalibration]
     stats_epoch: int | None = None
+    audit: "PlanAudit | None" = None
+    """The plan-choice audit of the same run, when one was replayed."""
 
     def __post_init__(self):
         self._by_key = {n.key: n for n in self.nodes}
@@ -185,36 +176,6 @@ class PlanCalibration:
             ).observe(n.q_error)
             if n.q_error >= MISESTIMATE_THRESHOLD and n.source is not None:
                 metrics.counter("calib.misestimates", source=n.source).inc()
-
-    def to_dict(self) -> dict:
-        dominant = self.dominant
-        return {
-            "stats_epoch": self.stats_epoch,
-            "nodes": [n.to_dict() for n in self.nodes],
-            "plan_q_error": self.plan_q_error,
-            "mean_q_error": self.mean_q_error,
-            "dominant": None if dominant is None else {
-                "label": dominant.label,
-                "q_error": dominant.q_error,
-                "source": dominant.source,
-            },
-        }
-
-    def document(
-        self,
-        query=None,
-        algorithm: str | None = None,
-        audit: "PlanAudit | None" = None,
-    ) -> dict:
-        """The schema-tagged ``repro.calibration.v1`` JSON document."""
-        doc = {
-            "schema": CALIBRATION_SCHEMA,
-            "query": None if query is None else str(query),
-            "algorithm": algorithm,
-            "audit": None if audit is None else audit.to_dict(),
-        }
-        doc.update(self.to_dict())
-        return doc
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +248,6 @@ def calibrate_plan(
         estimated_rows = (
             float(node.stats.cardinality) if node.stats is not None else 1.0
         )
-        estimated_cost = float(node.op_cost or 0.0)
         actual = actual_map.get(key)
         if actual is None or node.stats is None:
             q = source = None
@@ -315,7 +275,6 @@ def calibrate_plan(
                 op=op,
                 label=node.label(),
                 estimated_rows=estimated_rows,
-                estimated_cost=estimated_cost,
                 actual_rows=actual_rows,
                 actual_elapsed=actual_elapsed,
                 q_error=q,
@@ -378,9 +337,6 @@ class PlanAudit:
         if metrics is None:
             return
         metrics.counter("calib.plans_replayed").inc(len(self.candidates))
-        metrics.histogram(
-            "calib.plan_regret", buckets=PLAN_REGRET_BUCKETS
-        ).observe(self.plan_regret)
 
     def to_dict(self) -> dict:
         return {

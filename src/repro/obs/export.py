@@ -1,6 +1,6 @@
 """Structured exporters and their schemas.
 
-Six JSON document shapes, each carrying an explicit ``schema`` tag
+Five JSON document shapes, each carrying an explicit ``schema`` tag
 and validated strictly (unknown or missing keys fail — the CI
 benchmark-smoke job depends on that).  :data:`SCHEMAS` is the one
 definition of each shape: a table entry per tag, walked by one checker
@@ -18,17 +18,14 @@ path in a single :class:`ValueError`.
   JSON)`` for this engine: the chosen plan as a nested node tree with
   per-node estimated cardinality/cost, the optimizer verdict, and
   (for ``EXPLAIN ANALYZE``) executed totals plus the per-operator
-  breakdown.
+  breakdown.  A calibrated ANALYZE adds the estimate→actual join
+  (:mod:`repro.obs.calib`): per-node actuals, Q-error and misestimate
+  ``source``, and a top-level ``calibration`` block with the plan's
+  Q-errors, its dominant misestimate and the plan-choice audit.
 
 * **bench document** (:data:`BENCH_SCHEMA`) — one reproduced paper
   table/figure with its rows *and* an embedded metrics document, so
   ``benchmarks/out/*.json`` trajectories are self-describing.
-
-* **calibration document** (:data:`CALIBRATION_SCHEMA`) — the
-  estimate→actual join for one executed plan: per-node estimated vs
-  actual rows, Q-error, misestimate attribution, and (optionally) the
-  plan-choice audit.  Built by
-  :meth:`repro.obs.calib.PlanCalibration.document`.
 
 * **bench-history document** (:data:`HISTORY_SCHEMA`) — one benchmark
   suite's run trajectory (:mod:`repro.obs.history`).
@@ -61,7 +58,6 @@ __all__ = [
     "METRICS_SCHEMA",
     "EXPLAIN_SCHEMA",
     "BENCH_SCHEMA",
-    "CALIBRATION_SCHEMA",
     "HISTORY_SCHEMA",
     "TRACE_SCHEMA",
     "SCHEMAS",
@@ -78,7 +74,6 @@ __all__ = [
     "validate_metrics_document",
     "validate_explain_document",
     "validate_bench_document",
-    "validate_calibration_document",
     "validate_history_document",
     "validate_trace_document",
 ]
@@ -86,7 +81,6 @@ __all__ = [
 METRICS_SCHEMA = "repro.metrics.v1"
 EXPLAIN_SCHEMA = "repro.explain.v1"
 BENCH_SCHEMA = "repro.bench.v1"
-CALIBRATION_SCHEMA = "repro.calibration.v1"
 HISTORY_SCHEMA = "repro.bench_history.v1"
 
 # The typed load-shedding vocabulary: every shed outcome — the
@@ -129,7 +123,6 @@ METRIC_CATALOG: dict[str, str] = {
     "plan_cache.misses": "counter",
     "plan_cache.invalidations": "counter",
     "optimizer.plans_considered": "counter",
-    "optimizer.elapsed": "histogram",
     "queries.total": "counter",
     "batches.total": "counter",
     "batch.shared_subplans": "counter",
@@ -137,22 +130,13 @@ METRIC_CATALOG: dict[str, str] = {
     "bp.messages": "counter",
     "bp.failures": "counter",
     "vecache.steps": "counter",
-    "vecache.evidence_absorptions": "counter",
     "vecache.tables": "gauge",
     "junction.cliques": "counter",
     # durability: write-ahead log, checkpoints, and crash recovery
     # (labels on checkpoint.steps_skipped: unit=query|step)
-    "wal.appends": "counter",
     "wal.bytes": "counter",
     "checkpoint.taken": "counter",
-    "checkpoint.pages": "counter",
-    "checkpoint.memo_entries": "counter",
-    "checkpoint.steps_recorded": "counter",
     "checkpoint.steps_skipped": "counter",
-    "recovery.runs": "counter",
-    "recovery.replayed_pages": "counter",
-    "recovery.replayed_records": "counter",
-    "recovery.torn_tails": "counter",
     "recovery.checkpoints_discarded": "counter",
     # partition-parallel execution: per-shard work (worker-count
     # independent structural counters) and the modeled schedule
@@ -162,22 +146,18 @@ METRIC_CATALOG: dict[str, str] = {
     "shard.shuffle_pages": "counter",
     "shard.partial_aggregates": "counter",
     "scheduler.workers": "gauge",
-    "scheduler.tasks": "gauge",
     "scheduler.serial_elapsed": "gauge",
     "scheduler.makespan": "gauge",
-    "scheduler.speedup": "gauge",
     # kernel acceleration: group-index cache traffic of the executed
     # operators (deltas of the process-wide cache, published per node;
     # see docs/internals.md)
     "kernel.groupindex_hits": "counter",
     "kernel.groupindex_misses": "counter",
-    "kernel.groupindex_evictions": "counter",
     # cost-model calibration (labels: calib.q_error operator=<op>,
     # calib.misestimates source=<estimator step>)
     "calib.runs": "counter",
     "calib.q_error": "histogram",
     "calib.misestimates": "counter",
-    "calib.plan_regret": "histogram",
     "calib.plans_replayed": "counter",
     # multi-tenant serving runtime (labels: tenant=<name> on all;
     # serve.shed additionally reason=rate|queue_full|evicted|deadline|
@@ -185,7 +165,6 @@ METRIC_CATALOG: dict[str, str] = {
     # serve.queue_wait records the runtime's clock units: simulated
     # cost units under the deterministic driver, seconds under the
     # asyncio server (see docs/serving.md).
-    "serve.requests": "counter",
     "serve.admitted": "counter",
     "serve.shed": "counter",
     "serve.completed": "counter",
@@ -214,14 +193,14 @@ METRIC_CATALOG: dict[str, str] = {
 
 
 class PlanOp(NamedTuple):
-    op: str  # the node's ``op`` in explain and calibration documents
+    op: str  # the node's ``op`` in the explain plan tree
     fields: tuple[str, ...]  # what an explain node adds (_NODE_FIELDS)
     inputs: int  # child plans
     source: str  # the estimator step a calibration blames it on
 
 
 # Plan node class name -> its document vocabulary: the one op table
-# behind the explain plan tree, the calibration rows and their schemas.
+# behind the explain plan tree, the calibration rows and the schema.
 PLAN_OPS: dict[str, PlanOp] = {
     "Scan": PlanOp("scan", ("table",), 0, "base_table_stats"),
     "IndexScan": PlanOp(
@@ -266,8 +245,9 @@ def plan_explain_dict(plan, calibration=None) -> dict:
     """Nested plan-node document with per-node estimates when annotated.
 
     With ``calibration`` (a :class:`~repro.obs.calib.PlanCalibration`
-    from the same plan's execution), every matched node additionally
-    carries an ``actual`` block and its ``q_error``.
+    from the same plan's execution), every executed node additionally
+    carries an ``actual`` block, its ``q_error`` and the misestimate
+    ``source`` it is blamed on.
 
     Iterative post-order build: deep plans (long Select/GroupBy
     chains) must not hit the recursion limit.
@@ -312,6 +292,7 @@ def _node_dict(node, inputs: list[dict], calibration=None) -> dict:
             }
             if row.q_error is not None:
                 out["q_error"] = row.q_error
+                out["source"] = row.source
     if inputs:
         out["inputs"] = inputs
     return out
@@ -330,8 +311,9 @@ def explain_document(
     :class:`~repro.optimizer.base.OptimizationResult`; pass
     ``execution`` (and optionally the per-operator ``operators``
     breakdown from a :class:`~repro.obs.trace.QueryTracer`) to produce
-    the ANALYZE form.  ``calibration`` adds per-node ``actual`` blocks
-    and Q-errors to the plan tree (see :func:`plan_explain_dict`).
+    the ANALYZE form.  ``calibration`` adds per-node ``actual`` blocks,
+    Q-errors and sources to the plan tree (see
+    :func:`plan_explain_dict`) and the top-level ``calibration`` block.
     """
     doc: dict = {
         "schema": EXPLAIN_SCHEMA,
@@ -349,6 +331,19 @@ def explain_document(
             "operators": [
                 op.to_dict() for op in (operators or [])
             ],
+        }
+    if calibration is not None:
+        dominant, audit = calibration.dominant, calibration.audit
+        doc["calibration"] = {
+            "stats_epoch": calibration.stats_epoch,
+            "plan_q_error": calibration.plan_q_error,
+            "mean_q_error": calibration.mean_q_error,
+            "dominant": None if dominant is None else {
+                "label": dominant.label,
+                "q_error": dominant.q_error,
+                "source": dominant.source,
+            },
+            "audit": None if audit is None else audit.to_dict(),
         }
     return doc
 
@@ -492,8 +487,8 @@ def _baseline_has_no_delta(doc) -> Problems:
 
 
 def _q_error_iff_actual(node) -> Problems:
-    if (node["q_error"] is None) != (node["actual_rows"] is None):
-        yield (), "q_error and actual_rows must be both present or absent"
+    if len({key in node for key in ("actual", "q_error", "source")}) > 1:
+        yield (), "actual, q_error and source must be all present or absent"
 
 
 def _shed_has_typed_reason(entry) -> Problems:
@@ -527,12 +522,18 @@ def _plan_node(spec: PlanOp) -> Obj:
     return Obj(required, {
         "estimated": Nullable(Obj(_keys("cardinality"), _keys("cost op_cost"))),
         "actual": Nullable(Obj(_keys("rows"), _keys("elapsed"))),
-        "q_error": ANY,
-    })
+        "q_error": _AT_LEAST_ONE,
+        "source": _SOURCES,
+    }, rules=(_q_error_iff_actual,))
 
 
 _EVENT = Obj(_keys("name at"), rest=ANY)
 _AT_LEAST_ONE = Number(minimum=1.0)
+# Where a calibration blames a node's Q-error (repro.obs.calib).
+_SOURCES = frozenset({
+    "exact", "inherited", "unknown",
+    *(spec.source for spec in PLAN_OPS.values()),
+})
 
 # The recursive parts: plan nodes nest in ``inputs``, spans in ``children``.
 _PARTS: dict[str, Any] = {
@@ -574,6 +575,19 @@ SCHEMAS: dict[str, Obj] = {
                 OperatorProfile("", 0, 0, 0, 0, 0.0).to_dict()
             ))),
         })),
+    }, {
+        "calibration": Obj({
+            "stats_epoch": ANY,
+            "plan_q_error": _AT_LEAST_ONE,
+            "mean_q_error": _AT_LEAST_ONE,
+            "dominant": Nullable(Obj(_keys("label q_error source"))),
+            "audit": Nullable(Obj({
+                "candidates": ListOf(Obj(
+                    _keys("algorithm estimated_cost actual_cost chosen")
+                )),
+                "plan_regret": _AT_LEAST_ONE,
+            })),
+        }),
     }),
     BENCH_SCHEMA: Obj(
         {
@@ -584,32 +598,6 @@ SCHEMAS: dict[str, Obj] = {
         _keys("git_sha suite"),
         rules=(_rows_match_columns,),
     ),
-    CALIBRATION_SCHEMA: Obj({
-        "schema": frozenset({CALIBRATION_SCHEMA}),
-        **_keys("query algorithm stats_epoch"),
-        "nodes": ListOf(Obj(
-            {
-                "op": frozenset(spec.op for spec in PLAN_OPS.values()),
-                **_keys("label estimated_rows estimated_cost actual_rows"),
-                "actual_elapsed": ANY,
-                "q_error": Nullable(_AT_LEAST_ONE),
-                "source": Nullable(frozenset({
-                    "exact", "inherited", "unknown",
-                    *(spec.source for spec in PLAN_OPS.values()),
-                })),
-            },
-            rules=(_q_error_iff_actual,),
-        ), nonempty=True),
-        "plan_q_error": _AT_LEAST_ONE,
-        "mean_q_error": _AT_LEAST_ONE,
-        "dominant": Nullable(Obj(_keys("label q_error source"))),
-        "audit": Nullable(Obj({
-            "candidates": ListOf(Obj(
-                _keys("algorithm estimated_cost actual_cost chosen")
-            )),
-            "plan_regret": _AT_LEAST_ONE,
-        })),
-    }),
     HISTORY_SCHEMA: Obj(
         {
             "schema": frozenset({HISTORY_SCHEMA}), **_keys("suite title"),
@@ -752,6 +740,5 @@ def validate_document(doc) -> str:
 validate_metrics_document = partial(_check, METRICS_SCHEMA)
 validate_explain_document = partial(_check, EXPLAIN_SCHEMA)
 validate_bench_document = partial(_check, BENCH_SCHEMA)
-validate_calibration_document = partial(_check, CALIBRATION_SCHEMA)
 validate_history_document = partial(_check, HISTORY_SCHEMA)
 validate_trace_document = partial(_check, TRACE_SCHEMA)

@@ -34,7 +34,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "DEFAULT_BUCKETS",
-    "SECONDS_BUCKETS",
     "metric_key",
     "base_name",
     "split_key",
@@ -44,13 +43,6 @@ __all__ = [
 # memo hit (≈0) from a page scan (1e3-scale) from a spilled join.
 DEFAULT_BUCKETS = (
     1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8,
-)
-
-# Decade buckets in wall-clock seconds, for the few instruments that
-# record real time (optimizer search latency) rather than the simulated
-# cost clock: 10µs resolves a cache-warm planner hit, 10s the tail.
-SECONDS_BUCKETS = (
-    1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0,
 )
 
 

@@ -138,31 +138,6 @@ class ExecutionProfile:
                 lines.append(f"degraded: {op.degraded}")
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
-        """JSON-safe breakdown (schema: the explain document's
-
-        ``operators`` array plus the run's IOStats totals and, when
-        traced, the lifecycle span tree)."""
-        out = {
-            "operators": [op.to_dict() for op in self.operators],
-            "total": {
-                "page_reads": self.total.page_reads,
-                "page_writes": self.total.page_writes,
-                "buffer_hits": self.total.buffer_hits,
-                "tuples": self.total.tuples_processed,
-                "memo_hits": self.total.memo_hits,
-                "retries": self.total.retries,
-                "retry_wait": self.total.retry_wait,
-                "elapsed": self.total.elapsed(),
-            },
-            "rows": self.result.ntuples,
-        }
-        if self.trace is not None:
-            out["trace"] = self.trace.to_dict()
-        if self.calibration is not None:
-            out["calibration"] = self.calibration.to_dict()
-        return out
-
 
 def profile_execution(
     plan: PlanNode,

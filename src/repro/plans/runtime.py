@@ -375,12 +375,10 @@ class ExecutionContext:
         report = self.schedule.report()
         if self.metrics is not None and self.scheduled_run and report.tasks:
             self.metrics.gauge("scheduler.workers").set(report.workers)
-            self.metrics.gauge("scheduler.tasks").set(report.tasks)
             self.metrics.gauge("scheduler.serial_elapsed").set(
                 report.serial_elapsed
             )
             self.metrics.gauge("scheduler.makespan").set(report.makespan)
-            self.metrics.gauge("scheduler.speedup").set(report.speedup)
         return report
 
     def publish_operator(self, node: PlanNode, delta: IOStats) -> None:
@@ -1073,13 +1071,11 @@ def _publish_kernel_counters(ctx, before: tuple[int, int, int]) -> None:
     that never touch the kernel cache contribute no ``kernel.*`` rows
     to snapshot diffs.
     """
-    hits, misses, evictions = DEFAULT_GROUP_INDEX_CACHE.counters()
+    hits, misses, _ = DEFAULT_GROUP_INDEX_CACHE.counters()
     if hits > before[0]:
         ctx.count("kernel.groupindex_hits", hits - before[0])
     if misses > before[1]:
         ctx.count("kernel.groupindex_misses", misses - before[1])
-    if evictions > before[2]:
-        ctx.count("kernel.groupindex_evictions", evictions - before[2])
 
 
 def evaluate(plan: PlanNode, ctx: ExecutionContext) -> FunctionalRelation:

@@ -97,7 +97,6 @@ class AdmissionController:
         attributes; admitted requests join their tenant's FIFO queue.
         """
         spec = self.spec(request.tenant)
-        self.metrics.counter("serve.requests", tenant=spec.name).inc()
         if self.draining:
             return self._shed(request, "draining", "server is draining")
         if not self._buckets[spec.name].try_take(now):

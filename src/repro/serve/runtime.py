@@ -32,7 +32,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.errors import MPFError, OverloadError, QueryError
-from repro.obs.metrics import SECONDS_BUCKETS
 from repro.obs.slo import SLOMonitor
 from repro.obs.trace import RequestTrace, ServeTracer
 from repro.plans.runtime import ExecutionContext
@@ -418,10 +417,6 @@ class ServingRuntime:
             spec, self.strategy, self.heuristic, self.seed,
             catalog=snap.catalog, clock=self.clock,
         )
-        self.metrics.histogram(
-            "optimizer.elapsed", buckets=SECONDS_BUCKETS,
-            tenant=request.tenant,
-        ).observe(optimization.planning_seconds)
         self._plans[key] = plan_to_dict(optimization.plan)
         return optimization.plan, False
 

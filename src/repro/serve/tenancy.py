@@ -15,6 +15,7 @@ under the deterministic driver, seconds under the asyncio server.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import QueryError
@@ -84,13 +85,19 @@ class TenantSpec:
                 f"tenant {self.name!r}: queue_depth must be >= 0, "
                 f"got {self.queue_depth}"
             )
-        if self.rate is not None and self.rate <= 0:
+        if self.rate is not None and not (
+            math.isfinite(self.rate) and self.rate > 0
+        ):
             raise QueryError(
-                f"tenant {self.name!r}: rate must be > 0, got {self.rate}"
+                f"tenant {self.name!r}: rate must be a finite number > 0, "
+                f"got {self.rate}"
             )
-        if self.rate is not None and self.burst < 1:
+        if not math.isfinite(self.burst) or (
+            self.rate is not None and self.burst < 1
+        ):
             raise QueryError(
-                f"tenant {self.name!r}: burst must be >= 1, got {self.burst}"
+                f"tenant {self.name!r}: burst must be a finite number "
+                f">= 1, got {self.burst}"
             )
         if self.slo is not None and not self.slo > 0:
             raise QueryError(

@@ -244,8 +244,6 @@ class CheckpointManager:
 
         if self.metrics is not None:
             self.metrics.counter("checkpoint.taken").inc()
-            self.metrics.counter("checkpoint.pages").inc(len(images))
-            self.metrics.counter("checkpoint.memo_entries").inc(len(memo))
         if self.wal is not None:
             self.wal.log_checkpoint(name)
         return name

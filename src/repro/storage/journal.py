@@ -13,9 +13,9 @@ structural counters (``vecache.steps``, ``bp.messages``,
 ``queries.total``, ...) end up identical to an uninterrupted run: each
 unit is counted exactly once, either live or via its merged delta.
 
-Journal bookkeeping (``checkpoint.steps_recorded`` /
-``checkpoint.steps_skipped``) is deliberately counted *outside* the
-delta window: it describes the journaling itself, not the unit's work.
+Journal bookkeeping (``checkpoint.steps_skipped``) is deliberately
+counted *outside* the delta window: it describes the journaling
+itself, not the unit's work.
 """
 
 from __future__ import annotations
@@ -169,7 +169,6 @@ class StepJournal:
                 WAL_STEP, encode_unit(key, "ok", tables=tables, delta=delta)
             )
         self.recorded += 1
-        ctx.count("checkpoint.steps_recorded")
         self._completed += 1
         if (
             self.checkpointer is not None

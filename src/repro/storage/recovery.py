@@ -17,7 +17,7 @@ The restart sequence a recovered process runs:
    their payloads regardless of which side of the checkpoint they fall
    on.
 
-``recovery.replayed_pages`` / ``recovery.replayed_records`` count only
+``RecoveredState.replayed_pages`` / ``replayed_records`` count only
 post-checkpoint records — the oracle's proof that recovery never
 replays more work than the WAL requires.
 """
@@ -134,11 +134,6 @@ class RecoveryManager:
 
         registry = MetricsRegistry()
         registry.restore(accumulated)
-        registry.counter("recovery.runs").inc()
-        registry.counter("recovery.replayed_pages").inc(replayed_pages)
-        registry.counter("recovery.replayed_records").inc(replayed_records)
-        if replay.torn_tail:
-            registry.counter("recovery.torn_tails").inc()
         if discarded:
             registry.counter("recovery.checkpoints_discarded").inc(discarded)
 

@@ -150,7 +150,7 @@ class WriteAheadLog:
         at every crash point of the log and of its users.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; appends
-        land on ``wal.appends`` / ``wal.bytes``.
+        count appended bytes on ``wal.bytes``.
     """
 
     def __init__(self, path: str, faults=None, metrics=None):
@@ -187,7 +187,6 @@ class WriteAheadLog:
         self._fh.write(record)
         self._fh.flush()
         if self.metrics is not None:
-            self.metrics.counter("wal.appends").inc()
             self.metrics.counter("wal.bytes").inc(len(record))
         if self.faults is not None:
             self.faults.reach("wal.flush")
@@ -221,7 +220,6 @@ class WriteAheadLog:
         self._fh.write(records)
         self._fh.flush()
         if self.metrics is not None:
-            self.metrics.counter("wal.appends").inc(n)
             self.metrics.counter("wal.bytes").inc(len(records))
         return lsn
 

@@ -208,7 +208,6 @@ class VECache:
         tables = dict(self.tables)
         ctx = self._derived_context(tables)
         for var_name, value in evidence.items():
-            ctx.count("vecache.evidence_absorptions")
             start = _smallest_table_with(tables, var_name)
             old_total = self.semiring.reduce(tables[start].measure)
             try:

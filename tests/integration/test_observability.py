@@ -119,15 +119,15 @@ class TestRegistryAgreesWithIOStats:
                 PageId(heapfile.file_id, page_no), times=2,
             )
 
-        report = db.run_query(
-            _query(db, "left_view", "a"), guard=QueryGuard(retry_budget=1000)
-        )
+        guard = QueryGuard(retry_budget=1000, memory_limit_pages=10**6)
+        report = db.run_query(_query(db, "left_view", "a"), guard=guard)
         assert report.ok
         assert report.exec_stats.retries > 0
         snap = db.metrics_snapshot()
         _assert_io_agreement(snap, report.exec_stats)
         assert snap.get("faults.transient") == faults.counts[("page.read", "transient")]
         assert snap.get("guard.retries_used") == report.exec_stats.retries
+        assert snap.get("guard.pages_admitted") == guard.pages_admitted > 0
         assert snap.get("guard.budget_consumed") == pytest.approx(
             report.exec_stats.elapsed()
         )

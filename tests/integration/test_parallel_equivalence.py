@@ -122,9 +122,12 @@ class TestWorkerSweepEquivalence:
     def test_partitioned_sweep_is_byte_identical(self):
         runs = _run_sweep(partitioned=True)
         ref_prints, ref_counters, _ = runs[1]
-        # Sharded execution really happened: the structural shard
-        # counters are present and identical at every worker count.
-        assert any(k.startswith("shard.") for k in ref_counters)
+        # Sharded execution really happened: each structural shard
+        # counter is present and identical at every worker count.
+        assert all(ref_counters[name]["value"] > 0 for name in (
+            "shard.tasks", "shard.repartitions", "shard.shuffle_pages",
+            "shard.partial_aggregates",
+        ))
         for workers in WORKER_SWEEP[1:]:
             prints, counters, _ = runs[workers]
             assert prints == ref_prints

@@ -15,7 +15,9 @@ from repro.obs.calib import (
     calibrate_plan,
     q_error,
 )
+from repro.obs.export import explain_document
 from repro.obs.validate import validate_document
+from repro.optimizer.base import OptimizationResult
 from repro.plans import GroupBy, ProductJoin, Scan, Select, profile_execution
 from repro.plans.annotate import annotate
 from repro.semiring import SUM_PRODUCT
@@ -176,36 +178,55 @@ class TestPublish:
         calib.publish(None)
 
 
+def analyze_document(plan, calib) -> dict:
+    """The calibrated ANALYZE explain document of ``plan``."""
+    optimization = OptimizationResult(
+        plan=plan, cost=0.0, algorithm="ve+", planning_seconds=0.0,
+        plans_considered=1,
+    )
+    return explain_document(optimization, query="q", calibration=calib)
+
+
 class TestCalibrationDocument:
+    """The join travels in the ANALYZE form of ``repro.explain.v1``."""
+
     def test_document_validates(self, skewed_setting):
         cat, plan = skewed_setting
         calib = run_calibrated(plan, cat)
-        audit = PlanAudit(candidates=[
+        calib.audit = PlanAudit(candidates=[
             CandidateReplay("ve+", 100.0, 50.0, chosen=True),
             CandidateReplay("cs", 120.0, 40.0, chosen=False),
         ])
-        doc = calib.document(query="q", algorithm="ve+", audit=audit)
-        assert validate_document(doc) == "repro.calibration.v1"
-        assert doc["audit"]["plan_regret"] == pytest.approx(1.25)
+        doc = analyze_document(plan, calib)
+        assert validate_document(doc) == "repro.explain.v1"
+        block = doc["calibration"]
+        assert block["audit"]["plan_regret"] == pytest.approx(1.25)
+        assert block["plan_q_error"] == calib.plan_q_error
+        assert block["dominant"]["source"] == "selection"
+        select = doc["plan"]["inputs"][0]["inputs"][0]
+        assert select["op"] == "select"
+        assert select["source"] == calib.lookup(
+            plan.children()[0].children()[0].structural_key()
+        ).source
 
     def test_validator_rejects_bad_q_error(self, exact_setting):
         cat, plan = exact_setting
-        doc = run_calibrated(plan, cat).document()
-        doc["nodes"][0]["q_error"] = 0.5
+        doc = analyze_document(plan, run_calibrated(plan, cat))
+        doc["plan"]["inputs"][0]["q_error"] = 0.5
         with pytest.raises(ValueError, match="q_error"):
             validate_document(doc)
 
     def test_validator_rejects_unknown_source(self, exact_setting):
         cat, plan = exact_setting
-        doc = run_calibrated(plan, cat).document()
-        doc["nodes"][0]["source"] = "gremlins"
+        doc = analyze_document(plan, run_calibrated(plan, cat))
+        doc["plan"]["inputs"][0]["source"] = "gremlins"
         with pytest.raises(ValueError, match="source"):
             validate_document(doc)
 
     def test_validator_rejects_missing_keys(self, exact_setting):
         cat, plan = exact_setting
-        doc = run_calibrated(plan, cat).document()
-        del doc["plan_q_error"]
+        doc = analyze_document(plan, run_calibrated(plan, cat))
+        del doc["calibration"]["plan_q_error"]
         with pytest.raises(ValueError, match="missing"):
             validate_document(doc)
 

@@ -1,9 +1,11 @@
 """The observability document schemas: rule coverage and robustness.
 
 Every case starts from a real document the engine produces — a metrics
-snapshot, an ``EXPLAIN ANALYZE`` plan, a bench table, a calibration
-with its plan-choice audit, a serving trace and a benchmark history —
-and breaks exactly one rule of its schema.  The checker must reject it
+snapshot, an ``EXPLAIN ANALYZE`` plan, a bench table, a serving trace
+and a benchmark history — and breaks exactly one rule of its schema.
+The ``calibration`` cases break the calibrated ANALYZE plan's
+estimate→actual join: its per-node ``actual`` / ``q_error`` /
+``source`` and its ``calibration`` block with the plan-choice audit.  The checker must reject it
 with :class:`ValueError` and name where the problem is (its JSON path).
 The property tests then throw arbitrary JSON, and arbitrary one-field
 mutations of the same documents, at every validator: a document either
@@ -25,14 +27,12 @@ from repro.cli import _build_database
 from repro.datagen import supply_chain
 from repro.obs import (
     BENCH_SCHEMA,
-    CALIBRATION_SCHEMA,
     EXPLAIN_SCHEMA,
     METRICS_SCHEMA,
     TRACE_SCHEMA,
     ServeTracer,
     bench_document,
     validate_bench_document,
-    validate_calibration_document,
     validate_explain_document,
     validate_metrics_document,
     validate_trace_document,
@@ -50,7 +50,7 @@ VALIDATORS = {
     "metrics": validate_metrics_document,
     "explain": validate_explain_document,
     "bench": validate_bench_document,
-    "calibration": validate_calibration_document,
+    "calibration": validate_explain_document,
     "history": history.validate_history_document,
     "trace": validate_trace_document,
 }
@@ -58,7 +58,7 @@ TAGS = {
     "metrics": METRICS_SCHEMA,
     "explain": EXPLAIN_SCHEMA,
     "bench": BENCH_SCHEMA,
-    "calibration": CALIBRATION_SCHEMA,
+    "calibration": EXPLAIN_SCHEMA,
     "history": HISTORY_SCHEMA,
     "trace": TRACE_SCHEMA,
 }
@@ -108,7 +108,7 @@ def documents(tmp_path_factory):
         "metrics": db.metrics_document(name="schema-demo"),
         "explain": report.to_explain_dict(),
         "bench": bench,
-        "calibration": report.to_calibration_dict(),
+        "calibration": report.to_explain_dict(),
         "history": load_history(path),
         "trace": tracer.document(name="schema-demo"),
     }
@@ -117,8 +117,9 @@ def documents(tmp_path_factory):
     assert docs["metrics"]["metrics"][COUNTER]["kind"] == "counter"
     assert docs["explain"]["plan"]["op"] == "group_by"
     assert docs["explain"]["execution"]["operators"]
-    assert docs["calibration"]["dominant"] is not None
-    assert docs["calibration"]["audit"] is not None
+    assert docs["calibration"]["calibration"]["dominant"] is not None
+    assert docs["calibration"]["calibration"]["audit"] is not None
+    assert "source" in docs["calibration"]["plan"]
     assert len(docs["history"]["runs"]) == 2
     statuses = [r["status"] for r in docs["trace"]["requests"]]
     assert statuses[:2] == ["ok", "shed"]
@@ -214,13 +215,13 @@ def _short_counts(doc):
 
 
 def _q_without_actual(doc):
-    doc["nodes"][0]["actual_rows"] = None
+    del doc["plan"]["actual"]
     return doc
 
 
 # (document, case id, mutation, fragments every message must contain).
 # Fragments name the offending location in the notation both the
-# message's path and a reader share: ``nodes[0]``, ``plan.inputs[0]``,
+# message's path and a reader share: ``plan.inputs[0]``,
 # ``requests[0].root.children[2]``, ``'<metric key>'``.
 RULES = [
     # repro.metrics.v1
@@ -309,51 +310,59 @@ RULES = [
      ["'made.up'", "not in the catalog"]),
     ("bench", "embedded-metrics-schema", put("metrics", "schema", "x"),
      ["metrics", "schema"]),
-    # repro.calibration.v1
-    ("calibration", "unknown-top-key", put("extra", 1), ["unknown keys"]),
-    ("calibration", "missing-top-key", drop("plan_q_error"),
+    # repro.explain.v1, calibrated: the estimate→actual join
+    ("calibration", "unknown-top-key", put("calibration", "extra", 1),
+     ["calibration", "unknown keys"]),
+    ("calibration", "missing-top-key", drop("calibration", "plan_q_error"),
      ["missing", "plan_q_error"]),
     ("calibration", "wrong-schema", put("schema", METRICS_SCHEMA),
      ["schema"]),
-    ("calibration", "nodes-empty", put("nodes", []), ["nodes"]),
-    ("calibration", "nodes-not-list", put("nodes", {}), ["nodes"]),
-    ("calibration", "node-missing-key", drop("nodes", 0, "label"),
-     ["nodes[0]", "missing keys"]),
-    ("calibration", "node-unknown-key", put("nodes", 0, "x", 1),
-     ["nodes[0]", "unknown keys"]),
-    ("calibration", "node-unknown-op", put("nodes", 0, "op", "teleport"),
-     ["nodes[0]", "unknown op"]),
+    ("calibration", "nodes-empty", put("plan", {}), ["plan", "unknown op"]),
+    ("calibration", "nodes-not-list", put("plan", "inputs", {}),
+     ["plan.inputs", "expected a list"]),
+    ("calibration", "node-missing-key", drop("plan", "source"),
+     ["plan", "source"]),
+    ("calibration", "node-unknown-key", put("plan", "inputs", 0, "x", 1),
+     ["plan.inputs[0]", "unknown keys"]),
+    ("calibration", "node-unknown-op",
+     put("plan", "inputs", 0, "op", "teleport"),
+     ["plan.inputs[0]", "unknown op"]),
     ("calibration", "node-q-error-below-one",
-     put("nodes", 0, "q_error", 0.5), ["nodes[0]", "q_error"]),
+     put("plan", "q_error", 0.5), ["plan.q_error"]),
     ("calibration", "node-q-error-not-number",
-     put("nodes", 0, "q_error", "big"), ["nodes[0]", "q_error"]),
+     put("plan", "q_error", "big"), ["plan.q_error"]),
     ("calibration", "node-unknown-source",
-     put("nodes", 0, "source", "gremlins"), ["nodes[0]", "source"]),
+     put("plan", "source", "gremlins"), ["plan.source"]),
     ("calibration", "q-error-without-actual", _q_without_actual,
-     ["nodes[0]", "q_error"]),
-    ("calibration", "plan-q-error-below-one", put("plan_q_error", 0.5),
-     ["plan_q_error"]),
-    ("calibration", "mean-q-error-missing-value", put("mean_q_error", None),
-     ["mean_q_error"]),
-    ("calibration", "dominant-not-object", put("dominant", 3),
-     ["dominant"]),
-    ("calibration", "dominant-unknown-key", put("dominant", "x", 1),
-     ["dominant", "unknown keys"]),
-    ("calibration", "dominant-missing-key", drop("dominant", "source"),
-     ["dominant", "missing keys"]),
-    ("calibration", "audit-not-object", put("audit", []), ["audit"]),
-    ("calibration", "audit-missing-key", drop("audit", "plan_regret"),
-     ["audit", "missing keys"]),
+     ["plan", "q_error"]),
+    ("calibration", "plan-q-error-below-one",
+     put("calibration", "plan_q_error", 0.5), ["plan_q_error"]),
+    ("calibration", "mean-q-error-missing-value",
+     put("calibration", "mean_q_error", None), ["mean_q_error"]),
+    ("calibration", "dominant-not-object",
+     put("calibration", "dominant", 3), ["calibration.dominant"]),
+    ("calibration", "dominant-unknown-key",
+     put("calibration", "dominant", "x", 1),
+     ["calibration.dominant", "unknown keys"]),
+    ("calibration", "dominant-missing-key",
+     drop("calibration", "dominant", "source"),
+     ["calibration.dominant", "missing keys"]),
+    ("calibration", "audit-not-object", put("calibration", "audit", []),
+     ["calibration.audit"]),
+    ("calibration", "audit-missing-key",
+     drop("calibration", "audit", "plan_regret"),
+     ["calibration.audit", "missing keys"]),
     ("calibration", "candidates-not-list",
-     put("audit", "candidates", "all"), ["audit.candidates"]),
+     put("calibration", "audit", "candidates", "all"),
+     ["audit.candidates"]),
     ("calibration", "candidate-missing-key",
-     drop("audit", "candidates", 0, "chosen"),
+     drop("calibration", "audit", "candidates", 0, "chosen"),
      ["audit.candidates[0]", "missing keys"]),
     ("calibration", "candidate-unknown-key",
-     put("audit", "candidates", 0, "x", 1),
+     put("calibration", "audit", "candidates", 0, "x", 1),
      ["audit.candidates[0]", "unknown keys"]),
     ("calibration", "plan-regret-below-one",
-     put("audit", "plan_regret", 0.9), ["plan_regret"]),
+     put("calibration", "audit", "plan_regret", 0.9), ["plan_regret"]),
     # repro.bench_history.v1
     ("history", "unknown-top-key", put("extra", True), ["unknown keys"]),
     ("history", "missing-top-key", drop("title"), ["missing keys"]),
@@ -464,7 +473,7 @@ TYPE_ERROR_INPUTS = [
     ("histogram-counts-int", "metrics",
      put("metrics", HISTOGRAM, "counts", 3)),
     ("calibration-source-list", "calibration",
-     put("nodes", 0, "source", ["exact"])),
+     put("plan", "source", ["exact"])),
     ("history-columns-int", "history", put("columns", 3)),
     ("metric-kind-list", "bench",
      put("metrics", "metrics", "bench.rows", "kind", ["counter"])),

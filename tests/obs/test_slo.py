@@ -93,6 +93,7 @@ class TestSLOMonitor:
         snap = reg.snapshot().to_dict()
         assert snap["serve.slo_latency_p50{tenant=gold}"]["value"] == 20.0
         assert snap["serve.slo_latency_p99{tenant=gold}"]["value"] == 30.0
+        assert snap["serve.slo_queue_wait_p50{tenant=gold}"]["value"] == 20.0
         assert snap["serve.slo_queue_wait_p95{tenant=gold}"]["value"] == 30.0
         assert snap["serve.slo_attainment{tenant=gold}"]["value"] == 1.0
         assert snap["serve.slo_burn_rate{tenant=gold}"]["value"] == 0.0

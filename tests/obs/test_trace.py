@@ -35,6 +35,7 @@ class TestSpans:
         root = tracer.finish()
         assert root.name == "query"
         assert [c.name for c in root.children] == ["optimize", "execute"]
+        assert [c.kind for c in root.children] == ["phase", "phase"]
         execute = root.children[1]
         # Span timing runs on the simulated clock, so the execute span
         # covers exactly the work the stats clock recorded.

@@ -139,8 +139,13 @@ class TestProfileReporting:
         import json
 
         cat, plan = setting
-        doc = profile_execution(plan, cat, SUM_PRODUCT).to_dict()
-        assert json.loads(json.dumps(doc)) == doc
-        assert len(doc["operators"]) == plan.count_nodes()
-        assert doc["total"]["elapsed"] > 0
-        assert doc["trace"]["name"] == "query"
+        profile = profile_execution(plan, cat, SUM_PRODUCT)
+        operators = [op.to_dict() for op in profile.operators]
+        trace = profile.trace.to_dict()
+        assert json.loads(json.dumps(operators)) == operators
+        assert json.loads(json.dumps(trace)) == trace
+        assert len(operators) == plan.count_nodes()
+        assert sum(op["elapsed"] for op in operators) == pytest.approx(
+            profile.total.elapsed()
+        )
+        assert trace["name"] == "query"

@@ -105,6 +105,7 @@ class TestEviction:
         snap = metrics.snapshot().to_dict()
         assert snap["serve.shed{reason=evicted,tenant=a}"]["value"] == 1
         assert snap["serve.admitted{tenant=a}"]["value"] == 2
+        assert snap["serve.queue_depth{tenant=a}"]["value"] == 1
 
 
 class TestDispatch:

@@ -103,6 +103,9 @@ class TestRunWorkload:
         snap = db.metrics.snapshot().to_dict()
         assert snap["serve.deadline_misses{tenant=gold}"]["value"] == 1
         assert snap["serve.completed{status=ok,tenant=bulk}"]["value"] == 1
+        # The wait is observed at dispatch, before the deadline check.
+        waited = snap["serve.queue_wait{tenant=gold}"]
+        assert (waited["count"], waited["sum"]) == (1, gold.queue_wait)
 
     def test_generous_slo_tightens_guard_but_completes(
         self, make_runtime, make_request

@@ -29,6 +29,10 @@ class TestTenantSpec:
         {"name": "t", "slo": 0.0},
         {"name": "t", "slo": -1.0},
         {"name": "t", "slo": float("nan")},
+        {"name": "t", "rate": float("nan")},
+        {"name": "t", "rate": float("inf")},
+        {"name": "t", "rate": 1.0, "burst": float("nan")},
+        {"name": "t", "burst": float("inf")},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(QueryError):

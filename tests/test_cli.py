@@ -169,7 +169,7 @@ class TestSql:
     def test_calibrate_flag(self, capsys):
         import json
 
-        from repro.obs import validate_calibration_document
+        from repro.obs import validate_explain_document
 
         rc = main(
             [
@@ -180,15 +180,74 @@ class TestSql:
         assert rc == 0
         doc_lines = [
             line for line in capsys.readouterr().out.splitlines()
-            if '"repro.calibration.v1"' in line
+            if line.startswith("{")
         ]
         assert len(doc_lines) == 1
         doc = json.loads(doc_lines[0])
-        validate_calibration_document(doc)
-        assert doc["plan_q_error"] >= 1.0
+        validate_explain_document(doc)
+        assert doc["calibration"]["plan_q_error"] >= 1.0
         # The CLI audits plan choice, so candidates must be present.
-        assert doc["audit"] is not None
-        assert any(c["chosen"] for c in doc["audit"]["candidates"])
+        audit = doc["calibration"]["audit"]
+        assert audit is not None
+        assert any(c["chosen"] for c in audit["candidates"])
+
+    def test_calibrate_with_explain_json_prints_one_analyze_document(
+        self, capsys
+    ):
+        import json
+
+        from repro.obs import validate_explain_document
+
+        rc = main(
+            [
+                "sql", "--scale", "0.005", "--calibrate", "--explain-json",
+                "-c", "select cid, sum(inv) from invest group by cid",
+            ]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [line for line in lines if line.startswith("{")]
+        doc = json.loads(line)
+        validate_explain_document(doc)
+        assert doc["execution"]["operators"]
+        rows = int(lines[lines.index(line) + 1].split("; ")[1].split()[0])
+        assert doc["plan"]["actual"]["rows"] == rows
+        assert doc["plan"]["q_error"] >= 1.0
+        assert doc["calibration"]["audit"]["plan_regret"] >= 1.0
+
+    def test_calibrate_select_gets_one_trace_request(self, capsys):
+        import json
+
+        from repro.obs import validate_trace_document
+
+        rc = main(
+            [
+                "sql", "--scale", "0.005", "--calibrate", "--trace-json",
+                "-c", "select cid, sum(inv) from invest group by cid",
+            ]
+        )
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        validate_trace_document(doc)
+        (entry,) = doc["requests"]
+        assert entry["request_id"] == "stmt-0000"
+        names = [c["name"] for c in entry["root"]["children"]]
+        assert "execute" in names
+
+    def test_calibrate_select_is_recorded_and_resumed(
+        self, tmp_path, capsys
+    ):
+        q = "select cid, sum(inv) from invest group by cid"
+        argv = ["sql", "--scale", "0.005", "--calibrate",
+                "--checkpoint-dir", str(tmp_path), "-c", q]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main([*argv, "--resume"]) == 0
+        resumed = capsys.readouterr().out
+        assert "1 recorded statement(s)" in resumed
+        # The recovered rows are the calibrated run's rows.
+        head = first.split("\n{")[0].split("\n", 1)[1]
+        assert f"{head}\n[recovered; " in resumed
 
     def test_calibrate_with_explain_annotates_plan(self, capsys):
         rc = main(
@@ -454,7 +513,7 @@ class TestServe:
         start = out.index("# TYPE")
         samples = parse_metrics_text(out[start:])
         families = {s["family"] for s in samples}
-        assert "serve_requests" in families
+        assert "serve_admitted" in families
         assert "serve_slo_latency_p50" in families
 
     def test_metrics_text_to_file(self, tmp_path):
@@ -626,6 +685,9 @@ class TestBadFlagValues:
         ["serve", "--mix", "-1"],
         ["sql", "--crash-at", "batch.query:-1", *SQL_Q],
         ["sql", "--fault-transient-rate", "-0.5", *SQL_Q],
+        ["sql", "--limit", "-1", *SQL_Q],
+        ["sql", "--audit-max-tables", "-1", *SQL_Q],
+        ["serve", "--tenant", "gold,rate=nan"],
     ])
     def test_exits_usage_with_one_line(self, argv, capsys):
         assert main(argv) == EXIT_USAGE

@@ -496,10 +496,14 @@ class TestExplainAnalyze:
         report = chain_db.explain_analyze(
             "select d, sum(f) from chain group by d", audit_plans=True
         )
-        doc = report.to_calibration_dict()
-        assert validate_document(doc) == "repro.calibration.v1"
-        assert doc["audit"]["plan_regret"] >= 1.0
-        assert any(c["chosen"] for c in doc["audit"]["candidates"])
+        doc = report.to_explain_dict()
+        assert validate_document(doc) == "repro.explain.v1"
+        audit = doc["calibration"]["audit"]
+        assert audit["plan_regret"] >= 1.0
+        assert any(c["chosen"] for c in audit["candidates"])
+        assert doc["calibration"]["stats_epoch"] == (
+            chain_db.catalog.stats_epoch
+        )
 
     def test_explain_dict_carries_actuals(self, chain_db):
         from repro.obs.validate import validate_document
@@ -545,19 +549,19 @@ class TestExplainAnalyze:
         assert report.result.equals(executed.result, SUM_PRODUCT)
         # ...while the calibration stays in the plan tree's vocabulary,
         # with an actual for every node the FilterScans stand for.
-        doc = report.to_calibration_dict()
-        assert validate_document(doc) == "repro.calibration.v1"
-        assert validate_document(report.to_explain_dict()) == (
-            "repro.explain.v1"
-        )
-        ops = {n["op"] for n in doc["nodes"]}
+        doc = report.to_explain_dict()
+        assert validate_document(doc) == "repro.explain.v1"
+        nodes, stack = [], [doc["plan"]]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(nodes[-1].get("inputs", ()))
+        ops = {n["op"] for n in nodes}
         assert {"scan", "select"} <= ops and "filter_scan" not in ops
-        assert all(n["actual_rows"] is not None for n in doc["nodes"])
-        for n in doc["nodes"]:
+        assert all("actual" in n for n in nodes)
+        for n in nodes:
             if n["op"] == "scan":
-                table = n["label"][len("Scan("):-1]
-                assert n["actual_rows"] == (
-                    chain_db.catalog.relation(table).ntuples
+                assert n["actual"]["rows"] == (
+                    chain_db.catalog.relation(n["table"]).ntuples
                 )
                 assert n["source"] == "exact"
         assert "FilterScan" not in report.plan_text
@@ -600,8 +604,9 @@ class TestExplainAnalyze:
             "select d, sum(f) from chain group by d", calibrate=False
         )
         assert report.calibration is None
-        with pytest.raises(QueryError):
-            report.to_calibration_dict()
+        doc = report.to_explain_dict()
+        assert "calibration" not in doc
+        assert "actual" not in doc["plan"]
 
     def test_calib_metrics_published(self, chain_db):
         chain_db.explain_analyze("select d, sum(f) from chain group by d")
