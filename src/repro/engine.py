@@ -294,8 +294,6 @@ class Database:
         here so deadline behavior is reproducible without real sleeps."""
         self._views: dict[str, _ViewEntry] = {}
         self._caches: dict[str, VECache] = {}
-        self._plan_cache: dict[tuple, dict] = {}
-        self.plan_cache_hits = 0
 
     @classmethod
     def restore(cls, state: "RecoveredState", **settings) -> "Database":
@@ -404,27 +402,16 @@ class Database:
         """Reload a base table's data (a bulk refresh / re-ANALYZE).
 
         Replaces the relation, its statistics, and its heap file in the
-        catalog, and drops the now-stale plan-cache entries: cache keys
-        are versioned by :attr:`Catalog.stats_epoch`, so a plan costed
-        against the old statistics can never be served as ``+cached``
-        against the new data.  VE-caches of views over the table are
-        dropped for the same reason — :meth:`query_cached` then raises
-        until :meth:`build_cache` runs again, instead of answering from
-        the old data.
+        catalog and advances :attr:`Catalog.stats_epoch`.  VE-caches of
+        views over the table are dropped — :meth:`query_cached` then
+        raises until :meth:`build_cache` runs again, instead of
+        answering from the old data.
         """
         name = self.catalog.replace(relation, name)
         self._caches = {
             view: cache for view, cache in self._caches.items()
             if name not in self._views[view].view_tables
         }
-        stale = [
-            key for key in self._plan_cache
-            if key[-1] != self.catalog.stats_epoch
-        ]
-        for key in stale:
-            del self._plan_cache[key]
-        if stale:
-            self.metrics.counter("plan_cache.invalidations").inc(len(stale))
         return name
 
     def create_view(
@@ -523,10 +510,7 @@ class Database:
         )
 
     def make_optimizer(
-        self,
-        strategy: str,
-        heuristic: str = "degree",
-        seed: int | None = None,
+        self, strategy: str, heuristic: str = "degree"
     ) -> Optimizer:
         strategy = strategy.lower()
         if strategy == "cs":
@@ -536,9 +520,9 @@ class Database:
         if strategy in ("cs+nonlinear", "nonlinear"):
             return CSPlusNonlinear()
         if strategy == "ve":
-            return VariableElimination(heuristic, seed=seed)
+            return VariableElimination(heuristic)
         if strategy in ("ve+", "ve-ext", "auto"):
-            return VariableElimination(heuristic, extended=True, seed=seed)
+            return VariableElimination(heuristic, extended=True)
         raise QueryError(f"unknown evaluation strategy {strategy!r}")
 
     def _plan(
@@ -546,17 +530,16 @@ class Database:
         spec,
         strategy: str,
         heuristic: str = "degree",
-        seed: int | None = None,
         catalog: Catalog | None = None,
         clock=None,
     ) -> OptimizationResult:
-        """Plan step, uncached: one optimizer run over a query spec.
+        """Plan step: one optimizer run over a query spec.
 
         The only place an optimizer is built and run.  No cache and no
-        metrics — :meth:`_optimize_query` and the serving runtime's
-        tenant-scoped cache wrap it with their own.
+        metrics — :meth:`_optimize_query` counts the optimizer's work,
+        and the serving runtime caches plans per pinned snapshot epoch.
         """
-        optimizer = self.make_optimizer(strategy, heuristic, seed)
+        optimizer = self.make_optimizer(strategy, heuristic)
         return optimizer.optimize(
             spec,
             self.catalog if catalog is None else catalog,
@@ -565,63 +548,15 @@ class Database:
         )
 
     def _optimize_query(
-        self,
-        query: MPFQuery,
-        strategy: str,
-        heuristic: str = "degree",
-        seed: int | None = None,
-        use_plan_cache: bool = False,
+        self, query: MPFQuery, strategy: str, heuristic: str = "degree"
     ) -> OptimizationResult:
-        """Plan step: plan one query, consulting the plan cache when
-        enabled, and count the optimizer's work."""
-        spec = query.to_spec(self.catalog)
-
-        cache_key = None
-        if use_plan_cache:
-            # Constants matter to the plan (pushed-down Select /
-            # IndexScan leaves embed them), so the key is the full
-            # selection mapping — two queries differing only in a
-            # constant get distinct cache entries.  The catalog's
-            # stats epoch (kept last: reload_table prunes on it)
-            # versions the key, so reloading a table or changing
-            # statistics retires every previously cached plan instead
-            # of serving a stale plan with a stale cost forever.
-            cache_key = (
-                spec.tables,
-                spec.query_vars,
-                tuple(sorted(spec.selections.items())),
-                strategy,
-                heuristic,
-                self.catalog.stats_epoch,
-            )
-        cached = self._plan_cache.get(cache_key) if cache_key else None
-        if cached is not None:
-            from repro.plans.serialize import plan_from_dict
-
-            self.plan_cache_hits += 1
-            self.metrics.counter("plan_cache.hits").inc()
-            return OptimizationResult(
-                plan=plan_from_dict(cached["plan"]),
-                cost=cached["cost"],
-                algorithm=cached["algorithm"] + "+cached",
-                planning_seconds=0.0,
-                plans_considered=0,
-            )
-
-        if cache_key is not None:
-            self.metrics.counter("plan_cache.misses").inc()
-        optimization = self._plan(spec, strategy, heuristic, seed)
+        """Plan step: plan one query and count the optimizer's work."""
+        optimization = self._plan(
+            query.to_spec(self.catalog), strategy, heuristic
+        )
         self.metrics.counter("optimizer.plans_considered").inc(
             optimization.plans_considered
         )
-        if cache_key is not None:
-            from repro.plans.serialize import plan_to_dict
-
-            self._plan_cache[cache_key] = {
-                "plan": plan_to_dict(optimization.plan),
-                "cost": optimization.cost,
-                "algorithm": optimization.algorithm,
-            }
         return optimization
 
     def _run_settings(self, **overrides) -> dict:
@@ -665,19 +600,10 @@ class Database:
         query: MPFQuery,
         strategy: str = "auto",
         heuristic: str = "degree",
-        seed: int | None = None,
-        use_plan_cache: bool = False,
         guard: QueryGuard | None = None,
         tracer=None,
     ) -> QueryReport:
         """Optimize and execute one MPF query.
-
-        ``use_plan_cache`` turns on prepared-statement behavior: the
-        chosen plan is memoized by the query's full shape — tables,
-        group-by list, and the complete selection mapping including
-        constants (plans embed constants in pushed-down Select /
-        IndexScan predicates, so the constants are part of the plan's
-        identity) — plus strategy, so exact repeats skip optimization.
 
         ``guard`` bounds the execution (deadline, simulated cost
         budget, memory ceiling, cancellation, fault-retry budget); a
@@ -689,9 +615,7 @@ class Database:
         cost clock and records the planning event plus an ``execute``
         span wrapping the per-operator spans.
         """
-        optimization = self._optimize_query(
-            query, strategy, heuristic, seed, use_plan_cache
-        )
+        optimization = self._optimize_query(query, strategy, heuristic)
         run_stats = IOStats()
         if tracer is not None:
             tracer.bind_stats(run_stats)
@@ -790,8 +714,6 @@ class Database:
         queries: Sequence[MPFQuery],
         strategy: str = "auto",
         heuristic: str = "degree",
-        seed: int | None = None,
-        use_plan_cache: bool = False,
         guard: QueryGuard | None = None,
         stop_on_error: bool = False,
         wal=None,
@@ -879,9 +801,7 @@ class Database:
                 continue
             try:
                 optimizations.append(
-                    self._optimize_query(
-                        q, strategy, heuristic, seed, use_plan_cache
-                    )
+                    self._optimize_query(q, strategy, heuristic)
                 )
                 plan_errors.append(None)
             except MPFError as exc:
@@ -1073,7 +993,6 @@ class Database:
         query: MPFQuery,
         optimization: OptimizationResult,
         heuristic: str = "degree",
-        seed: int | None = None,
     ):
         """Replay every optimizer family's plan; measure actual costs.
 
@@ -1094,7 +1013,7 @@ class Database:
         }
         spec = query.to_spec(self.catalog)
         for strat in ("cs", "cs+", "cs+nonlinear", "ve", "ve+"):
-            alt = self._plan(spec, strat, heuristic, seed)
+            alt = self._plan(spec, strat, heuristic)
             candidates.setdefault(
                 alt.plan.structural_key(),
                 (alt.algorithm, float(alt.cost), alt.plan),

@@ -119,9 +119,6 @@ METRIC_CATALOG: dict[str, str] = {
     "guard.retries_used": "gauge",
     "guard.budget_consumed": "gauge",
     # engine facade (labels on queries.total: status=ok|error)
-    "plan_cache.hits": "counter",
-    "plan_cache.misses": "counter",
-    "plan_cache.invalidations": "counter",
     "optimizer.plans_considered": "counter",
     "queries.total": "counter",
     "batches.total": "counter",

@@ -1,8 +1,8 @@
 """The metrics registry: labeled counters, gauges, and histograms.
 
 Three generations of ad-hoc counters grew in this codebase (`IOStats`,
-``Database.plan_cache_hits``, guard degradation lists, fault
-tallies, BP/VE-cache message counts) that neither compose nor export.
+guard degradation lists, fault tallies, BP/VE-cache message counts)
+that neither compose nor export.
 This module is the one place they all report into: a
 :class:`MetricsRegistry` of named, optionally labeled instruments with
 a deterministic snapshot/diff/merge algebra.

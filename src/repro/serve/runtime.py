@@ -2,9 +2,9 @@
 
 One decision procedure, two clocks.  :class:`ServingRuntime` owns the
 whole serving pipeline — admission (:mod:`repro.serve.admission`),
-epoch pinning (:mod:`repro.serve.snapshot`), the shared prepared-plan
-cache keyed ``(tenant, plan shape, stats_epoch)``, deadline
-propagation, and execution against the pinned snapshot:
+epoch pinning (:mod:`repro.serve.snapshot`), the prepared-plan cache
+held on each pinned epoch and keyed by tenant, plan shape and strategy,
+deadline propagation, and execution against the pinned snapshot:
 
 * Under a :class:`VirtualClock` (``wall=False``), :meth:`run_workload`
   is a deterministic single-server simulation: the clock advances by
@@ -156,8 +156,6 @@ class ServingRuntime:
         clock=None,
         wall: bool = False,
         strategy: str = "auto",
-        heuristic: str = "degree",
-        seed: int | None = None,
         checkpointer=None,
         drain_policy: str = "finish",
         tracer: ServeTracer | None = None,
@@ -171,8 +169,6 @@ class ServingRuntime:
         self.wall = wall
         self.clock = clock or (time.monotonic if wall else VirtualClock())
         self.strategy = strategy
-        self.heuristic = heuristic
-        self.seed = seed
         self.drain_policy = drain_policy
         self.metrics = db.metrics
         self.tracer = tracer
@@ -189,7 +185,6 @@ class ServingRuntime:
         )
         self._pinned: dict[int, Snapshot] = {}
         self._traces: dict[int, RequestTrace] = {}
-        self._plans: dict[tuple, dict] = {}
 
     # ------------------------------------------------------------------
     # Admission (shared by both front ends)
@@ -383,13 +378,15 @@ class ServingRuntime:
         )
 
     def _plan(self, request: ServeRequest, snap: Snapshot):
-        """Plan against the pinned snapshot, via the shared cache.
+        """Plan against the pinned snapshot, via its epoch's cache.
 
-        The cache key is the query's full shape plus the *tenant* and
-        the snapshot's *stats epoch*: tenants never share cache
-        entries (their guard budgets and priorities are their own
-        failure domain), and a reload retires every prior epoch's
-        entries automatically because no new request pins them.
+        The cache key is the query's full shape — selection constants
+        included, since pushed-down Select / IndexScan leaves embed
+        them — plus the *tenant* and the strategy: tenants never share
+        cache entries (their guard budgets and priorities are their own
+        failure domain).  The cache itself belongs to the snapshot's
+        stats epoch, so a reload never serves an old epoch's plan, and
+        retiring the epoch frees its plans.
         """
         from repro.plans.serialize import plan_from_dict, plan_to_dict
 
@@ -401,10 +398,8 @@ class ServingRuntime:
             spec.query_vars,
             tuple(sorted(spec.selections.items())),
             self.strategy,
-            self.heuristic,
-            snap.epoch,
         )
-        hit = self._plans.get(key)
+        hit = snap.plans.get(key)
         if hit is not None:
             self.metrics.counter(
                 "serve.plan_cache.hits", tenant=request.tenant
@@ -414,15 +409,15 @@ class ServingRuntime:
             "serve.plan_cache.misses", tenant=request.tenant
         ).inc()
         optimization = self.db._plan(
-            spec, self.strategy, self.heuristic, self.seed,
-            catalog=snap.catalog, clock=self.clock,
+            spec, self.strategy, catalog=snap.catalog, clock=self.clock,
         )
-        self._plans[key] = plan_to_dict(optimization.plan)
+        snap.plans[key] = plan_to_dict(optimization.plan)
         return optimization.plan, False
 
     def cached_plans(self) -> list[tuple]:
-        """The live plan-cache keys (tests pin epoch hygiene on this)."""
-        return sorted(self._plans)
+        """The live plan-cache keys, epoch last (tests pin epoch
+        hygiene on this)."""
+        return self.snapshots.cached_plans()
 
     # ------------------------------------------------------------------
     # Reload and drain

@@ -15,6 +15,11 @@ that immutability into snapshot isolation for the serving runtime:
 * :meth:`unpin` retires a stale epoch's clone when its last reader
   drains (``serve.snapshots_retired``), bounding memory.
 
+Each epoch's entry also holds the serving runtime's prepared plans for
+that epoch (:attr:`Snapshot.plans`): a plan lives and dies with the
+statistics it was costed against, so retiring an epoch frees its plans
+and no plan can outlive a reload.
+
 With a :class:`~repro.storage.checkpoint.CheckpointManager` attached,
 every reload also takes a durable checkpoint of the *new* state, so a
 crash after a reload recovers to the post-reload catalog rather than
@@ -23,7 +28,7 @@ replaying into a mix of epochs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
 from repro.obs.metrics import MetricsRegistry
@@ -33,18 +38,21 @@ __all__ = ["Snapshot", "SnapshotManager"]
 
 @dataclass(frozen=True)
 class Snapshot:
-    """One pinned view: the epoch and its frozen catalog clone."""
+    """One pinned view: the epoch, its frozen catalog clone and the
+    epoch's prepared-plan cache (shared by every reader of the epoch)."""
 
     epoch: int
     catalog: Catalog
+    plans: dict = field(compare=False, repr=False)
 
 
 class _Entry:
-    __slots__ = ("catalog", "refs")
+    __slots__ = ("catalog", "refs", "plans")
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
         self.refs = 0
+        self.plans: dict[tuple, dict] = {}
 
 
 class SnapshotManager:
@@ -83,7 +91,7 @@ class SnapshotManager:
             )
         entry.refs += 1
         self._publish()
-        return Snapshot(epoch=epoch, catalog=entry.catalog)
+        return Snapshot(epoch=epoch, catalog=entry.catalog, plans=entry.plans)
 
     def unpin(self, snapshot: Snapshot) -> None:
         """Drop one reader; retire the epoch once stale and unread."""
@@ -113,10 +121,10 @@ class SnapshotManager:
         """Reload a table without disturbing pinned readers.
 
         Delegates to ``Database.reload_table`` (which installs the new
-        heap file under a fresh file id and prunes the engine's
-        stats-epoch-keyed plan cache), checkpoints the new state when
-        a checkpointer is attached, and retires any stale epochs whose
-        readers have already drained.  Returns the new ``stats_epoch``.
+        heap file under a fresh file id and advances the stats epoch),
+        checkpoints the new state when a checkpointer is attached, and
+        retires any stale epochs whose readers have already drained,
+        with their plans.  Returns the new ``stats_epoch``.
         """
         self.db.reload_table(relation, name)
         if self.checkpointer is not None:
@@ -141,6 +149,14 @@ class SnapshotManager:
     def readers(self, epoch: int) -> int:
         entry = self._entries.get(epoch)
         return 0 if entry is None else max(0, entry.refs)
+
+    def cached_plans(self) -> list[tuple]:
+        """The live epochs' plan-cache keys, each with its epoch last."""
+        return sorted(
+            key + (epoch,)
+            for epoch, entry in self._entries.items()
+            for key in entry.plans
+        )
 
     def _publish(self) -> None:
         self.metrics.gauge("serve.snapshots_active").set(len(self._entries))

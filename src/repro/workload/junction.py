@@ -81,7 +81,6 @@ def build_junction_tree(
     relations: Sequence[FunctionalRelation],
     semiring: Semiring,
     order: Sequence[str] | None = None,
-    heuristic: str = "min_fill",
     context: ExecutionContext | None = None,
     journal=None,
 ) -> JunctionTree:
@@ -89,7 +88,7 @@ def build_junction_tree(
 
     ``order`` optionally fixes (a prefix of) the triangulation order —
     Figure 14 triangulates the cyclic supply-chain schema with
-    ``tid, sid``.
+    ``tid, sid``; min-fill completes it.
 
     Clique potentials are materialized by running product-join plans
     through the physical runtime (step 5), so construction pays
@@ -106,7 +105,7 @@ def build_junction_tree(
     schema = {name: rel.var_names for name, rel in by_name.items()}
 
     graph = variable_graph(schema)
-    triangulation = triangulate(graph, order=order, heuristic=heuristic)
+    triangulation = triangulate(graph, order=order)
 
     clique_scopes = list(triangulation.maximal_cliques)
     clique_names = [f"C{i}" for i in range(len(clique_scopes))]

@@ -8,13 +8,14 @@ junction-tree schema (Algorithm 5).
 
 The order matters enormously: the minimum-induced-width order is
 NP-complete to find (Theorem 9 / Yannakakis), so we support explicit
-orders (the paper's Figure 14 uses ``tid, sid``) and the standard
-min-fill / min-degree greedy heuristics.
+orders (the paper's Figure 14 uses ``tid, sid``) completed by the
+standard min-fill greedy heuristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import networkx as nx
@@ -49,32 +50,26 @@ class TriangulationResult:
         return max((len(c) for c in self.cliques), default=1) - 1
 
 
-def _next_vertex(work: nx.Graph, heuristic: str) -> str:
-    if heuristic == "min_degree":
-        return min(sorted(work.nodes), key=lambda v: work.degree(v))
-    if heuristic == "min_fill":
-        def fill(v: str) -> int:
-            neigh = list(work.neighbors(v))
-            missing = 0
-            for i, a in enumerate(neigh):
-                for b in neigh[i + 1:]:
-                    if not work.has_edge(a, b):
-                        missing += 1
-            return missing
-
-        return min(sorted(work.nodes), key=fill)
-    raise WorkloadError(f"unknown triangulation heuristic {heuristic!r}")
+def _min_fill_vertex(work: nx.Graph) -> str:
+    """The vertex whose elimination adds the fewest fill edges (ties go
+    to the first name in sorted order)."""
+    return min(
+        sorted(work.nodes),
+        key=lambda v: sum(
+            not work.has_edge(a, b)
+            for a, b in combinations(work.neighbors(v), 2)
+        ),
+    )
 
 
 def triangulate(
     graph: nx.Graph,
     order: Sequence[str] | None = None,
-    heuristic: str = "min_fill",
 ) -> TriangulationResult:
     """Algorithm 6: eliminate vertices, connecting their neighbors.
 
     ``order`` may be a partial prefix (like Figure 14's ``tid, sid``);
-    remaining vertices are chosen by ``heuristic``.
+    remaining vertices are chosen by min-fill.
     """
     work = graph.copy()
     chordal = graph.copy()
@@ -93,7 +88,7 @@ def triangulate(
             if v not in work:
                 raise WorkloadError(f"vertex {v!r} given twice in order")
         else:
-            v = _next_vertex(work, heuristic)
+            v = _min_fill_vertex(work)
         neighbors = list(work.neighbors(v))
         cliques.append(frozenset([v, *neighbors]))
         for i, a in enumerate(neighbors):

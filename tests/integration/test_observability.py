@@ -149,22 +149,33 @@ class TestRegistryAgreesWithIOStats:
 
 class TestPlanCacheCounters:
     def test_hits_misses_invalidations(self, rng):
-        db = _database()
-        query = _query(db, "left_view", "a")
-        db.run_query(query, use_plan_cache=True)
-        db.run_query(query, use_plan_cache=True)
-        snap = db.metrics_snapshot()
-        assert snap.get("plan_cache.misses") == 1
-        assert snap.get("plan_cache.hits") == 1
+        from repro.serve import ServeRequest, ServingRuntime, TenantSpec
 
-        db.reload_table(
+        db = _database()
+        runtime = ServingRuntime(db, [TenantSpec("t")])
+        query = _query(db, "left_view", "a")
+
+        def serve():
+            assert not runtime.admit(ServeRequest("t", query))
+            return runtime.dispatch(runtime.next_runnable())
+
+        serve()
+        serve()
+        snap = db.metrics_snapshot()
+        assert snap.get("serve.plan_cache.misses", tenant="t") == 1
+        assert snap.get("serve.plan_cache.hits", tenant="t") == 1
+
+        # A reload retires the drained epoch, and its plans with it.
+        runtime.reload_table(
             complete_relation([var("a", 6), var("b", 5)], rng=rng,
                               name="r_ab")
         )
+        assert runtime.cached_plans() == []
+        assert db.metrics_snapshot().get("serve.snapshots_retired") == 1
+        assert not serve().plan_cached
         snap = db.metrics_snapshot()
-        assert snap.get("plan_cache.invalidations") == 1
-        db.run_query(query, use_plan_cache=True)
-        assert db.metrics_snapshot().get("plan_cache.misses") == 2
+        assert snap.get("serve.plan_cache.misses", tenant="t") == 2
+        assert snap.get("serve.plan_cache.hits", tenant="t") == 1
 
 
 class TestWorkloadCounters:

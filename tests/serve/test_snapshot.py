@@ -159,3 +159,40 @@ class TestRuntimeSnapshotIsolation:
         assert runtime.snapshots.active == 1  # the pinned old epoch
         runtime.dispatch(runtime.next_runnable())
         assert runtime.snapshots.active == 0  # stale epoch retired
+
+    def test_retired_epochs_take_their_plans_with_them(
+        self, make_runtime, make_request, fresh_location
+    ):
+        db, runtime = make_runtime([TenantSpec("t")])
+        second_location = supply_chain(
+            scale=0.004, seed=144
+        ).catalog.relation("location")
+        first_epoch = db.catalog.stats_epoch
+        # Two requests pin the first epoch; the first reload lands
+        # while the second still waits, the second reload after both
+        # drained, and a last request plans under the newest epoch.
+        report = runtime.run_workload(
+            [
+                make_request(db, "t", sql=SQL),
+                make_request(db, "t", sql=SQL),
+                make_request(db, "t", sql=SQL, arrival=2e9),
+            ],
+            reloads=[
+                (1.0, fresh_location, "location"),
+                (1e9, second_location, "location"),
+            ],
+        )
+        current = db.catalog.stats_epoch
+        assert current == first_epoch + 2
+        assert [o.epoch for o in report.outcomes] == [
+            first_epoch, first_epoch, current,
+        ]
+        # The pinned reader still got its own epoch's plan ...
+        assert [o.plan_cached for o in report.outcomes] == [
+            False, True, False,
+        ]
+        # ... and once it drained, that epoch's plans went with it.
+        keys = runtime.cached_plans()
+        assert len(keys) == 1
+        assert keys[0][-1] == current
+        assert runtime.snapshots.active == 1

@@ -302,85 +302,80 @@ class TestProfile:
 
 
 class TestPlanCache:
-    def test_repeat_query_hits_cache(self, db):
+    """The one prepared-plan cache: the serving runtime's, held on the
+    pinned stats epoch."""
+
+    @pytest.fixture
+    def runtime(self, db):
+        from repro.serve import ServingRuntime, TenantSpec
+
+        return ServingRuntime(db, [TenantSpec("t")])
+
+    @staticmethod
+    def serve(runtime, query):
+        from repro.serve import ServeRequest
+
+        assert not runtime.admit(ServeRequest("t", query))
+        outcome = runtime.dispatch(runtime.next_runnable())
+        assert outcome.ok
+        return outcome
+
+    @staticmethod
+    def query(db, *group_by, **selections):
         from repro.query import MPFQuery, MPFView
 
         view = MPFView("invest", db._views["invest"].view_tables,
                        SUM_PRODUCT)
-        query = MPFQuery(view, ("wid",))
-        first = db.run_query(query, use_plan_cache=True)
-        assert db.plan_cache_hits == 0
-        second = db.run_query(query, use_plan_cache=True)
-        assert db.plan_cache_hits == 1
-        assert second.optimization.algorithm.endswith("+cached")
-        assert second.optimization.planning_seconds == 0.0
+        return MPFQuery(view, group_by, selections=selections)
+
+    def test_repeat_query_hits_cache(self, db, runtime):
+        query = self.query(db, "wid")
+        first = self.serve(runtime, query)
+        second = self.serve(runtime, query)
+        assert (first.plan_cached, second.plan_cached) == (False, True)
+        assert len(runtime.cached_plans()) == 1
         assert first.result.equals(second.result, SUM_PRODUCT)
+        assert first.result.equals(db.run_query(query).result, SUM_PRODUCT)
 
-    def test_different_constants_miss(self, db):
-        from repro.query import MPFQuery, MPFView
+    def test_different_constants_miss(self, db, runtime):
+        first = self.serve(runtime, self.query(db, "cid", tid=0))
+        second = self.serve(runtime, self.query(db, "cid", tid=1))
+        assert not first.plan_cached and not second.plan_cached
+        assert len(runtime.cached_plans()) == 2
 
-        view = MPFView("invest", db._views["invest"].view_tables,
-                       SUM_PRODUCT)
-        db.run_query(
-            MPFQuery(view, ("cid",), selections={"tid": 0}),
-            use_plan_cache=True,
-        )
-        db.run_query(
-            MPFQuery(view, ("cid",), selections={"tid": 1}),
-            use_plan_cache=True,
-        )
-        assert db.plan_cache_hits == 0
-
-    def test_cache_off_by_default(self, db):
-        from repro.query import MPFQuery, MPFView
-
-        view = MPFView("invest", db._views["invest"].view_tables,
-                       SUM_PRODUCT)
-        query = MPFQuery(view, ("wid",))
-        db.run_query(query)
-        db.run_query(query)
-        assert db.plan_cache_hits == 0
-
-    def test_reload_table_invalidates_cache(self, db):
-        """Regression: a reloaded table (new data, new statistics) used
-        to be served the plan costed against the old statistics as
-        ``+cached``."""
+    def test_reload_table_invalidates_cache(self, db, runtime):
+        """Regression: a reloaded table (new data, new statistics) must
+        never be served the plan costed against the old statistics."""
         from repro.datagen import supply_chain
-        from repro.query import MPFQuery, MPFView
 
-        view = MPFView("invest", db._views["invest"].view_tables,
-                       SUM_PRODUCT)
-        query = MPFQuery(view, ("wid",))
-        db.run_query(query, use_plan_cache=True)
-        assert db.run_query(
-            query, use_plan_cache=True
-        ).optimization.algorithm.endswith("+cached")
+        query = self.query(db, "wid")
+        self.serve(runtime, query)
+        assert self.serve(runtime, query).plan_cached
 
         reloaded = supply_chain(scale=0.004, seed=8)
-        db.reload_table(reloaded.catalog.relation("contracts"))
+        runtime.reload_table(reloaded.catalog.relation("contracts"))
 
-        after = db.run_query(query, use_plan_cache=True)
-        assert not after.optimization.algorithm.endswith("+cached")
-        assert db.plan_cache_hits == 1  # unchanged: no stale hit
+        after = self.serve(runtime, query)
+        assert not after.plan_cached
+        epoch = db.catalog.stats_epoch
+        assert [key[-1] for key in runtime.cached_plans()] == [epoch]
         snap = db.metrics_snapshot()
-        assert snap.get("plan_cache.invalidations") >= 1
+        assert snap.get("serve.plan_cache.hits", tenant="t") == 1
+        assert snap.get("serve.snapshots_retired") == 1
 
         # The re-planned query answers against the *new* data.
         fresh = db.run_query(query)
         assert after.result.equals(fresh.result, SUM_PRODUCT)
 
-    def test_create_index_invalidates_cache(self, db):
+    def test_create_index_invalidates_cache(self, db, runtime):
         """New physical structures change the search space too: the
         catalog epoch bump makes the old cache entry unreachable."""
-        from repro.query import MPFQuery, MPFView
-
-        view = MPFView("invest", db._views["invest"].view_tables,
-                       SUM_PRODUCT)
-        query = MPFQuery(view, ("cid",), selections={"tid": 0})
-        db.run_query(query, use_plan_cache=True)
+        query = self.query(db, "cid", tid=0)
+        self.serve(runtime, query)
         db.execute("create index on ctdeals(tid)")
-        db.run_query(query, use_plan_cache=True)
-        assert db.plan_cache_hits == 0
+        assert not self.serve(runtime, query).plan_cached
+        epoch = db.catalog.stats_epoch
+        assert [key[-1] for key in runtime.cached_plans()] == [epoch]
 
 
 class TestRunBatch:

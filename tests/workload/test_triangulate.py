@@ -75,18 +75,10 @@ class TestMechanics:
         with pytest.raises(WorkloadError):
             triangulate(cyclic_graph, order=["tid", "tid"])
 
-    def test_min_degree_heuristic(self, cyclic_graph):
-        result = triangulate(cyclic_graph, heuristic="min_degree")
-        assert nx.is_chordal(result.chordal_graph)
-
-    def test_unknown_heuristic(self, cyclic_graph):
-        with pytest.raises(WorkloadError):
-            triangulate(cyclic_graph, heuristic="magic")
-
     def test_min_fill_optimal_on_cycle(self):
         # On a plain cycle, min-fill adds exactly n-3 chords.
         g = nx.cycle_graph(list("abcdef"))
-        result = triangulate(g, heuristic="min_fill")
+        result = triangulate(g)
         assert len(result.fill_edges) == 3
 
     def test_induced_width_single_vertex(self):
