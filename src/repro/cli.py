@@ -429,11 +429,8 @@ def _replay_recorded_statement(db, sql, record, args, guard):
     makes that a no-op rejected as "already in use", which is exactly
     the recovered outcome.
     """
-    from repro.storage.journal import reconstruct_error
-
-    db.metrics.counter("checkpoint.steps_skipped", unit="query").inc()
-    if record["status"] == "error":
-        exc = reconstruct_error(record["error"])
+    exc = db.replay_query_unit(record)
+    if exc is not None:
         print(f"error: {exc} [recovered]", file=sys.stderr)
         return exit_code_for(exc)
     if record.get("result") is None:

@@ -657,7 +657,7 @@ class Database:
 
     @staticmethod
     def batch_query_key(index: int, query: MPFQuery) -> str:
-        """Durable journal key of one batch query.
+        """Durable unit key of one batch query.
 
         The position *and* the query's deterministic repr identify the
         unit, so a resumed batch must resubmit the same query list —
@@ -673,41 +673,30 @@ class Database:
         if wal is None:
             return
         from repro.storage.journal import encode_unit
-        from repro.storage.wal import WAL_QUERY
 
         delta = self.metrics.snapshot().diff(before).to_dict()
         wal.log_unit(
-            WAL_QUERY,
             encode_unit(
                 key,
                 "error" if error is not None else "ok",
                 result=result,
                 error=error,
                 delta=delta,
-            ),
+            )
         )
 
-    def _recovered_report(
-        self, query: MPFQuery, record: dict, semiring: Semiring
-    ) -> QueryReport:
-        """Rebuild a report from a durable unit record (no execution)."""
+    def replay_query_unit(self, record: dict) -> MPFError | None:
+        """Skip one recorded query (or CLI statement): count the skip
+        and return its recorded error, rebuilt, or ``None`` when it
+        succeeded.  Its own counters were restored by recovery."""
         from repro.storage.journal import reconstruct_error
 
         self.metrics.counter(
             "checkpoint.steps_skipped", unit="query"
         ).inc()
-        error = None
         if record["status"] == "error":
-            error = reconstruct_error(record["error"])
-        return QueryReport(
-            result=record["result"],
-            query=query,
-            optimization=None,
-            exec_stats=IOStats(),
-            semiring=semiring,
-            error=error,
-            recovered=True,
-        )
+            return reconstruct_error(record["error"])
+        return None
 
     def run_batch(
         self,
@@ -717,7 +706,7 @@ class Database:
         guard: QueryGuard | None = None,
         stop_on_error: bool = False,
         wal=None,
-        resume_from=None,
+        resume_from: RecoveredState | None = None,
         checkpointer=None,
         checkpoint_every: int = 1,
         workers: int | None = None,
@@ -750,11 +739,11 @@ class Database:
         query — success or failure — is durably recorded with its
         result and metrics delta before the batch moves on.  Pass the
         :class:`~repro.storage.recovery.RecoveredState` of a crashed
-        run (or its ``queries`` mapping) as ``resume_from`` to skip
-        every recorded query: skipped queries are not re-planned or
-        re-executed, their reports are rebuilt from the records
-        (``recovered=True``), and their counters were already restored
-        by recovery.  ``checkpointer`` (a
+        run as ``resume_from`` to skip every recorded query and seed
+        its checkpoint's memo entries: skipped queries are not
+        re-planned or re-executed, their reports are rebuilt from the
+        records (``recovered=True``), and their counters were already
+        restored by recovery.  ``checkpointer`` (a
         :class:`~repro.storage.checkpoint.CheckpointManager`) takes a
         database checkpoint after every ``checkpoint_every`` freshly
         executed queries; its memo section holds only the entries the
@@ -780,9 +769,9 @@ class Database:
                     "split it into per-semiring batches"
                 )
 
-        recovered_units: dict = {}
-        if resume_from is not None:
-            recovered_units = getattr(resume_from, "queries", resume_from)
+        recovered_units = (
+            resume_from.queries if resume_from is not None else {}
+        )
         keys = [self.batch_query_key(i, q) for i, q in enumerate(queries)]
 
         optimizations: list[OptimizationResult | None] = []
@@ -814,7 +803,7 @@ class Database:
         if workers is not None:
             settings["workers"] = workers
         ctx = ExecutionContext(self.catalog, semiring, **settings)
-        if resume_from is not None and hasattr(resume_from, "seed_context"):
+        if resume_from is not None:
             resume_from.seed_context(ctx)
         self.metrics.counter("batches.total").inc()
         self.metrics.counter("batch.shared_subplans").inc(dag.shared_nodes)
@@ -831,7 +820,15 @@ class Database:
             ):
                 if record is not None:
                     reports.append(
-                        self._recovered_report(query, record, semiring)
+                        QueryReport(
+                            result=record["result"],
+                            query=query,
+                            optimization=None,
+                            exec_stats=IOStats(),
+                            semiring=semiring,
+                            error=self.replay_query_unit(record),
+                            recovered=True,
+                        )
                     )
                     continue
                 if optimization is None:

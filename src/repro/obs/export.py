@@ -130,7 +130,7 @@ METRIC_CATALOG: dict[str, str] = {
     "vecache.tables": "gauge",
     "junction.cliques": "counter",
     # durability: write-ahead log, checkpoints, and crash recovery
-    # (labels on checkpoint.steps_skipped: unit=query|step)
+    # (labels on checkpoint.steps_skipped: unit=query)
     "wal.bytes": "counter",
     "checkpoint.taken": "counter",
     "checkpoint.steps_skipped": "counter",

@@ -266,21 +266,19 @@ class ExecutionContext:
             self.stats, self.guard = previous
         return result, stats
 
-    def memo_entries(
-        self, dag: PlanDAG | None = None, roots: Sequence[tuple] = ()
-    ):
+    def memo_entries(self, dag: PlanDAG, roots: Sequence[tuple]):
         """Yield ``(plan document, relation)`` for the memoized subplans
-        a checkpoint persists: with a ``dag``, those :func:`evaluate_dag`
-        would fetch for its unrun ``roots``; without, every entry.
+        a checkpoint persists: those :func:`evaluate_dag` would fetch
+        for the ``dag``'s unrun ``roots``.
 
         Only entries whose :class:`PlanNode` is known (seeded or executed
         here) qualify.  Plans leave as :func:`plan_to_dict` documents, so
         storage never needs the plan codec.
         """
-        wanted = None if dag is None else _walk(dag, self.memo, roots)[1]
+        wanted = _walk(dag, self.memo, roots)[1]
         for key, relation in self.memo.items():
             node = self._memo_nodes.get(key)
-            if node is not None and (wanted is None or key in wanted):
+            if node is not None and key in wanted:
                 yield plan_to_dict(node), relation
 
     def seed_memo(self, plan: dict, relation: FunctionalRelation) -> None:

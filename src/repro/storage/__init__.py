@@ -14,7 +14,6 @@ from repro.storage.faults import (
 from repro.storage.heapfile import HeapFile
 from repro.storage.iostats import IOStats
 from repro.storage.journal import (
-    StepJournal,
     decode_unit,
     encode_unit,
     reconstruct_error,
@@ -68,7 +67,6 @@ __all__ = [
     "CheckpointData",
     "RecoveryManager",
     "RecoveredState",
-    "StepJournal",
     "encode_unit",
     "decode_unit",
     "reconstruct_error",

@@ -5,10 +5,10 @@ recomputation: every base table's rows (as checksummed
 :class:`~repro.storage.page.PageImage` frames), the catalog's file-id
 assignments and statistics epoch, the defined MPF views and indexes,
 the buffer pool's residency (so a restarted pool is warm, not cold),
-the full metrics snapshot, and — when an
-:class:`~repro.plans.runtime.ExecutionContext` is passed — the runtime
-memo's completed subplan results a resume can read (after a batch's
-last query, none), whose plans the context hands over already
+the full metrics snapshot, and — for a batch's frontier — the runtime
+memo's completed subplan results the batch's unrun queries read (after
+its last query, none), whose plans the
+:class:`~repro.plans.runtime.ExecutionContext` hands over already
 serialized (this package never imports the plan codec).
 
 File layout::
@@ -131,12 +131,13 @@ class CheckpointManager:
     # Writing
     # ------------------------------------------------------------------
     def checkpoint(self, db, context=None, dag=None, roots=()) -> str:
-        """Snapshot ``db`` (and optionally a context's memo); atomic.
+        """Snapshot ``db`` (and optionally a batch's frontier); atomic.
 
         Returns the committed checkpoint file name.  ``db`` is a
         :class:`~repro.engine.Database` (duck-typed: ``catalog``,
-        ``pool``, ``metrics``, ``_views``).  A ``dag`` and its unrun
-        ``roots`` keep only the memo entries those roots read.
+        ``pool``, ``metrics``, ``_views``).  A batch's frontier is its
+        ``context``, its ``dag`` and the ``roots`` yet to run; the
+        checkpoint keeps the memo entries those roots read.
         """
         if self.wal is not None:
             self.wal.reach("checkpoint.begin")

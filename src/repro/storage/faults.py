@@ -78,10 +78,8 @@ SITES = {
     "checkpoint.pages": ("crash",),
     # tmp file written+synced, before the rename
     "checkpoint.commit": ("crash",),
-    # between queries of a batch
+    # between queries of a batch (and statements of `repro sql`)
     "batch.query": ("crash",),
-    # between workload units (VE step / BP message / clique)
-    "workload.step": ("crash",),
 }
 
 CRASH_POINTS = tuple(
@@ -141,8 +139,8 @@ class Faults:
     nor drawn is left alone — its hosts keep their bulk paths.
 
     The hooks: the buffer pool calls :meth:`before_read` on a disk
-    read, and the write-ahead log, checkpoints, journal and batch loop
-    call :meth:`reach` at their crash points.  ``counts[(site, kind)]``
+    read, and the write-ahead log, checkpoints and batch loop call
+    :meth:`reach` at their crash points.  ``counts[(site, kind)]``
     counts the faults injected — a targeted site that never fires is a
     test bug, not a pass.
     """

@@ -10,7 +10,7 @@ The restart sequence a recovered process runs:
    no checkpoint at all is a valid cold start.
 3. **Rebuild the metrics registry**: restore the checkpoint's snapshot,
    then fold in — in LSN order — the per-unit metric deltas of every
-   QUERY/STEP record the WAL holds *after* the checkpoint's recorded
+   QUERY record the WAL holds *after* the checkpoint's recorded
    position (records before it are already inside the snapshot).
 4. **Collect unit records** from the *whole* WAL: pre-checkpoint query
    results live only in the log, and skipping them on resume needs
@@ -34,7 +34,6 @@ from repro.storage.journal import decode_unit
 from repro.storage.wal import (
     WAL_PAGE,
     WAL_QUERY,
-    WAL_STEP,
     ReplayResult,
     replay_wal,
     wal_path,
@@ -52,7 +51,6 @@ class RecoveredState:
     wal: ReplayResult
     registry: MetricsRegistry
     queries: dict[str, dict] = field(default_factory=dict)
-    steps: dict[str, dict] = field(default_factory=dict)
     replayed_pages: int = 0
     replayed_records: int = 0
     checkpoints_discarded: int = 0
@@ -116,7 +114,6 @@ class RecoveryManager:
             dict(checkpoint.manifest["metrics"]) if checkpoint else {}
         )
         queries: dict[str, dict] = {}
-        steps: dict[str, dict] = {}
         replayed_pages = 0
         replayed_records = 0
         for record in replay.records:
@@ -124,11 +121,10 @@ class RecoveryManager:
                 replayed_records += 1
                 if record.kind == WAL_PAGE:
                     replayed_pages += 1
-            if record.kind not in (WAL_QUERY, WAL_STEP):
+            if record.kind != WAL_QUERY:
                 continue
             unit = decode_unit(record.text())
-            target = queries if record.kind == WAL_QUERY else steps
-            target[unit["key"]] = unit
+            queries[unit["key"]] = unit
             if record.lsn >= wal_position and unit.get("delta"):
                 accumulated = MetricsSnapshot(unit["delta"]).merge(accumulated)
 
@@ -143,7 +139,6 @@ class RecoveryManager:
             wal=replay,
             registry=registry,
             queries=queries,
-            steps=steps,
             replayed_pages=replayed_pages,
             replayed_records=replayed_records,
             checkpoints_discarded=discarded,

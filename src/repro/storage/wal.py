@@ -1,9 +1,9 @@
 """Write-ahead log for the simulated storage layer.
 
 Every durable event — a page write passing through the
-:class:`~repro.storage.buffer.BufferPool`, a completed batch query, a
-completed workload unit, a committed checkpoint — is appended to a
-single log file as a framed, checksummed record:
+:class:`~repro.storage.buffer.BufferPool`, a completed batch query or
+CLI statement, a committed checkpoint — is appended to a single log
+file as a framed, checksummed record:
 
 ``magic (1B) | kind (1B) | length (4B) | crc32 (4B) | payload``
 
@@ -17,8 +17,8 @@ Crash boundaries: an attached :class:`~repro.storage.faults.Faults`
 registry is reached at ``wal.append`` (fires *mid-write*, leaving a
 torn half-record on disk) and ``wal.flush`` (fires after the record is
 fully durable) so the differential recovery oracle can exercise both
-sides of the durability line.  Checkpoints, step journals and batches
-reach their own crash points through the same registry.
+sides of the durability line.  Checkpoints and batches reach their
+own crash points through the same registry.
 """
 
 from __future__ import annotations
@@ -40,16 +40,16 @@ __all__ = [
     "WAL_PAGE",
     "WAL_CHECKPOINT",
     "WAL_QUERY",
-    "WAL_STEP",
 ]
 
 WAL_MAGIC = 0xA5
 WAL_PAGE = 1        # payload: <qq> file_id, page_no (accounting image)
 WAL_CHECKPOINT = 2  # payload: utf-8 checkpoint file name
 WAL_QUERY = 3       # payload: utf-8 JSON unit record (see storage.journal)
-WAL_STEP = 4        # payload: utf-8 JSON unit record (see storage.journal)
+# Kind 4 held workload-step records; it is retired, not reused, so a
+# log that still has one replays up to it as a torn tail.
 
-_KINDS = frozenset({WAL_PAGE, WAL_CHECKPOINT, WAL_QUERY, WAL_STEP})
+_KINDS = frozenset({WAL_PAGE, WAL_CHECKPOINT, WAL_QUERY})
 _HEADER = struct.Struct("<BBII")
 _PAGE_PAYLOAD = struct.Struct("<qq")
 
@@ -193,8 +193,8 @@ class WriteAheadLog:
         return lsn
 
     def reach(self, point: str) -> None:
-        """Mark a crash point of a WAL user (a checkpoint, a journal
-        step, a batch query) against the attached registry."""
+        """Mark a crash point of a WAL user (a checkpoint, a batch
+        query) against the attached registry."""
         if self.faults is not None:
             self.faults.reach(point)
 
@@ -227,11 +227,9 @@ class WriteAheadLog:
         """Record a committed checkpoint by file name."""
         return self.append(WAL_CHECKPOINT, checkpoint_name.encode("utf-8"))
 
-    def log_unit(self, kind: int, text: str) -> int:
-        """Record a completed query / workload unit (JSON text)."""
-        if kind not in (WAL_QUERY, WAL_STEP):
-            raise StorageError(f"unit records must be QUERY or STEP, got {kind}")
-        return self.append(kind, text.encode("utf-8"))
+    def log_unit(self, text: str) -> int:
+        """Record a completed query unit (JSON text)."""
+        return self.append(WAL_QUERY, text.encode("utf-8"))
 
     def replay(self) -> ReplayResult:
         """Replay this log's file (flushing pending writes first)."""

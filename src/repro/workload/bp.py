@@ -30,8 +30,8 @@ program builders — :func:`collect` / :func:`distribute` from a root of
 a forest, :func:`literal_program` for Algorithm 4's all-pairs order —
 are pure functions of the schema; :func:`run_program` is the one place
 a message is sent (semijoin evaluated, target rebound, ``bp.messages``
-counted, error context attached, durable unit recorded).  The VE-cache
-backward pass, its evidence protocol and the alternate-measure patch
+counted, error context attached).  The VE-cache backward pass, its
+evidence protocol and the alternate-measure patch
 (:mod:`repro.workload.vecache`) are distribute programs through the
 same runner (Theorem 10).
 
@@ -151,13 +151,6 @@ def join_chain(names: Sequence[str]) -> PlanNode:
     return plan
 
 
-def run_unit(journal, key: str, ctx: ExecutionContext, compute) -> dict:
-    """Run one resumable unit through ``journal`` (or directly)."""
-    if journal is None:
-        return compute()
-    return journal.run(key, ctx, compute)
-
-
 def backward_kind(semiring: Semiring) -> str:
     """SemiJoin kind of an update message (idempotent-times fallback)."""
     if semiring.supports_division:
@@ -218,7 +211,6 @@ def run_program(
     tables: dict[str, FunctionalRelation],
     program: Sequence[BPStep],
     semiring: Semiring,
-    journal=None,
     failures: list[BPFailure] | None = None,
 ) -> None:
     """Send every message of ``program``, in order, through the runtime.
@@ -234,52 +226,40 @@ def run_program(
     pre-message table) — except :class:`ResourceError`, which always
     propagates: once the query's deadline is blown or it is cancelled,
     every later message would fail the same way.
-
-    With a ``journal`` each message is a durable resumable unit keyed
-    by program position and message identity; a swallowed failure is
-    recorded as an empty-tables unit (the ``bp.failures`` count lives
-    inside its delta), so a resumed program skips it the same way.
     """
     kinds = {"product": "product", "update": backward_kind(semiring)}
-    for index, step in enumerate(program):
-
-        def send(step=step) -> dict[str, FunctionalRelation]:
-            plan = SemiJoin(
-                Scan(step.target), Scan(step.source), kinds[step.kind]
-            )
-            try:
-                result = evaluate(plan, ctx)
-            except MPFError as exc:
-                exc.add_context(f"BP message {step}")
-                ctx.count("bp.failures")
-                if failures is None or isinstance(exc, ResourceError):
-                    raise
-                failures.append(BPFailure(step=step, error=exc))
-                return {}
-            if result.name != step.target:
-                # A semijoin's result takes its target relation's name,
-                # so this only fires for a table bound under another
-                # name; renaming regardless would gather a deferred
-                # join's columns for nothing.
-                result = result.with_name(step.target)
-            ctx.count("bp.messages", kind=step.kind)
-            ctx.bind(step.target, result)
-            return {step.target: result}
-
-        key = f"bp.step:{index}:{step.target}<{step.source}:{step.kind}"
-        tables.update(run_unit(journal, key, ctx, send))
+    for step in program:
+        plan = SemiJoin(
+            Scan(step.target), Scan(step.source), kinds[step.kind]
+        )
+        try:
+            result = evaluate(plan, ctx)
+        except MPFError as exc:
+            exc.add_context(f"BP message {step}")
+            ctx.count("bp.failures")
+            if failures is None or isinstance(exc, ResourceError):
+                raise
+            failures.append(BPFailure(step=step, error=exc))
+            continue
+        if result.name != step.target:
+            # A semijoin's result takes its target relation's name, so
+            # this only fires for a table bound under another name;
+            # renaming regardless would gather a deferred join's
+            # columns for nothing.
+            result = result.with_name(step.target)
+        ctx.count("bp.messages", kind=step.kind)
+        ctx.bind(step.target, result)
+        tables[step.target] = result
 
 
-def _run_bp(
-    tables, semiring, program, tree, context, keep_going, journal, workers
-) -> BPResult:
+def _run_bp(tables, semiring, program, tree, context, keep_going) -> BPResult:
     """Bind ``tables``, run ``program`` over them, package the result."""
-    ctx = context or ExecutionContext({}, semiring, workers=workers)
+    ctx = context or ExecutionContext({}, semiring)
     for name, rel in tables.items():
         ctx.bind(name, rel)
     failures: list[BPFailure] = []
     run_program(
-        ctx, tables, program, semiring, journal=journal,
+        ctx, tables, program, semiring,
         failures=failures if keep_going else None,
     )
     return BPResult(
@@ -295,8 +275,6 @@ def belief_propagation(
     root: str | None = None,
     context: ExecutionContext | None = None,
     keep_going: bool = False,
-    journal=None,
-    workers: int = 1,
 ) -> BPResult:
     """Collect/distribute BP over a junction tree of the schema.
 
@@ -314,13 +292,13 @@ def belief_propagation(
     aborting the program (resource errors — timeout, cancellation —
     still abort: they would fail every remaining message too).
 
-    ``workers`` (used only when no ``context`` is passed) sizes the
-    modeled scheduler pool.  Messages run through the runtime's
-    table-writer dependency tracking: a message scanning a table
-    rebound by an earlier message depends on its producer, so messages
-    within one tree level that touch *different* targets overlap on
-    the modeled clock while same-target chains stay serialized —
-    results are identical for every worker count.
+    A ``context`` with ``workers > 1`` runs the messages on the
+    modeled scheduler pool through the runtime's table-writer
+    dependency tracking: a message scanning a table rebound by an
+    earlier message depends on its producer, so messages within one
+    tree level that touch *different* targets overlap on the modeled
+    clock while same-target chains stay serialized — results are
+    identical for every worker count.
     """
     tables = named_relations(relations)
     if tree is None:
@@ -341,9 +319,7 @@ def belief_propagation(
         component_root = root if root in component else sorted(component)[0]
         program += collect(tree, component_root)
         program += distribute(tree, component_root)
-    return _run_bp(
-        tables, semiring, program, tree, context, keep_going, journal, workers
-    )
+    return _run_bp(tables, semiring, program, tree, context, keep_going)
 
 
 def bp_program_literal(
@@ -352,8 +328,6 @@ def bp_program_literal(
     order: Sequence[str],
     context: ExecutionContext | None = None,
     keep_going: bool = False,
-    journal=None,
-    workers: int = 1,
 ) -> BPResult:
     """Algorithm 4 verbatim: all sharing pairs, given table order.
 
@@ -372,7 +346,7 @@ def bp_program_literal(
     scopes = {name: frozenset(rel.var_names) for name, rel in tables.items()}
     return _run_bp(
         tables, semiring, literal_program(scopes, order), None, context,
-        keep_going, journal, workers,
+        keep_going,
     )
 
 

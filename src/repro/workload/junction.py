@@ -31,7 +31,7 @@ from repro.errors import MPFError, WorkloadError
 from repro.plans.runtime import ExecutionContext, evaluate
 from repro.semiring.base import Semiring
 from repro.storage.iostats import IOStats
-from repro.workload.bp import join_chain, named_relations, run_unit
+from repro.workload.bp import join_chain, named_relations
 from repro.workload.graphs import (
     has_running_intersection,
     maximum_weight_spanning_tree,
@@ -82,7 +82,6 @@ def build_junction_tree(
     semiring: Semiring,
     order: Sequence[str] | None = None,
     context: ExecutionContext | None = None,
-    journal=None,
 ) -> JunctionTree:
     """Algorithm 5 over materialized functional relations.
 
@@ -94,10 +93,6 @@ def build_junction_tree(
     through the physical runtime (step 5), so construction pays
     simulated IO; ``context`` lets the caller share a buffer pool and
     stats clock across junction-tree construction and later BP passes.
-
-    ``journal`` (a :class:`~repro.storage.journal.StepJournal`) makes
-    each clique materialization a durable resumable unit, skipped on
-    re-run when its record is already on the WAL.
     """
     if not relations:
         raise WorkloadError("junction tree over an empty schema")
@@ -169,27 +164,18 @@ def build_junction_tree(
             )
             inputs.append(pad_name)
         plan = join_chain(inputs)
-
-        def compute_clique(clique_name=clique_name, plan=plan,
-                           member_names=member_names):
-            try:
-                potential = evaluate(plan, ctx).with_name(clique_name)
-            except MPFError as exc:
-                exc.add_context(
-                    f"materializing clique {clique_name} "
-                    f"({', '.join(sorted(scope_of[clique_name]))}) "
-                    f"from {sorted(member_names)}"
-                )
-                raise
-            ctx.bind(clique_name, potential)
-            ctx.count("junction.cliques")
-            return {clique_name: potential}
-
-        cliques.update(
-            run_unit(
-                journal, f"junction.clique:{clique_name}", ctx, compute_clique
+        try:
+            potential = evaluate(plan, ctx).with_name(clique_name)
+        except MPFError as exc:
+            exc.add_context(
+                f"materializing clique {clique_name} "
+                f"({', '.join(sorted(scope_of[clique_name]))}) "
+                f"from {sorted(member_names)}"
             )
-        )
+            raise
+        ctx.bind(clique_name, potential)
+        ctx.count("junction.cliques")
+        cliques[clique_name] = potential
 
     # Junction tree over the cliques.
     clique_graph = nx.Graph()

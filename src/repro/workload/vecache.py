@@ -57,7 +57,6 @@ from repro.workload.bp import (
     join_chain,
     named_relations,
     run_program,
-    run_unit,
 )
 from repro.workload.graphs import variable_graph
 from repro.workload.triangulate import triangulate
@@ -348,7 +347,6 @@ def build_ve_cache(
     heuristic: str = "degree",
     order: Sequence[str] | None = None,
     context: ExecutionContext | None = None,
-    journal=None,
 ) -> VECache:
     """Algorithm 3 end to end, executed through the physical runtime.
 
@@ -364,11 +362,6 @@ def build_ve_cache(
     as small plans — each elimination's pre-aggregation join, then a
     GroupBy over it whose join input comes from the runtime memo — so
     cache construction pays simulated IO like any query.
-
-    ``journal`` (a :class:`~repro.storage.journal.StepJournal`) makes
-    construction resumable: each elimination step, scalar patch, and
-    calibration message is one durable unit — units already on the WAL
-    are skipped, rebinding their recorded tables instead of recomputing.
     """
     if not relations:
         raise WorkloadError("VE-cache over an empty view")
@@ -410,25 +403,18 @@ def build_ve_cache(
         rest = [(n, src) for n, src in work if v not in ctx.env[n].variables]
         name = step_name(len(steps) + 1)
         join_plan = join_chain([n for n, _ in chosen])
-
-        def compute_step(name=name, v=v, join_plan=join_plan):
-            try:
-                joined = evaluate(join_plan, ctx)
-                keep = [x for x in joined.var_names if x != v]
-                # The GroupBy's join input is served from the runtime
-                # memo — the materialized table is not recomputed.
-                message = evaluate(GroupBy(join_plan, keep), ctx)
-            except MPFError as exc:
-                exc.add_context(
-                    f"VE-cache step {name} (eliminating {v!r})"
-                )
-                raise
-            ctx.bind(name, joined.with_name(name))
-            ctx.bind(f"{name}.msg", message.with_name(f"{name}.msg"))
-            ctx.count("vecache.steps")
-            return {name: ctx.env[name], f"{name}.msg": ctx.env[f"{name}.msg"]}
-
-        run_unit(journal, f"vecache.step:{name}:{v}", ctx, compute_step)
+        try:
+            joined = evaluate(join_plan, ctx)
+            keep = [x for x in joined.var_names if x != v]
+            # The GroupBy's join input is served from the runtime memo —
+            # the materialized table is not recomputed.
+            message = evaluate(GroupBy(join_plan, keep), ctx)
+        except MPFError as exc:
+            exc.add_context(f"VE-cache step {name} (eliminating {v!r})")
+            raise
+        ctx.bind(name, joined.with_name(name))
+        ctx.bind(f"{name}.msg", message.with_name(f"{name}.msg"))
+        ctx.count("vecache.steps")
 
         children = [src for _, src in chosen if src is not None]
         for n, src in chosen:
@@ -465,20 +451,10 @@ def build_ve_cache(
             )
             for other, scalar_name in scalars.items():
                 if other != component:
-
-                    def compute_scalar(step=step, scalar_name=scalar_name):
-                        patched = evaluate(
-                            join_chain([step.name, scalar_name]), ctx
-                        )
-                        ctx.bind(step.name, patched.with_name(step.name))
-                        return {step.name: ctx.env[step.name]}
-
-                    run_unit(
-                        journal,
-                        f"vecache.scalar:{step.name}:{scalar_name}",
-                        ctx,
-                        compute_scalar,
+                    patched = evaluate(
+                        join_chain([step.name, scalar_name]), ctx
                     )
+                    ctx.bind(step.name, patched.with_name(step.name))
 
     # ------------------------------------------------------------------
     # Lines 3-7: the backward pass, in Algorithm 3's own order — last
@@ -490,7 +466,7 @@ def build_ve_cache(
         for child in step.children
     ]
     tables = {s.name: ctx.env[s.name] for s in steps}
-    run_program(ctx, tables, program, semiring, journal=journal)
+    run_program(ctx, tables, program, semiring)
 
     return VECache(
         tables=tables,

@@ -194,17 +194,6 @@ class TestBPWorkerSweep:
         assert counters[2] == counters[1]
         assert counters[4] == counters[1]
 
-    def test_bp_workers_kwarg_builds_scheduled_context(self):
-        ref = belief_propagation(self._relations(), SUM_PRODUCT)
-        got = belief_propagation(
-            self._relations(), SUM_PRODUCT, workers=4
-        )
-        assert {
-            n: _result_bytes(r) for n, r in got.tables.items()
-        } == {
-            n: _result_bytes(r) for n, r in ref.tables.items()
-        }
-
 
 class TestCrashDifferential:
     """Crash → recover → resume at every worker count.

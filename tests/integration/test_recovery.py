@@ -1,11 +1,10 @@
 """Differential recovery oracle (acceptance for the durability layer).
 
-For every registered crash point: run the workload until the injected
+For every registered crash point: run the batch until the injected
 crash, recover from the checkpoint directory, resume — and demand the
 final results are **byte-identical** to an uninterrupted run and the
-structural metrics counters (``queries.total``, ``vecache.steps``,
-``bp.messages``, ``junction.cliques``) are identical too: every unit
-of work is counted exactly once, live or via its recovered delta.
+structural metrics counters (``queries.total``) are identical too:
+every query is counted exactly once, live or via its recovered delta.
 
 Bookkeeping counters (``wal.*``, ``checkpoint.*``, ``recovery.*``) and
 cache-state-dependent counters (``bufferpool.*``, ``optimizer.*``,
@@ -31,13 +30,10 @@ from repro.storage import (
     Faults,
     InjectedCrash,
     RecoveryManager,
-    StepJournal,
     WriteAheadLog,
     wal_path,
 )
 from repro.storage.wal import WAL_PAGE
-from repro.workload.bp import belief_propagation
-from repro.workload.junction import build_junction_tree
 from repro.workload.vecache import build_ve_cache
 
 STRUCTURAL = ("queries.total", "vecache.steps", "bp.messages",
@@ -155,6 +151,10 @@ class TestBatchRecoveryOracle:
                 wal2.close()
             skipped = sum(1 for r in batch.reports if r.recovered)
             assert skipped == len(state.queries)
+            counted = db.metrics.snapshot().to_dict().get(
+                "checkpoint.steps_skipped{unit=query}", {"value": 0}
+            )
+            assert counted["value"] == skipped
 
         prints = [_report_fingerprint(r) for r in batch.reports]
         assert prints == ref_prints
@@ -162,7 +162,7 @@ class TestBatchRecoveryOracle:
 
 
 # ----------------------------------------------------------------------
-# ≥100-step VE-cache workload
+# ≥100-step VE-cache workload: derived data, rebuilt rather than resumed
 # ----------------------------------------------------------------------
 def _chain_relations(n: int):
     rng = np.random.default_rng(7)
@@ -184,201 +184,15 @@ def _chain_relations(n: int):
 class TestWorkloadRecoveryOracle:
     CHAIN = 101  # 102 elimination steps + 101 calibration messages
 
-    @pytest.fixture(scope="class")
-    def reference(self):
+    def test_calibration_messages_are_bp_units(self):
+        """The backward pass goes through BP's runner: one counted
+        ``bp.messages{kind=update}`` per forest edge."""
         registry = MetricsRegistry()
         ctx = ExecutionContext({}, SUM_PRODUCT, metrics=registry)
-        cache = build_ve_cache(
-            _chain_relations(self.CHAIN), SUM_PRODUCT, context=ctx
-        )
-        tables = {
-            name: _result_bytes(rel) for name, rel in cache.tables.items()
-        }
-        return tables, _structural(registry)
-
-    def test_calibration_messages_are_bp_units(self, reference, tmp_path):
-        """The backward pass goes through BP's runner: one counted,
-        journaled ``bp.step`` unit per forest edge."""
-        _tables, counters = reference
+        build_ve_cache(_chain_relations(self.CHAIN), SUM_PRODUCT, context=ctx)
+        counters = _structural(registry)
         assert counters["bp.messages{kind=update}"]["value"] == self.CHAIN
-        wal = WriteAheadLog(wal_path(str(tmp_path)))
-        try:
-            build_ve_cache(
-                _chain_relations(3), SUM_PRODUCT, journal=StepJournal(wal=wal)
-            )
-        finally:
-            wal.close()
-        steps = RecoveryManager(str(tmp_path)).recover().steps
-        assert [k for k in steps if not k.startswith("vecache.step:")] == [
-            "bp.step:0:t3<t4:update",
-            "bp.step:1:t2<t3:update",
-            "bp.step:2:t1<t2:update",
-        ]
-
-    @pytest.mark.parametrize("point", CRASH_POINTS)
-    def test_vecache_workload_resumes_identically(
-        self, tmp_path, point, reference
-    ):
-        ref_tables, ref_counters = reference
-        directory = str(tmp_path)
-        relations = _chain_relations(self.CHAIN)
-        crash = Faults().target(point, "crash", after=30)
-        registry = MetricsRegistry()
-        db = Database(metrics=registry)
-        wal = WriteAheadLog(wal_path(directory), faults=crash,
-                            metrics=registry)
-        checkpointer = CheckpointManager(directory, wal=wal,
-                                         metrics=registry)
-        ctx = ExecutionContext({}, SUM_PRODUCT, metrics=registry)
-        journal = StepJournal(
-            wal=wal, checkpointer=checkpointer, checkpoint_db=db,
-            checkpoint_every=25,
-        )
-        crashed = False
-        cache = None
-        try:
-            cache = build_ve_cache(
-                relations, SUM_PRODUCT, context=ctx, journal=journal
-            )
-        except InjectedCrash:
-            crashed = True
-        finally:
-            wal.close()
-
-        if crashed:
-            manager = RecoveryManager(directory)
-            state = manager.recover()
-            # Never replays more work than the WAL records.
-            assert state.replayed_records <= len(state.wal.records)
-            registry2 = state.registry
-            wal2 = WriteAheadLog(wal_path(directory), metrics=registry2)
-            ctx2 = ExecutionContext({}, SUM_PRODUCT, metrics=registry2)
-            journal2 = StepJournal(wal=wal2, recovered=state.steps)
-            try:
-                cache = build_ve_cache(
-                    relations, SUM_PRODUCT, context=ctx2,
-                    journal=journal2,
-                )
-            finally:
-                wal2.close()
-            assert journal2.skipped == len(state.steps)
-            snap = registry2.snapshot().to_dict()
-            skipped_entry = snap.get(
-                "checkpoint.steps_skipped{unit=step}", {"value": 0}
-            )
-            assert skipped_entry["value"] == journal2.skipped
-            final_registry = registry2
-        else:
-            final_registry = registry
-
-        got = {
-            name: _result_bytes(rel) for name, rel in cache.tables.items()
-        }
-        assert got == ref_tables
-        assert _structural(final_registry) == ref_counters
-
-
-# ----------------------------------------------------------------------
-# BP and junction-tree journal hooks
-# ----------------------------------------------------------------------
-def _bp_relations():
-    rng = np.random.default_rng(13)
-    a, b, c, d = var("a", 3), var("b", 3), var("c", 3), var("d", 3)
-    return [
-        complete_relation([a, b], rng=rng, name="t_ab"),
-        complete_relation([b, c], rng=rng, name="t_bc"),
-        complete_relation([c, d], rng=rng, name="t_cd"),
-    ]
-
-
-class TestBPJournal:
-    def test_bp_resumes_with_identical_messages(self, tmp_path):
-        ref_registry = MetricsRegistry()
-        ref = belief_propagation(
-            _bp_relations(), SUM_PRODUCT,
-            context=ExecutionContext({}, SUM_PRODUCT,
-                                     metrics=ref_registry),
-        )
-        ref_bytes = {n: _result_bytes(r) for n, r in ref.tables.items()}
-
-        directory = str(tmp_path)
-        registry = MetricsRegistry()
-        wal = WriteAheadLog(
-            wal_path(directory),
-            faults=Faults().target("workload.step", "crash", after=2),
-            metrics=registry,
-        )
-        journal = StepJournal(wal=wal)
-        with pytest.raises(InjectedCrash):
-            belief_propagation(
-                _bp_relations(), SUM_PRODUCT,
-                context=ExecutionContext({}, SUM_PRODUCT,
-                                         metrics=registry),
-                journal=journal,
-            )
-        wal.close()
-
-        state = RecoveryManager(directory).recover()
-        assert len(state.steps) == 2
-        wal2 = WriteAheadLog(wal_path(directory), metrics=state.registry)
-        result = belief_propagation(
-            _bp_relations(), SUM_PRODUCT,
-            context=ExecutionContext({}, SUM_PRODUCT,
-                                     metrics=state.registry),
-            journal=StepJournal(wal=wal2, recovered=state.steps),
-        )
-        wal2.close()
-        got = {n: _result_bytes(r) for n, r in result.tables.items()}
-        assert got == ref_bytes
-        assert _structural(state.registry) == _structural(ref_registry)
-
-    def test_junction_tree_resumes_identically(self, tmp_path):
-        rng = np.random.default_rng(17)
-        a, b, c, d = var("a", 3), var("b", 3), var("c", 3), var("d", 3)
-        # A 4-cycle: triangulation yields two maximal cliques, so the
-        # crash fires between the two clique materializations.
-        relations = [
-            complete_relation([a, b], rng=rng, name="u_ab"),
-            complete_relation([b, c], rng=rng, name="u_bc"),
-            complete_relation([c, d], rng=rng, name="u_cd"),
-            complete_relation([a, d], rng=rng, name="u_ad"),
-        ]
-        ref_registry = MetricsRegistry()
-        ref = build_junction_tree(
-            relations, SUM_PRODUCT,
-            context=ExecutionContext({}, SUM_PRODUCT,
-                                     metrics=ref_registry),
-        )
-        ref_bytes = {n: _result_bytes(r) for n, r in ref.cliques.items()}
-
-        directory = str(tmp_path)
-        registry = MetricsRegistry()
-        wal = WriteAheadLog(
-            wal_path(directory),
-            faults=Faults().target("workload.step", "crash", after=1),
-            metrics=registry,
-        )
-        with pytest.raises(InjectedCrash):
-            build_junction_tree(
-                relations, SUM_PRODUCT,
-                context=ExecutionContext({}, SUM_PRODUCT,
-                                         metrics=registry),
-                journal=StepJournal(wal=wal),
-            )
-        wal.close()
-
-        state = RecoveryManager(directory).recover()
-        wal2 = WriteAheadLog(wal_path(directory), metrics=state.registry)
-        rebuilt = build_junction_tree(
-            relations, SUM_PRODUCT,
-            context=ExecutionContext({}, SUM_PRODUCT,
-                                     metrics=state.registry),
-            journal=StepJournal(wal=wal2, recovered=state.steps),
-        )
-        wal2.close()
-        got = {n: _result_bytes(r) for n, r in rebuilt.cliques.items()}
-        assert got == ref_bytes
-        assert _structural(state.registry) == _structural(ref_registry)
+        assert counters["vecache.steps"]["value"] == self.CHAIN + 1
 
 
 class TestRecoveryErrorFamily:

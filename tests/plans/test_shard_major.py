@@ -35,6 +35,7 @@ from repro.data import FunctionalRelation, var
 from repro.obs.metrics import MetricsRegistry
 from repro.plans import runtime
 from repro.plans.nodes import FilterScan, GroupBy, ProductJoin, Scan, Select
+from repro.plans.serialize import plan_to_dict
 from repro.query import MPFQuery, MPFView
 from repro.semiring import ALL_SEMIRINGS, SUM_PRODUCT
 from repro.storage.partition import (
@@ -689,8 +690,8 @@ class TestSeededEntries:
             _batch(db, relations, queries, semiring, strategy)
         (ran,) = contexts
         seeded = runtime.ExecutionContext(db.catalog, semiring)
-        for plan, relation in ran.memo_entries():
-            seeded.seed_memo(plan, relation)
+        for key, node in ran._memo_nodes.items():
+            seeded.seed_memo(plan_to_dict(node), ran.memo[key])
         assert seeded.shard_results.keys() == ran.shard_results.keys()
         for key, sharded in ran.shard_results.items():
             again = seeded.shard_results[key]

@@ -32,7 +32,6 @@ from repro.storage import (
     encode_unit,
     wal_path,
 )
-from repro.storage.wal import WAL_QUERY
 
 
 def _snapshot_bytes(relation):
@@ -126,10 +125,11 @@ class TestCheckpointRestore:
             SUM_PRODUCT,
             metrics=db.metrics,
         )
-        (result,) = evaluate_dag(lower(plan), ctx)
+        dag = lower(plan)
+        (result,) = evaluate_dag(dag, ctx)
 
         manager = CheckpointManager(directory)
-        manager.checkpoint(db, context=ctx)
+        manager.checkpoint(db, context=ctx, dag=dag, roots=dag.roots)
 
         state = RecoveryManager(directory).recover()
         fresh = ExecutionContext(
@@ -231,12 +231,8 @@ class TestCorruptCheckpoints:
 
 
 def _unit_round_trip(relation):
-    """A relation through a WAL unit record, as result and as table."""
-    unit = decode_unit(
-        encode_unit("k", "ok", tables={"t": relation}, result=relation)
-    )
-    assert _identical(unit["tables"]["t"], unit["result"])
-    return unit["result"]
+    """A relation through a WAL unit record, as its result."""
+    return decode_unit(encode_unit("k", "ok", result=relation))["result"]
 
 
 def _identical(left, right) -> bool:
@@ -334,7 +330,7 @@ class TestUnitRecordCodec:
             entry["measure"] = rel.measure.tolist()
 
         with WriteAheadLog(wal_path(str(tmp_path))) as wal:
-            wal.log_unit(WAL_QUERY, self._record(as_lists))
+            wal.log_unit(self._record(as_lists))
         with pytest.raises(RecoveryError):
             RecoveryManager(str(tmp_path)).recover()
 

@@ -195,7 +195,7 @@ def test_an_unarmed_site_keeps_the_bulk_paths(tmp_path, monkeypatch):
 
     monkeypatch.setattr(BufferPool, "read", per_page)
     monkeypatch.setattr(WriteAheadLog, "log_page", per_page)
-    faults = Faults(3).rate("workload.step", "crash", 0.5)
+    faults = Faults(3).rate("checkpoint.pages", "crash", 0.5)
     faults.target("batch.query", "crash", after=5)
     with WriteAheadLog(str(tmp_path / "wal.log"), faults=faults) as wal:
         pool = BufferPool(8, faults=faults, wal=wal)

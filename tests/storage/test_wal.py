@@ -1,6 +1,7 @@
 """Write-ahead log: framing, torn tails, crash injection."""
 
 import struct
+import zlib
 
 import pytest
 
@@ -17,7 +18,12 @@ from repro.storage import (
     replay_wal,
     wal_path,
 )
-from repro.storage.wal import WAL_CHECKPOINT, WAL_PAGE, WAL_QUERY, WAL_STEP
+from repro.storage.wal import (
+    WAL_CHECKPOINT,
+    WAL_PAGE,
+    WAL_QUERY,
+    encode_record,
+)
 
 
 class TestRecordRoundTrip:
@@ -26,12 +32,11 @@ class TestRecordRoundTrip:
         with WriteAheadLog(path) as wal:
             wal.log_page(PageId(3, 7))
             wal.log_checkpoint("chk-00000001.ckpt")
-            wal.log_unit(WAL_QUERY, '{"key": "q"}')
-            wal.log_unit(WAL_STEP, '{"key": "s"}')
+            wal.log_unit('{"key": "q"}')
         replay = replay_wal(path)
         assert not replay.torn_tail
         kinds = [r.kind for r in replay.records]
-        assert kinds == [WAL_PAGE, WAL_CHECKPOINT, WAL_QUERY, WAL_STEP]
+        assert kinds == [WAL_PAGE, WAL_CHECKPOINT, WAL_QUERY]
         assert replay.records[0].page_id() == PageId(3, 7)
         assert replay.records[1].text() == "chk-00000001.ckpt"
         assert replay.records[2].text() == '{"key": "q"}'
@@ -57,10 +62,25 @@ class TestRecordRoundTrip:
             wal.log_page(PageId(1, 1))
         assert len(replay_wal(path).records) == 2
 
-    def test_unit_kind_is_validated(self, tmp_path):
-        with WriteAheadLog(wal_path(str(tmp_path))) as wal:
-            with pytest.raises(StorageError):
-                wal.log_unit(WAL_PAGE, "nope")
+    def test_retired_step_kind_is_a_torn_tail(self, tmp_path):
+        # Kind 4 held workload-step records.  It is retired, not
+        # reused: it cannot be written, and a log holding one replays
+        # up to it.
+        with pytest.raises(StorageError, match="unknown WAL record kind 4"):
+            encode_record(4, b'{"key": "s"}')
+        path = wal_path(str(tmp_path))
+        with WriteAheadLog(path) as wal:
+            wal.log_unit('{"key": "q"}')
+            tear_at = wal.position
+        step = struct.Struct("<BBII").pack(0xA5, 4, 2, zlib.crc32(b"{}"))
+        with open(path, "ab") as fh:
+            fh.write(step + b"{}")
+        with WriteAheadLog(path) as wal:
+            wal.log_unit('{"key": "r"}')
+        replay = replay_wal(path)
+        assert replay.torn_tail
+        assert [r.text() for r in replay.records] == ['{"key": "q"}']
+        assert replay.valid_bytes == tear_at
 
 
 class TestDegenerateLogs:
@@ -82,7 +102,7 @@ class TestTornTails:
         with WriteAheadLog(path) as wal:
             wal.log_page(PageId(1, 0))
             tear_at = wal.position
-            wal.log_unit(WAL_QUERY, '{"key": "q"}')
+            wal.log_unit('{"key": "q"}')
         return path, tear_at
 
     def test_truncated_tail_is_discarded_not_fatal(self, tmp_path):

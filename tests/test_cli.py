@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import (
+    EXIT_CRASH,
     EXIT_OVERLOAD,
     EXIT_QUERY,
     EXIT_RESOURCE,
@@ -10,6 +11,7 @@ from repro.cli import (
     exit_code_for,
     main,
 )
+from repro.storage import CRASH_POINTS
 
 
 class TestDemo:
@@ -285,6 +287,28 @@ class TestSql:
         )
         assert rc == 0
         assert "created" in capsys.readouterr().out
+
+
+class TestCrashPoints:
+    """Every registered crash point lies on the ``repro sql`` path: a
+    crash there ends the run with the dedicated crash code."""
+
+    Q1 = "select cid, sum(inv) from invest group by cid"
+    Q2 = "select wid, sum(inv) from invest group by wid"
+
+    def _crash(self, tmp_path, *flags):
+        return main([
+            "sql", "--scale", "0.004", "--checkpoint-dir", str(tmp_path),
+            *flags, "-c", self.Q1, "-c", self.Q2,
+        ])
+
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    def test_every_crash_point_fires(self, tmp_path, point):
+        assert self._crash(tmp_path, "--crash-at", point) == EXIT_CRASH
+
+    def test_seeded_crash_fires(self, tmp_path):
+        rc = self._crash(tmp_path, "--seed", "0", "--crash-at", "seeded")
+        assert rc == EXIT_CRASH
 
 
 class TestExperiments:
