@@ -9,6 +9,9 @@ reporter's metrics registry) under ``benchmarks/out/`` at interpreter
 exit — so ``pytest benchmarks/ --benchmark-only`` leaves the
 reproduced tables/figures on disk regardless of output capturing, and
 CI can validate every ``*.json`` with ``python -m repro.obs.validate``.
+The JSON depends on the code alone; the gated suites' documents are
+committed as ``BENCH_<suite>.json`` and compared byte for byte by
+``tests/test_bench_goldens.py``.
 """
 
 from __future__ import annotations
@@ -90,16 +93,10 @@ class TableReporter:
             writer.writerow(self.columns)
             writer.writerows(self.rows)
         from repro.obs.export import bench_document
-        from repro.obs.history import current_git_sha
 
-        # Provenance for the benchmark-history store: the suite name
-        # keys the BENCH_<suite>.json file and the sha ties each run
-        # to the commit that produced it.
         doc = bench_document(
             self.name, self.title, self.columns, self.rows,
             metrics=self._metrics,
-            git_sha=current_git_sha(Path(__file__).parent),
-            suite=self.name,
         )
         (OUT_DIR / f"{self.name}.json").write_text(
             json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n"

@@ -27,8 +27,8 @@ over 2e5 rows at 2 to 1e5 groups: a scatter by the row→group inverse
 sorted order (the path it no longer has), on the semirings whose
 ``plus`` has a ``reduceat``.
 
-Unlike the gated suites this one reads the machine's clock, so it is
-not part of the perf gate: every cell is a median of repeats, with a
+Unlike the gated suites this one reads the machine's clock, so it has
+no committed golden: every cell is a median of repeats, with a
 cold group-index cache unless the column says warm.  The span/n = 100
 rows at n = 1e6 force a table over 1e8 slots through the counting path
 and need ~3 GB.

@@ -8,8 +8,8 @@ load levels — saturating and light — and records the admission
 outcome split, the simulated makespan, and the plan-cache hit count.
 
 Everything runs on the virtual cost clock, so every recorded cell is
-a pure function of the seeds: drift caught by the perf gate is a real
-admission/planner/runtime change, not scheduler noise.
+a pure function of the seeds: a diff against ``BENCH_serving.json``
+is a real admission/planner/runtime change, not scheduler noise.
 """
 
 from __future__ import annotations

@@ -852,7 +852,8 @@ def build_parser() -> argparse.ArgumentParser:
     sql.add_argument("--crash-at", default=None, metavar="POINT[:N]",
                      help="inject a crash at a named point (after N "
                           "earlier hits), or 'seeded' to derive the "
-                          "point from --seed; exits with code 8")
+                          "point from --seed (its first hit); exits "
+                          "with code 8")
     sql.add_argument("--fault-transient-rate", type=float, default=0.0,
                      metavar="P",
                      help="seeded per-page transient fault probability")

@@ -60,11 +60,6 @@ from repro.obs.calib import (
     q_error,
 )
 
-# repro.obs.history is deliberately NOT imported here: it is a
-# ``python -m repro.obs.history`` entry point, and importing it from
-# the package __init__ would trigger runpy's double-import warning.
-# Import it directly: ``from repro.obs.history import ...``.
-
 __all__ = [
     "Counter",
     "Gauge",

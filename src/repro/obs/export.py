@@ -1,6 +1,6 @@
 """Structured exporters and their schemas.
 
-Five JSON document shapes, each carrying an explicit ``schema`` tag
+Four JSON document shapes, each carrying an explicit ``schema`` tag
 and validated strictly (unknown or missing keys fail — the CI
 benchmark-smoke job depends on that).  :data:`SCHEMAS` is the one
 definition of each shape: a table entry per tag, walked by one checker
@@ -25,10 +25,7 @@ path in a single :class:`ValueError`.
 
 * **bench document** (:data:`BENCH_SCHEMA`) — one reproduced paper
   table/figure with its rows *and* an embedded metrics document, so
-  ``benchmarks/out/*.json`` trajectories are self-describing.
-
-* **bench-history document** (:data:`HISTORY_SCHEMA`) — one benchmark
-  suite's run trajectory (:mod:`repro.obs.history`).
+  ``benchmarks/out/*.json`` tables are self-describing.
 
 * **trace document** (:data:`TRACE_SCHEMA`) — served requests' span
   trees and server events (:func:`repro.obs.trace.trace_document`).
@@ -58,7 +55,6 @@ __all__ = [
     "METRICS_SCHEMA",
     "EXPLAIN_SCHEMA",
     "BENCH_SCHEMA",
-    "HISTORY_SCHEMA",
     "TRACE_SCHEMA",
     "SCHEMAS",
     "METRIC_CATALOG",
@@ -74,14 +70,12 @@ __all__ = [
     "validate_metrics_document",
     "validate_explain_document",
     "validate_bench_document",
-    "validate_history_document",
     "validate_trace_document",
 ]
 
 METRICS_SCHEMA = "repro.metrics.v1"
 EXPLAIN_SCHEMA = "repro.explain.v1"
 BENCH_SCHEMA = "repro.bench.v1"
-HISTORY_SCHEMA = "repro.bench_history.v1"
 
 # The typed load-shedding vocabulary: every shed outcome — the
 # ``serve.shed`` counter's ``reason`` label, an OverloadError's
@@ -369,16 +363,13 @@ def bench_document(
     columns: Sequence[str],
     rows: Sequence[Sequence],
     metrics: MetricsRegistry | MetricsSnapshot | None = None,
-    git_sha: str | None = None,
-    suite: str | None = None,
 ) -> dict:
     """Self-describing benchmark table with embedded metrics.
 
-    ``git_sha`` and ``suite`` stamp provenance into the document so
-    the benchmark-history store (:mod:`repro.obs.history`) can record
-    which commit produced each run without out-of-band bookkeeping.
+    A pure function of its arguments: no commit, host or time stamp,
+    so a suite's document can be committed as a byte-exact golden.
     """
-    doc = {
+    return {
         "schema": BENCH_SCHEMA,
         "name": name,
         "title": title,
@@ -389,11 +380,6 @@ def bench_document(
             name=name,
         ),
     }
-    if git_sha is not None:
-        doc["git_sha"] = git_sha
-    if suite is not None:
-        doc["suite"] = suite
-    return doc
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +405,6 @@ class Obj(NamedTuple):  # an object; ``rest`` shapes any other key
 class ListOf(NamedTuple):
     item: Any = ANY
     length: int | None = None
-    nonempty: bool = False
 
 
 class Number(NamedTuple):
@@ -468,19 +453,11 @@ def _in_the_catalog(metrics) -> Problems:
 
 
 def _rows_match_columns(doc) -> Problems:
-    """A bench table's rows, or every history run's, fit the columns."""
+    """A bench table's rows fit its columns."""
     width = len(doc["columns"])
-    tables = enumerate(doc["runs"]) if "runs" in doc else [(None, doc)]
-    for run, table in tables:
-        for i, row in enumerate(table["rows"]):
-            if len(row) != width:
-                at = ("rows", i) if run is None else ("runs", run, "rows", i)
-                yield at, f"{len(row)} cells for {width} columns"
-
-
-def _baseline_has_no_delta(doc) -> Problems:
-    if doc["runs"][0]["metrics_delta"] is not None:
-        yield ("runs", 0), "baseline run cannot carry a delta"
+    for i, row in enumerate(doc["rows"]):
+        if len(row) != width:
+            yield ("rows", i), f"{len(row)} cells for {width} columns"
 
 
 def _q_error_iff_actual(node) -> Problems:
@@ -592,19 +569,7 @@ SCHEMAS: dict[str, Obj] = {
             "columns": ListOf(), "rows": ListOf(ListOf()),
             "metrics": METRICS_SCHEMA,
         },
-        _keys("git_sha suite"),
         rules=(_rows_match_columns,),
-    ),
-    HISTORY_SCHEMA: Obj(
-        {
-            "schema": frozenset({HISTORY_SCHEMA}), **_keys("suite title"),
-            "columns": ListOf(),
-            "runs": ListOf(Obj({
-                **_keys("run_id git_sha metrics metrics_delta"),
-                "rows": ListOf(ListOf()),
-            }), nonempty=True),
-        },
-        rules=(_rows_match_columns, _baseline_has_no_delta),
     ),
     TRACE_SCHEMA: Obj({
         "schema": frozenset({TRACE_SCHEMA}),
@@ -684,8 +649,6 @@ def _problems(shape, doc) -> list[str]:
                 continue
             if shape.length is not None and len(value) != shape.length:
                 report(path, f"expected {shape.length} items, got {len(value)}")
-            if shape.nonempty and not value:
-                report(path, "expected a non-empty list")
             for i in reversed(range(len(value))):
                 stack.append((shape.item, value[i], (path, i)))
         elif not isinstance(value, Mapping):
@@ -737,5 +700,4 @@ def validate_document(doc) -> str:
 validate_metrics_document = partial(_check, METRICS_SCHEMA)
 validate_explain_document = partial(_check, EXPLAIN_SCHEMA)
 validate_bench_document = partial(_check, BENCH_SCHEMA)
-validate_history_document = partial(_check, HISTORY_SCHEMA)
 validate_trace_document = partial(_check, TRACE_SCHEMA)

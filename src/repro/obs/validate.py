@@ -1,16 +1,16 @@
 """Schema validation entry point: ``python -m repro.obs.validate``.
 
 Validates observability JSON documents (metrics, explain, bench,
-calibration, bench-history, trace — each against the ``SCHEMAS`` entry
-its ``schema`` tag names) read from file arguments or stdin (``-``).
+trace — each against the ``SCHEMAS`` entry its ``schema`` tag names)
+read from file arguments or stdin (``-``).
 With ``--text`` the inputs are instead Prometheus-style text
 expositions (the CLI's ``--metrics-text`` output), checked line by line
 against METRIC_CATALOG.  Every input is checked; a malformed one prints
 an ``INVALID`` line and makes the exit status 1.  The CI
 benchmark-smoke job runs this over ``benchmarks/out/*.json``, the CLI's
 ``--metrics-json``/``--metrics-text`` and ``--calibrate`` output, the
-serving soak's ``--trace-json`` stream, and the committed
-``BENCH_*.json`` baselines.
+serving soak's ``--trace-json`` stream, and a committed
+``BENCH_*.json`` golden.
 """
 
 from __future__ import annotations

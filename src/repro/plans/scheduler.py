@@ -13,7 +13,7 @@ Two pieces, deliberately decoupled:
   max over parallel shards, sum along dependency chains.  It is
   reported separately from :meth:`IOStats.elapsed` (which stays the
   plain serial sum), so calibration, Q-error attribution, and the
-  perf gate keep their existing clock untouched.
+  benchmark goldens keep their existing clock untouched.
 
 * :class:`OrderedPool` — the *dispatch* side.  The per-shard tasks of
   one sharded operator run in shard order on the calling thread.  Execution order — and therefore every counter,

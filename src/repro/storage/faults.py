@@ -212,11 +212,10 @@ class Faults:
         return self
 
     def target_seeded(self, sites, kind: str) -> "Faults":
-        """Target the ``after``-th reach of one of ``sites``, both picked
-        by ``random.Random(seed)`` (``after`` below 3)."""
-        rng = random.Random(self.seed)
-        site = rng.choice(list(sites))
-        return self.target(site, kind, after=rng.randrange(3))
+        """Target the first reach of one of ``sites``, picked by
+        ``random.Random(seed)``: every site a run reaches at all fires."""
+        site = random.Random(self.seed).choice(list(sites))
+        return self.target(site, kind)
 
     def heal(self) -> None:
         """Clear every target and attempt history; rates stay."""

@@ -34,17 +34,11 @@ __all__ = [
 def encode_unit(
     key: str, status: str, result=None, error=None, delta=None
 ) -> str:
-    """JSON text for one completed unit (deterministic key order).
-
-    ``tables`` is always null: it held the outputs of the retired
-    workload-step records and stays so that query records keep their
-    bytes.
-    """
+    """JSON text for one completed unit (deterministic key order)."""
     return json.dumps(
         {
             "key": key,
             "status": status,
-            "tables": None,
             "result": relation_to_dict(result) if result is not None else None,
             "error": (
                 {"type": type(error).__name__, "message": str(error)}

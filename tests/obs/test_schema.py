@@ -1,8 +1,8 @@
 """The observability document schemas: rule coverage and robustness.
 
 Every case starts from a real document the engine produces — a metrics
-snapshot, an ``EXPLAIN ANALYZE`` plan, a bench table, a serving trace
-and a benchmark history — and breaks exactly one rule of its schema.
+snapshot, an ``EXPLAIN ANALYZE`` plan, a bench table and a serving
+trace — and breaks exactly one rule of its schema.
 The ``calibration`` cases break the calibrated ANALYZE plan's
 estimate→actual join: its per-node ``actual`` / ``q_error`` /
 ``source`` and its ``calibration`` block with the plan-choice audit.  The checker must reject it
@@ -37,21 +37,18 @@ from repro.obs import (
     validate_metrics_document,
     validate_trace_document,
 )
-from repro.obs import history
-from repro.obs.history import HISTORY_SCHEMA, ingest_document, load_history
 from repro.obs.validate import main as validate_main
 from repro.obs.validate import validate_document
 from repro.serve import ServeRequest, ServingRuntime, TenantSpec, VirtualClock
 
 REPO = Path(__file__).parents[2]
-COMMITTED_HISTORIES = sorted(REPO.glob("BENCH_*.json"))
+COMMITTED_GOLDENS = sorted(REPO.glob("BENCH_*.json"))
 
 VALIDATORS = {
     "metrics": validate_metrics_document,
     "explain": validate_explain_document,
     "bench": validate_bench_document,
     "calibration": validate_explain_document,
-    "history": history.validate_history_document,
     "trace": validate_trace_document,
 }
 TAGS = {
@@ -59,7 +56,6 @@ TAGS = {
     "explain": EXPLAIN_SCHEMA,
     "bench": BENCH_SCHEMA,
     "calibration": EXPLAIN_SCHEMA,
-    "history": HISTORY_SCHEMA,
     "trace": TRACE_SCHEMA,
 }
 HISTOGRAM = "query.operator_elapsed"
@@ -67,7 +63,7 @@ COUNTER = "queries.total{status=ok}"
 
 
 @pytest.fixture(scope="module")
-def documents(tmp_path_factory):
+def documents():
     """One real document of each shape, produced by the engine."""
     clock = VirtualClock()
     db = _build_database(0.004, 7, clock=clock)
@@ -99,17 +95,12 @@ def documents(tmp_path_factory):
     bench = bench_document(
         "schema_demo", "Schema demo", ["query", "page_reads"],
         [["q1", 10], ["q2", 12]], metrics=db.metrics,
-        git_sha="0" * 40, suite="schema_demo",
     )
-    history_dir = tmp_path_factory.mktemp("history")
-    ingest_document(bench, history_dir=history_dir, run_id="base")
-    path = ingest_document(bench, history_dir=history_dir, run_id="next")
     docs = {
         "metrics": db.metrics_document(name="schema-demo"),
         "explain": report.to_explain_dict(),
         "bench": bench,
         "calibration": report.to_explain_dict(),
-        "history": load_history(path),
         "trace": tracer.document(name="schema-demo"),
     }
     # The cases below rely on these features of the real documents.
@@ -120,7 +111,6 @@ def documents(tmp_path_factory):
     assert docs["calibration"]["calibration"]["dominant"] is not None
     assert docs["calibration"]["calibration"]["audit"] is not None
     assert "source" in docs["calibration"]["plan"]
-    assert len(docs["history"]["runs"]) == 2
     statuses = [r["status"] for r in docs["trace"]["requests"]]
     assert statuses[:2] == ["ok", "shed"]
     assert docs["trace"]["events"]
@@ -201,11 +191,6 @@ def _end_before_start(doc):
 
 def _break_row_width(doc):
     doc["rows"][0].append(1)
-    return doc
-
-
-def _break_history_row_width(doc):
-    doc["runs"][1]["rows"][0].append(1)
     return doc
 
 
@@ -363,23 +348,6 @@ RULES = [
      ["audit.candidates[0]", "unknown keys"]),
     ("calibration", "plan-regret-below-one",
      put("calibration", "audit", "plan_regret", 0.9), ["plan_regret"]),
-    # repro.bench_history.v1
-    ("history", "unknown-top-key", put("extra", True), ["unknown keys"]),
-    ("history", "missing-top-key", drop("title"), ["missing keys"]),
-    ("history", "wrong-schema", put("schema", BENCH_SCHEMA), ["schema"]),
-    ("history", "columns-not-list", put("columns", {}), ["columns"]),
-    ("history", "runs-empty", put("runs", []), ["runs"]),
-    ("history", "runs-not-list", put("runs", {}), ["runs"]),
-    ("history", "run-not-object", put("runs", 1, 3), ["runs[1]"]),
-    ("history", "run-unknown-key", put("runs", 1, "x", 1), ["runs[1]"]),
-    ("history", "run-missing-key", drop("runs", 1, "git_sha"),
-     ["runs[1]"]),
-    ("history", "run-rows-not-list", put("runs", 1, "rows", {}),
-     ["runs[1]", "rows"]),
-    ("history", "run-row-width", _break_history_row_width,
-     ["runs[1]", "rows"]),
-    ("history", "delta-on-baseline", put("runs", 0, "metrics_delta", {}),
-     ["runs[0]", "baseline"]),
     # repro.trace.v1
     ("trace", "unknown-top-key", put("extra", 1), ["unknown keys"]),
     ("trace", "missing-top-key", drop("clock"), ["missing keys"]),
@@ -451,15 +419,6 @@ def test_real_documents_pass(documents, kind):
     assert validate_document(documents[kind]) == TAGS[kind]
 
 
-@pytest.mark.parametrize(
-    "path", COMMITTED_HISTORIES, ids=[p.name for p in COMMITTED_HISTORIES]
-)
-def test_committed_histories_validate(path):
-    assert COMMITTED_HISTORIES
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert validate_document(doc) == HISTORY_SCHEMA
-
-
 # ----------------------------------------------------------------------
 # Wrong types are ValueErrors, not TypeErrors
 # ----------------------------------------------------------------------
@@ -474,7 +433,6 @@ TYPE_ERROR_INPUTS = [
      put("metrics", HISTOGRAM, "counts", 3)),
     ("calibration-source-list", "calibration",
      put("plan", "source", ["exact"])),
-    ("history-columns-int", "history", put("columns", 3)),
     ("metric-kind-list", "bench",
      put("metrics", "metrics", "bench.rows", "kind", ["counter"])),
 ]
@@ -493,12 +451,12 @@ def test_wrong_types_raise_value_error(documents, kind, mutate):
 def test_validate_cli_reports_and_continues(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": ["x"]}))
-    good = COMMITTED_HISTORIES[0]
+    good = COMMITTED_GOLDENS[0]
     assert validate_main([str(bad), str(good)]) == 1
     captured = capsys.readouterr()
     assert captured.err.count("INVALID") == 1
     assert f"{bad}: INVALID" in captured.err
-    assert f"{good}: ok ({HISTORY_SCHEMA})" in captured.out
+    assert f"{good}: ok ({BENCH_SCHEMA})" in captured.out
 
 
 def test_validate_cli_closes_its_files(documents, tmp_path):
@@ -508,19 +466,6 @@ def test_validate_cli_closes_its_files(documents, tmp_path):
         warnings.simplefilter("always")
         assert validate_main([str(path)]) == 0
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-
-
-def test_history_ingest_skips_non_bench_json(documents, tmp_path, capsys):
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / "array.json").write_text("[1, 2]")
-    (out / "other.json").write_text(json.dumps(documents["metrics"]))
-    (out / "demo.json").write_text(json.dumps(documents["bench"]))
-    assert history.main([
-        "ingest", "--out-dir", str(out), "--history-dir", str(tmp_path),
-    ]) == 0
-    assert "demo.json" in capsys.readouterr().out
-    assert (tmp_path / "BENCH_schema_demo.json").exists()
 
 
 # ----------------------------------------------------------------------

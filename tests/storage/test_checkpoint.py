@@ -300,6 +300,25 @@ class TestUnitRecordCodec:
         assert rebuilt.measure.tobytes() == rel.measure.tobytes()
         assert np.signbit(rebuilt.measure[1])
 
+    def test_record_holds_only_what_recovery_reads(self):
+        rel = complete_relation([var("a", 3)], rng=np.random.default_rng(1))
+        record = json.loads(encode_unit("k", "ok", result=rel, delta={}))
+        assert set(record) == {"key", "status", "result", "error", "delta"}
+
+    def test_record_with_a_null_tables_field_decodes_the_same(self):
+        # Records written before the field was dropped carried
+        # ``"tables": null``; their WALs must still replay.
+        rel = complete_relation([var("a", 3)], rng=np.random.default_rng(1))
+        text = encode_unit("k", "error", result=rel,
+                           error=RecoveryError("x"), delta={"d": 1})
+        older = json.dumps({**json.loads(text), "tables": None},
+                           sort_keys=True)
+        assert len(older) == len(text) + len(', "tables": null')
+        unit, old = decode_unit(text), decode_unit(older)
+        assert old.pop("tables") is None
+        assert _identical(old.pop("result"), unit.pop("result"))
+        assert old == unit
+
     def _record(self, mutate):
         rng = np.random.default_rng(6)
         rel = complete_relation([var("a", 5)], rng=rng, name="r")

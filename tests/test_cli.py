@@ -310,6 +310,13 @@ class TestCrashPoints:
         rc = self._crash(tmp_path, "--seed", "0", "--crash-at", "seeded")
         assert rc == EXIT_CRASH
 
+    @pytest.mark.parametrize("seed", range(1, 10))
+    def test_every_seed_crashes(self, tmp_path, seed):
+        # Two statements reach some points only twice: the seeded crash
+        # must target a reach the run is sure to make.  Seed 0 is above.
+        rc = self._crash(tmp_path, "--seed", str(seed), "--crash-at", "seeded")
+        assert rc == EXIT_CRASH
+
 
 class TestExperiments:
     def test_table2(self, capsys):
