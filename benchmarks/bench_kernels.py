@@ -21,6 +21,13 @@ gathered, then an index over the join), at match fractions from 1.0 to
 small``, times the same step on the few-row shapes of the planning-
 bound workloads, fused and as a plain join-then-GroupBy.
 
+A fifth, ``kernels_dense``, times the elimination step over complete
+tables — ``GroupBy(A(x, y) ⋈ B(y, z))`` summing ``y`` away — on the
+dense path (a broadcast product and a fold,
+:mod:`repro.algebra.dense`) and on the sparse kernels, from 16 to 2**20
+cells, and checks they return the same bytes under min and max.  It
+fixes ``repro.algebra.dense.DENSE_MAX_CELLS``.
+
 A fourth, ``kernels_aggregate``, times grouped aggregation two ways
 over 2e5 rows at 2 to 1e5 groups: a scatter by the row→group inverse
 (what ``Semiring.aggregate`` does) and a segment ``reduceat`` over the
@@ -45,14 +52,20 @@ import pytest
 
 from _harness import reporter
 
-from repro.algebra import join, marginalize, product_join
+from repro.algebra import dense, join, marginalize, product_join
 from repro.algebra.groupindex import (
     DEFAULT_GROUP_INDEX_CACHE,
     GroupIndex,
     GroupIndexCache,
 )
-from repro.data import FunctionalRelation, encoding, var
-from repro.semiring import BOOLEAN, LOG_PROB, MIN_PRODUCT, SUM_PRODUCT
+from repro.data import FunctionalRelation, complete_relation, encoding, var
+from repro.semiring import (
+    BOOLEAN,
+    LOG_PROB,
+    MAX_PRODUCT,
+    MIN_PRODUCT,
+    SUM_PRODUCT,
+)
 
 SIZES = (1_000, 100_000, 1_000_000)
 RATIOS = (0.01, 0.1, 1, 4, 16, 100)
@@ -139,7 +152,7 @@ def _same_bytes(a, b) -> bool:
 
 @pytest.mark.parametrize("ratio", RATIOS)
 @pytest.mark.parametrize("n", SIZES)
-def test_dense_vs_sort(benchmark, monkeypatch, n, ratio):
+def test_counting_vs_sort(benchmark, monkeypatch, n, ratio):
     span = max(2, round(n * ratio))
     fact, dimension = _fact_and_dimension(
         n, span, np.random.default_rng(SEED)
@@ -337,3 +350,58 @@ def test_aggregate_scatter_vs_segment(benchmark, groups):
         assert by_scatter.tobytes() == by_segment.tobytes()
         _AGGREGATE.add(semiring.name, index.n_groups, scatter_ms, segment_ms)
     benchmark.pedantic(scatter, rounds=3)
+
+
+# ----------------------------------------------------------------------
+# The elimination step over complete tables: dense or sparse
+# ----------------------------------------------------------------------
+DENSE_CELLS = tuple(1 << k for k in range(4, 21, 2))
+
+_DENSE = reporter(
+    "kernels_dense",
+    "GroupBy(A(x, y) join B(y, z)) summing y away over complete tables "
+    "— dense (broadcast times, fold) vs sparse kernels, median wall ms, "
+    "warm",
+    ["cells", "x", "y", "z", "agg", "dense_ms", "sparse_ms", "speedup"],
+)
+
+
+def _grid_sizes(cells: int) -> tuple[int, int, int]:
+    """Domain sizes of x, y and z, as even as powers of two go, whose
+    product is ``cells``."""
+    bits = cells.bit_length() - 1
+    parts = [bits // 3] * 3
+    for i in range(bits % 3):
+        parts[2 - i] += 1
+    return tuple(1 << p for p in parts)
+
+
+@pytest.mark.parametrize("cells", DENSE_CELLS)
+def test_dense_elimination(benchmark, monkeypatch, cells):
+    sizes = _grid_sizes(cells)
+    x, y, z = (var(n, s) for n, s in zip("xyz", sizes))
+    rng = np.random.default_rng(SEED)
+    a = complete_relation([x, y], rng=rng, low=0.5, high=1.5)
+    b = complete_relation([y, z], rng=rng, low=0.5, high=1.5)
+    repeats = 51 if cells <= 1 << 12 else 9 if cells <= 1 << 16 else 3
+    # Above the shipped bound the dense path runs only when raised.
+    monkeypatch.setattr(dense, "DENSE_MAX_CELLS", max(DENSE_CELLS))
+    for agg, semiring in (("sum", SUM_PRODUCT), ("min", MIN_PRODUCT),
+                          ("max", MAX_PRODUCT)):
+        def kernel():
+            return marginalize(
+                product_join(a, b, semiring), ("x", "z"), semiring
+            )
+        dense_ms, by_dense = _timed(kernel, repeats, cold=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(dense, "dense_form", lambda relation: None)
+            sparse_ms, by_sparse = _timed(kernel, repeats, cold=False)
+        assert isinstance(by_dense, dense.DenseRelation)
+        if agg == "sum":
+            assert np.allclose(by_dense.measure, by_sparse.measure,
+                               rtol=1e-12)
+        else:
+            assert _same_bytes(by_dense, by_sparse)
+        _DENSE.add(cells, *sizes, agg, dense_ms, sparse_ms,
+                   sparse_ms / dense_ms)
+    benchmark.pedantic(kernel, rounds=3)

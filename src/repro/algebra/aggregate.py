@@ -46,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.algebra import dense
 from repro.algebra.groupindex import GroupIndexCache, group_index
 from repro.algebra.join import PROBE_KEEP_FACTOR, _DeferredJoin
 from repro.data.relation import FunctionalRelation
@@ -85,7 +86,10 @@ def marginalize(
     by (shard, group) in one scatter and makes the result ``(partials,
     offsets)``: each shard's groups in key order, shard after shard,
     every measure folded in row order — the bytes of marginalizing each
-    shard on its own and stacking the results.  Grouping on nothing
+    shard on its own with the sparse kernels and stacking the results.
+    A sharded call never runs dense, so a grid-complete shard's answer
+    may differ from the dense one in row order and, on float sums, in
+    the last place.  Grouping on nothing
     gives one row per shard, empty shards included.
     """
     group_names = tuple(group_names)
@@ -100,14 +104,15 @@ def marginalize(
         return _marginalize_shards(
             relation, out_vars, semiring, name, cache, shards
         )
-
+    folded = dense.marginalize(relation, out_vars, semiring, name)
+    if folded is not None:
+        return folded
     if not group_names:
-        return FunctionalRelation(
+        return FunctionalRelation._trusted(
             out_vars,
             {},
             np.asarray([semiring.reduce(relation.measure)], dtype=semiring.dtype),
             name=name,
-            check_fd=False,
         )
     # Note: grouping on *all* variables is usually the identity (the FD
     # makes every row its own group), but callers may deliberately feed
@@ -145,8 +150,8 @@ def _marginalize_shards(relation, out_vars, semiring, name, cache, shards):
     )
     if not out_vars.names:
         measure = semiring.aggregate(relation.measure, shard_of_row, n_shards)
-        partials = FunctionalRelation(
-            out_vars, {}, measure, name=name, check_fd=False
+        partials = FunctionalRelation._trusted(
+            out_vars, {}, measure, name=name
         )
         return partials, np.arange(n_shards + 1, dtype=np.int64)
     source, rows = _group_rows(relation, out_vars.names)
@@ -158,8 +163,8 @@ def _marginalize_shards(relation, out_vars, semiring, name, cache, shards):
     measure = semiring.aggregate(relation.measure, ids, slots)[occupied]
     first_rows = gidx.first_idx[occupied % max(gidx.n_groups, 1)]
     columns = {n: source.columns[n][first_rows] for n in out_vars.names}
-    partials = FunctionalRelation(
-        out_vars, columns, measure, name=name, check_fd=False
+    partials = FunctionalRelation._trusted(
+        out_vars, columns, measure, name=name
     )
     bounds = np.arange(n_shards + 1, dtype=np.int64) * gidx.n_groups
     return partials, np.searchsorted(occupied, bounds)
@@ -182,9 +187,7 @@ def _aggregate(source, rows, measure, out_vars, semiring, name, cache):
         first_rows = gidx.first_idx[occupied]
         measure = semiring.aggregate(measure, ids, gidx.n_groups)[occupied]
     columns = {n: source.columns[n][first_rows] for n in out_vars.names}
-    return FunctionalRelation(
-        out_vars, columns, measure, name=name, check_fd=False
-    )
+    return FunctionalRelation._trusted(out_vars, columns, measure, name=name)
 
 
 def total(relation: FunctionalRelation, semiring: Semiring):

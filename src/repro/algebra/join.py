@@ -53,6 +53,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from repro.algebra import dense
 from repro.algebra.groupindex import GroupIndex, GroupIndexCache, group_index
 from repro.data.encoding import (
     _fits_mixed_radix,
@@ -60,7 +61,7 @@ from repro.data.encoding import (
     encode_rows_pair,
     is_dense_span,
 )
-from repro.data.relation import _FINGERPRINTS, FunctionalRelation
+from repro.data.relation import FunctionalRelation
 from repro.semiring.base import Semiring
 
 __all__ = ["product_join", "quotient_join", "join_match_indices"]
@@ -282,11 +283,9 @@ class _DeferredJoin(FunctionalRelation):
     __slots__ = ("_columns", "sources")
 
     def __init__(self, variables, measure, name, sources):
-        self.variables = variables
-        self.measure = np.asarray(measure)
-        self.name = name
-        self.measure_name = "f"
-        self._fingerprint = next(_FINGERPRINTS)
+        self._init(variables, np.asarray(measure), name, "f")
+        # Never held dense: checking would gather every column.
+        self._dense = None
         self.sources = sources
         self._columns = None
 
@@ -366,9 +365,13 @@ def _sources(relation, rows):
 def _combined_join(
     left: FunctionalRelation,
     right: FunctionalRelation,
+    semiring: Semiring,
     combine,
     name: str | None,
 ) -> FunctionalRelation:
+    joined = dense.join(left, right, semiring, combine, name)
+    if joined is not None:
+        return joined
     shared = left.variables.intersect(right.variables)
     out_vars = left.variables.union(right.variables)
     i_left, i_right, probe = _match_indices(
@@ -387,9 +390,7 @@ def _combined_join(
             _sources(*sides[0]) + _sources(*sides[1]),
         )
     columns = _gather_columns(out_vars, left, i_left, right, i_right)
-    return FunctionalRelation(
-        out_vars, columns, measure, name=name, check_fd=False
-    )
+    return FunctionalRelation._trusted(out_vars, columns, measure, name=name)
 
 
 def _sharded_join(left, right, combine, name, left_offsets, right_offsets):
@@ -443,8 +444,8 @@ def _sharded_join(left, right, combine, name, left_offsets, right_offsets):
         sources = _sources(right, _all_or(i_right, right)) + _sources(left, rows)
     else:
         columns = _gather_columns(out_vars, left, i_left, right, i_right)
-        result = FunctionalRelation(
-            out_vars, columns, measure, name=name, check_fd=False
+        result = FunctionalRelation._trusted(
+            out_vars, columns, measure, name=name
         )
         return result, offsets
     return _DeferredJoin(out_vars, measure, name, sources), offsets
@@ -531,12 +532,13 @@ def product_join(
     ``shards=(left_offsets, right_offsets)`` joins two inputs held
     shard-major and co-partitioned on a shared variable, and makes the
     result ``(relation, offsets)``: shard-major too, each shard's rows
-    exactly those of joining its two slices alone (see
-    :func:`_sharded_join`).
+    exactly those of joining its two slices alone with the sparse
+    kernels (see :func:`_sharded_join`); a sharded call never runs
+    dense.
     """
     if shards is not None:
         return _sharded_join(left, right, semiring.times, name, *shards)
-    return _combined_join(left, right, semiring.times, name)
+    return _combined_join(left, right, semiring, semiring.times, name)
 
 
 def quotient_join(
@@ -550,4 +552,4 @@ def quotient_join(
     Definition 6 uses this inside the update semijoin; it requires the
     semiring to support division.
     """
-    return _combined_join(left, right, semiring.divide, name)
+    return _combined_join(left, right, semiring, semiring.divide, name)

@@ -19,6 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.algebra import dense
 from repro.data.relation import FunctionalRelation
 from repro.errors import SchemaError
 
@@ -42,14 +43,20 @@ def restrict(
     order, so the result is shard-major too and ``offsets`` delimit
     each shard's survivors.
     """
-    mask = np.ones(relation.ntuples, dtype=bool)
+    codes = {}
     for var_name, value in predicate.items():
         if var_name not in relation.variables:
             raise SchemaError(
                 f"selection on unknown variable {var_name!r}; relation "
                 f"has {relation.var_names}"
             )
-        code = relation.variables[var_name].domain.code_of(value)
+        codes[var_name] = relation.variables[var_name].domain.code_of(value)
+    if shards is None:
+        selected = dense.restrict(relation, codes, name or relation.name)
+        if selected is not None:
+            return selected
+    mask = np.ones(relation.ntuples, dtype=bool)
+    for var_name, code in codes.items():
         mask &= relation.columns[var_name] == code
     rows = np.flatnonzero(mask)
     selected = relation.take(rows)

@@ -101,19 +101,22 @@ class VariableSet:
     """
 
     variables: tuple[Variable, ...] = field(default_factory=tuple)
+    # Derived once from ``variables``, neither compared nor hashed:
+    # the names in order, and each name's position.
+    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    positions: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise SchemaError(f"duplicate variable names in {names}")
+        names = tuple(v.name for v in self.variables)
+        positions = {name: i for i, name in enumerate(names)}
+        if len(positions) != len(names):
+            raise SchemaError(f"duplicate variable names in {list(names)}")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "positions", positions)
 
     @classmethod
     def of(cls, variables: Iterable[Variable]) -> "VariableSet":
         return cls(tuple(variables))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
 
     def __iter__(self):
         return iter(self.variables)
@@ -123,13 +126,16 @@ class VariableSet:
 
     def __contains__(self, item) -> bool:
         name = item.name if isinstance(item, Variable) else item
-        return any(v.name == name for v in self.variables)
+        try:
+            return name in self.positions
+        except TypeError:  # unhashable: names no variable
+            return False
 
     def __getitem__(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
+        try:
+            return self.variables[self.positions[name]]
+        except (KeyError, TypeError):
+            raise KeyError(name) from None
 
     def union(self, other: "VariableSet") -> "VariableSet":
         """Name-union preserving self's order, then other's new variables."""

@@ -54,12 +54,15 @@ class FunctionalRelation:
     check_fd:
         Validate the defining FD on construction.  On by default;
         operators that construct provably-FD-preserving outputs skip
-        the check.
+        the check.  It never skips the range check on the codes:
+        relations read from outside (files, generators) pass
+        ``check_fd=False`` too.  Outputs whose codes are in range by
+        construction go through :meth:`_trusted` instead.
     """
 
     __slots__ = (
         "variables", "columns", "measure", "name", "measure_name",
-        "_fingerprint",
+        "_fingerprint", "_dense",
     )
 
     def __init__(
@@ -73,11 +76,7 @@ class FunctionalRelation:
     ):
         if not isinstance(variables, VariableSet):
             variables = VariableSet.of(variables)
-        self.variables = variables
-        self.measure = np.asarray(measure)
-        self.name = name
-        self.measure_name = measure_name
-        self._fingerprint = next(_FINGERPRINTS)
+        self._init(variables, np.asarray(measure), name, measure_name)
 
         n = len(self.measure)
         coerced: dict[str, np.ndarray] = {}
@@ -102,6 +101,35 @@ class FunctionalRelation:
 
         if check_fd:
             self._validate_fd()
+
+    @classmethod
+    def _trusted(
+        cls,
+        variables: VariableSet,
+        columns: Mapping[str, np.ndarray],
+        measure: np.ndarray,
+        name: str | None = None,
+        measure_name: str = "f",
+    ) -> "FunctionalRelation":
+        """A relation from int64 columns that are in range and FD-valid
+        by construction — rows, groups or matches of relations that
+        passed the public constructor — so nothing is checked."""
+        relation = cls.__new__(cls)
+        relation._init(variables, measure, name, measure_name)
+        relation.columns = columns
+        return relation
+
+    def _init(self, variables, measure, name, measure_name) -> None:
+        """Set the slots every relation has but ``columns``, which each
+        constructor sets (or builds on first read) itself."""
+        self.variables = variables
+        self.measure = measure
+        self.name = name
+        self.measure_name = measure_name
+        self._fingerprint = next(_FINGERPRINTS)
+        # repro.algebra.dense's verdict on this instance: False until it
+        # is asked, then the dense form or None.
+        self._dense = False
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -306,13 +334,12 @@ class FunctionalRelation:
     # ------------------------------------------------------------------
     def take(self, indices: np.ndarray) -> "FunctionalRelation":
         """Row subset by positional indices (FD-preserving)."""
-        return FunctionalRelation(
+        return FunctionalRelation._trusted(
             self.variables,
             {n: self.columns[n][indices] for n in self.var_names},
             self.measure[indices],
             name=self.name,
             measure_name=self.measure_name,
-            check_fd=False,
         )
 
     def reorder(self, names: Sequence[str]) -> "FunctionalRelation":

@@ -139,11 +139,12 @@ METRIC_CATALOG: dict[str, str] = {
     "scheduler.workers": "gauge",
     "scheduler.serial_elapsed": "gauge",
     "scheduler.makespan": "gauge",
-    # kernel acceleration: group-index cache traffic of the executed
-    # operators (deltas of the process-wide cache, published per node;
-    # see docs/internals.md)
+    # kernel acceleration: group-index cache traffic and dense kernel
+    # runs of the executed operators (deltas of process-wide counts,
+    # published per node; see docs/internals.md)
     "kernel.groupindex_hits": "counter",
     "kernel.groupindex_misses": "counter",
+    "kernel.dense_ops": "counter",
     # cost-model calibration (labels: calib.q_error operator=<op>,
     # calib.misestimates source=<estimator step>)
     "calib.runs": "counter",

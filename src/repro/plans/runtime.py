@@ -40,6 +40,7 @@ from functools import partial
 from typing import Mapping, Protocol, Sequence
 
 from repro.algebra.aggregate import marginalize
+from repro.algebra.dense import dense_ops
 from repro.algebra.groupindex import DEFAULT_GROUP_INDEX_CACHE
 from repro.algebra.join import product_join
 from repro.algebra.select import restrict
@@ -1031,7 +1032,7 @@ def evaluate_dag(
         node = dag.nodes[key]
         inputs = tuple(fetch(k) for k in dag.children[key])
         snapshot = ctx.stats.snapshot()
-        kernel_before = DEFAULT_GROUP_INDEX_CACHE.counters()
+        kernel_before = _kernel_counters()
         if scheduled:
             result, sharded, task_ids = _execute_node_scheduled(
                 ctx, dag, node, key, inputs
@@ -1061,19 +1062,29 @@ def evaluate_dag(
     return [fetch(key) for key in roots]
 
 
-def _publish_kernel_counters(ctx, before: tuple[int, int, int]) -> None:
-    """Publish the group-index cache's counter deltas for one operator.
+_KERNEL_COUNTERS = (
+    "kernel.groupindex_hits", "kernel.groupindex_misses", "kernel.dense_ops",
+)
 
-    Deltas only — the cache is process-wide, so absolute values would
-    mix in other contexts' work — and only nonzero ones, so operators
-    that never touch the kernel cache contribute no ``kernel.*`` rows
-    to snapshot diffs.
-    """
+
+def _kernel_counters() -> tuple[int, int, int]:
+    """Process-wide ``(group-index hits, misses, dense kernel runs)``."""
     hits, misses, _ = DEFAULT_GROUP_INDEX_CACHE.counters()
-    if hits > before[0]:
-        ctx.count("kernel.groupindex_hits", hits - before[0])
-    if misses > before[1]:
-        ctx.count("kernel.groupindex_misses", misses - before[1])
+    return hits, misses, dense_ops()
+
+
+def _publish_kernel_counters(ctx, before: tuple[int, int, int]) -> None:
+    """Publish the kernel counters' deltas for one operator.
+
+    Deltas only — the cache and the dense-kernel count are
+    process-wide, so absolute values would mix in other contexts' work
+    — and only nonzero ones, so operators that never touch a kernel
+    counter contribute no ``kernel.*`` rows to snapshot diffs.
+    """
+    after = _kernel_counters()
+    for name, old, new in zip(_KERNEL_COUNTERS, before, after):
+        if new > old:
+            ctx.count(name, new - old)
 
 
 def evaluate(plan: PlanNode, ctx: ExecutionContext) -> FunctionalRelation:

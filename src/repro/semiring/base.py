@@ -106,6 +106,13 @@ class Semiring:
         return self._times(a, b)
 
     @property
+    def plus_ufunc(self) -> np.ufunc | None:
+        """``plus`` when it is a binary NumPy ufunc (it has ``reduce``
+        and ``accumulate``), else ``None``."""
+        plus = self._plus
+        return plus if isinstance(plus, np.ufunc) and plus.nin == 2 else None
+
+    @property
     def supports_division(self) -> bool:
         """Whether :meth:`divide` is available (update semijoin needs it)."""
         return self._divide is not None

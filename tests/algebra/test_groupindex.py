@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import marginalize, product_join
+from repro.algebra import dense, marginalize, product_join
 from repro.algebra.groupindex import (
     DEFAULT_GROUP_INDEX_CACHE,
     GroupIndex,
@@ -374,12 +374,15 @@ class TestDifferentialByteIdentity:
         rel = rel.with_measure(measure)
 
         cache = GroupIndexCache()
-        cold = marginalize(rel, ["a"], semiring, cache=cache)
-        warm = marginalize(rel, ["a"], semiring, cache=cache)
-        # A throwaway cache per call — every lookup is a build.
-        uncached = marginalize(
-            rel, ["a"], semiring, cache=GroupIndexCache()
-        )
+        # The sparse kernels, also where the draw is grid-complete.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dense, "dense_form", lambda relation: None)
+            cold = marginalize(rel, ["a"], semiring, cache=cache)
+            warm = marginalize(rel, ["a"], semiring, cache=cache)
+            # A throwaway cache per call — every lookup is a build.
+            uncached = marginalize(
+                rel, ["a"], semiring, cache=GroupIndexCache()
+            )
         assert cache.hits >= 1
         for out in (warm, uncached):
             assert out.var_names == cold.var_names
@@ -388,6 +391,13 @@ class TestDifferentialByteIdentity:
             ), f"{semiring.name}: cached/uncached measures differ"
             for n in out.var_names:
                 assert np.array_equal(out.columns[n], cold.columns[n])
+        # Where it is grid-complete the dense path answers the same
+        # and never asks the cache.
+        if dense.dense_form(rel) is not None:
+            untouched = GroupIndexCache()
+            folded = marginalize(rel, ["a"], semiring, cache=untouched)
+            assert untouched.counters() == (0, 0, 0)
+            assert folded.equals(cold, semiring)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -425,12 +435,34 @@ class TestDifferentialByteIdentity:
         rng = np.random.default_rng(3)
         a, b = var("a", 3), var("b", 4)
         left = complete_relation([a], rng=rng)
-        right = complete_relation([a, b], rng=rng)
+        # One cell short of the grid, so the GroupBy runs sparse.
+        right = complete_relation([a, b], rng=rng).take(np.arange(11))
+        assert dense.dense_form(right) is None
         cache = GroupIndexCache()
         join_match_indices(left, right, ("a",), cache=cache)
         assert cache.counters() == (0, 1, 0)
         marginalize(right, ["a"], SUM_PRODUCT, cache=cache)
         assert cache.counters() == (1, 1, 0)
+
+    def test_dense_marginalize_leaves_the_probe_sort_alone(self):
+        """Over a grid-complete relation the GroupBy is a fold: the
+        join's sort is neither used nor built again."""
+        rng = np.random.default_rng(3)
+        a, b = var("a", 3), var("b", 4)
+        left = complete_relation([a], rng=rng)
+        right = complete_relation([a, b], rng=rng)
+        cache = GroupIndexCache()
+        join_match_indices(left, right, ("a",), cache=cache)
+        assert cache.counters() == (0, 1, 0)
+        before = dense.dense_ops()
+        folded = marginalize(right, ["a"], SUM_PRODUCT, cache=cache)
+        assert cache.counters() == (0, 1, 0)
+        assert dense.dense_ops() == before + 1
+        # Each group's four terms added left to right, as the scatter
+        # adds them over the relation's rows.
+        cells = right.measure.reshape(3, 4)
+        want = ((cells[:, 0] + cells[:, 1]) + cells[:, 2]) + cells[:, 3]
+        assert folded.measure.tobytes() == want.tobytes()
 
 
 class TestDefaultCacheWiring:

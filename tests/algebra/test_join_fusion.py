@@ -20,7 +20,13 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro import Database
-from repro.algebra import join, marginalize, product_join, quotient_join
+from repro.algebra import (
+    dense,
+    join,
+    marginalize,
+    product_join,
+    quotient_join,
+)
 from repro.algebra.groupindex import DEFAULT_GROUP_INDEX_CACHE, GroupIndexCache
 from repro.data import FunctionalRelation, var
 from repro.datagen import supply_chain
@@ -183,10 +189,19 @@ class TestFusedEqualsMaterialized:
     @given(join_cases())
     def test_the_join_itself_is_its_plain_copy(self, case):
         left, right, _, semiring = case
-        joined = product_join(left, right, semiring)
         with pytest.MonkeyPatch.context() as patch:
+            # The sparse join, also where both draws are grid-complete.
+            patch.setattr(dense, "dense_form", lambda relation: None)
+            joined = product_join(left, right, semiring)
             patch.setattr(join, "DEFER_MIN_ROWS", NEVER)
             eager = product_join(left, right, semiring)
+        # Where the dense join runs it is the same function.
+        if (dense.dense_form(left) is not None
+                and dense.dense_form(right) is not None):
+            event("dense")
+            assert product_join(left, right, semiring).equals(
+                eager, semiring
+            )
         assert type(eager) is FunctionalRelation
         assert joined.ntuples == eager.ntuples
         assert joined.var_names == eager.var_names

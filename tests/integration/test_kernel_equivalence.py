@@ -51,7 +51,10 @@ def _counters(registry, exclude_prefixes=("scheduler.",)) -> dict:
     }
 
 
-def _relations(semiring=SUM_PRODUCT):
+def _relations(semiring=SUM_PRODUCT, holed=False):
+    """Three complete tables — held dense by the kernels — or, with
+    ``holed``, each one row short of its grid, so the sparse kernels and
+    their group-index cache run."""
     rng = np.random.default_rng(20260809)
     a, b, c, d = var("a", 6), var("b", 5), var("c", 4), var("d", 3)
     rels = [
@@ -59,6 +62,8 @@ def _relations(semiring=SUM_PRODUCT):
         complete_relation([b, c], rng=rng, name="r_bc"),
         complete_relation([c, d], rng=rng, name="r_cd"),
     ]
+    if holed:
+        rels = [r.take(np.arange(r.ntuples - 1)) for r in rels]
     if semiring.dtype.kind == "b":
         rels = [r.with_measure(r.measure > 0.5) for r in rels]
     elif semiring.dtype.kind in "iu":
@@ -69,9 +74,10 @@ def _relations(semiring=SUM_PRODUCT):
     return rels
 
 
-def _db(metrics=None, workers=1, partitioned=False, semiring=SUM_PRODUCT):
+def _db(metrics=None, workers=1, partitioned=False, semiring=SUM_PRODUCT,
+        holed=False):
     db = Database(metrics=metrics, workers=workers)
-    for r in _relations(semiring):
+    for r in _relations(semiring, holed):
         db.register(r)
     if partitioned:
         db.catalog.partition_table("r_ab", "b", 3)
@@ -111,7 +117,7 @@ LOWERINGS = {"plain": _cse, "fused": lower}
 
 
 def _evaluate(lowering, workers=1, partitioned=False, semiring=SUM_PRODUCT,
-              wal=None):
+              wal=None, holed=False):
     """Each query's plan lowered on its own and run through evaluate_dag.
 
     One DAG per query, not one per batch: a batch's CSE shares every
@@ -121,7 +127,8 @@ def _evaluate(lowering, workers=1, partitioned=False, semiring=SUM_PRODUCT,
     """
     DEFAULT_GROUP_INDEX_CACHE.clear()
     registry = MetricsRegistry()
-    db = _db(metrics=registry, partitioned=partitioned, semiring=semiring)
+    db = _db(metrics=registry, partitioned=partitioned, semiring=semiring,
+             holed=holed)
     db.pool.wal = wal
     optimizer = db.make_optimizer("auto")
     prints, elapsed = [], 0.0
@@ -234,9 +241,14 @@ class TestKernelWorkerSweep:
     def test_sweep_byte_identical_with_kernel_counters(
         self, lowering, partitioned
     ):
+        # Whole tables are holed: complete ones would run the dense
+        # kernels, which never touch the cache (the test below).  The
+        # sharded kernels stay sparse, so partitioned tables are
+        # complete: their whole nodes run dense, next to the cache.
         runs = {
             workers: _evaluate(lowering, workers=workers,
-                               partitioned=partitioned)
+                               partitioned=partitioned,
+                               holed=not partitioned)
             for workers in WORKER_SWEEP
         }
         ref_prints, ref_counters, _ = runs[1]
@@ -246,6 +258,23 @@ class TestKernelWorkerSweep:
             "kernel.groupindex_hits", {"value": 0}
         )["value"] > 0
         assert "kernel.groupindex_misses" in ref_counters
+        for workers in WORKER_SWEEP[1:]:
+            prints, counters, _ = runs[workers]
+            assert prints == ref_prints
+            assert counters == ref_counters
+
+    @pytest.mark.parametrize("lowering", LOWERINGS)
+    def test_dense_sweep_byte_identical_with_kernel_counters(self, lowering):
+        runs = {
+            workers: _evaluate(lowering, workers=workers)
+            for workers in WORKER_SWEEP
+        }
+        ref_prints, ref_counters, _ = runs[1]
+        # Complete tables: the dense kernels really ran, and their count
+        # is as structural as the cache's.
+        assert ref_counters.get(
+            "kernel.dense_ops", {"value": 0}
+        )["value"] > 0
         for workers in WORKER_SWEEP[1:]:
             prints, counters, _ = runs[workers]
             assert prints == ref_prints

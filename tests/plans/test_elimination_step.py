@@ -23,10 +23,10 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro import Database
-from repro.algebra import join
+from repro.algebra import dense, join
 from repro.algebra.aggregate import marginalize
 from repro.algebra.groupindex import DEFAULT_GROUP_INDEX_CACHE
-from repro.data import FunctionalRelation, var
+from repro.data import FunctionalRelation, complete_relation, var
 from repro.plans import (
     ExecutionContext,
     GroupBy,
@@ -291,6 +291,9 @@ class TestChain:
             return real(relation, name, rows)
 
         monkeypatch.setattr(join, "_gather", spy)
+        # The dimensions are no grids, so every join runs sparse.
+        assert dense.dense_form(star_ctx.env["s2"]) is None
+        assert dense.dense_form(star_ctx.env["s3"]) is None
         fused = evaluate(_chain(*group_names), star_ctx)
         # The outer join reads its inner join's key c; the GroupBy reads
         # nothing of either join — a, b and d stay where they are.
@@ -300,3 +303,33 @@ class TestChain:
         materialized = evaluate(_chain(*group_names), plain_ctx)
         assert fused.equals(materialized, SUM_PRODUCT)
         assert _stats(star_ctx.stats) == _stats(plain_ctx.stats)
+
+    @pytest.mark.parametrize("group_names", [("a",), ("d",), ("b",)])
+    def test_a_grid_chain_gathers_nothing(self, rng, monkeypatch, group_names):
+        """The chain's shape over grid-complete tables: both joins and
+        the GroupBy run dense, no column of anything is gathered, and
+        answer and clock are the sparse plan's."""
+        a, b, c, d = var("a", 5), var("b", 8), var("c", 6), var("d", 3)
+        tables = {
+            name: complete_relation(scope, rng=rng, name=name)
+            for name, scope in (("s1", [a, b]), ("s2", [b, c]),
+                                ("s3", [c, d]))
+        }
+        gathered = []
+        real = join._gather
+
+        def spy(relation, name, rows):
+            gathered.append(name)
+            return real(relation, name, rows)
+
+        monkeypatch.setattr(join, "_gather", spy)
+        grid_ctx = ExecutionContext(dict(tables), SUM_PRODUCT)
+        before = dense.dense_ops()
+        folded = evaluate(_chain(*group_names), grid_ctx)
+        assert gathered == []
+        assert dense.dense_ops() == before + 3
+        monkeypatch.setattr(dense, "dense_form", lambda relation: None)
+        sparse_ctx = ExecutionContext(dict(tables), SUM_PRODUCT)
+        sparse = evaluate(_chain(*group_names), sparse_ctx)
+        assert _result_bytes(folded) == _result_bytes(sparse)
+        assert _stats(grid_ctx.stats) == _stats(sparse_ctx.stats)

@@ -18,6 +18,7 @@ and both must answer what the oracle says the view means.
 """
 
 import math
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -26,7 +27,7 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from repro import Database, engine
-from repro.algebra import aggregate, join
+from repro.algebra import aggregate, dense, join
 from repro.algebra.aggregate import marginalize
 from repro.algebra.groupindex import DEFAULT_GROUP_INDEX_CACHE
 from repro.algebra.join import product_join
@@ -44,6 +45,18 @@ from repro.storage.partition import (
     shard_major,
 )
 from tests.oracle import assert_agrees, engine_answer, mpf_answer
+
+
+@contextmanager
+def _sparse():
+    """Run the kernels sparse, as the ``shards=`` kernels do.  The
+    per-shard reference is defined by the sparse kernels: a slice that
+    happens to be grid-complete would list its rows in C order and
+    build no group index on the dense path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dense, "dense_form", lambda relation: None)
+        yield
+
 
 # ----------------------------------------------------------------------
 # The reference: per-shard relations, per-shard bodies, stacked results
@@ -180,6 +193,20 @@ def _shard_major_route(parts, group_names):
     return None
 
 
+def _kernel_defers(parts, left_parts):
+    """Whether the shard-major join returns a deferred join: exactly
+    when every shard's slice join deferred, probing with the same side.
+    A deferred join's sources start with those of its probe side."""
+    sides = set()
+    for part, left in zip(parts, left_parts):
+        if not isinstance(part, join._DeferredJoin):
+            return False
+        if isinstance(left, join._DeferredJoin):
+            left = left.sources[0][0]
+        sides.add(part.sources[0][0] is left)
+    return len(sides) == 1
+
+
 _BODIES = {
     Scan: _scan,
     FilterScan: _filter_scan,
@@ -266,15 +293,16 @@ def _table(ctx, node, deps):
         return _single_task(ctx, node, (), deps)
     parts = _catalog_parts(ctx, node.table)
     files = ctx.catalog.shard_heapfiles(node.table)
-    results, task_ids = _run_tasks(
-        ctx,
-        [deps] * spec.shards,
-        [
-            partial(_BODIES[type(node)], ctx, node, *shard)
-            for shard in zip(parts, files)
-        ],
-        node.label(),
-    )
+    with _sparse():
+        results, task_ids = _run_tasks(
+            ctx,
+            [deps] * spec.shards,
+            [
+                partial(_BODIES[type(node)], ctx, node, *shard)
+                for shard in zip(parts, files)
+            ],
+            node.label(),
+        )
     ctx.count("shard.tasks", spec.shards)
     merged = (
         ctx.relation(node.table) if isinstance(node, Scan)
@@ -289,14 +317,15 @@ def _select_node(ctx, node, inputs, child_keys, deps):
     if sharded is None:
         return _single_task(ctx, node, inputs, deps)
     spec, parts = sharded
-    results, task_ids = _run_tasks(
-        ctx,
-        runtime._align_deps(
-            ctx._node_tasks.get(child_key, ()), spec.shards, deps
-        ),
-        [partial(_select, ctx, node, part) for part in parts],
-        node.label(),
-    )
+    with _sparse():
+        results, task_ids = _run_tasks(
+            ctx,
+            runtime._align_deps(
+                ctx._node_tasks.get(child_key, ()), spec.shards, deps
+            ),
+            [partial(_select, ctx, node, part) for part in parts],
+            node.label(),
+        )
     ctx.count("shard.tasks", spec.shards)
     return _concat(results), (spec, results), task_ids
 
@@ -327,24 +356,26 @@ def _join_node(ctx, node, inputs, child_keys, deps):
         ctx, right, right_sharded, ctx._node_tasks.get(right_key, ()),
         align_key, shards, "right",
     )
-    results, task_ids = _run_tasks(
-        ctx,
-        [
-            runtime._dedup((*left_deps[i], *right_deps[i], *deps))
-            for i in range(shards)
-        ],
-        [
-            partial(_product_join, ctx, node, method, lp, rp)
-            for lp, rp in zip(left_parts, right_parts)
-        ],
-        node.label(),
-    )
+    with _sparse():
+        results, task_ids = _run_tasks(
+            ctx,
+            [
+                runtime._dedup((*left_deps[i], *right_deps[i], *deps))
+                for i in range(shards)
+            ],
+            [
+                partial(_product_join, ctx, node, method, lp, rp)
+                for lp, rp in zip(left_parts, right_parts)
+            ],
+            node.label(),
+        )
     ctx.count("shard.tasks", shards)
-    return (
-        _concat(results),
-        (PartitionSpec(align_key, shards), results),
-        task_ids,
-    )
+    merged = _concat(results)
+    if _kernel_defers(results, left_parts):
+        # The kernel's deferred join is never held dense, so neither is
+        # its stand-in: a whole node over it runs the sparse kernels.
+        merged._dense = None
+    return merged, (PartitionSpec(align_key, shards), results), task_ids
 
 
 def _group_node(ctx, node, inputs, child_keys, deps):
@@ -355,17 +386,18 @@ def _group_node(ctx, node, inputs, child_keys, deps):
     spec, parts = sharded
     method = runtime._physical_method(ctx, node, inputs[0])
     route = _shard_major_route(parts, node.group_names)
-    results, task_ids = _run_tasks(
-        ctx,
-        runtime._align_deps(
-            ctx._node_tasks.get(child_key, ()), spec.shards, deps
-        ),
-        [
-            partial(_group_by, ctx, node, method, part, route)
-            for part in parts
-        ],
-        node.label(),
-    )
+    with _sparse():
+        results, task_ids = _run_tasks(
+            ctx,
+            runtime._align_deps(
+                ctx._node_tasks.get(child_key, ()), spec.shards, deps
+            ),
+            [
+                partial(_group_by, ctx, node, method, part, route)
+                for part in parts
+            ],
+            node.label(),
+        )
     ctx.count("shard.tasks", spec.shards)
     if spec.key in node.group_names:
         return _concat(results), (spec, results), task_ids
@@ -648,13 +680,14 @@ class TestKernelsOverShardMajorInputs:
             joined, offsets = product_join(
                 lrows, rrows, semiring, shards=(loff, roff)
             )
-            parts = [
-                product_join(lp, rp, semiring)
-                for lp, rp in zip(
-                    _partition(left, key, shards),
-                    _partition(right, key, shards),
-                )
-            ]
+            with _sparse():
+                parts = [
+                    product_join(lp, rp, semiring)
+                    for lp, rp in zip(
+                        _partition(left, key, shards),
+                        _partition(right, key, shards),
+                    )
+                ]
             assert offsets.tolist() == _offsets_of(parts)
             assert _bytes(joined) == _bytes(_concat(parts))
             event(f"join={type(joined).__name__}")
@@ -663,7 +696,10 @@ class TestKernelsOverShardMajorInputs:
             partials, group_offsets = marginalize(
                 joined, group, semiring, shards=offsets
             )
-            want = [marginalize(part, group, semiring) for part in parts]
+            with _sparse():
+                want = [
+                    marginalize(part, group, semiring) for part in parts
+                ]
             assert group_offsets.tolist() == _offsets_of(want)
             assert _bytes(partials) == _bytes(_concat(want))
 

@@ -170,3 +170,36 @@ def test_storage_imports_neither_engine_nor_plans(found):
 ])
 def test_checker_sees_function_local_and_guarded_imports(source, expected):
     assert violations(edges("repro.storage.recovery", source)) == expected
+
+
+def _repro_imports(source: str) -> list[str]:
+    """Every module of ``repro`` (the package itself included) that
+    ``source`` imports, anywhere."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module or ""]
+        else:
+            continue
+        found += [m for m in modules
+                  if m == "repro" or m.startswith("repro.")]
+    return found
+
+
+def test_the_oracle_imports_nothing_from_repro():
+    """``tests/oracle.py`` is a dense broadcast reference like the dense
+    kernels; it stays independent of them, and of the engine as a
+    whole, by importing nothing from ``repro``."""
+    oracle = SRC.parents[1] / "tests" / "oracle.py"
+    assert _repro_imports(oracle.read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import repro\n",
+    "from repro.algebra import dense\n",
+    "def f():\n    import repro.semiring.builtins\n",
+])
+def test_the_oracle_check_sees_every_form(source):
+    assert _repro_imports(source)
