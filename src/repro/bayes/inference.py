@@ -2,11 +2,14 @@
 
 Two engines with one interface:
 
-* :class:`MPFInference` — the paper's point: pose the inference task as
-  an MPF query over the CPT relations and let a relational optimizer
-  (VE, CS+, nonlinear CS+, ...) plan and execute it.  Also supports a
-  calibrated :class:`~repro.workload.vecache.VECache` for workloads of
-  repeated marginal queries (the Section 6 machinery).
+* :class:`MPFInference` — the paper's point: a network is a database of
+  CPT relations, and a posterior is an MPF query over them.  The CPTs
+  are registered in one :class:`~repro.engine.Database` as the view
+  ``joint``, and each posterior is one ``run_query`` over that view,
+  planned by VE+ — so it is counted, planned, guarded and traced like
+  any SQL query.  A calibrated :class:`~repro.workload.vecache.VECache`
+  over the same view serves workloads of repeated marginal queries
+  (the Section 6 machinery).
 
 * :class:`BruteForceInference` — the oracle: materialize the whole
   joint and marginalize directly.  Exponential in network size; exists
@@ -25,15 +28,14 @@ import numpy as np
 from repro.algebra.aggregate import marginalize
 from repro.algebra.select import restrict
 from repro.bayes.network import BayesianNetwork
-from repro.catalog.catalog import Catalog
 from repro.data.relation import FunctionalRelation
+from repro.engine import Database
 from repro.errors import QueryError
-from repro.optimizer.base import Optimizer, QuerySpec
-from repro.optimizer.ve import VariableElimination
 from repro.plans.guard import QueryGuard
-from repro.plans.runtime import ExecutionContext
+from repro.query.query import MPFQuery
+from repro.query.view import MPFView
 from repro.semiring.builtins import LOG_PROB, MAX_PRODUCT, MAX_SUM, SUM_PRODUCT
-from repro.workload.vecache import VECache, build_ve_cache
+from repro.workload.vecache import VECache
 
 __all__ = ["MPFInference", "BruteForceInference", "normalize"]
 
@@ -52,66 +54,59 @@ def normalize(relation: FunctionalRelation) -> FunctionalRelation:
 class MPFInference:
     """Inference by MPF query evaluation over the CPT relations.
 
+    :attr:`database` holds the CPTs as the view ``joint``; :attr:`view`
+    reads it under sum-product and :attr:`map_view` under max-product.
     With ``log_space=True`` the CPTs are stored as log probabilities
-    and every plan executes under the log semiring (logaddexp, +) —
-    numerically stable for deep networks whose linear-space products
-    underflow.  Returned posteriors are always linear-space.
+    and the views read them under the log semiring (logaddexp, +) and
+    (max, +) — numerically stable for deep networks whose linear-space
+    products underflow.  Returned posteriors are always linear-space.
     """
 
     def __init__(
         self,
         network: BayesianNetwork,
-        optimizer: Optimizer | None = None,
         log_space: bool = False,
         metrics=None,
     ):
         self.network = network
-        self.optimizer = optimizer or VariableElimination("degree", extended=True)
         self.log_space = log_space
-        self.metrics = metrics
-        self.catalog = Catalog()
+        self.database = Database(metrics=metrics)
         relations = network.to_relations()
         if log_space:
             with np.errstate(divide="ignore"):
                 relations = [
                     r.with_measure(np.log(r.measure)) for r in relations
                 ]
-        self.tables = tuple(self.catalog.register_all(relations))
-        self._semiring = LOG_PROB if log_space else SUM_PRODUCT
-        self._context = ExecutionContext(
-            self.catalog, self._semiring, metrics=metrics
+        tables = tuple(self.database.register(r) for r in relations)
+        self.database.create_view("joint", tables, "+" if log_space else "*")
+        self.view = MPFView(
+            "joint", tables, LOG_PROB if log_space else SUM_PRODUCT
         )
-        self._map_context = ExecutionContext(
-            self.catalog,
-            MAX_SUM if log_space else MAX_PRODUCT,
-            pool=self._context.pool,
-            metrics=metrics,
+        self.map_view = MPFView(
+            "joint", tables, MAX_SUM if log_space else MAX_PRODUCT
         )
 
-    def _run(
+    def _linear(self, answer: FunctionalRelation) -> FunctionalRelation:
+        if self.log_space:
+            return answer.with_measure(np.exp(answer.measure))
+        return answer
+
+    def _answer(
         self,
-        context: ExecutionContext,
+        view: MPFView,
         variables: Sequence[str] | str,
         evidence: Mapping[str, object] | None,
         guard: QueryGuard | None,
     ) -> FunctionalRelation:
-        """Plan the MPF query and run it under ``context``'s semiring;
-        the answer is always linear-space."""
+        """One ``run_query`` over ``view``, planned by VE+; the answer
+        is always linear-space."""
         if isinstance(variables, str):
             variables = (variables,)
-        spec = QuerySpec(
-            tables=self.tables,
-            query_vars=tuple(variables),
-            selections=dict(evidence or {}),
+        report = self.database.run_query(
+            MPFQuery(view, tuple(variables), evidence or {}),
+            strategy="ve+", guard=guard,
         )
-        result = self.optimizer.optimize(spec, self.catalog)
-        answer, _stats = context.run(result.plan, guard=guard)
-        # Each run starts from a fresh memo; holding this one until the
-        # next call would only pin its intermediates in memory.
-        context.reset_memo()
-        if self.log_space:
-            answer = answer.with_measure(np.exp(answer.measure))
-        return answer
+        return self._linear(report.result)
 
     # ------------------------------------------------------------------
     def query(
@@ -124,10 +119,10 @@ class MPFInference:
         """``Pr(variables | evidence)`` via an MPF query.
 
         ``evidence`` becomes the constrained-domain ``where`` clause;
-        the optimizer plans the marginalization, the executor runs it.
-        ``guard`` bounds the execution (deadline, memory, retries).
+        the database plans the marginalization and runs it.  ``guard``
+        bounds the execution (deadline, memory, retries).
         """
-        answer = self._run(self._context, variables, evidence, guard)
+        answer = self._answer(self.view, variables, evidence, guard)
         return normalize(answer) if normalized else answer
 
     def map_query(
@@ -138,31 +133,20 @@ class MPFInference:
     ) -> FunctionalRelation:
         """Max-marginals over ``variables`` (max-product semiring).
 
-        The same MPF plan evaluated under (max, ×) yields, per value of
+        The same MPF query evaluated under (max, ×) yields, per value of
         the query variables, the probability of the best completing
         assignment — the MPE reading of the semiring generality in
         Section 2.
         """
-        return self._run(self._map_context, variables, evidence, guard)
+        return self._answer(self.map_view, variables, evidence, guard)
 
     # ------------------------------------------------------------------
     # Workload path (Section 6)
     # ------------------------------------------------------------------
     def build_cache(self, heuristic: str = "degree") -> VECache:
-        """Calibrate a VE-cache over the CPTs for repeated marginals.
-
-        The cache is built through a catalog-backed execution context
-        sharing this engine's buffer pool, so construction pays — and
-        reports — the same simulated IO an equivalent query would.
-        """
-        relations = [self.catalog.relation(t) for t in self.tables]
-        context = ExecutionContext(
-            self.catalog, self._semiring, pool=self._context.pool,
-            metrics=self.metrics,
-        )
-        return build_ve_cache(
-            relations, self._semiring, heuristic=heuristic, context=context
-        )
+        """Calibrate a VE-cache over the CPT view for repeated marginals
+        (:meth:`Database.build_cache <repro.engine.Database.build_cache>`)."""
+        return self.database.build_cache(self.view, heuristic=heuristic)
 
     def query_cached(
         self,
@@ -174,9 +158,7 @@ class MPFInference:
         """Answer a single-variable marginal from a calibrated cache."""
         if evidence:
             cache = cache.absorb_evidence(evidence)
-        answer = cache.answer(variable)
-        if self.log_space:
-            answer = answer.with_measure(np.exp(answer.measure))
+        answer = self._linear(cache.answer(variable))
         return normalize(answer) if normalized else answer
 
 

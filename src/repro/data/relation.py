@@ -342,6 +342,10 @@ class FunctionalRelation:
             measure_name=self.measure_name,
         )
 
+    # The derived relations below share (or copy) this relation's
+    # validated columns, so they skip the range check.  Each reads the
+    # columns into a plain dict: lazy ones (a deferred join's, a dense
+    # grid's) are materialized, never stored in a plain relation.
     def reorder(self, names: Sequence[str]) -> "FunctionalRelation":
         """Reorder the variable list (no data movement)."""
         if set(names) != set(self.var_names):
@@ -349,13 +353,12 @@ class FunctionalRelation:
                 f"reorder needs a permutation of {self.var_names}, got {names}"
             )
         ordered = VariableSet.of([self.variables[n] for n in names])
-        return FunctionalRelation(
+        return FunctionalRelation._trusted(
             ordered,
-            self.columns,
+            {n: self.columns[n] for n in names},
             self.measure,
             name=self.name,
             measure_name=self.measure_name,
-            check_fd=False,
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "FunctionalRelation":
@@ -366,46 +369,42 @@ class FunctionalRelation:
             new_name = mapping.get(v.name, v.name)
             new_vars.append(Variable(new_name, v.domain))
             new_cols[new_name] = self.columns[v.name]
-        return FunctionalRelation(
+        return FunctionalRelation._trusted(
             VariableSet.of(new_vars),
             new_cols,
             self.measure,
             name=self.name,
             measure_name=self.measure_name,
-            check_fd=False,
         )
 
     def with_name(self, name: str) -> "FunctionalRelation":
-        return FunctionalRelation(
+        return FunctionalRelation._trusted(
             self.variables,
-            self.columns,
+            dict(self.columns),
             self.measure,
             name=name,
             measure_name=self.measure_name,
-            check_fd=False,
         )
 
     def with_measure(self, measure: np.ndarray) -> "FunctionalRelation":
         """Same rows, new measure column (FD trivially preserved)."""
         if len(measure) != self.ntuples:
             raise SchemaError("measure length mismatch")
-        return FunctionalRelation(
+        return FunctionalRelation._trusted(
             self.variables,
-            self.columns,
+            dict(self.columns),
             np.asarray(measure),
             name=self.name,
             measure_name=self.measure_name,
-            check_fd=False,
         )
 
     def copy(self) -> "FunctionalRelation":
-        return FunctionalRelation(
+        return FunctionalRelation._trusted(
             self.variables,
             {n: self.columns[n].copy() for n in self.var_names},
             self.measure.copy(),
             name=self.name,
             measure_name=self.measure_name,
-            check_fd=False,
         )
 
     # ------------------------------------------------------------------

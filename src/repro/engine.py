@@ -293,7 +293,6 @@ class Database:
         The serving runtime and guard tests inject a controlled clock
         here so deadline behavior is reproducible without real sleeps."""
         self._views: dict[str, _ViewEntry] = {}
-        self._caches: dict[str, VECache] = {}
 
     @classmethod
     def restore(cls, state: "RecoveredState", **settings) -> "Database":
@@ -402,17 +401,10 @@ class Database:
         """Reload a base table's data (a bulk refresh / re-ANALYZE).
 
         Replaces the relation, its statistics, and its heap file in the
-        catalog and advances :attr:`Catalog.stats_epoch`.  VE-caches of
-        views over the table are dropped — :meth:`query_cached` then
-        raises until :meth:`build_cache` runs again, instead of
-        answering from the old data.
+        catalog and advances :attr:`Catalog.stats_epoch`.  A VE-cache
+        built before the reload keeps the old data; build a new one.
         """
-        name = self.catalog.replace(relation, name)
-        self._caches = {
-            view: cache for view, cache in self._caches.items()
-            if name not in self._views[view].view_tables
-        }
-        return name
+        return self.catalog.replace(relation, name)
 
     def create_view(
         self,
@@ -1099,40 +1091,13 @@ class Database:
     # ------------------------------------------------------------------
     # Workload cache (Section 6)
     # ------------------------------------------------------------------
-    def build_cache(
-        self, view_name: str, heuristic: str = "degree"
-    ) -> VECache:
-        """Build and remember a VE-cache for the named view."""
-        entry = self._views.get(view_name)
-        if entry is None:
-            raise QueryError(f"unknown view {view_name!r}")
-        semiring = _semiring_for(entry.multiplicative_op, "sum")
-        relations = [self.catalog.relation(t) for t in entry.view_tables]
+    def build_cache(self, view: MPFView, heuristic: str = "degree") -> VECache:
+        """Calibrate a VE-cache over a bound view's base tables, under
+        the view's semiring (``db.build_cache(db.bind(sql).view)``)."""
+        relations = [self.catalog.relation(t) for t in view.tables]
         context = ExecutionContext(
-            self.catalog, semiring, **self._run_settings()
+            self.catalog, view.semiring, **self._run_settings()
         )
-        cache = build_ve_cache(
-            relations, semiring, heuristic=heuristic, context=context
+        return build_ve_cache(
+            relations, view.semiring, heuristic=heuristic, context=context
         )
-        self._caches[view_name] = cache
-        return cache
-
-    def cache_for(self, view_name: str) -> VECache:
-        try:
-            return self._caches[view_name]
-        except KeyError:
-            raise QueryError(
-                f"no cache built for view {view_name!r}; call build_cache()"
-            ) from None
-
-    def query_cached(
-        self,
-        view_name: str,
-        variable: str,
-        evidence: Mapping[str, object] | None = None,
-    ) -> FunctionalRelation:
-        """Answer a single-variable query from the view's VE-cache."""
-        cache = self.cache_for(view_name)
-        if evidence:
-            cache = cache.absorb_evidence(evidence)
-        return cache.answer(variable)

@@ -1,6 +1,5 @@
 """MPF workload optimization (Section 6 + Appendix A)."""
 
-from repro.workload.advisor import CacheCandidate, advise_cache
 from repro.workload.bp import (
     BPFailure,
     BPResult,
@@ -38,8 +37,6 @@ from repro.workload.workload import (
 )
 
 __all__ = [
-    "advise_cache",
-    "CacheCandidate",
     "relation_graph",
     "variable_graph",
     "maximum_weight_spanning_tree",

@@ -237,6 +237,28 @@ class TestForm:
             form.array.reshape(-1), relation.measure
         )
 
+    def test_derived_relations_hold_plain_columns(self):
+        """with_name & co. read a dense grid's columns into a plain
+        relation instead of storing the grid."""
+        a, b = var("a", 5), var("b", 3)
+        relation = restrict(complete_relation([a, b]), {"a": 3})
+        assert isinstance(relation, dense.DenseRelation)
+        for derived, names in (
+            (relation.with_name("r"), ("a", "b")),
+            (relation.with_measure(relation.measure * 2), ("a", "b")),
+            (relation.reorder(("b", "a")), ("b", "a")),
+            (relation.rename({"a": "x"}), ("x", "b")),
+            (relation.copy(), ("a", "b")),
+        ):
+            assert type(derived) is FunctionalRelation
+            assert type(derived.columns) is dict
+            assert tuple(derived.columns) == derived.var_names == names
+            for name in names:
+                assert np.array_equal(
+                    derived.columns[name],
+                    relation.columns["a" if name == "x" else name],
+                )
+
     def test_a_selection_keeps_its_code(self):
         a, b = var("a", 5), var("b", 3)
         relation = restrict(complete_relation([a, b]), {"a": 3})

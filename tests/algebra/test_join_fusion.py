@@ -415,10 +415,12 @@ class TestDeferredJoin:
             (joined.with_measure(plain.measure * 2),
              plain.with_measure(plain.measure * 2)),
             (joined.with_name("j"), plain.with_name("j")),
+            (joined.copy(), plain.copy()),
             (joined.drop_zero_rows(SUM_PRODUCT),
              plain.drop_zero_rows(SUM_PRODUCT)),
         ):
             assert type(derived) is FunctionalRelation
+            assert type(derived.columns) is dict
             _assert_same_bytes(derived, want)
         assert joined.equals(plain, SUM_PRODUCT)
         assert plain.equals(joined, SUM_PRODUCT)

@@ -9,11 +9,14 @@ from repro.bayes import (
     chain_network,
     figure2_network,
     naive_bayes_network,
+    normalize,
     random_network,
     sprinkler_network,
 )
-from repro.errors import QueryError
-from repro.optimizer import CSPlusNonlinear, VariableElimination
+from repro.errors import QueryError, QueryTimeout
+from repro.obs import MetricsRegistry
+from repro.plans.guard import QueryGuard
+from repro.query import MPFQuery
 from repro.semiring import SUM_PRODUCT
 
 
@@ -34,6 +37,16 @@ class TestPaperExample:
         raw = mpf.query("C", evidence={"A": 0}, normalized=False)
         # Unnormalized: Pr(C, A=0) sums to Pr(A=0) = 0.6.
         assert raw.measure.sum() == pytest.approx(0.6)
+
+    def test_section4_sql_runs_on_the_network_database(self):
+        """The CPTs are the view ``joint``, so the paper's query text
+        runs as written and gives the same unnormalized posterior."""
+        mpf = MPFInference(figure2_network())
+        report = mpf.database.execute(
+            "select C, sum(p) from joint where A=0 group by C"
+        )
+        raw = mpf.query("C", evidence={"A": 0}, normalized=False)
+        assert report.result.equals(raw, SUM_PRODUCT)
 
 
 class TestAgainstBruteForce:
@@ -74,15 +87,21 @@ class TestAgainstBruteForce:
         assert got.equals(expected, SUM_PRODUCT, ignore_zero_rows=True)
 
     def test_alternative_optimizers_agree(self):
+        """Every planner the network's database offers gives the same
+        posterior as VE+, which :meth:`MPFInference.query` uses."""
         bn = chain_network(length=6)
         oracle = BruteForceInference(bn).query("X2")
-        for optimizer in (
-            CSPlusNonlinear(),
-            VariableElimination("width"),
-            VariableElimination("degree", extended=True),
+        mpf = MPFInference(bn)
+        query = MPFQuery(mpf.view, ("X2",))
+        for strategy, heuristic in (
+            ("cs+nonlinear", "degree"),
+            ("ve", "width"),
+            ("ve+", "degree"),
         ):
-            mpf = MPFInference(bn, optimizer=optimizer)
-            assert mpf.query("X2").equals(oracle, SUM_PRODUCT)
+            report = mpf.database.run_query(
+                query, strategy=strategy, heuristic=heuristic
+            )
+            assert normalize(report.result).equals(oracle, SUM_PRODUCT)
 
     def test_map_query(self):
         bn = sprinkler_network()
@@ -91,6 +110,36 @@ class TestAgainstBruteForce:
         got = mpf.map_query(["rain"], evidence={"wet_grass": 1})
         expected = oracle.map_query(["rain"], evidence={"wet_grass": 1})
         assert got.equals(expected, SUM_PRODUCT, ignore_zero_rows=True)
+
+
+class TestFrontDoor:
+    """A posterior is one ``run_query`` over the CPT view, so it counts
+    where every query counts."""
+
+    def _counts(self, registry):
+        snapshot = registry.snapshot()
+        return (
+            snapshot.get("queries.total", status="ok"),
+            snapshot.get("queries.total", status="error"),
+            snapshot.get("optimizer.plans_considered"),
+        )
+
+    @pytest.mark.parametrize("operation", ["query", "map_query"])
+    def test_each_operation_is_one_counted_query(self, operation):
+        registry = MetricsRegistry()
+        mpf = MPFInference(sprinkler_network(), metrics=registry)
+        ok, error, considered = self._counts(registry)
+        getattr(mpf, operation)("rain", evidence={"wet_grass": 1})
+        after = self._counts(registry)
+        assert after[:2] == (ok + 1, error)
+        assert after[2] > considered
+
+    def test_timeout_counts_as_an_error(self):
+        registry = MetricsRegistry()
+        mpf = MPFInference(figure2_network(), metrics=registry)
+        with pytest.raises(QueryTimeout):
+            mpf.query("C", guard=QueryGuard(cost_budget=0.0))
+        assert self._counts(registry)[:2] == (0, 1)
 
 
 class TestCachedInference:

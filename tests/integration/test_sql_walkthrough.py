@@ -130,11 +130,10 @@ class TestWorkloadRoundTrip:
         from repro.algebra import alter_measure
 
         db, joint = setting
-        db.build_cache("invest")
-        cached = db.query_cached("invest", "wid", evidence={"tid": 1})
-        direct = db.execute(
-            "select wid, sum(inv) from invest where tid = 1 group by wid"
-        ).result
+        sql = "select wid, sum(inv) from invest where tid = 1 group by wid"
+        cache = db.build_cache(db.bind(sql).view)
+        cached = cache.absorb_evidence({"tid": 1}).answer("wid")
+        direct = db.execute(sql).result
         assert cached.equals(direct, SUM_PRODUCT, ignore_zero_rows=True)
 
         from repro.query import MPFQuery, MPFView

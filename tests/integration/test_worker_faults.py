@@ -174,7 +174,8 @@ class TestBPUnderWorkerFaults:
 class TestBuildCacheUnderWorkerFaults:
     def _build(self, faults=None):
         db = _batch_db(metrics=MetricsRegistry(), workers=2, faults=faults)
-        cache = db.build_cache("v")
+        view = db.bind("select a, sum(f) from v group by a").view
+        cache = db.build_cache(view)
         return {
             name: _result_bytes(rel) for name, rel in cache.tables.items()
         }

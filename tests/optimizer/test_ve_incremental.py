@@ -248,8 +248,8 @@ class TestWorkCounts:
 # The elimination order is per call, not per instance
 # ----------------------------------------------------------------------
 def test_shared_instance_reports_each_calls_own_order():
-    """Threads sharing one optimizer (as ``MPFInference`` does) each get
-    their own query's elimination order back."""
+    """Threads sharing one optimizer instance each get their own
+    query's elimination order back."""
     network = random_network(16, max_parents=3, seed=3)
     catalog = Catalog()
     tables = tuple(catalog.register_all(network.to_relations()))

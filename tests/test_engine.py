@@ -218,63 +218,49 @@ class TestReport:
 
 
 class TestCache:
+    def _cache(self, db, sql="select wid, sum(inv) from invest group by wid"):
+        return db.build_cache(db.bind(sql).view)
+
     def test_build_and_query(self, db):
-        db.build_cache("invest")
-        got = db.query_cached("invest", "wid")
+        got = self._cache(db).answer("wid")
         expected = db.execute(
             "select wid, sum(inv) from invest group by wid"
         ).result
         assert got.equals(expected, SUM_PRODUCT, ignore_zero_rows=True)
 
     def test_cached_evidence(self, db):
-        db.build_cache("invest")
-        got = db.query_cached("invest", "cid", evidence={"tid": 1})
+        got = self._cache(db).absorb_evidence({"tid": 1}).answer("cid")
         expected = db.execute(
             "select cid, sum(inv) from invest where tid = 1 group by cid"
         ).result
         assert got.equals(expected, SUM_PRODUCT, ignore_zero_rows=True)
 
-    def test_cache_required(self, db):
-        with pytest.raises(QueryError):
-            db.query_cached("invest", "wid")
-
     def test_cache_unknown_view(self, db):
-        with pytest.raises(QueryError):
-            db.build_cache("ghost")
+        with pytest.raises(QueryError, match="unknown view 'ghost'"):
+            self._cache(db, "select wid, sum(inv) from ghost group by wid")
 
     @pytest.mark.parametrize("op", ["+", "and"])
     def test_view_whose_op_forms_no_semiring_with_sum(self, db, op):
-        """A VE-cache answers ``sum`` queries; over a ``+`` (or ``and``)
-        view that aggregate forms no semiring, and a sum-product cache
-        built anyway answered ``query_cached`` with wrong numbers."""
+        """A cache is built from a bound view; ``sum`` over a ``+`` (or
+        ``and``) view forms no semiring, so the query never binds and no
+        cache under a wrong semiring is built."""
         db.create_view("other", ("location", "warehouses"), op)
         with pytest.raises(
             QueryError,
             match="aggregate 'sum' does not form a semiring with the view's",
         ):
-            db.build_cache("other")
-        with pytest.raises(QueryError, match="no cache built"):
-            db.query_cached("other", "wid")
+            self._cache(db, "select wid, sum(f) from other group by wid")
 
-    def test_reload_drops_the_caches_of_views_over_the_table(self, db):
-        sql = "select wid, sum(inv) from invest group by wid"
-        db.execute(
-            "create mpfview prices as (select pid, sid, "
-            "measure = (* contracts.price) from contracts)"
-        )
-        db.build_cache("invest")
-        db.build_cache("prices")
-        before = db.query_cached("invest", "wid")
-        ctdeals = db.catalog.relation("ctdeals")
-        db.reload_table(ctdeals.with_measure(ctdeals.measure * 10))
-        with pytest.raises(QueryError, match="no cache built for view"):
-            db.query_cached("invest", "wid")
-        db.query_cached("prices", "pid")  # not over ctdeals: kept
-        db.build_cache("invest")
-        after = db.query_cached("invest", "wid")
+    def test_cache_carries_the_bound_views_semiring(self, db):
+        """The cache reads its semiring off the bound view: a ``min``
+        query over the ``*`` view builds a min-product cache."""
+        sql = "select wid, min(inv) from invest group by wid"
+        cache = self._cache(db, sql)
+        assert cache.semiring is db.bind(sql).view.semiring
         expected = db.execute(sql).result
-        assert after.equals(expected, SUM_PRODUCT, ignore_zero_rows=True)
-        assert not after.equals(before, SUM_PRODUCT, ignore_zero_rows=True)
+        assert cache.answer("wid").equals(
+            expected, db.bind(sql).view.semiring, ignore_zero_rows=True
+        )
 
 
 class TestProfile:

@@ -31,8 +31,8 @@ TIERS = [
     ("optimizer",),
     ("query",),
     ("workload", "datagen"),
-    ("bayes",),
     ("engine",),
+    ("bayes",),
     ("serve",),
     ("cli",),
     ("__init__", "__main__"),
