@@ -7,13 +7,7 @@ semijoins (Definition 6).
 """
 
 from repro.algebra.aggregate import marginalize, project_fd, total
-from repro.algebra.hypothetical import (
-    alter_domain,
-    alter_measure,
-    apply_patch,
-    measure_ratio_relation,
-)
-from repro.algebra.join import join_match_indices, product_join, quotient_join
+from repro.algebra.join import product_join, quotient_join
 from repro.algebra.select import restrict, restrict_range
 from repro.algebra.semijoin import (
     product_semijoin,
@@ -24,7 +18,6 @@ from repro.algebra.semijoin import (
 __all__ = [
     "product_join",
     "quotient_join",
-    "join_match_indices",
     "marginalize",
     "total",
     "project_fd",
@@ -33,8 +26,4 @@ __all__ = [
     "product_semijoin",
     "update_semijoin",
     "shared_variable_names",
-    "alter_measure",
-    "alter_domain",
-    "apply_patch",
-    "measure_ratio_relation",
 ]

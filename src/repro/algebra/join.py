@@ -64,7 +64,7 @@ from repro.data.encoding import (
 from repro.data.relation import FunctionalRelation
 from repro.semiring.base import Semiring
 
-__all__ = ["product_join", "quotient_join", "join_match_indices"]
+__all__ = ["product_join", "quotient_join"]
 
 # A probe side is worth keeping whole — walked row by row through a
 # direct-address table, its columns passed through, a GroupBy over it
@@ -84,33 +84,6 @@ PROBE_KEEP_FACTOR = 2
 DEFER_MIN_ROWS = 4096
 
 
-def join_match_indices(
-    left: FunctionalRelation,
-    right: FunctionalRelation,
-    shared_names: tuple[str, ...],
-    cache: GroupIndexCache | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """All matching row-index pairs ``(i_left, i_right)`` on shared keys.
-
-    Pairs come left-major: ascending left row, and within one left row
-    ascending right row.
-
-    On the mixed-radix key path the build (right) side's group
-    structure comes from the group-index cache: each side's pair keys
-    equal its own ``key_codes`` there (shared variables have one
-    domain), so an index built by an earlier join or marginalization
-    over the same relation and key set is reused.  When the build keys
-    are unique and dense the probe is one direct-address table lookup;
-    otherwise each probe key finds its run by binary search.  The
-    ``np.unique`` fallback for oversized key spaces keys the two sides
-    jointly and stays uncached.
-    """
-    i_left, i_right, _ = _match_indices(left, right, shared_names, cache)
-    if i_left is None:
-        i_left = np.arange(left.ntuples, dtype=np.int64)
-    return i_left, i_right
-
-
 def _match_indices(
     left: FunctionalRelation,
     right: FunctionalRelation,
@@ -124,8 +97,18 @@ def _match_indices(
     ``None`` for the probe side's indices stands for ``arange`` — every
     probe row matched — so the caller can pass that side's arrays
     through instead of gathering.  Without ``either_side_probes`` only
-    the left side ever probes, which keeps the pairs left-major
-    (:func:`join_match_indices`).
+    the left side ever probes, which keeps the pairs left-major:
+    ascending left row, and within one left row ascending right row.
+
+    On the mixed-radix key path the build (right) side's group
+    structure comes from the group-index cache: each side's pair keys
+    equal its own ``key_codes`` there (shared variables have one
+    domain), so an index built by an earlier join or marginalization
+    over the same relation and key set is reused.  When the build keys
+    are unique and dense the probe is one direct-address table lookup;
+    otherwise each probe key finds its run by binary search.  The
+    ``np.unique`` fallback for oversized key spaces keys the two sides
+    jointly and stays uncached.
     """
     n_left, n_right = left.ntuples, right.ntuples
     if not shared_names:

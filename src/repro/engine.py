@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext as _nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.cost.model import CostModel, SimpleCostModel
@@ -233,10 +233,6 @@ class AnalyzeReport:
     def plan_text(self) -> str:
         """The plan tree with estimates, actuals, and Q-errors."""
         return explain(self.optimization.plan, calibration=self.calibration)
-
-    def formatted(self) -> str:
-        """The per-operator breakdown with est.rows / q-err columns."""
-        return self.profile.formatted()
 
     def to_explain_dict(self) -> dict:
         """The ANALYZE explain document; calibrated, it carries per-node
@@ -889,21 +885,6 @@ class Database:
             schedule=ctx.publish_schedule(),
         )
 
-    def profile(
-        self, sql, strategy: str = "auto",
-        guard: QueryGuard | None = None, **options
-    ):
-        """EXPLAIN ANALYZE: plan, execute, and break down per operator.
-
-        Returns an :class:`~repro.plans.profile.ExecutionProfile`; its
-        ``formatted()`` is the human-readable table.  With a ``guard``,
-        resource limits apply and any hash→sort degradations the guard
-        forces are visible in the breakdown.
-        """
-        return self.explain_analyze(
-            sql, strategy, calibrate=False, guard=guard, **options
-        ).profile
-
     # ------------------------------------------------------------------
     # Cost-model calibration (EXPLAIN ANALYZE + estimate→actual join)
     # ------------------------------------------------------------------
@@ -921,8 +902,10 @@ class Database:
 
         The run is :meth:`run_query` under a
         :class:`~repro.obs.trace.QueryTracer` — the binder, planner,
-        guard window and metrics of :meth:`execute`.  Beyond
-        :meth:`profile`, the chosen plan is annotated with the
+        guard window and metrics of :meth:`execute`.  The report's
+        ``profile`` is the per-operator breakdown
+        (:class:`~repro.plans.profile.ExecutionProfile`); with
+        ``calibrate``, the chosen plan is also annotated with the
         estimator's per-node cardinalities and joined (by structural
         plan key) with the actual per-node counts the run produced —
         yielding per-node Q-errors, misestimate attribution, and the
@@ -963,7 +946,6 @@ class Database:
                 stats_epoch=self.catalog.stats_epoch,
             )
             calibration.publish(self.metrics)
-            profile.calibration = calibration
             if audit_plans and len(query.view.tables) <= audit_max_tables:
                 calibration.audit = self._audit_plan_choice(
                     query, optimization, **options
@@ -1035,58 +1017,6 @@ class Database:
             self.bind(sql_or_query), strategy, **options
         )
         return explain(optimization.plan)
-
-    # ------------------------------------------------------------------
-    # Hypothetical queries (Section 3.1's alternate measure / domain)
-    # ------------------------------------------------------------------
-    def run_hypothetical(
-        self,
-        query: MPFQuery,
-        measure_updates: Mapping[str, tuple[Mapping[str, object], object]] | None = None,
-        domain_updates: Mapping[str, tuple[Mapping[str, object], Mapping[str, object]]] | None = None,
-        strategy: str = "auto",
-        **options,
-    ) -> QueryReport:
-        """Evaluate a query against hypothetically patched base tables.
-
-        ``measure_updates`` maps a base table to ``(row assignment, new
-        measure)`` — the *alternate measure* form ("what if part p1 was
-        a different price?").  ``domain_updates`` maps a base table to
-        ``(row assignment, {variable: new value})`` — the *alternate
-        domain* form ("what if c1's deal with t1 transferred to t2?").
-        The real catalog is untouched; the query runs through
-        :meth:`run_query` on a shadow engine — this engine's settings,
-        registry and clock over a catalog of the patched relations.
-        """
-        from repro.algebra.hypothetical import alter_domain, alter_measure
-
-        measure_updates = dict(measure_updates or {})
-        domain_updates = dict(domain_updates or {})
-        for table in (*measure_updates, *domain_updates):
-            if table not in query.view.tables:
-                raise QueryError(
-                    f"hypothetical update on {table!r}, which is not a "
-                    f"base table of view {query.view.name!r}"
-                )
-
-        # A fresh pool: the shadow catalog numbers its heap files from 1
-        # again, which would alias resident pages of the real catalog.
-        shadow = Database(
-            cost_model=self.cost_model, clock=self.clock,
-            **self._run_settings(pool=BufferPool()),
-        )
-        for table in query.view.tables:
-            relation = self.catalog.relation(table)
-            if table in measure_updates:
-                assignment, new_value = measure_updates[table]
-                relation = alter_measure(relation, assignment, new_value)
-            if table in domain_updates:
-                assignment, transfer = domain_updates[table]
-                relation = alter_domain(
-                    relation, assignment, transfer, query.view.semiring
-                )
-            shadow.register(relation, table)
-        return shadow.run_query(query, strategy=strategy, **options)
 
     # ------------------------------------------------------------------
     # Workload cache (Section 6)

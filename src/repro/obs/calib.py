@@ -212,8 +212,8 @@ def calibrate_plan(
     so every node carries estimated stats; ``actuals`` is either a
     ``key → (rows, elapsed)`` map or the
     :class:`~repro.obs.trace.OperatorProfile` rows of a profiled run
-    (:func:`~repro.plans.profile.profile_execution` hands them out in
-    plan-tree vocabulary).  Matching is by structural plan key — the
+    (:meth:`~repro.plans.profile.ExecutionProfile.traced` hands them
+    out in plan-tree vocabulary).  Matching is by structural plan key — the
     identity shared by CSE and the runtime memo — so the join survives
     plan-DAG sharing: a subtree repeated in the tree collapses onto the
     one DAG node that actually ran.

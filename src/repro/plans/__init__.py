@@ -15,11 +15,7 @@ from repro.plans.nodes import (
     SemiJoin,
 )
 from repro.plans.printer import explain
-from repro.plans.profile import (
-    ExecutionProfile,
-    OperatorProfile,
-    profile_execution,
-)
+from repro.plans.profile import ExecutionProfile, OperatorProfile
 from repro.plans.runtime import (
     DEFAULT_WORKMEM_PAGES,
     ExecutionContext,
@@ -56,7 +52,6 @@ __all__ = [
     "evaluate",
     "evaluate_dag",
     "DEFAULT_WORKMEM_PAGES",
-    "profile_execution",
     "ExecutionProfile",
     "OperatorProfile",
     "plan_to_dict",

@@ -18,11 +18,6 @@ from repro.workload.graphs import (
     variable_graph,
 )
 from repro.workload.junction import JunctionTree, build_junction_tree
-from repro.workload.render import (
-    junction_tree_dot,
-    triangulation_dot,
-    variable_graph_dot,
-)
 from repro.workload.triangulate import (
     TriangulationResult,
     elimination_cliques,
@@ -61,7 +56,4 @@ __all__ = [
     "WorkloadQuery",
     "baseline_objective",
     "cache_objective",
-    "variable_graph_dot",
-    "triangulation_dot",
-    "junction_tree_dot",
 ]

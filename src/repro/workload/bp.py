@@ -30,10 +30,9 @@ program builders — :func:`collect` / :func:`distribute` from a root of
 a forest, :func:`literal_program` for Algorithm 4's all-pairs order —
 are pure functions of the schema; :func:`run_program` is the one place
 a message is sent (semijoin evaluated, target rebound, ``bp.messages``
-counted, error context attached).  The VE-cache backward pass, its
-evidence protocol and the alternate-measure patch
-(:mod:`repro.workload.vecache`) are distribute programs through the
-same runner (Theorem 10).
+counted, error context attached).  The VE-cache backward pass and
+its evidence protocol (:mod:`repro.workload.vecache`) are distribute
+programs through the same runner (Theorem 10).
 
 The backward pass needs semiring division; for division-free semirings
 with idempotent multiplication (boolean), re-absorption is harmless and

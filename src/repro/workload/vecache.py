@@ -30,9 +30,8 @@ apply a selection to one cached table containing the constrained
 variable, then propagate reductions along the forest to every other
 table (:meth:`VECache.absorb_evidence`) — BP's
 :func:`~repro.workload.bp.distribute` program rooted at the constrained
-table, as is the alternate-measure patch
-(:meth:`VECache.with_alternate_measure`).  Every message of all three
-is sent by :func:`~repro.workload.bp.run_program`.
+table.  Every message of this protocol and of the backward pass is
+sent by :func:`~repro.workload.bp.run_program`.
 """
 
 from __future__ import annotations
@@ -91,10 +90,6 @@ class VECache:
     elimination_order: tuple[str, ...]
     eliminated_by: dict[str, str] = field(default_factory=dict)
     """Cached-table name → the variable whose elimination created it."""
-    base_step: dict[str, str] = field(default_factory=dict)
-    """Base-relation name → the cached table that absorbed it."""
-    base_relations: dict[str, FunctionalRelation] = field(default_factory=dict)
-    """Current (possibly hypothetically updated) base relations."""
     context: ExecutionContext | None = None
     """Runtime context the cache executes through; its ``stats`` hold
     the simulated IO of building and serving this cache."""
@@ -223,80 +218,6 @@ class VECache:
         return replace(self, tables=tables, context=ctx)
 
     # ------------------------------------------------------------------
-    # Hypothetical queries (Section 3.1's alternate-measure form)
-    # ------------------------------------------------------------------
-    def with_alternate_measure(
-        self,
-        base_table: str,
-        assignment: Mapping[str, object],
-        new_value,
-    ) -> "VECache":
-        """Incrementally recalibrate for a hypothetical measure change.
-
-        Instead of rebuilding the whole cache against the patched base
-        relation, the multiplicative patch ``new / old`` is applied to
-        the one cached table that absorbed the base relation, and the
-        change is propagated along the junction forest — the same
-        distribute pass the constrained-domain protocol uses.  Requires
-        semiring division.
-        """
-        from repro.algebra.hypothetical import (
-            alter_measure,
-            apply_patch,
-            measure_ratio_relation,
-        )
-
-        if base_table not in self.base_step:
-            raise WorkloadError(
-                f"unknown base table {base_table!r}; cache covers "
-                f"{sorted(self.base_step)}"
-            )
-        base = self.base_relations[base_table]
-        patch = measure_ratio_relation(
-            base, assignment, new_value, self.semiring
-        )
-        step = self.base_step[base_table]
-        tables = dict(self.tables)
-        ctx = self._derived_context(tables)
-        old_total = self.semiring.reduce(tables[step].measure)
-        ctx.stats.charge_cpu(tables[step].ntuples)
-        tables[step] = apply_patch(tables[step], patch, self.semiring)
-        ctx.bind(step, tables[step])
-        self._propagate(ctx, tables, step, old_total)
-        base_relations = dict(self.base_relations)
-        base_relations[base_table] = alter_measure(
-            base, assignment, new_value
-        )
-        return replace(
-            self, tables=tables, base_relations=base_relations, context=ctx
-        )
-
-    def refresh(
-        self, base_table: str, new_relation: FunctionalRelation
-    ) -> "VECache":
-        """View maintenance: replace one base relation and recalibrate.
-
-        Row insertions/deletions are not expressible as multiplicative
-        patches (a created row divides by the additive identity), so
-        maintenance rebuilds the cache — reusing the stored elimination
-        order, which keeps the cached-table scopes stable so downstream
-        consumers see the same schema.
-        """
-        if base_table not in self.base_relations:
-            raise WorkloadError(
-                f"unknown base table {base_table!r}; cache covers "
-                f"{sorted(self.base_relations)}"
-            )
-        relations = [
-            new_relation.with_name(name) if name == base_table else rel
-            for name, rel in self.base_relations.items()
-        ]
-        return build_ve_cache(
-            relations, self.semiring, order=list(self.elimination_order),
-            context=self._derived_context({}),
-        )
-
-    # ------------------------------------------------------------------
     # Costing (the C(S) term of the MPF Workload Problem)
     # ------------------------------------------------------------------
     def total_tuples(self) -> int:
@@ -394,7 +315,6 @@ def build_ve_cache(
     # ------------------------------------------------------------------
     work: list[tuple[str, str | None]] = [(n, None) for n in base_relations]
     steps: list[_Step] = []
-    base_step: dict[str, str] = {}
 
     for v in full_order:
         chosen = [(n, src) for n, src in work if v in ctx.env[n].variables]
@@ -417,9 +337,6 @@ def build_ve_cache(
         ctx.count("vecache.steps")
 
         children = [src for _, src in chosen if src is not None]
-        for n, src in chosen:
-            if src is None:
-                base_step[n] = name
         steps.append(_Step(name=name, children=children, variable=v))
         work = rest + [(f"{name}.msg", name)]
 
@@ -474,7 +391,5 @@ def build_ve_cache(
         semiring=semiring,
         elimination_order=tuple(full_order),
         eliminated_by={s.name: s.variable for s in steps},
-        base_step=base_step,
-        base_relations=base_relations,
         context=ctx,
     )

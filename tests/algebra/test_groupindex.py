@@ -7,16 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import dense, marginalize, product_join
+from repro.algebra import dense, join, marginalize, product_join
 from repro.algebra.groupindex import (
     DEFAULT_GROUP_INDEX_CACHE,
     GroupIndex,
     GroupIndexCache,
     group_index,
 )
-from repro.algebra.join import join_match_indices
 from repro.data import FunctionalRelation, complete_relation, encoding, var
 from repro.semiring import ALL_SEMIRINGS, SUM_PRODUCT
+
+from tests.algebra.test_join import match_pairs
 
 
 def _relation(n_rows=20, seed=0):
@@ -414,12 +415,8 @@ class TestDifferentialByteIdentity:
                                "c": data.draw(st.integers(1, 4))},
         ))
         cache = GroupIndexCache()
-        il_cold, ir_cold = join_match_indices(
-            left, right, ("b",), cache=cache
-        )
-        il_warm, ir_warm = join_match_indices(
-            left, right, ("b",), cache=cache
-        )
+        il_cold, ir_cold = match_pairs(left, right, ("b",), cache=cache)
+        il_warm, ir_warm = match_pairs(left, right, ("b",), cache=cache)
         assert cache.hits >= 1
         assert np.array_equal(il_cold, il_warm)
         assert np.array_equal(ir_cold, ir_warm)
@@ -439,7 +436,7 @@ class TestDifferentialByteIdentity:
         right = complete_relation([a, b], rng=rng).take(np.arange(11))
         assert dense.dense_form(right) is None
         cache = GroupIndexCache()
-        join_match_indices(left, right, ("a",), cache=cache)
+        join._match_indices(left, right, ("a",), cache)
         assert cache.counters() == (0, 1, 0)
         marginalize(right, ["a"], SUM_PRODUCT, cache=cache)
         assert cache.counters() == (1, 1, 0)
@@ -452,7 +449,7 @@ class TestDifferentialByteIdentity:
         left = complete_relation([a], rng=rng)
         right = complete_relation([a, b], rng=rng)
         cache = GroupIndexCache()
-        join_match_indices(left, right, ("a",), cache=cache)
+        join._match_indices(left, right, ("a",), cache)
         assert cache.counters() == (0, 1, 0)
         before = dense.dense_ops()
         folded = marginalize(right, ["a"], SUM_PRODUCT, cache=cache)

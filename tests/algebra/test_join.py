@@ -5,11 +5,20 @@ import pytest
 
 from repro.algebra import join, product_join, quotient_join
 from repro.algebra.groupindex import GroupIndexCache
-from repro.algebra.hypothetical import apply_patch
-from repro.algebra.join import join_match_indices
 from repro.data import FunctionalRelation, complete_relation, encoding, var
 from repro.errors import SchemaError, SemiringError
 from repro.semiring import BOOLEAN, MIN_SUM, SUM_PRODUCT
+
+
+def match_pairs(left, right, shared_names, cache=None):
+    """``join._match_indices``'s pairs, left-major, with the ``None``
+    of a fully matched probe side spelt out as ``arange``."""
+    i_left, i_right, _ = join._match_indices(
+        left, right, shared_names, cache
+    )
+    if i_left is None:
+        i_left = np.arange(left.ntuples, dtype=np.int64)
+    return i_left, i_right
 
 
 @pytest.fixture
@@ -187,7 +196,7 @@ class TestDirectAddressProbe:
             ("k", "z"), (40, 3), {"k": build, "z": [1] * len(build)}, rng
         )
         direct, generic = self._both_paths(
-            lambda: join_match_indices(
+            lambda: match_pairs(
                 left, right, ("k",), cache=GroupIndexCache()
             ),
             monkeypatch,
@@ -251,8 +260,8 @@ class TestDirectAddressProbe:
         few = _keyed(("k",), (40,), {"k": [9]}, rng)
         expanded = product_join(few, right, SUM_PRODUCT)
         assert probes == [] and expanded.columns["z"].tolist() == [3]
-        # join_match_indices keeps its left-major contract regardless.
-        i_left, i_right = join_match_indices(
+        # The left-probing pairs keep their left-major order regardless.
+        i_left, i_right = match_pairs(
             left, right, ("k",), cache=GroupIndexCache()
         )
         assert i_left.tolist() == [0, 1, 1, 1, 2]
@@ -263,7 +272,7 @@ class TestDirectAddressProbe:
     ):
         left = _keyed(("k",), (10**6,), {"k": [5, 999_999]}, rng)
         right = _keyed(("k",), (10**6,), {"k": [999_999, 5]}, rng)
-        i_left, i_right = join_match_indices(
+        i_left, i_right = match_pairs(
             left, right, ("k",), cache=GroupIndexCache()
         )
         assert probes == []
@@ -312,28 +321,6 @@ class TestDirectAddressProbe:
         assert len(probes) == 1
         _assert_same_relation(direct, generic)
         assert direct.ntuples == 3
-
-    def test_through_apply_patch(self, rng, probes, monkeypatch):
-        target = _keyed(
-            ("k", "a"), (40, 9),
-            {"k": [5, 3, 5, 8, 4], "a": [0, 1, 2, 3, 4]}, rng,
-        )
-        patch = _keyed(("k",), (40,), {"k": [5, 4]}, rng)
-        direct, generic = self._both_paths(
-            lambda: apply_patch(target, patch, SUM_PRODUCT), monkeypatch
-        )
-        assert len(probes) == 1
-        _assert_same_relation(direct, generic)
-        want = target.measure.copy()
-        want[[0, 2]] *= patch.measure[0]
-        want[4] *= patch.measure[1]
-        assert np.array_equal(direct.measure, want)
-        # The fully matched case: every target row has one patch row.
-        whole = _keyed(("k",), (40,), {"k": [8, 3, 5, 4]}, rng)
-        direct, generic = self._both_paths(
-            lambda: apply_patch(target, whole, SUM_PRODUCT), monkeypatch
-        )
-        _assert_same_relation(direct, generic)
 
     def test_shared_left_columns_cannot_reach_the_input(self, rng):
         """Every probe row matched once: the output reuses the left

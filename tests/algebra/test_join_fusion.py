@@ -41,6 +41,8 @@ from repro.semiring import (
 )
 from repro.storage import CheckpointManager
 
+from tests.algebra.test_join import match_pairs
+
 NEVER = 10**12
 
 
@@ -359,8 +361,8 @@ class TestDeferredJoin:
         joined = product_join(dim, fact, SUM_PRODUCT)
         assert type(joined) is FunctionalRelation
         assert 0 < joined.ntuples * join.PROBE_KEEP_FACTOR < fact.ntuples
-        # Left-major, as join_match_indices documents.
-        i_left, i_right = join.join_match_indices(dim, fact, ("k",))
+        # Left-major, as the left-probing pairs come.
+        i_left, i_right = match_pairs(dim, fact, ("k",))
         assert np.array_equal(joined.columns["g"], fact.columns["g"][i_right])
         assert np.array_equal(joined.columns["k"], dim.columns["k"][i_left])
 

@@ -59,22 +59,25 @@ class TestDegenerateDomains:
 
     def test_selection_matching_nothing(self, tiny_supply_chain):
         sc = tiny_supply_chain
-        # tid value outside every ctdeals row may still be in domain.
-        missing = None
+        # A tid in the domain that no ctdeals row carries: drop its
+        # rows from a copy of ctdeals.
+        missing = 0
         deals = sc.catalog.relation("ctdeals")
-        present = set(deals.columns["tid"].tolist())
-        for code in range(sc.catalog.variable("tid").size):
-            if code not in present:
-                missing = code
-                break
-        if missing is None:
-            pytest.skip("ctdeals covers every tid at this seed")
+        cat = Catalog()
+        for table in sc.tables:
+            relation = sc.catalog.relation(table)
+            if table == "ctdeals":
+                relation = deals.take(
+                    np.flatnonzero(deals.columns["tid"] != missing)
+                )
+                assert 0 < relation.ntuples < deals.ntuples
+            cat.register(relation, table)
         spec = QuerySpec(
             tables=sc.tables, query_vars=("cid",),
             selections={"tid": missing},
         )
-        result = CSPlusNonlinear().optimize(spec, sc.catalog)
-        got, _ = execute(result.plan, sc.catalog, SUM_PRODUCT)
+        result = CSPlusNonlinear().optimize(spec, cat)
+        got, _ = execute(result.plan, cat, SUM_PRODUCT)
         assert got.ntuples == 0
 
 

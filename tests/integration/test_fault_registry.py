@@ -2,10 +2,9 @@
 
 Two properties of hosting faults where the hooks live:
 
-* Fresh pools are fault-free, on purpose.  The plan-choice audit and
-  ``run_hypothetical``'s shadow engine run on pools of their own, so
-  they draw no page faults: an audit replay cannot use up a fault
-  meant for the profiled run.
+* Fresh pools are fault-free, on purpose.  The plan-choice audit runs
+  its replays on pools of their own, so they draw no page faults: an
+  audit replay cannot use up a fault meant for the profiled run.
 * Faults compose.  One registry carries a seeded transient page rate
   and a crash between batch queries; the crashed batch, recovered and
   resumed under the same registry, answers what the uninterrupted
@@ -109,19 +108,6 @@ class TestFreshPoolsAreFaultFree:
         assert [c.to_dict() for c in audited.audit.candidates] == [
             c.to_dict() for c in clean.audit.candidates
         ]
-
-    def test_hypothetical_shadow_draws_nothing(self):
-        faults = self._faults()
-        db = _db(faults)
-        query = _queries(db)[0]
-        update = {"r_ab": ({"a": 1, "b": 2}, 7.5)}
-        report = db.run_hypothetical(query, measure_updates=update)
-        assert not faults.counts
-        clean_db = _db()
-        clean = clean_db.run_hypothetical(
-            _queries(clean_db)[0], measure_updates=update
-        )
-        assert _bytes(report.result) == _bytes(clean.result)
 
 
 class TestComposedFaults:

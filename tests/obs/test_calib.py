@@ -16,11 +16,20 @@ from repro.obs.calib import (
     q_error,
 )
 from repro.obs.export import explain_document
+from repro.obs.trace import QueryTracer
 from repro.obs.validate import validate_document
 from repro.optimizer.base import OptimizationResult
-from repro.plans import GroupBy, ProductJoin, Scan, Select, profile_execution
+from repro.plans import (
+    ExecutionContext,
+    ExecutionProfile,
+    GroupBy,
+    ProductJoin,
+    Scan,
+    Select,
+)
 from repro.plans.annotate import annotate
 from repro.semiring import SUM_PRODUCT
+from repro.storage import IOStats
 
 
 class TestQError:
@@ -48,9 +57,21 @@ def exact_setting(rng):
     return cat, plan
 
 
+def profiled(plan, cat):
+    """The ``EXPLAIN ANALYZE`` profile of one traced run of ``plan``."""
+    tracer = QueryTracer()
+    stats = IOStats()
+    tracer.bind_stats(stats)
+    ctx = ExecutionContext(cat, SUM_PRODUCT, tracer=tracer)
+    result, _ = ctx.run(plan, stats=stats)
+    return ExecutionProfile.traced(
+        plan, result, stats, tracer, lambda t: cat.relation(t).ntuples
+    )
+
+
 def run_calibrated(plan, cat):
     annotate(plan, cat)
-    profile = profile_execution(plan, cat, SUM_PRODUCT)
+    profile = profiled(plan, cat)
     return calibrate_plan(plan, profile.operators,
                           stats_epoch=cat.stats_epoch)
 

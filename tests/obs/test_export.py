@@ -21,7 +21,6 @@ from repro.obs import (
 from repro.obs.validate import validate_document
 from repro.optimizer import QuerySpec, VariableElimination
 from repro.plans import Scan, Select
-from repro.semiring import SUM_PRODUCT
 
 
 @pytest.fixture
@@ -86,10 +85,10 @@ class TestExplainDocument:
         assert json.loads(json.dumps(doc)) == doc
 
     def test_analyze_document_validates(self, optimization):
-        from repro.plans.profile import profile_execution
+        from tests.obs.test_calib import profiled
 
         opt, cat = optimization
-        profile = profile_execution(opt.plan, cat, SUM_PRODUCT)
+        profile = profiled(opt.plan, cat)
         doc = explain_document(
             opt, execution=profile.total, operators=profile.operators
         )

@@ -271,16 +271,21 @@ class TestGracefulDegradation:
         evaluate(plan, ctx)  # no guard, no degrade, no error
 
     def test_profile_reports_degradation(self, big_relations):
-        from repro.plans import profile_execution
+        from repro.obs import QueryTracer
 
-        plan = ProductJoin(Scan("s1"), Scan("s2"), method="hash")
-        profile = profile_execution(
-            plan, big_relations, SUM_PRODUCT,
-            workmem_pages=1, guard=QueryGuard(),
+        tracer = QueryTracer()
+        ctx = ExecutionContext(
+            big_relations, SUM_PRODUCT, workmem_pages=1,
+            guard=QueryGuard(), tracer=tracer,
         )
-        text = profile.formatted()
-        assert "[degraded]" in text
-        assert "degraded: hash join degraded to sort-merge" in text
+        tracer.bind_stats(ctx.stats)
+        evaluate(ProductJoin(Scan("s1"), Scan("s2"), method="hash"), ctx)
+        rows = [op.to_dict() for op in tracer.operators]
+        degraded = [row for row in rows if row["degraded"] is not None]
+        assert [row["label"] for row in degraded] == ["ProductJoin"]
+        assert degraded[0]["degraded"].startswith(
+            "hash join degraded to sort-merge"
+        )
 
 
 class TestDegradationOnBothPaths:

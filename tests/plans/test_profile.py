@@ -1,48 +1,52 @@
-"""Tests for the execution profiler."""
+"""Tests for the execution profile ``EXPLAIN ANALYZE`` reports."""
 
 import pytest
 
-from repro.catalog import Catalog
+from repro import Database
 from repro.data import complete_relation, var
-from repro.plans import (
-    GroupBy,
-    ProductJoin,
-    Scan,
-    execute,
-    profile_execution,
-)
+from repro.obs.export import iostats_dict
 from repro.semiring import SUM_PRODUCT
+
+SQL = "select a, sum(f) from v group by a"
+
+
+def _database(rng, pool=None):
+    db = Database(pool=pool)
+    db.register(complete_relation([var("a", 6), var("b", 5)], rng=rng,
+                                  name="s1"))
+    db.register(complete_relation([var("b", 5), var("c", 4)], rng=rng,
+                                  name="s2"))
+    db.create_view("v", ("s1", "s2"))
+    return db
 
 
 @pytest.fixture
-def setting(rng):
-    cat = Catalog()
-    cat.register(complete_relation([var("a", 6), var("b", 5)], rng=rng,
-                                   name="s1"))
-    cat.register(complete_relation([var("b", 5), var("c", 4)], rng=rng,
-                                   name="s2"))
-    plan = GroupBy(ProductJoin(Scan("s1"), Scan("s2")), ["a"])
-    return cat, plan
+def db(rng):
+    return _database(rng)
+
+
+def _analyze(db, **options):
+    return db.explain_analyze(SQL, calibrate=False, **options)
 
 
 class TestProfile:
-    def test_result_matches_plain_execution(self, setting):
-        cat, plan = setting
-        profile = profile_execution(plan, cat, SUM_PRODUCT)
-        expected, _ = execute(plan, cat, SUM_PRODUCT)
+    def test_result_matches_plain_execution(self, db):
+        profile = _analyze(db).profile
+        expected = db.execute(SQL).result
         assert profile.result.equals(expected, SUM_PRODUCT)
 
-    def test_one_entry_per_operator(self, setting):
-        cat, plan = setting
-        profile = profile_execution(plan, cat, SUM_PRODUCT)
-        assert len(profile.operators) == plan.count_nodes()
+    def test_one_entry_per_operator(self, db):
+        report = _analyze(db)
+        profile = report.profile
+        assert len(profile.operators) == (
+            report.optimization.plan.count_nodes()
+        )
         labels = [op.label for op in profile.operators]
         assert labels[-1].startswith("GroupBy")  # root finishes last
         assert labels[0].startswith("Scan")
 
-    def test_deltas_sum_to_total(self, setting):
-        cat, plan = setting
-        profile = profile_execution(plan, cat, SUM_PRODUCT)
+    def test_deltas_sum_to_total(self, db):
+        profile = _analyze(db).profile
         assert sum(op.tuples for op in profile.operators) == (
             profile.total.tuples_processed
         )
@@ -53,98 +57,88 @@ class TestProfile:
             profile.total.elapsed()
         )
 
-    def test_scans_carry_the_reads(self, setting):
-        cat, plan = setting
-        profile = profile_execution(plan, cat, SUM_PRODUCT)
+    def test_scans_carry_the_reads(self, db):
+        profile = _analyze(db).profile
         for op in profile.operators:
             if op.label.startswith("Scan"):
                 assert op.page_reads >= 1
             else:
                 assert op.page_reads == 0
 
-    def test_formatted_table(self, setting):
-        cat, plan = setting
-        text = profile_execution(plan, cat, SUM_PRODUCT).formatted()
-        assert "operator" in text
-        assert "total" in text
-        assert "Scan(s1)" in text
-
 
 class TestProfileReporting:
-    """Regression: formatted() used to drop buffer hits, memo hits,
-    and retries even though IOStats tracked all three."""
+    """The ANALYZE document's operator rows and totals carry buffer
+    hits, memo hits and retries, as IOStats tracks all three."""
 
-    def test_buffer_hits_column(self, setting):
-        from repro.storage import BufferPool
+    @staticmethod
+    def _execution(report):
+        return report.to_explain_dict()["execution"]
 
-        cat, plan = setting
-        pool = BufferPool(capacity_pages=1024)
-        profile_execution(plan, cat, SUM_PRODUCT, pool=pool)  # warm
-        profile = profile_execution(plan, cat, SUM_PRODUCT, pool=pool)
-        assert profile.total.buffer_hits > 0
-        assert "hits" in profile.formatted().splitlines()[0]
+    def test_buffer_hits_column(self, db):
+        _analyze(db)  # warm
+        execution = self._execution(_analyze(db))
+        assert execution["totals"]["buffer_hits"] > 0
         scans = [
-            op for op in profile.operators if op.label.startswith("Scan")
+            row for row in execution["operators"]
+            if row["label"].startswith("Scan")
         ]
-        assert sum(op.buffer_hits for op in scans) == (
-            profile.total.buffer_hits
+        assert sum(row["buffer_hits"] for row in scans) == (
+            execution["totals"]["buffer_hits"]
         )
 
-    def test_memo_hits_footer(self, setting):
+    def test_memo_hits_footer(self, db):
         from repro.obs import QueryTracer
-        from repro.plans import lower
+        from repro.plans import GroupBy, ProductJoin, Scan, lower
         from repro.plans.profile import ExecutionProfile
         from repro.plans.runtime import ExecutionContext, evaluate_dag
 
-        cat, plan = setting
+        plan = GroupBy(ProductJoin(Scan("s1"), Scan("s2")), ["a"])
         tracer = QueryTracer()
-        ctx = ExecutionContext(cat, SUM_PRODUCT, tracer=tracer)
+        ctx = ExecutionContext(db.catalog, SUM_PRODUCT, tracer=tracer)
         tracer.bind_stats(ctx.stats)
         evaluate_dag(lower(plan), ctx)
         (result,) = evaluate_dag(lower(plan), ctx)  # served from memo
         profile = ExecutionProfile(
             result=result, operators=tracer.operators, total=ctx.stats
         )
-        assert profile.total.memo_hits == 1
-        text = profile.formatted()
-        assert "memo hits: 1" in text
-        assert "[memo]" in text
+        assert iostats_dict(profile.total)["memo_hits"] == 1
+        rows = [op.to_dict() for op in profile.operators]
+        assert [row["label"] for row in rows if row["memoized"]] == [
+            "GroupBy(a)"
+        ]
 
-    def test_retries_column_and_footer(self, setting):
-        from repro.plans import QueryGuard
+    def test_retries_column_and_footer(self, rng):
         from repro.storage import BufferPool, Faults, PageId
 
-        cat, plan = setting
         faults = Faults()
-        heapfile = cat.heapfile("s1")
+        db = _database(rng, pool=BufferPool(faults=faults))
+        heapfile = db.catalog.heapfile("s1")
         for page_no in range(heapfile.n_pages):
             faults.target(
                 "page.read", "transient",
                 PageId(heapfile.file_id, page_no), times=1,
             )
-        profile = profile_execution(
-            plan, cat, SUM_PRODUCT,
-            pool=BufferPool(faults=faults),
-            guard=QueryGuard(retry_budget=1000),
+        execution = self._execution(
+            _analyze(db, guard=db.make_guard(retry_budget=1000))
         )
-        assert profile.total.retries == heapfile.n_pages
-        text = profile.formatted()
-        assert f"retries: {heapfile.n_pages} (waited" in text
+        assert execution["totals"]["retries"] == heapfile.n_pages
+        assert execution["totals"]["retry_wait"] > 0
         scan_rows = [
-            op for op in profile.operators if op.label == "Scan(s1)"
+            row for row in execution["operators"]
+            if row["label"] == "Scan(s1)"
         ]
-        assert scan_rows[0].retries == heapfile.n_pages
+        assert scan_rows[0]["retries"] == heapfile.n_pages
 
-    def test_to_dict_round_trips(self, setting):
+    def test_to_dict_round_trips(self, db):
         import json
 
-        cat, plan = setting
-        profile = profile_execution(plan, cat, SUM_PRODUCT)
+        report = _analyze(db)
+        profile = report.profile
         operators = [op.to_dict() for op in profile.operators]
         trace = profile.trace.to_dict()
         assert json.loads(json.dumps(operators)) == operators
         assert json.loads(json.dumps(trace)) == trace
-        assert len(operators) == plan.count_nodes()
+        assert len(operators) == report.optimization.plan.count_nodes()
         assert sum(op["elapsed"] for op in operators) == pytest.approx(
             profile.total.elapsed()
         )

@@ -264,27 +264,35 @@ class TestCache:
 
 
 class TestProfile:
+    """The per-operator breakdown of an uncalibrated EXPLAIN ANALYZE."""
+
+    @staticmethod
+    def _profile(db, sql):
+        return db.explain_analyze(sql, calibrate=False).profile
+
     def test_profile_breakdown(self, db):
-        profile = db.profile(
-            "select wid, sum(inv) from invest group by wid"
+        profile = self._profile(
+            db, "select wid, sum(inv) from invest group by wid"
         )
         assert profile.result.var_names == ("wid",)
         assert len(profile.operators) >= 6  # 5 scans + joins + groupbys
-        text = profile.formatted()
-        assert "Scan(location)" in text
-        assert "total" in text
+        labels = [op.label for op in profile.operators]
+        assert "Scan(location)" in labels
+        assert sum(op.tuples for op in profile.operators) == (
+            profile.total.tuples_processed
+        )
 
     def test_profile_requires_select(self, db):
         from repro.errors import QueryError
 
         with pytest.raises(QueryError):
-            db.profile("create index on contracts(pid)")
+            self._profile(db, "create index on contracts(pid)")
 
     def test_profile_unknown_view(self, db):
         from repro.errors import QueryError
 
         with pytest.raises(QueryError):
-            db.profile("select sum(f) from ghost")
+            self._profile(db, "select sum(f) from ghost")
 
 
 class TestPlanCache:
@@ -503,9 +511,8 @@ class TestExplainAnalyze:
         )
         assert "q=1.00" in report.plan_text
         assert "act=" in report.plan_text
-        formatted = report.formatted()
-        assert "q-err" in formatted
-        assert "plan q-error: 1.00" in formatted
+        doc = report.to_explain_dict()
+        assert doc["calibration"]["plan_q_error"] == 1.0
 
     @pytest.mark.parametrize("partitioned", (False, True),
                              ids=("serial", "partitioned"))
@@ -546,12 +553,13 @@ class TestExplainAnalyze:
                 )
                 assert n["source"] == "exact"
         assert "FilterScan" not in report.plan_text
-        formatted = report.formatted()
         fused_row = next(
-            line for line in formatted.splitlines()
-            if line.startswith("FilterScan(")
+            op for op in report.profile.operators
+            if op.label.startswith("FilterScan(")
         )
-        assert not fused_row.rstrip().endswith("-")  # est.rows / q-err
+        # The fused row joins to an estimate and has a Q-error.
+        row = report.calibration.lookup(fused_row.node_key)
+        assert row is not None and row.q_error is not None
 
     def test_audit_respects_max_tables(self, chain_db):
         report = chain_db.explain_analyze(
@@ -606,7 +614,9 @@ class TestOneFrontDoor:
 
     ENTRY_POINTS = {
         "execute": lambda db, sql: db.execute(sql),
-        "profile": lambda db, sql: db.profile(sql),
+        "profile": lambda db, sql: db.explain_analyze(
+            sql, calibrate=False
+        ).profile,
         "explain_analyze": lambda db, sql: db.explain_analyze(sql),
         "explain_query": lambda db, sql: db.explain_query(sql),
     }
@@ -692,6 +702,8 @@ class TestOneFrontDoor:
         ) == 2 * considered
 
     def test_profile_trace_carries_the_planned_event(self, db):
-        profile = db.profile("select wid, sum(inv) from invest group by wid")
+        profile = self.ENTRY_POINTS["profile"](
+            db, "select wid, sum(inv) from invest group by wid"
+        )
         assert [e["name"] for e in profile.trace.events] == ["planned"]
         assert [c.name for c in profile.trace.children] == ["execute"]

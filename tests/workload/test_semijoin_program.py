@@ -1,8 +1,8 @@
 """Section 6 as one semijoin program.
 
 Every producer of calibrated tables — tree BP, junction tree + BP,
-the VE-cache build, its evidence protocol and its alternate-measure
-patch — builds a :class:`BPStep` list and sends it through
+the VE-cache build and its evidence protocol — builds a
+:class:`BPStep` list and sends it through
 :func:`repro.workload.bp.run_program`.  One parametrised Definition 5
 check covers them all, on every semiring family the runner serves
 (division, log-space, tropical, and the boolean product-semijoin
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.algebra import restrict
-from repro.algebra.hypothetical import alter_measure
 from repro.data import complete_relation, var
 from repro.errors import SemiringError, TransientStorageError
 from repro.obs.metrics import MetricsRegistry
@@ -120,20 +119,6 @@ def _evidence(*variables):
     return produce
 
 
-def _alternate_measure(relations, semiring):
-    cache = build_ve_cache(relations, semiring)
-    base = relations[1]
-    row = {
-        n: base.variables[n].domain.label_of(int(base.columns[n][0]))
-        for n in base.var_names
-    }
-    value = semiring.times(base.measure[0], base.measure[0])
-    patched = cache.with_alternate_measure(base.name, row, value)
-    return patched.tables, [
-        alter_measure(r, row, value) if r is base else r for r in relations
-    ]
-
-
 PRODUCERS = {
     "tree-bp": ("tiny_supply_chain", _tree_bp),
     "junction+bp": ("cyclic_supply_chain", _junction_bp),
@@ -143,8 +128,6 @@ PRODUCERS = {
     "evidence-2": ("tiny_supply_chain", _evidence("tid", "wid")),
     "evidence-forest-1": (None, _evidence("b")),
     "evidence-forest-2": (None, _evidence("b", "e")),
-    "alternate-measure": ("tiny_supply_chain", _alternate_measure),
-    "alternate-measure-forest": (None, _alternate_measure),
 }
 
 
@@ -159,11 +142,6 @@ class TestDefinition5:
             sc = request.getfixturevalue(fixture)
             base = [sc.catalog.relation(t) for t in sc.tables]
         relations = _in_semiring(base, semiring)
-        if produce is _alternate_measure and not semiring.supports_division:
-            # The patch is new / old: no division, no patch.
-            with pytest.raises(SemiringError):
-                produce(relations, semiring)
-            return
         tables, view = produce(relations, semiring)
         assert satisfies_workload_invariant(tables, view, semiring)
 
@@ -305,22 +283,26 @@ class TestRunnerCountsAndContext:
         )
 
     def test_cache_messages_carry_the_bp_message_context(
-        self, tiny_supply_chain
+        self, tiny_supply_chain, monkeypatch
     ):
         from repro.storage.buffer import BufferPool
+        from repro.workload.vecache import VECache
 
         sc = tiny_supply_chain
         relations = [sc.catalog.relation(t) for t in sc.tables]
         pool = BufferPool()
         cache, registry = self._cache(relations, pool=pool)
-        pool.faults = Faults().rate(
-            "page.read", "transient", 1.0, times=10_000
-        )
-        base = relations[0]
-        row = {
-            n: base.variables[n].domain.label_of(int(base.columns[n][0]))
-            for n in base.var_names
-        }
+        propagate = VECache._propagate
+
+        def faulty_propagate(self, *args):
+            # The evidence selection has read its table; every page
+            # read of the messages that follow fails.
+            pool.faults = Faults().rate(
+                "page.read", "transient", 1.0, times=10_000
+            )
+            return propagate(self, *args)
+
+        monkeypatch.setattr(VECache, "_propagate", faulty_propagate)
         with pytest.raises(TransientStorageError, match="BP message t"):
-            cache.with_alternate_measure(base.name, row, 2.0)
+            cache.absorb_evidence({"tid": 1})
         assert registry.snapshot().get("bp.failures") == 1

@@ -206,80 +206,3 @@ class TestCosting:
     def test_empty_view_rejected(self):
         with pytest.raises(WorkloadError):
             build_ve_cache([], SUM_PRODUCT)
-
-
-class TestMaintenance:
-    def test_refresh_after_insert(self, tiny_supply_chain):
-        import numpy as np
-
-        from repro.data import FunctionalRelation
-
-        sc = tiny_supply_chain
-        relations = [sc.catalog.relation(t) for t in sc.tables]
-        cache = build_ve_cache(relations, SUM_PRODUCT)
-
-        contracts = sc.catalog.relation("contracts")  # sparse: room to grow
-        present = set(
-            map(tuple, np.column_stack(
-                [contracts.columns["pid"], contracts.columns["sid"]]
-            ).tolist())
-        )
-        new_pair = next(
-            (p, s)
-            for p in range(sc.catalog.variable("pid").size)
-            for s in range(sc.catalog.variable("sid").size)
-            if (p, s) not in present
-        )
-        extended = FunctionalRelation(
-            contracts.variables,
-            {
-                "pid": np.append(contracts.columns["pid"], new_pair[0]),
-                "sid": np.append(contracts.columns["sid"], new_pair[1]),
-            },
-            np.append(contracts.measure, 42.5),
-            name="contracts",
-            measure_name=contracts.measure_name,
-        )
-        refreshed = cache.refresh("contracts", extended)
-        patched = [extended if r.name == "contracts" else r for r in relations]
-        assert satisfies_workload_invariant(
-            refreshed.tables, patched, SUM_PRODUCT
-        )
-        # Scopes stable: same elimination order reused.
-        assert refreshed.elimination_order == cache.elimination_order
-
-    def test_refresh_runs_in_the_cache_pool_and_registry(
-        self, tiny_supply_chain
-    ):
-        """A refreshed cache is a derived cache: it shares the buffer
-        pool and the metrics registry, so its IO stays on the books."""
-        from repro.obs.metrics import MetricsRegistry
-        from repro.plans.runtime import ExecutionContext
-
-        sc = tiny_supply_chain
-        relations = [sc.catalog.relation(t) for t in sc.tables]
-        registry = MetricsRegistry()
-        cache = build_ve_cache(
-            relations, SUM_PRODUCT,
-            context=ExecutionContext({}, SUM_PRODUCT, metrics=registry),
-        )
-
-        def count(name):
-            return registry.snapshot().get(name)
-
-        steps, reads = count("vecache.steps"), count("query.page_reads")
-        ctdeals = sc.catalog.relation("ctdeals")
-        refreshed = cache.refresh(
-            "ctdeals", ctdeals.with_measure(ctdeals.measure * 2)
-        )
-        assert refreshed.context.pool is cache.context.pool
-        assert refreshed.context.metrics is registry
-        assert count("vecache.steps") == steps + len(refreshed.tables)
-        assert count("query.page_reads") > reads
-
-    def test_refresh_unknown_table(self, tiny_supply_chain):
-        sc = tiny_supply_chain
-        relations = [sc.catalog.relation(t) for t in sc.tables]
-        cache = build_ve_cache(relations, SUM_PRODUCT)
-        with pytest.raises(WorkloadError):
-            cache.refresh("ghost", relations[0])
